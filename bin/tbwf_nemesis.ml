@@ -99,11 +99,7 @@ let matrix backend substrate full seed jobs =
   let n, horizon =
     Campaign.substrate_dimensions ~substrate ~quick:(not full) ()
   in
-  let factor =
-    match substrate with
-    | Tbwf_system.System.Shared_memory -> 1
-    | Tbwf_system.System.Message_passing _ -> Campaign.net_cost_factor
-  in
+  let factor = Cell_runner.cost_factor substrate in
   Fmt.pf fmt
     "dimensions   n=%d horizon=%d net-cost-factor=%d (horizon x%d, \
      tail-rate floor /%d)@."

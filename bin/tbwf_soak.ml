@@ -1,15 +1,17 @@
 (* Long-horizon soak CLI: many independent shards, each a (system,
-   campaign) cell from the nemesis catalogue run for a long horizon with
-   the memory-bounded telemetry configuration — no trace recording, a
-   ring-buffered rate series, streaming v2 JSONL snapshots, and the
-   online degradation checker standing in for the post-hoc one (there is
-   no trace to check post hoc).
+   campaign) cell from the nemesis catalogue, run through the one cell
+   runner (Cell_runner.run) for a long horizon with the memory-bounded
+   telemetry configuration — no trace recording, a ring-buffered rate
+   series, streaming v2 JSONL snapshots, and the runner's online
+   degradation verdict (there is no trace to check post hoc).
 
    Output contract: stdout carries the deterministic artifact — every
    shard's JSONL stream in shard order, then one tbwf-soak/v1 aggregate
-   record — and is byte-identical for any --jobs value (shards fan out
-   over a Pool, which merges in canonical task order). Wall-clock
-   numbers (per-shard seconds, ops/sec) go to stderr only. *)
+   record — and is byte-identical for any --jobs value (shards fold in
+   task order through Pool.fold). Memory is bounded in --shards: a shard
+   is printed and merged into its system's running aggregate as the fold
+   reaches it, then dropped. Wall-clock numbers (per-shard seconds,
+   ops/sec, rss) go to stderr only. *)
 
 open Cmdliner
 open Tbwf_sim
@@ -37,146 +39,114 @@ type shard_result = {
   sr_campaign : string;
   sr_jsonl : string;  (* the shard's v2 stream, one record per line *)
   sr_telemetry : Collector.t;
-  sr_verdict : Tbwf_check.Degradation.verdict;
-  sr_expected_fail : bool;
+  sr_holds : bool;
+  sr_as_expected : bool;
   sr_seconds : float;
   sr_rss_kb : int option;
       (* process VmHWM when the shard finished: host diagnostics for
          stderr, never part of the stdout artifact *)
 }
 
+(* A catalogue cell through the one cell runner, in the memory-bounded
+   configuration: no trace recording (the runner's online verdict is the
+   only one), a ring-buffered rate series, and a tail monitor teed ahead
+   of the collector so each record carries the window it closed. *)
 let run_shard ~shard ~n ~horizon ~every ~window ~retain ~master_seed =
   let start = Unix.gettimeofday () in
   let system, campaign = shard_cell ~shard in
-  let plan = Campaign.plan campaign ~n ~horizon in
   let seed = Rng.task_seed ~master:master_seed shard in
-  let qa_policy =
-    Fault_plan.abort_policy plan ~target:Fault_plan.Qa
-      ~base:Tbwf_registers.Abort_policy.Always
-  in
-  let mesh_policy =
-    Fault_plan.abort_policy plan ~target:Fault_plan.Omega_mesh
-      ~base:Tbwf_registers.Abort_policy.Always
-  in
-  let stack =
-    Tbwf_system.System.build ~seed ~record_trace:false ~qa_policy ~mesh_policy
-      ~telemetry:true ~telemetry_window:window ~telemetry_retain:retain ~n
-      system
-  in
-  let rt = stack.Tbwf_system.System.rt in
-  let telemetry = Option.get stack.Tbwf_system.System.telemetry in
-  Fault_plan.install_crashes plan rt;
-  (* Same tail boundary and floor as Campaign.run_plan; the verdict comes
-     from the online checker alone, since trace recording is off. *)
-  let snap =
-    max (Fault_plan.settle_step plan) (horizon - (horizon / 4))
-  in
-  let prediction =
-    { (Fault_plan.prediction plan) with Degradation.pred_from = snap }
-  in
-  let min_ops = Campaign.required_tail_ops ~n ~tail:(horizon - snap) in
-  let online = Degradation.Online.create ~min_ops prediction in
   let tm = Tail_monitor.create ~n ~window:every () in
-  (* Tee order fixes what each record sees: the monitor (first) has
-     closed exactly the record's window, the collector (second) emits,
-     the checker (last) has consumed exactly the covered steps. *)
-  Runtime.set_sink rt
-    (Sink.tee (Tail_monitor.sink tm)
-       (Sink.tee (Collector.sink telemetry) (Degradation.Online.sink online)));
   let buf = Buffer.create 4096 in
-  Collector.emit_every telemetry ~every
-    ~extra:(fun ~window:_ ->
-      [
-        "shard", Json.Int shard;
-        "system", Json.Str (Campaign.system_name system);
-        "campaign", Json.Str (Campaign.name campaign);
-        ( "verdict",
-          Degradation.verdict_json (Degradation.Online.verdict online) );
-        "tail_monitor", Tail_monitor.to_json tm;
-      ])
-    (fun record ->
-      Buffer.add_string buf (Json.to_string record);
-      Buffer.add_char buf '\n');
-  Runtime.run rt ~policy:(Fault_plan.policy plan) ~steps:horizon;
-  Collector.stream_flush telemetry;
-  let verdict = Degradation.Online.verdict online in
-  Runtime.stop rt;
+  let fields verdict =
+    [
+      "shard", Json.Int shard;
+      "system", Json.Str (Campaign.system_name system);
+      "campaign", Json.Str (Campaign.name campaign);
+      "verdict", verdict;
+      "tail_monitor", Tail_monitor.to_json tm;
+    ]
+  in
+  let emit r = Buffer.add_string buf (Json.to_string r ^ "\n") in
+  let monitor = Some (Tail_monitor.sink tm) in
+  let cell =
+    Cell_runner.run
+      ~plan:(Campaign.plan campaign ~n ~horizon)
+      ~stream:(Some { Cell_runner.every; monitor; fields; emit })
+      ~build:(fun ~qa_policy ~mesh_policy ->
+        Tbwf_system.System.build ~seed ~record_trace:false ~qa_policy
+          ~mesh_policy ~telemetry:true ~telemetry_window:window
+          ~telemetry_retain:retain ~n system)
+  in
+  let holds = cell.Cell_runner.cr_verdict.Degradation.holds in
   {
     sr_shard = shard;
     sr_system = system;
     sr_campaign = Campaign.name campaign;
     sr_jsonl = Buffer.contents buf;
-    sr_telemetry = telemetry;
-    sr_verdict = verdict;
-    sr_expected_fail = List.mem system (Campaign.expect_fail campaign);
+    sr_telemetry = cell.Cell_runner.cr_telemetry;
+    sr_holds = holds;
+    sr_as_expected = holds <> List.mem system (Campaign.expect_fail campaign);
     sr_seconds = Unix.gettimeofday () -. start;
     sr_rss_kb = Resource.peak_rss_kb ();
   }
 
-(* The aggregate record: per-system merged telemetry (collectors merge
-   in shard order, so the aggregate is order-fixed), completion-time
+(* Per-system running tallies: each shard's collector folds into its
+   system's merge (a left fold in shard order, as [Collector.merge_all])
+   and is dropped, so memory is bounded in the shard count. *)
+type per_system = {
+  mutable merged : Collector.t option;
+  mutable shards : int;
+  mutable holds : int;
+  mutable as_expected : bool;
+}
+
+let fold_shard by_system r =
+  print_string r.sr_jsonl;
+  (* rss is the process VmHWM when the shard finished — the shard whose
+     line first shows a jump is the one that pushed the high-water mark *)
+  Fmt.epr "shard %2d %-16s %-12s %s %6.2fs%s@." r.sr_shard
+    (Campaign.system_name r.sr_system)
+    r.sr_campaign
+    (if r.sr_holds then "holds" else "fails")
+    r.sr_seconds
+    (match r.sr_rss_kb with Some kb -> Fmt.str " rss %d kB" kb | None -> "");
+  let py = List.assoc r.sr_system by_system in
+  py.merged <-
+    Some
+      (match py.merged with
+      | None -> r.sr_telemetry
+      | Some m -> Collector.merge m r.sr_telemetry);
+  py.shards <- py.shards + 1;
+  if r.sr_holds then py.holds <- py.holds + 1;
+  py.as_expected <- py.as_expected && r.sr_as_expected
+
+let merged_systems by_system =
+  List.filter_map
+    (fun (sys, py) -> Option.map (fun m -> sys, py, m) py.merged)
+    by_system
+
+let sum f by_system =
+  List.fold_left (fun acc (_, _, m) -> acc + f m) 0 (merged_systems by_system)
+
+let completed m = Array.fold_left ( + ) 0 (Collector.app_completed m)
+
+(* The aggregate record: per-system merged telemetry, completion-time
    tails of the app layer, epoch churn, and the verdict tally. *)
-let aggregate ~n ~horizon ~every ~shards results =
-  let by_system sys =
-    List.filter (fun r -> r.sr_system = sys) results
-  in
-  let quantile_json q =
+let aggregate ~n ~horizon ~every ~shards by_system =
+  let system (sys, py, merged) =
     Json.Obj
       [
-        "count", Json.Int (Quantile.count q);
-        "p50", Json.Int (Quantile.p50 q);
-        "p99", Json.Int (Quantile.p99 q);
-        "p999", Json.Int (Quantile.p999 q);
-        "max", Json.Int (Quantile.max_value q);
+        "system", Json.Str (Campaign.system_name sys);
+        "shards", Json.Int py.shards;
+        "steps", Json.Int (Collector.total_steps merged);
+        "completed", Json.Int (completed merged);
+        ( "app_tail",
+          Quantile.summary_json (Span.tail_of (Collector.spans merged) Sink.App)
+        );
+        "leader_epochs", Json.Int (Collector.leader_epochs merged);
+        "verdict_holds", Json.Int py.holds;
+        "as_expected", Json.Bool py.as_expected;
       ]
-  in
-  let systems =
-    List.filter_map
-      (fun sys ->
-        match by_system sys with
-        | [] -> None
-        | rs ->
-          let merged =
-            Collector.merge_all (List.map (fun r -> r.sr_telemetry) rs)
-          in
-          let completed =
-            Array.fold_left ( + ) 0 (Collector.app_completed merged)
-          in
-          let holds =
-            List.length
-              (List.filter
-                 (fun r -> r.sr_verdict.Tbwf_check.Degradation.holds)
-                 rs)
-          in
-          let as_expected =
-            List.for_all
-              (fun r ->
-                r.sr_verdict.Tbwf_check.Degradation.holds
-                = not r.sr_expected_fail)
-              rs
-          in
-          Some
-            (Json.Obj
-               [
-                 "system", Json.Str (Campaign.system_name sys);
-                 "shards", Json.Int (List.length rs);
-                 "steps", Json.Int (Collector.total_steps merged);
-                 "completed", Json.Int completed;
-                 ( "app_tail",
-                   quantile_json
-                     (Span.tail_of (Collector.spans merged) Sink.App) );
-                 "leader_epochs", Json.Int (Collector.leader_epochs merged);
-                 "verdict_holds", Json.Int holds;
-                 "as_expected", Json.Bool as_expected;
-               ])
-          )
-      Campaign.all_systems
-  in
-  let all_as_expected =
-    List.for_all
-      (fun r ->
-        r.sr_verdict.Tbwf_check.Degradation.holds = not r.sr_expected_fail)
-      results
   in
   Json.Obj
     [
@@ -185,84 +155,48 @@ let aggregate ~n ~horizon ~every ~shards results =
       "n", Json.Int n;
       "horizon_per_shard", Json.Int horizon;
       "every", Json.Int every;
-      ( "total_steps",
-        Json.Int
-          (List.fold_left
-             (fun acc r -> acc + Collector.total_steps r.sr_telemetry)
-             0 results) );
-      "systems", Json.Arr systems;
-      "all_as_expected", Json.Bool all_as_expected;
+      "total_steps", Json.Int (sum Collector.total_steps by_system);
+      "systems", Json.Arr (List.map system (merged_systems by_system));
+      ( "all_as_expected",
+        Json.Bool (List.for_all (fun (_, py) -> py.as_expected) by_system) );
     ]
 
 let soak shards steps every window retain n seed jobs =
-  if shards < 1 then begin
-    Fmt.epr "--shards must be positive@.";
+  let every = match every with Some e -> e | None -> max 1 (steps / 8) in
+  match
+    if shards < 1 then invalid_arg "--shards must be positive";
+    if every < 1 then invalid_arg "--every must be positive";
+    Cell_runner.validate ~n ~horizon:steps ~window ~retain:(Some retain)
+  with
+  | exception Invalid_argument msg ->
+    Fmt.epr "%s@." msg;
     2
-  end
-  else if steps < 1 then begin
-    Fmt.epr "--steps must be positive@.";
-    2
-  end
-  else begin
-    let every = match every with Some e -> e | None -> max 1 (steps / 8) in
-    if every < 1 then begin
-      Fmt.epr "--every must be positive@.";
-      2
-    end
-    else begin
-      let master_seed = Int64.of_int seed in
-      let pool = Tbwf_parallel.Pool.create ~domains:jobs () in
-      let start = Unix.gettimeofday () in
-      let results =
-        Tbwf_parallel.Pool.map pool
-          (Array.init shards (fun i -> i))
-          (fun shard ->
-            run_shard ~shard ~n ~horizon:steps ~every ~window ~retain
-              ~master_seed)
-        |> Array.to_list
-      in
-      let wall = Unix.gettimeofday () -. start in
-      (* rss is the process VmHWM when the shard finished — the shard
-         whose line first shows a jump is the one that pushed the
-         high-water mark *)
-      List.iter
-        (fun r ->
-          print_string r.sr_jsonl;
-          Fmt.epr "shard %2d %-16s %-12s %s %6.2fs%s@." r.sr_shard
-            (Campaign.system_name r.sr_system)
-            r.sr_campaign
-            (if r.sr_verdict.Tbwf_check.Degradation.holds then "holds"
-             else "fails")
-            r.sr_seconds
-            (match r.sr_rss_kb with
-            | Some kb -> Fmt.str " rss %d kB" kb
-            | None -> ""))
-        results;
-      let agg = aggregate ~n ~horizon:steps ~every ~shards results in
-      print_string (Json.to_string agg);
-      print_newline ();
-      let total_ops =
-        List.fold_left
-          (fun acc r ->
-            acc
-            + Array.fold_left ( + ) 0
-                (Collector.app_completed r.sr_telemetry))
-          0 results
-      in
-      Fmt.epr "%d shards x %d steps in %.2fs wall (%.0f steps/s, %.0f ops/s)@."
-        shards steps wall
-        (float_of_int (shards * steps) /. wall)
-        (float_of_int total_ops /. wall);
-      let all_ok =
-        List.for_all
-          (fun r ->
-            r.sr_verdict.Tbwf_check.Degradation.holds
-            = not r.sr_expected_fail)
-          results
-      in
-      if all_ok then 0 else 1
-    end
-  end
+  | () ->
+    let master_seed = Int64.of_int seed in
+    let pool = Tbwf_parallel.Pool.create ~domains:jobs () in
+    let start = Unix.gettimeofday () in
+    let by_system =
+      List.map
+        (fun sys ->
+          sys, { merged = None; shards = 0; holds = 0; as_expected = true })
+        Campaign.all_systems
+    in
+    (* Shards fold in shard order, a batch at a time: each is printed and
+       merged as the fold reaches it, then dropped. *)
+    Tbwf_parallel.Pool.fold pool ~tasks:shards
+      (fun shard ->
+        run_shard ~shard ~n ~horizon:steps ~every ~window ~retain ~master_seed)
+      ~init:()
+      (fun () r -> fold_shard by_system r);
+    let wall = Unix.gettimeofday () -. start in
+    print_string
+      (Json.to_string (aggregate ~n ~horizon:steps ~every ~shards by_system));
+    print_newline ();
+    Fmt.epr "%d shards x %d steps in %.2fs wall (%.0f steps/s, %.0f ops/s)@."
+      shards steps wall
+      (float_of_int (shards * steps) /. wall)
+      (float_of_int (sum completed by_system) /. wall);
+    if List.for_all (fun (_, py) -> py.as_expected) by_system then 0 else 1
 
 (* --- cmdliner wiring ------------------------------------------------------ *)
 

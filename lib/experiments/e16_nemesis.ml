@@ -33,20 +33,32 @@ let cell_of_row (r : Campaign.row) =
         (Tbwf_check.Degradation.min_timely_tail_ops v);
   }
 
+(* One column per system: verdict, min tail ops, and [!] when the
+   verdict contradicts the campaign's prediction. E17 prints the same. *)
+let system_columns cells =
+  List.map
+    (fun system ->
+      match List.assoc_opt system cells with
+      | None -> "-"
+      | Some c ->
+        Fmt.str "%s %d%s"
+          (if c.holds then "holds" else "fails")
+          c.min_tail_ops
+          (if c.as_expected then "" else " [!]"))
+    Campaign.all_systems
+
 let compute ?(quick = false) () =
   let n, horizon = Campaign.dimensions ~quick in
   let outcomes = List.map (Campaign.run ~quick) Campaign.catalogue in
   let rows =
     List.map
       (fun (o : Campaign.outcome) ->
-        let first = List.hd o.Campaign.o_rows in
-        let result = first.Campaign.row_result in
-        let tail = result.Campaign.rr_tail_steps in
+        let result = (List.hd o.Campaign.o_rows).Campaign.row_result in
         {
           campaign = Campaign.name o.Campaign.o_campaign;
           atom = Campaign.headline_atom o.Campaign.o_campaign;
-          tail_steps = tail;
-          min_ops = Campaign.required_tail_ops ~n ~tail;
+          tail_steps = result.Campaign.rr_tail_steps;
+          min_ops = result.Campaign.rr_min_ops;
           cells =
             List.map
               (fun r -> (r.Campaign.row_system, cell_of_row r))
@@ -76,16 +88,7 @@ let report fmt r =
       Table.add_row table
         (row.campaign :: row.atom
         :: Table.cell_int row.min_ops
-        :: List.map
-             (fun system ->
-               match List.assoc_opt system row.cells with
-               | None -> "-"
-               | Some c ->
-                 Fmt.str "%s %d%s"
-                   (if c.holds then "holds" else "fails")
-                   c.min_tail_ops
-                   (if c.as_expected then "" else " [!]"))
-             Campaign.all_systems))
+        :: system_columns row.cells))
     r.rows;
   Table.print fmt table;
   Fmt.pf fmt

@@ -10,7 +10,7 @@
 
 open Tbwf_nemesis
 
-type cell = {
+type cell = E16_nemesis.cell = {
   holds : bool;
   as_expected : bool;
   min_tail_ops : int;  (* min ops over in-force processes, -1 if none *)
@@ -30,16 +30,6 @@ type result = {
   rows : row list;
   all_ok : bool;
 }
-
-let cell_of_row (r : Campaign.row) =
-  let v = r.Campaign.row_result.Campaign.rr_verdict in
-  {
-    holds = v.Tbwf_check.Degradation.holds;
-    as_expected = r.Campaign.row_as_expected;
-    min_tail_ops =
-      Option.value ~default:(-1)
-        (Tbwf_check.Degradation.min_timely_tail_ops v);
-  }
 
 let exempt_clients plan =
   match Fault_plan.emergent plan with
@@ -66,7 +56,7 @@ let compute ?(quick = false) () =
           exempt = exempt_clients o.Campaign.o_plan;
           cells =
             List.map
-              (fun r -> (r.Campaign.row_system, cell_of_row r))
+              (fun r -> (r.Campaign.row_system, E16_nemesis.cell_of_row r))
               o.Campaign.o_rows;
         })
       outcomes
@@ -98,16 +88,7 @@ let report fmt r =
         :: (match row.exempt with
            | [] -> "-"
            | cs -> String.concat "," (List.map string_of_int cs))
-        :: List.map
-             (fun system ->
-               match List.assoc_opt system row.cells with
-               | None -> "-"
-               | Some c ->
-                 Fmt.str "%s %d%s"
-                   (if c.holds then "holds" else "fails")
-                   c.min_tail_ops
-                   (if c.as_expected then "" else " [!]"))
-             Campaign.all_systems))
+        :: E16_nemesis.system_columns row.cells))
     r.rows;
   Table.print fmt table;
   Fmt.pf fmt

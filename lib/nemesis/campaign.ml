@@ -1,5 +1,4 @@
 open Tbwf_sim
-open Tbwf_registers
 open Tbwf_check
 open Tbwf_core
 open Tbwf_system
@@ -27,13 +26,9 @@ type run_result = {
   rr_system : system;
   rr_verdict : Degradation.verdict;
   rr_online : Degradation.verdict;
-      (* the same contract decided incrementally by [Degradation.Online]
-         from the sink stream while the run executed; equal to
-         [rr_verdict] field for field (the differential invariant) *)
+  rr_min_ops : int;
   rr_tail_steps : int;
   rr_tail_ops : int array;
-      (* measured workload completions per pid over the tail, from the
-         attached telemetry collector *)
   rr_telemetry : Tbwf_telemetry.Collector.t;
   rr_seconds : float;  (* wall-clock seconds this cell took to run *)
 }
@@ -44,18 +39,7 @@ let default_seed = 0x4E454D45L (* "NEME" *)
    [Tbwf_check.Degradation.tail_rate_denominator] doc comment. *)
 let required_tail_ops = Degradation.required_tail_ops
 
-(* A register operation over the quorum emulation costs round-trips —
-   two phases of (send to all, await a majority, polled on a retransmit
-   cadence) — where a shared-memory operation costs one step. The
-   substrate cost factor feeds both knobs that calibrate verdicts to the
-   substrate: campaign horizons stretch by it (so tails hold enough
-   completions to separate degradation from noise) and the rate floor
-   divides by it (the guarantee is "keeps completing ops at the
-   substrate's own pace", not at shared memory's). *)
-let net_cost_factor = 4
-
-let net_required_tail_ops ~n ~tail =
-  max 2 (required_tail_ops ~n ~tail / net_cost_factor)
+let net_cost_factor = Cell_runner.net_cost_factor
 
 (* Align a plan and a substrate choice: on message passing the plan must
    know the replica count (its compiled policy schedules the replica
@@ -87,91 +71,44 @@ let align_substrate ?substrate plan =
     in
     System.Message_passing config, plan
 
-let run_plan ?backend ?substrate ?(seed = default_seed) ?min_ops ?stream
-    ~plan ~system () =
+let run_plan ?backend ?substrate ?(seed = default_seed) ?stream ~plan ~system
+    () =
   let substrate, plan = align_substrate ?substrate plan in
-  let n = Fault_plan.n plan in
-  let horizon = Fault_plan.horizon plan in
-  (* The plan's channel-level atoms compile into the abort policies of the
-     registers they target; everything else is the registry's stock stack
-     (one counter client per process, telemetry attached). *)
-  let qa_policy =
-    Fault_plan.abort_policy plan ~target:Fault_plan.Qa
-      ~base:Abort_policy.Always
-  in
-  let mesh_policy =
-    Fault_plan.abort_policy plan ~target:Fault_plan.Omega_mesh
-      ~base:Abort_policy.Always
-  in
   let start = Unix.gettimeofday () in
-  let stack =
-    System.build ?backend ~substrate ~seed ~qa_policy ~mesh_policy
-      ~telemetry:true ~n system
+  let stream =
+    Option.map
+      (fun (every, emit) ->
+        let fields verdict = [ "verdict", verdict ] in
+        { Cell_runner.every; monitor = None; fields; emit })
+      stream
   in
-  let rt = stack.System.rt in
-  let telemetry = Option.get stack.System.telemetry in
-  let stats = stack.System.stats in
-  Fault_plan.install_crashes plan rt;
-  let policy = Fault_plan.policy plan in
-  (* Tail = the last quarter of the horizon, pushed later if the plan
-     settles later than that: the contract is "keeps progressing after the
-     last fault", and the tail must leave the recovered system room to
-     demonstrate it. *)
-  let snap = max (Fault_plan.settle_step plan) (horizon - (horizon / 4)) in
-  let prediction =
-    { (Fault_plan.prediction plan) with Degradation.pred_from = snap }
+  (* Everything but the plan's policies and crashes is the registry's
+     stock stack: one counter client per process, telemetry attached. *)
+  let cell =
+    Cell_runner.run ~plan ~stream ~build:(fun ~qa_policy ~mesh_policy ->
+        System.build ?backend ~substrate ~seed ~qa_policy ~mesh_policy
+          ~telemetry:true ~n:(Fault_plan.n plan) system)
   in
-  let min_ops =
-    match min_ops with
-    | Some m -> m
-    | None -> (
-      match substrate with
-      | System.Shared_memory -> required_tail_ops ~n ~tail:(horizon - snap)
-      | System.Message_passing _ ->
-        net_required_tail_ops ~n ~tail:(horizon - snap))
-  in
-  (* The tail boundary and floor are plan-derived, so the online checker
-     can be armed before the first step; it shares the run's event stream
-     with the collector through a tee. *)
-  let online = Degradation.Online.create ~min_ops prediction in
-  Runtime.set_sink rt
-    (Sink.tee
-       (Tbwf_telemetry.Collector.sink telemetry)
-       (Degradation.Online.sink online));
-  (* Streaming: one v2 record per [every]-step window, each carrying the
-     online checker's verdict so far. The collector's sink runs first in
-     the tee, so at emission time the checker has consumed exactly the
-     steps the record covers. *)
-  (match stream with
-  | None -> ()
-  | Some (every, emit) ->
-    Tbwf_telemetry.Collector.emit_every telemetry ~every
-      ~extra:(fun ~window:_ ->
-        [
-          ( "verdict",
-            Degradation.verdict_json (Degradation.Online.verdict online) );
-        ])
-      emit);
-  Runtime.run rt ~policy ~steps:snap;
-  let completed_before = Array.copy stats.Workload.completed in
-  let measured_before = Tbwf_telemetry.Collector.app_completed telemetry in
-  Runtime.run rt ~policy ~steps:(horizon - snap);
-  let completed_after = Array.copy stats.Workload.completed in
-  let measured_after = Tbwf_telemetry.Collector.app_completed telemetry in
+  let stack = cell.Cell_runner.cr_stack in
+  (* The post-hoc checker over the recorded trace stays beside the online
+     verdict: it is the reference the differential tests hold
+     [rr_online] to. *)
   let verdict =
-    Degradation.check ~min_ops ~prediction ~trace:(Runtime.trace rt)
-      ~completed_before ~completed_after ()
+    Degradation.check ~min_ops:cell.Cell_runner.cr_min_ops
+      ~prediction:cell.Cell_runner.cr_prediction
+      ~trace:(Runtime.trace stack.System.rt)
+      ~completed_before:cell.Cell_runner.cr_completed_before
+      ~completed_after:stack.System.stats.Workload.completed ()
   in
-  if stream <> None then Tbwf_telemetry.Collector.stream_flush telemetry;
-  Runtime.stop rt;
   {
     rr_system = system;
     rr_verdict = verdict;
-    rr_online = Degradation.Online.verdict online;
-    rr_tail_steps = horizon - snap;
-    rr_tail_ops =
-      Array.init n (fun pid -> measured_after.(pid) - measured_before.(pid));
-    rr_telemetry = telemetry;
+    rr_online = cell.Cell_runner.cr_verdict;
+    rr_min_ops = cell.Cell_runner.cr_min_ops;
+    rr_tail_steps =
+      Fault_plan.horizon plan - cell.Cell_runner.cr_prediction.pred_from;
+    rr_tail_ops = cell.Cell_runner.cr_tail_ops;
+    rr_telemetry = cell.Cell_runner.cr_telemetry;
     rr_seconds = Unix.gettimeofday () -. start;
   }
 
@@ -476,48 +413,52 @@ type outcome = {
 
 let dimensions ~quick = if quick then 4, 96_000 else 6, 480_000
 
-let substrate_dimensions ?substrate ~quick () =
+let substrate_dimensions ?(substrate = System.Shared_memory) ~quick () =
   let n, horizon = dimensions ~quick in
-  match substrate with
-  | None | Some System.Shared_memory -> n, horizon
-  | Some (System.Message_passing _) -> n, horizon * net_cost_factor
+  n, horizon * Cell_runner.cost_factor substrate
 
-let row_of_result campaign system result =
-  let expected_fail = List.mem system campaign.c_expect_fail in
+let row_of_result campaign result =
+  let expected_fail = List.mem result.rr_system campaign.c_expect_fail in
   let holds = result.rr_verdict.Degradation.holds in
   {
-    row_system = system;
+    row_system = result.rr_system;
     row_expected_fail = expected_fail;
     row_result = result;
     row_as_expected = (if expected_fail then not holds else holds);
   }
 
-(* Fan a list of independent cell tasks out over [pool] (each task builds
-   its own stack via [run_plan], so nothing is shared); results come back
-   in task order either way. *)
-let map_cells ?pool f cells =
-  match pool with
-  | Some pool when Tbwf_parallel.Pool.domains pool > 1 ->
-    Tbwf_parallel.Pool.map pool (Array.of_list cells) f |> Array.to_list
-  | _ -> List.map f cells
-
-let run ?backend ?substrate ?(quick = true) ?seed ?pool
-    ?(systems = all_systems) campaign =
-  let n, horizon = substrate_dimensions ?substrate ~quick () in
-  let plan = campaign.c_plan ~n ~horizon in
-  let rows =
-    map_cells ?pool
-      (fun system ->
-        row_of_result campaign system
-          (run_plan ?backend ?substrate ?seed ~plan ~system ()))
-      systems
-  in
+let outcome_of campaign plan rows =
   {
     o_campaign = campaign;
     o_plan = plan;
     o_rows = rows;
     o_ok = List.for_all (fun r -> r.row_as_expected) rows;
   }
+
+(* Run independent (plan, system) cells over [pool] (each builds its own
+   stack, so nothing is shared); results come back in cell order at any
+   domain count. *)
+let run_cells ?backend ?substrate ?seed ?pool cells =
+  let pool =
+    Option.value pool ~default:(Tbwf_parallel.Pool.create ~domains:1 ())
+  in
+  let cells = Array.of_list cells in
+  Tbwf_parallel.Pool.fold pool ~tasks:(Array.length cells)
+    (fun i ->
+      let plan, system = cells.(i) in
+      run_plan ?backend ?substrate ?seed ~plan ~system ())
+    ~init:[]
+    (fun acc r -> r :: acc)
+  |> List.rev
+
+let run ?backend ?substrate ?(quick = true) ?seed ?pool
+    ?(systems = all_systems) campaign =
+  let n, horizon = substrate_dimensions ?substrate ~quick () in
+  let plan = campaign.c_plan ~n ~horizon in
+  run_cells ?backend ?substrate ?seed ?pool
+    (List.map (fun system -> plan, system) systems)
+  |> List.map (row_of_result campaign)
+  |> outcome_of campaign plan
 
 (* --- the full campaign × system matrix ------------------------------------ *)
 
@@ -545,38 +486,21 @@ let run_matrix ?backend ?substrate ?pool ?(quick = true) ?seed
      whole campaign. Regrouping walks the same order, and the aggregate
      collector folds in that order too, so the matrix is byte-identical at
      any domain count. *)
-  let cells =
-    List.concat_map
-      (fun campaign ->
-        let plan = campaign.c_plan ~n ~horizon in
-        List.map (fun system -> campaign, plan, system) systems)
-      matrix_catalogue
-  in
+  let plans = List.map (fun c -> c, c.c_plan ~n ~horizon) matrix_catalogue in
   let results =
-    map_cells ?pool
-      (fun (_, plan, system) ->
-        run_plan ?backend ?substrate ?seed ~plan ~system ())
-      cells
+    run_cells ?backend ?substrate ?seed ?pool
+      (List.concat_map
+         (fun (_, plan) -> List.map (fun system -> plan, system) systems)
+         plans)
   in
-  let rows =
-    List.map2 (fun (c, _, s) r -> c, row_of_result c s r) cells results
-  in
+  let per_campaign = List.length systems in
   let outcomes =
-    List.map
-      (fun campaign ->
-        let c_rows =
-          List.filter_map
-            (fun (c, row) ->
-              if c.c_name = campaign.c_name then Some row else None)
-            rows
-        in
-        {
-          o_campaign = campaign;
-          o_plan = campaign.c_plan ~n ~horizon;
-          o_rows = c_rows;
-          o_ok = List.for_all (fun r -> r.row_as_expected) c_rows;
-        })
-      matrix_catalogue
+    List.mapi
+      (fun i (campaign, plan) ->
+        List.filteri (fun j _ -> j / per_campaign = i) results
+        |> List.map (row_of_result campaign)
+        |> outcome_of campaign plan)
+      plans
   in
   let telemetry =
     List.map (fun r -> r.rr_telemetry) results

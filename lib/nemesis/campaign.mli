@@ -46,6 +46,8 @@ type run_result = {
           [rr_verdict] field for field — the differential invariant
           [test/test_nemesis.ml] checks across the whole matrix — and the
           verdict long-horizon runs rely on when trace recording is off *)
+  rr_min_ops : int;
+      (** the rate floor {!Cell_runner.run} judged the verdict against *)
   rr_tail_steps : int;
   rr_tail_ops : int array;
       (** measured workload completions per pid over the tail window, from
@@ -71,19 +73,18 @@ val run_plan :
   ?backend:Tbwf_sim.Backend.t ->
   ?substrate:Tbwf_system.System.substrate ->
   ?seed:int64 ->
-  ?min_ops:int ->
   ?stream:int * (Tbwf_telemetry.Json.t -> unit) ->
   plan:Fault_plan.t ->
   system:system ->
   unit ->
   run_result
-(** Build the system's stack under [plan]'s compiled abort policies, spawn
-    one counter client per process, install the plan's crashes, run under
-    the plan's policy to the horizon, and check degradation over the tail
-    (the last quarter of the horizon, or from the plan's settle step if
-    that is later). [backend] selects the execution backend for the
-    stack (default reference); verdicts and telemetry are identical
-    either way.
+(** Run [plan] against the registry's stock stack for [system] (one
+    counter client per process, trace recorded) through
+    {!Cell_runner.run}, which owns the tail boundary, the prediction, the
+    substrate's floor and the online verdict; then check the recorded
+    trace post hoc into [rr_verdict]. [backend] selects the execution
+    backend for the stack (default reference); verdicts and telemetry
+    are identical either way.
 
     [substrate] (default shared memory) selects what the Ω∆'s registers
     are made of. On a message-passing substrate the plan's network atoms
@@ -137,11 +138,8 @@ val dimensions : quick:bool -> int * int
 (** [(n, horizon)]: (4, 96k) quick, (6, 480k) full. *)
 
 val net_cost_factor : int
-(** How many steps a register operation costs over the quorum emulation
-    for every one it costs on shared memory (round-trips, polled on the
-    retransmit cadence). Calibrates the message-passing matrix: campaign
-    horizons stretch by it and the tail-rate floor divides by it, so
-    verdicts measure degradation against the substrate's own pace. *)
+(** {!Cell_runner.net_cost_factor}, re-exported: campaign horizons on
+    message passing stretch by it (see {!substrate_dimensions}). *)
 
 val substrate_dimensions :
   ?substrate:Tbwf_system.System.substrate -> quick:bool -> unit -> int * int
@@ -176,8 +174,9 @@ val run :
   outcome
 (** [run campaign] (default [quick:true], all systems) instantiates the
     campaign's plan at {!dimensions} and verdicts every system. [pool]
-    runs one task per system (each builds its own stack); rows come back
-    in [systems] order regardless of domain count. *)
+    folds one task per system ({!Tbwf_parallel.Pool.fold}; each builds
+    its own stack); rows come back in [systems] order regardless of
+    domain count. *)
 
 (** {2 The full matrix} *)
 

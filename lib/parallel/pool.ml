@@ -104,12 +104,33 @@ let errors_of results =
   Array.to_list results
   |> List.filter_map (function Error e -> Some e | Ok _ -> None)
 
-let force results =
+let force ?(from = 0) results =
   match errors_of results with
   | [] -> Array.map (function Ok v -> v | Error _ -> assert false) results
-  | errors -> raise (Task_failed errors)
+  | errors ->
+    raise
+      (Task_failed (List.map (fun e -> { e with task = from + e.task }) errors))
+
+(* The batch size is a constant, not a function of the domain count: the
+   fold order is task order either way, so the result is byte-identical
+   at any [domains]; the batch only bounds how many results are live at
+   once, and a barrier every 32 tasks still keeps every domain fed. One
+   domain has nothing to feed, so it folds every task as soon as it
+   returns and holds one result at a time. *)
+let batch_size = 32
+
+let fold t ~tasks f ~init step =
+  if tasks < 0 then invalid_arg "Pool.fold: negative task count";
+  let batch = if t.domains = 1 then 1 else batch_size in
+  let rec go acc from =
+    if from >= tasks then acc
+    else
+      let count = min batch (tasks - from) in
+      let results = run t ~tasks:count (fun i -> f (from + i)) in
+      go (Array.fold_left step acc (force ~from results)) (from + count)
+  in
+  go init 0
 
 let try_map t xs f = run t ~tasks:(Array.length xs) (fun i -> f xs.(i))
 let map t xs f = force (try_map t xs f)
-let try_map_seeded t seeds f = try_map t seeds f
 let map_seeded t seeds f = map t seeds f

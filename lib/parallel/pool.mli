@@ -38,6 +38,16 @@ val run : t -> tasks:int -> (int -> 'a) -> ('a, error) result array
 (** [run t ~tasks f] evaluates [f i] for [i] in [0, tasks) across the
     pool's domains and returns the results indexed by task. *)
 
+val fold :
+  t -> tasks:int -> (int -> 'a) -> init:'acc -> ('acc -> 'a -> 'acc) -> 'acc
+(** [fold t ~tasks f ~init step] is
+    [List.fold_left step init [f 0; ...; f (tasks - 1)]], run in batches
+    of 32 tasks (a constant, not a function of the pool): each batch runs
+    across the domains, then folds in task order before the next starts.
+    A one-domain pool folds each task as it returns. At most one batch of
+    results is live. If a task raises, its batch finishes and
+    {!Task_failed} (absolute task indices) is raised before it folds. *)
+
 val map : t -> 'b array -> ('b -> 'a) -> 'a array
 (** [map t xs f] is [Array.map f xs] distributed over the pool. Raises
     {!Task_failed} (after all tasks completed) if any task raised. *)
@@ -48,6 +58,3 @@ val map_seeded : t -> int64 array -> (int64 -> 'a) -> 'a array
 (** {!map} specialized to seed arrays — the canonical shape: derive one
     seed per task with {!Tbwf_sim.Rng.task_seeds}, fan out, merge in seed
     order. *)
-
-val try_map_seeded :
-  t -> int64 array -> (int64 -> 'a) -> ('a, error) result array

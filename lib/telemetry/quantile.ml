@@ -111,6 +111,16 @@ let to_json t =
       "p999", Json.Int (p999 t);
     ]
 
+let summary_json t =
+  Json.Obj
+    [
+      "count", Json.Int t.count;
+      "p50", Json.Int (p50 t);
+      "p99", Json.Int (p99 t);
+      "p999", Json.Int (p999 t);
+      "max", Json.Int t.max;
+    ]
+
 let pp fmt t =
   if t.count = 0 then Fmt.string fmt "no observations"
   else

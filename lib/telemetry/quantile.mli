@@ -38,4 +38,9 @@ val merge : t -> t -> t
 val equal : t -> t -> bool
 
 val to_json : t -> Json.t
+
+val summary_json : t -> Json.t
+(** [count], [p50], [p99], [p999], [max] — the tail shape of the world
+    and soak aggregate records. *)
+
 val pp : Format.formatter -> t -> unit

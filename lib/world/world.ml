@@ -52,7 +52,8 @@ let default =
 let validate c =
   let fail fmt = Format.kasprintf invalid_arg ("World: " ^^ fmt) in
   if c.shards < 1 then fail "shards must be positive (got %d)" c.shards;
-  if c.n < 2 then fail "n must be at least 2 (got %d)" c.n;
+  Cell_runner.validate ~n:c.n ~horizon:c.horizon ~window:c.window
+    ~retain:c.retain;
   if c.joiners < 0 || c.joiners >= c.n then
     fail "joiners must be in [0, n) (got %d of n=%d)" c.joiners c.n;
   (* at least one initially-active pid must stay for the whole run, so
@@ -150,74 +151,52 @@ let run_shard c ~shard =
   let system = shard_system c ~shard in
   let shard_seed = Rng.task_seed ~master:c.seed shard in
   let churn = churn_schedule c ~shard in
-  let plan = plan_of c ~churn in
-  let stack =
-    System.build ~substrate:c.substrate ~seed:shard_seed ~record_trace:false
-      ~spec:Tbwf_objects.Kv_store.spec ~client_pids:[] ~telemetry:true
-      ~telemetry_window:c.window
-      ?telemetry_retain:c.retain ~n:c.n system
-  in
-  let rt = stack.System.rt in
-  let telemetry = Option.get stack.System.telemetry in
   (* Initially-active members drive open-loop traffic from step 0; each
      joiner's client is the same body deferred to its join step. The Ω∆
      mesh installed by [build] covers all [n] pids either way — a joiner
      is a dormant but timely member until its client wakes. *)
-  let initial = List.init (c.n - c.joiners) Fun.id in
-  Workload.Open_loop.spawn_clients rt ~pids:initial ~stats:stack.System.stats
-    ~invoke:stack.System.invoke ~profile:c.profile ~seed:shard_seed
-    ~until:c.horizon ~op_of_key;
-  List.iter
-    (fun (pid, at) ->
-      Runtime.spawn_at ~layer:Sink.App rt ~pid ~at ~name:"open-loop"
-        (Workload.Open_loop.client_body rt ~pid ~stats:stack.System.stats
-           ~invoke:stack.System.invoke ~profile:c.profile ~seed:shard_seed
-           ~until:c.horizon ~op_of_key))
-    churn.ch_joins;
-  Fault_plan.install_crashes plan rt;
-  (* Same tail boundary and floor as Campaign.run_plan, with the network
-     substrate's cost factor folded into the floor the same way. *)
-  let snap =
-    max (Fault_plan.settle_step plan) (c.horizon - (c.horizon / 4))
+  let build ~qa_policy ~mesh_policy =
+    let stack =
+      System.build ~substrate:c.substrate ~seed:shard_seed
+        ~record_trace:false ~qa_policy ~mesh_policy
+        ~spec:Tbwf_objects.Kv_store.spec ~client_pids:[] ~telemetry:true
+        ~telemetry_window:c.window ?telemetry_retain:c.retain ~n:c.n system
+    in
+    let { System.rt; stats; invoke; _ } = stack in
+    Workload.Open_loop.spawn_clients rt
+      ~pids:(List.init (c.n - c.joiners) Fun.id)
+      ~stats ~invoke ~profile:c.profile ~seed:shard_seed ~until:c.horizon
+      ~op_of_key;
+    List.iter
+      (fun (pid, at) ->
+        Runtime.spawn_at ~layer:Sink.App rt ~pid ~at ~name:"open-loop"
+          (Workload.Open_loop.client_body rt ~pid ~stats ~invoke
+             ~profile:c.profile ~seed:shard_seed ~until:c.horizon ~op_of_key))
+      churn.ch_joins;
+    stack
   in
-  let prediction =
-    { (Fault_plan.prediction plan) with Degradation.pred_from = snap }
-  in
-  let tail = c.horizon - snap in
-  let min_ops =
-    match c.substrate with
-    | System.Shared_memory -> Campaign.required_tail_ops ~n:c.n ~tail
-    | System.Message_passing _ ->
-      max 2 (Campaign.required_tail_ops ~n:c.n ~tail / Campaign.net_cost_factor)
-  in
-  let online = Degradation.Online.create ~min_ops prediction in
-  Runtime.set_sink rt
-    (Sink.tee (Collector.sink telemetry) (Degradation.Online.sink online));
   let buf = Buffer.create 256 in
-  (match c.every with
-  | None -> ()
-  | Some every ->
-    Collector.emit_every telemetry ~every
-      ~extra:(fun ~window:_ ->
-        [
-          "shard", Json.Int shard;
-          "system", Json.Str (System.to_string system);
-          ( "verdict",
-            Degradation.verdict_json (Degradation.Online.verdict online) );
-        ])
-      (fun record ->
-        Buffer.add_string buf (Json.to_string record);
-        Buffer.add_char buf '\n'));
-  Runtime.run rt ~policy:(Fault_plan.policy plan) ~steps:c.horizon;
-  if c.every <> None then Collector.stream_flush telemetry;
-  let verdict = Degradation.Online.verdict online in
-  Runtime.stop rt;
+  let fields verdict =
+    [
+      "shard", Json.Int shard;
+      "system", Json.Str (System.to_string system);
+      "verdict", verdict;
+    ]
+  in
+  let emit r = Buffer.add_string buf (Json.to_string r ^ "\n") in
+  let stream =
+    Option.map
+      (fun every -> { Cell_runner.every; monitor = None; fields; emit })
+      c.every
+  in
+  let cell = Cell_runner.run ~plan:(plan_of c ~churn) ~build ~stream in
+  let telemetry = cell.Cell_runner.cr_telemetry in
   {
     ws_shard = shard;
     ws_system = system;
     ws_jsonl = Buffer.contents buf;
     ws_telemetry = telemetry;
-    ws_verdict = verdict;
+    ws_verdict = cell.Cell_runner.cr_verdict;
     ws_churn = churn;
     ws_completed =
       Array.fold_left ( + ) 0 (Collector.app_completed telemetry);
@@ -250,15 +229,6 @@ type agg = {
   mutable planned_crashes : int;
 }
 
-(* The batch size is a fixed constant — independent of the pool — so
-   the fold order (shard order) and hence the aggregate are
-   byte-identical for any --jobs value; it only bounds how many shard
-   results are live at once. Small enough that the in-flight batch of
-   collectors stays within the streaming memory contract (a world run's
-   live heap must not outgrow a handful of shards), large enough to
-   keep every pool domain fed. *)
-let batch_size = 32
-
 let fold_shard agg r =
   agg.merged <-
     (match agg.merged with
@@ -279,22 +249,8 @@ let fold_shard agg r =
       else agg.planned_crashes <- agg.planned_crashes + 1)
     r.ws_churn.ch_leaves
 
-let quantile_json q =
-  Json.Obj
-    [
-      "count", Json.Int (Quantile.count q);
-      "p50", Json.Int (Quantile.p50 q);
-      "p99", Json.Int (Quantile.p99 q);
-      "p999", Json.Int (Quantile.p999 q);
-      "max", Json.Int (Quantile.max_value q);
-    ]
-
 let summary_json c agg =
-  let merged =
-    match agg.merged with
-    | Some m -> m
-    | None -> assert false (* shards >= 1 is validated *)
-  in
+  let merged = Option.get agg.merged (* shards >= 1 is validated *) in
   let total_steps = Collector.total_steps merged in
   let completed = Array.fold_left ( + ) 0 (Collector.app_completed merged) in
   (* A sim-time rate: ops per 100k simulated steps. Wall-clock ops/sec
@@ -344,12 +300,12 @@ let summary_json c agg =
             "per_100k_steps", Json.Int per_100k;
           ] );
       ( "app_tail",
-        quantile_json (Span.tail_of (Collector.spans merged) Sink.App) );
+        Quantile.summary_json (Span.tail_of (Collector.spans merged) Sink.App) );
       ( "leader_epochs",
         Json.Obj
           [
             "total", Json.Int (Collector.leader_epochs merged);
-            "per_shard", quantile_json agg.epoch_sketch;
+            "per_shard", Quantile.summary_json agg.epoch_sketch;
           ] );
       ( "churn",
         Json.Obj
@@ -378,27 +334,18 @@ let run ?pool ?(on_shard = fun _ -> ()) c =
       planned_crashes = 0;
     }
   in
-  let run_batch from count =
-    let shards = Array.init count (fun i -> from + i) in
-    let results =
-      match pool with
-      | Some pool when Tbwf_parallel.Pool.domains pool > 1 ->
-        Tbwf_parallel.Pool.map pool shards (fun shard -> run_shard c ~shard)
-      | _ -> Array.map (fun shard -> run_shard c ~shard) shards
-    in
-    Array.iter
-      (fun r ->
-        on_shard r;
-        fold_shard agg r)
-      results
+  (* Shards fold into the aggregate in shard order, a batch at a time
+     ({!Tbwf_parallel.Pool.fold}): only one batch of collectors is ever
+     live, whatever the shard count. *)
+  let pool =
+    Option.value pool ~default:(Tbwf_parallel.Pool.create ~domains:1 ())
   in
-  let rec go from =
-    if from < c.shards then begin
-      run_batch from (min batch_size (c.shards - from));
-      go (from + batch_size)
-    end
-  in
-  go 0;
+  Tbwf_parallel.Pool.fold pool ~tasks:c.shards
+    (fun shard -> run_shard c ~shard)
+    ~init:()
+    (fun () r ->
+      on_shard r;
+      fold_shard agg r);
   let merged = Option.get agg.merged in
   {
     sum_json = summary_json c agg;

@@ -98,11 +98,11 @@ type shard_result = {
 }
 
 val run_shard : config -> shard:int -> shard_result
-(** Run one cell to completion: build the system at capacity [n], spawn
-    open-loop clients for the initial members, defer the joiners,
-    compile the leavers into the fault plan, and run under the plan's
-    policy with the collector and the online degradation checker teed
-    into the sink. *)
+(** Run one cell to completion through {!Tbwf_nemesis.Cell_runner.run}:
+    build the system at capacity [n], spawn open-loop clients for the
+    initial members, defer the joiners, and compile the leavers into the
+    fault plan; the runner owns the tail boundary, the floor, the
+    collector/online-checker tee and the run. *)
 
 type summary = {
   sum_json : Tbwf_telemetry.Json.t;  (** the [tbwf-world/v1] record *)
@@ -121,9 +121,8 @@ val run :
   config ->
   summary
 (** Run the whole world. Shards fan out over [pool] (sequentially when
-    absent) in fixed-size batches whose size does not depend on the
-    pool, and fold into the aggregate in shard order — [on_shard] fires
-    in shard order too, once per shard, before the shard's collector is
-    folded and dropped. The summary's JSON carries only deterministic
+    absent) through {!Tbwf_parallel.Pool.fold} and fold into the
+    aggregate in shard order — [on_shard] fires in shard order too, once
+    per shard, before the shard's collector is folded and dropped. The summary's JSON carries only deterministic
     fields (sim-time rates, tail sketches, churn and verdict tallies);
     wall-clock throughput is the caller's business. *)

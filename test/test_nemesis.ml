@@ -350,6 +350,35 @@ let test_catalogue_covers_every_atom () =
            Campaign.baseline_systems))
     Campaign.catalogue
 
+(* The cell runner always hands the plan's compiled abort policies to
+   the caller's build. A world cell's plan has only crash and retire
+   atoms, and its stacks must match System.build's defaults, so a plan
+   without abort atoms must compile to exactly those defaults. *)
+let test_policies_default_without_abort_atoms () =
+  let is_always = function
+    | Tbwf_registers.Abort_policy.Always -> true
+    | _ -> false
+  in
+  let churn =
+    Fault_plan.make ~n:4 ~horizon:8_000
+      [
+        Fault_plan.Retire { pid = 1; at = 2_000 };
+        Fault_plan.Crash { pid = 2; at = 3_000 };
+        Fault_plan.Slow { pid = 0; at = 0; gap = 60; growth = 1.15 };
+      ]
+  in
+  List.iter
+    (fun target ->
+      Alcotest.(check bool) "no abort atoms: the build default" true
+        (is_always
+           (Fault_plan.abort_policy churn ~target
+              ~base:Tbwf_registers.Abort_policy.Always)))
+    [ Fault_plan.Qa; Fault_plan.Omega_mesh ];
+  Alcotest.(check bool) "an abort ramp does change the QA policy" false
+    (is_always
+       (Fault_plan.abort_policy kitchen_sink ~target:Fault_plan.Qa
+          ~base:Tbwf_registers.Abort_policy.Always))
+
 (* The message-passing axis end-to-end: the client-cut campaign over the
    ABD substrate. The paper system must hold its verdict with the cut
    client exempted by emergent untimeliness (it cannot reach a live
@@ -467,6 +496,8 @@ let () =
         [
           Alcotest.test_case "catalogue covers every atom" `Quick
             test_catalogue_covers_every_atom;
+          Alcotest.test_case "policies default without abort atoms" `Quick
+            test_policies_default_without_abort_atoms;
           Alcotest.test_case "slowdown separates systems" `Slow
             test_campaign_smoke;
           Alcotest.test_case "client cut over message passing" `Slow

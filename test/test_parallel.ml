@@ -23,7 +23,22 @@ let test_map_canonical_order () =
     [ 1; 2; 3; 8 ];
   Alcotest.(check (array int))
     "empty input" [||]
-    (Pool.map (pool 4) [||] (fun i -> i * i))
+    (Pool.map (pool 4) [||] (fun i -> i * i));
+  (* The batched fold: task counts around the 32-task batch boundary.
+     The step is order-sensitive (it conses), so any reordering shows. *)
+  List.iter
+    (fun d ->
+      List.iter
+        (fun tasks ->
+          Alcotest.(check (list int))
+            (Fmt.str "fold of %d tasks over %d domains" tasks d)
+            (List.fold_left
+               (fun acc i -> (i * i) :: acc)
+               [] (List.init tasks Fun.id))
+            (Pool.fold (pool d) ~tasks (fun i -> i * i) ~init:[]
+               (fun acc x -> x :: acc)))
+        [ 0; 1; 31; 32; 33; 65 ])
+    [ 1; 2 ]
 
 let test_try_map_reports_failing_cell () =
   let results =
@@ -52,6 +67,17 @@ let test_map_collects_all_errors () =
   | exception Pool.Task_failed errors ->
     Alcotest.(check (list int))
       "every failed task, in index order" [ 2; 7 ]
+      (List.map (fun e -> e.Pool.task) errors);
+  (* the fold reports the failing batch with absolute task indices *)
+  match
+    Pool.fold (pool 3) ~tasks:70
+      (fun i -> if i = 33 || i = 40 then failwith "boom" else i)
+      ~init:0 ( + )
+  with
+  | (_ : int) -> Alcotest.fail "expected Task_failed from fold"
+  | exception Pool.Task_failed errors ->
+    Alcotest.(check (list int))
+      "fold: every failed task of the batch, in index order" [ 33; 40 ]
       (List.map (fun e -> e.Pool.task) errors)
 
 let qcheck_map_seeded_matches_sequential =

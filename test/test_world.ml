@@ -432,6 +432,21 @@ let test_world_schema_pinned () =
       "world_summary.schema golden not found (actual written to \
        world_summary.schema.actual)"
 
+(* Bad cell parameters are rejected up front by the shared check, not by
+   a failing shard task. *)
+let test_world_validates_cell_params () =
+  List.iter
+    (fun (label, c) ->
+      Alcotest.(check bool) label true
+        (match World.validate c with
+        | () -> false
+        | exception Invalid_argument _ -> true))
+    [
+      "window 0", { small_world with World.window = 0 };
+      "retain 0", { small_world with World.retain = Some 0 };
+      "n 1", { small_world with World.n = 1; joiners = 0; leavers = 0 };
+    ]
+
 let test_world_schedule_stable () =
   (* churn_schedule is a pure function of (config, shard): predictable
      without running the shard *)
@@ -517,6 +532,8 @@ let () =
             test_world_churn_accounting;
           Alcotest.test_case "deterministic aggregate" `Quick
             test_world_deterministic_aggregate;
+          Alcotest.test_case "validates cell parameters" `Quick
+            test_world_validates_cell_params;
           Alcotest.test_case "stable schedules" `Quick
             test_world_schedule_stable;
           Alcotest.test_case "schema pinned" `Quick test_world_schema_pinned;
