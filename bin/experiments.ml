@@ -6,40 +6,29 @@
 
 open Cmdliner
 
-let run backend quick jobs ids =
-  match Tbwf_sim.Backend.of_string backend with
-  | Error msg ->
-    Fmt.epr "%s@." msg;
+let run quick jobs ids =
+  let open Tbwf_experiments in
+  let unknown = List.filter (fun id -> Option.is_none (Registry.find id)) ids in
+  if unknown <> [] then begin
+    let known_ids = List.map (fun e -> e.Registry.id) Registry.all in
+    List.iter
+      (fun id ->
+        Fmt.epr "unknown experiment %S (known: %s)@." id
+          (String.concat " " known_ids))
+      unknown;
     exit 2
-  | Ok backend ->
-  Tbwf_experiments.Scenario.set_default_backend backend;
-  let fmt = Fmt.stdout in
+  end;
   let entries =
-    match ids with
-    | [] -> List.map Result.ok Tbwf_experiments.Registry.all
-    | ids ->
-      List.map
-        (fun id ->
-          match Tbwf_experiments.Registry.find id with
-          | Some entry -> Ok entry
-          | None -> Error id)
-        ids
+    if ids = [] then Registry.all else List.filter_map Registry.find ids
   in
-  let known, unknown =
-    List.partition_map
-      (function Ok e -> Either.Left e | Error id -> Either.Right id)
-      entries
-  in
-  List.iter
-    (fun id -> Fmt.epr "unknown experiment %S (known: E1..E18)@." id)
-    unknown;
+  let fmt = Fmt.stdout in
   let pool = Tbwf_parallel.Pool.create ~domains:jobs () in
   let results =
-    Tbwf_parallel.Pool.map pool (Array.of_list known) (fun entry ->
+    Tbwf_parallel.Pool.map pool (Array.of_list entries) (fun entry ->
         let buf = Buffer.create 4096 in
         let bfmt = Format.formatter_of_buffer buf in
         let start = Unix.gettimeofday () in
-        entry.Tbwf_experiments.Registry.run ~quick bfmt;
+        entry.Registry.run ~quick bfmt;
         Format.pp_print_flush bfmt ();
         Buffer.contents buf, Unix.gettimeofday () -. start)
   in
@@ -47,25 +36,17 @@ let run backend quick jobs ids =
   List.iteri
     (fun i entry ->
       let body, elapsed = results.(i) in
-      Fmt.pf fmt "@.=== %s: %s ===@." entry.Tbwf_experiments.Registry.id
-        entry.Tbwf_experiments.Registry.title;
+      Fmt.pf fmt "@.=== %s: %s ===@." entry.Registry.id entry.Registry.title;
       Fmt.pf fmt "%s" body;
-      Fmt.epr "[%s: %.2fs]@." entry.Tbwf_experiments.Registry.id elapsed;
+      Fmt.epr "[%s: %.2fs]@." entry.Registry.id elapsed;
       total := !total +. elapsed)
-    known;
-  if List.length known > 1 then Fmt.epr "[total: %.2fs]@." !total;
+    entries;
+  if List.length entries > 1 then Fmt.epr "[total: %.2fs]@." !total;
   Fmt.flush fmt ()
 
 let quick =
   let doc = "Run smaller configurations (seconds instead of minutes)." in
   Arg.(value & flag & info [ "quick"; "q" ] ~doc)
-
-let backend =
-  let doc =
-    "Execution backend for every scenario-built stack: reference or \
-     compiled. Tables are byte-identical either way."
-  in
-  Arg.(value & opt string "reference" & info [ "backend" ] ~docv:"BACKEND" ~doc)
 
 let jobs =
   let doc =
@@ -76,12 +57,12 @@ let jobs =
        & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let ids =
-  let doc = "Experiment ids to run (default: all of E1..E18)." in
+  let doc = "Experiment ids to run (default: every registered experiment)." in
   Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
 
 let cmd =
   let doc = "regenerate the TBWF evaluation tables" in
   let info = Cmd.info "experiments" ~doc in
-  Cmd.v info Term.(const run $ backend $ quick $ jobs $ ids)
+  Cmd.v info Term.(const run $ quick $ jobs $ ids)
 
 let () = exit (Cmd.eval cmd)

@@ -54,11 +54,6 @@ let all =
       run = wrap E9_flicker.compute E9_flicker.report;
     };
     {
-      id = "E10";
-      title = "stack throughput";
-      run = wrap E10_throughput.compute E10_throughput.report;
-    };
-    {
       id = "E11";
       title = "design-choice ablations";
       run = wrap E11_ablations.compute E11_ablations.report;
@@ -99,13 +94,6 @@ let all =
       run = wrap E18_stochastic.compute E18_stochastic.report;
     };
   ]
-
-let run_all ?quick fmt =
-  List.iter
-    (fun entry ->
-      Fmt.pf fmt "@.=== %s: %s ===@." entry.id entry.title;
-      entry.run ?quick fmt)
-    all
 
 let find id =
   let id = String.uppercase_ascii id in

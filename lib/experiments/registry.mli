@@ -9,7 +9,5 @@ type entry = {
 
 val all : entry list
 
-val run_all : ?quick:bool -> Format.formatter -> unit
-
 val find : string -> entry option
 (** Look up by id, case-insensitive. *)

@@ -20,14 +20,7 @@ type stack = {
   stats : Tbwf_core.Workload.stats;
 }
 
-val set_default_backend : Tbwf_sim.Backend.t -> unit
-(** Backend used by {!build} when no [?backend] is given (initially
-    [Reference]). The experiments CLI's [--backend] flag sets it once so
-    every registry entry — whose [run] signature has no backend
-    parameter — picks it up. *)
-
 val build :
-  ?backend:Tbwf_sim.Backend.t ->
   ?seed:int64 ->
   ?canonical:bool ->
   ?qa_universal:bool ->

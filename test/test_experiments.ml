@@ -92,16 +92,6 @@ let test_e9 () =
   let r = E9_flicker.compute ~quick:true () in
   Alcotest.(check bool) "flicker resilience" true r.E9_flicker.all_pass
 
-let test_e10 () =
-  let r = E10_throughput.compute ~quick:true () in
-  List.iter
-    (fun row ->
-      Alcotest.(check bool)
-        (Fmt.str "%s ran" row.E10_throughput.layer)
-        true
-        (row.E10_throughput.steps_per_sec > 0.0))
-    r.E10_throughput.rows
-
 let test_e11 () =
   let r = E11_ablations.compute ~quick:true () in
   Alcotest.(check bool)
@@ -214,14 +204,15 @@ let test_e18 () =
     r.E18_stochastic.cells
 
 let test_registry_complete () =
-  Alcotest.(check int) "eighteen experiments registered" 18
+  Alcotest.(check int) "seventeen experiments registered" 17
     (List.length Registry.all);
   List.iter
     (fun id ->
       Alcotest.(check bool) (Fmt.str "%s findable" id) true
         (Registry.find id <> None))
     [ "E1"; "e1"; "E5"; "E15"; "E16"; "E17"; "E18" ];
-  Alcotest.(check bool) "unknown id" true (Registry.find "E99" = None)
+  Alcotest.(check bool) "unknown id" true (Registry.find "E99" = None);
+  Alcotest.(check bool) "E10 retired" true (Registry.find "E10" = None)
 
 let () =
   Alcotest.run "experiments"
@@ -237,7 +228,6 @@ let () =
           Alcotest.test_case "E7 write efficiency" `Slow test_e7;
           Alcotest.test_case "E8 canonical use" `Slow test_e8;
           Alcotest.test_case "E9 flicker resilience" `Slow test_e9;
-          Alcotest.test_case "E10 throughput" `Quick test_e10;
           Alcotest.test_case "E11 ablations" `Slow test_e11;
           Alcotest.test_case "E12 routes to progress" `Slow test_e12;
           Alcotest.test_case "E13 detectors" `Slow test_e13;
