@@ -6,9 +6,8 @@
 
    Usage: dune exec bin/gen_system_goldens.exe > test/golden/system_fingerprints.txt
 
-   `--backend compiled` regenerates through the compiled backend; the
-   output must be identical (the backends' byte-equality contract), so
-   piping both through `diff` is a one-line differential check. *)
+   It always runs the reference backend; test_differential checks the
+   compiled backend against the same file. *)
 
 open Tbwf_sim
 open Tbwf_experiments
@@ -24,25 +23,12 @@ let policies =
     "degraded", (fun () -> Scenario.degraded_policy ~n ~timely:[ 1; 2 ] ());
   ]
 
-let backend =
-  match Array.to_list Sys.argv with
-  | [ _ ] -> Backend.Reference
-  | [ _; "--backend"; name ] -> (
-    match Backend.of_string name with
-    | Ok b -> b
-    | Error msg ->
-      prerr_endline msg;
-      exit 2)
-  | _ ->
-    prerr_endline "usage: gen_system_goldens [--backend reference|compiled]";
-    exit 2
-
 let () =
   List.iter
     (fun id ->
       List.iter
         (fun (pname, pol) ->
-          let stack = System.build ~backend ~seed ~n id in
+          let stack = System.build ~seed ~n id in
           let rt = stack.System.rt in
           Runtime.run rt ~policy:(pol ()) ~steps;
           Runtime.stop rt;

@@ -25,6 +25,11 @@ let omega_of_string = function
   | other -> Fmt.failwith "unknown omega %S (atomic|abortable|naive)" other
 
 let run n steps seed object_name omega_name untimely non_canonical =
+  if n < 1 then begin
+    Fmt.epr "-n must be positive (got %d)@." n;
+    2
+  end
+  else
   let spec, op = spec_of_object object_name in
   let omega = omega_of_string omega_name in
   let untimely = List.filter (fun p -> p >= 0 && p < n) untimely in
@@ -55,7 +60,8 @@ let run n steps seed object_name omega_name untimely non_canonical =
   Fmt.pr "final object state: %a@." Value.pp (stack.Scenario.qa.Qa_intf.peek_state ());
   Fmt.pr "TBWF holds (timely kept progressing): %b@."
     (Progress.tbwf_holds_endless ~before:mid ~after:stack.Scenario.stats ~timely);
-  Runtime.stop stack.Scenario.rt
+  Runtime.stop stack.Scenario.rt;
+  0
 
 let n =
   Arg.(value & opt int 4 & info [ "n" ] ~doc:"Number of processes.")
@@ -94,4 +100,4 @@ let cmd =
       const run $ n $ steps $ seed $ object_name $ omega_name $ untimely
       $ non_canonical)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval' cmd)

@@ -18,10 +18,6 @@ open Tbwf_telemetry
 module System = Tbwf_system.System
 module World = Tbwf_world.World
 
-let substrate_of = function
-  | `Shared_memory -> System.Shared_memory
-  | `Message_passing -> System.Message_passing Tbwf_net.Net.default_config
-
 let world shards n joiners leavers retire_fraction steps every window retain
     mean_gap keys zipf substrate system seed jobs =
   let systems =
@@ -46,7 +42,7 @@ let world shards n joiners leavers retire_fraction steps every window retain
       window;
       retain = Some retain;
       systems;
-      substrate = substrate_of substrate;
+      substrate;
       profile = { Tbwf_core.Workload.Open_loop.mean_gap; keys; zipf };
       seed = Int64.of_int seed;
     }
@@ -162,14 +158,11 @@ let zipf_arg =
            ~doc:"Zipf popularity exponent; 0 is uniform.")
 
 let substrate_arg =
+  let substrate name = name, Result.get_ok (System.substrate_of_name name) in
   Arg.(value
        & opt
-           (enum
-              [
-                "shared-memory", `Shared_memory;
-                "message-passing", `Message_passing;
-              ])
-           `Shared_memory
+           (enum [ substrate "shared-memory"; substrate "message-passing" ])
+           System.Shared_memory
        & info [ "substrate" ] ~docv:"KIND"
            ~doc:"Register substrate per cell: shared-memory or \
                  message-passing (quorum emulation over the default \

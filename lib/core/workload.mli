@@ -51,6 +51,10 @@ module Open_loop : sig
   val default : profile
   (** 40-step mean gaps over 64 keys at exponent 1.1. *)
 
+  val validate : profile -> unit
+  (** Raises [Invalid_argument] unless [mean_gap > 0], [keys >= 1] and
+      [zipf >= 0]. {!spawn_clients} and {!client_body} call it. *)
+
   val spawn_clients :
     Tbwf_sim.Runtime.t ->
     pids:int list ->

@@ -71,8 +71,7 @@ let align_substrate ?substrate plan =
     in
     System.Message_passing config, plan
 
-let run_plan ?backend ?substrate ?(seed = default_seed) ?stream ~plan ~system
-    () =
+let run_plan ?substrate ?(seed = default_seed) ?stream ~plan ~system () =
   let substrate, plan = align_substrate ?substrate plan in
   let start = Unix.gettimeofday () in
   let stream =
@@ -86,7 +85,7 @@ let run_plan ?backend ?substrate ?(seed = default_seed) ?stream ~plan ~system
      stock stack: one counter client per process, telemetry attached. *)
   let cell =
     Cell_runner.run ~plan ~stream ~build:(fun ~qa_policy ~mesh_policy ->
-        System.build ?backend ~substrate ~seed ~qa_policy ~mesh_policy
+        System.build ~substrate ~seed ~qa_policy ~mesh_policy
           ~telemetry:true ~n:(Fault_plan.n plan) system)
   in
   let stack = cell.Cell_runner.cr_stack in
@@ -438,7 +437,7 @@ let outcome_of campaign plan rows =
 (* Run independent (plan, system) cells over [pool] (each builds its own
    stack, so nothing is shared); results come back in cell order at any
    domain count. *)
-let run_cells ?backend ?substrate ?seed ?pool cells =
+let run_cells ?substrate ?seed ?pool cells =
   let pool =
     Option.value pool ~default:(Tbwf_parallel.Pool.create ~domains:1 ())
   in
@@ -446,16 +445,16 @@ let run_cells ?backend ?substrate ?seed ?pool cells =
   Tbwf_parallel.Pool.fold pool ~tasks:(Array.length cells)
     (fun i ->
       let plan, system = cells.(i) in
-      run_plan ?backend ?substrate ?seed ~plan ~system ())
+      run_plan ?substrate ?seed ~plan ~system ())
     ~init:[]
     (fun acc r -> r :: acc)
   |> List.rev
 
-let run ?backend ?substrate ?(quick = true) ?seed ?pool
+let run ?substrate ?(quick = true) ?seed ?pool
     ?(systems = all_systems) campaign =
   let n, horizon = substrate_dimensions ?substrate ~quick () in
   let plan = campaign.c_plan ~n ~horizon in
-  run_cells ?backend ?substrate ?seed ?pool
+  run_cells ?substrate ?seed ?pool
     (List.map (fun system -> plan, system) systems)
   |> List.map (row_of_result campaign)
   |> outcome_of campaign plan
@@ -468,7 +467,7 @@ type matrix = {
   m_telemetry : Tbwf_telemetry.Collector.t;
 }
 
-let run_matrix ?backend ?substrate ?pool ?(quick = true) ?seed
+let run_matrix ?substrate ?pool ?(quick = true) ?seed
     ?(systems = all_systems) () =
   let n, horizon = substrate_dimensions ?substrate ~quick () in
   if systems = [] then invalid_arg "Campaign.run_matrix: no systems";
@@ -488,7 +487,7 @@ let run_matrix ?backend ?substrate ?pool ?(quick = true) ?seed
      any domain count. *)
   let plans = List.map (fun c -> c, c.c_plan ~n ~horizon) matrix_catalogue in
   let results =
-    run_cells ?backend ?substrate ?seed ?pool
+    run_cells ?substrate ?seed ?pool
       (List.concat_map
          (fun (_, plan) -> List.map (fun system -> plan, system) systems)
          plans)

@@ -70,7 +70,6 @@ val required_tail_ops : n:int -> tail:int -> int
     {!Tbwf_check.Degradation.tail_rate_denominator} doc comment. *)
 
 val run_plan :
-  ?backend:Tbwf_sim.Backend.t ->
   ?substrate:Tbwf_system.System.substrate ->
   ?seed:int64 ->
   ?stream:int * (Tbwf_telemetry.Json.t -> unit) ->
@@ -82,9 +81,7 @@ val run_plan :
     counter client per process, trace recorded) through
     {!Cell_runner.run}, which owns the tail boundary, the prediction, the
     substrate's floor and the online verdict; then check the recorded
-    trace post hoc into [rr_verdict]. [backend] selects the execution
-    backend for the stack (default reference); verdicts and telemetry
-    are identical either way.
+    trace post hoc into [rr_verdict].
 
     [substrate] (default shared memory) selects what the Ω∆'s registers
     are made of. On a message-passing substrate the plan's network atoms
@@ -98,10 +95,8 @@ val run_plan :
     per [every]-step window ({!Tbwf_telemetry.Collector.emit_every}),
     each carrying the online checker's running verdict under
     ["verdict"]; the final partial window is flushed before the runtime
-    stops. Raises
-    [Invalid_argument] for a plan with replica/network atoms on shared
-    memory, and (via {!Tbwf_system.System.build}) for message passing on
-    the compiled backend. *)
+    stops. Raises [Invalid_argument] for a plan with replica/network
+    atoms on shared memory. *)
 
 (** {2 The campaign catalogue} *)
 
@@ -164,7 +159,6 @@ type outcome = {
 }
 
 val run :
-  ?backend:Tbwf_sim.Backend.t ->
   ?substrate:Tbwf_system.System.substrate ->
   ?quick:bool ->
   ?seed:int64 ->
@@ -190,7 +184,6 @@ type matrix = {
 }
 
 val run_matrix :
-  ?backend:Tbwf_sim.Backend.t ->
   ?substrate:Tbwf_system.System.substrate ->
   ?pool:Tbwf_parallel.Pool.t ->
   ?quick:bool ->

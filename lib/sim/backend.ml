@@ -1,11 +1,1 @@
 type t = Reference | Compiled
-
-let all = [ Reference; Compiled ]
-let to_string = function Reference -> "reference" | Compiled -> "compiled"
-
-let of_string = function
-  | "reference" -> Ok Reference
-  | "compiled" -> Ok Compiled
-  | s -> Error (Fmt.str "unknown backend %S (known: reference, compiled)" s)
-
-let pp fmt t = Fmt.string fmt (to_string t)

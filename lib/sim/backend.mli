@@ -14,14 +14,11 @@
     The two backends are required to be observationally byte-identical:
     same {!Trace.fingerprint}, same telemetry snapshots, for every
     (system, seed, policy, fault plan). [Tbwf_check.Differential] and
-    [test/test_differential.ml] enforce the contract. *)
+    [test/test_differential.ml] enforce the contract.
+
+    Only [Tbwf_system.System.build ?backend] selects a backend. Every CLI,
+    campaign, soak and world run uses the reference backend; the compiled
+    one is exercised by the differential tests and the benchmark's
+    [compiled.*] layer. *)
 
 type t = Reference | Compiled
-
-val all : t list
-val to_string : t -> string
-
-val of_string : string -> (t, string) result
-(** Total inverse of {!to_string}; [Error] lists the known names. *)
-
-val pp : Format.formatter -> t -> unit

@@ -116,9 +116,16 @@ let substrate_name = function
   | Shared_memory -> "shared-memory"
   | Message_passing _ -> "message-passing"
 
+let substrate_of_name = function
+  | "shared-memory" -> Ok Shared_memory
+  | "message-passing" -> Ok (Message_passing Tbwf_net.Net.default_config)
+  | s ->
+    Error
+      (Fmt.str "unknown substrate %S (known: shared-memory, message-passing)"
+         s)
+
 type stack = {
   system : id;
-  backend : Backend.t;
   substrate : substrate;
   rt : Runtime.t;
   net : Tbwf_net.Net.t option;
@@ -239,7 +246,6 @@ let build ?(backend = Backend.Reference) ?(substrate = Shared_memory) ?seed
         ~qa:cqa ~stats ~next_op));
   {
     system = id;
-    backend;
     substrate;
     rt;
     net;

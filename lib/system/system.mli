@@ -127,11 +127,12 @@ type substrate = Shared_memory | Message_passing of Tbwf_net.Net.config
 val substrate_name : substrate -> string
 (** ["shared-memory"] / ["message-passing"] — the CLI identifiers. *)
 
+val substrate_of_name : string -> (substrate, string) result
+(** Inverse of {!substrate_name}; ["message-passing"] maps to
+    {!Tbwf_net.Net.default_config}. [Error] lists the known names. *)
+
 type stack = {
   system : id;
-  backend : Backend.t;
-      (** which backend executes the stack's tasks; identical observable
-          behaviour either way (see {!Backend}) *)
   substrate : substrate;
   rt : Runtime.t;
   net : Tbwf_net.Net.t option;
@@ -203,4 +204,6 @@ val build :
     execute: effect coroutines, or the compiled machines of
     [Tbwf_compiled]. Both wire objects and tasks in the same order and are
     observationally byte-identical — same trace fingerprints, same
-    telemetry snapshots — as enforced by [Tbwf_check.Differential]. *)
+    telemetry snapshots — as enforced by [Tbwf_check.Differential]. This
+    is the only place a backend is chosen: campaigns and the CLIs always
+    build on the reference backend. *)

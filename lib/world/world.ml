@@ -67,7 +67,8 @@ let validate c =
   (match c.every with
   | Some e when e < 1 -> fail "every must be positive (got %d)" e
   | _ -> ());
-  if c.systems = [] then fail "systems must be non-empty"
+  if c.systems = [] then fail "systems must be non-empty";
+  Workload.Open_loop.validate c.profile
 
 let shard_system c ~shard =
   let systems = Array.of_list c.systems in

@@ -432,9 +432,11 @@ let test_world_schema_pinned () =
       "world_summary.schema golden not found (actual written to \
        world_summary.schema.actual)"
 
-(* Bad cell parameters are rejected up front by the shared check, not by
-   a failing shard task. *)
+(* Bad cell parameters and open-loop profiles are rejected up front by
+   the shared check, not by a failing shard task. *)
 let test_world_validates_cell_params () =
+  let p = small_world.World.profile in
+  let with_profile profile = { small_world with World.profile } in
   List.iter
     (fun (label, c) ->
       Alcotest.(check bool) label true
@@ -445,6 +447,9 @@ let test_world_validates_cell_params () =
       "window 0", { small_world with World.window = 0 };
       "retain 0", { small_world with World.retain = Some 0 };
       "n 1", { small_world with World.n = 1; joiners = 0; leavers = 0 };
+      ( "mean_gap 0",
+        with_profile { p with Tbwf_core.Workload.Open_loop.mean_gap = 0.0 } );
+      "keys 0", with_profile { p with Tbwf_core.Workload.Open_loop.keys = 0 };
     ]
 
 let test_world_schedule_stable () =
