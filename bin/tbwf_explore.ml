@@ -39,8 +39,18 @@ let save_schedule s out pids =
 
 let pool_of jobs = Tbwf_parallel.Pool.create ~domains:jobs ()
 
+(* A zero budget would explore or fuzz nothing and still report "no
+   counterexample", so it is refused before any fan-out. *)
+let with_positive flag budget k =
+  if budget < 1 then begin
+    Fmt.epr "%s must be positive (got %d)@." flag budget;
+    2
+  end
+  else k ()
+
 let explore name naive no_por max_schedules out jobs =
   with_scenario name @@ fun s ->
+  with_positive "--max-schedules" max_schedules @@ fun () ->
   let outcome =
     if naive then Explore_scenarios.exhaustive_naive ~max_schedules s
     else
@@ -71,6 +81,7 @@ let explore name naive no_por max_schedules out jobs =
 
 let fuzz name seed runs out jobs =
   with_scenario name @@ fun s ->
+  with_positive "--runs" runs @@ fun () ->
   let f =
     Explore_scenarios.fuzz ~seed:(Int64.of_int seed) ~runs
       ~pool:(pool_of jobs) s

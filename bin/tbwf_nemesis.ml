@@ -122,10 +122,15 @@ let matrix substrate full seed jobs =
 
 let fuzz substrate seed runs horizon plan_out sched_out jobs =
   with_substrate substrate @@ fun substrate ->
-  (* Checked before fan-out: a non-positive budget would otherwise fail
-     once per fuzzed run, inside the pool. *)
+  (* Checked before fan-out: a non-positive horizon would otherwise fail
+     once per fuzzed run, inside the pool, and zero runs would report a
+     vacuous "counterexample none". *)
   if horizon < 1 then begin
     Fmt.epr "--horizon must be positive (got %d)@." horizon;
+    2
+  end
+  else if runs < 1 then begin
+    Fmt.epr "--runs must be positive (got %d)@." runs;
     2
   end
   else

@@ -52,6 +52,12 @@ let tail_steps trace ~pid ~from_step =
 let check ?(min_ops = 1) ?(require_sched_timely = true) ~prediction ~trace
     ~completed_before ~completed_after () =
   let p = prediction in
+  (* A trace that was never recorded has no tail steps and no gaps, so
+     every schedule would look vacuously timely. *)
+  if not (Trace.enabled trace) then
+    invalid_arg
+      "Degradation.check: the trace was not recorded (build with \
+       record_trace:true, or decide the run with Degradation.Online)";
   if Array.length completed_before <> p.pred_n
      || Array.length completed_after <> p.pred_n
   then invalid_arg "Degradation.check: completed arrays must have length n";

@@ -13,9 +13,15 @@
       guarantee.
 
     This module is deliberately plan-agnostic: it consumes a bare
-    {!prediction} (who is timely, from when, with what bound), a trace,
-    and per-process completed-operation counters snapshotted at the tail
-    boundary, so it sits below the nemesis library and any workload type.
+    {!prediction} (who is timely, from when, with what bound) and the
+    run's steps and completions, so it sits below the nemesis library and
+    any workload type. The contract is decided in two ways. {!Online}
+    reads the event stream as the run executes; it is the verdict of
+    every campaign, world shard and soak shard, none of which records a
+    trace. {!check} reads a recorded trace and per-process
+    completed-operation counters snapshotted at the tail boundary after
+    the run; no campaign calls it, it is the independent oracle the
+    online verdict is differentially tested against.
     Gracefully-degrading algorithms must satisfy the verdict under every
     plan; boosting-style baselines are expected to violate it under plans
     that make some process non-timely — the negative control that shows
@@ -119,21 +125,23 @@ val check :
     schedule kept it timely with bound [pred_bound] — a failed schedule
     sanity check means the {e plan compilation} is at fault, not the
     algorithm, and is reported via [dv_sched_timely] so it is never
-    mistaken for an algorithm violation. Raises [Invalid_argument] if the
-    counter arrays do not have length [pred_n]. *)
+    mistaken for an algorithm violation. Raises [Invalid_argument] if
+    [trace] was not recorded ({!Tbwf_sim.Trace.enabled} is false: its
+    empty tail would be vacuously timely) or if the counter arrays do not
+    have length [pred_n]. *)
 
 (** {2 Online checking}
 
-    The same contract decided incrementally from the event stream, for
-    runs too long to keep a trace of. An {!Online.t} consumes the sink
+    The same contract decided incrementally from the event stream, so a
+    run needs no trace to be judged. An {!Online.t} consumes the sink
     stream as the run executes — O(n²) memory in the process count,
     independent of the horizon — and its {!Online.verdict} is field-for-
     field equal to what {!check} would return on the finished run's
     trace: the gap bookkeeping replicates [Timeliness.max_gap] (including
     the vacuous never-stepped case) and the verdict assembly replicates
     {!check} verbatim. The differential test in [test/test_nemesis.ml]
-    enforces the equality across the full campaign × system matrix on
-    both substrates. *)
+    enforces the equality on every cell of the quick campaign × system
+    matrix on both substrates, each re-run with its trace recorded. *)
 
 module Online : sig
   type t

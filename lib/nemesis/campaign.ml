@@ -1,6 +1,4 @@
-open Tbwf_sim
 open Tbwf_check
-open Tbwf_core
 open Tbwf_system
 
 (* --- systems under test -------------------------------------------------- *)
@@ -25,7 +23,6 @@ let all_systems = System.all
 type run_result = {
   rr_system : system;
   rr_verdict : Degradation.verdict;
-  rr_online : Degradation.verdict;
   rr_min_ops : int;
   rr_tail_steps : int;
   rr_tail_ops : int array;
@@ -82,27 +79,16 @@ let run_plan ?substrate ?(seed = default_seed) ?stream ~plan ~system () =
       stream
   in
   (* Everything but the plan's policies and crashes is the registry's
-     stock stack: one counter client per process, telemetry attached. *)
+     stock stack: one counter client per process, telemetry attached.
+     The verdict is decided online, so nothing reads a trace. *)
   let cell =
     Cell_runner.run ~plan ~stream ~build:(fun ~qa_policy ~mesh_policy ->
-        System.build ~substrate ~seed ~qa_policy ~mesh_policy
-          ~telemetry:true ~n:(Fault_plan.n plan) system)
-  in
-  let stack = cell.Cell_runner.cr_stack in
-  (* The post-hoc checker over the recorded trace stays beside the online
-     verdict: it is the reference the differential tests hold
-     [rr_online] to. *)
-  let verdict =
-    Degradation.check ~min_ops:cell.Cell_runner.cr_min_ops
-      ~prediction:cell.Cell_runner.cr_prediction
-      ~trace:(Runtime.trace stack.System.rt)
-      ~completed_before:cell.Cell_runner.cr_completed_before
-      ~completed_after:stack.System.stats.Workload.completed ()
+        System.build ~substrate ~seed ~record_trace:false ~qa_policy
+          ~mesh_policy ~telemetry:true ~n:(Fault_plan.n plan) system)
   in
   {
     rr_system = system;
-    rr_verdict = verdict;
-    rr_online = cell.Cell_runner.cr_verdict;
+    rr_verdict = cell.Cell_runner.cr_verdict;
     rr_min_ops = cell.Cell_runner.cr_min_ops;
     rr_tail_steps =
       Fault_plan.horizon plan - cell.Cell_runner.cr_prediction.pred_from;

@@ -4,8 +4,11 @@
     prediction of which systems violate the TBWF contract under it. Running
     a campaign builds each system's full stack — Ω∆, the query-abortable
     object, one counter client per process — compiles the plan into the
-    scheduler/crash/abort hooks, executes to the horizon, and verdicts the
-    tail with {!Tbwf_check.Degradation.check}.
+    scheduler/crash/abort hooks, and executes to the horizon while
+    {!Tbwf_check.Degradation.Online} verdicts the tail from the event
+    stream. No trace is recorded: the post-hoc
+    {!Tbwf_check.Degradation.check} is the oracle the online verdict is
+    differentially tested against, not part of a campaign run.
 
     Each catalogue campaign headlines one fault atom, and each keeps a
     slowing control on process 0 so that the baselines — whose registers
@@ -39,13 +42,13 @@ val all_systems : system list
 type run_result = {
   rr_system : system;
   rr_verdict : Tbwf_check.Degradation.verdict;
-  rr_online : Tbwf_check.Degradation.verdict;
-      (** the same contract decided incrementally by
+      (** the contract decided incrementally by
           {!Tbwf_check.Degradation.Online} from the sink stream while the
-          run executed, without consulting the recorded trace. Equal to
-          [rr_verdict] field for field — the differential invariant
-          [test/test_nemesis.ml] checks across the whole matrix — and the
-          verdict long-horizon runs rely on when trace recording is off *)
+          run executed ({!Cell_runner.t}'s [cr_verdict]).
+          [test/test_nemesis.ml] holds it equal, field for field, to the
+          post-hoc {!Tbwf_check.Degradation.check} over a recorded trace
+          of the same cell, across the whole quick matrix on both
+          substrates *)
   rr_min_ops : int;
       (** the rate floor {!Cell_runner.run} judged the verdict against *)
   rr_tail_steps : int;
@@ -69,6 +72,19 @@ val required_tail_ops : n:int -> tail:int -> int
     and its rationale live in one place: the
     {!Tbwf_check.Degradation.tail_rate_denominator} doc comment. *)
 
+val align_substrate :
+  ?substrate:Tbwf_system.System.substrate ->
+  Fault_plan.t ->
+  Tbwf_system.System.substrate * Fault_plan.t
+(** The substrate and plan {!run_plan} actually runs: on message passing
+    a replica-less plan is re-made with the config's replica count (so
+    its policy schedules the replica server pids and its prediction
+    carries the emergent-timeliness picture), and the config's replica
+    count and event list take the plan's replicas and network atoms.
+    Shared memory (the default) keeps the plan as is. Raises
+    [Invalid_argument] for a plan with replica/network atoms on shared
+    memory. *)
+
 val run_plan :
   ?substrate:Tbwf_system.System.substrate ->
   ?seed:int64 ->
@@ -78,10 +94,9 @@ val run_plan :
   unit ->
   run_result
 (** Run [plan] against the registry's stock stack for [system] (one
-    counter client per process, trace recorded) through
+    counter client per process, no trace recorded) through
     {!Cell_runner.run}, which owns the tail boundary, the prediction, the
-    substrate's floor and the online verdict; then check the recorded
-    trace post hoc into [rr_verdict].
+    substrate's floor and the online verdict that becomes [rr_verdict].
 
     [substrate] (default shared memory) selects what the Ω∆'s registers
     are made of. On a message-passing substrate the plan's network atoms

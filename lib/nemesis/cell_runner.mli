@@ -42,7 +42,9 @@ type t = {
   cr_min_ops : int;  (** the rate floor the verdict was judged against *)
   cr_tail_ops : int array;  (** collector-measured completions per pid *)
   cr_completed_before : int array;
-      (** workload completion counters at the tail boundary *)
+      (** workload completion counters at the tail boundary: the
+          [completed_before] of a post-hoc
+          {!Tbwf_check.Degradation.check} over a recorded trace *)
 }
 
 val run :

@@ -16,7 +16,7 @@
     channel-level atoms ([Abort_ramp], [Staleness]) compile to an
     {!Tbwf_registers.Abort_policy} wrapper. A plan also predicts its own
     outcome ({!prediction}): which processes remain timely once the last
-    fault lands — the input to {!Tbwf_check.Degradation.check}. *)
+    fault lands — the input to the {!Tbwf_check.Degradation} checkers. *)
 
 (** Which register family a channel-level atom targets. *)
 type target =

@@ -22,9 +22,10 @@ type t
 val create : ?seed:int64 -> ?record_trace:bool -> n:int -> unit -> t
 (** [create ~n ()] makes a runtime with processes 0..n-1 and no tasks.
     [record_trace] (default true) controls whether steps and operation
-    events are recorded in {!trace}; long-horizon memory-bounded runs
-    pass [false] and rely on streaming telemetry instead (post-hoc
-    trace analyses are then unavailable). The run itself is
+    events are recorded in {!trace}; runs judged from the event stream
+    (campaign cells, world and soak shards) pass [false] and rely on
+    streaming telemetry and online checkers instead (post-hoc trace
+    analyses are then unavailable). The run itself is
     byte-identical either way. *)
 
 val n : t -> int

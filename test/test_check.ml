@@ -237,6 +237,35 @@ let qcheck_register_oracle =
   agrees_with_oracle ~name:"checker agrees with permutation oracle (register)"
     ~spec:reg_spec ~ops_of:register_ops
 
+(* The post-hoc degradation checker reads each pid's tail steps and gaps
+   off the trace. A trace that was never recorded would make every tail
+   empty and every schedule vacuously timely, so it is refused rather
+   than verdicted. *)
+let test_degradation_refuses_unrecorded_trace () =
+  let prediction =
+    {
+      Degradation.pred_n = 2;
+      pred_timely = [ 0; 1 ];
+      pred_from = 0;
+      pred_bound = 4;
+      pred_emergent = None;
+    }
+  in
+  let check trace =
+    Degradation.check ~prediction ~trace ~completed_before:[| 0; 0 |]
+      ~completed_after:[| 1; 1 |] ()
+  in
+  let recorded = Trace.create () in
+  List.iter (fun pid -> Trace.record_step recorded ~pid) [ 0; 1; 0; 1 ];
+  Alcotest.(check bool) "a recorded trace is verdicted" true
+    (check recorded).Degradation.holds;
+  let unrecorded = Trace.create () in
+  Trace.disable unrecorded;
+  List.iter (fun pid -> Trace.record_step unrecorded ~pid) [ 0; 1; 0; 1 ];
+  match check unrecorded with
+  | _ -> Alcotest.fail "an unrecorded trace was verdicted"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "check"
     [
@@ -260,5 +289,10 @@ let () =
           Alcotest.test_case "extraction" `Quick test_history_extraction;
           Alcotest.test_case "pending dropped" `Quick test_pending_ops_dropped;
           QCheck_alcotest.to_alcotest qcheck_mutation_detected;
+        ] );
+      ( "degradation",
+        [
+          Alcotest.test_case "refuses an unrecorded trace" `Quick
+            test_degradation_refuses_unrecorded_trace;
         ] );
     ]

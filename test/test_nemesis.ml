@@ -379,6 +379,9 @@ let test_policies_default_without_abort_atoms () =
        (Fault_plan.abort_policy kitchen_sink ~target:Fault_plan.Qa
           ~base:Tbwf_registers.Abort_policy.Always))
 
+let mp_substrate =
+  Tbwf_system.System.Message_passing Tbwf_net.Net.default_config
+
 (* The message-passing axis end-to-end: the client-cut campaign over the
    ABD substrate. The paper system must hold its verdict with the cut
    client exempted by emergent untimeliness (it cannot reach a live
@@ -389,12 +392,10 @@ let test_campaign_mp_smoke () =
   | None -> Alcotest.fail "net-client-cut campaign missing"
   | Some c ->
     let n, horizon = Campaign.dimensions ~quick:true in
-    let substrate =
-      Tbwf_system.System.Message_passing Tbwf_net.Net.default_config
-    in
     let plan = Campaign.plan c ~n ~horizon in
     let r =
-      Campaign.run_plan ~substrate ~plan ~system:Campaign.Tbwf_atomic ()
+      Campaign.run_plan ~substrate:mp_substrate ~plan
+        ~system:Campaign.Tbwf_atomic ()
     in
     let v = r.Campaign.rr_verdict in
     Alcotest.(check bool) "tbwf-atomic holds over message passing" true
@@ -415,34 +416,96 @@ let test_campaign_mp_smoke () =
             (Some true) dv.dv_quorate)
       v.Tbwf_check.Degradation.processes
 
-(* The tentpole differential: the online checker consumed the very same
-   event stream the run produced, so its verdict must equal the post-hoc
-   checker's — field for field, on every (campaign, system) cell of the
-   matrix, on both substrates. Structural equality covers the whole
-   verdict record including per-process sub-verdicts. *)
+(* A campaign cell as [Campaign.run_plan] builds it, except that the
+   trace is recorded ([System.build]'s default), so the post-hoc checker
+   has its input. *)
+let traced_cell ?substrate ~plan system =
+  let substrate, plan = Campaign.align_substrate ?substrate plan in
+  Cell_runner.run ~plan ~stream:None ~build:(fun ~qa_policy ~mesh_policy ->
+      Tbwf_system.System.build ~substrate ~seed:Campaign.default_seed
+        ~qa_policy ~mesh_policy ~telemetry:true ~n:(Fault_plan.n plan) system)
+
+let post_hoc_verdict cell =
+  let stack = cell.Cell_runner.cr_stack in
+  Tbwf_check.Degradation.check ~min_ops:cell.Cell_runner.cr_min_ops
+    ~prediction:cell.Cell_runner.cr_prediction
+    ~trace:(Runtime.trace stack.Tbwf_system.System.rt)
+    ~completed_before:cell.Cell_runner.cr_completed_before
+    ~completed_after:stack.Tbwf_system.System.stats.Tbwf_core.Workload.completed
+    ()
+
+(* Every (campaign, system) cell of the quick matrix on [substrate], in
+   [Campaign.run_matrix]'s order, with a printable label. *)
+let quick_matrix_cells ?substrate label =
+  let n, horizon = Campaign.substrate_dimensions ?substrate ~quick:true () in
+  let campaigns =
+    match substrate with
+    | None -> Campaign.catalogue
+    | Some _ -> Campaign.catalogue @ Campaign.net_catalogue
+  in
+  List.concat_map
+    (fun c ->
+      List.map
+        (fun system ->
+          ( Fmt.str "%s/%s/%s" label (Campaign.name c)
+              (Campaign.system_name system),
+            Campaign.plan c ~n ~horizon,
+            system ))
+        Campaign.all_systems)
+    campaigns
+
+(* The online ≡ post-hoc differential: the online checker consumed the
+   very same event stream the run produced, so its verdict must equal the
+   post-hoc checker's over the recorded trace, field for field, on every
+   (campaign, system) cell of the quick matrix on both substrates.
+   Structural equality covers the whole verdict record including
+   per-process sub-verdicts. Each task returns only the two verdicts, so
+   no cell's trace outlives its task. *)
 let test_online_differential () =
   let pool = Tbwf_parallel.Pool.create () in
-  let check_matrix label ?substrate () =
-    let m = Campaign.run_matrix ?substrate ~pool ~quick:true () in
-    List.iter
-      (fun o ->
-        List.iter
-          (fun r ->
-            let rr = r.Campaign.row_result in
-            Alcotest.(check bool)
-              (Fmt.str "%s/%s/%s online = post-hoc" label
-                 (Campaign.name o.Campaign.o_campaign)
-                 (Campaign.system_name r.Campaign.row_system))
-              true
-              (rr.Campaign.rr_online = rr.Campaign.rr_verdict))
-          o.Campaign.o_rows)
-      m.Campaign.m_outcomes
+  let check_matrix ?substrate label =
+    let cells = Array.of_list (quick_matrix_cells ?substrate label) in
+    Tbwf_parallel.Pool.map pool cells (fun (_, plan, system) ->
+        let cell = traced_cell ?substrate ~plan system in
+        cell.Cell_runner.cr_verdict, post_hoc_verdict cell)
+    |> Array.iteri (fun i (online, post_hoc) ->
+           let name, _, _ = cells.(i) in
+           Alcotest.(check bool) (name ^ " online = post-hoc") true
+             (online = post_hoc))
   in
-  check_matrix "shared-memory" ();
-  check_matrix "message-passing"
-    ~substrate:
-      (Tbwf_system.System.Message_passing Tbwf_net.Net.default_config)
-    ()
+  check_matrix "shared-memory";
+  check_matrix ~substrate:mp_substrate "message-passing"
+
+(* Recording the trace only observes the run: a campaign cell judged
+   without one ([Campaign.run_plan]) reports the same verdict, tail
+   counts and telemetry as the same cell with the trace recorded, on
+   every system, for one campaign per substrate. *)
+let test_trace_observation_only () =
+  let pool = Tbwf_parallel.Pool.create () in
+  let check_campaign ?substrate name =
+    let c = Option.get (Campaign.find name) in
+    let n, horizon = Campaign.substrate_dimensions ?substrate ~quick:true () in
+    let plan = Campaign.plan c ~n ~horizon in
+    Tbwf_parallel.Pool.map pool (Array.of_list Campaign.all_systems)
+      (fun system ->
+        let r = Campaign.run_plan ?substrate ~plan ~system () in
+        let cell = traced_cell ?substrate ~plan system in
+        ( system,
+          ( r.Campaign.rr_verdict = cell.Cell_runner.cr_verdict,
+            r.Campaign.rr_tail_ops = cell.Cell_runner.cr_tail_ops,
+            String.equal
+              (Tbwf_telemetry.Collector.snapshot_string
+                 r.Campaign.rr_telemetry)
+              (Tbwf_telemetry.Collector.snapshot_string
+                 cell.Cell_runner.cr_telemetry) ) ))
+    |> Array.iter (fun (system, (verdict, tail_ops, snapshot)) ->
+           let what = Fmt.str "%s/%s" name (Campaign.system_name system) in
+           Alcotest.(check bool) (what ^ " verdict") true verdict;
+           Alcotest.(check bool) (what ^ " tail ops") true tail_ops;
+           Alcotest.(check bool) (what ^ " telemetry snapshot") true snapshot)
+  in
+  check_campaign "slowdown";
+  check_campaign ~substrate:mp_substrate "net-partition-heal"
 
 (* The fuzz demo: the planted bug needs both fuzz dimensions (a plan with
    an abort ramp AND a schedule that runs the writer), the shrunk plan
@@ -504,6 +567,8 @@ let () =
             test_campaign_mp_smoke;
           Alcotest.test_case "online verdicts equal post-hoc (both substrates)"
             `Slow test_online_differential;
+          Alcotest.test_case "trace recording is observation-only" `Slow
+            test_trace_observation_only;
         ] );
       ( "fuzz",
         [ Alcotest.test_case "planted bug found and replayed" `Quick
