@@ -18,44 +18,76 @@ let round_robin () =
     else begin
       (* smallest pid strictly greater than [!last], wrapping around:
          first match in array order (the runtime hands pids sorted) *)
-      let rec find i =
-        if i >= len then runnable.(0)
-        else if runnable.(i) > !last then runnable.(i)
-        else find (i + 1)
-      in
-      let chosen = find 0 in
+      let i = ref 0 in
+      while !i < len && runnable.(!i) <= !last do incr i done;
+      let chosen = if !i < len then runnable.(!i) else runnable.(0) in
       last := chosen;
       Some chosen
     end
   in
   { name = "round-robin"; next; script_branching = ref [] }
 
-let weighted_pick rng candidates weight_of =
-  let total = Array.fold_left (fun acc p -> acc +. weight_of p) 0.0 candidates in
-  if total <= 0.0 then None
+(* Growable per-pid tables: a read past the end sees the table's default,
+   a write past it first grows the table, filling new slots with [fill]. *)
+let set table pid fill v =
+  if pid >= Array.length !table then begin
+    let old = !table in
+    let bigger = Array.make (max (pid + 1) (2 * Array.length old)) fill in
+    Array.blit old 0 bigger 0 (Array.length old);
+    table := bigger
+  end;
+  !table.(pid) <- v
+
+(* The table of an assignment list or array: the last duplicate wins, and
+   negative pids are ignored. *)
+let table_of iter assignments fill =
+  let table = ref [||] in
+  iter (fun (pid, v) -> if pid >= 0 then set table pid fill v) assignments;
+  !table
+
+(* A reusable scratch for the soft draw, sized to the largest [runnable]
+   seen so far. *)
+let scratch_for scratch len =
+  if Array.length !scratch < len then scratch := Array.make len 0.0;
+  !scratch
+
+(* The weighted draw over [runnable.(0 .. len-1)], where [weights.(i)] is
+   the weight of [runnable.(i)]: sum the weights left to right; unless the
+   total is <= 0 (then -1, and no draw), draw a target in [0, total) and
+   return the first candidate whose running sum exceeds it, falling back
+   to the last candidate when float slack leaves nobody chosen. *)
+let draw rng runnable (weights : float array) len =
+  let total = ref 0.0 in
+  for i = 0 to len - 1 do
+    total := !total +. weights.(i)
+  done;
+  if !total <= 0.0 then -1
   else begin
-    let target = Rng.float rng *. total in
-    let acc = ref 0.0 in
-    let chosen = ref None in
-    Array.iter
-      (fun p ->
-        if !chosen = None then begin
-          acc := !acc +. weight_of p;
-          if !acc > target then chosen := Some p
-        end)
-      candidates;
-    (* floating-point slack: fall back to the last candidate *)
-    match !chosen with
-    | Some _ as c -> c
-    | None -> Some candidates.(Array.length candidates - 1)
+    let target = Rng.float rng *. !total in
+    let acc = ref 0.0 and chosen = ref (-1) and i = ref 0 in
+    while !chosen < 0 && !i < len do
+      acc := !acc +. weights.(!i);
+      if !acc > target then chosen := runnable.(!i);
+      incr i
+    done;
+    if !chosen < 0 then runnable.(len - 1) else !chosen
   end
 
 let weighted weights =
-  let table = Hashtbl.create 16 in
-  Array.iter (fun (pid, w) -> Hashtbl.replace table pid w) weights;
-  let weight_of p = Option.value (Hashtbl.find_opt table p) ~default:1.0 in
+  let table : float array = table_of Array.iter weights 1.0 in
+  let scratch = ref [||] in
   let next ~step:_ ~runnable ~rng =
-    if Array.length runnable = 0 then None else weighted_pick rng runnable weight_of
+    let len = Array.length runnable in
+    if len = 0 then None
+    else begin
+      let ws = scratch_for scratch len in
+      for i = 0 to len - 1 do
+        let p = runnable.(i) in
+        ws.(i) <- (if p < Array.length table then table.(p) else 1.0)
+      done;
+      let chosen = draw rng runnable ws len in
+      if chosen < 0 then None else Some chosen
+    end
   in
   { name = "weighted"; next; script_branching = ref [] }
 
@@ -67,7 +99,7 @@ type pattern =
   | Silent
   | Switch_at of int * pattern * pattern
 
-(* Mutable flicker phase tracking, keyed by pid. *)
+(* Mutable flicker phase tracking, one per pid. *)
 type flicker_state = {
   mutable awake : bool;
   mutable phase_end : int;  (* first step of the next phase *)
@@ -80,34 +112,60 @@ type slowing_state = {
   mutable burst_left : int;
 }
 
+let rec validate = function
+  | Every { period; _ } when period < 1 ->
+    invalid_arg (Fmt.str "Policy.of_patterns: Every period %d < 1" period)
+  | Flicker { active; _ } when active < 1 ->
+    invalid_arg (Fmt.str "Policy.of_patterns: Flicker active %d < 1" active)
+  | Switch_at (_, before, after) ->
+    validate before;
+    validate after
+  | Every _ | Weighted _ | Flicker _ | Slowing _ | Silent -> ()
+
+let rec resolve step = function
+  | Switch_at (s, before, after) ->
+    if step < s then resolve step before else resolve step after
+  | (Every _ | Weighted _ | Flicker _ | Slowing _ | Silent) as p -> p
+
+let unlisted = Weighted 1.0
+
+(* Everything [next] touches is a flat array indexed by pid: the compiled
+   patterns, when each pid last ran, and the lazily created slowing and
+   flicker states. A step resolves each runnable pid's pattern (walking its
+   [Switch_at] chain) and allocates nothing but the [Some pid] it returns. *)
 let of_patterns ?(name = "patterns") assignments =
-  let patterns = Hashtbl.create 16 in
-  List.iter (fun (pid, p) -> Hashtbl.replace patterns pid p) assignments;
-  let flickers : (int, flicker_state) Hashtbl.t = Hashtbl.create 16 in
-  let slowers : (int, slowing_state) Hashtbl.t = Hashtbl.create 16 in
-  let last_run = Hashtbl.create 16 in
-  let rec resolve step = function
-    | Switch_at (s, before, after) ->
-      if step < s then resolve step before else resolve step after
-    | (Every _ | Weighted _ | Flicker _ | Slowing _ | Silent) as p -> p
+  List.iter (fun (_, p) -> validate p) assignments;
+  let patterns = table_of List.iter assignments unlisted in
+  let pattern_at pid step =
+    resolve step (if pid < Array.length patterns then patterns.(pid) else unlisted)
   in
+  let size = Array.length patterns in
+  let last_run = ref (Array.make size (-1)) in
+  let slowers : slowing_state option array ref = ref (Array.make size None) in
+  let flickers : flicker_state option array ref = ref (Array.make size None) in
+  let scratch = ref [||] in
+  let ran_at pid =
+    let a = !last_run in
+    if pid < Array.length a then a.(pid) else -1
+  in
+  let ran pid step = set last_run pid (-1) step in
   let slowing_state pid step initial_gap burst =
-    match Hashtbl.find_opt slowers pid with
+    match if pid < Array.length !slowers then !slowers.(pid) else None with
     | Some st -> st
     | None ->
       let st =
         { due = step; gap = float_of_int initial_gap; burst_left = burst }
       in
-      Hashtbl.replace slowers pid st;
+      set slowers pid None (Some st);
       st
   in
   let flicker_awake pid step active sleep growth =
     let st =
-      match Hashtbl.find_opt flickers pid with
+      match if pid < Array.length !flickers then !flickers.(pid) else None with
       | Some st -> st
       | None ->
         let st = { awake = true; phase_end = step + active; sleep_len = float_of_int sleep } in
-        Hashtbl.replace flickers pid st;
+        set flickers pid None (Some st);
         st
     in
     while step >= st.phase_end do
@@ -124,85 +182,76 @@ let of_patterns ?(name = "patterns") assignments =
     st.awake
   in
   let next ~step ~runnable ~rng =
-    if Array.length runnable = 0 then None
+    let len = Array.length runnable in
+    if len = 0 then None
     else begin
-      let pattern_of p =
-        resolve step
-          (Option.value (Hashtbl.find_opt patterns p) ~default:(Weighted 1.0))
-      in
-      let claims =
-        Array.to_list runnable
-        |> List.filter (fun p ->
-               match pattern_of p with
-               | Every { period; offset } -> (step - offset) mod period = 0
-               | Slowing { initial_gap; growth = _; burst } ->
-                 step >= (slowing_state p step initial_gap burst).due
-               | Weighted _ | Flicker _ | Silent | Switch_at _ -> false)
-      in
-      match claims with
-      | _ :: _ ->
-        (* serve the least-recently-run claimant so ties starve nobody *)
-        let ran_at p = Option.value (Hashtbl.find_opt last_run p) ~default:(-1) in
-        let best =
-          List.fold_left
-            (fun best p ->
-              match best with
-              | None -> Some p
-              | Some b -> if ran_at p < ran_at b then Some p else best)
-            None claims
+      (* Hard claims: every pid's claim is evaluated (creating slowing
+         state on first sight); the first claimant with the strictly
+         least recent run wins, so ties starve nobody. *)
+      let best = ref (-1) in
+      for i = 0 to len - 1 do
+        let p = runnable.(i) in
+        let claims =
+          match pattern_at p step with
+          | Every { period; offset } -> (step - offset) mod period = 0
+          | Slowing { initial_gap; growth = _; burst } ->
+            step >= (slowing_state p step initial_gap burst).due
+          | Weighted _ | Flicker _ | Silent | Switch_at _ -> false
         in
-        Option.iter
-          (fun p ->
-            Hashtbl.replace last_run p step;
-            match pattern_of p with
-            | Slowing { initial_gap; growth; burst } ->
-              let st = slowing_state p step initial_gap burst in
-              if st.burst_left > 1 then st.burst_left <- st.burst_left - 1
-              else begin
-                st.burst_left <- max 1 burst;
-                st.due <- step + int_of_float st.gap;
-                st.gap <- st.gap *. growth
-              end
-            | Every _ | Weighted _ | Flicker _ | Silent | Switch_at _ -> ())
-          best;
-        best
-      | [] ->
-        let weight_of p =
-          match pattern_of p with
-          | Weighted w -> w
-          | Flicker { active; sleep; growth } ->
-            if flicker_awake p step active sleep growth then 1.0 else 0.0
-          | Every _ | Slowing _ | Silent -> 0.0
-          | Switch_at _ -> assert false
-        in
-        let chosen = weighted_pick rng runnable weight_of in
-        (match chosen with
-        | Some p -> Hashtbl.replace last_run p step; Some p
-        | None ->
+        if claims && (!best < 0 || ran_at p < ran_at !best) then best := p
+      done;
+      if !best >= 0 then begin
+        let p = !best in
+        ran p step;
+        (match pattern_at p step with
+        | Slowing { initial_gap; growth; burst } ->
+          let st = slowing_state p step initial_gap burst in
+          if st.burst_left > 1 then st.burst_left <- st.burst_left - 1
+          else begin
+            st.burst_left <- max 1 burst;
+            st.due <- step + int_of_float st.gap;
+            st.gap <- st.gap *. growth
+          end
+        | Every _ | Weighted _ | Flicker _ | Silent | Switch_at _ -> ());
+        Some p
+      end
+      else begin
+        (* Soft participants, drawn by weight. *)
+        let ws = scratch_for scratch len in
+        for i = 0 to len - 1 do
+          let p = runnable.(i) in
+          ws.(i) <-
+            (match pattern_at p step with
+            | Weighted w -> w
+            | Flicker { active; sleep; growth } ->
+              if flicker_awake p step active sleep growth then 1.0 else 0.0
+            | Every _ | Slowing _ | Silent -> 0.0
+            | Switch_at _ -> assert false)
+        done;
+        let chosen = draw rng runnable ws len in
+        if chosen >= 0 then begin
+          ran chosen step;
+          Some chosen
+        end
+        else begin
           (* No soft participant this step. Give the spare step to an
              off-claim [Every] process (it is willing, merely not due), so
              runs made only of timely processes keep progressing; if truly
              everyone is silent, let the step pass idle. *)
-          let willing =
-            Array.to_list runnable
-            |> List.filter (fun p ->
-                   match pattern_of p with
-                   | Every _ -> true
-                   | Weighted _ | Flicker _ | Slowing _ | Silent | Switch_at _ ->
-                     false)
-          in
-          let ran_at p = Option.value (Hashtbl.find_opt last_run p) ~default:(-1) in
-          let best =
-            List.fold_left
-              (fun best p ->
-                match best with
-                | None -> Some p
-                | Some b -> if ran_at p < ran_at b then Some p else best)
-              None willing
-          in
-          Option.iter (fun p -> Hashtbl.replace last_run p step) best;
-          best)
+          for i = 0 to len - 1 do
+            let p = runnable.(i) in
+            match pattern_at p step with
+            | Every _ -> if !best < 0 || ran_at p < ran_at !best then best := p
+            | Weighted _ | Flicker _ | Slowing _ | Silent | Switch_at _ -> ()
+          done;
+          if !best < 0 then None
+          else begin
+            ran !best step;
+            Some !best
+          end
+        end
       end
+    end
   in
   { name; next; script_branching = ref [] }
 

@@ -21,7 +21,9 @@ val round_robin : unit -> t
 
 val weighted : (int * float) array -> t
 (** Seeded-random choice with the given per-pid weights. Pids absent from
-    the list get weight 1.0. A pid with a much smaller weight than the rest
+    the list get weight 1.0, a pid listed twice takes its last weight, and
+    negative pids are ignored. Like {!of_patterns}, a call does no hashing
+    and allocates nothing but its result. A pid with a much smaller weight than the rest
     has unbounded expected gaps, i.e. is (statistically) not timely. *)
 
 (** Per-process step patterns, compiled into a policy by {!of_patterns}. *)
@@ -52,10 +54,21 @@ type pattern =
           as [after] afterwards *)
 
 val of_patterns : ?name:string -> (int * pattern) list -> t
-(** Compile per-pid patterns. Pids not listed behave as [Weighted 1.0].
-    Hard claims win over soft participants; simultaneous hard claims are
-    served least-recently-run first, so a set of [Every] processes with the
-    same period remains timely (with a proportionally larger bound). *)
+(** Compile per-pid patterns. Pids not listed behave as [Weighted 1.0];
+    when a pid is listed twice the last entry wins, and negative pids are
+    ignored. Hard claims win over soft participants; simultaneous hard
+    claims are served least-recently-run first, so a set of [Every]
+    processes with the same period remains timely (with a proportionally
+    larger bound).
+
+    Cost: the patterns and all per-pid state live in flat arrays indexed
+    by pid, so a call costs O(|runnable| + [Switch_at] depth), does no
+    hashing and allocates nothing but its [Some pid] result (a table grows
+    once when a pid beyond it first runs, e.g. a late joiner).
+
+    @raise Invalid_argument if any pattern, including one nested in a
+    [Switch_at] branch, has [Every { period }] with [period < 1] or
+    [Flicker { active }] with [active < 1]. *)
 
 val solo_after : n:int -> pid:int -> step:int -> t
 (** All processes run with equal weight before [step]; afterwards only

@@ -1,5 +1,182 @@
 open Tbwf_sim
 
+(* The reference model: [Policy.weighted] and [Policy.of_patterns] as they
+   were when every lookup went through a [Hashtbl] and every draw through a
+   closure fold, copied unchanged apart from returning the bare [next]
+   function. The flat-table implementation must make exactly the same
+   choices and the same rng draws. *)
+module Oracle = struct
+  open Policy
+
+  let weighted_pick rng candidates weight_of =
+    let total = Array.fold_left (fun acc p -> acc +. weight_of p) 0.0 candidates in
+    if total <= 0.0 then None
+    else begin
+      let target = Rng.float rng *. total in
+      let acc = ref 0.0 in
+      let chosen = ref None in
+      Array.iter
+        (fun p ->
+          if !chosen = None then begin
+            acc := !acc +. weight_of p;
+            if !acc > target then chosen := Some p
+          end)
+        candidates;
+      (* floating-point slack: fall back to the last candidate *)
+      match !chosen with
+      | Some _ as c -> c
+      | None -> Some candidates.(Array.length candidates - 1)
+    end
+
+  let weighted weights =
+    let table = Hashtbl.create 16 in
+    Array.iter (fun (pid, w) -> Hashtbl.replace table pid w) weights;
+    let weight_of p = Option.value (Hashtbl.find_opt table p) ~default:1.0 in
+    let next ~step:_ ~runnable ~rng =
+      if Array.length runnable = 0 then None else weighted_pick rng runnable weight_of
+    in
+    next
+
+  (* Mutable flicker phase tracking, keyed by pid. *)
+  type flicker_state = {
+    mutable awake : bool;
+    mutable phase_end : int;  (* first step of the next phase *)
+    mutable sleep_len : float;
+  }
+
+  type slowing_state = {
+    mutable due : int;
+    mutable gap : float;
+    mutable burst_left : int;
+  }
+
+  let of_patterns assignments =
+    let patterns = Hashtbl.create 16 in
+    List.iter (fun (pid, p) -> Hashtbl.replace patterns pid p) assignments;
+    let flickers : (int, flicker_state) Hashtbl.t = Hashtbl.create 16 in
+    let slowers : (int, slowing_state) Hashtbl.t = Hashtbl.create 16 in
+    let last_run = Hashtbl.create 16 in
+    let rec resolve step = function
+      | Switch_at (s, before, after) ->
+        if step < s then resolve step before else resolve step after
+      | (Every _ | Weighted _ | Flicker _ | Slowing _ | Silent) as p -> p
+    in
+    let slowing_state pid step initial_gap burst =
+      match Hashtbl.find_opt slowers pid with
+      | Some st -> st
+      | None ->
+        let st =
+          { due = step; gap = float_of_int initial_gap; burst_left = burst }
+        in
+        Hashtbl.replace slowers pid st;
+        st
+    in
+    let flicker_awake pid step active sleep growth =
+      let st =
+        match Hashtbl.find_opt flickers pid with
+        | Some st -> st
+        | None ->
+          let st = { awake = true; phase_end = step + active; sleep_len = float_of_int sleep } in
+          Hashtbl.replace flickers pid st;
+          st
+      in
+      while step >= st.phase_end do
+        if st.awake then begin
+          st.awake <- false;
+          st.phase_end <- st.phase_end + int_of_float st.sleep_len;
+          st.sleep_len <- st.sleep_len *. growth
+        end
+        else begin
+          st.awake <- true;
+          st.phase_end <- st.phase_end + active
+        end
+      done;
+      st.awake
+    in
+    let next ~step ~runnable ~rng =
+      if Array.length runnable = 0 then None
+      else begin
+        let pattern_of p =
+          resolve step
+            (Option.value (Hashtbl.find_opt patterns p) ~default:(Weighted 1.0))
+        in
+        let claims =
+          Array.to_list runnable
+          |> List.filter (fun p ->
+                 match pattern_of p with
+                 | Every { period; offset } -> (step - offset) mod period = 0
+                 | Slowing { initial_gap; growth = _; burst } ->
+                   step >= (slowing_state p step initial_gap burst).due
+                 | Weighted _ | Flicker _ | Silent | Switch_at _ -> false)
+        in
+        match claims with
+        | _ :: _ ->
+          (* serve the least-recently-run claimant so ties starve nobody *)
+          let ran_at p = Option.value (Hashtbl.find_opt last_run p) ~default:(-1) in
+          let best =
+            List.fold_left
+              (fun best p ->
+                match best with
+                | None -> Some p
+                | Some b -> if ran_at p < ran_at b then Some p else best)
+              None claims
+          in
+          Option.iter
+            (fun p ->
+              Hashtbl.replace last_run p step;
+              match pattern_of p with
+              | Slowing { initial_gap; growth; burst } ->
+                let st = slowing_state p step initial_gap burst in
+                if st.burst_left > 1 then st.burst_left <- st.burst_left - 1
+                else begin
+                  st.burst_left <- max 1 burst;
+                  st.due <- step + int_of_float st.gap;
+                  st.gap <- st.gap *. growth
+                end
+              | Every _ | Weighted _ | Flicker _ | Silent | Switch_at _ -> ())
+            best;
+          best
+        | [] ->
+          let weight_of p =
+            match pattern_of p with
+            | Weighted w -> w
+            | Flicker { active; sleep; growth } ->
+              if flicker_awake p step active sleep growth then 1.0 else 0.0
+            | Every _ | Slowing _ | Silent -> 0.0
+            | Switch_at _ -> assert false
+          in
+          let chosen = weighted_pick rng runnable weight_of in
+          (match chosen with
+          | Some p -> Hashtbl.replace last_run p step; Some p
+          | None ->
+            (* No soft participant this step. Give the spare step to an
+               off-claim [Every] process (it is willing, merely not due), so
+               runs made only of timely processes keep progressing; if truly
+               everyone is silent, let the step pass idle. *)
+            let willing =
+              Array.to_list runnable
+              |> List.filter (fun p ->
+                     match pattern_of p with
+                     | Every _ -> true
+                     | Weighted _ | Flicker _ | Slowing _ | Silent | Switch_at _ ->
+                       false)
+            in
+            let ran_at p = Option.value (Hashtbl.find_opt last_run p) ~default:(-1) in
+            let best =
+              List.fold_left
+                (fun best p ->
+                  match best with
+                  | None -> Some p
+                  | Some b -> if ran_at p < ran_at b then Some p else best)
+                None willing
+            in
+            Option.iter (fun p -> Hashtbl.replace last_run p step) best;
+            best)
+        end
+    in
+    next
+end
+
 let run_policy policy ~runnable ~steps =
   let rng = Rng.create 17L in
   let arr = Array.of_list runnable in
@@ -190,6 +367,119 @@ let test_solo_after () =
   Alcotest.(check bool) "others ran before switch" true
     (List.length early_others > 0)
 
+(* --- equivalence with the reference model -------------------------------- *)
+
+let rec gen_pattern g depth =
+  match Rng.int g (if depth > 0 then 6 else 5) with
+  | 0 -> Policy.Every { period = 1 + Rng.int g 6; offset = Rng.int g 12 - 3 }
+  | 1 ->
+    Policy.Weighted
+      (match Rng.int g 4 with
+      | 0 -> 0.0
+      | 1 -> 1.0
+      | 2 -> 0.25
+      | _ -> Rng.float g *. 3.0)
+  | 2 ->
+    Policy.Flicker
+      { active = 1 + Rng.int g 12; sleep = Rng.int g 30;
+        growth = 0.5 +. Rng.float g *. 1.5 }
+  | 3 ->
+    Policy.Slowing
+      { initial_gap = Rng.int g 20; growth = 0.5 +. Rng.float g *. 1.5;
+        burst = Rng.int g 5 }
+  | 4 -> Policy.Silent
+  | _ ->
+    Policy.Switch_at
+      (Rng.int g 2_000, gen_pattern g (depth - 1), gen_pattern g (depth - 1))
+
+(* Pids from -2 to 8, with duplicates; half the time every pid of the
+   universe is listed first, so no unlisted [Weighted 1.0] pid hides the
+   idle and willing-fallback paths. *)
+let gen_assignments g ~universe =
+  let listed =
+    if Rng.bool g 0.5 then List.init universe (fun p -> p, gen_pattern g 3) else []
+  in
+  listed @ List.init (Rng.int g 11) (fun _ -> Rng.int g 11 - 2, gen_pattern g 3)
+
+(* A sorted random subset of [0, universe); a universe of up to 12 pids
+   reaches past every table, a small one often holds no unlisted pid. *)
+let gen_runnable g ~universe =
+  let pids = List.filter (fun _ -> Rng.int g 4 > 0) (List.init universe Fun.id) in
+  Array.of_list pids
+
+let check_equivalent ~label ~policies ~steps make_new make_oracle gen =
+  for i = 0 to policies - 1 do
+    let g = Rng.create (Int64.of_int (1000 + i)) in
+    let universe = 1 + Rng.int g 12 in
+    let spec = gen g ~universe in
+    let fresh = make_new spec and oracle = make_oracle spec in
+    let rng_new = Rng.create (Int64.of_int i) in
+    let rng_oracle = Rng.create (Int64.of_int i) in
+    let step = ref 0 in
+    for _ = 1 to steps do
+      step := !step + 1 + Rng.int g 3;
+      let runnable = gen_runnable g ~universe in
+      let got = Policy.next fresh ~step:!step ~runnable ~rng:rng_new in
+      let want = oracle ~step:!step ~runnable ~rng:rng_oracle in
+      if got <> want then
+        Alcotest.failf "%s %d step %d: got %a, oracle %a" label i !step
+          Fmt.(option ~none:(any "None") int) got
+          Fmt.(option ~none:(any "None") int) want;
+      if Rng.int rng_new 1_000_000 <> Rng.int rng_oracle 1_000_000 then
+        Alcotest.failf "%s %d step %d: rng streams diverged" label i !step
+    done
+  done
+
+let test_patterns_match_oracle () =
+  check_equivalent ~label:"patterns" ~policies:200 ~steps:2_000
+    (fun a -> Policy.of_patterns a)
+    Oracle.of_patterns gen_assignments
+
+let test_weighted_matches_oracle () =
+  check_equivalent ~label:"weighted" ~policies:50 ~steps:2_000
+    Policy.weighted Oracle.weighted (fun g ~universe:_ ->
+      Array.init (Rng.int g 11) (fun _ ->
+          Rng.int g 11 - 2, (if Rng.int g 5 = 0 then 0.0 else Rng.float g *. 4.0)))
+
+(* Minor-heap words per pick over [picks] steps of the all-[Every] base
+   rotation of [Fault_plan] at n = 7: period 8, one spare step per round. *)
+let words_per_pick next =
+  let runnable = Array.init 7 Fun.id and rng = Rng.create 5L in
+  let picks = 20_000 in
+  let before = Gc.minor_words () in
+  for step = 0 to picks - 1 do
+    ignore (Sys.opaque_identity (next ~step ~runnable ~rng))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int picks
+
+let test_allocation_guard () =
+  let rotation = List.init 7 (fun pid -> pid, Policy.Every { period = 8; offset = pid }) in
+  let flat = words_per_pick (Policy.next (Policy.of_patterns rotation)) in
+  let oracle = words_per_pick (Oracle.of_patterns rotation) in
+  if not (5.0 *. flat <= oracle) then
+    Alcotest.failf "of_patterns allocates %.1f words per pick, oracle %.1f" flat
+      oracle
+
+let rejects label pattern =
+  match Policy.of_patterns [ 0, Policy.Weighted 1.0; 1, pattern ] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" label
+
+let test_rejects_bad_period () =
+  rejects "period 0" (Policy.Every { period = 0; offset = 0 });
+  rejects "period -3" (Policy.Every { period = -3; offset = 1 });
+  rejects "period 0 inside Switch_at"
+    (Policy.Switch_at
+       (10, Policy.Silent,
+        Policy.Switch_at (20, Policy.Every { period = 0; offset = 0 }, Policy.Silent)))
+
+let test_rejects_bad_active () =
+  rejects "active 0" (Policy.Flicker { active = 0; sleep = 0; growth = 1.0 });
+  rejects "active -1" (Policy.Flicker { active = -1; sleep = 5; growth = 2.0 });
+  rejects "active 0 inside Switch_at"
+    (Policy.Switch_at
+       (10, Policy.Flicker { active = 0; sleep = 3; growth = 1.0 }, Policy.Silent))
+
 let () =
   Alcotest.run "policy"
     [
@@ -212,5 +502,18 @@ let () =
           Alcotest.test_case "replay strict faithful" `Quick
             test_replay_strict_faithful;
           Alcotest.test_case "solo_after" `Quick test_solo_after;
+          Alcotest.test_case "rejects Every period < 1" `Quick
+            test_rejects_bad_period;
+          Alcotest.test_case "rejects Flicker active < 1" `Quick
+            test_rejects_bad_active;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "of_patterns matches reference model" `Quick
+            test_patterns_match_oracle;
+          Alcotest.test_case "weighted matches reference model" `Quick
+            test_weighted_matches_oracle;
+          Alcotest.test_case "of_patterns allocation guard" `Quick
+            test_allocation_guard;
         ] );
     ]
