@@ -9,29 +9,35 @@ open Tbwf_core
 open Tbwf_experiments
 
 let spec_of_object = function
-  | "counter" -> Counter.spec, Counter.inc
-  | "stack" -> Stack_obj.spec, Stack_obj.push (Value.Int 1)
-  | "queue" -> Queue_obj.spec, Queue_obj.enqueue (Value.Int 1)
-  | "set" -> Set_obj.spec, Set_obj.add 7
-  | "kv" -> Kv_store.spec, Kv_store.put "key" (Value.Int 1)
-  | "deque" -> Deque_obj.spec, Deque_obj.push_right (Value.Int 1)
+  | "counter" -> Ok (Counter.spec, Counter.inc)
+  | "stack" -> Ok (Stack_obj.spec, Stack_obj.push (Value.Int 1))
+  | "queue" -> Ok (Queue_obj.spec, Queue_obj.enqueue (Value.Int 1))
+  | "set" -> Ok (Set_obj.spec, Set_obj.add 7)
+  | "kv" -> Ok (Kv_store.spec, Kv_store.put "key" (Value.Int 1))
+  | "deque" -> Ok (Deque_obj.spec, Deque_obj.push_right (Value.Int 1))
   | other ->
-    Fmt.failwith "unknown object %S (counter|stack|queue|set|kv|deque)" other
+    Error (Fmt.str "unknown object %S (counter|stack|queue|set|kv|deque)" other)
 
 let omega_of_string = function
-  | "atomic" -> Scenario.Omega_atomic
-  | "abortable" -> Scenario.Omega_abortable Abort_policy.Always
-  | "naive" -> Scenario.Omega_naive
-  | other -> Fmt.failwith "unknown omega %S (atomic|abortable|naive)" other
+  | "atomic" -> Ok Scenario.Omega_atomic
+  | "abortable" -> Ok (Scenario.Omega_abortable Abort_policy.Always)
+  | "naive" -> Ok Scenario.Omega_naive
+  | other -> Error (Fmt.str "unknown omega %S (atomic|abortable|naive)" other)
 
-let run n steps seed object_name omega_name untimely non_canonical =
-  if n < 1 then begin
-    Fmt.epr "-n must be positive (got %d)@." n;
-    2
-  end
-  else
-  let spec, op = spec_of_object object_name in
-  let omega = omega_of_string omega_name in
+let positive flag v =
+  if v < 1 then Error (Fmt.str "%s must be positive (got %d)" flag v) else Ok ()
+
+(* Every argument is checked before anything is built, so bad input is a
+   message and exit 2. *)
+let resolve n steps object_name omega_name =
+  let ( let* ) = Result.bind in
+  let* () = positive "-n" n in
+  let* () = positive "--steps" steps in
+  let* spec_op = spec_of_object object_name in
+  let* omega = omega_of_string omega_name in
+  Ok (spec_op, omega)
+
+let demo ~n ~steps ~seed ~spec ~op ~omega ~untimely ~non_canonical =
   let untimely = List.filter (fun p -> p >= 0 && p < n) untimely in
   let timely = List.filter (fun p -> not (List.mem p untimely)) (List.init n Fun.id) in
   (* One registry stack per omega choice; the demo only varies the elector,
@@ -62,6 +68,14 @@ let run n steps seed object_name omega_name untimely non_canonical =
     (Progress.tbwf_holds_endless ~before:mid ~after:stack.Scenario.stats ~timely);
   Runtime.stop stack.Scenario.rt;
   0
+
+let run n steps seed object_name omega_name untimely non_canonical =
+  match resolve n steps object_name omega_name with
+  | Error msg ->
+    Fmt.epr "%s@." msg;
+    2
+  | Ok ((spec, op), omega) ->
+    demo ~n ~steps ~seed ~spec ~op ~omega ~untimely ~non_canonical
 
 let n =
   Arg.(value & opt int 4 & info [ "n" ] ~doc:"Number of processes.")

@@ -144,6 +144,7 @@ let resolve ?stream_every ?width ~substrate ~plan ~system ~full ~n ~k ~steps
   let ( let* ) = Result.bind in
   let* substrate = Tbwf_system.System.substrate_of_name substrate in
   let* () = positive "-n" n in
+  let* () = positive "--steps" steps in
   let* () = positive "--window" (Some window) in
   let* () = positive "--width" width in
   let* () = positive "--stream-every" stream_every in

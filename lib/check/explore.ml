@@ -412,39 +412,48 @@ let fuzz_select ?pool ~runs run_batch =
    with Exit -> ());
   !executed, !witness
 
+(* One fuzz batch: up to [fuzz_batch_size] uniform random walks drawn
+   from batch [k]'s own stream, stopping at the first run whose invariant
+   breaks. [start rng] sets up one run — drawing from [rng] before the
+   walk if it needs to — and returns its runtime, its invariant and a tag
+   carried into the witness next to the schedule. *)
+let fuzz_batch ~seed ~runs ~max_steps start k =
+  let rng = Rng.create (Rng.task_seed ~master:seed k) in
+  let count = fuzz_batch_size ~runs k in
+  let witness = ref None in
+  let executed = ref 0 in
+  while !witness = None && !executed < count do
+    incr executed;
+    let rt, invariant, tag = start rng in
+    let sched = ref [] in
+    let steps = ref 0 in
+    let stop_run = ref (not (invariant ())) in
+    if !stop_run then witness := Some ([], tag);
+    while (not !stop_run) && !steps < max_steps do
+      let runnable = Runtime.runnable_pids rt in
+      if Array.length runnable = 0 then stop_run := true
+      else begin
+        let pid = runnable.(Rng.int rng (Array.length runnable)) in
+        Runtime.step rt ~pid;
+        sched := pid :: !sched;
+        incr steps;
+        if not (invariant ()) then begin
+          witness := Some (List.rev !sched, tag);
+          stop_run := true
+        end
+      end
+    done;
+    Runtime.stop rt
+  done;
+  !executed, !witness
+
 let fuzz ?(seed = 0x5EED5EEDL) ?(runs = 1_000) ?pool ~max_steps ~scenario
     ~make_runtime () =
-  let run_batch k =
-    let rng = Rng.create (Rng.task_seed ~master:seed k) in
-    let count = fuzz_batch_size ~runs k in
-    let witness = ref None in
-    let executed = ref 0 in
-    while !witness = None && !executed < count do
-      incr executed;
-      let rt = make_runtime () in
-      let invariant = scenario rt in
-      let sched = ref [] in
-      let steps = ref 0 in
-      let stop_run = ref (not (invariant ())) in
-      if !stop_run then witness := Some [];
-      while (not !stop_run) && !steps < max_steps do
-        let runnable = Runtime.runnable_pids rt in
-        if Array.length runnable = 0 then stop_run := true
-        else begin
-          let pid = runnable.(Rng.int rng (Array.length runnable)) in
-          Runtime.step rt ~pid;
-          sched := pid :: !sched;
-          incr steps;
-          if not (invariant ()) then begin
-            witness := Some (List.rev !sched);
-            stop_run := true
-          end
-        end
-      done;
-      Runtime.stop rt
-    done;
-    !executed, !witness
+  let start _rng =
+    let rt = make_runtime () in
+    rt, scenario rt, ()
   in
+  let run_batch = fuzz_batch ~seed ~runs ~max_steps start in
   let executed, witness = fuzz_select ?pool ~runs run_batch in
   match witness with
   | None ->
@@ -466,7 +475,7 @@ let fuzz ?(seed = 0x5EED5EEDL) ?(runs = 1_000) ?pool ~max_steps ~scenario
       shrunk_from = None;
       exhausted_batch;
     }
-  | Some pids ->
+  | Some (pids, ()) ->
     let fails candidate =
       not (replay ~max_steps ~scenario ~make_runtime candidate)
     in
@@ -488,38 +497,13 @@ type 'plan fault_fuzz_outcome = {
 
 let fuzz_faults ?(seed = 0x5EED5EEDL) ?(runs = 1_000) ?pool ~gen_plan
     ~shrink_plan ~max_steps ~scenario ~make_runtime () =
-  let run_batch k =
-    let rng = Rng.create (Rng.task_seed ~master:seed k) in
-    let count = fuzz_batch_size ~runs k in
-    let witness = ref None in
-    let executed = ref 0 in
-    while !witness = None && !executed < count do
-      incr executed;
-      let plan = gen_plan rng in
-      let rt = make_runtime plan () in
-      let invariant = scenario plan rt in
-      let sched = ref [] in
-      let steps = ref 0 in
-      let stop_run = ref (not (invariant ())) in
-      if !stop_run then witness := Some ([], plan);
-      while (not !stop_run) && !steps < max_steps do
-        let runnable = Runtime.runnable_pids rt in
-        if Array.length runnable = 0 then stop_run := true
-        else begin
-          let pid = runnable.(Rng.int rng (Array.length runnable)) in
-          Runtime.step rt ~pid;
-          sched := pid :: !sched;
-          incr steps;
-          if not (invariant ()) then begin
-            witness := Some (List.rev !sched, plan);
-            stop_run := true
-          end
-        end
-      done;
-      Runtime.stop rt
-    done;
-    !executed, !witness
+  (* The plan is drawn before the walk, from the same stream. *)
+  let start rng =
+    let plan = gen_plan rng in
+    let rt = make_runtime plan () in
+    rt, scenario plan rt, plan
   in
+  let run_batch = fuzz_batch ~seed ~runs ~max_steps start in
   let executed, witness = fuzz_select ?pool ~runs run_batch in
   match witness with
   | None ->

@@ -45,7 +45,6 @@ type t = {
   window : int;
   retain : int option;
   mutable stream : stream option;
-  registry : Metrics.t;  (* extension point for caller-defined metrics *)
   spans : Span.t;
   app_ops : Series.t;
   steps_per_pid : int array;
@@ -72,7 +71,7 @@ type t = {
   mutable n_retires : int;  (* graceful leaves; kept out of snapshot v1 *)
   mutable net_sent : int;  (* messages admitted by the simulated network *)
   mutable net_dropped : int;  (* of which lost (partition cut or loss draw) *)
-  net_latency : Hist.t;  (* assigned one-way delays of delivered messages *)
+  net_latency : Quantile.t;  (* assigned one-way delays of delivered messages *)
 }
 
 let create ?(window = 1024) ?retain ~n () =
@@ -81,7 +80,6 @@ let create ?(window = 1024) ?retain ~n () =
     window;
     retain;
     stream = None;
-    registry = Metrics.create ();
     spans = Span.create ~n;
     app_ops = Series.create ~window ?retain ~n ();
     steps_per_pid = Array.make n 0;
@@ -108,7 +106,7 @@ let create ?(window = 1024) ?retain ~n () =
     n_retires = 0;
     net_sent = 0;
     net_dropped = 0;
-    net_latency = Hist.create ();
+    net_latency = Quantile.create ();
   }
 
 (* Keep an event list bounded in [retain] mode: newest-first truncation,
@@ -274,7 +272,7 @@ let on_signal t ~step ~pid signal =
   | Sink.Message { src = _; dst = _; latency; dropped } ->
     t.net_sent <- t.net_sent + 1;
     if dropped then t.net_dropped <- t.net_dropped + 1
-    else Hist.observe t.net_latency latency
+    else Quantile.observe t.net_latency latency
 
 let sink t =
   {
@@ -333,7 +331,7 @@ let stream_flush t =
    aggregation path: each parallel task attaches its own collector to its
    own runtime, and the merged view is folded afterwards in canonical
    task order. All aggregates combine commutatively (sums, bucket-wise
-   histogram merges, cell-wise series merges); the event lists (handoffs,
+   sketch merges, cell-wise series merges); the event lists (handoffs,
    crashes) interleave by step with ties broken by argument order, so a
    left fold over tasks in index order is order-fixed: any domain count
    produces the same merged collector. Run-local cursor state
@@ -376,7 +374,6 @@ let merge a b =
     window = a.window;
     retain = a.retain;
     stream = None;
-    registry = Metrics.merge a.registry b.registry;
     spans = Span.merge a.spans b.spans;
     app_ops = Series.merge a.app_ops b.app_ops;
     steps_per_pid = sum_arrays a.steps_per_pid b.steps_per_pid;
@@ -407,7 +404,7 @@ let merge a b =
     n_retires = a.n_retires + b.n_retires;
     net_sent = a.net_sent + b.net_sent;
     net_dropped = a.net_dropped + b.net_dropped;
-    net_latency = Hist.merge a.net_latency b.net_latency;
+    net_latency = Quantile.merge a.net_latency b.net_latency;
   }
 
 let merge_all = function
@@ -419,7 +416,6 @@ let merge_all = function
 let n t = t.n
 let window t = t.window
 let retain t = t.retain
-let registry t = t.registry
 let spans t = t.spans
 let app_ops t = t.app_ops
 let total_steps t = t.total_steps
@@ -533,9 +529,10 @@ let snapshot t =
           [
             "sent", Json.Int t.net_sent;
             "dropped", Json.Int t.net_dropped;
-            "latency", Hist.to_json t.net_latency;
+            "latency", Quantile.log2_json t.net_latency;
           ] );
-      "custom", Metrics.to_json t.registry;
+      (* Pinned by the v1 schema goldens; nothing fills it. *)
+      "custom", Json.Obj [];
     ]
 
 let snapshot_string t = Json.to_string (snapshot t)
@@ -553,7 +550,7 @@ let pp_summary fmt t =
       (layer_steps t ~pid Sink.Monitor)
       t.invokes.(pid) t.aborts.(pid) t.app_completed.(pid)
   done;
-  Fmt.pf fmt "app latency  %a@." Hist.pp (Span.latency_of t.spans Sink.App);
+  Fmt.pf fmt "app latency  %a@." Quantile.pp_log2 (Span.tail_of t.spans Sink.App);
   Fmt.pf fmt "leader       %d epochs, view changes per pid %a@." t.epochs
     Fmt.(brackets (array ~sep:comma int))
     t.leader_changes;
@@ -561,7 +558,7 @@ let pp_summary fmt t =
   Fmt.pf fmt "reg aborts   %d decisions@." t.register_abort_decisions;
   if t.net_sent > 0 then
     Fmt.pf fmt "net          %d msgs, %d dropped, latency %a@." t.net_sent
-      t.net_dropped Hist.pp t.net_latency;
+      t.net_dropped Quantile.pp_log2 t.net_latency;
   match List.rev t.crashes with
   | [] -> ()
   | crashes ->

@@ -71,7 +71,7 @@ val stream_flush : t -> unit
 
 val merge : t -> t -> t
 (** Fresh collector combining two finished runs' aggregates: counters and
-    arrays sum, histograms merge bucket-wise, rate series merge
+    arrays sum, sketches merge bucket-wise, rate series merge
     cell-wise, and event lists (handoffs, crashes) interleave by step
     with ties broken left-first — commutative up to those ties, so a left
     fold in task-index order is order-fixed and domain-count-independent.
@@ -89,9 +89,6 @@ val merge_all : t list -> t
 val n : t -> int
 val window : t -> int
 val retain : t -> int option
-
-val registry : t -> Metrics.t
-(** Caller-defined metrics, exported under ["custom"]. *)
 
 val spans : t -> Span.t
 val app_ops : t -> Series.t
@@ -139,15 +136,19 @@ val net_sent : t -> int
 val net_dropped : t -> int
 (** Of {!net_sent}, how many were lost (partition cut or loss draw). *)
 
-val net_latency : t -> Hist.t
-(** Assigned one-way delays of the delivered messages, in steps. *)
+val net_latency : t -> Quantile.t
+(** Assigned one-way delays of the delivered messages, in steps; the
+    snapshot's [net.latency] is its log₂ rendering
+    ({!Quantile.log2_json}). *)
 
 (** {2 Output} *)
 
 val schema_version : string
 
 val snapshot : t -> Json.t
-(** The full deterministic snapshot (schema {!schema_version}). *)
+(** The full deterministic snapshot (schema {!schema_version}). Latency
+    and abort-streak sketches appear as log₂ histograms; the ["custom"]
+    object is always empty and kept only because v1 readers expect it. *)
 
 val snapshot_string : t -> string
 val pp_summary : Format.formatter -> t -> unit

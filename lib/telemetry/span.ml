@@ -2,8 +2,8 @@
 
    The runtime's invoke/respond events pair up into {e spans}: one span per
    shared-object operation, from its invocation step to its response step.
-   The tracer aggregates spans as they close — per-layer latency
-   histograms, abort/retry streaks per process, and contention windows
+   The tracer aggregates spans as they close — one latency sketch per
+   layer, abort/retry streaks per process, and contention windows
    (maximal periods during which an object had two or more operations in
    flight). Everything is derived from the event stream in event order, so
    a replayed schedule produces an identical aggregate. *)
@@ -25,8 +25,7 @@ let max_open_spans = 256
 
 type t = {
   n : int;
-  latency : Hist.t array;  (* indexed by Sink.layer_index *)
-  tails : Quantile.t array;  (* per-layer completion-time sketch *)
+  latency : Quantile.t array;  (* indexed by Sink.layer_index *)
   open_spans : open_span list array;  (* per pid, newest first *)
   open_len : int array;  (* per pid, length of [open_spans.(pid)] *)
   (* obj_id is the runtime's dense sequential object id, so the
@@ -36,7 +35,7 @@ type t = {
   mutable open_count : int array;  (* obj_id -> in-flight spans *)
   mutable in_window : bool array;  (* obj_id -> contention window open *)
   abort_streak : int array;  (* per pid, current run of Abort results *)
-  streaks : Hist.t;  (* lengths of completed abort streaks *)
+  streaks : Quantile.t;  (* lengths of completed abort streaks *)
   mutable completed : int;
   mutable contended_spans : int;
   mutable contention_windows : int;
@@ -47,14 +46,13 @@ let initial_objs = 64
 let create ~n =
   {
     n;
-    latency = Array.init Sink.n_layers (fun _ -> Hist.create ());
-    tails = Array.init Sink.n_layers (fun _ -> Quantile.create ());
+    latency = Array.init Sink.n_layers (fun _ -> Quantile.create ());
     open_spans = Array.make n [];
     open_len = Array.make n 0;
     open_count = Array.make initial_objs 0;
     in_window = Array.make initial_objs false;
     abort_streak = Array.make n 0;
-    streaks = Hist.create ();
+    streaks = Quantile.create ();
     completed = 0;
     contended_spans = 0;
     contention_windows = 0;
@@ -116,8 +114,7 @@ let on_respond t ~pid ~layer ~obj_id ~step ~aborted =
       t.open_spans.(pid) <- rest;
       t.open_len.(pid) <- t.open_len.(pid) - 1;
       t.completed <- t.completed + 1;
-      Hist.observe t.latency.(Sink.layer_index layer) (step - sp.os_invoke);
-      Quantile.observe t.tails.(Sink.layer_index layer) (step - sp.os_invoke);
+      Quantile.observe t.latency.(Sink.layer_index layer) (step - sp.os_invoke);
       if sp.os_contended then t.contended_spans <- t.contended_spans + 1;
       ensure_obj t obj_id;
       let opens = max 0 (t.open_count.(obj_id) - 1) in
@@ -125,12 +122,12 @@ let on_respond t ~pid ~layer ~obj_id ~step ~aborted =
       if opens = 0 then t.in_window.(obj_id) <- false);
     if aborted then t.abort_streak.(pid) <- t.abort_streak.(pid) + 1
     else if t.abort_streak.(pid) > 0 then begin
-      Hist.observe t.streaks t.abort_streak.(pid);
+      Quantile.observe t.streaks t.abort_streak.(pid);
       t.abort_streak.(pid) <- 0
     end
   end
 
-(* Merge the closed-span aggregates of two tracers (latency histograms,
+(* Merge the closed-span aggregates of two tracers (latency sketches,
    completed streaks, contention totals). In-flight state — open spans and
    running abort streaks — is per-run and deliberately dropped: merging is
    for fan-out over independent runs, each of which has already finished. *)
@@ -138,21 +135,20 @@ let merge a b =
   if a.n <> b.n then invalid_arg "Span.merge: process counts differ";
   {
     n = a.n;
-    latency = Array.init Sink.n_layers (fun i -> Hist.merge a.latency.(i) b.latency.(i));
-    tails = Array.init Sink.n_layers (fun i -> Quantile.merge a.tails.(i) b.tails.(i));
+    latency =
+      Array.init Sink.n_layers (fun i -> Quantile.merge a.latency.(i) b.latency.(i));
     open_spans = Array.make a.n [];
     open_len = Array.make a.n 0;
     open_count = Array.make initial_objs 0;
     in_window = Array.make initial_objs false;
     abort_streak = Array.make a.n 0;
-    streaks = Hist.merge a.streaks b.streaks;
+    streaks = Quantile.merge a.streaks b.streaks;
     completed = a.completed + b.completed;
     contended_spans = a.contended_spans + b.contended_spans;
     contention_windows = a.contention_windows + b.contention_windows;
   }
 
-let latency_of t layer = t.latency.(Sink.layer_index layer)
-let tail_of t layer = t.tails.(Sink.layer_index layer)
+let tail_of t layer = t.latency.(Sink.layer_index layer)
 let completed t = t.completed
 
 let to_json t =
@@ -163,7 +159,7 @@ let to_json t =
         Json.Obj
           (List.map
              (fun layer ->
-               Sink.layer_name layer, Hist.to_json (latency_of t layer))
+               Sink.layer_name layer, Quantile.log2_json (tail_of t layer))
              Sink.layers) );
       ( "tails",
         Json.Obj
@@ -171,7 +167,7 @@ let to_json t =
              (fun layer ->
                Sink.layer_name layer, Quantile.to_json (tail_of t layer))
              Sink.layers) );
-      "abort_streaks", Hist.to_json t.streaks;
+      "abort_streaks", Quantile.log2_json t.streaks;
       ( "open_abort_streaks",
         Json.Arr (Array.to_list t.abort_streak |> List.map (fun s -> Json.Int s))
       );

@@ -2,8 +2,8 @@
 
     The runtime's invoke/respond events pair up into {e spans}: one span
     per shared-object operation, from its invocation step to its
-    response step. The tracer aggregates spans as they close — per-layer
-    latency histograms, abort/retry streaks per process, and contention
+    response step. The tracer aggregates spans as they close — one
+    latency {!Quantile} sketch per layer, abort/retry streaks per process, and contention
     windows (maximal periods during which an object had two or more
     operations in flight). Everything is derived from the event stream
     in event order, so a replayed schedule produces an identical
@@ -22,20 +22,20 @@ val on_respond :
   aborted:bool -> unit
 (** Closes [pid]'s newest open span on [obj_id]; a respond whose invoke
     was never seen (sink attached mid-operation) is silently ignored.
-    [aborted] feeds the per-process abort-streak histogram: a streak
-    closes (and its length is observed) at the first non-aborted
-    response. *)
+    [aborted] feeds the abort-streak sketch: a process's streak closes
+    (and its length is observed) at the first non-aborted response. Each
+    closed span's latency is observed once, into its layer's sketch. *)
 
 val completed : t -> int
-val latency_of : t -> Sink.layer -> Hist.t
 
 val tail_of : t -> Sink.layer -> Quantile.t
-(** Per-layer completion-time quantile sketch (p50/p99/p999 tails over
-    the same spans {!latency_of} histograms). *)
+(** The layer's completion-time sketch. {!to_json} renders it twice:
+    folded into log₂ buckets under ["latency"] and as p50/p99/p999 tails
+    under ["tails"]. *)
 
 val merge : t -> t -> t
 (** Fresh tracer holding both inputs' closed-span aggregates (latency and
-    streak histograms summed bucket-wise, totals added). In-flight state
+    streak sketches summed bucket-wise, totals added). In-flight state
     — open spans, running abort streaks — is dropped: merge is meant for
     finished, independent runs. Raises [Invalid_argument] if the process
     counts differ. *)

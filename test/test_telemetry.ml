@@ -4,27 +4,203 @@ open Tbwf_objects
 open Tbwf_experiments
 open Tbwf_telemetry
 
-(* --- Hist ---------------------------------------------------------------- *)
+(* --- Hist: the log₂ histogram as a reference model ------------------------
+
+   Telemetry used to observe every latency into this log₂ histogram next
+   to the Quantile sketch. The sketch is now the only histogram, and the
+   v1 snapshot's log₂ fields are its folded rendering; this verbatim copy
+   of the retired module is the oracle that rendering must match byte
+   for byte. *)
+
+module Hist = struct
+  let n_buckets = 32
+
+  type t = {
+    mutable count : int;
+    mutable sum : int;
+    mutable max : int;
+    buckets : int array;
+  }
+
+  let create () =
+    { count = 0; sum = 0; max = 0; buckets = Array.make n_buckets 0 }
+
+  let bucket_of v =
+    if v <= 0 then 0
+    else begin
+      let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
+      min (n_buckets - 1) (bits 0 v)
+    end
+
+  let bucket_lo i = if i = 0 then 0 else 1 lsl (i - 1)
+
+  let observe t v =
+    let v = max v 0 in
+    t.count <- t.count + 1;
+    t.sum <- t.sum + v;
+    if v > t.max then t.max <- v;
+    let b = bucket_of v in
+    t.buckets.(b) <- t.buckets.(b) + 1
+
+  let merge a b =
+    {
+      count = a.count + b.count;
+      sum = a.sum + b.sum;
+      max = max a.max b.max;
+      buckets = Array.init n_buckets (fun i -> a.buckets.(i) + b.buckets.(i));
+    }
+
+  let mean t =
+    if t.count = 0 then 0.0 else float_of_int t.sum /. float_of_int t.count
+
+  let quantile_bound t q =
+    if t.count = 0 then 0
+    else begin
+      let target = int_of_float (Float.of_int t.count *. q) in
+      let acc = ref 0 in
+      let result = ref t.max in
+      (try
+         for i = 0 to n_buckets - 1 do
+           acc := !acc + t.buckets.(i);
+           if !acc > target then begin
+             result := (if i = 0 then 0 else (1 lsl i) - 1);
+             raise Exit
+           end
+         done
+       with Exit -> ());
+      min !result t.max
+    end
+
+  let to_json t =
+    let buckets =
+      Array.to_list t.buckets
+      |> List.mapi (fun i n -> i, n)
+      |> List.filter (fun (_, n) -> n > 0)
+      |> List.map (fun (i, n) ->
+             Json.Obj [ "lo", Json.Int (bucket_lo i); "n", Json.Int n ])
+    in
+    Json.Obj
+      [
+        "count", Json.Int t.count;
+        "sum", Json.Int t.sum;
+        "max", Json.Int t.max;
+        "mean", Json.Float (mean t);
+        "p50", Json.Int (quantile_bound t 0.5);
+        "p99", Json.Int (quantile_bound t 0.99);
+        "buckets", Json.Arr buckets;
+      ]
+
+  let pp fmt t =
+    if t.count = 0 then Fmt.string fmt "no observations"
+    else
+      Fmt.pf fmt "n=%d mean=%.1f p50≤%d p99≤%d max=%d" t.count (mean t)
+        (quantile_bound t 0.5) (quantile_bound t 0.99) t.max
+end
+
+let hist_of values =
+  let h = Hist.create () in
+  List.iter (Hist.observe h) values;
+  h
+
+let sketch_of values =
+  let q = Quantile.create () in
+  List.iter (Quantile.observe q) values;
+  q
+
+(* The sketch's log₂ JSON and pp line, byte for byte, against the
+   reference histogram's. *)
+let log2_matches sketch hist =
+  String.equal
+    (Json.to_string (Quantile.log2_json sketch))
+    (Json.to_string (Hist.to_json hist))
+  && String.equal (Fmt.str "%a" Quantile.pp_log2 sketch) (Fmt.str "%a" Hist.pp hist)
+
+let bucket_cases = [ 0, 0; 1, 1; 2, 2; 3, 2; 4, 3; 7, 3; 8, 4; 1023, 10; 1024, 11 ]
 
 let test_hist_buckets () =
   List.iter
     (fun (v, b) ->
-      Alcotest.(check int) (Fmt.str "bucket_of %d" v) b (Hist.bucket_of v))
-    [ 0, 0; 1, 1; 2, 2; 3, 2; 4, 3; 7, 3; 8, 4; 1023, 10; 1024, 11 ];
+      Alcotest.(check int) (Fmt.str "bucket_of %d" v) b (Hist.bucket_of v);
+      Alcotest.(check bool)
+        (Fmt.str "sketch of %d renders into bucket lo %d" v (Hist.bucket_lo b))
+        true
+        (log2_matches (sketch_of [ v ]) (hist_of [ v ])))
+    bucket_cases;
   Alcotest.(check int) "bucket_lo 0" 0 (Hist.bucket_lo 0);
   Alcotest.(check int) "bucket_lo 1" 1 (Hist.bucket_lo 1);
-  Alcotest.(check int) "bucket_lo 4" 8 (Hist.bucket_lo 4)
+  Alcotest.(check int) "bucket_lo 4" 8 (Hist.bucket_lo 4);
+  let all = List.map fst bucket_cases in
+  Alcotest.(check bool) "all cases in one stream" true
+    (log2_matches (sketch_of all) (hist_of all))
 
 let test_hist_stats () =
-  let h = Hist.create () in
-  List.iter (Hist.observe h) [ 0; 1; 1; 2; 4; 100 ];
-  Alcotest.(check int) "count" 6 (Hist.count h);
-  Alcotest.(check (float 1e-9)) "mean" 18.0 (Hist.mean h);
+  let values = [ 0; 1; 1; 2; 4; 100 ] in
+  let q = sketch_of values in
+  let field name =
+    match Quantile.log2_json q with
+    | Json.Obj fields -> List.assoc name fields
+    | _ -> Alcotest.fail "log2_json should be an object"
+  in
+  Alcotest.(check int) "count" 6 (Quantile.count q);
+  Alcotest.(check (float 1e-9)) "mean" 18.0 (Quantile.mean q);
   Alcotest.(check bool) "p50 bound covers median" true
-    (Hist.quantile_bound h 0.5 >= 1);
-  Alcotest.(check int) "p99 bound is max" 100 (Hist.quantile_bound h 0.99);
-  Hist.observe h (-5);
-  Alcotest.(check int) "negative clamps to zero bucket" 7 (Hist.count h)
+    (match field "p50" with Json.Int b -> b >= 1 | _ -> false);
+  Alcotest.(check bool) "p99 bound is max" true (field "p99" = Json.Int 100);
+  Alcotest.(check bool) "matches the reference" true
+    (log2_matches q (hist_of values));
+  Quantile.observe q (-5);
+  Alcotest.(check int) "negative clamps to zero bucket" 7 (Quantile.count q);
+  Alcotest.(check bool) "still matches the reference" true
+    (log2_matches q (hist_of (-5 :: values)))
+
+(* Observation streams that reach every region of both layouts: the
+   exact 0..15 buckets, the log-linear middle, negatives (clamped to 0),
+   and values at or past 2^30, where every log₂ observation shares the
+   last bucket. *)
+let observation =
+  QCheck.(
+    oneof
+      [
+        int_range 0 20;
+        int_range 0 100_000;
+        int_range (-1_000) (-1);
+        int_range (1 lsl 30) max_int;
+        oneofl (List.map fst bucket_cases);
+      ])
+
+let quantile_points = [ 0.0; 0.1; 0.5; 0.9; 0.99; 0.999; 1.0 ]
+
+let qcheck_log2_rendering_matches_reference =
+  QCheck.Test.make
+    ~name:"log2 rendering and on-demand sizing match the reference models"
+    ~count:300
+    QCheck.(pair (small_list observation) (small_list observation))
+    (fun (xs, ys) ->
+      let a = sketch_of xs and b = sketch_of ys in
+      let merged = Quantile.merge a b in
+      let whole = sketch_of (xs @ ys) in
+      log2_matches a (hist_of xs)
+      && log2_matches b (hist_of ys)
+      && log2_matches merged (Hist.merge (hist_of xs) (hist_of ys))
+      && log2_matches whole (hist_of (xs @ ys))
+      (* merged arrays are sized by the larger input, the whole-stream
+         sketch by its own doubling: neither size may show *)
+      && Quantile.equal merged whole
+      && Quantile.equal whole merged
+      && Quantile.equal (Quantile.merge a (Quantile.create ())) a
+      && List.for_all
+           (fun q -> Quantile.quantile merged q = Quantile.quantile whole q)
+           quantile_points
+      && String.equal
+           (Json.to_string (Quantile.to_json merged))
+           (Json.to_string (Quantile.to_json whole)))
+
+(* Same count, sum and maximum, different buckets. *)
+let test_quantile_equal_sees_buckets () =
+  Alcotest.(check bool) "different multisets differ" false
+    (Quantile.equal (sketch_of [ 1; 4; 4 ]) (sketch_of [ 2; 3; 4 ]));
+  Alcotest.(check bool) "a small sketch differs from one grown past it" false
+    (Quantile.equal (sketch_of [ 0; 0 ]) (sketch_of [ 0; 1 lsl 40 ]))
 
 (* --- Series -------------------------------------------------------------- *)
 
@@ -85,11 +261,6 @@ let test_quantile_error_bound () =
   Alcotest.(check int) "max clamps the top quantile" 1_000_000
     (Quantile.p999 q)
 
-let sketch_of values =
-  let q = Quantile.create () in
-  List.iter (Quantile.observe q) values;
-  q
-
 let qcheck_quantile_merge_algebra =
   QCheck.Test.make
     ~name:"quantile merge is associative, commutative and order-free"
@@ -117,9 +288,9 @@ let test_span_latency_and_streaks () =
   Span.on_invoke sp ~pid:0 ~obj_id:1 ~step:0;
   Span.on_respond sp ~pid:0 ~layer:Sink.App ~obj_id:1 ~step:5 ~aborted:false;
   Alcotest.(check int) "completed" 1 (Span.completed sp);
-  let lat = Span.latency_of sp Sink.App in
-  Alcotest.(check int) "latency count" 1 (Hist.count lat);
-  Alcotest.(check (float 1e-9)) "latency mean" 5.0 (Hist.mean lat);
+  let lat = Span.tail_of sp Sink.App in
+  Alcotest.(check int) "latency count" 1 (Quantile.count lat);
+  Alcotest.(check (float 1e-9)) "latency mean" 5.0 (Quantile.mean lat);
   (* Three aborts then a success: one streak of length 3. *)
   List.iter
     (fun step ->
@@ -358,7 +529,7 @@ let test_merge_net_section () =
       Alcotest.(check int) "sent sums" 2 (Collector.net_sent m);
       Alcotest.(check int) "dropped sums" 1 (Collector.net_dropped m);
       Alcotest.(check int) "only delivered latencies" 1
-        (Hist.count (Collector.net_latency m)))
+        (Quantile.count (Collector.net_latency m)))
     [ Collector.merge sm mp; Collector.merge mp sm ]
 
 (* --- v2 stream schema golden ---------------------------------------------- *)
@@ -439,6 +610,7 @@ let () =
         [
           Alcotest.test_case "log2 buckets" `Quick test_hist_buckets;
           Alcotest.test_case "stats" `Quick test_hist_stats;
+          QCheck_alcotest.to_alcotest qcheck_log2_rendering_matches_reference;
         ] );
       ( "series",
         [
@@ -451,6 +623,8 @@ let () =
             test_quantile_exact_small;
           Alcotest.test_case "relative error bound" `Quick
             test_quantile_error_bound;
+          Alcotest.test_case "equal sees buckets" `Quick
+            test_quantile_equal_sees_buckets;
           QCheck_alcotest.to_alcotest qcheck_quantile_merge_algebra;
         ] );
       ( "span",
