@@ -39,7 +39,7 @@ let () =
     ~invoke:(Tbwf.invoke tbwf) ~next_op;
   (* Worker 0 decelerates forever; the rest are timely. *)
   let policy =
-    Policy.of_patterns ~name:"kv-degraded"
+    Policy.of_patterns
       (List.init n (fun pid ->
            if pid = 0 then
              pid, Policy.Slowing { initial_gap = 50; growth = 1.2; burst = 16 }

@@ -15,12 +15,11 @@ type fuzz_outcome = {
 
 (* --- replay ------------------------------------------------------------- *)
 
-let replay_checked ~max_steps ~scenario ~make_runtime pids =
+let replay ~max_steps ~scenario ~make_runtime pids =
   let rt = make_runtime () in
   let invariant = scenario rt in
   let ok = ref (invariant ()) in
   let steps = ref 0 in
-  let mismatches = ref 0 in
   List.iter
     (fun pid ->
       if !ok && !steps < max_steps then begin
@@ -30,14 +29,10 @@ let replay_checked ~max_steps ~scenario ~make_runtime pids =
           incr steps;
           if not (invariant ()) then ok := false
         end
-        else if pid >= 0 then incr mismatches
       end)
     pids;
   Runtime.stop rt;
-  !ok, !mismatches
-
-let replay ~max_steps ~scenario ~make_runtime pids =
-  fst (replay_checked ~max_steps ~scenario ~make_runtime pids)
+  !ok
 
 (* --- incremental DFS with sleep-set partial-order reduction -------------- *)
 

@@ -156,18 +156,6 @@ val replay :
     skipped, which keeps every sublist of a schedule executable: exactly
     what {!Shrink.ddmin} needs. *)
 
-val replay_checked :
-  max_steps:int ->
-  scenario:(Tbwf_sim.Runtime.t -> unit -> bool) ->
-  make_runtime:(unit -> Tbwf_sim.Runtime.t) ->
-  int list ->
-  bool * int
-(** Like {!replay}, but also counts mismatched entries — recorded non-idle
-    pids that were not runnable and so were skipped. A committed
-    counterexample replayed against drifted code should report its
-    mismatch count rather than silently checking a different schedule;
-    a faithful replay reports 0. *)
-
 (** {2 Fuzzing schedules and fault plans together}
 
     A run under fault injection is a function of (seed, schedule, fault

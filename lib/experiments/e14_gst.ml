@@ -25,7 +25,7 @@ let compute ?(quick = false) () =
   (* Before GST: everyone flickers with growing sleeps, staggered so that
      no process keeps a bounded gap. After GST: deterministic interleave. *)
   let policy =
-    Policy.of_patterns ~name:"gst"
+    Policy.of_patterns
       (List.init n (fun pid ->
            ( pid,
              Policy.Switch_at

@@ -74,7 +74,7 @@ let observe ?(seed = 66L) ~monitoring ~active_for ~variant ~segments
   let policy =
     match variant with
     | Untimely ->
-      Policy.of_patterns ~name:"untimely-q"
+      Policy.of_patterns
         [ 0, Policy.Weighted 1.0;
           1, Policy.Flicker { active = 150; sleep = 400; growth = 1.6 } ]
     | Timely | Crashes -> Policy.round_robin ()

@@ -106,10 +106,7 @@ let run ?(seed = 0xFEEDL) ?(flicker = (300, 600, 1.5)) ?(rcand_phase = 400)
     | Some i -> Policy.Every { period = 2 * k; offset = 2 * i }
     | None -> Policy.Flicker { active; sleep; growth }
   in
-  let policy =
-    Policy.of_patterns ~name:"omega-scenario"
-      (List.init n (fun pid -> pid, pattern pid))
-  in
+  let policy = Policy.of_patterns (List.init n (fun pid -> pid, pattern pid)) in
   let samples = ref [] in
   for _seg = 1 to segments do
     Runtime.run rt ~policy ~steps:segment_steps;

@@ -66,15 +66,4 @@ let degraded_policy ?(untimely_pattern = `Slowing (60, 1.15)) ~n ~timely () =
     | Some i -> Policy.Every { period = k; offset = i }
     | None -> untimely
   in
-  Policy.of_patterns ~name:"degraded" (List.init n (fun pid -> pid, pattern pid))
-
-let run_sampled stack ~policy ~segments ~segment_steps =
-  let samples = ref [] in
-  for _seg = 1 to segments do
-    Runtime.run stack.rt ~policy ~steps:segment_steps;
-    samples :=
-      Tbwf_omega.Omega_spec.take_sample ~at_step:(Runtime.now stack.rt)
-        stack.handles
-      :: !samples
-  done;
-  List.rev !samples
+  Policy.of_patterns (List.init n (fun pid -> pid, pattern pid))

@@ -2,7 +2,7 @@
 
     A scenario is a full TBWF stack (Ω∆ implementation + query-abortable
     object + Figure 7 transformation + client workload) plus a schedule
-    policy, run in segments with Ω∆ output sampling between segments. *)
+    policy. *)
 
 type omega_impl =
   | Omega_atomic  (** Figure 3 over activity monitors and atomic registers *)
@@ -49,12 +49,3 @@ val degraded_policy :
     (never timely, never willingly inactive), the adversary under which the
     baselines of E2 collapse. [`Flicker (active, sleep, growth)] alternates
     eager phases with geometrically growing silences instead. *)
-
-val run_sampled :
-  stack ->
-  policy:Tbwf_sim.Policy.t ->
-  segments:int ->
-  segment_steps:int ->
-  Tbwf_omega.Omega_spec.sample list
-(** Run the stack [segments × segment_steps] further steps, sampling the Ω∆
-    outputs after each segment; returns the samples in order. *)

@@ -588,8 +588,8 @@ let pattern t pid =
       Policy.Switch_at (at, before, pattern_of_atom t atom))
     (base_pattern t pid) (timeline_atoms t pid)
 
-let policy ?(name = "nemesis") t =
-  Policy.of_patterns ~name
+let policy t =
+  Policy.of_patterns
     (List.init (t.n + t.replicas) (fun pid -> pid, pattern t pid))
 
 let install_crashes t rt =

@@ -172,7 +172,7 @@ val prediction : t -> Tbwf_check.Degradation.prediction
 
 (** {2 Compilation} *)
 
-val policy : ?name:string -> t -> Tbwf_sim.Policy.t
+val policy : t -> Tbwf_sim.Policy.t
 (** The scheduling policy over all [n + replicas] pids: every pid starts
     on a timely base rotation [Every {period = n + replicas + 1; offset =
     pid}] (the spare step per round lets soft-claim patterns run),

@@ -1,11 +1,9 @@
 type t = {
-  name : string;
   next : step:int -> runnable:int array -> rng:Rng.t -> int option;
   (* for of_script policies: observed branching factors, reverse order *)
   script_branching : int list ref;
 }
 
-let name t = t.name
 let next t = t.next
 
 let mem pid runnable = Array.exists (fun p -> p = pid) runnable
@@ -25,7 +23,7 @@ let round_robin () =
       Some chosen
     end
   in
-  { name = "round-robin"; next; script_branching = ref [] }
+  { next; script_branching = ref [] }
 
 (* Growable per-pid tables: a read past the end sees the table's default,
    a write past it first grows the table, filling new slots with [fill]. *)
@@ -38,11 +36,11 @@ let set table pid fill v =
   end;
   !table.(pid) <- v
 
-(* The table of an assignment list or array: the last duplicate wins, and
-   negative pids are ignored. *)
-let table_of iter assignments fill =
+(* The table of an assignment list: the last duplicate wins, and negative
+   pids are ignored. *)
+let table_of assignments fill =
   let table = ref [||] in
-  iter (fun (pid, v) -> if pid >= 0 then set table pid fill v) assignments;
+  List.iter (fun (pid, v) -> if pid >= 0 then set table pid fill v) assignments;
   !table
 
 (* A reusable scratch for the soft draw, sized to the largest [runnable]
@@ -72,24 +70,6 @@ let draw rng runnable (weights : float array) len =
     done;
     if !chosen < 0 then runnable.(len - 1) else !chosen
   end
-
-let weighted weights =
-  let table : float array = table_of Array.iter weights 1.0 in
-  let scratch = ref [||] in
-  let next ~step:_ ~runnable ~rng =
-    let len = Array.length runnable in
-    if len = 0 then None
-    else begin
-      let ws = scratch_for scratch len in
-      for i = 0 to len - 1 do
-        let p = runnable.(i) in
-        ws.(i) <- (if p < Array.length table then table.(p) else 1.0)
-      done;
-      let chosen = draw rng runnable ws len in
-      if chosen < 0 then None else Some chosen
-    end
-  in
-  { name = "weighted"; next; script_branching = ref [] }
 
 type pattern =
   | Every of { period : int; offset : int }
@@ -133,9 +113,9 @@ let unlisted = Weighted 1.0
    patterns, when each pid last ran, and the lazily created slowing and
    flicker states. A step resolves each runnable pid's pattern (walking its
    [Switch_at] chain) and allocates nothing but the [Some pid] it returns. *)
-let of_patterns ?(name = "patterns") assignments =
+let of_patterns assignments =
   List.iter (fun (_, p) -> validate p) assignments;
-  let patterns = table_of List.iter assignments unlisted in
+  let patterns = table_of assignments unlisted in
   let pattern_at pid step =
     resolve step (if pid < Array.length patterns then patterns.(pid) else unlisted)
   in
@@ -253,7 +233,13 @@ let of_patterns ?(name = "patterns") assignments =
       end
     end
   in
-  { name; next; script_branching = ref [] }
+  { next; script_branching = ref [] }
+
+(* Weighted-only patterns never claim a step, so every pick is the soft
+   draw over the listed weights (1.0 for unlisted pids). *)
+let weighted weights =
+  of_patterns
+    (List.map (fun (pid, w) -> pid, Weighted w) (Array.to_list weights))
 
 let solo_after ~n ~pid ~step =
   let assignments =
@@ -261,13 +247,13 @@ let solo_after ~n ~pid ~step =
         if p = pid then p, Weighted 1.0
         else p, Switch_at (step, Weighted 1.0, Silent))
   in
-  let base = of_patterns ~name:(Fmt.str "solo-after-%d" step) assignments in
+  let base = of_patterns assignments in
   (* After the switch point, only [pid] must run, even as the idle fallback. *)
   let next ~step:s ~runnable ~rng =
     if s >= step then (if mem pid runnable then Some pid else None)
     else next base ~step:s ~runnable ~rng
   in
-  { name = base.name; next; script_branching = ref [] }
+  { next; script_branching = ref [] }
 
 let of_script script =
   let remaining = ref script in
@@ -282,7 +268,7 @@ let of_script script =
         branching := Array.length runnable :: !branching;
         Some runnable.(choice mod Array.length runnable)
   in
-  { name = "script"; next; script_branching = branching }
+  { next; script_branching = branching }
 
 let branching_of_script t = List.rev !(t.script_branching)
 
@@ -292,8 +278,8 @@ exception
 (* Shared core of the replay family. [on_mismatch] decides what happens when
    a recorded non-idle pid is not runnable at its step: the lenient variant
    lets the step pass idle (so shrunk/foreign schedules stay executable),
-   the strict one raises, the counting one increments a counter. *)
-let replay_with ~name ~on_mismatch pids =
+   the strict one raises. *)
+let replay_with ~on_mismatch pids =
   let remaining = ref pids in
   let next ~step ~runnable ~rng:_ =
     match !remaining with
@@ -306,23 +292,13 @@ let replay_with ~name ~on_mismatch pids =
         None (* recorded idle step, or a diverging replay: stay aligned *)
       end
   in
-  { name; next; script_branching = ref [] }
+  { next; script_branching = ref [] }
 
 let replay pids =
-  replay_with ~name:"replay" ~on_mismatch:(fun ~step:_ ~pid:_ ~runnable:_ -> ())
-    pids
+  replay_with ~on_mismatch:(fun ~step:_ ~pid:_ ~runnable:_ -> ()) pids
 
 let replay_strict pids =
-  replay_with ~name:"replay-strict"
+  replay_with
     ~on_mismatch:(fun ~step ~pid ~runnable ->
       raise (Replay_mismatch { step; pid; runnable }))
     pids
-
-let replay_counting pids =
-  let mismatches = ref 0 in
-  let t =
-    replay_with ~name:"replay-counting"
-      ~on_mismatch:(fun ~step:_ ~pid:_ ~runnable:_ -> incr mismatches)
-      pids
-  in
-  t, fun () -> !mismatches

@@ -9,8 +9,6 @@
 
 type t
 
-val name : t -> string
-
 val next : t -> step:int -> runnable:int array -> rng:Rng.t -> int option
 (** Pick the process to run at [step] among [runnable] (non-empty, sorted
     ascending). [None] means nobody is willing to run this step; the runtime
@@ -20,11 +18,11 @@ val round_robin : unit -> t
 (** Perfectly fair rotation: every process is timely with bound ≈ n. *)
 
 val weighted : (int * float) array -> t
-(** Seeded-random choice with the given per-pid weights. Pids absent from
-    the list get weight 1.0, a pid listed twice takes its last weight, and
-    negative pids are ignored. Like {!of_patterns}, a call does no hashing
-    and allocates nothing but its result. A pid with a much smaller weight than the rest
-    has unbounded expected gaps, i.e. is (statistically) not timely. *)
+(** Seeded-random choice with the given per-pid weights: {!of_patterns}
+    over [Weighted] assignments. Pids absent from the list get weight 1.0,
+    a pid listed twice takes its last weight, and negative pids are
+    ignored. A pid with a much smaller weight than the rest has unbounded
+    expected gaps, i.e. is (statistically) not timely. *)
 
 (** Per-process step patterns, compiled into a policy by {!of_patterns}. *)
 type pattern =
@@ -53,7 +51,7 @@ type pattern =
       (** [Switch_at (s, before, after)]: behave as [before] for steps < s,
           as [after] afterwards *)
 
-val of_patterns : ?name:string -> (int * pattern) list -> t
+val of_patterns : (int * pattern) list -> t
 (** Compile per-pid patterns. Pids not listed behave as [Weighted 1.0];
     when a pid is listed twice the last entry wins, and negative pids are
     ignored. Hard claims win over soft participants; simultaneous hard
@@ -99,7 +97,7 @@ val replay : int list -> t
     That leniency is what schedule shrinking needs, but it also means a
     counterexample replayed against code that has drifted since it was
     recorded can silently diverge into a passing run. Use {!replay_strict}
-    or {!replay_counting} when a mismatch should be loud. *)
+    when a mismatch should be loud. *)
 
 exception
   Replay_mismatch of { step : int; pid : int; runnable : int array }
@@ -112,9 +110,3 @@ val replay_strict : int list -> t
     counterexample against drifted code fails loudly instead of quietly
     checking a different schedule. Recorded idle steps (-1) never
     mismatch. *)
-
-val replay_counting : int list -> t * (unit -> int)
-(** Like {!replay}, but returns the policy together with a live counter of
-    mismatched steps (recorded non-idle pids that were not runnable and so
-    passed idle). A nonzero count after a replay means the executed
-    schedule was not the recorded one. *)

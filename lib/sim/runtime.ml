@@ -52,15 +52,13 @@ type proc = {
   mutable is_retired : bool;
 }
 
-(* Deferred membership events: late task activations and graceful
-   retirements scheduled for a future step. [crashes] predates this list
-   and keeps its own (unsorted, prepend-order) representation; events
-   carry a creation sequence number so same-step events apply in the
-   deterministic order they were scheduled, independent of list shape. *)
+(* Deferred membership events: late task activations, graceful
+   retirements and crashes scheduled for a future step. *)
 type event_kind =
   | Ev_task of { pid : int; name : string; layer : Sink.layer;
                  state : task_state }
   | Ev_retire of int
+  | Ev_crash of int
 
 type t = {
   mutable num : int;
@@ -75,10 +73,9 @@ type t = {
   mutable pending_by_obj : pending list array;  (* obj id -> in-flight ops *)
   mutable events_by_obj : int array;
       (* obj id -> number of invocation/response events so far *)
-  mutable crashes : (int * int) list;  (* (step, pid), unsorted *)
-  mutable events : (int * int * event_kind) list;
-      (* (due step, creation seq, kind), unsorted *)
-  mutable next_event_seq : int;
+  mutable events : (int * event_kind) list;
+      (* (due step, kind), kept in application order — see [insert_event] —
+         so the per-step check reads only the head *)
   mutable sink : Sink.t;  (* telemetry sink; Sink.nil = disabled *)
   (* Cached runnable-pid set, recomputed only when membership can have
      changed (spawn, a proc's last task finishing, a crash). The cache is
@@ -94,6 +91,17 @@ type _ Effect.t +=
   | Call : Shared.t * Value.t -> Value.t Effect.t
   | Self : int Effect.t
 
+let fresh_proc pid =
+  {
+    pid;
+    tasks = [||];
+    n_tasks = 0;
+    live = 0;
+    next_task = 0;
+    is_crashed = false;
+    is_retired = false;
+  }
+
 let create ?(seed = 0xC0FFEEL) ?(record_trace = true) ~n () =
   if n < 1 then invalid_arg "Runtime.create: need at least one process";
   let trace = Trace.create () in
@@ -108,24 +116,12 @@ let create ?(seed = 0xC0FFEEL) ?(record_trace = true) ~n () =
        draw and diverge from the run it replays. *)
     obj_rng = Rng.create (Int64.logxor seed 0x6F626A5F726E6721L);
     trace;
-    procs =
-      Array.init n (fun pid ->
-          {
-            pid;
-            tasks = [||];
-            n_tasks = 0;
-            live = 0;
-            next_task = 0;
-            is_crashed = false;
-            is_retired = false;
-          });
+    procs = Array.init n fresh_proc;
     step = 0;
     next_obj_id = 0;
     pending_by_obj = Array.make 16 [];
     events_by_obj = Array.make 16 0;
-    crashes = [];
     events = [];
-    next_event_seq = 0;
     sink = Sink.nil;
     runnable_cache = [||];
     runnable_dirty = true;
@@ -188,23 +184,30 @@ let spawn ?(layer = Sink.Other) t ~pid ~name body =
 let spawn_machine ?(layer = Sink.Other) t ~pid ~name fn =
   push_task t ~pid ~name ~layer (Machine_ready fn)
 
-let crash_at t ~pid ~step = t.crashes <- (step, pid) :: t.crashes
-
 let crashed t ~pid = t.procs.(pid).is_crashed
 let retired t ~pid = t.procs.(pid).is_retired
 
-(* --- dynamic membership -------------------------------------------------- *)
+(* --- deferred events ----------------------------------------------------- *)
 
-let fresh_proc pid =
-  {
-    pid;
-    tasks = [||];
-    n_tasks = 0;
-    live = 0;
-    next_task = 0;
-    is_crashed = false;
-    is_retired = false;
-  }
+(* The queue is ordered by due step; within a step, activations and
+   retirements come in scheduling order and crashes after them in reverse
+   scheduling order. One rule keeps that order: a new event goes in front
+   of the first entry that is due later, or due at the same step and a
+   crash. *)
+let is_crash = function Ev_crash _ -> true | Ev_task _ | Ev_retire _ -> false
+
+let rec insert_event due kind = function
+  | ((d, k) as e) :: rest when d < due || (d = due && not (is_crash k)) ->
+    e :: insert_event due kind rest
+  | events -> (due, kind) :: events
+
+let schedule_event t ~step kind = t.events <- insert_event step kind t.events
+
+(* A crash due at a step that has passed applies at the next step. *)
+let crash_at t ~pid ~step =
+  schedule_event t ~step:(max step t.step) (Ev_crash pid)
+
+(* --- dynamic membership -------------------------------------------------- *)
 
 (* Grow the process table by one (amortized doubling; pre-built slots
    beyond [num] are placeholders with the right pid). A fresh process has
@@ -220,11 +223,6 @@ let add_process t =
         (fun i -> if i < cap then t.procs.(i) else fresh_proc i);
   t.num <- pid + 1;
   pid
-
-let schedule_event t ~step kind =
-  let seq = t.next_event_seq in
-  t.next_event_seq <- seq + 1;
-  t.events <- (step, seq, kind) :: t.events
 
 let spawn_late ?(layer = Sink.Other) ?at t ~name body =
   let pid = add_process t in
@@ -393,7 +391,8 @@ let proc_runnable proc =
   (not proc.is_crashed) && (not proc.is_retired) && proc.live > 0
 
 (* Pick the next runnable task of [proc], round-robin over the task array
-   starting at the cursor. Allocation-free. *)
+   starting at the cursor. Allocates its result and the local [search]
+   closure. *)
 let pick_task proc =
   let tasks = proc.tasks in
   let count = proc.n_tasks in
@@ -441,27 +440,32 @@ let exec_task_step t task =
     run_machine t task fn result
   | Running | Finished -> assert false
 
-(* Resolve any in-flight operation so the object's state is well defined,
-   then unwind every suspended task — the shared teardown under both
-   crashes and graceful retirements. *)
-let unwind_tasks t proc =
-  let finish task =
+(* Finish every task of [proc], unwinding suspended ones — the one
+   teardown under crashes, graceful retirements and [stop]. An in-flight
+   operation is resolved first when [resolve] (crash, retire), so the
+   object's state stays well defined; [stop] merely drops it. *)
+let teardown t ~resolve proc =
+  let settle pend =
+    if resolve then ignore (respond_pending t pend : Value.t)
+    else ignore (remove_pending t pend : int)
+  in
+  let unwind task =
     match task.t_state with
     | Suspended_call (k, pend) ->
-      let (_ : Value.t) = respond_pending t pend in
+      settle pend;
       finish_task t task;
       (try Effect.Deep.discontinue k Simulation_over with Simulation_over -> ())
     | Suspended_local k ->
       finish_task t task;
       (try Effect.Deep.discontinue k Simulation_over with Simulation_over -> ())
     | Machine_awaiting (_, pend) ->
-      let (_ : Value.t) = respond_pending t pend in
+      settle pend;
       finish_task t task
     | Ready _ | Machine_ready _ -> finish_task t task
     | Running | Finished -> ()
   in
   for i = 0 to proc.n_tasks - 1 do
-    finish proc.tasks.(i)
+    unwind proc.tasks.(i)
   done
 
 let crash_proc t proc =
@@ -469,14 +473,14 @@ let crash_proc t proc =
   t.runnable_dirty <- true;
   if t.sink.Sink.active then
     signal t ~pid:proc.pid (Sink.Crash { pid = proc.pid });
-  unwind_tasks t proc
+  teardown t ~resolve:true proc
 
 let retire_proc t proc =
   proc.is_retired <- true;
   t.runnable_dirty <- true;
   if t.sink.Sink.active then
     signal t ~pid:proc.pid (Sink.Retire { pid = proc.pid });
-  unwind_tasks t proc;
+  teardown t ~resolve:true proc;
   (* A retired process never runs again: drop its task storage so a
      long-lived world with heavy churn compacts as members leave. *)
   proc.tasks <- [||];
@@ -492,45 +496,27 @@ let retire ?at t ~pid =
     let proc = t.procs.(pid) in
     if not (proc.is_crashed || proc.is_retired) then retire_proc t proc
 
-let apply_due_crashes t =
-  match t.crashes with
-  | [] -> ()
-  | _ ->
-    let due, later = List.partition (fun (s, _) -> s <= t.step) t.crashes in
-    t.crashes <- later;
-    List.iter
-      (fun (_, pid) ->
-        let proc = t.procs.(pid) in
-        if not proc.is_crashed then crash_proc t proc)
-      due
-
-(* Due membership events apply in creation order (the seq numbers — the
-   list itself is prepend-ordered), then due crashes: a crash and a
-   retirement due at the same step leave the process crashed. Activation
-   on a process that crashed or retired first is dropped. *)
-let apply_due_events t =
+(* Apply the due events from the head of the queue, which is already in
+   application order. A crash and a retirement due at the same step leave
+   the process crashed; an activation on a process that crashed or retired
+   first is dropped. The common case — nothing due — reads one list cell. *)
+let rec apply_due t =
   match t.events with
-  | [] -> ()
-  | _ ->
-    let due, later =
-      List.partition (fun (s, _, _) -> s <= t.step) t.events
-    in
-    t.events <- later;
-    List.sort (fun (_, a, _) (_, b, _) -> compare (a : int) b) due
-    |> List.iter (fun (_, _, kind) ->
-           match kind with
-           | Ev_task { pid; name; layer; state } ->
-             let proc = t.procs.(pid) in
-             if not (proc.is_crashed || proc.is_retired) then
-               push_task t ~pid ~name ~layer state
-           | Ev_retire pid ->
-             let proc = t.procs.(pid) in
-             if not (proc.is_crashed || proc.is_retired) then
-               retire_proc t proc)
-
-let apply_due t =
-  apply_due_events t;
-  apply_due_crashes t
+  | (due, kind) :: rest when due <= t.step ->
+    t.events <- rest;
+    (match kind with
+    | Ev_task { pid; name; layer; state } ->
+      let proc = t.procs.(pid) in
+      if not (proc.is_crashed || proc.is_retired) then
+        push_task t ~pid ~name ~layer state
+    | Ev_retire pid ->
+      let proc = t.procs.(pid) in
+      if not (proc.is_crashed || proc.is_retired) then retire_proc t proc
+    | Ev_crash pid ->
+      let proc = t.procs.(pid) in
+      if not proc.is_crashed then crash_proc t proc);
+    apply_due t
+  | _ -> ()
 
 let recompute_runnable t =
   (* Index loops bounded by [num], not [Array.iter]: the table's capacity
@@ -565,26 +551,28 @@ let run_task_step t ~pid task =
     t.sink.Sink.on_step ~step:t.step ~pid ~layer:task.t_layer;
   exec_task_step t task
 
-let step t ~pid =
-  apply_due t;
-  if pid < 0 || pid >= t.num then invalid_arg "Runtime.step: bad pid";
-  let proc = t.procs.(pid) in
-  if not (proc_runnable proc) then
-    invalid_arg (Fmt.str "Runtime.step: pid %d is not runnable" pid);
-  (match pick_task proc with
-  | None -> assert false (* proc_runnable guarantees a runnable task *)
-  | Some task -> run_task_step t ~pid task);
-  t.step <- t.step + 1
-
 let record_idle_step t =
   Trace.record_step t.trace ~pid:(-1);
   if t.sink.Sink.active then
     t.sink.Sink.on_step ~step:t.step ~pid:(-1) ~layer:Sink.Other
 
-let idle_step t =
-  apply_due t;
-  record_idle_step t;
+(* One step on behalf of [pid], or nobody when [pid] is -1: run the
+   process's next task round-robin (an idle step if it has none), then
+   advance the clock. The one pick-and-execute under [run] and [step]. *)
+let execute t pid =
+  (if pid < 0 then record_idle_step t
+   else
+     match pick_task t.procs.(pid) with
+     | None -> record_idle_step t
+     | Some task -> run_task_step t ~pid task);
   t.step <- t.step + 1
+
+let step t ~pid =
+  apply_due t;
+  if pid < 0 || pid >= t.num then invalid_arg "Runtime.step: bad pid";
+  if not (proc_runnable t.procs.(pid)) then
+    invalid_arg (Fmt.str "Runtime.step: pid %d is not runnable" pid);
+  execute t pid
 
 let run t ~policy ~steps =
   let deadline = t.step + steps in
@@ -600,45 +588,23 @@ let run t ~policy ~steps =
          "no runnable task" only ends the run once no task can appear. *)
       if
         List.exists
-          (fun (s, _, k) ->
+          (fun (s, k) ->
             s < deadline
-            && match k with Ev_task _ -> true | Ev_retire _ -> false)
+            &&
+            match k with
+            | Ev_task _ -> true
+            | Ev_retire _ | Ev_crash _ -> false)
           t.events
-      then begin
-        record_idle_step t;
-        t.step <- t.step + 1
-      end
+      then execute t (-1)
       else continue_run := false
-    else begin
-      (match pick ~step:t.step ~runnable ~rng:t.rng with
-      | None -> record_idle_step t (* idle step *)
-      | Some pid ->
-        (match pick_task t.procs.(pid) with
-        | None -> record_idle_step t
-        | Some task -> run_task_step t ~pid task));
-      t.step <- t.step + 1
-    end
+    else
+      execute t
+        (match pick ~step:t.step ~runnable ~rng:t.rng with
+        | None -> -1
+        | Some pid -> pid)
   done
 
 let stop t =
-  let teardown task =
-    match task.t_state with
-    | Suspended_local k ->
-      finish_task t task;
-      (try Effect.Deep.discontinue k Simulation_over with Simulation_over -> ())
-    | Suspended_call (k, pend) ->
-      let (_ : int) = remove_pending t pend in
-      finish_task t task;
-      (try Effect.Deep.discontinue k Simulation_over with Simulation_over -> ())
-    | Machine_awaiting (_, pend) ->
-      let (_ : int) = remove_pending t pend in
-      finish_task t task
-    | Ready _ | Machine_ready _ -> finish_task t task
-    | Running | Finished -> ()
-  in
   for p = 0 to t.num - 1 do
-    let proc = t.procs.(p) in
-    for i = 0 to proc.n_tasks - 1 do
-      teardown proc.tasks.(i)
-    done
+    teardown t ~resolve:false t.procs.(p)
   done

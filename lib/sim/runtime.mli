@@ -91,9 +91,11 @@ val spawn_machine :
 (** Like {!spawn}, for a compiled task body. *)
 
 val crash_at : t -> pid:int -> step:int -> unit
-(** Schedule [pid] to crash just before step [step] executes. A crashed
-    process never takes another step; its in-flight operation (if any) is
-    resolved at crash time so the object's state stays well defined. *)
+(** Schedule [pid] to crash just before step [step] executes (a [step]
+    that has already passed means the next step). A crashed process never
+    takes another step; its in-flight operation (if any) is resolved at
+    crash time so the object's state stays well defined. Crashes share
+    the deferred-event queue of the membership events below. *)
 
 val crashed : t -> pid:int -> bool
 
@@ -103,8 +105,16 @@ val crashed : t -> pid:int -> bool
     deterministic simulator events, keyed by step like everything else:
     a run with churn is still a pure function of (seed, policy, spawned
     code, scheduled events), so it replays byte-identically under
-    {!Policy.replay}. Events scheduled for the same step apply in the
-    order they were scheduled, before any crash due at that step. *)
+    {!Policy.replay}.
+
+    Deferred activations ({!spawn_late}, {!spawn_at}), retirements and
+    crashes ({!crash_at}) wait in one queue and apply just before their
+    step executes. Events due at the same step apply in a fixed order:
+    activations and retirements in the order they were scheduled, then
+    crashes in the reverse of the order they were scheduled. So a crash
+    and a retirement of one process at the same step leave it crashed,
+    and an activation on a process that crashed or retired first is
+    dropped. *)
 
 val add_process : t -> int
 (** Grow the membership by one and return the fresh pid ([n t] before the
@@ -126,8 +136,7 @@ val spawn_at :
   (unit -> unit) -> unit
 (** Deferred {!spawn}: add a task to existing process [pid] that becomes
     runnable at step [at] — the join primitive for a cell built at
-    capacity, where a dormant member starts doing work mid-run. An
-    activation on a process that crashed or retired first is dropped. *)
+    capacity, where a dormant member starts doing work mid-run. *)
 
 val retire : ?at:int -> t -> pid:int -> unit
 (** Gracefully remove [pid] from the membership at step [at] (default
@@ -151,25 +160,24 @@ val run : t -> policy:Policy.t -> steps:int -> unit
     instead of delegating the whole run to a policy, a caller can inspect
     which processes are runnable and execute exactly one chosen step,
     interleaving its own bookkeeping (invariant checks, access-footprint
-    capture) between steps. Both entry points apply due crashes first, so
-    they compose with {!crash_at} exactly as {!run} does. *)
+    capture) between steps. Both entry points apply due events first, so
+    they compose with {!crash_at}, {!retire} and deferred activations
+    exactly as {!run} does. *)
 
 val runnable_pids : t -> int array
 (** Pids with at least one runnable task, ascending — the choices a policy
-    would be offered at the next step. Applies due crashes first. *)
+    would be offered at the next step. Applies due events first. *)
 
 val step : t -> pid:int -> unit
 (** Execute one step of [pid]'s next runnable task (round-robin within the
     process, as in {!run}) and record it in the trace. Raises
     [Invalid_argument] if [pid] is not currently runnable. *)
 
-val idle_step : t -> unit
-(** Let a step pass with nobody scheduled, recording pid -1 in the trace —
-    what {!run} does when the policy declines to pick. *)
-
 val stop : t -> unit
-(** Tear down all suspended tasks by resuming them with an exception. After
-    [stop] the runtime can still be inspected but not run. *)
+(** Tear down all suspended tasks by resuming them with an exception, with
+    the teardown a crash uses except that in-flight operations are dropped
+    rather than resolved. After [stop] the runtime can still be inspected
+    but not run. *)
 
 (** {2 Telemetry}
 

@@ -19,7 +19,6 @@ let seed t = t.seed
 let pids t = t.pids
 let length t = List.length t.pids
 let to_policy t = Policy.replay t.pids
-let to_policy_strict t = Policy.replay_strict t.pids
 
 (* Run-length encode the pid sequence: "0x12 1 _x3 2" means twelve steps of
    pid 0, one of pid 1, three idle steps, one of pid 2. *)

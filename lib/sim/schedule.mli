@@ -36,10 +36,6 @@ val length : t -> int
 val to_policy : t -> Policy.t
 (** A {!Policy.replay} policy that re-executes the schedule. *)
 
-val to_policy_strict : t -> Policy.t
-(** A {!Policy.replay_strict} policy: replaying against drifted code raises
-    {!Policy.Replay_mismatch} instead of silently diverging. *)
-
 val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Round-trip: [of_string (to_string t)] reproduces [t] exactly. *)

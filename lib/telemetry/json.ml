@@ -110,190 +110,8 @@ let to_string_pretty t =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-(* --- parsing ------------------------------------------------------------- *)
-
-(* A recursive-descent parser for the same dependency-free reasons as the
-   printer. It accepts standard JSON (the printer's output is a subset);
-   numbers with a '.', 'e' or 'E' become [Float], the rest [Int]. Consumers
-   are round-trip readers of our own documents — bench baselines, committed
-   snapshots — so there is no streaming, no byte-offset error recovery,
-   just a position in the error message. *)
-
-exception Parse_error of string
-
-let of_string text =
-  let len = String.length text in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < len then Some text.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word value =
-    if !pos + String.length word <= len
-       && String.sub text !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      value
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some '"' -> Buffer.add_char buf '"'; advance (); go ()
-        | Some '\\' -> Buffer.add_char buf '\\'; advance (); go ()
-        | Some '/' -> Buffer.add_char buf '/'; advance (); go ()
-        | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
-        | Some 'r' -> Buffer.add_char buf '\r'; advance (); go ()
-        | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
-        | Some 'b' -> Buffer.add_char buf '\b'; advance (); go ()
-        | Some 'f' -> Buffer.add_char buf '\012'; advance (); go ()
-        | Some 'u' ->
-          advance ();
-          if !pos + 4 > len then fail "truncated \\u escape";
-          let hex = String.sub text !pos 4 in
-          let code =
-            try int_of_string ("0x" ^ hex)
-            with Failure _ -> fail "bad \\u escape"
-          in
-          (* Escapes we emit are < 0x20; decode the BMP point as UTF-8 so
-             foreign documents at least round-trip printable text. *)
-          if code < 0x80 then Buffer.add_char buf (Char.chr code)
-          else if code < 0x800 then begin
-            Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-          end
-          else begin
-            Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-            Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-            Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-          end;
-          pos := !pos + 4;
-          go ()
-        | _ -> fail "bad escape")
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_float = ref false in
-    let rec go () =
-      match peek () with
-      | Some ('0' .. '9' | '-' | '+') -> advance (); go ()
-      | Some ('.' | 'e' | 'E') ->
-        is_float := true;
-        advance ();
-        go ()
-      | _ -> ()
-    in
-    go ();
-    let s = String.sub text start (!pos - start) in
-    if !is_float then
-      match float_of_string_opt s with
-      | Some f -> Float f
-      | None -> fail "bad number"
-    else
-      match int_of_string_opt s with
-      | Some i -> Int i
-      | None -> (
-        match float_of_string_opt s with
-        | Some f -> Float f
-        | None -> fail "bad number")
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> Str (parse_string ())
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let items = ref [ parse_value () ] in
-        skip_ws ();
-        while peek () = Some ',' do
-          advance ();
-          items := parse_value () :: !items;
-          skip_ws ()
-        done;
-        expect ']';
-        Arr (List.rev !items)
-      end
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let field () =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          k, v
-        in
-        let fields = ref [ field () ] in
-        skip_ws ();
-        while peek () = Some ',' do
-          advance ();
-          fields := field () :: !fields;
-          skip_ws ()
-        done;
-        expect '}';
-        Obj (List.rev !fields)
-      end
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected %C" c)
-  in
-  match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> len then fail "trailing garbage";
-    v
-  with
-  | v -> Ok v
-  | exception Parse_error msg -> Error msg
-
 let member key = function
   | Obj fields -> List.assoc_opt key fields
-  | _ -> None
-
-let to_float_opt = function
-  | Int i -> Some (float_of_int i)
-  | Float f -> Some f
   | _ -> None
 
 (* --- schema -------------------------------------------------------------- *)

@@ -21,17 +21,8 @@ val to_string : t -> string
 val to_string_pretty : t -> string
 (** Two-space-indented rendering, newline-terminated. *)
 
-val of_string : string -> (t, string) result
-(** Parse standard JSON (the printer's output is a subset). Numbers
-    containing ['.'], ['e'] or ['E'] become [Float], the rest [Int].
-    Bench baseline checks and committed-snapshot readers use this;
-    it is a strict whole-document parse, [Error] carries an offset. *)
-
 val member : string -> t -> t option
 (** [member key json] is the field [key] of an [Obj], [None] otherwise. *)
-
-val to_float_opt : t -> float option
-(** Numeric coercion: [Int] and [Float] only. *)
 
 val schema_paths : t -> string list
 (** The document's schema: the sorted, deduplicated set of its key paths,

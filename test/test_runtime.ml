@@ -237,6 +237,106 @@ let test_idle_steps_advance_time () =
   Alcotest.(check int) "idle steps counted" 50 (Runtime.now rt);
   Runtime.stop rt
 
+(* A sink that records every signal as (step, signal), oldest first. *)
+let recording_sink () =
+  let log = ref [] in
+  let sink =
+    {
+      Sink.nil with
+      Sink.active = true;
+      on_signal = (fun ~step ~pid:_ s -> log := (step, s) :: !log);
+    }
+  in
+  sink, fun () -> List.rev !log
+
+let spin () =
+  while true do
+    Runtime.yield ()
+  done
+
+let test_same_step_event_order () =
+  (* The first five events are due at step 5, scheduled in this order: a
+     crash of 0, an activation of 2, a retirement of 1, an activation of
+     1, a crash of 1. Activations and retirements apply in scheduling order,
+     then crashes in reverse scheduling order: the activation of 1 finds
+     it retired and is dropped, and 1 ends crashed as well as retired. *)
+  let rt = Runtime.create ~record_trace:false ~n:4 () in
+  let sink, signals = recording_sink () in
+  Runtime.set_sink rt sink;
+  List.iter (fun pid -> Runtime.spawn rt ~pid ~name:"spin" spin) [ 0; 1; 3 ];
+  let late_ran = Array.make 4 false in
+  let late pid () =
+    late_ran.(pid) <- true;
+    spin ()
+  in
+  Runtime.crash_at rt ~pid:0 ~step:5;
+  Runtime.spawn_at rt ~pid:2 ~at:5 ~name:"join" (late 2);
+  Runtime.retire ~at:5 rt ~pid:1;
+  Runtime.spawn_at rt ~pid:1 ~at:5 ~name:"join" (late 1);
+  Runtime.crash_at rt ~pid:1 ~step:5;
+  (* An activation due after its process crashed is dropped. *)
+  Runtime.spawn_at rt ~pid:0 ~at:7 ~name:"join" (late 0);
+  Runtime.retire ~at:10 rt ~pid:2;
+  Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:10;
+  let sig_t = Alcotest.(list (pair int string)) in
+  let show (step, s) =
+    ( step,
+      match s with
+      | Sink.Crash { pid } -> Fmt.str "crash %d" pid
+      | Sink.Retire { pid } -> Fmt.str "retire %d" pid
+      | _ -> "other" )
+  in
+  Alcotest.check sig_t "same-step signal order"
+    [ 5, "retire 1"; 5, "crash 1"; 5, "crash 0" ]
+    (List.map show (signals ()));
+  Alcotest.(check bool) "1 ends crashed" true (Runtime.crashed rt ~pid:1);
+  Alcotest.(check bool) "1 also retired" true (Runtime.retired rt ~pid:1);
+  Alcotest.(check (array bool)) "only the activation of 2 ran"
+    [| false; false; true; false |] late_ran;
+  (* A crash scheduled for a step that has passed applies at the next
+     step, as a crash due then: after that step's retirement of 2. *)
+  Runtime.crash_at rt ~pid:2 ~step:3;
+  Alcotest.(check bool) "past crash deferred" false (Runtime.crashed rt ~pid:2);
+  Runtime.step rt ~pid:3;
+  Alcotest.check sig_t "past crash applied at the next step"
+    [ 10, "retire 2"; 10, "crash 2" ]
+    (List.filteri (fun i _ -> i >= 3) (List.map show (signals ())));
+  Alcotest.(check bool) "2 ends crashed" true (Runtime.crashed rt ~pid:2);
+  Alcotest.(check (array int)) "only 3 left runnable" [| 3 |]
+    (Runtime.runnable_pids rt);
+  Runtime.stop rt
+
+(* Minor-heap words per step of a 2-process yield-only run, after [setup]
+   has scheduled whatever it likes on the fresh runtime. *)
+let words_per_step setup =
+  let rt = Runtime.create ~record_trace:false ~n:2 () in
+  Runtime.spawn rt ~pid:0 ~name:"spin" spin;
+  Runtime.spawn rt ~pid:1 ~name:"spin" spin;
+  setup rt;
+  let policy = Policy.round_robin () in
+  Runtime.run rt ~policy ~steps:100;
+  let steps = 20_000 in
+  let before = Gc.minor_words () in
+  Runtime.run rt ~policy ~steps;
+  let words = Gc.minor_words () -. before in
+  Runtime.stop rt;
+  words /. float_of_int steps
+
+let test_pending_events_allocation_guard () =
+  (* Pending membership events must not cost anything per step until they
+     are due: the queue is checked at its head only. *)
+  let far = 1_000_000_000 in
+  let idle = words_per_step ignore in
+  let pending =
+    words_per_step (fun rt ->
+        Runtime.crash_at rt ~pid:0 ~step:far;
+        Runtime.retire ~at:far rt ~pid:1;
+        Runtime.spawn_at rt ~pid:0 ~at:far ~name:"join" spin)
+  in
+  if pending <> idle then
+    Alcotest.failf "%.2f words/step with events pending, %.2f without" pending
+      idle
+
 let () =
   Alcotest.run "runtime"
     [
@@ -264,5 +364,9 @@ let () =
           Alcotest.test_case "spawn during run" `Quick test_spawn_during_run;
           Alcotest.test_case "idle steps advance time" `Quick
             test_idle_steps_advance_time;
+          Alcotest.test_case "same-step event order" `Quick
+            test_same_step_event_order;
+          Alcotest.test_case "pending events allocation guard" `Quick
+            test_pending_events_allocation_guard;
         ] );
     ]
