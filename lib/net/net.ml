@@ -148,19 +148,87 @@ type msg = {
   payload : Value.t;
 }
 
+let catch_all = -1
+
+(* One destination's pending messages in [msgs.(0 .. len-1)], sorted by
+   (delivery, seq). Every post carries a larger [seq] than any message
+   already queued, so it goes in after every message due no later than it,
+   found by walking in from the tail; and the messages due at a step are a
+   prefix of the queue. *)
+module Inbox = struct
+  type t = { mutable msgs : msg array; mutable len : int }
+
+  let vacant =
+    { delivery = max_int; seq = 0; src = -1; key = -1; payload = Value.Unit }
+
+  let create () = { msgs = [||]; len = 0 }
+
+  let post q ~delivery ~seq ~src ~key payload =
+    if q.len = Array.length q.msgs then begin
+      let grown = Array.make (max 8 (2 * q.len)) vacant in
+      Array.blit q.msgs 0 grown 0 q.len;
+      q.msgs <- grown
+    end;
+    let msgs = q.msgs in
+    let j = ref q.len in
+    while !j > 0 && msgs.(!j - 1).delivery > delivery do
+      msgs.(!j) <- msgs.(!j - 1);
+      decr j
+    done;
+    msgs.(!j) <- { delivery; seq; src; key; payload };
+    q.len <- q.len + 1
+
+  let nothing = Value.List []
+
+  (* Remove everything due at [at] for [key] or an older key; stale-key
+     messages (replies to operations that already completed) are
+     discarded, which is the queue's garbage collection. Returns the
+     removed messages for exactly [key] (all of them for [catch_all]), in
+     queue order. *)
+  let poll q ~at ~key =
+    let msgs = q.msgs in
+    if q.len = 0 || msgs.(0).delivery > at then nothing
+    else begin
+      let due = ref 0 in
+      while !due < q.len && msgs.(!due).delivery <= at do incr due done;
+      let out = ref [] in
+      for i = !due - 1 downto 0 do
+        let m = msgs.(i) in
+        if key = catch_all || m.key = key then
+          out :=
+            Value.Pair (Value.Int m.src, Value.Pair (Value.Int m.key, m.payload))
+            :: !out
+      done;
+      let kept = ref 0 in
+      for i = 0 to !due - 1 do
+        let m = msgs.(i) in
+        if not (key = catch_all || m.key <= key) then begin
+          msgs.(!kept) <- m;
+          incr kept
+        end
+      done;
+      let len = !kept + q.len - !due in
+      Array.blit msgs !due msgs !kept (q.len - !due);
+      Array.fill msgs len (q.len - len) vacant;
+      q.len <- len;
+      match !out with [] -> nothing | l -> Value.List l
+    end
+
+  let pending q =
+    List.init q.len (fun i ->
+        let m = q.msgs.(i) in
+        m.delivery, m.seq, m.src, m.key, m.payload)
+end
+
 type t = {
   rt : Runtime.t;
   config : config;
   events : event list;  (** sorted by time *)
   inboxes : Shared.t array;
-  queues : msg list ref array;  (** pending per destination *)
+  queues : Inbox.t array;  (** pending per destination *)
   seq : int ref;
   keys : int array;  (** per-pid fresh-key counters *)
 }
-
-let catch_all = -1
-
-let msg_order a b = compare (a.delivery, a.seq) (b.delivery, b.seq)
 
 (* The inbox object of [dst]. "post" admits a message from ctx.pid: the
    loss/latency decisions happen here, at the send's response step, off
@@ -188,29 +256,11 @@ let inbox_respond rt config events queues seq ~dst ctx =
         (Sink.Message { src; dst; latency; dropped = lost });
     if not lost then begin
       incr seq;
-      queues.(dst) :=
-        { delivery = at + latency; seq = !seq; src; key; payload }
-        :: !(queues.(dst))
+      Inbox.post queues.(dst) ~delivery:(at + latency) ~seq:!seq ~src ~key payload
     end;
     Value.Unit
   | Value.Pair (Value.Str "poll", Value.Int key) ->
-    let at = ctx.Shared.respond_step in
-    (* Remove everything due for this key or an older one; stale-key
-       messages (replies to operations that already completed) are
-       discarded, which is the queue's garbage collection. *)
-    let due, rest =
-      List.partition
-        (fun m -> m.delivery <= at && (key = catch_all || m.key <= key))
-        !(queues.(dst))
-    in
-    queues.(dst) := rest;
-    let due = List.filter (fun m -> key = catch_all || m.key = key) due in
-    let due = List.sort msg_order due in
-    Value.List
-      (List.map
-         (fun m ->
-           Value.Pair (Value.Int m.src, Value.Pair (Value.Int m.key, m.payload)))
-         due)
+    Inbox.poll queues.(dst) ~at:ctx.Shared.respond_step ~key
   | _ -> Value.Fail
 
 let create rt ~config =
@@ -221,7 +271,7 @@ let create rt ~config =
   if config.replicas >= nodes then
     invalid_arg "Net.create: replicas >= Runtime.n (no client pids left)";
   let events = sorted_events config in
-  let queues = Array.init nodes (fun _ -> ref []) in
+  let queues = Array.init nodes (fun _ -> Inbox.create ()) in
   let seq = ref 0 in
   let inboxes =
     Array.init nodes (fun dst ->

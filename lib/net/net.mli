@@ -100,6 +100,35 @@ val extra_delay_at : config -> at:int -> int -> int -> int
 
 (** {2 Transport} *)
 
+(** One destination's queue of admitted, not yet delivered messages,
+    kept sorted by (delivery step, send order). Exposed so tests can run
+    it against a reference model; the transport below is its only other
+    user. *)
+module Inbox : sig
+  type t
+
+  val create : unit -> t
+
+  val post :
+    t -> delivery:int -> seq:int -> src:int -> key:int -> Tbwf_sim.Value.t -> unit
+  (** Queue a message due at step [delivery]. [seq] is its global send
+      order: it must exceed the [seq] of every message posted before, to
+      any queue. The message goes in from the tail, behind every message
+      due no later than it. *)
+
+  val poll : t -> at:int -> key:int -> Tbwf_sim.Value.t
+  (** Remove the messages due at step [at] (delivery [<= at]) whose key
+      is at most [key] — all due messages for {!catch_all} — and return,
+      as a [Value.List] of [Pair (Int src, Pair (Int key, payload))] in
+      queue order, those whose key equals [key] (all of them for
+      {!catch_all}). A poll with nothing due answers after one
+      comparison, with a shared empty list. *)
+
+  val pending : t -> (int * int * int * int * Tbwf_sim.Value.t) list
+  (** The queue's messages as [(delivery, seq, src, key, payload)], in
+      queue order. *)
+end
+
 type t
 
 val create : Tbwf_sim.Runtime.t -> config:config -> t

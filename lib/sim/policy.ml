@@ -1,18 +1,21 @@
 type t = {
-  next : step:int -> runnable:int array -> rng:Rng.t -> int option;
+  next : step:int -> runnable:int array -> rng:Rng.t -> int;
   (* for of_script policies: observed branching factors, reverse order *)
   script_branching : int list ref;
 }
 
 let next t = t.next
 
-let mem pid runnable = Array.exists (fun p -> p = pid) runnable
+let rec mem_from (pid : int) (runnable : int array) i =
+  i < Array.length runnable && (runnable.(i) = pid || mem_from pid runnable (i + 1))
+
+let mem pid runnable = mem_from pid runnable 0
 
 let round_robin () =
   let last = ref (-1) in
   let next ~step:_ ~runnable ~rng:_ =
     let len = Array.length runnable in
-    if len = 0 then None
+    if len = 0 then -1
     else begin
       (* smallest pid strictly greater than [!last], wrapping around:
          first match in array order (the runtime hands pids sorted) *)
@@ -20,7 +23,7 @@ let round_robin () =
       while !i < len && runnable.(!i) <= !last do incr i done;
       let chosen = if !i < len then runnable.(!i) else runnable.(0) in
       last := chosen;
-      Some chosen
+      chosen
     end
   in
   { next; script_branching = ref [] }
@@ -112,7 +115,7 @@ let unlisted = Weighted 1.0
 (* Everything [next] touches is a flat array indexed by pid: the compiled
    patterns, when each pid last ran, and the lazily created slowing and
    flicker states. A step resolves each runnable pid's pattern (walking its
-   [Switch_at] chain) and allocates nothing but the [Some pid] it returns. *)
+   [Switch_at] chain) and allocates nothing but a soft draw's float. *)
 let of_patterns assignments =
   List.iter (fun (_, p) -> validate p) assignments;
   let patterns = table_of assignments unlisted in
@@ -163,7 +166,7 @@ let of_patterns assignments =
   in
   let next ~step ~runnable ~rng =
     let len = Array.length runnable in
-    if len = 0 then None
+    if len = 0 then -1
     else begin
       (* Hard claims: every pid's claim is evaluated (creating slowing
          state on first sight); the first claimant with the strictly
@@ -193,7 +196,7 @@ let of_patterns assignments =
             st.gap <- st.gap *. growth
           end
         | Every _ | Weighted _ | Flicker _ | Silent | Switch_at _ -> ());
-        Some p
+        p
       end
       else begin
         (* Soft participants, drawn by weight. *)
@@ -211,7 +214,7 @@ let of_patterns assignments =
         let chosen = draw rng runnable ws len in
         if chosen >= 0 then begin
           ran chosen step;
-          Some chosen
+          chosen
         end
         else begin
           (* No soft participant this step. Give the spare step to an
@@ -224,10 +227,10 @@ let of_patterns assignments =
             | Every _ -> if !best < 0 || ran_at p < ran_at !best then best := p
             | Weighted _ | Flicker _ | Slowing _ | Silent | Switch_at _ -> ()
           done;
-          if !best < 0 then None
+          if !best < 0 then -1
           else begin
             ran !best step;
-            Some !best
+            !best
           end
         end
       end
@@ -250,7 +253,7 @@ let solo_after ~n ~pid ~step =
   let base = of_patterns assignments in
   (* After the switch point, only [pid] must run, even as the idle fallback. *)
   let next ~step:s ~runnable ~rng =
-    if s >= step then (if mem pid runnable then Some pid else None)
+    if s >= step then (if mem pid runnable then pid else -1)
     else next base ~step:s ~runnable ~rng
   in
   { next; script_branching = ref [] }
@@ -259,14 +262,14 @@ let of_script script =
   let remaining = ref script in
   let branching = ref [] in
   let next ~step:_ ~runnable ~rng:_ =
-    if Array.length runnable = 0 then None
+    if Array.length runnable = 0 then -1
     else
       match !remaining with
-      | [] -> None
+      | [] -> -1
       | choice :: rest ->
         remaining := rest;
         branching := Array.length runnable :: !branching;
-        Some runnable.(choice mod Array.length runnable)
+        runnable.(choice mod Array.length runnable)
   in
   { next; script_branching = branching }
 
@@ -283,13 +286,13 @@ let replay_with ~on_mismatch pids =
   let remaining = ref pids in
   let next ~step ~runnable ~rng:_ =
     match !remaining with
-    | [] -> None
+    | [] -> -1
     | pid :: rest ->
       remaining := rest;
-      if pid >= 0 && mem pid runnable then Some pid
+      if pid >= 0 && mem pid runnable then pid
       else begin
         if pid >= 0 then on_mismatch ~step ~pid ~runnable;
-        None (* recorded idle step, or a diverging replay: stay aligned *)
+        -1 (* recorded idle step, or a diverging replay: stay aligned *)
       end
   in
   { next; script_branching = ref [] }

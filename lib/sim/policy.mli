@@ -9,10 +9,11 @@
 
 type t
 
-val next : t -> step:int -> runnable:int array -> rng:Rng.t -> int option
+val next : t -> step:int -> runnable:int array -> rng:Rng.t -> int
 (** Pick the process to run at [step] among [runnable] (non-empty, sorted
-    ascending). [None] means nobody is willing to run this step; the runtime
-    records an idle step and moves on. Called once per step by the runtime. *)
+    ascending). [-1] means nobody is willing to run this step; the runtime
+    records an idle step and moves on. Called once per step by the runtime,
+    so the result is a bare int rather than an option. *)
 
 val round_robin : unit -> t
 (** Perfectly fair rotation: every process is timely with bound ≈ n. *)
@@ -60,9 +61,12 @@ val of_patterns : (int * pattern) list -> t
     larger bound).
 
     Cost: the patterns and all per-pid state live in flat arrays indexed
-    by pid, so a call costs O(|runnable| + [Switch_at] depth), does no
-    hashing and allocates nothing but its [Some pid] result (a table grows
-    once when a pid beyond it first runs, e.g. a late joiner).
+    by pid, and a call does no hashing and allocates nothing beyond the
+    float a soft draw gets from {!Rng.float} (a table grows once when a
+    pid beyond it first runs, e.g. a late joiner). A call costs
+    O(|runnable| + [Switch_at] depth) and keeps nothing about the
+    runnable set between calls, so a caller may pass a fresh array every
+    step or reuse one array and mutate it.
 
     @raise Invalid_argument if any pattern, including one nested in a
     [Switch_at] branch, has [Every { period }] with [period < 1] or
@@ -75,7 +79,7 @@ val solo_after : n:int -> pid:int -> step:int -> t
 val of_script : int list -> t
 (** Follow an explicit choice script: at step i, run the runnable process
     with index [script.(i) mod (number of runnable processes)] (in
-    ascending-pid order). Once the script is exhausted, returns [None]
+    ascending-pid order). Once the script is exhausted, returns [-1]
     forever — the driver for exhaustive schedule exploration
     ({!Tbwf_check.Explore}). *)
 
@@ -92,7 +96,7 @@ val replay : int list -> t
     runtime reproduces the original run byte for byte. An entry whose pid
     is not currently runnable — only possible when the schedule came from a
     {e different} scenario — is treated as idle so the step numbering stays
-    aligned. Once the list is exhausted, returns [None] forever.
+    aligned. Once the list is exhausted, returns [-1] forever.
 
     That leniency is what schedule shrinking needs, but it also means a
     counterexample replayed against code that has drifted since it was

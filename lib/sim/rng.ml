@@ -1,14 +1,21 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in 8 bytes: a [mutable int64] field
+   would box a fresh Int64 on every draw. *)
+type t = Bytes.t
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 seed;
+  t
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
-(* splitmix64: fast, well distributed, trivially seedable. *)
-let next t =
+(* splitmix64: fast, well distributed, trivially seedable. Inlined into
+   [int], [float] and [bool], so [int] and [bool] draws allocate nothing
+   ([float]'s result is a boxed float when called from another module). *)
+let[@inline] next t =
   let open Int64 in
-  t.state <- add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+  let z = add (Bytes.get_int64_le t 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_le t 0 z;
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
@@ -43,7 +50,7 @@ let int t bound =
   let v = Int64.to_int (Int64.logand (next t) mask) in
   v mod bound
 
-let float t =
+let[@inline] float t =
   let v = Int64.shift_right_logical (next t) 11 in
   Int64.to_float v /. 9007199254740992.0 (* 2^53 *)
 

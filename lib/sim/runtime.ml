@@ -22,12 +22,18 @@ type machine_action = M_yield | M_call of Shared.t * Value.t | M_halt
    to next effect. *)
 type machine = Value.t -> machine_action
 
+(* A suspended call's pending record and a machine's step function live
+   on the task, so a suspension boxes at most its continuation. A task has
+   at most one call in flight; each call gets a fresh pending record. Reusing
+   one record per task would save its 9 words, but every call would then
+   store young values into a long-lived block, and those write-barrier
+   stores measured slower than the allocation. *)
 type task_state =
   | Ready of (unit -> unit)
   | Suspended_local of (unit, unit) Effect.Deep.continuation
-  | Suspended_call of (Value.t, unit) Effect.Deep.continuation * pending
-  | Machine_ready of machine
-  | Machine_awaiting of machine * pending
+  | Suspended_call of (Value.t, unit) Effect.Deep.continuation
+  | Machine_ready
+  | Machine_awaiting
   | Running
   | Finished
 
@@ -35,6 +41,8 @@ type task = {
   t_name : string;
   t_pid : int;
   t_layer : Sink.layer;
+  t_machine : machine;  (* a machine task's step function *)
+  mutable t_pend : pending;  (* the task's call in flight, if any *)
   mutable t_state : task_state;
 }
 
@@ -163,10 +171,31 @@ let register_object t ~name ~respond =
   ensure_obj t id;
   Shared.make ~id ~name ~respond
 
-let push_task t ~pid ~name ~layer state =
+(* Placeholders for the fields a task fills in before it reads them: the
+   call of a task that has made none yet, the step function of a task that
+   is not a machine. *)
+let no_pending =
+  {
+    p_pid = -1;
+    p_obj = Shared.make ~id:(-1) ~name:"" ~respond:(fun _ -> Value.Fail);
+    p_op = Value.Unit;
+    p_invoke_step = 0;
+    p_layer = Sink.Other;
+    p_overlapped = false;
+    p_overlap_ops = [];
+    p_events_at_invoke = 0;
+  }
+
+let no_machine : machine = fun _ -> M_halt
+
+let make_task ~pid ~name ~layer ~machine state =
+  { t_name = name; t_pid = pid; t_layer = layer; t_machine = machine;
+    t_pend = no_pending; t_state = state }
+
+let push_task ?(machine = no_machine) t ~pid ~name ~layer state =
   if pid < 0 || pid >= t.num then invalid_arg "Runtime.spawn: bad pid";
   let proc = t.procs.(pid) in
-  let task = { t_name = name; t_pid = pid; t_layer = layer; t_state = state } in
+  let task = make_task ~pid ~name ~layer ~machine state in
   let cap = Array.length proc.tasks in
   if proc.n_tasks = cap then begin
     let grown = Array.make (max 4 (2 * cap)) task in
@@ -182,7 +211,7 @@ let spawn ?(layer = Sink.Other) t ~pid ~name body =
   push_task t ~pid ~name ~layer (Ready body)
 
 let spawn_machine ?(layer = Sink.Other) t ~pid ~name fn =
-  push_task t ~pid ~name ~layer (Machine_ready fn)
+  push_task ~machine:fn t ~pid ~name ~layer Machine_ready
 
 let crashed t ~pid = t.procs.(pid).is_crashed
 let retired t ~pid = t.procs.(pid).is_retired
@@ -254,8 +283,8 @@ let await cond =
 let finish_task t task =
   match task.t_state with
   | Finished -> ()
-  | Ready _ | Suspended_local _ | Suspended_call _ | Machine_ready _
-  | Machine_awaiting _ | Running ->
+  | Ready _ | Suspended_local _ | Suspended_call _ | Machine_ready
+  | Machine_awaiting | Running ->
     task.t_state <- Finished;
     let proc = t.procs.(task.t_pid) in
     proc.live <- proc.live - 1;
@@ -268,19 +297,26 @@ let events_of t obj_id = t.events_by_obj.(obj_id)
 let bump_events t obj_id =
   t.events_by_obj.(obj_id) <- t.events_by_obj.(obj_id) + 1
 
+let rec mark_overlaps pend = function
+  | [] -> ()
+  | other :: rest ->
+    other.p_overlapped <- true;
+    other.p_overlap_ops <- pend.p_op :: other.p_overlap_ops;
+    pend.p_overlap_ops <- other.p_op :: pend.p_overlap_ops;
+    mark_overlaps pend rest
+
 let add_pending t pend =
   let obj_id = pend.p_obj.Shared.id in
   let existing = t.pending_by_obj.(obj_id) in
   if existing <> [] then begin
     pend.p_overlapped <- true;
-    List.iter
-      (fun other ->
-        other.p_overlapped <- true;
-        other.p_overlap_ops <- pend.p_op :: other.p_overlap_ops;
-        pend.p_overlap_ops <- other.p_op :: pend.p_overlap_ops)
-      existing
+    mark_overlaps pend existing
   end;
   t.pending_by_obj.(obj_id) <- pend :: existing
+
+let rec without pend = function
+  | [] -> []
+  | other :: rest -> if other == pend then rest else other :: without pend rest
 
 let remove_pending t pend =
   let obj_id = pend.p_obj.Shared.id in
@@ -290,7 +326,7 @@ let remove_pending t pend =
     t.pending_by_obj.(obj_id) <- [];
     0
   | existing ->
-    let remaining = List.filter (fun other -> other != pend) existing in
+    let remaining = without pend existing in
     t.pending_by_obj.(obj_id) <- remaining;
     List.length remaining
 
@@ -327,8 +363,9 @@ let respond_pending t pend =
    the invocation identically for traces and telemetry to stay
    byte-identical. *)
 let begin_call t task obj op =
-  ensure_obj t obj.Shared.id;
-  bump_events t obj.Shared.id;
+  let id = obj.Shared.id in
+  ensure_obj t id;
+  bump_events t id;
   let pend =
     {
       p_pid = task.t_pid;
@@ -338,21 +375,32 @@ let begin_call t task obj op =
       p_layer = task.t_layer;
       p_overlapped = false;
       p_overlap_ops = [];
-      p_events_at_invoke = events_of t obj.Shared.id;
+      p_events_at_invoke = events_of t id;
     }
   in
+  task.t_pend <- pend;
   add_pending t pend;
-  Trace.record_invoke t.trace ~step:t.step ~pid:task.t_pid
-    ~obj_id:obj.Shared.id ~obj_name:obj.Shared.name ~op;
+  Trace.record_invoke t.trace ~step:t.step ~pid:task.t_pid ~obj_id:id
+    ~obj_name:obj.Shared.name ~op;
   if t.sink.Sink.active then
     t.sink.Sink.on_invoke ~step:t.step ~pid:task.t_pid ~layer:task.t_layer
-      ~obj_id:obj.Shared.id ~obj_name:obj.Shared.name ~op;
-  pend
+      ~obj_id:id ~obj_name:obj.Shared.name ~op
 
 (* --- task execution ----------------------------------------------------- *)
 
+(* Built once per task, when its body first runs. The closures the
+   handler hands back for [Yield], [Call] and [Self] are built here too, so
+   performing an effect allocates none of them; [Call] starts its call
+   before handing back [on_call], which only parks the continuation. *)
 let handler t task =
   let open Effect.Deep in
+  let on_yield =
+    Some (fun (k : (unit, unit) continuation) -> task.t_state <- Suspended_local k)
+  in
+  let on_call =
+    Some (fun (k : (Value.t, unit) continuation) -> task.t_state <- Suspended_call k)
+  in
+  let on_self = Some (fun (k : (int, unit) continuation) -> continue k task.t_pid) in
   {
     retc = (fun () -> finish_task t task);
     exnc =
@@ -365,58 +413,54 @@ let handler t task =
             (Printexc.to_string e);
           Printexc.raise_with_backtrace e bt);
     effc =
-      (fun (type a) (eff : a Effect.t) ->
+      (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
         match eff with
-        | Yield ->
-          Some
-            (fun (k : (a, unit) continuation) ->
-              task.t_state <- Suspended_local k)
+        | Yield -> on_yield
         | Call (obj, op) ->
-          Some
-            (fun (k : (a, unit) continuation) ->
-              let pend = begin_call t task obj op in
-              task.t_state <- Suspended_call (k, pend))
-        | Self -> Some (fun (k : (a, unit) continuation) -> continue k task.t_pid)
+          begin_call t task obj op;
+          on_call
+        | Self -> on_self
         | _ -> None);
   }
 
 let runnable_task task =
   match task.t_state with
-  | Ready _ | Suspended_local _ | Suspended_call _ | Machine_ready _
-  | Machine_awaiting _ ->
+  | Ready _ | Suspended_local _ | Suspended_call _ | Machine_ready
+  | Machine_awaiting ->
     true
   | Running | Finished -> false
 
 let proc_runnable proc =
   (not proc.is_crashed) && (not proc.is_retired) && proc.live > 0
 
-(* Pick the next runnable task of [proc], round-robin over the task array
-   starting at the cursor. Allocates its result and the local [search]
-   closure. *)
-let pick_task proc =
-  let tasks = proc.tasks in
+(* Returned by [pick_task] when [proc] has no runnable task. *)
+let no_task =
+  make_task ~pid:(-1) ~name:"" ~layer:Sink.Other ~machine:no_machine Finished
+
+let rec search proc tries idx =
   let count = proc.n_tasks in
-  let rec search tries idx =
-    if tries >= count then None
-    else
-      let task = tasks.(idx mod count) in
-      if runnable_task task then begin
-        proc.next_task <- (idx mod count) + 1;
-        Some task
-      end
-      else search (tries + 1) (idx + 1)
-  in
-  search 0 proc.next_task
+  if tries >= count then no_task
+  else
+    let task = proc.tasks.(idx mod count) in
+    if runnable_task task then begin
+      proc.next_task <- (idx mod count) + 1;
+      task
+    end
+    else search proc (tries + 1) (idx + 1)
+
+(* The next runnable task of [proc], round-robin over the task array
+   starting at the cursor, or [no_task]. *)
+let pick_task proc = search proc 0 proc.next_task
 
 (* Run one step of a machine: feed it the value it was waiting on and
    reinstate the state its action implies. The machine function itself
    executes synchronously — no continuation is captured. *)
-let run_machine t task fn v =
-  match fn v with
-  | M_yield -> task.t_state <- Machine_ready fn
+let run_machine t task v =
+  match task.t_machine v with
+  | M_yield -> task.t_state <- Machine_ready
   | M_call (obj, op) ->
-    let pend = begin_call t task obj op in
-    task.t_state <- Machine_awaiting (fn, pend)
+    begin_call t task obj op;
+    task.t_state <- Machine_awaiting
   | M_halt -> finish_task t task
 
 let exec_task_step t task =
@@ -427,17 +471,17 @@ let exec_task_step t task =
   | Suspended_local k ->
     task.t_state <- Running;
     Effect.Deep.continue k ()
-  | Suspended_call (k, pend) ->
-    let result = respond_pending t pend in
+  | Suspended_call k ->
+    let result = respond_pending t task.t_pend in
     task.t_state <- Running;
     Effect.Deep.continue k result
-  | Machine_ready fn ->
+  | Machine_ready ->
     task.t_state <- Running;
-    run_machine t task fn Value.Unit
-  | Machine_awaiting (fn, pend) ->
-    let result = respond_pending t pend in
+    run_machine t task Value.Unit
+  | Machine_awaiting ->
+    let result = respond_pending t task.t_pend in
     task.t_state <- Running;
-    run_machine t task fn result
+    run_machine t task result
   | Running | Finished -> assert false
 
 (* Finish every task of [proc], unwinding suspended ones — the one
@@ -451,17 +495,17 @@ let teardown t ~resolve proc =
   in
   let unwind task =
     match task.t_state with
-    | Suspended_call (k, pend) ->
-      settle pend;
+    | Suspended_call k ->
+      settle task.t_pend;
       finish_task t task;
       (try Effect.Deep.discontinue k Simulation_over with Simulation_over -> ())
     | Suspended_local k ->
       finish_task t task;
       (try Effect.Deep.discontinue k Simulation_over with Simulation_over -> ())
-    | Machine_awaiting (_, pend) ->
-      settle pend;
+    | Machine_awaiting ->
+      settle task.t_pend;
       finish_task t task
-    | Ready _ | Machine_ready _ -> finish_task t task
+    | Ready _ | Machine_ready -> finish_task t task
     | Running | Finished -> ()
   in
   for i = 0 to proc.n_tasks - 1 do
@@ -562,9 +606,8 @@ let record_idle_step t =
 let execute t pid =
   (if pid < 0 then record_idle_step t
    else
-     match pick_task t.procs.(pid) with
-     | None -> record_idle_step t
-     | Some task -> run_task_step t ~pid task);
+     let task = pick_task t.procs.(pid) in
+     if task == no_task then record_idle_step t else run_task_step t ~pid task);
   t.step <- t.step + 1
 
 let step t ~pid =
@@ -598,10 +641,7 @@ let run t ~policy ~steps =
       then execute t (-1)
       else continue_run := false
     else
-      execute t
-        (match pick ~step:t.step ~runnable ~rng:t.rng with
-        | None -> -1
-        | Some pid -> pid)
+      execute t (pick ~step:t.step ~runnable ~rng:t.rng)
   done
 
 let stop t =

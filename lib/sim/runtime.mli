@@ -152,7 +152,21 @@ val retired : t -> pid:int -> bool
 val run : t -> policy:Policy.t -> steps:int -> unit
 (** Execute up to [steps] further steps. Stops early only if no process has
     a runnable task. May be called repeatedly (e.g. with different policies)
-    to build phased schedules. *)
+    to build phased schedules.
+
+    Each step asks the policy's {!Policy.next} for a pid; its [-1] (nobody
+    willing) becomes an idle step. The runnable array the policy is handed
+    is the runtime's cached set: the same array from step to step until
+    membership changes, when a fresh one replaces it (never mutated in
+    place).
+
+    Cost per step: the task search and the effect handler allocate
+    nothing, and the pick nothing beyond the float a soft draw of
+    {!Policy.of_patterns} boxes. A yield step allocates its continuation
+    and the [Suspended_local] box around it (4 words in all on OCaml
+    5.1); a call step additionally allocates the performed effect, the
+    call's pending record, a cell in the object's pending list and the
+    {!Shared.ctx} of its response (26 words more). *)
 
 (** {2 Step-replay hooks}
 

@@ -10,30 +10,35 @@
 
 open Tbwf_sim
 
-type open_span = {
-  os_obj : int;
-  os_invoke : int;
-  mutable os_contended : bool;
-}
-
 (* A well-formed run closes every span it opens, but a sink attached
    mid-run (or a workload that dies between invoke and respond) can leak
-   open spans; capping the per-pid list keeps the tracer memory-bounded
+   open spans; capping the per-pid stack keeps the tracer memory-bounded
    on arbitrarily long runs. 256 in-flight ops per process is far beyond
    anything a real stack issues. *)
 let max_open_spans = 256
 
+(* Each open span takes three slots of its pid's stack, oldest span at
+   the bottom: the object, the invoke step, and the object's contention
+   epoch just after the invoke — or [contended_at_invoke] when the span
+   was contended from its invoke on. An object's epoch advances at every
+   contended invoke on it (one that leaves two or more spans in flight),
+   so a span is contended iff its epoch slot is [contended_at_invoke] or
+   its object's epoch has moved since. *)
+let slots = 3
+let contended_at_invoke = min_int
+
 type t = {
   n : int;
   latency : Quantile.t array;  (* indexed by Sink.layer_index *)
-  open_spans : open_span list array;  (* per pid, newest first *)
-  open_len : int array;  (* per pid, length of [open_spans.(pid)] *)
+  stacks : int array array;  (* per pid, [slots] ints per open span *)
+  depth : int array;  (* per pid, open spans on its stack *)
   (* obj_id is the runtime's dense sequential object id, so the
      per-object in-flight state lives in flat arrays grown on demand —
      this is the sink's hot path (two updates per register operation)
      and a hash table here costs an allocation per call. *)
   mutable open_count : int array;  (* obj_id -> in-flight spans *)
   mutable in_window : bool array;  (* obj_id -> contention window open *)
+  mutable epoch : int array;  (* obj_id -> contended invokes so far *)
   abort_streak : int array;  (* per pid, current run of Abort results *)
   streaks : Quantile.t;  (* lengths of completed abort streaks *)
   mutable completed : int;
@@ -47,10 +52,11 @@ let create ~n =
   {
     n;
     latency = Array.init Sink.n_layers (fun _ -> Quantile.create ());
-    open_spans = Array.make n [];
-    open_len = Array.make n 0;
+    stacks = Array.make n [||];
+    depth = Array.make n 0;
     open_count = Array.make initial_objs 0;
     in_window = Array.make initial_objs false;
+    epoch = Array.make initial_objs 0;
     abort_streak = Array.make n 0;
     streaks = Quantile.create ();
     completed = 0;
@@ -58,68 +64,77 @@ let create ~n =
     contention_windows = 0;
   }
 
+let grown a cap fill =
+  let b = Array.make cap fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let ensure_obj t obj_id =
   if obj_id >= Array.length t.open_count then begin
     let cap = max (2 * Array.length t.open_count) (obj_id + 1) in
-    let open_count = Array.make cap 0 in
-    Array.blit t.open_count 0 open_count 0 (Array.length t.open_count);
-    t.open_count <- open_count;
-    let in_window = Array.make cap false in
-    Array.blit t.in_window 0 in_window 0 (Array.length t.in_window);
-    t.in_window <- in_window
+    t.open_count <- grown t.open_count cap 0;
+    t.in_window <- grown t.in_window cap false;
+    t.epoch <- grown t.epoch cap 0
   end
 
 let on_invoke t ~pid ~obj_id ~step =
   if pid >= 0 && pid < t.n && obj_id >= 0 then begin
     ensure_obj t obj_id;
-    let sp = { os_obj = obj_id; os_invoke = step; os_contended = false } in
     let opens = t.open_count.(obj_id) + 1 in
     t.open_count.(obj_id) <- opens;
-    let existing = t.open_spans.(pid) in
-    let existing =
-      if t.open_len.(pid) >= max_open_spans then begin
-        t.open_len.(pid) <- max_open_spans - 1;
-        List.filteri (fun i _ -> i < max_open_spans - 1) existing
-      end
-      else existing
-    in
-    t.open_spans.(pid) <- sp :: existing;
-    t.open_len.(pid) <- t.open_len.(pid) + 1;
-    if opens >= 2 then begin
+    let contended = opens >= 2 in
+    if contended then begin
       (* Everyone currently in flight on this object is contended. *)
-      Array.iter
-        (List.iter (fun other ->
-             if other.os_obj = obj_id then other.os_contended <- true))
-        t.open_spans;
+      t.epoch.(obj_id) <- t.epoch.(obj_id) + 1;
       if not t.in_window.(obj_id) then begin
         t.in_window.(obj_id) <- true;
         t.contention_windows <- t.contention_windows + 1
       end
+    end;
+    let depth = t.depth.(pid) in
+    if depth >= max_open_spans then begin
+      (* Drop the oldest span. It stays counted in [open_count]: its
+         response will find no span to close. *)
+      let stack = t.stacks.(pid) in
+      Array.blit stack slots stack 0 ((depth - 1) * slots);
+      t.depth.(pid) <- depth - 1
     end
+    else if (depth + 1) * slots > Array.length t.stacks.(pid) then
+      t.stacks.(pid) <-
+        grown t.stacks.(pid) (slots * min max_open_spans (max 4 (2 * depth))) 0;
+    let depth = t.depth.(pid) and stack = t.stacks.(pid) in
+    let at = depth * slots in
+    stack.(at) <- obj_id;
+    stack.(at + 1) <- step;
+    stack.(at + 2) <- (if contended then contended_at_invoke else t.epoch.(obj_id));
+    t.depth.(pid) <- depth + 1
   end
+
+(* The index in [stack] of the newest span on [obj_id] starting at or
+   below index [at], or -1. *)
+let rec newest_on stack obj_id at =
+  if at < 0 then -1
+  else if stack.(at) = obj_id then at
+  else newest_on stack obj_id (at - slots)
 
 let on_respond t ~pid ~layer ~obj_id ~step ~aborted =
   if pid >= 0 && pid < t.n then begin
     (* Close the newest open span of [pid] on this object; skip silently if
        the sink was attached mid-operation and the invoke was never seen. *)
-    let rec split acc = function
-      | [] -> None
-      | sp :: rest when sp.os_obj = obj_id ->
-        Some (sp, List.rev_append acc rest)
-      | sp :: rest -> split (sp :: acc) rest
-    in
-    (match split [] t.open_spans.(pid) with
-    | None -> ()
-    | Some (sp, rest) ->
-      t.open_spans.(pid) <- rest;
-      t.open_len.(pid) <- t.open_len.(pid) - 1;
+    let stack = t.stacks.(pid) and depth = t.depth.(pid) in
+    let at = newest_on stack obj_id ((depth - 1) * slots) in
+    if at >= 0 then begin
+      let invoke = stack.(at + 1) and epoch = stack.(at + 2) in
+      Array.blit stack (at + slots) stack at (((depth - 1) * slots) - at);
+      t.depth.(pid) <- depth - 1;
       t.completed <- t.completed + 1;
-      Quantile.observe t.latency.(Sink.layer_index layer) (step - sp.os_invoke);
-      if sp.os_contended then t.contended_spans <- t.contended_spans + 1;
-      ensure_obj t obj_id;
+      Quantile.observe t.latency.(Sink.layer_index layer) (step - invoke);
+      if epoch = contended_at_invoke || epoch <> t.epoch.(obj_id) then
+        t.contended_spans <- t.contended_spans + 1;
       let opens = max 0 (t.open_count.(obj_id) - 1) in
       t.open_count.(obj_id) <- opens;
-      if opens = 0 then t.in_window.(obj_id) <- false);
+      if opens = 0 then t.in_window.(obj_id) <- false
+    end;
     if aborted then t.abort_streak.(pid) <- t.abort_streak.(pid) + 1
     else if t.abort_streak.(pid) > 0 then begin
       Quantile.observe t.streaks t.abort_streak.(pid);
@@ -137,10 +152,11 @@ let merge a b =
     n = a.n;
     latency =
       Array.init Sink.n_layers (fun i -> Quantile.merge a.latency.(i) b.latency.(i));
-    open_spans = Array.make a.n [];
-    open_len = Array.make a.n 0;
+    stacks = Array.make a.n [||];
+    depth = Array.make a.n 0;
     open_count = Array.make initial_objs 0;
     in_window = Array.make initial_objs false;
+    epoch = Array.make initial_objs 0;
     abort_streak = Array.make a.n 0;
     streaks = Quantile.merge a.streaks b.streaks;
     completed = a.completed + b.completed;

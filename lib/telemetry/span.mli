@@ -7,7 +7,16 @@
     windows (maximal periods during which an object had two or more
     operations in flight). Everything is derived from the event stream
     in event order, so a replayed schedule produces an identical
-    aggregate. *)
+    aggregate.
+
+    A span is contended iff, at its invoke or while it was open, an
+    invoke left two or more spans in flight on its object. Open spans
+    live on flat per-pid int stacks, and each object keeps an epoch that
+    advances at every such contended invoke; a span records the epoch
+    it saw. An invoke costs O(1), a respond a scan of its pid's open
+    spans (usually one), and neither allocates. At most 256
+    spans stay open per pid: beyond that the oldest is dropped, and it
+    still counts as in flight on its object. *)
 
 open Tbwf_sim
 

@@ -129,6 +129,78 @@ let test_partition_drops_heal_delivers () =
   Alcotest.(check bool) "delivered after heal" true (!got > 0);
   Alcotest.(check int) "nothing before heal" (-1) !before_heal
 
+(* --- inbox queue against the list-based poll ------------------------------- *)
+
+(* The inbox queue as it was: an unordered list, newest first, that every
+   poll partitioned, filtered, sorted and mapped. *)
+module Inbox_ref = struct
+  type msg = { delivery : int; seq : int; src : int; key : int; payload : Value.t }
+
+  let msg_order a b = compare (a.delivery, a.seq) (b.delivery, b.seq)
+
+  let post q ~delivery ~seq ~src ~key payload =
+    q := { delivery; seq; src; key; payload } :: !q
+
+  let poll q ~at ~key =
+    let due, rest =
+      List.partition
+        (fun m -> m.delivery <= at && (key = Net.catch_all || m.key <= key))
+        !q
+    in
+    q := rest;
+    let due = List.filter (fun m -> key = Net.catch_all || m.key = key) due in
+    let due = List.sort msg_order due in
+    Value.List
+      (List.map
+         (fun m ->
+           Value.Pair (Value.Int m.src, Value.Pair (Value.Int m.key, m.payload)))
+         due)
+
+  let pending q =
+    List.map
+      (fun m -> m.delivery, m.seq, m.src, m.key, m.payload)
+      (List.sort msg_order !q)
+end
+
+(* Random post/poll sequences on one destination: latencies of 1–4 steps
+   from steps advancing by 0–2, so many messages share a delivery step;
+   keys 0–5 and polls for a key, an older key (stale messages stay queued
+   for a newer poll to discard) or [catch_all]. Every poll result and the
+   queue left behind must match the reference. *)
+let test_inbox_matches_reference () =
+  let pending_t =
+    Alcotest.(list (testable
+      (fun ppf (d, s, src, k, v) -> Fmt.pf ppf "(%d,%d,%d,%d,%a)" d s src k Value.pp v)
+      (fun (d, s, src, k, v) (d', s', src', k', v') ->
+        d = d' && s = s' && src = src' && k = k' && Value.equal v v')))
+  in
+  for run = 0 to 199 do
+    let g = Rng.create (Int64.of_int run) in
+    let queue = Net.Inbox.create () and model = ref [] in
+    let at = ref 0 and seq = ref 0 in
+    for op = 1 to 400 do
+      at := !at + Rng.int g 3;
+      if Rng.bool g 0.55 then begin
+        incr seq;
+        let delivery = !at + 1 + Rng.int g 4 and src = Rng.int g 5 in
+        let key = Rng.int g 6 and payload = Value.Int !seq in
+        Net.Inbox.post queue ~delivery ~seq:!seq ~src ~key payload;
+        Inbox_ref.post model ~delivery ~seq:!seq ~src ~key payload
+      end
+      else begin
+        let key = if Rng.int g 4 = 0 then Net.catch_all else Rng.int g 6 in
+        let got = Net.Inbox.poll queue ~at:!at ~key in
+        let want = Inbox_ref.poll model ~at:!at ~key in
+        if not (Value.equal got want) then
+          Alcotest.failf "run %d op %d: poll %d at %d gave %a, reference %a" run op
+            key !at Value.pp got Value.pp want
+      end;
+      Alcotest.check pending_t
+        (Fmt.str "run %d op %d: queue" run op)
+        (Inbox_ref.pending model) (Net.Inbox.pending queue)
+    done
+  done
+
 (* --- quorum registers ----------------------------------------------------- *)
 
 let client_pids = [ 0; 1 ]
@@ -388,6 +460,8 @@ let () =
       ( "transport",
         [
           Alcotest.test_case "send/poll" `Quick test_send_poll;
+          Alcotest.test_case "inbox queue matches list-based poll" `Quick
+            test_inbox_matches_reference;
           Alcotest.test_case "partition drops, heal delivers" `Quick
             test_partition_drops_heal_delivers;
         ] );

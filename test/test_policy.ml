@@ -184,9 +184,9 @@ let run_policy policy ~runnable ~steps =
 
 let test_round_robin_fair () =
   let choices = run_policy (Policy.round_robin ()) ~runnable:[ 0; 1; 2 ] ~steps:9 in
-  Alcotest.(check (list (option int)))
+  Alcotest.(check (list int))
     "perfect rotation"
-    [ Some 0; Some 1; Some 2; Some 0; Some 1; Some 2; Some 0; Some 1; Some 2 ]
+    [ 0; 1; 2; 0; 1; 2; 0; 1; 2 ]
     choices
 
 let test_round_robin_skips_missing () =
@@ -194,13 +194,13 @@ let test_round_robin_skips_missing () =
   let rng = Rng.create 1L in
   let c1 = Policy.next policy ~step:0 ~runnable:[| 0; 1; 2 |] ~rng in
   let c2 = Policy.next policy ~step:1 ~runnable:[| 0; 2 |] ~rng in
-  Alcotest.(check (option int)) "starts at 0" (Some 0) c1;
-  Alcotest.(check (option int)) "skips crashed 1" (Some 2) c2
+  Alcotest.(check int) "starts at 0" 0 c1;
+  Alcotest.(check int) "skips crashed 1" 2 c2
 
 let test_weighted_respects_weights () =
   let policy = Policy.weighted [| 0, 10.0; 1, 1.0 |] in
   let choices = run_policy policy ~runnable:[ 0; 1 ] ~steps:5_000 in
-  let count pid = List.length (List.filter (fun c -> c = Some pid) choices) in
+  let count pid = List.length (List.filter (fun c -> c = pid) choices) in
   Alcotest.(check bool) "heavy pid dominates" true (count 0 > 3 * count 1);
   Alcotest.(check bool) "light pid still runs" true (count 1 > 0)
 
@@ -213,7 +213,7 @@ let test_every_claims () =
   List.iteri
     (fun step choice ->
       if step mod 3 = 0 then
-        Alcotest.(check (option int)) (Fmt.str "claim at %d" step) (Some 0) choice)
+        Alcotest.(check int) (Fmt.str "claim at %d" step) 0 choice)
     choices
 
 let test_every_gap_bounded () =
@@ -229,7 +229,7 @@ let test_every_gap_bounded () =
   let max_gap = ref 0 and current = ref 0 in
   List.iter
     (fun c ->
-      if c = Some 0 then begin
+      if c = 0 then begin
         if !current > !max_gap then max_gap := !current;
         current := 0
       end
@@ -250,7 +250,7 @@ let test_flicker_gaps_grow () =
   let gaps = ref [] and current = ref 0 and seen = ref false in
   List.iter
     (fun c ->
-      if c = Some 0 then begin
+      if c = 0 then begin
         if !seen && !current > 0 then gaps := !current :: !gaps;
         seen := true;
         current := 0
@@ -272,7 +272,7 @@ let test_slowing_gaps_grow () =
   in
   let choices = run_policy policy ~runnable:[ 0; 1 ] ~steps:3_000 in
   let steps_of_0 =
-    List.filteri (fun _ c -> c = Some 0) choices |> List.length
+    List.filteri (fun _ c -> c = 0) choices |> List.length
   in
   (* With gaps 5, 7.5, 11.25, ... only ~log-many steps fit in 3000. *)
   Alcotest.(check bool) "pid 0 took a few steps" true (steps_of_0 >= 3);
@@ -286,11 +286,8 @@ let test_slowing_burst () =
   (* Alone, the slowing process gets its whole burst in consecutive steps. *)
   let choices = run_policy policy ~runnable:[ 0 ] ~steps:20 in
   let first_five = List.filteri (fun i _ -> i < 5) choices in
-  Alcotest.(check (list (option int)))
-    "first burst served"
-    [ Some 0; Some 0; Some 0; Some 0; Some 0 ]
-    first_five;
-  Alcotest.(check (option int)) "then idle" None (List.nth choices 5)
+  Alcotest.(check (list int)) "first burst served" [ 0; 0; 0; 0; 0 ] first_five;
+  Alcotest.(check int) "then idle" (-1) (List.nth choices 5)
 
 let test_silent_never_runs () =
   let policy =
@@ -298,7 +295,7 @@ let test_silent_never_runs () =
   in
   let choices = run_policy policy ~runnable:[ 0; 1 ] ~steps:500 in
   Alcotest.(check bool) "silent pid never scheduled" true
-    (List.for_all (fun c -> c <> Some 0) choices)
+    (List.for_all (fun c -> c <> 0) choices)
 
 let test_switch_at () =
   let policy =
@@ -309,10 +306,10 @@ let test_switch_at () =
       ]
   in
   let choices = run_policy policy ~runnable:[ 0; 1 ] ~steps:400 in
-  let before = List.filteri (fun i c -> i < 100 && c = Some 0) choices in
-  let after = List.filteri (fun i c -> i >= 100 && c = Some 0) choices in
+  let before = List.filteri (fun i c -> i < 100 && c = 0) choices in
+  let after = List.filteri (fun i c -> i >= 100 && c = 0) choices in
   Alcotest.(check bool) "ran before switch" true (List.length before > 0);
-  Alcotest.(check (list (option int))) "silent after switch" [] after
+  Alcotest.(check (list int)) "silent after switch" [] after
 
 let test_replay_lenient_vs_strict () =
   let rng = Rng.create 3L in
@@ -320,12 +317,12 @@ let test_replay_lenient_vs_strict () =
      raises. *)
   let sched = [ 0; 1; 0 ] in
   let lenient = Policy.replay sched in
-  Alcotest.(check (option int)) "lenient step 0" (Some 0)
+  Alcotest.(check int) "lenient step 0" 0
     (Policy.next lenient ~step:0 ~runnable:[| 0; 2 |] ~rng);
-  Alcotest.(check (option int)) "lenient mismatch passes idle" None
+  Alcotest.(check int) "lenient mismatch passes idle" (-1)
     (Policy.next lenient ~step:1 ~runnable:[| 0; 2 |] ~rng);
   let strict = Policy.replay_strict sched in
-  Alcotest.(check (option int)) "strict step 0" (Some 0)
+  Alcotest.(check int) "strict step 0" 0
     (Policy.next strict ~step:0 ~runnable:[| 0; 2 |] ~rng);
   (match Policy.next strict ~step:1 ~runnable:[| 0; 2 |] ~rng with
   | exception Policy.Replay_mismatch { step; pid; runnable } ->
@@ -345,9 +342,8 @@ let test_replay_strict_faithful () =
       (fun step _ -> Policy.next strict ~step ~runnable:[| 0; 1 |] ~rng)
       sched
   in
-  Alcotest.(check (list (option int)))
-    "faithful replay" [ Some 0; None; Some 1; Some 0 ] choices;
-  Alcotest.(check (option int)) "exhausted schedule idles" None
+  Alcotest.(check (list int)) "faithful replay" [ 0; -1; 1; 0 ] choices;
+  Alcotest.(check int) "exhausted schedule idles" (-1)
     (Policy.next strict ~step:4 ~runnable:[| 0; 1 |] ~rng)
 
 let test_solo_after () =
@@ -355,9 +351,9 @@ let test_solo_after () =
   let choices = run_policy policy ~runnable:[ 0; 1; 2 ] ~steps:200 in
   let late = List.filteri (fun i _ -> i >= 50) choices in
   Alcotest.(check bool) "only solo pid after switch" true
-    (List.for_all (fun c -> c = Some 2) late);
+    (List.for_all (fun c -> c = 2) late);
   let early_others =
-    List.filteri (fun i c -> i < 50 && (c = Some 0 || c = Some 1)) choices
+    List.filteri (fun i c -> i < 50 && (c = 0 || c = 1)) choices
   in
   Alcotest.(check bool) "others ran before switch" true
     (List.length early_others > 0)
@@ -402,7 +398,32 @@ let gen_runnable g ~universe =
   let pids = List.filter (fun _ -> Rng.int g 4 > 0) (List.init universe Fun.id) in
   Array.of_list pids
 
-let check_equivalent ~label ~policies ~steps make_new make_oracle gen =
+(* The runnable set of each step. Unheld, it is a new random set every
+   step, so nothing a policy keeps per runnable set survives a step. Held,
+   one set lasts for runs of 1–50 steps, as the runtime's does between
+   membership changes; a quarter of the steps pass it as a fresh array
+   with the same contents, and half the time a new set is written into the
+   old array in place, so state keyed by the array rather than its
+   contents would go stale. *)
+let runnable_source g ~universe ~hold =
+  let held = ref [||] and left = ref 0 in
+  fun () ->
+    if not hold then gen_runnable g ~universe
+    else begin
+      if !left = 0 then begin
+        left := 1 + Rng.int g 50;
+        let fresh = gen_runnable g ~universe in
+        if Array.length fresh = Array.length !held && Rng.bool g 0.5 then
+          Array.blit fresh 0 !held 0 (Array.length fresh)
+        else held := fresh
+      end;
+      decr left;
+      if Rng.int g 4 = 0 then held := Array.copy !held;
+      !held
+    end
+
+let check_equivalent ?(hold = false) ~label ~policies ~steps make_new make_oracle
+    gen =
   for i = 0 to policies - 1 do
     let g = Rng.create (Int64.of_int (1000 + i)) in
     let universe = 1 + Rng.int g 12 in
@@ -410,16 +431,17 @@ let check_equivalent ~label ~policies ~steps make_new make_oracle gen =
     let fresh = make_new spec and oracle = make_oracle spec in
     let rng_new = Rng.create (Int64.of_int i) in
     let rng_oracle = Rng.create (Int64.of_int i) in
+    let next_runnable = runnable_source g ~universe ~hold in
     let step = ref 0 in
     for _ = 1 to steps do
       step := !step + 1 + Rng.int g 3;
-      let runnable = gen_runnable g ~universe in
+      let runnable = next_runnable () in
       let got = Policy.next fresh ~step:!step ~runnable ~rng:rng_new in
-      let want = oracle ~step:!step ~runnable ~rng:rng_oracle in
+      let want =
+        Option.value ~default:(-1) (oracle ~step:!step ~runnable ~rng:rng_oracle)
+      in
       if got <> want then
-        Alcotest.failf "%s %d step %d: got %a, oracle %a" label i !step
-          Fmt.(option ~none:(any "None") int) got
-          Fmt.(option ~none:(any "None") int) want;
+        Alcotest.failf "%s %d step %d: got %d, oracle %d" label i !step got want;
       if Rng.int rng_new 1_000_000 <> Rng.int rng_oracle 1_000_000 then
         Alcotest.failf "%s %d step %d: rng streams diverged" label i !step
     done
@@ -430,11 +452,23 @@ let test_patterns_match_oracle () =
     (fun a -> Policy.of_patterns a)
     Oracle.of_patterns gen_assignments
 
+let test_patterns_match_oracle_held () =
+  check_equivalent ~hold:true ~label:"patterns (held sets)" ~policies:200
+    ~steps:2_000
+    (fun a -> Policy.of_patterns a)
+    Oracle.of_patterns gen_assignments
+
+let gen_weights g ~universe:_ =
+  Array.init (Rng.int g 11) (fun _ ->
+      Rng.int g 11 - 2, (if Rng.int g 5 = 0 then 0.0 else Rng.float g *. 4.0))
+
 let test_weighted_matches_oracle () =
-  check_equivalent ~label:"weighted" ~policies:50 ~steps:2_000
-    Policy.weighted Oracle.weighted (fun g ~universe:_ ->
-      Array.init (Rng.int g 11) (fun _ ->
-          Rng.int g 11 - 2, (if Rng.int g 5 = 0 then 0.0 else Rng.float g *. 4.0)))
+  check_equivalent ~label:"weighted" ~policies:50 ~steps:2_000 Policy.weighted
+    Oracle.weighted gen_weights
+
+let test_weighted_matches_oracle_held () =
+  check_equivalent ~hold:true ~label:"weighted (held sets)" ~policies:50
+    ~steps:2_000 Policy.weighted Oracle.weighted gen_weights
 
 (* Minor-heap words per pick over [picks] steps of the all-[Every] base
    rotation of [Fault_plan] at n = 7: period 8, one spare step per round. *)
@@ -453,7 +487,13 @@ let test_allocation_guard () =
   let oracle = words_per_pick (Oracle.of_patterns rotation) in
   if not (5.0 *. flat <= oracle) then
     Alcotest.failf "of_patterns allocates %.1f words per pick, oracle %.1f" flat
-      oracle
+      oracle;
+  (* The claim walk allocates nothing, and a weighted draw only the boxed
+     float that [Rng.float] returns. *)
+  let draw = words_per_pick (Policy.next (Policy.weighted [| 0, 2.0; 3, 0.5 |])) in
+  if flat > 0.01 || draw > 2.01 then
+    Alcotest.failf "%.4f words per rotation pick, %.4f per weighted draw" flat
+      draw
 
 let rejects label pattern =
   match Policy.of_patterns [ 0, Policy.Weighted 1.0; 1, pattern ] with
@@ -506,8 +546,12 @@ let () =
         [
           Alcotest.test_case "of_patterns matches reference model" `Quick
             test_patterns_match_oracle;
+          Alcotest.test_case "of_patterns matches reference model on held sets"
+            `Quick test_patterns_match_oracle_held;
           Alcotest.test_case "weighted matches reference model" `Quick
             test_weighted_matches_oracle;
+          Alcotest.test_case "weighted matches reference model on held sets"
+            `Quick test_weighted_matches_oracle_held;
           Alcotest.test_case "of_patterns allocation guard" `Quick
             test_allocation_guard;
         ] );

@@ -6,6 +6,36 @@ let test_determinism () =
     Alcotest.(check int64) "same stream" (Rng.next a) (Rng.next b)
   done
 
+(* The first outputs of three seeds, pinned to values from the boxed
+   [mutable int64] implementation: a change of the state's representation
+   must leave every stream unchanged. *)
+let test_pinned_streams () =
+  let pinned =
+    [
+      ( 0L,
+        [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL;
+          0xF88BB8A8724C81ECL; 0x1B39896A51A8749BL; 0x53CB9F0C747EA2EAL;
+          0x2C829ABE1F4532E1L; 0xC584133AC916AB3CL ] );
+      ( 42L,
+        [ 0xBDD732262FEB6E95L; 0x28EFE333B266F103L; 0x47526757130F9F52L;
+          0x581CE1FF0E4AE394L; 0x09BC585A244823F2L; 0xDE4431FA3C80DB06L;
+          0x37E9671C45376D5DL; 0xCCF635EE9E9E2FA4L ] );
+      ( 0xC0FFEEL,
+        [ 0xCA8216FA9058D0FAL; 0xECE45BABCE870479L; 0x87BE93A4A16A73CBL;
+          0x5A71C08957A50D44L; 0xC345D6E168AD2C78L; 0xE47DF32A3A624293L;
+          0x08CAB724CA100235L; 0xDFA4529422A994BFL ] );
+    ]
+  in
+  List.iter
+    (fun (seed, outputs) ->
+      let rng = Rng.create seed in
+      List.iteri
+        (fun i want ->
+          Alcotest.(check int64) (Fmt.str "seed %Ld output %d" seed i) want
+            (Rng.next rng))
+        outputs)
+    pinned
+
 let test_different_seeds () =
   let a = Rng.create 1L and b = Rng.create 2L in
   let differs = ref false in
@@ -123,6 +153,7 @@ let () =
       ( "unit",
         [
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "pinned streams" `Quick test_pinned_streams;
           Alcotest.test_case "different seeds differ" `Quick test_different_seeds;
           Alcotest.test_case "copy is independent" `Quick test_copy_independent;
           Alcotest.test_case "split diverges" `Quick test_split_diverges;

@@ -337,6 +337,44 @@ let test_pending_events_allocation_guard () =
     Alcotest.failf "%.2f words/step with events pending, %.2f without" pending
       idle
 
+let test_yield_step_allocation_guard () =
+  (* A yield-only step boxes its continuation and nothing else: no option
+     around the pick, no closure for the task search or the effect. *)
+  let words = words_per_step ignore in
+  if words > 8.0 then
+    Alcotest.failf "a yield-only step allocates %.2f words, more than 8" words
+
+(* Minor-heap words per step of one process calling an object that
+   answers every operation with [Unit]. After the first, every step both
+   responds to one call and invokes the next. *)
+let solo_call_words_per_step () =
+  let rt = Runtime.create ~record_trace:false ~n:1 () in
+  let obj =
+    Runtime.register_object rt ~name:"nop" ~respond:(fun _ -> Value.Unit)
+  in
+  Runtime.spawn rt ~pid:0 ~name:"caller" (fun () ->
+      while true do
+        ignore (Runtime.call obj Value.Unit : Value.t)
+      done);
+  let policy = Policy.round_robin () in
+  Runtime.run rt ~policy ~steps:100;
+  let steps = 20_000 in
+  let before = Gc.minor_words () in
+  Runtime.run rt ~policy ~steps;
+  let words = Gc.minor_words () -. before in
+  Runtime.stop rt;
+  words /. float_of_int steps
+
+let test_call_step_allocation_guard () =
+  (* Both steps box one continuation in one task state, so their
+     difference is what a call adds, whatever size the OCaml runtime gives
+     a continuation: pinned at 26, the context handed to [respond] (11),
+     the call's pending record (9), the performed [Call] effect (3) and the
+     cell in the object's pending list (3). The pick, the task search and
+     the handler allocate nothing. *)
+  let extra = solo_call_words_per_step () -. words_per_step ignore in
+  Alcotest.(check (float 0.0)) "words a call adds to a step" 26.0 extra
+
 let () =
   Alcotest.run "runtime"
     [
@@ -368,5 +406,9 @@ let () =
             test_same_step_event_order;
           Alcotest.test_case "pending events allocation guard" `Quick
             test_pending_events_allocation_guard;
+          Alcotest.test_case "yield step allocation guard" `Quick
+            test_yield_step_allocation_guard;
+          Alcotest.test_case "call step allocation guard" `Quick
+            test_call_step_allocation_guard;
         ] );
     ]

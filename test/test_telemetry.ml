@@ -281,7 +281,232 @@ let qcheck_quantile_merge_algebra =
            (Quantile.merge a (Quantile.merge b c))
            (sketch_of (List.rev_append xs (List.rev_append ys zs))))
 
+(* --- Span: the list-based tracker as a reference model -------------------
+
+   The span tracker used to keep each pid's open spans in a list and mark
+   contention by walking every list on each contended invoke. It now keeps
+   flat per-pid stacks and per-object contention epochs; this verbatim
+   copy of the list-based module is the oracle the flat one must match,
+   field for field, in its JSON rendering. *)
+
+module Span_ref = struct
+  type open_span = {
+    os_obj : int;
+    os_invoke : int;
+    mutable os_contended : bool;
+  }
+
+  (* A well-formed run closes every span it opens, but a sink attached
+     mid-run (or a workload that dies between invoke and respond) can leak
+     open spans; capping the per-pid list keeps the tracer memory-bounded
+     on arbitrarily long runs. 256 in-flight ops per process is far beyond
+     anything a real stack issues. *)
+  let max_open_spans = 256
+
+  type t = {
+    n : int;
+    latency : Quantile.t array;  (* indexed by Sink.layer_index *)
+    open_spans : open_span list array;  (* per pid, newest first *)
+    open_len : int array;  (* per pid, length of [open_spans.(pid)] *)
+    (* obj_id is the runtime's dense sequential object id, so the
+       per-object in-flight state lives in flat arrays grown on demand —
+       this is the sink's hot path (two updates per register operation)
+       and a hash table here costs an allocation per call. *)
+    mutable open_count : int array;  (* obj_id -> in-flight spans *)
+    mutable in_window : bool array;  (* obj_id -> contention window open *)
+    abort_streak : int array;  (* per pid, current run of Abort results *)
+    streaks : Quantile.t;  (* lengths of completed abort streaks *)
+    mutable completed : int;
+    mutable contended_spans : int;
+    mutable contention_windows : int;
+  }
+
+  let initial_objs = 64
+
+  let create ~n =
+    {
+      n;
+      latency = Array.init Sink.n_layers (fun _ -> Quantile.create ());
+      open_spans = Array.make n [];
+      open_len = Array.make n 0;
+      open_count = Array.make initial_objs 0;
+      in_window = Array.make initial_objs false;
+      abort_streak = Array.make n 0;
+      streaks = Quantile.create ();
+      completed = 0;
+      contended_spans = 0;
+      contention_windows = 0;
+    }
+
+  let ensure_obj t obj_id =
+    if obj_id >= Array.length t.open_count then begin
+      let cap = max (2 * Array.length t.open_count) (obj_id + 1) in
+      let open_count = Array.make cap 0 in
+      Array.blit t.open_count 0 open_count 0 (Array.length t.open_count);
+      t.open_count <- open_count;
+      let in_window = Array.make cap false in
+      Array.blit t.in_window 0 in_window 0 (Array.length t.in_window);
+      t.in_window <- in_window
+    end
+
+  let on_invoke t ~pid ~obj_id ~step =
+    if pid >= 0 && pid < t.n && obj_id >= 0 then begin
+      ensure_obj t obj_id;
+      let sp = { os_obj = obj_id; os_invoke = step; os_contended = false } in
+      let opens = t.open_count.(obj_id) + 1 in
+      t.open_count.(obj_id) <- opens;
+      let existing = t.open_spans.(pid) in
+      let existing =
+        if t.open_len.(pid) >= max_open_spans then begin
+          t.open_len.(pid) <- max_open_spans - 1;
+          List.filteri (fun i _ -> i < max_open_spans - 1) existing
+        end
+        else existing
+      in
+      t.open_spans.(pid) <- sp :: existing;
+      t.open_len.(pid) <- t.open_len.(pid) + 1;
+      if opens >= 2 then begin
+        (* Everyone currently in flight on this object is contended. *)
+        Array.iter
+          (List.iter (fun other ->
+               if other.os_obj = obj_id then other.os_contended <- true))
+          t.open_spans;
+        if not t.in_window.(obj_id) then begin
+          t.in_window.(obj_id) <- true;
+          t.contention_windows <- t.contention_windows + 1
+        end
+      end
+    end
+
+  let on_respond t ~pid ~layer ~obj_id ~step ~aborted =
+    if pid >= 0 && pid < t.n then begin
+      (* Close the newest open span of [pid] on this object; skip silently if
+         the sink was attached mid-operation and the invoke was never seen. *)
+      let rec split acc = function
+        | [] -> None
+        | sp :: rest when sp.os_obj = obj_id ->
+          Some (sp, List.rev_append acc rest)
+        | sp :: rest -> split (sp :: acc) rest
+      in
+      (match split [] t.open_spans.(pid) with
+      | None -> ()
+      | Some (sp, rest) ->
+        t.open_spans.(pid) <- rest;
+        t.open_len.(pid) <- t.open_len.(pid) - 1;
+        t.completed <- t.completed + 1;
+        Quantile.observe t.latency.(Sink.layer_index layer) (step - sp.os_invoke);
+        if sp.os_contended then t.contended_spans <- t.contended_spans + 1;
+        ensure_obj t obj_id;
+        let opens = max 0 (t.open_count.(obj_id) - 1) in
+        t.open_count.(obj_id) <- opens;
+        if opens = 0 then t.in_window.(obj_id) <- false);
+      if aborted then t.abort_streak.(pid) <- t.abort_streak.(pid) + 1
+      else if t.abort_streak.(pid) > 0 then begin
+        Quantile.observe t.streaks t.abort_streak.(pid);
+        t.abort_streak.(pid) <- 0
+      end
+    end
+
+  let tail_of t layer = t.latency.(Sink.layer_index layer)
+  let completed t = t.completed
+
+  let to_json t =
+    Json.Obj
+      [
+        "completed", Json.Int t.completed;
+        ( "latency",
+          Json.Obj
+            (List.map
+               (fun layer ->
+                 Sink.layer_name layer, Quantile.log2_json (tail_of t layer))
+               Sink.layers) );
+        ( "tails",
+          Json.Obj
+            (List.map
+               (fun layer ->
+                 Sink.layer_name layer, Quantile.to_json (tail_of t layer))
+               Sink.layers) );
+        "abort_streaks", Quantile.log2_json t.streaks;
+        ( "open_abort_streaks",
+          Json.Arr (Array.to_list t.abort_streak |> List.map (fun s -> Json.Int s))
+        );
+        ( "contention",
+          Json.Obj
+            [
+              "windows", Json.Int t.contention_windows;
+              "contended_spans", Json.Int t.contended_spans;
+            ] );
+      ]
+end
+
 (* --- Span ---------------------------------------------------------------- *)
+
+(* A random invoke/respond stream over [n] pids and a few shared objects,
+   fed to both trackers, whose JSON must agree every 50 events and at the
+   end. Streams mix several pids on one object, a pid with two spans open
+   on one object, bursts that open more than 256 spans on one pid (so the
+   oldest are dropped), responds with no matching invoke, out-of-range
+   pids and negative object ids; [seen] records which of the first four
+   a stream reached. *)
+let span_stream_agrees seen seed =
+  let g = Rng.create (Int64.of_int seed) in
+  let heavy = Rng.int g 4 = 0 in
+  let n = 1 + Rng.int g (if heavy then 2 else 4) and objs = 1 + Rng.int g 4 in
+  let invoke_bias = if heavy then 0.9 else 0.55 in
+  let events = if heavy then 700 else 300 in
+  let flat = Span.create ~n and model = Span_ref.create ~n in
+  let agree e =
+    let got = Json.to_string (Span.to_json flat)
+    and want = Json.to_string (Span_ref.to_json model) in
+    if not (String.equal got want) then
+      Alcotest.failf "stream %d event %d:@.flat  %s@.model %s" seed e got want
+  in
+  let step = ref 0 in
+  for e = 1 to events do
+    step := !step + Rng.int g 3;
+    let pid =
+      if Rng.int g 20 = 0 then Rng.int g 3 - 1 + (n * Rng.int g 2) else Rng.int g n
+    in
+    let obj_id = if Rng.int g 30 = 0 then -1 else Rng.int g objs in
+    if Rng.bool g invoke_bias then begin
+      Span.on_invoke flat ~pid ~obj_id ~step:!step;
+      Span_ref.on_invoke model ~pid ~obj_id ~step:!step;
+      if pid >= 0 && pid < n then begin
+        let open Span_ref in
+        if model.open_len.(pid) = max_open_spans then seen.(0) <- true;
+        match model.open_spans.(pid) with
+        | _ :: rest when obj_id >= 0 && List.exists (fun o -> o.os_obj = obj_id) rest ->
+          seen.(1) <- true
+        | _ -> ()
+      end
+    end
+    else begin
+      let layer = List.nth Sink.layers (Rng.int g (List.length Sink.layers)) in
+      let aborted = Rng.bool g 0.3 in
+      let before = Span_ref.completed model in
+      Span.on_respond flat ~pid ~layer ~obj_id ~step:!step ~aborted;
+      Span_ref.on_respond model ~pid ~layer ~obj_id ~step:!step ~aborted;
+      if pid >= 0 && pid < n && Span_ref.completed model = before then
+        seen.(2) <- true
+    end;
+    if model.Span_ref.contended_spans > 0 then seen.(3) <- true;
+    if Span.completed flat <> Span_ref.completed model then
+      Alcotest.failf "stream %d event %d: completed %d, model %d" seed e
+        (Span.completed flat) (Span_ref.completed model);
+    if e mod 50 = 0 then agree e
+  done;
+  agree events
+
+let test_span_matches_reference () =
+  let seen = Array.make 4 false in
+  for seed = 0 to 299 do
+    span_stream_agrees seen seed
+  done;
+  List.iteri
+    (fun i what ->
+      if not seen.(i) then Alcotest.failf "no stream reached %s" what)
+    [ "the 256-span cap"; "two open spans of one pid on one object";
+      "a respond without an invoke"; "a contended span" ]
 
 let test_span_latency_and_streaks () =
   let sp = Span.create ~n:2 in
@@ -634,6 +859,8 @@ let () =
           Alcotest.test_case "contention windows" `Quick test_span_contention;
           Alcotest.test_case "orphan respond ignored" `Quick
             test_span_orphan_respond;
+          Alcotest.test_case "matches list-based reference" `Quick
+            test_span_matches_reference;
         ] );
       ( "json",
         [
