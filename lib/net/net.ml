@@ -76,17 +76,6 @@ let sorted_events config =
   List.stable_sort (fun a b -> compare (event_time a) (event_time b))
     config.events
 
-(* Last partition/heal with [at' <= at] wins (events pre-sorted by time,
-   stably, so same-step entries resolve in list order). *)
-let partition_side events ~at =
-  List.fold_left
-    (fun acc ev ->
-      match ev with
-      | Ev_partition { at = t; side } when t <= at -> Some side
-      | Ev_heal { at = t } when t <= at -> None
-      | _ -> acc)
-    None events
-
 let link_matches node a b =
   match node with None -> true | Some p -> p = a || p = b
 
@@ -98,42 +87,45 @@ let interp ~from_ ~until ~v0 ~v1 at =
        *. float_of_int (at - from_)
        /. float_of_int (until - from_)
 
-let cut_in events ~at a b =
-  match partition_side events ~at with
-  | None -> false
-  | Some side -> List.mem a side <> List.mem b side
+(* The three link queries as folds over the events sorted by time. They
+   allocate nothing on a link no event touches, since they run at every
+   send. The last partition/heal with [at' <= at] wins (stable sort, so
+   same-step entries resolve in list order). *)
+let rec cut_in events ~at a b cut =
+  match events with
+  | [] -> cut
+  | Ev_partition { at = t; side } :: rest when t <= at ->
+    cut_in rest ~at a b (List.mem a side <> List.mem b side)
+  | Ev_heal { at = t } :: rest when t <= at -> cut_in rest ~at a b false
+  | _ :: rest -> cut_in rest ~at a b cut
 
-let drop_rate_in events ~at a b =
-  let survive =
-    List.fold_left
-      (fun acc ev ->
-        match ev with
-        | Ev_drop { from_; until; rate0; rate1; node }
-          when from_ <= at && at < until && link_matches node a b ->
-          let r =
-            Float.min 1. (Float.max 0. (interp ~from_ ~until ~v0:rate0 ~v1:rate1 at))
-          in
-          acc *. (1. -. r)
-        | _ -> acc)
-      1. events
-  in
-  1. -. survive
+let rec survive_in events ~at a b survive =
+  match events with
+  | [] -> survive
+  | Ev_drop { from_; until; rate0; rate1; node } :: rest
+    when from_ <= at && at < until && link_matches node a b ->
+    let r =
+      Float.min 1. (Float.max 0. (interp ~from_ ~until ~v0:rate0 ~v1:rate1 at))
+    in
+    survive_in rest ~at a b (survive *. (1. -. r))
+  | _ :: rest -> survive_in rest ~at a b survive
+
+let rec extra_in events ~at a b extra =
+  match events with
+  | [] -> extra
+  | Ev_delay { from_; until; extra0; extra1; node } :: rest
+    when from_ <= at && at < until && link_matches node a b ->
+    extra_in rest ~at a b
+      (extra +. Float.max 0. (interp ~from_ ~until ~v0:extra0 ~v1:extra1 at))
+  | _ :: rest -> extra_in rest ~at a b extra
 
 let extra_delay_in events ~at a b =
-  let extra =
-    List.fold_left
-      (fun acc ev ->
-        match ev with
-        | Ev_delay { from_; until; extra0; extra1; node }
-          when from_ <= at && at < until && link_matches node a b ->
-          acc +. Float.max 0. (interp ~from_ ~until ~v0:extra0 ~v1:extra1 at)
-        | _ -> acc)
-      0. events
-  in
-  int_of_float (Float.round extra)
+  int_of_float (Float.round (extra_in events ~at a b 0.))
 
-let cut_at config ~at a b = cut_in (sorted_events config) ~at a b
-let drop_rate_at config ~at a b = drop_rate_in (sorted_events config) ~at a b
+let cut_at config ~at a b = cut_in (sorted_events config) ~at a b false
+
+let drop_rate_at config ~at a b =
+  1. -. survive_in (sorted_events config) ~at a b 1.
 
 let extra_delay_at config ~at a b =
   extra_delay_in (sorted_events config) ~at a b
@@ -224,43 +216,45 @@ type t = {
   rt : Runtime.t;
   config : config;
   events : event list;  (** sorted by time *)
-  inboxes : Shared.t array;
+  mutable inboxes : Shared.t array;
   queues : Inbox.t array;  (** pending per destination *)
-  seq : int ref;
+  mutable seq : int;  (** global send order *)
   keys : int array;  (** per-pid fresh-key counters *)
 }
 
-(* The inbox object of [dst]. "post" admits a message from ctx.pid: the
-   loss/latency decisions happen here, at the send's response step, off
-   the object rng — see the determinism contract in net.mli. "poll"
-   returns (and removes) the due messages for a demux key. *)
-let inbox_respond rt config events queues seq ~dst ctx =
+(* The inbox object of [dst]. A post ([Pair (Int key, payload)]) admits a
+   message from ctx.pid: the loss/latency decisions happen here, at the
+   send's response step, off the object rng — see the determinism contract
+   in net.mli. A poll ([Int key]) returns (and removes) the due messages
+   for a demux key. *)
+let inbox_respond t ~dst ctx =
   match ctx.Shared.op with
-  | Value.Pair (Value.Str "post", Value.Pair (Value.Int key, payload)) ->
+  | Value.Pair (Value.Int key, payload) ->
     let src = ctx.Shared.pid in
     let at = ctx.Shared.respond_step in
+    let config = t.config and events = t.events in
     let jitter =
       if config.jitter > 0 then Rng.int ctx.Shared.rng (config.jitter + 1)
       else 0
     in
     let extra = extra_delay_in events ~at src dst in
     let latency = max 1 (config.base_latency + jitter + extra) in
-    let rate = drop_rate_in events ~at src dst in
+    let rate = 1. -. survive_in events ~at src dst 1. in
     let lost =
       (* fixed draw order: jitter above, then the loss draw *)
-      cut_in events ~at src dst
+      cut_in events ~at src dst false
       || (rate > 0. && Rng.bool ctx.Shared.rng rate)
     in
-    if Runtime.telemetry_active rt then
-      Runtime.signal rt ~pid:src
+    if Runtime.telemetry_active t.rt then
+      Runtime.signal t.rt ~pid:src
         (Sink.Message { src; dst; latency; dropped = lost });
     if not lost then begin
-      incr seq;
-      Inbox.post queues.(dst) ~delivery:(at + latency) ~seq:!seq ~src ~key payload
+      t.seq <- t.seq + 1;
+      Inbox.post t.queues.(dst) ~delivery:(at + latency) ~seq:t.seq ~src ~key
+        payload
     end;
     Value.Unit
-  | Value.Pair (Value.Str "poll", Value.Int key) ->
-    Inbox.poll queues.(dst) ~at:ctx.Shared.respond_step ~key
+  | Value.Int key -> Inbox.poll t.queues.(dst) ~at:ctx.Shared.respond_step ~key
   | _ -> Value.Fail
 
 let create rt ~config =
@@ -270,16 +264,23 @@ let create rt ~config =
   let nodes = Runtime.n rt in
   if config.replicas >= nodes then
     invalid_arg "Net.create: replicas >= Runtime.n (no client pids left)";
-  let events = sorted_events config in
-  let queues = Array.init nodes (fun _ -> Inbox.create ()) in
-  let seq = ref 0 in
-  let inboxes =
-    Array.init nodes (fun dst ->
-        Runtime.register_object rt
-          ~name:(Fmt.str "inbox[%d]" dst)
-          ~respond:(inbox_respond rt config events queues seq ~dst))
+  let t =
+    {
+      rt;
+      config;
+      events = sorted_events config;
+      inboxes = [||];
+      queues = Array.init nodes (fun _ -> Inbox.create ());
+      seq = 0;
+      keys = Array.make nodes 0;
+    }
   in
-  { rt; config; events; inboxes; queues; seq; keys = Array.make nodes 0 }
+  t.inboxes <-
+    Array.init nodes (fun dst ->
+        Runtime.register_object ~overlaps:false rt
+          ~name:(Fmt.str "inbox[%d]" dst)
+          ~respond:(inbox_respond t ~dst));
+  t
 
 let config t = t.config
 let n_clients t = Runtime.n t.rt - t.config.replicas
@@ -291,21 +292,19 @@ let fresh_key t ~pid =
   k
 
 let send t ~dst ~key payload =
-  ignore
-    (Runtime.call t.inboxes.(dst)
-       (Value.Pair (Value.Str "post", Value.Pair (Value.Int key, payload))))
+  ignore (Runtime.call t.inboxes.(dst) (Value.Pair (Value.Int key, payload)))
 
-let poll t ~key =
-  let me = Runtime.self () in
-  match
-    Runtime.call t.inboxes.(me) (Value.Pair (Value.Str "poll", Value.Int key))
-  with
-  | Value.List msgs ->
-    List.map
-      (fun m ->
-        match m with
-        | Value.Pair (Value.Int src, Value.Pair (Value.Int k, payload)) ->
-          (src, k, payload)
-        | _ -> assert false)
-      msgs
+let poll_all = Value.Int catch_all
+
+let rec deliver f = function
+  | [] -> ()
+  | Value.Pair (Value.Int src, Value.Pair (Value.Int key, payload)) :: rest ->
+    f src key payload;
+    deliver f rest
+  | _ -> assert false
+
+let poll t ~key f =
+  let op = if key = catch_all then poll_all else Value.Int key in
+  match Runtime.call t.inboxes.(Runtime.running t.rt) op with
+  | Value.List msgs -> deliver f msgs
   | _ -> assert false

@@ -134,7 +134,13 @@ type t
 val create : Tbwf_sim.Runtime.t -> config:config -> t
 (** Register one inbox object per pid ("inbox[0]", "inbox[1]", ...), in
     pid order. Call once, before any other objects whose creation order
-    matters have been registered, so object ids stay stable. *)
+    matters have been registered, so object ids stay stable.
+
+    An inbox's operations are a post, [Pair (Int key, payload)], and a
+    poll, [Int key]; that is how they appear in the trace. Inboxes are
+    registered with [Runtime.register_object ~overlaps:false]: their
+    semantics never depend on which operations overlap, so the runtime
+    keeps no overlap bookkeeping for them. *)
 
 val config : t -> config
 
@@ -159,10 +165,11 @@ val send : t -> dst:int -> key:int -> Tbwf_sim.Value.t -> unit
     Loss, latency and partitions are decided at the call's response step.
     Replies echo the request's [key]. *)
 
-val poll : t -> key:int -> (int * int * Tbwf_sim.Value.t) list
-(** Deliver the caller's due messages ([(src, key, payload)] triples,
-    delivery order, ties in send order). With a non-negative [key], only
-    messages for exactly that key are returned, and delivered messages
-    for {e older} keys are discarded — replies that straggled in after
-    their operation completed. With {!catch_all}, everything due is
-    returned. One shared-object call, two steps. *)
+val poll : t -> key:int -> (int -> int -> Tbwf_sim.Value.t -> unit) -> unit
+(** [poll t ~key f] delivers the caller's due messages, calling
+    [f src key payload] on each after the call returns, in delivery
+    order, ties in send order. With a non-negative [key], only messages
+    for exactly that key are delivered, and due messages for {e older}
+    keys are discarded — replies that straggled in after their operation
+    completed. With {!catch_all}, everything due is delivered. One
+    shared-object call, two steps. *)

@@ -5,10 +5,6 @@
 open Tbwf_sim
 module Net = Tbwf_net.Net
 
-type reg_kind = K_atomic | K_regular
-
-type spec = { rkind : reg_kind; rname : string; rinit : Value.t }
-
 (* Per-replica per-register state. Atomic registers use (ts, wid, v);
    regular registers use (sn, v). Unused fields stay at their inits. *)
 type rstate = {
@@ -18,25 +14,19 @@ type rstate = {
   mutable v : Value.t;
 }
 
+(* [(ts, wid) > (ts', wid')] on ABD tags, without building the tuples *)
+let tag_gt ts wid ts' wid' = ts > ts' || (ts = ts' && wid > wid')
+
 module Cluster = struct
   type t = {
     rt : Runtime.t;
     net : Net.t;
-    specs : (int, spec) Hashtbl.t;
-    states : (int, rstate) Hashtbl.t array;  (* one table per replica *)
+    replicas : int;
+    mutable states : rstate array array;  (* rid -> one state per replica *)
     mutable next_rid : int;
   }
 
   let net t = t.net
-
-  let state t ~r ~rid =
-    match Hashtbl.find_opt t.states.(r) rid with
-    | Some s -> s
-    | None ->
-      let spec = Hashtbl.find t.specs rid in
-      let s = { ts = 0; wid = -1; sn = 0; v = spec.rinit } in
-      Hashtbl.add t.states.(r) rid s;
-      s
 
   (* Request handling at replica [r]. Every handler is idempotent (tag
      and sequence updates are monotonic), so retransmitted requests are
@@ -45,48 +35,39 @@ module Cluster = struct
     let open Value in
     match payload with
     | List [ Str "aq"; Int rid ] ->
-      let s = state t ~r ~rid in
+      let s = t.states.(rid).(r) in
       List [ Str "aqr"; Int rid; Int s.ts; Int s.wid; s.v ]
     | List [ Str "aw"; Int rid; Int ts; Int wid; v ] ->
-      let s = state t ~r ~rid in
-      if (ts, wid) > (s.ts, s.wid) then begin
+      let s = t.states.(rid).(r) in
+      if tag_gt ts wid s.ts s.wid then begin
         s.ts <- ts;
         s.wid <- wid;
         s.v <- v
       end;
       List [ Str "awr"; Int rid ]
     | List [ Str "rw"; Int rid; Int sn; v ] ->
-      let s = state t ~r ~rid in
+      let s = t.states.(rid).(r) in
       if sn > s.sn then begin
         s.sn <- sn;
         s.v <- v
       end;
       List [ Str "rwr"; Int rid; Int sn ]
     | List [ Str "rq"; Int rid ] ->
-      let s = state t ~r ~rid in
+      let s = t.states.(rid).(r) in
       List [ Str "rqr"; Int rid; Int s.sn; s.v ]
     | _ -> Fail
 
   let server t ~r () =
+    let reply src key payload =
+      Net.send t.net ~dst:src ~key (process t ~r payload)
+    in
     while true do
-      let msgs = Net.poll t.net ~key:Net.catch_all in
-      List.iter
-        (fun (src, key, payload) ->
-          Net.send t.net ~dst:src ~key (process t ~r payload))
-        msgs
+      Net.poll t.net ~key:Net.catch_all reply
     done
 
   let create rt ~net =
     let replicas = (Net.config net).Net.replicas in
-    let t =
-      {
-        rt;
-        net;
-        specs = Hashtbl.create 16;
-        states = Array.init replicas (fun _ -> Hashtbl.create 16);
-        next_rid = 0;
-      }
-    in
+    let t = { rt; net; replicas; states = [||]; next_rid = 0 } in
     for r = 0 to replicas - 1 do
       Runtime.spawn ~layer:Sink.Other rt
         ~pid:(Net.replica_pid net r)
@@ -96,10 +77,17 @@ module Cluster = struct
     t
 end
 
-let alloc (cl : Cluster.t) rkind rname rinit =
+let alloc (cl : Cluster.t) init =
   let rid = cl.Cluster.next_rid in
   cl.Cluster.next_rid <- rid + 1;
-  Hashtbl.add cl.Cluster.specs rid { rkind; rname; rinit };
+  if rid = Array.length cl.Cluster.states then begin
+    let grown = Array.make (max 8 (2 * rid)) [||] in
+    Array.blit cl.Cluster.states 0 grown 0 rid;
+    cl.Cluster.states <- grown
+  end;
+  cl.Cluster.states.(rid) <-
+    Array.init cl.Cluster.replicas (fun _ ->
+        { ts = 0; wid = -1; sn = 0; v = init });
   rid
 
 (* Broadcast [request] under a fresh key and block (polling, with
@@ -109,33 +97,32 @@ let alloc (cl : Cluster.t) rkind rname rinit =
 let quorum (cl : Cluster.t) ~request ~decode =
   let net = cl.Cluster.net in
   let config = Net.config net in
-  let replicas = config.Net.replicas in
-  let me = Runtime.self () in
-  let key = Net.fresh_key net ~pid:me in
+  let replicas = config.Net.replicas and majority = Net.majority config in
+  let key = Net.fresh_key net ~pid:(Runtime.running cl.Cluster.rt) in
   let replies = Array.make replicas None in
   let count = ref 0 in
   let broadcast ~missing_only =
     for r = 0 to replicas - 1 do
-      if (not missing_only) || replies.(r) = None then
+      if (not missing_only) || Option.is_none replies.(r) then
         Net.send net ~dst:(Net.replica_pid net r) ~key request
     done
   in
+  let accept src _key payload =
+    let r = src - Net.n_clients net in
+    if r >= 0 && r < replicas && Option.is_none replies.(r) then
+      match decode payload with
+      | Some x ->
+        replies.(r) <- Some x;
+        incr count
+      | None -> ()
+  in
   broadcast ~missing_only:false;
   let polls = ref 0 in
-  while !count < Net.majority config do
-    List.iter
-      (fun (src, _key, payload) ->
-        let r = src - Net.n_clients net in
-        if r >= 0 && r < replicas && replies.(r) = None then
-          match decode payload with
-          | Some x ->
-            replies.(r) <- Some x;
-            incr count
-          | None -> ())
-      (Net.poll net ~key);
+  while !count < majority do
+    Net.poll net ~key accept;
     incr polls;
-    if !count < Net.majority config && !polls mod config.Net.retransmit_every = 0
-    then broadcast ~missing_only:true
+    if !count < majority && !polls mod config.Net.retransmit_every = 0 then
+      broadcast ~missing_only:true
   done;
   replies
 
@@ -147,7 +134,7 @@ let fold_replies replies ~init ~f =
 (* --- ABD-style MWMR atomic ------------------------------------------------ *)
 
 let atomic cl ~name ~codec ~init =
-  let rid = alloc cl K_atomic name (codec.Codec.enc init) in
+  let rid = alloc cl (codec.Codec.enc init) in
   let open Value in
   let decode_query = function
     | List [ Str "aqr"; Int rid'; Int ts; Int wid; v ] when rid' = rid ->
@@ -162,8 +149,8 @@ let atomic cl ~name ~codec ~init =
     let replies = quorum cl ~request:(List [ Str "aq"; Int rid ]) ~decode:decode_query in
     fold_replies replies
       ~init:(0, -1, codec.Codec.enc init)
-      ~f:(fun (ts, wid, v) (ts', wid', v') ->
-        if (ts', wid') > (ts, wid) then (ts', wid', v') else (ts, wid, v))
+      ~f:(fun ((ts, wid, _) as best) ((ts', wid', _) as reply) ->
+        if tag_gt ts' wid' ts wid then reply else best)
   in
   let update (ts, wid, v) =
     ignore
@@ -180,20 +167,17 @@ let atomic cl ~name ~codec ~init =
   in
   let write x =
     let ts, _, _ = query () in
-    update (ts + 1, Runtime.self (), codec.Codec.enc x)
+    update (ts + 1, Runtime.running cl.Cluster.rt, codec.Codec.enc x)
   in
   let peek () =
-    let replicas = (Net.config cl.Cluster.net).Net.replicas in
-    let best = ref (0, -1, codec.Codec.enc init) in
-    for r = 0 to replicas - 1 do
-      match Hashtbl.find_opt cl.Cluster.states.(r) rid with
-      | Some s ->
-        let ts, wid, _ = !best in
-        if (s.ts, s.wid) > (ts, wid) then best := (s.ts, s.wid, s.v)
-      | None -> ()
-    done;
-    let _, _, v = !best in
-    codec.Codec.dec v
+    let best =
+      Array.fold_left
+        (fun (best : rstate) s ->
+          if tag_gt s.ts s.wid best.ts best.wid then s else best)
+        { ts = 0; wid = -1; sn = 0; v = codec.Codec.enc init }
+        cl.Cluster.states.(rid)
+    in
+    codec.Codec.dec best.v
   in
   {
     Reg.name;
@@ -208,7 +192,8 @@ let atomic cl ~name ~codec ~init =
 (* --- time-efficient SWMR regular ----------------------------------------- *)
 
 let regular cl ~name ~codec ~init ~writer =
-  let rid = alloc cl K_regular name (codec.Codec.enc init) in
+  let rid = alloc cl (codec.Codec.enc init) in
+  let rt = cl.Cluster.rt in
   let open Value in
   let next_sn = ref 0 in
   let decode_ack = function
@@ -220,9 +205,9 @@ let regular cl ~name ~codec ~init ~writer =
     | _ -> None
   in
   let write x =
-    if Runtime.self () <> writer then
+    if Runtime.running rt <> writer then
       invalid_arg (Printf.sprintf "Mp_reg %s: pid %d is not the writer" name
-                     (Runtime.self ()));
+                     (Runtime.running rt));
     incr next_sn;
     ignore
       (quorum cl
@@ -239,16 +224,13 @@ let regular cl ~name ~codec ~init ~writer =
     codec.Codec.dec v
   in
   let peek () =
-    let replicas = (Net.config cl.Cluster.net).Net.replicas in
-    let best = ref (0, codec.Codec.enc init) in
-    for r = 0 to replicas - 1 do
-      match Hashtbl.find_opt cl.Cluster.states.(r) rid with
-      | Some s ->
-        let sn, _ = !best in
-        if s.sn > sn then best := (s.sn, s.v)
-      | None -> ()
-    done;
-    codec.Codec.dec (snd !best)
+    let best =
+      Array.fold_left
+        (fun (best : rstate) s -> if s.sn > best.sn then s else best)
+        { ts = 0; wid = -1; sn = 0; v = codec.Codec.enc init }
+        cl.Cluster.states.(rid)
+    in
+    codec.Codec.dec best.v
   in
   {
     Reg.name;
@@ -277,7 +259,7 @@ let abortable cl ~name ~codec ~init ~writer ~reader ~policy ~write_effect =
     let step = Runtime.now rt in
     let ctx =
       {
-        Shared.pid = Runtime.self ();
+        Shared.pid = Runtime.running rt;
         invoke_step = step;
         respond_step = step;
         overlapped = false;
@@ -292,13 +274,13 @@ let abortable cl ~name ~codec ~init ~writer ~reader ~policy ~write_effect =
   in
   let signal_abort ~is_write =
     if Runtime.telemetry_active rt then
-      Runtime.signal rt ~pid:(Runtime.self ())
+      Runtime.signal rt ~pid:(Runtime.running rt)
         (Sink.Abort_decision { obj_name = name; is_write })
   in
   let write x =
-    if Runtime.self () <> writer then
+    if Runtime.running rt <> writer then
       invalid_arg (Printf.sprintf "Mp_reg %s: pid %d is not the writer" name
-                     (Runtime.self ()));
+                     (Runtime.running rt));
     if decide (Value.write_op (codec.Codec.enc x)) then begin
       signal_abort ~is_write:true;
       if Abort_policy.write_takes_effect write_effect (Runtime.obj_rng rt) then
@@ -311,9 +293,9 @@ let abortable cl ~name ~codec ~init ~writer ~reader ~policy ~write_effect =
     end
   in
   let read () =
-    if Runtime.self () <> reader then
+    if Runtime.running rt <> reader then
       invalid_arg (Printf.sprintf "Mp_reg %s: pid %d is not the reader" name
-                     (Runtime.self ()));
+                     (Runtime.running rt));
     if decide Value.read_op then begin
       signal_abort ~is_write:false;
       None

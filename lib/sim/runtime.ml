@@ -92,6 +92,7 @@ type t = {
      [Policy.Replay_mismatch]) stay stable. *)
   mutable runnable_cache : int array;
   mutable runnable_dirty : bool;
+  mutable running : int;  (* pid of the task step in progress *)
 }
 
 type _ Effect.t +=
@@ -133,6 +134,7 @@ let create ?(seed = 0xC0FFEEL) ?(record_trace = true) ~n () =
     sink = Sink.nil;
     runnable_cache = [||];
     runnable_dirty = true;
+    running = -1;
   }
 
 let n t = t.num
@@ -140,6 +142,7 @@ let rng t = t.rng
 let obj_rng t = t.obj_rng
 let trace t = t.trace
 let now t = t.step
+let running t = t.running
 
 (* --- telemetry ---------------------------------------------------------- *)
 
@@ -165,11 +168,11 @@ let ensure_obj t id =
     t.pending_by_obj <- pending
   end
 
-let register_object t ~name ~respond =
+let register_object ?(overlaps = true) t ~name ~respond =
   let id = t.next_obj_id in
   t.next_obj_id <- id + 1;
   ensure_obj t id;
-  Shared.make ~id ~name ~respond
+  Shared.make ~id ~name ~respond ~tracked:overlaps
 
 (* Placeholders for the fields a task fills in before it reads them: the
    call of a task that has made none yet, the step function of a task that
@@ -177,7 +180,9 @@ let register_object t ~name ~respond =
 let no_pending =
   {
     p_pid = -1;
-    p_obj = Shared.make ~id:(-1) ~name:"" ~respond:(fun _ -> Value.Fail);
+    p_obj =
+      Shared.make ~id:(-1) ~name:"" ~respond:(fun _ -> Value.Fail)
+        ~tracked:true;
     p_op = Value.Unit;
     p_invoke_step = 0;
     p_layer = Sink.Other;
@@ -330,11 +335,13 @@ let remove_pending t pend =
     t.pending_by_obj.(obj_id) <- remaining;
     List.length remaining
 
+(* An untracked object's ops never enter its pending list or move its
+   event count, so each one reads here as solo. *)
 let respond_pending t pend =
   let remaining = remove_pending t pend in
   let obj_id = pend.p_obj.Shared.id in
   let step_contended = events_of t obj_id > pend.p_events_at_invoke in
-  bump_events t obj_id;
+  if pend.p_obj.Shared.tracked then bump_events t obj_id;
   let ctx =
     {
       Shared.pid = pend.p_pid;
@@ -365,7 +372,8 @@ let respond_pending t pend =
 let begin_call t task obj op =
   let id = obj.Shared.id in
   ensure_obj t id;
-  bump_events t id;
+  let tracked = obj.Shared.tracked in
+  if tracked then bump_events t id;
   let pend =
     {
       p_pid = task.t_pid;
@@ -379,7 +387,7 @@ let begin_call t task obj op =
     }
   in
   task.t_pend <- pend;
-  add_pending t pend;
+  if tracked then add_pending t pend;
   Trace.record_invoke t.trace ~step:t.step ~pid:task.t_pid ~obj_id:id
     ~obj_name:obj.Shared.name ~op;
   if t.sink.Sink.active then
@@ -590,6 +598,7 @@ let runnable_pids t =
   Array.copy t.runnable_cache
 
 let run_task_step t ~pid task =
+  t.running <- pid;
   Trace.record_step t.trace ~pid;
   if t.sink.Sink.active then
     t.sink.Sink.on_step ~step:t.step ~pid ~layer:task.t_layer;

@@ -50,10 +50,26 @@ val trace : t -> Trace.t
 val now : t -> int
 (** Number of steps executed so far (also the index of the next step). *)
 
-val register_object : t -> name:string -> respond:(Shared.ctx -> Value.t) -> Shared.t
+val running : t -> int
+(** Pid of the task whose step is executing: the same answer as {!self},
+    read from the runtime instead of performing an effect. Meaningful
+    only inside a task body; elsewhere it is the pid of the last step run
+    (or [-1] before the first). *)
+
+val register_object :
+  ?overlaps:bool -> t -> name:string -> respond:(Shared.ctx -> Value.t) ->
+  Shared.t
 (** Create a shared object with a fresh id. [respond] is called at each
     operation's response step (and once, with the final context, if the
-    invoking process crashes mid-operation). *)
+    invoking process crashes mid-operation).
+
+    [~overlaps:false] (default [true]) registers an object whose
+    [respond] reads none of the context's concurrency fields: its calls
+    skip the overlap and event-count bookkeeping, and every context it
+    sees is the solo one ([overlapped = false], [overlap_ops = []],
+    [step_contended = false], [pending_others = 0]). Other objects'
+    contexts are unaffected. The network's inboxes ([Tbwf_net.Net]) are
+    the objects registered that way. *)
 
 val spawn :
   ?layer:Sink.layer -> t -> pid:int -> name:string -> (unit -> unit) -> unit
@@ -166,7 +182,8 @@ val run : t -> policy:Policy.t -> steps:int -> unit
     and the [Suspended_local] box around it (4 words in all on OCaml
     5.1); a call step additionally allocates the performed effect, the
     call's pending record, a cell in the object's pending list and the
-    {!Shared.ctx} of its response (26 words more). *)
+    {!Shared.ctx} of its response (26 words more; 23 on an object
+    registered with [~overlaps:false], which has no pending list). *)
 
 (** {2 Step-replay hooks}
 

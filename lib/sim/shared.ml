@@ -14,6 +14,7 @@ type t = {
   id : int;
   name : string;
   respond : ctx -> Value.t;
+  tracked : bool;
 }
 
-let make ~id ~name ~respond = { id; name; respond }
+let make ~id ~name ~respond ~tracked = { id; name; respond; tracked }

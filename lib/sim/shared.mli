@@ -5,7 +5,15 @@
     operation, passing a context that describes the operation's window and
     whether any other operation on the same object overlapped it. All
     concurrency-dependent semantics (atomicity, safe/regular anomalies,
-    abortable aborts) are decided inside [respond] from that context. *)
+    abortable aborts) are decided inside [respond] from that context.
+
+    An object registered with [Runtime.register_object ~overlaps:false]
+    is {e untracked}: the runtime keeps no record of its operations in
+    flight, so every context it is handed reads as a solo operation —
+    [overlapped = false], [overlap_ops = []], [step_contended = false]
+    and [pending_others = 0] — whatever actually overlapped it. Only
+    objects whose semantics ignore concurrency (the network's inboxes)
+    are registered that way. *)
 
 type ctx = {
   pid : int;  (** invoking process *)
@@ -37,6 +45,8 @@ type t = private {
   id : int;
   name : string;
   respond : ctx -> Value.t;
+  tracked : bool;  (** [false] for an untracked object, see above *)
 }
 
-val make : id:int -> name:string -> respond:(ctx -> Value.t) -> t
+val make :
+  id:int -> name:string -> respond:(ctx -> Value.t) -> tracked:bool -> t

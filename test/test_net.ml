@@ -69,6 +69,151 @@ let test_drop_and_delay_interpolation () =
   Alcotest.(check int) "delay matches node" 5 (Net.extra_delay_at c ~at:200 2 4);
   Alcotest.(check int) "delay other link" 0 (Net.extra_delay_at c ~at:200 0 4)
 
+(* --- link queries against the list-fold reference ----------------------- *)
+
+let horizon = 80
+let nodes = 5
+
+(* Event lists over [0, horizon]: partitions (sides may name a pid outside
+   the link range), heals, same-step partition/heal pairs in either order,
+   and delay and drop windows — some empty, many overlapping, some scoped
+   to one node — with fractional ends so interpolation rounds. *)
+let gen_events =
+  let open QCheck.Gen in
+  let step = int_range 0 horizon in
+  let node = opt ~ratio:0.5 (int_range 0 (nodes - 1)) in
+  let amount hi = oneof [ return 0.; float_range 0. hi ] in
+  let window =
+    let* from_ = step and* len = int_range 0 (horizon / 2) and* node = node in
+    return (from_, from_ + len, node)
+  in
+  let side = list_size (int_range 1 3) (int_range 0 (nodes + 1)) in
+  let event =
+    frequency
+      [
+        ( 2,
+          let* at = step and* side = side in
+          return [ Net.Ev_partition { at; side } ] );
+        (1, map (fun at -> [ Net.Ev_heal { at } ]) step);
+        ( 1,
+          let* at = step and* side = side and* heal_first = bool in
+          let p = Net.Ev_partition { at; side } and h = Net.Ev_heal { at } in
+          return (if heal_first then [ h; p ] else [ p; h ]) );
+        ( 3,
+          let* from_, until, node = window
+          and* extra0 = amount 9.
+          and* extra1 = amount 9. in
+          return [ Net.Ev_delay { from_; until; extra0; extra1; node } ] );
+        ( 3,
+          let* from_, until, node = window
+          and* rate0 = amount 1.
+          and* rate1 = amount 1. in
+          return [ Net.Ev_drop { from_; until; rate0; rate1; node } ] );
+      ]
+  in
+  map List.concat (list_size (int_range 0 10) event)
+
+let pp_event ppf = function
+  | Net.Ev_partition { at; side } ->
+    Fmt.pf ppf "partition@%d[%a]" at Fmt.(list ~sep:comma int) side
+  | Net.Ev_heal { at } -> Fmt.pf ppf "heal@%d" at
+  | Net.Ev_delay { from_; until; extra0; extra1; node } ->
+    Fmt.pf ppf "delay[%d,%d) %h->%h %a" from_ until extra0 extra1
+      Fmt.(option ~none:(any "*") int) node
+  | Net.Ev_drop { from_; until; rate0; rate1; node } ->
+    Fmt.pf ppf "drop[%d,%d) %h->%h %a" from_ until rate0 rate1
+      Fmt.(option ~none:(any "*") int) node
+
+(* The link queries as they were written before they became
+   allocation-free recursive folds: [List.fold_left] closures over the
+   events sorted by time, the partition side kept as an option. *)
+module Reference = struct
+  let sorted events =
+    List.stable_sort
+      (fun a b ->
+        let time = function
+          | Net.Ev_partition { at; _ } | Net.Ev_heal { at } -> at
+          | Net.Ev_delay { from_; _ } | Net.Ev_drop { from_; _ } -> from_
+        in
+        compare (time a) (time b))
+      events
+
+  let on_link node a b =
+    match node with None -> true | Some p -> p = a || p = b
+
+  let interp ~from_ ~until ~v0 ~v1 at =
+    if until <= from_ then v1
+    else
+      v0
+      +. (v1 -. v0) *. float_of_int (at - from_) /. float_of_int (until - from_)
+
+  let cut events ~at a b =
+    match
+      List.fold_left
+        (fun acc ev ->
+          match ev with
+          | Net.Ev_partition { at = t; side } when t <= at -> Some side
+          | Net.Ev_heal { at = t } when t <= at -> None
+          | _ -> acc)
+        None (sorted events)
+    with
+    | None -> false
+    | Some side -> List.mem a side <> List.mem b side
+
+  let drop_rate events ~at a b =
+    1.
+    -. List.fold_left
+         (fun acc ev ->
+           match ev with
+           | Net.Ev_drop { from_; until; rate0; rate1; node }
+             when from_ <= at && at < until && on_link node a b ->
+             let r =
+               Float.min 1.
+                 (Float.max 0. (interp ~from_ ~until ~v0:rate0 ~v1:rate1 at))
+             in
+             acc *. (1. -. r)
+           | _ -> acc)
+         1. (sorted events)
+
+  let extra_delay events ~at a b =
+    List.fold_left
+      (fun acc ev ->
+        match ev with
+        | Net.Ev_delay { from_; until; extra0; extra1; node }
+          when from_ <= at && at < until && on_link node a b ->
+          acc +. Float.max 0. (interp ~from_ ~until ~v0:extra0 ~v1:extra1 at)
+        | _ -> acc)
+      0. (sorted events)
+    |> Float.round |> int_of_float
+end
+
+let qcheck_link_queries_match_reference =
+  QCheck.Test.make ~name:"link queries equal the list-fold reference"
+    ~count:300
+    (QCheck.make ~print:(Fmt.str "%a" Fmt.(list ~sep:sp pp_event)) gen_events)
+    (fun events ->
+      let c = cfg ~events () in
+      for at = 0 to horizon do
+        for a = 0 to nodes - 1 do
+          for b = 0 to nodes - 1 do
+            let fail what =
+              QCheck.Test.fail_reportf "%s at %d on %d-%d" what at a b
+            in
+            if Net.cut_at c ~at a b <> Reference.cut events ~at a b then
+              fail "cut";
+            if
+              Int64.bits_of_float (Net.drop_rate_at c ~at a b)
+              <> Int64.bits_of_float (Reference.drop_rate events ~at a b)
+            then fail "drop rate";
+            if
+              Net.extra_delay_at c ~at a b
+              <> Reference.extra_delay events ~at a b
+            then fail "extra delay"
+          done
+        done
+      done;
+      true)
+
 (* --- transport ------------------------------------------------------------ *)
 
 (* Two clients + 3 replicas; client 1 posts to client 0, who polls until
@@ -84,9 +229,7 @@ let test_send_poll () =
       Net.send net ~dst:0 ~key (Value.Int 43));
   Runtime.spawn rt ~pid:0 ~name:"receiver" (fun () ->
       while List.length !got < 2 do
-        List.iter
-          (fun (src, k, v) -> got := (src, k, v) :: !got)
-          (Net.poll net ~key)
+        Net.poll net ~key (fun src k v -> got := (src, k, v) :: !got)
       done);
   Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:2_000;
   Runtime.stop rt;
@@ -119,9 +262,7 @@ let test_partition_drops_heal_delivers () =
       done);
   Runtime.spawn rt ~pid:0 ~name:"receiver" (fun () ->
       while !got = 0 do
-        (match Net.poll net ~key with
-        | [] -> ()
-        | l -> got := List.length l);
+        Net.poll net ~key (fun _ _ _ -> incr got);
         if !got > 0 && Runtime.now rt < 400 then before_heal := Runtime.now rt
       done);
   Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:3_000;
@@ -200,6 +341,61 @@ let test_inbox_matches_reference () =
         (Inbox_ref.pending model) (Net.Inbox.pending queue)
     done
   done
+
+(* --- per-message cost ------------------------------------------------------ *)
+
+(* Minor-heap words per step of [body] running alone on pid 0 of a
+   two-pid runtime over a fault-free network with one replica (pid 1),
+   measured after a warm-up. *)
+let net_words_per_step body =
+  let rt = Runtime.create ~record_trace:false ~n:2 () in
+  let net = Net.create rt ~config:(cfg ~replicas:1 ()) in
+  Runtime.spawn rt ~pid:0 ~name:"t" (fun () -> body net);
+  let policy = Policy.round_robin () in
+  Runtime.run rt ~policy ~steps:2_000;
+  let steps = 20_000 in
+  let before = Gc.minor_words () in
+  Runtime.run rt ~policy ~steps;
+  let words = Gc.minor_words () -. before in
+  Runtime.stop rt;
+  words /. float_of_int steps
+
+let yield_words () =
+  net_words_per_step (fun _ ->
+      while true do
+        Runtime.yield ()
+      done)
+
+(* Pinned as words added to a yield-only step, like test_runtime's call
+   step guard. What any call adds is 23 words: the [Call] effect (3), the
+   pending record (9) and the context (11); an inbox, registered without
+   overlap bookkeeping, adds no pending-list cell. The link queries of a
+   fault-free network and the rng draws allocate nothing. *)
+let test_post_step_allocation_guard () =
+  (* Every step answers one post and sends the next: 23, plus the post
+     operation (5) and the queued message (6). Nobody polls pid 1's inbox:
+     the warm-up grows its queue's array past the largest block the minor
+     heap takes, so the array's later growth is not counted here. *)
+  let post =
+    net_words_per_step (fun net ->
+        while true do
+          Net.send net ~dst:1 ~key:0 Value.Unit
+        done)
+  in
+  Alcotest.(check (float 0.0)) "words a post adds to a step" 34.0
+    (post -. yield_words ())
+
+let test_empty_poll_step_allocation_guard () =
+  (* 23, plus the poll operation [Int key] (2). The answer is the shared
+     empty list, and the pid comes from [Runtime.running], not an effect. *)
+  let poll =
+    net_words_per_step (fun net ->
+        while true do
+          Net.poll net ~key:0 (fun _ _ _ -> ())
+        done)
+  in
+  Alcotest.(check (float 0.0)) "words an empty poll adds to a step" 25.0
+    (poll -. yield_words ())
 
 (* --- quorum registers ----------------------------------------------------- *)
 
@@ -456,6 +652,7 @@ let () =
           Alcotest.test_case "partition" `Quick test_partition_timeline;
           Alcotest.test_case "drop/delay interpolation" `Quick
             test_drop_and_delay_interpolation;
+          QCheck_alcotest.to_alcotest qcheck_link_queries_match_reference;
         ] );
       ( "transport",
         [
@@ -464,6 +661,10 @@ let () =
             test_inbox_matches_reference;
           Alcotest.test_case "partition drops, heal delivers" `Quick
             test_partition_drops_heal_delivers;
+          Alcotest.test_case "post step allocation guard" `Quick
+            test_post_step_allocation_guard;
+          Alcotest.test_case "empty poll step allocation guard" `Quick
+            test_empty_poll_step_allocation_guard;
         ] );
       ( "registers",
         [

@@ -138,6 +138,67 @@ let test_crash_resolves_pending_op () =
   Alcotest.(check int) "pending op resolved at crash" 1 !responded;
   Runtime.stop rt
 
+(* An object registered with [~overlaps:false] is answered in the solo
+   context even when its operations overlap, while a tracked object in
+   the same run still sees its overlaps. *)
+let test_untracked_object_sees_solo_context () =
+  let rt = Runtime.create ~n:2 () in
+  let cell, _, overlaps, contentions = make_cell rt in
+  let contexts = ref [] in
+  let untracked =
+    Runtime.register_object ~overlaps:false rt ~name:"inbox" ~respond:(fun ctx ->
+        contexts :=
+          Shared.(ctx.overlapped, ctx.overlap_ops, ctx.step_contended,
+                  ctx.pending_others)
+          :: !contexts;
+        Value.Unit)
+  in
+  for pid = 0 to 1 do
+    Runtime.spawn rt ~pid ~name:"t" (fun () ->
+        ignore (Runtime.call untracked Value.Unit : Value.t);
+        ignore (Runtime.call cell Value.read_op : Value.t))
+  done;
+  (* Round robin: both invoke on [untracked] (steps 0, 1) and respond
+     while the other's operation is in flight (2, 3), then the same on
+     the cell (2–5). *)
+  Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:100;
+  let solo = (false, [], false, 0) in
+  Alcotest.(check bool)
+    "untracked: solo contexts" true
+    (!contexts = [ solo; solo ]);
+  Alcotest.(check (list bool)) "cell: both overlapped" [ true; true ] !overlaps;
+  Alcotest.(check (list bool)) "cell: both step-contended" [ true; true ]
+    !contentions
+
+(* A process crashing with a call in flight on an untracked object (a
+   network poll, say) has it resolved once, at the crash; nothing of it is
+   left for [stop] to settle, and the other process's calls go on being
+   answered alone. *)
+let test_crash_resolves_untracked_call () =
+  let rt = Runtime.create ~n:2 () in
+  let answered = ref [] in
+  let inbox =
+    Runtime.register_object ~overlaps:false rt ~name:"inbox" ~respond:(fun ctx ->
+        answered :=
+          Shared.(ctx.pid, ctx.respond_step, ctx.pending_others) :: !answered;
+        Value.List [])
+  in
+  Runtime.spawn rt ~pid:0 ~name:"poll" (fun () ->
+      ignore (Runtime.call inbox (Value.Int 0) : Value.t));
+  Runtime.spawn rt ~pid:1 ~name:"poll" (fun () ->
+      while true do
+        ignore (Runtime.call inbox (Value.Int 1) : Value.t)
+      done);
+  Runtime.crash_at rt ~pid:0 ~step:1;
+  Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:5;
+  Alcotest.(check (list (triple int int int)))
+    "p0's poll resolved at the crash, p1's answered alone"
+    [ 1, 4, 0; 1, 3, 0; 1, 2, 0; 0, 1, 0 ]
+    !answered;
+  Runtime.stop rt;
+  Alcotest.(check int) "stop settles nothing more" 4 (List.length !answered);
+  Alcotest.(check bool) "p0 crashed" true (Runtime.crashed rt ~pid:0)
+
 let test_multi_task_round_robin () =
   let rt = Runtime.create ~n:1 () in
   let log = ref [] in
@@ -347,10 +408,11 @@ let test_yield_step_allocation_guard () =
 (* Minor-heap words per step of one process calling an object that
    answers every operation with [Unit]. After the first, every step both
    responds to one call and invokes the next. *)
-let solo_call_words_per_step () =
+let solo_call_words_per_step ?overlaps () =
   let rt = Runtime.create ~record_trace:false ~n:1 () in
   let obj =
-    Runtime.register_object rt ~name:"nop" ~respond:(fun _ -> Value.Unit)
+    Runtime.register_object ?overlaps rt ~name:"nop" ~respond:(fun _ ->
+        Value.Unit)
   in
   Runtime.spawn rt ~pid:0 ~name:"caller" (fun () ->
       while true do
@@ -371,9 +433,13 @@ let test_call_step_allocation_guard () =
      a continuation: pinned at 26, the context handed to [respond] (11),
      the call's pending record (9), the performed [Call] effect (3) and the
      cell in the object's pending list (3). The pick, the task search and
-     the handler allocate nothing. *)
-  let extra = solo_call_words_per_step () -. words_per_step ignore in
-  Alcotest.(check (float 0.0)) "words a call adds to a step" 26.0 extra
+     the handler allocate nothing. An untracked object has no pending
+     list, so its calls add 23. *)
+  let yield = words_per_step ignore in
+  Alcotest.(check (float 0.0)) "words a call adds to a step" 26.0
+    (solo_call_words_per_step () -. yield);
+  Alcotest.(check (float 0.0)) "words an untracked call adds to a step" 23.0
+    (solo_call_words_per_step ~overlaps:false () -. yield)
 
 let () =
   Alcotest.run "runtime"
@@ -393,6 +459,10 @@ let () =
           Alcotest.test_case "crash stops process" `Quick test_crash_stops_process;
           Alcotest.test_case "crash resolves pending op" `Quick
             test_crash_resolves_pending_op;
+          Alcotest.test_case "untracked object sees the solo context" `Quick
+            test_untracked_object_sees_solo_context;
+          Alcotest.test_case "crash resolves an untracked call" `Quick
+            test_crash_resolves_untracked_call;
           Alcotest.test_case "multi-task round robin" `Quick
             test_multi_task_round_robin;
           Alcotest.test_case "self" `Quick test_self;
