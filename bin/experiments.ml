@@ -18,6 +18,10 @@ let run quick jobs ids =
       unknown;
     exit 2
   end;
+  if jobs < 1 then begin
+    Fmt.epr "--jobs must be positive (got %d)@." jobs;
+    exit 2
+  end;
   let entries =
     if ids = [] then Registry.all else List.filter_map Registry.find ids
   in

@@ -40,7 +40,8 @@ let save_schedule s out pids =
 let pool_of jobs = Tbwf_parallel.Pool.create ~domains:jobs ()
 
 (* A zero budget would explore or fuzz nothing and still report "no
-   counterexample", so it is refused before any fan-out. *)
+   counterexample", so it is refused before any fan-out; so is a domain
+   count below one, which [Pool.create] would silently clamp. *)
 let with_positive flag budget k =
   if budget < 1 then begin
     Fmt.epr "%s must be positive (got %d)@." flag budget;
@@ -51,6 +52,7 @@ let with_positive flag budget k =
 let explore name naive no_por max_schedules out jobs =
   with_scenario name @@ fun s ->
   with_positive "--max-schedules" max_schedules @@ fun () ->
+  with_positive "--jobs" jobs @@ fun () ->
   let outcome =
     if naive then Explore_scenarios.exhaustive_naive ~max_schedules s
     else
@@ -82,6 +84,7 @@ let explore name naive no_por max_schedules out jobs =
 let fuzz name seed runs out jobs =
   with_scenario name @@ fun s ->
   with_positive "--runs" runs @@ fun () ->
+  with_positive "--jobs" jobs @@ fun () ->
   let f =
     Explore_scenarios.fuzz ~seed:(Int64.of_int seed) ~runs
       ~pool:(pool_of jobs) s

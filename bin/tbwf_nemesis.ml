@@ -42,7 +42,14 @@ let with_campaign name k =
     Fmt.epr "unknown campaign %S (try: tbwf_nemesis list)@." name;
     2
 
-let pool_of jobs = Tbwf_parallel.Pool.create ~domains:jobs ()
+(* [Pool.create] would clamp a domain count below one; the CLI refuses
+   it before anything runs. *)
+let with_pool jobs k =
+  if jobs < 1 then begin
+    Fmt.epr "--jobs must be positive (got %d)@." jobs;
+    2
+  end
+  else k (Tbwf_parallel.Pool.create ~domains:jobs ())
 
 let report_outcome o =
   Fmt.pf fmt "@[<v>%a@]@." Campaign.pp_outcome o;
@@ -59,14 +66,16 @@ let with_substrate name k =
 let run_campaign substrate name full seed jobs =
   with_substrate substrate @@ fun substrate ->
   with_campaign name @@ fun c ->
+  with_pool jobs @@ fun pool ->
   report_outcome
     (Campaign.run ~substrate ~quick:(not full) ~seed:(Int64.of_int seed)
-       ~pool:(pool_of jobs) c)
+       ~pool c)
 
 let matrix substrate full seed jobs =
   with_substrate substrate @@ fun substrate ->
+  with_pool jobs @@ fun pool ->
   let m =
-    Campaign.run_matrix ~substrate ~pool:(pool_of jobs) ~quick:(not full)
+    Campaign.run_matrix ~substrate ~pool ~quick:(not full)
       ~seed:(Int64.of_int seed) ()
   in
   (* Self-describing dimensions header: the substrate cost factor scales
@@ -134,9 +143,10 @@ let fuzz substrate seed runs horizon plan_out sched_out jobs =
     2
   end
   else
+  with_pool jobs @@ fun pool ->
   let outcome =
-    Plan_fuzz.demo ~seed:(Int64.of_int seed) ~runs ~pool:(pool_of jobs)
-      ~substrate ~horizon ()
+    Plan_fuzz.demo ~seed:(Int64.of_int seed) ~runs ~pool ~substrate
+      ~horizon ()
   in
   let open Tbwf_check.Explore in
   Fmt.pf fmt "runs          %d@." outcome.plan_runs;

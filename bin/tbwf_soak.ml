@@ -165,6 +165,7 @@ let soak shards steps every window retain n seed jobs =
   let every = match every with Some e -> e | None -> max 1 (steps / 8) in
   match
     if shards < 1 then invalid_arg "--shards must be positive";
+    if jobs < 1 then invalid_arg "--jobs must be positive";
     if every < 1 then invalid_arg "--every must be positive";
     Cell_runner.validate ~n ~horizon:steps ~window ~retain:(Some retain)
   with

@@ -47,7 +47,10 @@ let world shards n joiners leavers retire_fraction steps every window retain
       seed = Int64.of_int seed;
     }
   in
-  match World.validate config with
+  match
+    if jobs < 1 then invalid_arg "--jobs must be positive";
+    World.validate config
+  with
   | exception Invalid_argument msg ->
     Fmt.epr "%s@." msg;
     2

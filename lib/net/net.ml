@@ -277,8 +277,7 @@ let create rt ~config =
   in
   t.inboxes <-
     Array.init nodes (fun dst ->
-        Runtime.register_object ~overlaps:false rt
-          ~name:(Fmt.str "inbox[%d]" dst)
+        Runtime.register_object rt ~name:(Fmt.str "inbox[%d]" dst)
           ~respond:(inbox_respond t ~dst));
   t
 

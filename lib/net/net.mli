@@ -137,10 +137,9 @@ val create : Tbwf_sim.Runtime.t -> config:config -> t
     matters have been registered, so object ids stay stable.
 
     An inbox's operations are a post, [Pair (Int key, payload)], and a
-    poll, [Int key]; that is how they appear in the trace. Inboxes are
-    registered with [Runtime.register_object ~overlaps:false]: their
-    semantics never depend on which operations overlap, so the runtime
-    keeps no overlap bookkeeping for them. *)
+    poll, [Int key]; that is how they appear in the trace. An inbox's
+    answer reads only the context's [pid], [op], [rng] and
+    [respond_step], never which operations overlapped it. *)
 
 val config : t -> config
 

@@ -15,9 +15,10 @@ let kind_of_op op =
 let kind_of_event ~phase op =
   match phase with
   | `Invoke ->
-    (* Invocations mutate the object's overlap bookkeeping (pending sets,
-       event counters), which contention-sensitive responders — abortable
-       registers, query-abortable objects — observe. An invocation is
-       therefore a write access even for a read operation. *)
+    (* Invocations move the object's overlap counters (ops in flight,
+       invocations and events so far), which contention-sensitive
+       responders — abortable registers, query-abortable objects —
+       observe. An invocation is therefore a write access even for a read
+       operation. *)
     Write
   | `Respond _ -> kind_of_op op

@@ -11,8 +11,8 @@
       ["rmw"], …) counts as a write, even if it happens not to change the
       state this time;
     - an {e invocation} event always counts as a write, because invoking
-      updates the object's overlap bookkeeping, which abortable registers
-      and query-abortable objects branch on at response time.
+      moves the object's overlap counters, which abortable registers and
+      query-abortable objects branch on at response time.
 
     Conservatism only costs reduction (fewer schedules pruned), never
     soundness. *)

@@ -260,12 +260,9 @@ let abortable cl ~name ~codec ~init ~writer ~reader ~policy ~write_effect =
     let ctx =
       {
         Shared.pid = Runtime.running rt;
-        invoke_step = step;
         respond_step = step;
         overlapped = false;
-        overlap_ops = [];
         step_contended = false;
-        pending_others = 0;
         rng = Runtime.obj_rng rt;
         op;
       }

@@ -4,10 +4,11 @@ type pending = {
   p_pid : int;
   p_obj : Shared.t;
   p_op : Value.t;
-  p_invoke_step : int;
   p_layer : Sink.layer;  (* layer of the invoking task, for telemetry *)
-  mutable p_overlapped : bool;
-  mutable p_overlap_ops : Value.t list;
+  p_overlapped_at_invoke : bool;
+      (* another op on the object was in flight when this one was invoked *)
+  p_invokes_at_invoke : int;
+      (* object invocation count just after this op's invocation *)
   p_events_at_invoke : int;
       (* object event-counter value just after this op's invocation *)
 }
@@ -25,7 +26,7 @@ type machine = Value.t -> machine_action
 (* A suspended call's pending record and a machine's step function live
    on the task, so a suspension boxes at most its continuation. A task has
    at most one call in flight; each call gets a fresh pending record. Reusing
-   one record per task would save its 9 words, but every call would then
+   one record per task would save its 8 words, but every call would then
    store young values into a long-lived block, and those write-barrier
    stores measured slower than the allocation. *)
 type task_state =
@@ -76,11 +77,12 @@ type t = {
   mutable procs : proc array;  (* first [num] slots are the processes *)
   mutable step : int;
   mutable next_obj_id : int;
-  (* Object ids are dense (allocated by [register_object]), so in-flight
-     ops and event counters index arrays instead of hashtables. *)
-  mutable pending_by_obj : pending list array;  (* obj id -> in-flight ops *)
+  (* Object ids are dense (allocated by [register_object]), so the
+     per-object counters index arrays instead of hashtables. *)
   mutable events_by_obj : int array;
       (* obj id -> number of invocation/response events so far *)
+  mutable in_flight_by_obj : int array;  (* obj id -> ops in flight *)
+  mutable invokes_by_obj : int array;  (* obj id -> invocations so far *)
   mutable events : (int * event_kind) list;
       (* (due step, kind), kept in application order — see [insert_event] —
          so the per-step check reads only the head *)
@@ -119,17 +121,18 @@ let create ?(seed = 0xC0FFEEL) ?(record_trace = true) ~n () =
     num = n;
     rng = Rng.create seed;
     (* A stream of its own, derived from the seed: object-level random
-       decisions (abort draws, safe-register garbage, write effects) must
-       not share the scheduling policy's stream, or a replayed schedule —
-       which consumes no scheduling randomness — would shift every object
-       draw and diverge from the run it replays. *)
+       decisions (abort draws, write effects) must not share the
+       scheduling policy's stream, or a replayed schedule — which consumes
+       no scheduling randomness — would shift every object draw and
+       diverge from the run it replays. *)
     obj_rng = Rng.create (Int64.logxor seed 0x6F626A5F726E6721L);
     trace;
     procs = Array.init n fresh_proc;
     step = 0;
     next_obj_id = 0;
-    pending_by_obj = Array.make 16 [];
     events_by_obj = Array.make 16 0;
+    in_flight_by_obj = Array.make 16 0;
+    invokes_by_obj = Array.make 16 0;
     events = [];
     sink = Sink.nil;
     runnable_cache = [||];
@@ -156,23 +159,25 @@ let telemetry_active t = t.sink.Sink.active
 let signal t ~pid s =
   if t.sink.Sink.active then t.sink.Sink.on_signal ~step:t.step ~pid s
 
+let grow counts cap =
+  let grown = Array.make cap 0 in
+  Array.blit counts 0 grown 0 (Array.length counts);
+  grown
+
 let ensure_obj t id =
   let len = Array.length t.events_by_obj in
   if id >= len then begin
     let cap = max (id + 1) (2 * len) in
-    let events = Array.make cap 0 in
-    Array.blit t.events_by_obj 0 events 0 len;
-    t.events_by_obj <- events;
-    let pending = Array.make cap [] in
-    Array.blit t.pending_by_obj 0 pending 0 len;
-    t.pending_by_obj <- pending
+    t.events_by_obj <- grow t.events_by_obj cap;
+    t.in_flight_by_obj <- grow t.in_flight_by_obj cap;
+    t.invokes_by_obj <- grow t.invokes_by_obj cap
   end
 
-let register_object ?(overlaps = true) t ~name ~respond =
+let register_object t ~name ~respond =
   let id = t.next_obj_id in
   t.next_obj_id <- id + 1;
   ensure_obj t id;
-  Shared.make ~id ~name ~respond ~tracked:overlaps
+  Shared.make ~id ~name ~respond
 
 (* Placeholders for the fields a task fills in before it reads them: the
    call of a task that has made none yet, the step function of a task that
@@ -180,14 +185,11 @@ let register_object ?(overlaps = true) t ~name ~respond =
 let no_pending =
   {
     p_pid = -1;
-    p_obj =
-      Shared.make ~id:(-1) ~name:"" ~respond:(fun _ -> Value.Fail)
-        ~tracked:true;
+    p_obj = Shared.make ~id:(-1) ~name:"" ~respond:(fun _ -> Value.Fail);
     p_op = Value.Unit;
-    p_invoke_step = 0;
     p_layer = Sink.Other;
-    p_overlapped = false;
-    p_overlap_ops = [];
+    p_overlapped_at_invoke = false;
+    p_invokes_at_invoke = 0;
     p_events_at_invoke = 0;
   }
 
@@ -302,55 +304,27 @@ let events_of t obj_id = t.events_by_obj.(obj_id)
 let bump_events t obj_id =
   t.events_by_obj.(obj_id) <- t.events_by_obj.(obj_id) + 1
 
-let rec mark_overlaps pend = function
-  | [] -> ()
-  | other :: rest ->
-    other.p_overlapped <- true;
-    other.p_overlap_ops <- pend.p_op :: other.p_overlap_ops;
-    pend.p_overlap_ops <- other.p_op :: pend.p_overlap_ops;
-    mark_overlaps pend rest
-
-let add_pending t pend =
-  let obj_id = pend.p_obj.Shared.id in
-  let existing = t.pending_by_obj.(obj_id) in
-  if existing <> [] then begin
-    pend.p_overlapped <- true;
-    mark_overlaps pend existing
-  end;
-  t.pending_by_obj.(obj_id) <- pend :: existing
-
-let rec without pend = function
-  | [] -> []
-  | other :: rest -> if other == pend then rest else other :: without pend rest
-
 let remove_pending t pend =
   let obj_id = pend.p_obj.Shared.id in
-  match t.pending_by_obj.(obj_id) with
-  | [ only ] when only == pend ->
-    (* the overwhelmingly common case: the op was alone on its object *)
-    t.pending_by_obj.(obj_id) <- [];
-    0
-  | existing ->
-    let remaining = without pend existing in
-    t.pending_by_obj.(obj_id) <- remaining;
-    List.length remaining
+  t.in_flight_by_obj.(obj_id) <- t.in_flight_by_obj.(obj_id) - 1
 
-(* An untracked object's ops never enter its pending list or move its
-   event count, so each one reads here as solo. *)
+(* Another op overlapped this one iff one was in flight at its invocation
+   or one was invoked while it was in flight. *)
 let respond_pending t pend =
-  let remaining = remove_pending t pend in
+  remove_pending t pend;
   let obj_id = pend.p_obj.Shared.id in
+  let overlapped =
+    pend.p_overlapped_at_invoke
+    || t.invokes_by_obj.(obj_id) > pend.p_invokes_at_invoke
+  in
   let step_contended = events_of t obj_id > pend.p_events_at_invoke in
-  if pend.p_obj.Shared.tracked then bump_events t obj_id;
+  bump_events t obj_id;
   let ctx =
     {
       Shared.pid = pend.p_pid;
-      invoke_step = pend.p_invoke_step;
       respond_step = t.step;
-      overlapped = pend.p_overlapped;
-      overlap_ops = pend.p_overlap_ops;
+      overlapped;
       step_contended;
-      pending_others = remaining;
       rng = t.obj_rng;
       op = pend.p_op;
     }
@@ -372,22 +346,21 @@ let respond_pending t pend =
 let begin_call t task obj op =
   let id = obj.Shared.id in
   ensure_obj t id;
-  let tracked = obj.Shared.tracked in
-  if tracked then bump_events t id;
-  let pend =
+  bump_events t id;
+  let in_flight = t.in_flight_by_obj.(id) in
+  t.in_flight_by_obj.(id) <- in_flight + 1;
+  let invokes = t.invokes_by_obj.(id) + 1 in
+  t.invokes_by_obj.(id) <- invokes;
+  task.t_pend <-
     {
       p_pid = task.t_pid;
       p_obj = obj;
       p_op = op;
-      p_invoke_step = t.step;
       p_layer = task.t_layer;
-      p_overlapped = false;
-      p_overlap_ops = [];
+      p_overlapped_at_invoke = in_flight > 0;
+      p_invokes_at_invoke = invokes;
       p_events_at_invoke = events_of t id;
-    }
-  in
-  task.t_pend <- pend;
-  if tracked then add_pending t pend;
+    };
   Trace.record_invoke t.trace ~step:t.step ~pid:task.t_pid ~obj_id:id
     ~obj_name:obj.Shared.name ~op;
   if t.sink.Sink.active then
@@ -499,7 +472,7 @@ let exec_task_step t task =
 let teardown t ~resolve proc =
   let settle pend =
     if resolve then ignore (respond_pending t pend : Value.t)
-    else ignore (remove_pending t pend : int)
+    else remove_pending t pend
   in
   let unwind task =
     match task.t_state with

@@ -39,9 +39,9 @@ val rng : t -> Rng.t
 val obj_rng : t -> Rng.t
 (** The object stream, seeded independently of {!rng} from the same seed:
     every random decision made inside a shared object's [respond] (abort
-    draws, write effects, safe-register garbage) comes from here, in
-    response order. Keeping the two streams separate is what makes a
-    schedule replay ({!Policy.replay}) byte-identical to the original run:
+    draws, write effects) comes from here, in response order. Keeping the
+    two streams separate is what makes a schedule replay
+    ({!Policy.replay}) byte-identical to the original run:
     replay consumes no scheduling randomness, and object draws depend only
     on the response order, which the schedule fixes. *)
 
@@ -57,19 +57,12 @@ val running : t -> int
     (or [-1] before the first). *)
 
 val register_object :
-  ?overlaps:bool -> t -> name:string -> respond:(Shared.ctx -> Value.t) ->
-  Shared.t
+  t -> name:string -> respond:(Shared.ctx -> Value.t) -> Shared.t
 (** Create a shared object with a fresh id. [respond] is called at each
     operation's response step (and once, with the final context, if the
-    invoking process crashes mid-operation).
-
-    [~overlaps:false] (default [true]) registers an object whose
-    [respond] reads none of the context's concurrency fields: its calls
-    skip the overlap and event-count bookkeeping, and every context it
-    sees is the solo one ([overlapped = false], [overlap_ops = []],
-    [step_contended = false], [pending_others = 0]). Other objects'
-    contexts are unaffected. The network's inboxes ([Tbwf_net.Net]) are
-    the objects registered that way. *)
+    invoking process crashes mid-operation). The runtime keeps two
+    counters per object, operations in flight and invocations so far,
+    from which it answers each context's [overlapped]. *)
 
 val spawn :
   ?layer:Sink.layer -> t -> pid:int -> name:string -> (unit -> unit) -> unit
@@ -181,9 +174,8 @@ val run : t -> policy:Policy.t -> steps:int -> unit
     {!Policy.of_patterns} boxes. A yield step allocates its continuation
     and the [Suspended_local] box around it (4 words in all on OCaml
     5.1); a call step additionally allocates the performed effect, the
-    call's pending record, a cell in the object's pending list and the
-    {!Shared.ctx} of its response (26 words more; 23 on an object
-    registered with [~overlaps:false], which has no pending list). *)
+    call's pending record and the {!Shared.ctx} of its response (19 words
+    more). *)
 
 (** {2 Step-replay hooks}
 

@@ -151,63 +151,25 @@ let test_abortable_random_policy_partial () =
   Alcotest.(check bool) "rate strictly between 0 and 1" true
     (rate > 0.2 && rate < 0.8)
 
-let test_safe_reg_quiet_reads_exact () =
+(* A crash resolves the writer's write in flight, alone; the reader's
+   later read overlaps nothing, so even [Always] lets it through. *)
+let test_read_after_crash_resolved_write () =
   let rt = Runtime.create ~n:2 () in
   let reg =
-    Safe_reg.create rt ~name:"s" ~codec:Codec.int ~init:3
-      ~arbitrary:(fun rng -> Rng.int rng 1000)
+    Abortable_reg.create rt ~name:"a" ~codec:Codec.int ~init:0 ~writer:0
+      ~reader:1 ~policy:Abort_policy.Always ()
   in
-  let result = ref None in
-  Runtime.spawn rt ~pid:0 ~name:"w" (fun () -> Safe_reg.write reg 8);
-  Runtime.spawn rt ~pid:1 ~name:"r" (fun () ->
-      Runtime.await (fun () -> Safe_reg.peek reg = 8);
-      result := Some (Safe_reg.read reg));
-  Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:100;
-  Runtime.stop rt;
-  Alcotest.(check (option int)) "quiet read returns written value" (Some 8)
-    !result
-
-let test_safe_reg_concurrent_reads_garbled () =
-  (* With reads always overlapping writes, safe-register reads may return
-     arbitrary domain values — check we can observe one outside the set of
-     values ever written. *)
-  let rt = Runtime.create ~seed:5L ~n:2 () in
-  let reg =
-    Safe_reg.create rt ~name:"s" ~codec:Codec.int ~init:0
-      ~arbitrary:(fun rng -> 500 + Rng.int rng 100)
-  in
-  let garbled = ref false in
+  let reads = ref [] in
   Runtime.spawn rt ~pid:0 ~name:"w" (fun () ->
-      for k = 1 to 50 do
-        Safe_reg.write reg k
-      done);
+      ignore (Abortable_reg.write reg 7 : bool));
   Runtime.spawn rt ~pid:1 ~name:"r" (fun () ->
-      for _ = 1 to 50 do
-        if Safe_reg.read reg >= 500 then garbled := true
-      done);
-  Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:500;
-  Runtime.stop rt;
-  Alcotest.(check bool) "some read garbled" true !garbled
-
-let test_regular_reg_returns_old_or_concurrent () =
-  let rt = Runtime.create ~seed:6L ~n:2 () in
-  let reg = Regular_reg.create rt ~name:"g" ~codec:Codec.int ~init:0 in
-  let ok = ref true in
-  let writes_done = ref 0 in
-  Runtime.spawn rt ~pid:0 ~name:"w" (fun () ->
-      for k = 1 to 50 do
-        Regular_reg.write reg k;
-        writes_done := k
-      done);
-  Runtime.spawn rt ~pid:1 ~name:"r" (fun () ->
-      for _ = 1 to 50 do
-        let v = Regular_reg.read reg in
-        (* Any read must return a value that was written (or the init). *)
-        if v < 0 || v > 50 then ok := false
-      done);
-  Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:500;
-  Runtime.stop rt;
-  Alcotest.(check bool) "reads within written domain" true !ok
+      reads := Abortable_reg.read reg :: !reads);
+  Runtime.step rt ~pid:0;
+  Runtime.crash_at rt ~pid:0 ~step:1;
+  Runtime.step rt ~pid:1;
+  Runtime.step rt ~pid:1;
+  Alcotest.(check (list (option int))) "solo read of the resolved write"
+    [ Some 7 ] !reads
 
 let () =
   Alcotest.run "registers"
@@ -230,13 +192,9 @@ let () =
           Alcotest.test_case "random policy partial" `Quick
             test_abortable_random_policy_partial;
         ] );
-      ( "safe and regular",
+      ( "solo after crash",
         [
-          Alcotest.test_case "safe quiet reads exact" `Quick
-            test_safe_reg_quiet_reads_exact;
-          Alcotest.test_case "safe concurrent reads garbled" `Quick
-            test_safe_reg_concurrent_reads_garbled;
-          Alcotest.test_case "regular reads old or concurrent" `Quick
-            test_regular_reg_returns_old_or_concurrent;
+          Alcotest.test_case "read after a crash-resolved write" `Quick
+            test_read_after_crash_resolved_write;
         ] );
     ]

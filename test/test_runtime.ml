@@ -138,66 +138,29 @@ let test_crash_resolves_pending_op () =
   Alcotest.(check int) "pending op resolved at crash" 1 !responded;
   Runtime.stop rt
 
-(* An object registered with [~overlaps:false] is answered in the solo
-   context even when its operations overlap, while a tracked object in
-   the same run still sees its overlaps. *)
-let test_untracked_object_sees_solo_context () =
-  let rt = Runtime.create ~n:2 () in
-  let cell, _, overlaps, contentions = make_cell rt in
-  let contexts = ref [] in
-  let untracked =
-    Runtime.register_object ~overlaps:false rt ~name:"inbox" ~respond:(fun ctx ->
-        contexts :=
-          Shared.(ctx.overlapped, ctx.overlap_ops, ctx.step_contended,
-                  ctx.pending_others)
-          :: !contexts;
-        Value.Unit)
-  in
-  for pid = 0 to 1 do
-    Runtime.spawn rt ~pid ~name:"t" (fun () ->
-        ignore (Runtime.call untracked Value.Unit : Value.t);
-        ignore (Runtime.call cell Value.read_op : Value.t))
-  done;
-  (* Round robin: both invoke on [untracked] (steps 0, 1) and respond
-     while the other's operation is in flight (2, 3), then the same on
-     the cell (2–5). *)
-  Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:100;
-  let solo = (false, [], false, 0) in
-  Alcotest.(check bool)
-    "untracked: solo contexts" true
-    (!contexts = [ solo; solo ]);
-  Alcotest.(check (list bool)) "cell: both overlapped" [ true; true ] !overlaps;
-  Alcotest.(check (list bool)) "cell: both step-contended" [ true; true ]
-    !contentions
-
-(* A process crashing with a call in flight on an untracked object (a
-   network poll, say) has it resolved once, at the crash; nothing of it is
-   left for [stop] to settle, and the other process's calls go on being
-   answered alone. *)
-let test_crash_resolves_untracked_call () =
-  let rt = Runtime.create ~n:2 () in
-  let answered = ref [] in
-  let inbox =
-    Runtime.register_object ~overlaps:false rt ~name:"inbox" ~respond:(fun ctx ->
-        answered :=
-          Shared.(ctx.pid, ctx.respond_step, ctx.pending_others) :: !answered;
-        Value.List [])
-  in
-  Runtime.spawn rt ~pid:0 ~name:"poll" (fun () ->
-      ignore (Runtime.call inbox (Value.Int 0) : Value.t));
-  Runtime.spawn rt ~pid:1 ~name:"poll" (fun () ->
-      while true do
-        ignore (Runtime.call inbox (Value.Int 1) : Value.t)
-      done);
+(* A call resolved by a crash, or dropped by [stop], is no longer in
+   flight: a later call on the same object is answered alone. *)
+let test_settled_calls_leave_no_overlap () =
+  let rt = Runtime.create ~n:3 () in
+  let obj, _, overlaps, _ = make_cell rt in
+  let read () = ignore (Runtime.call obj Value.read_op : Value.t) in
+  Runtime.spawn rt ~pid:0 ~name:"t" read;
+  Runtime.spawn rt ~pid:1 ~name:"t" read;
+  Runtime.step rt ~pid:0;
+  (* The crash resolves p0's call at step 1, before p1 invokes. *)
   Runtime.crash_at rt ~pid:0 ~step:1;
-  Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:5;
-  Alcotest.(check (list (triple int int int)))
-    "p0's poll resolved at the crash, p1's answered alone"
-    [ 1, 4, 0; 1, 3, 0; 1, 2, 0; 0, 1, 0 ]
-    !answered;
+  Runtime.step rt ~pid:1;
+  Runtime.step rt ~pid:1;
+  Runtime.spawn rt ~pid:2 ~name:"t" read;
+  Runtime.step rt ~pid:2;
+  (* [stop] drops p2's call; p1 then calls again. *)
   Runtime.stop rt;
-  Alcotest.(check int) "stop settles nothing more" 4 (List.length !answered);
-  Alcotest.(check bool) "p0 crashed" true (Runtime.crashed rt ~pid:0)
+  Runtime.spawn rt ~pid:1 ~name:"t" read;
+  Runtime.step rt ~pid:1;
+  Runtime.step rt ~pid:1;
+  Alcotest.(check (list bool))
+    "crash-resolved call, then two solo calls" [ false; false; false ]
+    !overlaps
 
 let test_multi_task_round_robin () =
   let rt = Runtime.create ~n:1 () in
@@ -408,11 +371,10 @@ let test_yield_step_allocation_guard () =
 (* Minor-heap words per step of one process calling an object that
    answers every operation with [Unit]. After the first, every step both
    responds to one call and invokes the next. *)
-let solo_call_words_per_step ?overlaps () =
+let solo_call_words_per_step () =
   let rt = Runtime.create ~record_trace:false ~n:1 () in
   let obj =
-    Runtime.register_object ?overlaps rt ~name:"nop" ~respond:(fun _ ->
-        Value.Unit)
+    Runtime.register_object rt ~name:"nop" ~respond:(fun _ -> Value.Unit)
   in
   Runtime.spawn rt ~pid:0 ~name:"caller" (fun () ->
       while true do
@@ -430,16 +392,134 @@ let solo_call_words_per_step ?overlaps () =
 let test_call_step_allocation_guard () =
   (* Both steps box one continuation in one task state, so their
      difference is what a call adds, whatever size the OCaml runtime gives
-     a continuation: pinned at 26, the context handed to [respond] (11),
-     the call's pending record (9), the performed [Call] effect (3) and the
-     cell in the object's pending list (3). The pick, the task search and
-     the handler allocate nothing. An untracked object has no pending
-     list, so its calls add 23. *)
+     a continuation: pinned at 19, the context handed to [respond] (7),
+     the call's pending record (8) and the performed [Call] effect (4: an
+     extension constructor's block carries the constructor as well as
+     its two arguments). The pick, the task search, the handler and the
+     per-object counters allocate nothing. *)
   let yield = words_per_step ignore in
-  Alcotest.(check (float 0.0)) "words a call adds to a step" 26.0
-    (solo_call_words_per_step () -. yield);
-  Alcotest.(check (float 0.0)) "words an untracked call adds to a step" 23.0
-    (solo_call_words_per_step ~overlaps:false () -. yield)
+  Alcotest.(check (float 0.0)) "words a call adds to a step" 19.0
+    (solo_call_words_per_step () -. yield)
+
+(* Random programs: 2–4 processes, each calling 1–3 shared objects or
+   yielding, some crashing mid-run; a final [stop] drops the calls still
+   in flight. *)
+type program = {
+  objects : int;
+  bodies : [ `Call of int | `Yield ] list array;  (* one per process *)
+  crash_steps : int option array;
+  weights : float array;  (* scheduling weight per process *)
+  seed : int;
+}
+
+let gen_program =
+  let open QCheck.Gen in
+  let* n = int_range 2 4 in
+  let* objects = int_range 1 3 in
+  let action =
+    frequency
+      [ 3, map (fun k -> `Call k) (int_bound (objects - 1)); 1, return `Yield ]
+  in
+  let* bodies = array_repeat n (list_size (int_range 1 10) action) in
+  let* crash_steps = array_repeat n (opt ~ratio:0.3 (int_bound 40)) in
+  let* weights = array_repeat n (float_range 0.2 3.0) in
+  let* seed = int_bound 1_000_000 in
+  return { objects; bodies; crash_steps; weights; seed }
+
+let print_program p =
+  let action = function `Call k -> Fmt.str "call %d" k | `Yield -> "yield" in
+  Fmt.str "objects=%d seed=%d@.%a" p.objects p.seed
+    Fmt.(
+      array ~sep:cut (fun ppf (pid, body, crash, weight) ->
+          Fmt.pf ppf "p%d w=%.2f crash=%a: %a" pid weight
+            (option ~none:(any "-") int) crash
+            (list ~sep:comma string) (List.map action body)))
+    (Array.mapi
+       (fun pid body -> pid, body, p.crash_steps.(pid), p.weights.(pid))
+       p.bodies)
+
+(* Run [p] and return (pid, respond step, overlapped, step contended) of
+   every response in order, and the run's operation events. *)
+let run_program p =
+  let n = Array.length p.bodies in
+  let rt = Runtime.create ~seed:(Int64.of_int p.seed) ~n () in
+  let answered = ref [] in
+  let objs =
+    Array.init p.objects (fun k ->
+        Runtime.register_object rt ~name:(Fmt.str "o%d" k) ~respond:(fun ctx ->
+            answered :=
+              Shared.(ctx.pid, ctx.respond_step, ctx.overlapped,
+                      ctx.step_contended)
+              :: !answered;
+            Value.Unit))
+  in
+  Array.iteri
+    (fun pid body ->
+      Runtime.spawn rt ~pid ~name:"t" (fun () ->
+          List.iter
+            (function
+              | `Call k -> ignore (Runtime.call objs.(k) Value.read_op : Value.t)
+              | `Yield -> Runtime.yield ())
+            body))
+    p.bodies;
+  Array.iteri
+    (fun pid -> Option.iter (fun step -> Runtime.crash_at rt ~pid ~step))
+    p.crash_steps;
+  Runtime.run rt
+    ~policy:(Policy.weighted (Array.mapi (fun pid w -> pid, w) p.weights))
+    ~steps:30;
+  Runtime.stop rt;
+  List.rev !answered, Trace.ops (Runtime.trace rt)
+
+(* The same answers from the trace alone: an operation's window runs from
+   its invocation event to its response event, or to the end of the run
+   if it has none. Two operations on one object overlap iff their windows
+   intersect; an operation is step-contended iff another operation's
+   event on its object falls strictly inside its window. Positions in the
+   event list order events within a step. *)
+let reference_answers events =
+  let events = Array.of_list events in
+  let ops = ref [] in
+  Array.iteri
+    (fun i (e : Trace.op_event) ->
+      match e.phase with
+      | `Invoke -> ops := (e.pid, e.obj_id, i, ref max_int, ref (-1)) :: !ops
+      | `Respond _ ->
+        let _, _, _, resp, step =
+          List.find
+            (fun (pid, obj, _, resp, _) ->
+              pid = e.pid && obj = e.obj_id && !resp = max_int)
+            !ops
+        in
+        resp := i;
+        step := e.step)
+    events;
+  let ops = List.rev !ops in
+  let answered =
+    List.filter (fun (_, _, _, resp, _) -> !resp < max_int) ops
+    |> List.sort (fun (_, _, _, a, _) (_, _, _, b, _) -> compare !a !b)
+  in
+  List.map
+    (fun ((pid, obj, inv, resp, step) as op) ->
+      let overlapped =
+        List.exists
+          (fun ((_, obj', inv', resp', _) as other) ->
+            other != op && obj' = obj && inv' < !resp && inv < !resp')
+          ops
+      in
+      let contended = ref false in
+      for i = inv + 1 to !resp - 1 do
+        if events.(i).Trace.obj_id = obj then contended := true
+      done;
+      pid, !step, overlapped, !contended)
+    answered
+
+let qcheck_overlap_matches_trace =
+  QCheck.Test.make ~name:"overlap flags match trace windows" ~count:300
+    (QCheck.make ~print:print_program gen_program)
+    (fun p ->
+      let answered, events = run_program p in
+      answered = reference_answers events)
 
 let () =
   Alcotest.run "runtime"
@@ -459,10 +539,8 @@ let () =
           Alcotest.test_case "crash stops process" `Quick test_crash_stops_process;
           Alcotest.test_case "crash resolves pending op" `Quick
             test_crash_resolves_pending_op;
-          Alcotest.test_case "untracked object sees the solo context" `Quick
-            test_untracked_object_sees_solo_context;
-          Alcotest.test_case "crash resolves an untracked call" `Quick
-            test_crash_resolves_untracked_call;
+          Alcotest.test_case "settled calls leave no overlap" `Quick
+            test_settled_calls_leave_no_overlap;
           Alcotest.test_case "multi-task round robin" `Quick
             test_multi_task_round_robin;
           Alcotest.test_case "self" `Quick test_self;
@@ -480,5 +558,6 @@ let () =
             test_yield_step_allocation_guard;
           Alcotest.test_case "call step allocation guard" `Quick
             test_call_step_allocation_guard;
+          QCheck_alcotest.to_alcotest qcheck_overlap_matches_trace;
         ] );
     ]

@@ -58,16 +58,14 @@ let test_spawn_late_deferred () =
 
 (* --- retire with a pending operation, across register kinds --------------- *)
 
-type kind = Atomic | Safe | Regular | Cas | Abortable
+type kind = Atomic | Cas | Abortable
 
 let kind_name = function
   | Atomic -> "atomic"
-  | Safe -> "safe"
-  | Regular -> "regular"
   | Cas -> "cas"
   | Abortable -> "abortable"
 
-let all_kinds = [ Atomic; Safe; Regular; Cas; Abortable ]
+let all_kinds = [ Atomic; Cas; Abortable ]
 
 (* Same scaffold as test_crash_resolution: a forever-writer on pid 0, a
    survivor on pid 1, one register of [kind]; the state check runs after
@@ -87,35 +85,6 @@ let build kind rt =
           ignore (Atomic_reg.read reg)
         done);
     fun () -> Atomic_reg.peek reg >= 0
-  | Safe ->
-    let reg =
-      Safe_reg.create rt ~name:"R" ~codec:Codec.int ~init:0
-        ~arbitrary:(fun rng -> Rng.int rng 1000)
-    in
-    Runtime.spawn rt ~pid:0 ~name:"w" (fun () ->
-        let k = ref 0 in
-        while true do
-          incr k;
-          Safe_reg.write reg !k
-        done);
-    Runtime.spawn rt ~pid:1 ~name:"s" (fun () ->
-        while true do
-          ignore (Safe_reg.read reg)
-        done);
-    fun () -> Safe_reg.peek reg >= 0
-  | Regular ->
-    let reg = Regular_reg.create rt ~name:"R" ~codec:Codec.int ~init:0 in
-    Runtime.spawn rt ~pid:0 ~name:"w" (fun () ->
-        let k = ref 0 in
-        while true do
-          incr k;
-          Regular_reg.write reg !k
-        done);
-    Runtime.spawn rt ~pid:1 ~name:"s" (fun () ->
-        while true do
-          ignore (Regular_reg.read reg)
-        done);
-    fun () -> Regular_reg.peek reg >= 0
   | Cas ->
     let reg = Cas_reg.create rt ~name:"R" ~codec:Codec.int ~init:0 in
     Runtime.spawn rt ~pid:0 ~name:"w" (fun () ->
