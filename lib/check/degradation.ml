@@ -156,8 +156,9 @@ module Online = struct
   (* Snapshot the tail boundary the moment any event at or past
      [pred_from] arrives. The runtime emits [on_step] before the step's
      own invokes/responds/signals, so the first such event is the
-     boundary step itself — but every handler guards, in case a sink is
-     fed a partial stream. *)
+     boundary step itself. Signals roll too, in case a sink is fed a
+     partial stream; invokes and responds need not, since they never
+     move [o_completed]. *)
   let roll t ~step =
     if t.o_before = None && step >= t.o_prediction.pred_from then
       t.o_before <- Some (Array.copy t.o_completed)
@@ -195,12 +196,8 @@ module Online = struct
     {
       Sink.active = true;
       on_step = (fun ~step ~pid ~layer:_ -> on_step t ~step ~pid);
-      on_invoke =
-        (fun ~step ~pid:_ ~layer:_ ~obj_id:_ ~obj_name:_ ~op:_ ->
-          roll t ~step);
-      on_respond =
-        (fun ~step ~pid:_ ~layer:_ ~obj_id:_ ~obj_name:_ ~op:_ ~result:_ ->
-          roll t ~step);
+      on_invoke = Sink.nil.on_invoke;
+      on_respond = Sink.nil.on_respond;
       on_signal = (fun ~step ~pid s -> on_signal t ~step ~pid s);
     }
 

@@ -69,11 +69,8 @@ let sink t =
   {
     Sink.active = true;
     on_step = (fun ~step ~pid:_ ~layer:_ -> roll t ~step);
-    on_invoke =
-      (fun ~step ~pid:_ ~layer:_ ~obj_id:_ ~obj_name:_ ~op:_ -> roll t ~step);
-    on_respond =
-      (fun ~step ~pid:_ ~layer:_ ~obj_id:_ ~obj_name:_ ~op:_ ~result:_ ->
-        roll t ~step);
+    on_invoke = Sink.nil.on_invoke;
+    on_respond = Sink.nil.on_respond;
     on_signal = (fun ~step ~pid s -> on_signal t ~step ~pid s);
   }
 

@@ -1,7 +1,7 @@
 exception Simulation_over
 
 type pending = {
-  p_pid : int;
+  p_invoked : int;  (* the invoke step *)
   p_obj : Shared.t;
   p_op : Value.t;
   p_layer : Sink.layer;  (* layer of the invoking task, for telemetry *)
@@ -184,7 +184,7 @@ let register_object t ~name ~respond =
    is not a machine. *)
 let no_pending =
   {
-    p_pid = -1;
+    p_invoked = 0;
     p_obj = Shared.make ~id:(-1) ~name:"" ~respond:(fun _ -> Value.Fail);
     p_op = Value.Unit;
     p_layer = Sink.Other;
@@ -309,8 +309,11 @@ let remove_pending t pend =
   t.in_flight_by_obj.(obj_id) <- t.in_flight_by_obj.(obj_id) - 1
 
 (* Another op overlapped this one iff one was in flight at its invocation
-   or one was invoked while it was in flight. *)
-let respond_pending t pend =
+   or one was invoked while it was in flight. A task has one call in
+   flight, so the sink receives that call's own invoke step and flag and
+   pairs nothing itself. *)
+let respond_pending t task =
+  let pend = task.t_pend in
   remove_pending t pend;
   let obj_id = pend.p_obj.Shared.id in
   let overlapped =
@@ -321,7 +324,7 @@ let respond_pending t pend =
   bump_events t obj_id;
   let ctx =
     {
-      Shared.pid = pend.p_pid;
+      Shared.pid = task.t_pid;
       respond_step = t.step;
       overlapped;
       step_contended;
@@ -330,13 +333,11 @@ let respond_pending t pend =
     }
   in
   let result = pend.p_obj.Shared.respond ctx in
-  Trace.record_respond t.trace ~step:t.step ~pid:pend.p_pid
-    ~obj_id:pend.p_obj.Shared.id ~obj_name:pend.p_obj.Shared.name
-    ~op:pend.p_op ~result;
+  Trace.record_respond t.trace ~step:t.step ~pid:task.t_pid ~obj_id
+    ~obj_name:pend.p_obj.Shared.name ~op:pend.p_op ~result;
   if t.sink.Sink.active then
-    t.sink.Sink.on_respond ~step:t.step ~pid:pend.p_pid ~layer:pend.p_layer
-      ~obj_id:pend.p_obj.Shared.id ~obj_name:pend.p_obj.Shared.name
-      ~op:pend.p_op ~result;
+    t.sink.Sink.on_respond ~step:t.step ~pid:task.t_pid ~layer:pend.p_layer
+      ~obj_id ~invoked:pend.p_invoked ~overlapped ~result;
   result
 
 (* Invocation-side bookkeeping, shared by the effects handler's [Call]
@@ -353,7 +354,7 @@ let begin_call t task obj op =
   t.invokes_by_obj.(id) <- invokes;
   task.t_pend <-
     {
-      p_pid = task.t_pid;
+      p_invoked = t.step;
       p_obj = obj;
       p_op = op;
       p_layer = task.t_layer;
@@ -364,8 +365,7 @@ let begin_call t task obj op =
   Trace.record_invoke t.trace ~step:t.step ~pid:task.t_pid ~obj_id:id
     ~obj_name:obj.Shared.name ~op;
   if t.sink.Sink.active then
-    t.sink.Sink.on_invoke ~step:t.step ~pid:task.t_pid ~layer:task.t_layer
-      ~obj_id:id ~obj_name:obj.Shared.name ~op
+    t.sink.Sink.on_invoke ~step:t.step ~pid:task.t_pid ~obj_id:id
 
 (* --- task execution ----------------------------------------------------- *)
 
@@ -453,14 +453,14 @@ let exec_task_step t task =
     task.t_state <- Running;
     Effect.Deep.continue k ()
   | Suspended_call k ->
-    let result = respond_pending t task.t_pend in
+    let result = respond_pending t task in
     task.t_state <- Running;
     Effect.Deep.continue k result
   | Machine_ready ->
     task.t_state <- Running;
     run_machine t task Value.Unit
   | Machine_awaiting ->
-    let result = respond_pending t task.t_pend in
+    let result = respond_pending t task in
     task.t_state <- Running;
     run_machine t task result
   | Running | Finished -> assert false
@@ -470,21 +470,21 @@ let exec_task_step t task =
    operation is resolved first when [resolve] (crash, retire), so the
    object's state stays well defined; [stop] merely drops it. *)
 let teardown t ~resolve proc =
-  let settle pend =
-    if resolve then ignore (respond_pending t pend : Value.t)
-    else remove_pending t pend
+  let settle task =
+    if resolve then ignore (respond_pending t task : Value.t)
+    else remove_pending t task.t_pend
   in
   let unwind task =
     match task.t_state with
     | Suspended_call k ->
-      settle task.t_pend;
+      settle task;
       finish_task t task;
       (try Effect.Deep.discontinue k Simulation_over with Simulation_over -> ())
     | Suspended_local k ->
       finish_task t task;
       (try Effect.Deep.discontinue k Simulation_over with Simulation_over -> ())
     | Machine_awaiting ->
-      settle task.t_pend;
+      settle task;
       finish_task t task
     | Ready _ | Machine_ready -> finish_task t task
     | Running | Finished -> ()

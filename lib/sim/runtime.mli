@@ -208,8 +208,11 @@ val stop : t -> unit
     nil sink installed every instrumentation site reduces to a boolean test,
     so the uninstrumented path stays fast; attaching a real sink (see
     [Tbwf_telemetry.Collector]) streams steps, operation invocations and
-    responses, and library-level signals to it. The stream is a pure
-    function of (seed, policy, spawned code), like the trace. *)
+    responses, and library-level signals to it. Each response carries its
+    call's own invoke step and [overlapped] flag: a task has one call in
+    flight, so the runtime pairs it exactly and a sink need not. The
+    stream is a pure function of (seed, policy, spawned code), like the
+    trace. *)
 
 val set_sink : t -> Sink.t -> unit
 (** Install [sink] as the runtime's telemetry sink. *)

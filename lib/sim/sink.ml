@@ -52,60 +52,59 @@ type signal =
 type t = {
   active : bool;
   on_step : step:int -> pid:int -> layer:layer -> unit;
-  on_invoke :
-    step:int ->
-    pid:int ->
-    layer:layer ->
-    obj_id:int ->
-    obj_name:string ->
-    op:Value.t ->
-    unit;
+  on_invoke : step:int -> pid:int -> obj_id:int -> unit;
   on_respond :
     step:int ->
     pid:int ->
     layer:layer ->
     obj_id:int ->
-    obj_name:string ->
-    op:Value.t ->
+    invoked:int ->
+    overlapped:bool ->
     result:Value.t ->
     unit;
   on_signal : step:int -> pid:int -> signal -> unit;
 }
 
-(* Fan one event stream out to two sinks, first [a] then [b] — the
-   composition point that lets a collector and an online checker watch
-   the same run. The tee is active if either side is, and call sites
-   guard on the *tee*'s flag, so an inactive side just receives (and
-   ignores) events its partner paid to build. *)
-let tee a b =
-  {
-    active = a.active || b.active;
-    on_step =
-      (fun ~step ~pid ~layer ->
-        a.on_step ~step ~pid ~layer;
-        b.on_step ~step ~pid ~layer);
-    on_invoke =
-      (fun ~step ~pid ~layer ~obj_id ~obj_name ~op ->
-        a.on_invoke ~step ~pid ~layer ~obj_id ~obj_name ~op;
-        b.on_invoke ~step ~pid ~layer ~obj_id ~obj_name ~op);
-    on_respond =
-      (fun ~step ~pid ~layer ~obj_id ~obj_name ~op ~result ->
-        a.on_respond ~step ~pid ~layer ~obj_id ~obj_name ~op ~result;
-        b.on_respond ~step ~pid ~layer ~obj_id ~obj_name ~op ~result);
-    on_signal =
-      (fun ~step ~pid s ->
-        a.on_signal ~step ~pid s;
-        b.on_signal ~step ~pid s);
-  }
-
 let nil =
   {
     active = false;
     on_step = (fun ~step:_ ~pid:_ ~layer:_ -> ());
-    on_invoke =
-      (fun ~step:_ ~pid:_ ~layer:_ ~obj_id:_ ~obj_name:_ ~op:_ -> ());
+    on_invoke = (fun ~step:_ ~pid:_ ~obj_id:_ -> ());
     on_respond =
-      (fun ~step:_ ~pid:_ ~layer:_ ~obj_id:_ ~obj_name:_ ~op:_ ~result:_ ->
-        ());
+      (fun ~step:_ ~pid:_ ~layer:_ ~obj_id:_ ~invoked:_ ~overlapped:_
+           ~result:_ -> ());
     on_signal = (fun ~step:_ ~pid:_ _ -> ());
+  }
+
+(* Fan one event stream out to two sinks, first [a] then [b] — the
+   composition point that lets a collector and an online checker watch
+   the same run. The tee is active if either side is, and call sites
+   guard on the *tee*'s flag, so an inactive side just receives (and
+   ignores) events its partner paid to build. Where one side's callback
+   is [nil]'s, the tee hands out the other side's callback itself: an
+   invoke or respond that only the collector reads reaches it with no
+   hop through the tee. *)
+let tee a b =
+  let either nil_cb a_cb b_cb both =
+    if a_cb == nil_cb then b_cb else if b_cb == nil_cb then a_cb else both
+  in
+  {
+    active = a.active || b.active;
+    on_step =
+      either nil.on_step a.on_step b.on_step (fun ~step ~pid ~layer ->
+          a.on_step ~step ~pid ~layer;
+          b.on_step ~step ~pid ~layer);
+    on_invoke =
+      either nil.on_invoke a.on_invoke b.on_invoke (fun ~step ~pid ~obj_id ->
+          a.on_invoke ~step ~pid ~obj_id;
+          b.on_invoke ~step ~pid ~obj_id);
+    on_respond =
+      either nil.on_respond a.on_respond b.on_respond
+        (fun ~step ~pid ~layer ~obj_id ~invoked ~overlapped ~result ->
+          a.on_respond ~step ~pid ~layer ~obj_id ~invoked ~overlapped ~result;
+          b.on_respond ~step ~pid ~layer ~obj_id ~invoked ~overlapped ~result);
+    on_signal =
+      either nil.on_signal a.on_signal b.on_signal (fun ~step ~pid s ->
+          a.on_signal ~step ~pid s;
+          b.on_signal ~step ~pid s);
   }

@@ -49,23 +49,26 @@ type signal =
 type t = {
   active : bool;
   on_step : step:int -> pid:int -> layer:layer -> unit;
-  on_invoke :
-    step:int ->
-    pid:int ->
-    layer:layer ->
-    obj_id:int ->
-    obj_name:string ->
-    op:Value.t ->
-    unit;
+      (** one scheduled step of [pid]'s task in [layer] ([pid] = -1 for
+          an idle step); arrives before any other event of that step *)
+  on_invoke : step:int -> pid:int -> obj_id:int -> unit;
+      (** [pid] invoked an operation on object [obj_id] *)
   on_respond :
     step:int ->
     pid:int ->
     layer:layer ->
     obj_id:int ->
-    obj_name:string ->
-    op:Value.t ->
+    invoked:int ->
+    overlapped:bool ->
     result:Value.t ->
     unit;
+      (** the operation took effect with [result]. The runtime pairs it
+          with its own invocation: [invoked] is that invoke's step, and
+          [overlapped] is the flag the object was answered with
+          ({!Shared.ctx}), true iff another operation on [obj_id] was in
+          flight at some point of this one's window. A crash or a
+          retirement resolves an in-flight operation through this event
+          too; {!Runtime.stop} drops it without one. *)
   on_signal : step:int -> pid:int -> signal -> unit;
 }
 
@@ -74,4 +77,6 @@ val nil : t
 
 val tee : t -> t -> t
 (** [tee a b] forwards every event to [a] then [b]; active iff either
-    side is. Lets a collector and an online checker observe one run. *)
+    side is. Lets a collector and an online checker observe one run.
+    Where one side's callback is {!nil}'s, the tee's callback {e is} the
+    other side's, so an event only one side reads costs no extra call. *)

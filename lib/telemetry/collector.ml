@@ -213,20 +213,27 @@ let on_step t ~step ~pid ~layer =
     row.(l) <- row.(l) + 1
   end
 
-let on_invoke t ~step ~pid ~layer:_ ~obj_id ~obj_name:_ ~op:_ =
+let on_invoke t ~pid ~obj_id =
   if pid >= 0 && pid < t.n then begin
     t.invokes.(pid) <- t.invokes.(pid) + 1;
-    Span.on_invoke t.spans ~pid ~obj_id ~step
+    Span.on_invoke t.spans ~obj_id
   end
 
-let on_respond t ~step ~pid ~layer ~obj_id ~obj_name:_ ~op:_ ~result =
+let on_respond t ~step ~pid ~layer ~obj_id ~invoked ~overlapped ~result =
   if pid >= 0 && pid < t.n then begin
     t.responds.(pid) <- t.responds.(pid) + 1;
-    let aborted = Value.equal result Value.Abort in
-    if aborted then t.aborts.(pid) <- t.aborts.(pid) + 1;
-    let failed = Value.equal result Value.Fail in
-    if failed then t.fails.(pid) <- t.fails.(pid) + 1;
-    Span.on_respond t.spans ~pid ~layer ~obj_id ~step ~aborted
+    let aborted =
+      match result with
+      | Value.Abort ->
+        t.aborts.(pid) <- t.aborts.(pid) + 1;
+        true
+      | Value.Fail ->
+        t.fails.(pid) <- t.fails.(pid) + 1;
+        false
+      | _ -> false
+    in
+    Span.on_respond t.spans ~pid ~layer ~obj_id ~step ~invoked ~overlapped
+      ~aborted
   end
 
 let on_signal t ~step ~pid signal =
@@ -278,12 +285,10 @@ let sink t =
   {
     Sink.active = true;
     on_step = (fun ~step ~pid ~layer -> on_step t ~step ~pid ~layer);
-    on_invoke =
-      (fun ~step ~pid ~layer ~obj_id ~obj_name ~op ->
-        on_invoke t ~step ~pid ~layer ~obj_id ~obj_name ~op);
+    on_invoke = (fun ~step:_ ~pid ~obj_id -> on_invoke t ~pid ~obj_id);
     on_respond =
-      (fun ~step ~pid ~layer ~obj_id ~obj_name ~op ~result ->
-        on_respond t ~step ~pid ~layer ~obj_id ~obj_name ~op ~result);
+      (fun ~step ~pid ~layer ~obj_id ~invoked ~overlapped ~result ->
+        on_respond t ~step ~pid ~layer ~obj_id ~invoked ~overlapped ~result);
     on_signal = (fun ~step ~pid s -> on_signal t ~step ~pid s);
   }
 

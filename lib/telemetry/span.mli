@@ -1,22 +1,23 @@
 (** Operation-span tracing.
 
-    The runtime's invoke/respond events pair up into {e spans}: one span
-    per shared-object operation, from its invocation step to its
-    response step. The tracer aggregates spans as they close — one
-    latency {!Quantile} sketch per layer, abort/retry streaks per process, and contention
-    windows (maximal periods during which an object had two or more
-    operations in flight). Everything is derived from the event stream
-    in event order, so a replayed schedule produces an identical
-    aggregate.
+    A {e span} is one shared-object operation, from its invocation step
+    to its response step. The runtime pairs each response with its own
+    invocation — a task has at most one call in flight — and hands the
+    sink the invoke step and whether another operation overlapped the
+    call ({!Tbwf_sim.Sink.t}'s [on_respond]), so the tracer pairs nothing
+    itself: it keeps no open spans, only each object's in-flight count.
+    Two tasks of one process with calls in flight on one object close
+    their own spans, whatever order they respond in.
 
-    A span is contended iff, at its invoke or while it was open, an
-    invoke left two or more spans in flight on its object. Open spans
-    live on flat per-pid int stacks, and each object keeps an epoch that
-    advances at every such contended invoke; a span records the epoch
-    it saw. An invoke costs O(1), a respond a scan of its pid's open
-    spans (usually one), and neither allocates. At most 256
-    spans stay open per pid: beyond that the oldest is dropped, and it
-    still counts as in flight on its object. *)
+    The tracer aggregates spans as they close — one latency {!Quantile}
+    sketch per layer, abort/retry streaks per process, and contention
+    windows (each runs from the moment a second operation is in flight
+    on an object until none is). A span is contended iff the runtime
+    reports it overlapped. Everything is derived from the event stream
+    in event order, so a replayed schedule produces an identical
+    aggregate; an invoke and a respond each cost O(1) and allocate
+    nothing. A tracer attached mid-run closes the calls already in
+    flight with their true invoke steps. *)
 
 open Tbwf_sim
 
@@ -24,16 +25,19 @@ type t
 
 val create : n:int -> t
 
-val on_invoke : t -> pid:int -> obj_id:int -> step:int -> unit
+val on_invoke : t -> obj_id:int -> unit
+(** One more operation in flight on [obj_id]; the second one opens a
+    contention window. *)
 
 val on_respond :
   t -> pid:int -> layer:Sink.layer -> obj_id:int -> step:int ->
-  aborted:bool -> unit
-(** Closes [pid]'s newest open span on [obj_id]; a respond whose invoke
-    was never seen (sink attached mid-operation) is silently ignored.
-    [aborted] feeds the abort-streak sketch: a process's streak closes
-    (and its length is observed) at the first non-aborted response. Each
-    closed span's latency is observed once, into its layer's sketch. *)
+  invoked:int -> overlapped:bool -> aborted:bool -> unit
+(** Closes the span [pid] invoked at step [invoked]: its latency
+    [step - invoked] is observed once, into [layer]'s sketch, and it
+    counts as contended iff [overlapped]. [obj_id]'s window closes when
+    its last in-flight operation responds. [aborted] feeds the
+    abort-streak sketch: a process's streak closes (and its length is
+    observed) at the first non-aborted response. *)
 
 val completed : t -> int
 
@@ -45,7 +49,7 @@ val tail_of : t -> Sink.layer -> Quantile.t
 val merge : t -> t -> t
 (** Fresh tracer holding both inputs' closed-span aggregates (latency and
     streak sketches summed bucket-wise, totals added). In-flight state
-    — open spans, running abort streaks — is dropped: merge is meant for
+    — in-flight counts, running abort streaks — is dropped: merge is meant for
     finished, independent runs. Raises [Invalid_argument] if the process
     counts differ. *)
 

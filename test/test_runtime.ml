@@ -177,6 +177,39 @@ let test_multi_task_round_robin () =
     [ 0; 1; 2; 0; 1; 2; 0; 1; 2 ]
     (List.rev !log)
 
+(* Two tasks of one process with calls in flight on one object: each
+   span closes with its own invoke step, in its own task's layer. Tasks
+   run round-robin in spawn order: the Ω∆ task invokes at step 0, the
+   empty task finishes at step 1, the monitor task invokes at step 2, and
+   the two calls are answered at steps 3 and 4. Pairing each response
+   with the process's newest open span on the object would time the Ω∆
+   span at 1 step and the monitor span at 4. *)
+let test_one_pid_overlapping_spans () =
+  let open Tbwf_telemetry in
+  let rt = Runtime.create ~n:1 () in
+  let telemetry = Collector.attach rt in
+  let obj, _, overlaps, _ = make_cell rt in
+  let read () = ignore (Runtime.call obj Value.read_op : Value.t) in
+  Runtime.spawn ~layer:Sink.Omega rt ~pid:0 ~name:"omega" read;
+  Runtime.spawn rt ~pid:0 ~name:"empty" ignore;
+  Runtime.spawn ~layer:Sink.Monitor rt ~pid:0 ~name:"monitor" read;
+  Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:10;
+  Alcotest.(check (list bool)) "both calls overlapped" [ true; true ]
+    !overlaps;
+  let spans = Collector.spans telemetry in
+  List.iter
+    (fun (layer, latencies) ->
+      let sketch = Span.tail_of spans layer in
+      let name = Sink.layer_name layer in
+      Alcotest.(check int) (name ^ " spans") (List.length latencies)
+        (Quantile.count sketch);
+      List.iter
+        (fun latency ->
+          Alcotest.(check int) (name ^ " latency") latency
+            (Quantile.max_value sketch))
+        latencies)
+    [ Sink.Omega, [ 3 ]; Sink.Monitor, [ 2 ]; Sink.App, []; Sink.Other, [] ]
+
 let test_self () =
   let rt = Runtime.create ~n:3 () in
   let seen = Array.make 3 (-1) in
@@ -272,6 +305,32 @@ let recording_sink () =
     }
   in
   sink, fun () -> List.rev !log
+
+(* [Sink.tee] hands out a side's own callback where the other side's is
+   [Sink.nil]'s, and calls both sides, first then second, otherwise. *)
+let test_tee_skips_nil_callbacks () =
+  let calls = ref [] in
+  let recording tag =
+    {
+      Sink.nil with
+      Sink.active = true;
+      on_respond =
+        (fun ~step ~pid:_ ~layer:_ ~obj_id:_ ~invoked ~overlapped:_ ~result:_ ->
+          calls := (tag, step, invoked) :: !calls);
+    }
+  in
+  let a = recording "a" and b = recording "b" in
+  let quiet = { Sink.nil with Sink.active = true } in
+  Alcotest.(check bool) "one side reads responds: the tee's is its own" true
+    ((Sink.tee quiet a).Sink.on_respond == a.Sink.on_respond
+    && (Sink.tee a quiet).Sink.on_respond == a.Sink.on_respond);
+  Alcotest.(check bool) "a tee with one active side is active" true
+    (Sink.tee quiet Sink.nil).Sink.active;
+  (Sink.tee a b).Sink.on_respond ~step:3 ~pid:0 ~layer:Sink.App ~obj_id:0
+    ~invoked:1 ~overlapped:false ~result:Value.Unit;
+  Alcotest.(check (list (triple string int int))) "both sides, in order"
+    [ "a", 3, 1; "b", 3, 1 ]
+    (List.rev !calls)
 
 let spin () =
   while true do
@@ -543,6 +602,8 @@ let () =
             test_settled_calls_leave_no_overlap;
           Alcotest.test_case "multi-task round robin" `Quick
             test_multi_task_round_robin;
+          Alcotest.test_case "one pid's overlapping spans" `Quick
+            test_one_pid_overlapping_spans;
           Alcotest.test_case "self" `Quick test_self;
           Alcotest.test_case "determinism" `Quick test_determinism_same_seed;
           Alcotest.test_case "await" `Quick test_await;
@@ -550,6 +611,8 @@ let () =
           Alcotest.test_case "spawn during run" `Quick test_spawn_during_run;
           Alcotest.test_case "idle steps advance time" `Quick
             test_idle_steps_advance_time;
+          Alcotest.test_case "tee skips nil callbacks" `Quick
+            test_tee_skips_nil_callbacks;
           Alcotest.test_case "same-step event order" `Quick
             test_same_step_event_order;
           Alcotest.test_case "pending events allocation guard" `Quick

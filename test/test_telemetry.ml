@@ -281,237 +281,13 @@ let qcheck_quantile_merge_algebra =
            (Quantile.merge a (Quantile.merge b c))
            (sketch_of (List.rev_append xs (List.rev_append ys zs))))
 
-(* --- Span: the list-based tracker as a reference model -------------------
-
-   The span tracker used to keep each pid's open spans in a list and mark
-   contention by walking every list on each contended invoke. It now keeps
-   flat per-pid stacks and per-object contention epochs; this verbatim
-   copy of the list-based module is the oracle the flat one must match,
-   field for field, in its JSON rendering. *)
-
-module Span_ref = struct
-  type open_span = {
-    os_obj : int;
-    os_invoke : int;
-    mutable os_contended : bool;
-  }
-
-  (* A well-formed run closes every span it opens, but a sink attached
-     mid-run (or a workload that dies between invoke and respond) can leak
-     open spans; capping the per-pid list keeps the tracer memory-bounded
-     on arbitrarily long runs. 256 in-flight ops per process is far beyond
-     anything a real stack issues. *)
-  let max_open_spans = 256
-
-  type t = {
-    n : int;
-    latency : Quantile.t array;  (* indexed by Sink.layer_index *)
-    open_spans : open_span list array;  (* per pid, newest first *)
-    open_len : int array;  (* per pid, length of [open_spans.(pid)] *)
-    (* obj_id is the runtime's dense sequential object id, so the
-       per-object in-flight state lives in flat arrays grown on demand —
-       this is the sink's hot path (two updates per register operation)
-       and a hash table here costs an allocation per call. *)
-    mutable open_count : int array;  (* obj_id -> in-flight spans *)
-    mutable in_window : bool array;  (* obj_id -> contention window open *)
-    abort_streak : int array;  (* per pid, current run of Abort results *)
-    streaks : Quantile.t;  (* lengths of completed abort streaks *)
-    mutable completed : int;
-    mutable contended_spans : int;
-    mutable contention_windows : int;
-  }
-
-  let initial_objs = 64
-
-  let create ~n =
-    {
-      n;
-      latency = Array.init Sink.n_layers (fun _ -> Quantile.create ());
-      open_spans = Array.make n [];
-      open_len = Array.make n 0;
-      open_count = Array.make initial_objs 0;
-      in_window = Array.make initial_objs false;
-      abort_streak = Array.make n 0;
-      streaks = Quantile.create ();
-      completed = 0;
-      contended_spans = 0;
-      contention_windows = 0;
-    }
-
-  let ensure_obj t obj_id =
-    if obj_id >= Array.length t.open_count then begin
-      let cap = max (2 * Array.length t.open_count) (obj_id + 1) in
-      let open_count = Array.make cap 0 in
-      Array.blit t.open_count 0 open_count 0 (Array.length t.open_count);
-      t.open_count <- open_count;
-      let in_window = Array.make cap false in
-      Array.blit t.in_window 0 in_window 0 (Array.length t.in_window);
-      t.in_window <- in_window
-    end
-
-  let on_invoke t ~pid ~obj_id ~step =
-    if pid >= 0 && pid < t.n && obj_id >= 0 then begin
-      ensure_obj t obj_id;
-      let sp = { os_obj = obj_id; os_invoke = step; os_contended = false } in
-      let opens = t.open_count.(obj_id) + 1 in
-      t.open_count.(obj_id) <- opens;
-      let existing = t.open_spans.(pid) in
-      let existing =
-        if t.open_len.(pid) >= max_open_spans then begin
-          t.open_len.(pid) <- max_open_spans - 1;
-          List.filteri (fun i _ -> i < max_open_spans - 1) existing
-        end
-        else existing
-      in
-      t.open_spans.(pid) <- sp :: existing;
-      t.open_len.(pid) <- t.open_len.(pid) + 1;
-      if opens >= 2 then begin
-        (* Everyone currently in flight on this object is contended. *)
-        Array.iter
-          (List.iter (fun other ->
-               if other.os_obj = obj_id then other.os_contended <- true))
-          t.open_spans;
-        if not t.in_window.(obj_id) then begin
-          t.in_window.(obj_id) <- true;
-          t.contention_windows <- t.contention_windows + 1
-        end
-      end
-    end
-
-  let on_respond t ~pid ~layer ~obj_id ~step ~aborted =
-    if pid >= 0 && pid < t.n then begin
-      (* Close the newest open span of [pid] on this object; skip silently if
-         the sink was attached mid-operation and the invoke was never seen. *)
-      let rec split acc = function
-        | [] -> None
-        | sp :: rest when sp.os_obj = obj_id ->
-          Some (sp, List.rev_append acc rest)
-        | sp :: rest -> split (sp :: acc) rest
-      in
-      (match split [] t.open_spans.(pid) with
-      | None -> ()
-      | Some (sp, rest) ->
-        t.open_spans.(pid) <- rest;
-        t.open_len.(pid) <- t.open_len.(pid) - 1;
-        t.completed <- t.completed + 1;
-        Quantile.observe t.latency.(Sink.layer_index layer) (step - sp.os_invoke);
-        if sp.os_contended then t.contended_spans <- t.contended_spans + 1;
-        ensure_obj t obj_id;
-        let opens = max 0 (t.open_count.(obj_id) - 1) in
-        t.open_count.(obj_id) <- opens;
-        if opens = 0 then t.in_window.(obj_id) <- false);
-      if aborted then t.abort_streak.(pid) <- t.abort_streak.(pid) + 1
-      else if t.abort_streak.(pid) > 0 then begin
-        Quantile.observe t.streaks t.abort_streak.(pid);
-        t.abort_streak.(pid) <- 0
-      end
-    end
-
-  let tail_of t layer = t.latency.(Sink.layer_index layer)
-  let completed t = t.completed
-
-  let to_json t =
-    Json.Obj
-      [
-        "completed", Json.Int t.completed;
-        ( "latency",
-          Json.Obj
-            (List.map
-               (fun layer ->
-                 Sink.layer_name layer, Quantile.log2_json (tail_of t layer))
-               Sink.layers) );
-        ( "tails",
-          Json.Obj
-            (List.map
-               (fun layer ->
-                 Sink.layer_name layer, Quantile.to_json (tail_of t layer))
-               Sink.layers) );
-        "abort_streaks", Quantile.log2_json t.streaks;
-        ( "open_abort_streaks",
-          Json.Arr (Array.to_list t.abort_streak |> List.map (fun s -> Json.Int s))
-        );
-        ( "contention",
-          Json.Obj
-            [
-              "windows", Json.Int t.contention_windows;
-              "contended_spans", Json.Int t.contended_spans;
-            ] );
-      ]
-end
-
 (* --- Span ---------------------------------------------------------------- *)
-
-(* A random invoke/respond stream over [n] pids and a few shared objects,
-   fed to both trackers, whose JSON must agree every 50 events and at the
-   end. Streams mix several pids on one object, a pid with two spans open
-   on one object, bursts that open more than 256 spans on one pid (so the
-   oldest are dropped), responds with no matching invoke, out-of-range
-   pids and negative object ids; [seen] records which of the first four
-   a stream reached. *)
-let span_stream_agrees seen seed =
-  let g = Rng.create (Int64.of_int seed) in
-  let heavy = Rng.int g 4 = 0 in
-  let n = 1 + Rng.int g (if heavy then 2 else 4) and objs = 1 + Rng.int g 4 in
-  let invoke_bias = if heavy then 0.9 else 0.55 in
-  let events = if heavy then 700 else 300 in
-  let flat = Span.create ~n and model = Span_ref.create ~n in
-  let agree e =
-    let got = Json.to_string (Span.to_json flat)
-    and want = Json.to_string (Span_ref.to_json model) in
-    if not (String.equal got want) then
-      Alcotest.failf "stream %d event %d:@.flat  %s@.model %s" seed e got want
-  in
-  let step = ref 0 in
-  for e = 1 to events do
-    step := !step + Rng.int g 3;
-    let pid =
-      if Rng.int g 20 = 0 then Rng.int g 3 - 1 + (n * Rng.int g 2) else Rng.int g n
-    in
-    let obj_id = if Rng.int g 30 = 0 then -1 else Rng.int g objs in
-    if Rng.bool g invoke_bias then begin
-      Span.on_invoke flat ~pid ~obj_id ~step:!step;
-      Span_ref.on_invoke model ~pid ~obj_id ~step:!step;
-      if pid >= 0 && pid < n then begin
-        let open Span_ref in
-        if model.open_len.(pid) = max_open_spans then seen.(0) <- true;
-        match model.open_spans.(pid) with
-        | _ :: rest when obj_id >= 0 && List.exists (fun o -> o.os_obj = obj_id) rest ->
-          seen.(1) <- true
-        | _ -> ()
-      end
-    end
-    else begin
-      let layer = List.nth Sink.layers (Rng.int g (List.length Sink.layers)) in
-      let aborted = Rng.bool g 0.3 in
-      let before = Span_ref.completed model in
-      Span.on_respond flat ~pid ~layer ~obj_id ~step:!step ~aborted;
-      Span_ref.on_respond model ~pid ~layer ~obj_id ~step:!step ~aborted;
-      if pid >= 0 && pid < n && Span_ref.completed model = before then
-        seen.(2) <- true
-    end;
-    if model.Span_ref.contended_spans > 0 then seen.(3) <- true;
-    if Span.completed flat <> Span_ref.completed model then
-      Alcotest.failf "stream %d event %d: completed %d, model %d" seed e
-        (Span.completed flat) (Span_ref.completed model);
-    if e mod 50 = 0 then agree e
-  done;
-  agree events
-
-let test_span_matches_reference () =
-  let seen = Array.make 4 false in
-  for seed = 0 to 299 do
-    span_stream_agrees seen seed
-  done;
-  List.iteri
-    (fun i what ->
-      if not seen.(i) then Alcotest.failf "no stream reached %s" what)
-    [ "the 256-span cap"; "two open spans of one pid on one object";
-      "a respond without an invoke"; "a contended span" ]
 
 let test_span_latency_and_streaks () =
   let sp = Span.create ~n:2 in
-  Span.on_invoke sp ~pid:0 ~obj_id:1 ~step:0;
-  Span.on_respond sp ~pid:0 ~layer:Sink.App ~obj_id:1 ~step:5 ~aborted:false;
+  Span.on_invoke sp ~obj_id:1;
+  Span.on_respond sp ~pid:0 ~layer:Sink.App ~obj_id:1 ~step:5 ~invoked:0
+    ~overlapped:false ~aborted:false;
   Alcotest.(check int) "completed" 1 (Span.completed sp);
   let lat = Span.tail_of sp Sink.App in
   Alcotest.(check int) "latency count" 1 (Quantile.count lat);
@@ -519,12 +295,13 @@ let test_span_latency_and_streaks () =
   (* Three aborts then a success: one streak of length 3. *)
   List.iter
     (fun step ->
-      Span.on_invoke sp ~pid:1 ~obj_id:1 ~step;
+      Span.on_invoke sp ~obj_id:1;
       Span.on_respond sp ~pid:1 ~layer:Sink.App ~obj_id:1 ~step:(step + 1)
-        ~aborted:true)
+        ~invoked:step ~overlapped:false ~aborted:true)
     [ 10; 12; 14 ];
-  Span.on_invoke sp ~pid:1 ~obj_id:1 ~step:16;
-  Span.on_respond sp ~pid:1 ~layer:Sink.App ~obj_id:1 ~step:17 ~aborted:false;
+  Span.on_invoke sp ~obj_id:1;
+  Span.on_respond sp ~pid:1 ~layer:Sink.App ~obj_id:1 ~step:17 ~invoked:16
+    ~overlapped:false ~aborted:false;
   match Span.to_json sp with
   | Json.Obj fields -> (
     Alcotest.(check bool) "all five spans completed" true
@@ -540,14 +317,17 @@ let test_span_latency_and_streaks () =
 
 let test_span_contention () =
   let sp = Span.create ~n:2 in
-  Span.on_invoke sp ~pid:0 ~obj_id:7 ~step:0;
-  Span.on_invoke sp ~pid:1 ~obj_id:7 ~step:1;
+  Span.on_invoke sp ~obj_id:7;
+  Span.on_invoke sp ~obj_id:7;
   (* both spans overlap on object 7: one contention window *)
-  Span.on_respond sp ~pid:0 ~layer:Sink.App ~obj_id:7 ~step:2 ~aborted:false;
-  Span.on_respond sp ~pid:1 ~layer:Sink.App ~obj_id:7 ~step:3 ~aborted:false;
+  Span.on_respond sp ~pid:0 ~layer:Sink.App ~obj_id:7 ~step:2 ~invoked:0
+    ~overlapped:true ~aborted:false;
+  Span.on_respond sp ~pid:1 ~layer:Sink.App ~obj_id:7 ~step:3 ~invoked:1
+    ~overlapped:true ~aborted:false;
   (* a solo operation afterwards does not reopen the window *)
-  Span.on_invoke sp ~pid:0 ~obj_id:7 ~step:4;
-  Span.on_respond sp ~pid:0 ~layer:Sink.App ~obj_id:7 ~step:5 ~aborted:false;
+  Span.on_invoke sp ~obj_id:7;
+  Span.on_respond sp ~pid:0 ~layer:Sink.App ~obj_id:7 ~step:5 ~invoked:4
+    ~overlapped:false ~aborted:false;
   match Span.to_json sp with
   | Json.Obj fields -> (
     match List.assoc "contention" fields with
@@ -559,12 +339,273 @@ let test_span_contention () =
     | _ -> Alcotest.fail "contention should be an object")
   | _ -> Alcotest.fail "span json should be an object"
 
-let test_span_orphan_respond () =
-  let sp = Span.create ~n:1 in
-  (* A respond with no recorded invoke (collector attached mid-run) is
-     silently ignored rather than crashing or corrupting counts. *)
-  Span.on_respond sp ~pid:0 ~layer:Sink.App ~obj_id:3 ~step:9 ~aborted:false;
-  Alcotest.(check int) "nothing completed" 0 (Span.completed sp)
+(* --- Span over real runtimes ---------------------------------------------
+
+   Random programs: 2–4 processes, each running 1–3 tasks that call 1–3
+   shared objects or yield, some processes crashing or retiring mid-run;
+   a final [stop] drops the calls still in flight. A collector watches
+   the run while every task logs its own calls; the tracer's JSON must
+   equal the one recomputed from those logs alone. *)
+
+type span_task = {
+  layer : Sink.layer;
+  body : [ `Call of int * bool | `Yield ] list;
+      (* object, and whether the object answers [Abort] *)
+}
+
+type span_program = {
+  objects : int;
+  tasks : span_task list array;  (* per process *)
+  crash : int option array;
+  retire : int option array;
+  weights : float array;  (* scheduling weight per process *)
+  seed : int;
+}
+
+type call = {
+  c_pid : int;
+  c_task : int;  (* index of the task on its process *)
+  c_layer : Sink.layer;
+  c_obj : int;
+  c_aborts : bool;
+  c_invoked : int;
+  mutable c_responded : int;  (* max_int until the task sees its answer *)
+}
+
+let span_horizon = 40
+
+let gen_span_program =
+  let open QCheck.Gen in
+  let* n = int_range 2 4 in
+  let* objects = int_range 1 3 in
+  let action =
+    frequency
+      [
+        ( 3,
+          map2
+            (fun k aborts -> `Call (k, aborts))
+            (int_bound (objects - 1))
+            (map (fun d -> d = 0) (int_bound 2)) );
+        1, return `Yield;
+      ]
+  in
+  let task =
+    map2
+      (fun layer body -> { layer; body })
+      (oneofl Sink.layers)
+      (list_size (int_range 1 8) action)
+  in
+  let* tasks = array_repeat n (list_size (int_range 1 3) task) in
+  let* crash = array_repeat n (opt ~ratio:0.3 (int_bound span_horizon)) in
+  let* retire = array_repeat n (opt ~ratio:0.2 (int_range 1 span_horizon)) in
+  let* weights = array_repeat n (float_range 0.2 3.0) in
+  let* seed = int_bound 1_000_000 in
+  return { objects; tasks; crash; retire; weights; seed }
+
+let print_span_program p =
+  let action = function
+    | `Call (k, aborts) -> Fmt.str "call %d%s" k (if aborts then "!" else "")
+    | `Yield -> "yield"
+  in
+  let opt = Fmt.(option ~none:(any "-") int) in
+  Fmt.str "objects=%d seed=%d@.%a" p.objects p.seed
+    Fmt.(
+      array ~sep:cut (fun ppf (pid, tasks) ->
+          Fmt.pf ppf "p%d w=%.2f crash=%a retire=%a:@ %a" pid p.weights.(pid)
+            opt p.crash.(pid) opt p.retire.(pid)
+            (list ~sep:semi (fun ppf t ->
+                 Fmt.pf ppf "%s[%a]" (Sink.layer_name t.layer)
+                   (list ~sep:comma string) (List.map action t.body)))
+            tasks))
+    (Array.mapi (fun pid tasks -> pid, tasks) p.tasks)
+
+(* Run [p] with a collector attached; return its tracer and every call
+   the tasks made, in invocation order. *)
+let run_span_program p =
+  let n = Array.length p.tasks in
+  let rt =
+    Runtime.create ~record_trace:false ~seed:(Int64.of_int p.seed) ~n ()
+  in
+  let c = Collector.attach rt in
+  let objs =
+    Array.init p.objects (fun k ->
+        Runtime.register_object rt ~name:(Fmt.str "o%d" k) ~respond:(fun ctx ->
+            match ctx.Shared.op with
+            | Value.Bool true -> Value.Abort
+            | _ -> Value.Unit))
+  in
+  let calls = ref [] in
+  Array.iteri
+    (fun pid tasks ->
+      List.iteri
+        (fun task { layer; body } ->
+          Runtime.spawn ~layer rt ~pid ~name:"t" (fun () ->
+              List.iter
+                (function
+                  | `Yield -> Runtime.yield ()
+                  | `Call (k, aborts) ->
+                    let call =
+                      { c_pid = pid; c_task = task; c_layer = layer; c_obj = k;
+                        c_aborts = aborts; c_invoked = Runtime.now rt;
+                        c_responded = max_int }
+                    in
+                    calls := call :: !calls;
+                    ignore (Runtime.call objs.(k) (Value.Bool aborts) : Value.t);
+                    call.c_responded <- Runtime.now rt)
+                body))
+        tasks)
+    p.tasks;
+  Array.iteri
+    (fun pid -> Option.iter (fun step -> Runtime.crash_at rt ~pid ~step))
+    p.crash;
+  Array.iteri
+    (fun pid -> Option.iter (fun at -> Runtime.retire ~at rt ~pid))
+    p.retire;
+  Runtime.run rt
+    ~policy:(Policy.weighted (Array.mapi (fun pid w -> pid, w) p.weights))
+    ~steps:span_horizon;
+  Runtime.stop rt;
+  Collector.spans c, List.rev !calls
+
+(* The step a call was answered at, or max_int if [stop] dropped it. A
+   call still in flight when its process crashed or retired never sees
+   its answer: the runtime resolves it at the departure step, if the run
+   got that far. *)
+let answered_at p call =
+  if call.c_responded < max_int then call.c_responded
+  else
+    let due = function Some s when s < span_horizon -> s | _ -> max_int in
+    min (due p.crash.(call.c_pid)) (due p.retire.(call.c_pid))
+
+(* The tracer's JSON recomputed from the task logs. A span is contended
+   iff another call's window on its object intersects its own; an
+   object's contention window opens when a second call is in flight and
+   closes when none is. Within one step every response (departures
+   first, then the scheduled task's) precedes the task's next invoke. *)
+let reference_span_json p calls =
+  let n = Array.length p.tasks in
+  let calls = List.map (fun c -> c, answered_at p c) calls in
+  let spans = List.filter (fun (_, r) -> r < max_int) calls in
+  let latency = Array.init Sink.n_layers (fun _ -> Quantile.create ()) in
+  List.iter
+    (fun (c, r) ->
+      Quantile.observe latency.(Sink.layer_index c.c_layer) (r - c.c_invoked))
+    spans;
+  let contended =
+    List.length
+      (List.filter
+         (fun (c, r) ->
+           List.exists
+             (fun (c', r') ->
+               c' != c && c'.c_obj = c.c_obj && c'.c_invoked < r
+               && c.c_invoked < r')
+             calls)
+         spans)
+  in
+  let windows = ref 0 in
+  for obj = 0 to p.objects - 1 do
+    let events =
+      List.concat_map
+        (fun (c, r) ->
+          if c.c_obj <> obj then []
+          else (c.c_invoked, 1) :: (if r < max_int then [ r, 0 ] else []))
+        calls
+      |> List.sort compare
+    in
+    let in_flight = ref 0 and open_window = ref false in
+    List.iter
+      (fun (_, kind) ->
+        if kind = 1 then begin
+          incr in_flight;
+          if !in_flight >= 2 && not !open_window then begin
+            open_window := true;
+            incr windows
+          end
+        end
+        else begin
+          decr in_flight;
+          if !in_flight = 0 then open_window := false
+        end)
+      events
+  done;
+  let streaks = Quantile.create () and open_streak = Array.make n 0 in
+  List.sort
+    (fun (a, ra) (b, rb) -> compare (ra, a.c_task) (rb, b.c_task))
+    spans
+  |> List.iter (fun (c, _) ->
+         let pid = c.c_pid in
+         if c.c_aborts then open_streak.(pid) <- open_streak.(pid) + 1
+         else if open_streak.(pid) > 0 then begin
+           Quantile.observe streaks open_streak.(pid);
+           open_streak.(pid) <- 0
+         end);
+  let by_layer f =
+    Json.Obj
+      (List.map
+         (fun layer ->
+           Sink.layer_name layer, f latency.(Sink.layer_index layer))
+         Sink.layers)
+  in
+  Json.Obj
+    [
+      "completed", Json.Int (List.length spans);
+      "latency", by_layer Quantile.log2_json;
+      "tails", by_layer Quantile.to_json;
+      "abort_streaks", Quantile.log2_json streaks;
+      ( "open_abort_streaks",
+        Json.Arr (Array.to_list open_streak |> List.map (fun s -> Json.Int s)) );
+      ( "contention",
+        Json.Obj
+          [ "windows", Json.Int !windows; "contended_spans", Json.Int contended ]
+      );
+    ]
+
+let qcheck_span_matches_task_logs =
+  QCheck.Test.make ~name:"span aggregates match task logs" ~count:300
+    (QCheck.make ~print:print_span_program gen_span_program)
+    (fun p ->
+      let spans, calls = run_span_program p in
+      let got = Json.to_string (Span.to_json spans)
+      and want = Json.to_string (reference_span_json p calls) in
+      String.equal got want
+      || QCheck.Test.fail_reportf "tracer    %s@.task logs %s" got want)
+
+(* The generator reaches every case the reference distinguishes. *)
+let test_span_programs_cover_cases () =
+  let seen = Array.make 5 false in
+  let rand = Random.State.make [| 2026 |] in
+  for _ = 1 to 300 do
+    let p = QCheck.Gen.generate1 ~rand gen_span_program in
+    let spans, calls = run_span_program p in
+    List.iter
+      (fun c ->
+        let r = answered_at p c in
+        if c.c_responded = max_int && r < max_int then seen.(0) <- true;
+        if r = max_int then seen.(1) <- true;
+        if
+          List.exists
+            (fun c' ->
+              c' != c && c'.c_pid = c.c_pid && c'.c_obj = c.c_obj
+              && c'.c_invoked < r && c.c_invoked < answered_at p c')
+            calls
+        then seen.(2) <- true)
+      calls;
+    match Span.to_json spans with
+    | Json.Obj fields ->
+      (match List.assoc "contention" fields with
+      | Json.Obj c when List.assoc "contended_spans" c <> Json.Int 0 ->
+        seen.(3) <- true
+      | _ -> ());
+      (match List.assoc "abort_streaks" fields with
+      | Json.Obj h when List.assoc "count" h <> Json.Int 0 -> seen.(4) <- true
+      | _ -> ())
+    | _ -> Alcotest.fail "span json should be an object"
+  done;
+  List.iteri
+    (fun i what -> if not seen.(i) then Alcotest.failf "no program reached %s" what)
+    [ "a call resolved by a departure"; "a call dropped by stop";
+      "two calls of one pid in flight on one object"; "a contended span";
+      "a closed abort streak" ]
 
 (* --- Json ---------------------------------------------------------------- *)
 
@@ -857,10 +898,9 @@ let () =
           Alcotest.test_case "latency and streaks" `Quick
             test_span_latency_and_streaks;
           Alcotest.test_case "contention windows" `Quick test_span_contention;
-          Alcotest.test_case "orphan respond ignored" `Quick
-            test_span_orphan_respond;
-          Alcotest.test_case "matches list-based reference" `Quick
-            test_span_matches_reference;
+          QCheck_alcotest.to_alcotest qcheck_span_matches_task_logs;
+          Alcotest.test_case "programs cover every case" `Quick
+            test_span_programs_cover_cases;
         ] );
       ( "json",
         [
