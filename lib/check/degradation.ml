@@ -21,6 +21,10 @@ let emergent_quorate em pid =
   | None -> false
   | Some rs -> List.length rs >= emergent_majority em
 
+(* [quorate <> Some false]: only a process known to miss a quorum loses
+   its guarantee. *)
+let not_unquorate = function Some false -> false | Some true | None -> true
+
 type process_verdict = {
   dv_pid : int;
   dv_predicted_timely : bool;
@@ -39,7 +43,7 @@ type verdict = {
 
 let tail_rate_denominator = 1_500
 
-let required_tail_ops ~n ~tail = max 2 (tail / (tail_rate_denominator * (n + 1)))
+let required_tail_ops ~n ~tail = Int.max 2 (tail / (tail_rate_denominator * (n + 1)))
 
 let tail_steps trace ~pid ~from_step =
   let len = Trace.length trace in
@@ -61,6 +65,10 @@ let check ?(min_ops = 1) ?(require_sched_timely = true) ~prediction ~trace
   if Array.length completed_before <> p.pred_n
      || Array.length completed_after <> p.pred_n
   then invalid_arg "Degradation.check: completed arrays must have length n";
+  let sched_timely =
+    Timeliness.timely_all trace ~n:p.pred_n ~from_step:p.pred_from
+      ~bound:p.pred_bound
+  in
   let processes =
     List.init p.pred_n (fun pid ->
         (* On a message-passing substrate the process's register
@@ -71,7 +79,7 @@ let check ?(min_ops = 1) ?(require_sched_timely = true) ~prediction ~trace
           Option.map (fun em -> emergent_quorate em pid) p.pred_emergent
         in
         let predicted_timely =
-          List.mem pid p.pred_timely && quorate <> Some false
+          List.mem pid p.pred_timely && not_unquorate quorate
         in
         let tail_ops = completed_after.(pid) - completed_before.(pid) in
         let steps = tail_steps trace ~pid ~from_step:p.pred_from in
@@ -88,10 +96,7 @@ let check ?(min_ops = 1) ?(require_sched_timely = true) ~prediction ~trace
             dv_ok = true;
           }
         else begin
-          let sched_timely =
-            Timeliness.timely trace ~n:p.pred_n ~p:pid ~from_step:p.pred_from
-              ~bound:p.pred_bound
-          in
+          let sched_timely = sched_timely.(pid) in
           let ok =
             tail_ops >= min_ops
             && ((not require_sched_timely) || sched_timely)
@@ -160,7 +165,7 @@ module Online = struct
      partial stream; invokes and responds need not, since they never
      move [o_completed]. *)
   let roll t ~step =
-    if t.o_before = None && step >= t.o_prediction.pred_from then
+    if Option.is_none t.o_before && step >= t.o_prediction.pred_from then
       t.o_before <- Some (Array.copy t.o_completed)
 
   let on_step t ~step ~pid =
@@ -206,7 +211,7 @@ module Online = struct
      only if q never stepped either (its current gap is still 0). *)
   let pair_timely t ~p ~q =
     if t.o_stepped.(p) then
-      max t.o_big.(p).(q) t.o_cur.(p).(q) <= t.o_prediction.pred_bound
+      Int.max t.o_big.(p).(q) t.o_cur.(p).(q) <= t.o_prediction.pred_bound
     else t.o_cur.(p).(q) = 0
 
   let sched_timely t ~pid =
@@ -230,7 +235,7 @@ module Online = struct
             Option.map (fun em -> emergent_quorate em pid) p.pred_emergent
           in
           let predicted_timely =
-            List.mem pid p.pred_timely && quorate <> Some false
+            List.mem pid p.pred_timely && not_unquorate quorate
           in
           let tail_ops = t.o_completed.(pid) - before.(pid) in
           let steps = t.o_own_steps.(pid) in
@@ -276,7 +281,7 @@ let timely_tail_ops verdict =
 let min_timely_tail_ops verdict =
   match timely_tail_ops verdict with
   | [] -> None
-  | ops -> Some (List.fold_left min max_int ops)
+  | ops -> Some (List.fold_left Int.min max_int ops)
 
 module Json = Tbwf_telemetry.Json
 

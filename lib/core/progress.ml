@@ -8,10 +8,11 @@ type process_report = {
 }
 
 let reports trace ~n ~stats ~from_step ~bound =
+  let timely = Timeliness.timely_all trace ~n ~from_step ~bound in
   List.init n (fun pid ->
       {
         pid;
-        timely = Timeliness.timely trace ~n ~p:pid ~from_step ~bound;
+        timely = timely.(pid);
         issued = stats.Workload.issued.(pid);
         completed = stats.Workload.completed.(pid);
       })

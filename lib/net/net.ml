@@ -76,7 +76,7 @@ let sorted_events config =
   List.stable_sort (fun a b -> compare (event_time a) (event_time b))
     config.events
 
-let link_matches node a b =
+let link_matches (node : int option) (a : int) b =
   match node with None -> true | Some p -> p = a || p = b
 
 let interp ~from_ ~until ~v0 ~v1 at =
@@ -157,7 +157,7 @@ module Inbox = struct
 
   let post q ~delivery ~seq ~src ~key payload =
     if q.len = Array.length q.msgs then begin
-      let grown = Array.make (max 8 (2 * q.len)) vacant in
+      let grown = Array.make (Int.max 8 (2 * q.len)) vacant in
       Array.blit q.msgs 0 grown 0 q.len;
       q.msgs <- grown
     end;
@@ -238,7 +238,7 @@ let inbox_respond t ~dst ctx =
       else 0
     in
     let extra = extra_delay_in events ~at src dst in
-    let latency = max 1 (config.base_latency + jitter + extra) in
+    let latency = Int.max 1 (config.base_latency + jitter + extra) in
     let rate = 1. -. survive_in events ~at src dst 1. in
     let lost =
       (* fixed draw order: jitter above, then the loss draw *)

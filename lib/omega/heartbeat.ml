@@ -80,8 +80,10 @@ let receive t =
         t.prev_hb2.(q) <- t.cur_hb2.(q);
         t.cur_hb1.(q) <- (Option.get t.mesh.hb1.(q).(t.me)).Reg.Abortable.read ();
         t.cur_hb2.(q) <- (Option.get t.mesh.hb2.(q).(t.me)).Reg.Abortable.read ();
-        let fresh cur prev =
-          match cur with None -> true | Some _ -> cur <> prev
+        let fresh (cur : int option) prev =
+          match cur, prev with
+          | None, _ | Some _, None -> true
+          | Some c, Some p -> c <> p
         in
         if
           fresh t.cur_hb1.(q) t.prev_hb1.(q)

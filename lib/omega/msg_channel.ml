@@ -40,10 +40,13 @@ let create ~me ~registers =
     read_timeout = Array.make n 1;
   }
 
+let same ((a, b) : payload) ((a', b') : payload) = a = a' && b = b'
+
 let write_msgs t msg_to =
   for q = 0 to t.n - 1 do
     if q <> t.me then
-      if (not t.prev_write_done.(q)) || t.msg_curr.(q) <> msg_to.(q) then begin
+      if (not t.prev_write_done.(q)) || not (same t.msg_curr.(q) msg_to.(q))
+      then begin
         if t.prev_write_done.(q) then t.msg_curr.(q) <- msg_to.(q);
         let reg = Option.get t.regs.(t.me).(q) in
         t.prev_write_done.(q) <- reg.Reg.Abortable.write t.msg_curr.(q)
@@ -60,7 +63,7 @@ let read_msgs t =
         let reg = Option.get t.regs.(q).(t.me) in
         match reg.Reg.Abortable.read () with
         | None -> t.read_timeout.(q) <- t.read_timeout.(q) + 1
-        | Some v when v = t.prev_msg_from.(q) ->
+        | Some v when same v t.prev_msg_from.(q) ->
           t.read_timeout.(q) <- t.read_timeout.(q) + 1
         | Some v ->
           t.prev_msg_from.(q) <- v;

@@ -23,22 +23,21 @@ let omega_loop rt t p n =
     (* Self-punishment on joining: jump over the current leader's counter.
        Done with max (not an increment) so counter[p] stops changing once
        the run stabilizes — otherwise WriteMsgs could never propagate it. *)
-    counter.(p) <- max counter.(p) (counter.(!leader) + 1);
+    counter.(p) <- Int.max counter.(p) (counter.(!leader) + 1);
     let continue_loop = ref true in
     while !continue_loop do
       Heartbeat.send heartbeat ~dest:!write_done;
       let active_set = Heartbeat.receive heartbeat in
       let best = ref p in
       for q = 0 to n - 1 do
-        if active_set.(q) && (counter.(q), q) < (counter.(!best), !best) then
-          best := q
+        if active_set.(q) && Omega_spec.precedes counter q !best then best := q
       done;
       leader := !best;
       Omega_spec.set_view rt handle (Omega_spec.Leader !leader);
       for q = 0 to n - 1 do
         if q <> p then begin
           if not active_set.(q) then
-            actr_to.(q) <- max actr_to.(q) (counter.(!leader) + 1);
+            actr_to.(q) <- Int.max actr_to.(q) (counter.(!leader) + 1);
           msg_to.(q) <- counter.(p), actr_to.(q)
         end
       done;
@@ -48,7 +47,7 @@ let omega_loop rt t p n =
         if q <> p then begin
           let counter_q, actr_from_q = msg_from.(q) in
           counter.(q) <- counter_q;
-          counter.(p) <- max counter.(p) actr_from_q
+          counter.(p) <- Int.max counter.(p) actr_from_q
         end
       done;
       (* One local step per iteration: keeps the loop live in the simulator

@@ -51,7 +51,7 @@ let omega_loop ~self_punishment rt t p n =
       for q = 0 to n - 1 do
         if
           Activity_monitor.equal_status status.(q) Activity_monitor.Active
-          && (counter.(q), q) < (counter.(!leader), !leader)
+          && Omega_spec.precedes counter q !leader
         then leader := q
       done;
       Omega_spec.set_view rt handle (Omega_spec.Leader !leader);

@@ -28,6 +28,10 @@ let set_view rt h v =
     h.leader := v
   end
 
+(* The tuple order without building the tuples. *)
+let precedes (counter : int array) q l =
+  counter.(q) < counter.(l) || (counter.(q) = counter.(l) && q < l)
+
 let canonical_join h =
   Runtime.await (fun () -> not (equal_view !(h.leader) (Leader h.pid)));
   h.candidate := true

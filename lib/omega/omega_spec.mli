@@ -26,6 +26,11 @@ val set_view : Tbwf_sim.Runtime.t -> handle -> view -> unit
     {!Tbwf_sim.Sink.Leader_view} signal when the view actually changes.
     Ω∆ implementations route every [leader :=] assignment through this. *)
 
+val precedes : int array -> int -> int -> bool
+(** [precedes counter q l] iff [(counter.(q), q) < (counter.(l), l)]: the
+    order in which both Ω∆ implementations (Figures 3 and 6) pick their
+    leader, least counter first and ties to the smaller pid. *)
+
 (** {2 Canonical use (Definition 6)}
 
     After setting [candidate] to false, a canonical user waits until

@@ -15,7 +15,7 @@ type rstate = {
 }
 
 (* [(ts, wid) > (ts', wid')] on ABD tags, without building the tuples *)
-let tag_gt ts wid ts' wid' = ts > ts' || (ts = ts' && wid > wid')
+let tag_gt (ts : int) (wid : int) ts' wid' = ts > ts' || (ts = ts' && wid > wid')
 
 module Cluster = struct
   type t = {
@@ -81,7 +81,7 @@ let alloc (cl : Cluster.t) init =
   let rid = cl.Cluster.next_rid in
   cl.Cluster.next_rid <- rid + 1;
   if rid = Array.length cl.Cluster.states then begin
-    let grown = Array.make (max 8 (2 * rid)) [||] in
+    let grown = Array.make (Int.max 8 (2 * rid)) [||] in
     Array.blit cl.Cluster.states 0 grown 0 rid;
     cl.Cluster.states <- grown
   end;

@@ -28,24 +28,6 @@ let round_robin () =
   in
   { next; script_branching = ref [] }
 
-(* Growable per-pid tables: a read past the end sees the table's default,
-   a write past it first grows the table, filling new slots with [fill]. *)
-let set table pid fill v =
-  if pid >= Array.length !table then begin
-    let old = !table in
-    let bigger = Array.make (max (pid + 1) (2 * Array.length old)) fill in
-    Array.blit old 0 bigger 0 (Array.length old);
-    table := bigger
-  end;
-  !table.(pid) <- v
-
-(* The table of an assignment list: the last duplicate wins, and negative
-   pids are ignored. *)
-let table_of assignments fill =
-  let table = ref [||] in
-  List.iter (fun (pid, v) -> if pid >= 0 then set table pid fill v) assignments;
-  !table
-
 (* A reusable scratch for the soft draw, sized to the largest [runnable]
    seen so far. *)
 let scratch_for scratch len =
@@ -105,134 +87,198 @@ let rec validate = function
     validate after
   | Every _ | Weighted _ | Flicker _ | Slowing _ | Silent -> ()
 
-let rec resolve step = function
-  | Switch_at (s, before, after) ->
-    if step < s then resolve step before else resolve step after
-  | (Every _ | Weighted _ | Flicker _ | Slowing _ | Silent) as p -> p
-
 let unlisted = Weighted 1.0
 
-(* Everything [next] touches is a flat array indexed by pid: the compiled
-   patterns, when each pid last ran, and the lazily created slowing and
-   flicker states. A step resolves each runnable pid's pattern (walking its
-   [Switch_at] chain) and allocates nothing but a soft draw's float. *)
-let of_patterns assignments =
-  List.iter (fun (_, p) -> validate p) assignments;
-  let patterns = table_of assignments unlisted in
-  let pattern_at pid step =
-    resolve step (if pid < Array.length patterns then patterns.(pid) else unlisted)
-  in
-  let size = Array.length patterns in
-  let last_run = ref (Array.make size (-1)) in
-  let slowers : slowing_state option array ref = ref (Array.make size None) in
-  let flickers : flicker_state option array ref = ref (Array.make size None) in
-  let scratch = ref [||] in
-  let ran_at pid =
-    let a = !last_run in
-    if pid < Array.length a then a.(pid) else -1
-  in
-  let ran pid step = set last_run pid (-1) step in
-  let slowing_state pid step initial_gap burst =
-    match if pid < Array.length !slowers then !slowers.(pid) else None with
+(* Everything a pick needs about one pid. [leaf] is what [chain] resolves
+   to at every step in [from, until), so the chain is walked again only
+   when a step leaves that range (at a [Switch_at] boundary, or when a
+   caller's step goes backwards). For an [Every] leaf, [next_claim] is
+   the next claiming step at or after the last step asked about. The
+   slowing and flicker states are created on first use and outlive leaf
+   changes. *)
+type slot = {
+  chain : pattern;
+  mutable leaf : pattern;
+  mutable from : int;
+  mutable until : int;
+  mutable next_claim : int;
+  mutable last_run : int;
+  mutable slowing : slowing_state option;
+  mutable flicker : flicker_state option;
+}
+
+(* An empty range, so the first step asked about resolves the chain. *)
+let fresh_slot chain =
+  {
+    chain;
+    leaf = chain;
+    from = max_int;
+    until = min_int;
+    next_claim = 0;
+    last_run = -1;
+    slowing = None;
+    flicker = None;
+  }
+
+(* The least step >= [step] that is congruent to [offset] mod [period]. *)
+let first_claim ~period ~offset step =
+  let r = (offset - step) mod period in
+  if r < 0 then step + r + period else step + r
+
+(* Resolve [pattern] at [step], narrowing [from, until) to the steps that
+   resolve to the same leaf. *)
+let rec settle slot step from until = function
+  | Switch_at (at, before, after) ->
+    if step < at then settle slot step from (Int.min until at) before
+    else settle slot step (Int.max from at) until after
+  | (Every _ | Weighted _ | Flicker _ | Slowing _ | Silent) as leaf ->
+    slot.leaf <- leaf;
+    slot.from <- from;
+    slot.until <- until;
+    (match leaf with
+    | Every { period; offset } ->
+      slot.next_claim <- first_claim ~period ~offset step
+    | Weighted _ | Flicker _ | Slowing _ | Silent | Switch_at _ -> ())
+
+let slowing_state slot step initial_gap burst =
+  match slot.slowing with
+  | Some st -> st
+  | None ->
+    let st = { due = step; gap = float_of_int initial_gap; burst_left = burst } in
+    slot.slowing <- Some st;
+    st
+
+let flicker_awake slot step active sleep growth =
+  let st =
+    match slot.flicker with
     | Some st -> st
     | None ->
-      let st =
-        { due = step; gap = float_of_int initial_gap; burst_left = burst }
-      in
-      set slowers pid None (Some st);
+      let st = { awake = true; phase_end = step + active; sleep_len = float_of_int sleep } in
+      slot.flicker <- Some st;
       st
   in
-  let flicker_awake pid step active sleep growth =
-    let st =
-      match if pid < Array.length !flickers then !flickers.(pid) else None with
-      | Some st -> st
-      | None ->
-        let st = { awake = true; phase_end = step + active; sleep_len = float_of_int sleep } in
-        set flickers pid None (Some st);
-        st
-    in
-    while step >= st.phase_end do
-      if st.awake then begin
-        st.awake <- false;
-        st.phase_end <- st.phase_end + int_of_float st.sleep_len;
-        st.sleep_len <- st.sleep_len *. growth
-      end
-      else begin
-        st.awake <- true;
-        st.phase_end <- st.phase_end + active
-      end
-    done;
-    st.awake
+  while step >= st.phase_end do
+    if st.awake then begin
+      st.awake <- false;
+      st.phase_end <- st.phase_end + int_of_float st.sleep_len;
+      st.sleep_len <- st.sleep_len *. growth
+    end
+    else begin
+      st.awake <- true;
+      st.phase_end <- st.phase_end + active
+    end
+  done;
+  st.awake
+
+(* One slot per pid, in a table that grows when a pid beyond it is first
+   asked about (an unlisted pid, e.g. a late joiner). A pick reads the
+   slot of each runnable pid once, allocates nothing but a soft draw's
+   float, and draws only when some runnable pid is soft. *)
+let of_patterns assignments =
+  List.iter (fun (_, p) -> validate p) assignments;
+  let size =
+    List.fold_left (fun acc (pid, _) -> Int.max acc (pid + 1)) 0 assignments
   in
+  let chains = Array.make size unlisted in
+  (* the last duplicate wins, and negative pids are ignored *)
+  List.iter (fun (pid, p) -> if pid >= 0 then chains.(pid) <- p) assignments;
+  let slots = ref (Array.map fresh_slot chains) in
+  let grow pid =
+    let old = !slots in
+    let len = Array.length old in
+    slots :=
+      Array.init
+        (Int.max (pid + 1) (2 * len))
+        (fun i -> if i < len then old.(i) else fresh_slot unlisted);
+    !slots.(pid)
+  in
+  let scratch = ref [||] in
   let next ~step ~runnable ~rng =
     let len = Array.length runnable in
     if len = 0 then -1
     else begin
       (* Hard claims: every pid's claim is evaluated (creating slowing
          state on first sight); the first claimant with the strictly
-         least recent run wins, so ties starve nobody. *)
-      let best = ref (-1) in
+         least recent run wins, so ties starve nobody. The same walk
+         notes the spare step's candidate (the least recently run [Every]
+         pid) and whether any soft pid is runnable. *)
+      let best = ref (-1) and best_run = ref 0 in
+      let spare = ref (-1) and spare_run = ref 0 in
+      let soft = ref false in
       for i = 0 to len - 1 do
         let p = runnable.(i) in
-        let claims =
-          match pattern_at p step with
-          | Every { period; offset } -> (step - offset) mod period = 0
-          | Slowing { initial_gap; growth = _; burst } ->
-            step >= (slowing_state p step initial_gap burst).due
-          | Weighted _ | Flicker _ | Silent | Switch_at _ -> false
-        in
-        if claims && (!best < 0 || ran_at p < ran_at !best) then best := p
+        let s = if p < Array.length !slots then !slots.(p) else grow p in
+        if step < s.from || step >= s.until then
+          settle s step min_int max_int s.chain;
+        match s.leaf with
+        | Every { period; offset } ->
+          let due = s.next_claim in
+          (* overtaken (the pid was not asked about at its due step), or
+             a step that went backwards *)
+          if step > due || step <= due - period then
+            s.next_claim <- first_claim ~period ~offset step;
+          if step = s.next_claim then begin
+            s.next_claim <- step + period;
+            if !best < 0 || s.last_run < !best_run then begin
+              best := p;
+              best_run := s.last_run
+            end
+          end
+          else if !spare < 0 || s.last_run < !spare_run then begin
+            spare := p;
+            spare_run := s.last_run
+          end
+        | Slowing { initial_gap; growth = _; burst } ->
+          if step >= (slowing_state s step initial_gap burst).due then
+            if !best < 0 || s.last_run < !best_run then begin
+              best := p;
+              best_run := s.last_run
+            end
+        | Weighted _ | Flicker _ -> soft := true
+        | Silent | Switch_at _ -> ()
       done;
       if !best >= 0 then begin
-        let p = !best in
-        ran p step;
-        (match pattern_at p step with
+        let s = !slots.(!best) in
+        s.last_run <- step;
+        (match s.leaf with
         | Slowing { initial_gap; growth; burst } ->
-          let st = slowing_state p step initial_gap burst in
+          let st = slowing_state s step initial_gap burst in
           if st.burst_left > 1 then st.burst_left <- st.burst_left - 1
           else begin
-            st.burst_left <- max 1 burst;
+            st.burst_left <- Int.max 1 burst;
             st.due <- step + int_of_float st.gap;
             st.gap <- st.gap *. growth
           end
         | Every _ | Weighted _ | Flicker _ | Silent | Switch_at _ -> ());
-        p
+        !best
       end
       else begin
-        (* Soft participants, drawn by weight. *)
-        let ws = scratch_for scratch len in
-        for i = 0 to len - 1 do
-          let p = runnable.(i) in
-          ws.(i) <-
-            (match pattern_at p step with
-            | Weighted w -> w
-            | Flicker { active; sleep; growth } ->
-              if flicker_awake p step active sleep growth then 1.0 else 0.0
-            | Every _ | Slowing _ | Silent -> 0.0
-            | Switch_at _ -> assert false)
-        done;
-        let chosen = draw rng runnable ws len in
-        if chosen >= 0 then begin
-          ran chosen step;
-          chosen
-        end
-        else begin
-          (* No soft participant this step. Give the spare step to an
-             off-claim [Every] process (it is willing, merely not due), so
-             runs made only of timely processes keep progressing; if truly
-             everyone is silent, let the step pass idle. *)
-          for i = 0 to len - 1 do
-            let p = runnable.(i) in
-            match pattern_at p step with
-            | Every _ -> if !best < 0 || ran_at p < ran_at !best then best := p
-            | Weighted _ | Flicker _ | Slowing _ | Silent | Switch_at _ -> ()
-          done;
-          if !best < 0 then -1
+        (* Soft participants, drawn by weight. With no soft pid runnable
+           every weight would be 0, and the draw would return -1 without
+           touching the rng, so it is skipped. *)
+        let chosen =
+          if not !soft then -1
           else begin
-            ran !best step;
-            !best
+            let ws = scratch_for scratch len in
+            for i = 0 to len - 1 do
+              let s = !slots.(runnable.(i)) in
+              ws.(i) <-
+                (match s.leaf with
+                | Weighted w -> w
+                | Flicker { active; sleep; growth } ->
+                  if flicker_awake s step active sleep growth then 1.0 else 0.0
+                | Every _ | Slowing _ | Silent | Switch_at _ -> 0.0)
+            done;
+            draw rng runnable ws len
           end
-        end
+        in
+        (* No soft participant this step: give the spare step to an
+           off-claim [Every] process (it is willing, merely not due), so
+           runs made only of timely processes keep progressing; if truly
+           everyone is silent, let the step pass idle. *)
+        let chosen = if chosen >= 0 then chosen else !spare in
+        if chosen >= 0 then !slots.(chosen).last_run <- step;
+        chosen
       end
     end
   in

@@ -60,13 +60,27 @@ val of_patterns : (int * pattern) list -> t
     processes with the same period remains timely (with a proportionally
     larger bound).
 
-    Cost: the patterns and all per-pid state live in flat arrays indexed
-    by pid, and a call does no hashing and allocates nothing beyond the
-    float a soft draw gets from {!Rng.float} (a table grows once when a
-    pid beyond it first runs, e.g. a late joiner). A call costs
-    O(|runnable| + [Switch_at] depth) and keeps nothing about the
-    runnable set between calls, so a caller may pass a fresh array every
-    step or reuse one array and mutate it.
+    Cost: each pid has one slot holding its resolved pattern, its next
+    [Every] claim, when it last ran and its lazily created slowing and
+    flicker state. A pick reads the slot of each runnable pid once. It
+    walks a pid's [Switch_at] chain again only when the step leaves the
+    range the last walk resolved (a boundary), and divides only to catch
+    an [Every] pid up when its due step has been overtaken; otherwise the
+    due step advances by whole periods. The weighted draw runs only when
+    some runnable pid is [Weighted] or [Flicker], and nothing is allocated
+    beyond the float such a draw gets from {!Rng.float} (the slot table
+    grows once when a pid beyond it first shows up, e.g. a late joiner).
+    A pick costs O(|runnable|) and keeps nothing about the runnable set
+    between calls, so a caller may pass a fresh array every step or reuse
+    one array and mutate it.
+
+    Steps: the runtime asks about steps 0, 1, 2, ... in order, the fast
+    case. Steps may also skip ahead or go backwards: a step before a
+    slot's resolved range re-resolves its chain, and one at or before an
+    [Every] pid's previous claim recomputes its due step, so every pick
+    equals that of a policy that resolves each pattern afresh at every
+    pick (the slowing and flicker states advance with the steps they are
+    asked about either way).
 
     @raise Invalid_argument if any pattern, including one nested in a
     [Switch_at] branch, has [Every { period }] with [period < 1] or

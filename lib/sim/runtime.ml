@@ -4,7 +4,6 @@ type pending = {
   p_invoked : int;  (* the invoke step *)
   p_obj : Shared.t;
   p_op : Value.t;
-  p_layer : Sink.layer;  (* layer of the invoking task, for telemetry *)
   p_overlapped_at_invoke : bool;
       (* another op on the object was in flight when this one was invoked *)
   p_invokes_at_invoke : int;
@@ -26,7 +25,7 @@ type machine = Value.t -> machine_action
 (* A suspended call's pending record and a machine's step function live
    on the task, so a suspension boxes at most its continuation. A task has
    at most one call in flight; each call gets a fresh pending record. Reusing
-   one record per task would save its 8 words, but every call would then
+   one record per task would save its 7 words, but every call would then
    store young values into a long-lived block, and those write-barrier
    stores measured slower than the allocation. *)
 type task_state =
@@ -167,7 +166,7 @@ let grow counts cap =
 let ensure_obj t id =
   let len = Array.length t.events_by_obj in
   if id >= len then begin
-    let cap = max (id + 1) (2 * len) in
+    let cap = Int.max (id + 1) (2 * len) in
     t.events_by_obj <- grow t.events_by_obj cap;
     t.in_flight_by_obj <- grow t.in_flight_by_obj cap;
     t.invokes_by_obj <- grow t.invokes_by_obj cap
@@ -187,7 +186,6 @@ let no_pending =
     p_invoked = 0;
     p_obj = Shared.make ~id:(-1) ~name:"" ~respond:(fun _ -> Value.Fail);
     p_op = Value.Unit;
-    p_layer = Sink.Other;
     p_overlapped_at_invoke = false;
     p_invokes_at_invoke = 0;
     p_events_at_invoke = 0;
@@ -205,7 +203,7 @@ let push_task ?(machine = no_machine) t ~pid ~name ~layer state =
   let task = make_task ~pid ~name ~layer ~machine state in
   let cap = Array.length proc.tasks in
   if proc.n_tasks = cap then begin
-    let grown = Array.make (max 4 (2 * cap)) task in
+    let grown = Array.make (Int.max 4 (2 * cap)) task in
     Array.blit proc.tasks 0 grown 0 cap;
     proc.tasks <- grown
   end;
@@ -232,7 +230,7 @@ let retired t ~pid = t.procs.(pid).is_retired
    crash. *)
 let is_crash = function Ev_crash _ -> true | Ev_task _ | Ev_retire _ -> false
 
-let rec insert_event due kind = function
+let rec insert_event (due : int) kind = function
   | ((d, k) as e) :: rest when d < due || (d = due && not (is_crash k)) ->
     e :: insert_event due kind rest
   | events -> (due, kind) :: events
@@ -241,7 +239,7 @@ let schedule_event t ~step kind = t.events <- insert_event step kind t.events
 
 (* A crash due at a step that has passed applies at the next step. *)
 let crash_at t ~pid ~step =
-  schedule_event t ~step:(max step t.step) (Ev_crash pid)
+  schedule_event t ~step:(Int.max step t.step) (Ev_crash pid)
 
 (* --- dynamic membership -------------------------------------------------- *)
 
@@ -255,7 +253,7 @@ let add_process t =
   if pid = cap then
     t.procs <-
       Array.init
-        (max 4 (2 * cap))
+        (Int.max 4 (2 * cap))
         (fun i -> if i < cap then t.procs.(i) else fresh_proc i);
   t.num <- pid + 1;
   pid
@@ -336,7 +334,7 @@ let respond_pending t task =
   Trace.record_respond t.trace ~step:t.step ~pid:task.t_pid ~obj_id
     ~obj_name:pend.p_obj.Shared.name ~op:pend.p_op ~result;
   if t.sink.Sink.active then
-    t.sink.Sink.on_respond ~step:t.step ~pid:task.t_pid ~layer:pend.p_layer
+    t.sink.Sink.on_respond ~step:t.step ~pid:task.t_pid ~layer:task.t_layer
       ~obj_id ~invoked:pend.p_invoked ~overlapped ~result;
   result
 
@@ -357,7 +355,6 @@ let begin_call t task obj op =
       p_invoked = t.step;
       p_obj = obj;
       p_op = op;
-      p_layer = task.t_layer;
       p_overlapped_at_invoke = in_flight > 0;
       p_invokes_at_invoke = invokes;
       p_events_at_invoke = events_of t id;

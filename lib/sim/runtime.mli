@@ -174,7 +174,7 @@ val run : t -> policy:Policy.t -> steps:int -> unit
     {!Policy.of_patterns} boxes. A yield step allocates its continuation
     and the [Suspended_local] box around it (4 words in all on OCaml
     5.1); a call step additionally allocates the performed effect, the
-    call's pending record and the {!Shared.ctx} of its response (19 words
+    call's pending record and the {!Shared.ctx} of its response (18 words
     more). *)
 
 (** {2 Step-replay hooks}

@@ -22,6 +22,12 @@ val q_timely : Trace.t -> p:int -> q:int -> from_step:int -> bound:int -> bool
 val timely : Trace.t -> n:int -> p:int -> from_step:int -> bound:int -> bool
 (** [p] is q-timely (with [bound]) for every process q ≠ p. *)
 
+val timely_all : Trace.t -> n:int -> from_step:int -> bound:int -> bool array
+(** [timely_all trace ~n ~from_step ~bound] equals
+    [Array.init n (fun p -> timely trace ~n ~p ~from_step ~bound)], from
+    one scan of the suffix: O(n × suffix) time and O(n²) space, where
+    [timely] over every p rescans the suffix once per pair. *)
+
 val timely_set : Trace.t -> n:int -> from_step:int -> bound:int -> int list
 (** All pids classified timely, ascending. *)
 

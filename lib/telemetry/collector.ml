@@ -248,8 +248,10 @@ let on_signal t ~step ~pid signal =
        Other view changes (followers catching up, views dropping to "?")
        are churn within an epoch. *)
     (match leader with
-    | Some l when l = pid && t.current_leader <> Some l ->
-      t.current_leader <- Some l;
+    | Some l
+      when l = pid
+           && (match t.current_leader with Some c -> c <> l | None -> true) ->
+      t.current_leader <- leader;
       t.epochs <- t.epochs + 1;
       let handoffs, len =
         truncate_events ~retain:t.retain (t.handoffs_len + 1)
@@ -345,13 +347,13 @@ let merge a b =
   if a.n <> b.n then invalid_arg "Collector.merge: process counts differ";
   if a.window <> b.window then
     invalid_arg "Collector.merge: window sizes differ";
-  if a.retain <> b.retain then
+  if not (Option.equal Int.equal a.retain b.retain) then
     invalid_arg "Collector.merge: retentions differ";
   let sum_arrays x y = Array.init a.n (fun i -> x.(i) + y.(i)) in
   (* Chronological merge of two step-sorted event lists; on equal steps
      [xs]'s events come first, so merge order is fixed by argument order,
      not by which domain produced which list. *)
-  let merge_events step xs ys =
+  let merge_events (step : _ -> int) xs ys =
     let rec go acc xs ys =
       match xs, ys with
       | [], rest | rest, [] -> List.rev_append acc rest
@@ -388,7 +390,7 @@ let merge a b =
               a.steps_by_layer.(pid).(l) + b.steps_by_layer.(pid).(l)));
     idle_steps = a.idle_steps + b.idle_steps;
     total_steps = a.total_steps + b.total_steps;
-    last_step = max a.last_step b.last_step;
+    last_step = Int.max a.last_step b.last_step;
     invokes = sum_arrays a.invokes b.invokes;
     responds = sum_arrays a.responds b.responds;
     aborts = sum_arrays a.aborts b.aborts;

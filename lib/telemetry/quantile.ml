@@ -52,14 +52,14 @@ let bucket_hi i =
 let get buckets i = if i < Array.length buckets then buckets.(i) else 0
 
 let observe t v =
-  let v = max v 0 in
+  let v = Int.max v 0 in
   t.count <- t.count + 1;
   t.sum <- t.sum + v;
   if v > t.max then t.max <- v;
   let b = bucket_of v in
   let len = Array.length t.buckets in
   if b >= len then begin
-    let buckets = Array.make (min n_buckets (max (2 * len) (b + 1))) 0 in
+    let buckets = Array.make (Int.min n_buckets (Int.max (2 * len) (b + 1))) 0 in
     Array.blit t.buckets 0 buckets 0 len;
     t.buckets <- buckets
   end;
@@ -79,7 +79,7 @@ let quantile t q =
   else begin
     let rank =
       let r = int_of_float (ceil (q *. float_of_int t.count)) in
-      min t.count (max 1 r)
+      Int.min t.count (Int.max 1 r)
     in
     let acc = ref 0 in
     let result = ref t.max in
@@ -92,7 +92,7 @@ let quantile t q =
          end
        done
      with Exit -> ());
-    min !result t.max
+    Int.min !result t.max
   end
 
 let p50 t = quantile t 0.5
@@ -105,10 +105,10 @@ let merge a b =
   {
     count = a.count + b.count;
     sum = a.sum + b.sum;
-    max = max a.max b.max;
+    max = Int.max a.max b.max;
     buckets =
       Array.init
-        (max (Array.length a.buckets) (Array.length b.buckets))
+        (Int.max (Array.length a.buckets) (Array.length b.buckets))
         (fun i -> get a.buckets i + get b.buckets i);
   }
 
@@ -117,7 +117,7 @@ let merge a b =
 let equal a b =
   a.count = b.count && a.sum = b.sum && a.max = b.max
   &&
-  let len = max (Array.length a.buckets) (Array.length b.buckets) in
+  let len = Int.max (Array.length a.buckets) (Array.length b.buckets) in
   let rec same i = i = len || (get a.buckets i = get b.buckets i && same (i + 1)) in
   same 0
 
@@ -161,7 +161,7 @@ let log2_buckets = 32
 let log2_bucket_of_sketch i =
   if i = 0 then 0
   else if i < subs then log2 i + 1
-  else min (log2_buckets - 1) (sub_bits + ((i - subs) / subs) + 1)
+  else Int.min (log2_buckets - 1) (sub_bits + ((i - subs) / subs) + 1)
 
 let fold_log2 t =
   let folded = Array.make log2_buckets 0 in
@@ -186,7 +186,7 @@ let log2_bound t folded q =
         if acc > target then if i = 0 then 0 else (1 lsl i) - 1
         else go (i + 1) acc
     in
-    min (go 0 0) t.max
+    Int.min (go 0 0) t.max
   end
 
 let log2_json t =

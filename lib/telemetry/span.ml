@@ -49,7 +49,7 @@ let grown a cap fill =
 
 let ensure_obj t obj_id =
   if obj_id >= Array.length t.open_count then begin
-    let cap = max (2 * Array.length t.open_count) (obj_id + 1) in
+    let cap = Int.max (2 * Array.length t.open_count) (obj_id + 1) in
     t.open_count <- grown t.open_count cap 0;
     t.in_window <- grown t.in_window cap false
   end
@@ -69,7 +69,7 @@ let on_respond t ~pid ~layer ~obj_id ~step ~invoked ~overlapped ~aborted =
     Quantile.observe t.latency.(Sink.layer_index layer) (step - invoked);
     if overlapped then t.contended_spans <- t.contended_spans + 1;
     ensure_obj t obj_id;
-    let opens = max 0 (t.open_count.(obj_id) - 1) in
+    let opens = Int.max 0 (t.open_count.(obj_id) - 1) in
     t.open_count.(obj_id) <- opens;
     if opens = 0 then t.in_window.(obj_id) <- false;
     if aborted then t.abort_streak.(pid) <- t.abort_streak.(pid) + 1

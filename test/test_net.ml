@@ -367,11 +367,11 @@ let yield_words () =
       done)
 
 (* Pinned as words added to a yield-only step, like test_runtime's call
-   step guard. What any call adds is 19 words: the [Call] effect (4), the
-   pending record (8) and the context (7). The link queries of a
+   step guard. What any call adds is 18 words: the [Call] effect (4), the
+   pending record (7) and the context (7). The link queries of a
    fault-free network and the rng draws allocate nothing. *)
 let test_post_step_allocation_guard () =
-  (* Every step answers one post and sends the next: 19, plus the post
+  (* Every step answers one post and sends the next: 18, plus the post
      operation (5) and the queued message (6). Nobody polls pid 1's inbox:
      the warm-up grows its queue's array past the largest block the minor
      heap takes, so the array's later growth is not counted here. *)
@@ -381,11 +381,11 @@ let test_post_step_allocation_guard () =
           Net.send net ~dst:1 ~key:0 Value.Unit
         done)
   in
-  Alcotest.(check (float 0.0)) "words a post adds to a step" 30.0
+  Alcotest.(check (float 0.0)) "words a post adds to a step" 29.0
     (post -. yield_words ())
 
 let test_empty_poll_step_allocation_guard () =
-  (* 19, plus the poll operation [Int key] (2). The answer is the shared
+  (* 18, plus the poll operation [Int key] (2). The answer is the shared
      empty list, and the pid comes from [Runtime.running], not an effect. *)
   let poll =
     net_words_per_step (fun net ->
@@ -393,7 +393,7 @@ let test_empty_poll_step_allocation_guard () =
           Net.poll net ~key:0 (fun _ _ _ -> ())
         done)
   in
-  Alcotest.(check (float 0.0)) "words an empty poll adds to a step" 21.0
+  Alcotest.(check (float 0.0)) "words an empty poll adds to a step" 20.0
     (poll -. yield_words ())
 
 (* --- quorum registers ----------------------------------------------------- *)

@@ -422,8 +422,30 @@ let runnable_source g ~universe ~hold =
       !held
     end
 
-let check_equivalent ?(hold = false) ~label ~policies ~steps make_new make_oracle
-    gen =
+(* A sparse runnable set: each pid of the universe drops out now and then
+   for 1–200 steps, as a crashed-and-recovering or blocked process would,
+   so a pid misses many of its due steps and [Switch_at] boundaries pass
+   while it is not runnable. *)
+let sparse_source g ~universe =
+  let back_at = Array.make universe 0 in
+  fun step ->
+    let pids = ref [] in
+    for p = universe - 1 downto 0 do
+      if step >= back_at.(p) && Rng.int g 8 = 0 then
+        back_at.(p) <- step + 1 + Rng.int g 200;
+      if step >= back_at.(p) then pids := p :: !pids
+    done;
+    Array.of_list !pids
+
+(* Each step advances the clock by 1–3. [~jump] advances by 1–40 instead,
+   so an [Every] pid's due step is overtaken by many periods;
+   [~backwards] sometimes moves the clock back by up to 100 steps. *)
+let advance g ~jump ~backwards step =
+  if backwards && Rng.int g 16 = 0 then Int.max 0 (step - 1 - Rng.int g 100)
+  else step + 1 + Rng.int g (if jump then 40 else 3)
+
+let check_equivalent ?(hold = false) ?(sparse = false) ?(jump = false)
+    ?(backwards = false) ~label ~policies ~steps make_new make_oracle gen =
   for i = 0 to policies - 1 do
     let g = Rng.create (Int64.of_int (1000 + i)) in
     let universe = 1 + Rng.int g 12 in
@@ -431,11 +453,16 @@ let check_equivalent ?(hold = false) ~label ~policies ~steps make_new make_oracl
     let fresh = make_new spec and oracle = make_oracle spec in
     let rng_new = Rng.create (Int64.of_int i) in
     let rng_oracle = Rng.create (Int64.of_int i) in
-    let next_runnable = runnable_source g ~universe ~hold in
+    let next_runnable =
+      if sparse then sparse_source g ~universe
+      else
+        let source = runnable_source g ~universe ~hold in
+        fun _ -> source ()
+    in
     let step = ref 0 in
     for _ = 1 to steps do
-      step := !step + 1 + Rng.int g 3;
-      let runnable = next_runnable () in
+      step := advance g ~jump ~backwards !step;
+      let runnable = next_runnable !step in
       let got = Policy.next fresh ~step:!step ~runnable ~rng:rng_new in
       let want =
         Option.value ~default:(-1) (oracle ~step:!step ~runnable ~rng:rng_oracle)
@@ -455,6 +482,18 @@ let test_patterns_match_oracle () =
 let test_patterns_match_oracle_held () =
   check_equivalent ~hold:true ~label:"patterns (held sets)" ~policies:200
     ~steps:2_000
+    (fun a -> Policy.of_patterns a)
+    Oracle.of_patterns gen_assignments
+
+let test_patterns_match_oracle_sparse () =
+  check_equivalent ~sparse:true ~jump:true ~label:"patterns (sparse sets)"
+    ~policies:200 ~steps:2_000
+    (fun a -> Policy.of_patterns a)
+    Oracle.of_patterns gen_assignments
+
+let test_patterns_match_oracle_backwards () =
+  check_equivalent ~hold:true ~backwards:true
+    ~label:"patterns (steps going back)" ~policies:200 ~steps:2_000
     (fun a -> Policy.of_patterns a)
     Oracle.of_patterns gen_assignments
 
@@ -548,6 +587,11 @@ let () =
             test_patterns_match_oracle;
           Alcotest.test_case "of_patterns matches reference model on held sets"
             `Quick test_patterns_match_oracle_held;
+          Alcotest.test_case "of_patterns matches reference model on sparse sets"
+            `Quick test_patterns_match_oracle_sparse;
+          Alcotest.test_case
+            "of_patterns matches reference model with steps going back" `Quick
+            test_patterns_match_oracle_backwards;
           Alcotest.test_case "weighted matches reference model" `Quick
             test_weighted_matches_oracle;
           Alcotest.test_case "weighted matches reference model on held sets"

@@ -451,13 +451,13 @@ let solo_call_words_per_step () =
 let test_call_step_allocation_guard () =
   (* Both steps box one continuation in one task state, so their
      difference is what a call adds, whatever size the OCaml runtime gives
-     a continuation: pinned at 19, the context handed to [respond] (7),
-     the call's pending record (8) and the performed [Call] effect (4: an
+     a continuation: pinned at 18, the context handed to [respond] (7),
+     the call's pending record (7) and the performed [Call] effect (4: an
      extension constructor's block carries the constructor as well as
      its two arguments). The pick, the task search, the handler and the
      per-object counters allocate nothing. *)
   let yield = words_per_step ignore in
-  Alcotest.(check (float 0.0)) "words a call adds to a step" 19.0
+  Alcotest.(check (float 0.0)) "words a call adds to a step" 18.0
     (solo_call_words_per_step () -. yield)
 
 (* Random programs: 2–4 processes, each calling 1–3 shared objects or

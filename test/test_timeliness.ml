@@ -87,6 +87,33 @@ let qcheck_every_is_timely =
       done;
       Timeliness.timely t ~n:3 ~p:0 ~from_step:0 ~bound:period)
 
+(* Property: [timely_all] classifies every pid as [timely] does, on
+   random traces with idle steps, pids that never step (pids [active] to
+   n - 1) and suffixes that start past the end of the trace. *)
+let qcheck_timely_all_matches_timely =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 6 >>= fun n ->
+      int_range 0 n >>= fun active ->
+      let pid =
+        if active = 0 then return (-1)
+        else frequency [ 1, return (-1); 4, int_range 0 (active - 1) ]
+      in
+      list_size (int_range 0 200) pid >>= fun pids ->
+      int_range 0 (List.length pids + 5) >>= fun from_step ->
+      int_range (-1) 20 >|= fun bound -> n, pids, from_step, bound)
+  in
+  let print (n, pids, from_step, bound) =
+    Fmt.str "n=%d from_step=%d bound=%d trace=[%a]" n from_step bound
+      Fmt.(list ~sep:semi int) pids
+  in
+  QCheck.Test.make ~name:"timely_all equals timely per pid" ~count:500
+    (QCheck.make ~print gen)
+    (fun (n, pids, from_step, bound) ->
+      let t = trace_of pids in
+      Timeliness.timely_all t ~n ~from_step ~bound
+      = Array.init n (fun p -> Timeliness.timely t ~n ~p ~from_step ~bound))
+
 let () =
   Alcotest.run "timeliness"
     [
@@ -105,5 +132,8 @@ let () =
             test_solo_process_is_timely;
         ] );
       ( "property",
-        [ QCheck_alcotest.to_alcotest qcheck_every_is_timely ] );
+        [
+          QCheck_alcotest.to_alcotest qcheck_every_is_timely;
+          QCheck_alcotest.to_alcotest qcheck_timely_all_matches_timely;
+        ] );
     ]
