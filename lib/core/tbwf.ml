@@ -17,30 +17,26 @@ type attempt = Run_op | Run_query
 let invoke t op =
   let pid = Runtime.self () in
   let handle = t.omega_handles.(pid) in
-  let is_leader () =
-    Omega_spec.equal_view !(handle.Omega_spec.leader) (Omega_spec.Leader pid)
-  in
+  let is_leader () = Omega_spec.leads !(handle.Omega_spec.leader) pid in
   if t.canonical then Runtime.await (fun () -> not (is_leader ()));
   handle.Omega_spec.candidate := true;
-  let next = ref Run_op in
-  let result = ref None in
-  while !result = None do
-    if is_leader () then begin
-      let res =
-        match !next with
-        | Run_op -> t.qa.Qa_intf.invoke op
-        | Run_query -> t.qa.Qa_intf.query ()
-      in
-      match res with
-      | Value.Abort -> next := Run_query
-      | Value.Fail -> next := Run_op
-      | response ->
-        handle.Omega_spec.candidate := false;
-        result := Some response
-    end
-    else Runtime.yield ()
-  done;
-  Option.get !result
+  (* Each attempt waits to be leader first: a wait that finds it leader
+     costs no step, and each step of a longer one is one test. *)
+  let rec attempt next =
+    Runtime.await is_leader;
+    let res =
+      match next with
+      | Run_op -> t.qa.Qa_intf.invoke op
+      | Run_query -> t.qa.Qa_intf.query ()
+    in
+    match res with
+    | Value.Abort -> attempt Run_query
+    | Value.Fail -> attempt Run_op
+    | response ->
+      handle.Omega_spec.candidate := false;
+      response
+  in
+  attempt Run_op
 
 let qa t = t.qa
 let handles t = t.omega_handles

@@ -36,7 +36,7 @@ let spawn_clients rt ~pids ~stats ~invoke ~next_op =
 
 let forever op ~pid:_ ~k:_ = Some op
 
-let n_times n op ~pid:_ ~k = if k < n then Some op else None
+let n_times n op ~pid:_ ~(k : int) = if k < n then Some op else None
 
 (* --- the open-loop generator --------------------------------------------- *)
 
@@ -87,16 +87,15 @@ module Open_loop = struct
      gap. *)
   let draw_gap p rng =
     let u = Rng.float rng in
-    max 1.0 (-.p.mean_gap *. log (1.0 -. u))
+    Float.max 1.0 (-.p.mean_gap *. log (1.0 -. u))
 
   let body rt ~pid ~stats ~invoke ~profile ~cdf ~seed ~until ~op_of_key () =
     let rng = Rng.create (Rng.task_seed ~master:seed pid) in
     let until = float_of_int until in
     let rec loop k next_arrival =
       if next_arrival < until then begin
-        while Runtime.now rt < int_of_float next_arrival do
-          Runtime.yield ()
-        done;
+        let due = int_of_float next_arrival in
+        Runtime.await (fun () -> Runtime.now rt >= due);
         let key = draw_key cdf rng in
         stats.issued.(pid) <- stats.issued.(pid) + 1;
         let response = invoke (op_of_key ~pid ~k ~key) in

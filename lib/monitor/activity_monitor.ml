@@ -59,13 +59,21 @@ let monitoring_loop ~adapt ~increment_guards rt t =
   let hb_counter = ref 0 in
   let prev_hb_counter = ref 0 in
   let allow_increment = ref true in
+  (* One step of the countdown: decrement, and say whether it ran out. *)
+  let tick () =
+    if !hb_timer >= 1 then decr hb_timer;
+    !hb_timer = 0
+  in
+  (* Park, not await: the step that starts the wait already ticked. *)
+  let expired () = (not !(t.monitoring)) || tick () in
   while true do
     t.status := Unknown;
     Runtime.await (fun () -> !(t.monitoring));
     hb_timer := !hb_timeout;
     while !(t.monitoring) do
-      if !hb_timer >= 1 then decr hb_timer;
-      if !hb_timer = 0 then begin
+      if not (tick ()) then Runtime.park expired;
+      (* Still monitoring here means the timer ran out. *)
+      if !(t.monitoring) then begin
         hb_timer := !hb_timeout;
         prev_hb_counter := !hb_counter;
         hb_counter := t.hb.Reg.read ();
@@ -92,7 +100,6 @@ let monitoring_loop ~adapt ~increment_guards rt t =
           hb_timeout := adapt !hb_timeout
         end
       end
-      else Runtime.yield ()
     done
   done
 

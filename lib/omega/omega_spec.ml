@@ -14,6 +14,10 @@ let equal_view a b =
 
 type handle = { pid : int; candidate : bool ref; leader : view ref }
 
+(* [equal_view v (Leader p)] without building the view: a parked wait
+   tests it once per step. *)
+let leads v (p : int) = match v with Leader l -> l = p | No_leader -> false
+
 let make_handle ~pid = { pid; candidate = ref false; leader = ref No_leader }
 
 (* Update [h]'s leader view, emitting a telemetry signal on actual changes.
@@ -33,7 +37,7 @@ let precedes (counter : int array) q l =
   counter.(q) < counter.(l) || (counter.(q) = counter.(l) && q < l)
 
 let canonical_join h =
-  Runtime.await (fun () -> not (equal_view !(h.leader) (Leader h.pid)));
+  Runtime.await (fun () -> not (leads !(h.leader) h.pid));
   h.candidate := true
 
 let leave h = h.candidate := false

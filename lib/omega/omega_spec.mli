@@ -13,6 +13,9 @@ type view = Leader of int | No_leader  (** [No_leader] is the paper's "?" *)
 val pp_view : Format.formatter -> view -> unit
 val equal_view : view -> view -> bool
 
+val leads : view -> int -> bool
+(** [leads v p] iff [v] is [Leader p]; allocates nothing. *)
+
 type handle = {
   pid : int;
   candidate : bool ref;  (** Ω∆ input, written by the application *)

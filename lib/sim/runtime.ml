@@ -32,6 +32,9 @@ type task_state =
   | Ready of (unit -> unit)
   | Suspended_local of (unit, unit) Effect.Deep.continuation
   | Suspended_call of (Value.t, unit) Effect.Deep.continuation
+  | Awaiting of (unit -> bool) * (unit, unit) Effect.Deep.continuation
+      (* parked: each step of the task tests the condition, and only a
+         true test resumes the fiber *)
   | Machine_ready
   | Machine_awaiting
   | Running
@@ -99,6 +102,7 @@ type t = {
 type _ Effect.t +=
   | Yield : unit Effect.t
   | Call : Shared.t * Value.t -> Value.t Effect.t
+  | Await : (unit -> bool) -> unit Effect.t
   | Self : int Effect.t
 
 let fresh_proc pid =
@@ -275,11 +279,8 @@ let spawn_at ?(layer = Sink.Other) t ~pid ~at ~name body =
 let yield () = Effect.perform Yield
 let call obj op = Effect.perform (Call (obj, op))
 let self () = Effect.perform Self
-
-let await cond =
-  while not (cond ()) do
-    yield ()
-  done
+let park cond = Effect.perform (Await cond)
+let await cond = if not (cond ()) then park cond
 
 (* All transitions into [Finished] funnel through here so the proc's
    [live] count decrements exactly once per task: crash/stop teardown
@@ -288,8 +289,8 @@ let await cond =
 let finish_task t task =
   match task.t_state with
   | Finished -> ()
-  | Ready _ | Suspended_local _ | Suspended_call _ | Machine_ready
-  | Machine_awaiting | Running ->
+  | Ready _ | Suspended_local _ | Suspended_call _ | Awaiting _
+  | Machine_ready | Machine_awaiting | Running ->
     task.t_state <- Finished;
     let proc = t.procs.(task.t_pid) in
     proc.live <- proc.live - 1;
@@ -366,10 +367,19 @@ let begin_call t task obj op =
 
 (* --- task execution ----------------------------------------------------- *)
 
+(* A task body's uncaught exception, and a parked condition's, name the
+   task on stderr before they propagate out of the run. *)
+let report_raise task e =
+  let bt = Printexc.get_raw_backtrace () in
+  Fmt.epr "task %S (pid %d) raised: %s@." task.t_name task.t_pid
+    (Printexc.to_string e);
+  Printexc.raise_with_backtrace e bt
+
 (* Built once per task, when its body first runs. The closures the
    handler hands back for [Yield], [Call] and [Self] are built here too, so
    performing an effect allocates none of them; [Call] starts its call
-   before handing back [on_call], which only parks the continuation. *)
+   before handing back [on_call], which only parks the continuation.
+   [Await] builds one closure per park, not per step. *)
 let handler t task =
   let open Effect.Deep in
   let on_yield =
@@ -385,15 +395,12 @@ let handler t task =
       (fun e ->
         match e with
         | Simulation_over -> finish_task t task
-        | e ->
-          let bt = Printexc.get_raw_backtrace () in
-          Fmt.epr "task %S (pid %d) raised: %s@." task.t_name task.t_pid
-            (Printexc.to_string e);
-          Printexc.raise_with_backtrace e bt);
+        | e -> report_raise task e);
     effc =
       (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
         match eff with
         | Yield -> on_yield
+        | Await cond -> Some (fun k -> task.t_state <- Awaiting (cond, k))
         | Call (obj, op) ->
           begin_call t task obj op;
           on_call
@@ -403,8 +410,8 @@ let handler t task =
 
 let runnable_task task =
   match task.t_state with
-  | Ready _ | Suspended_local _ | Suspended_call _ | Machine_ready
-  | Machine_awaiting ->
+  | Ready _ | Suspended_local _ | Suspended_call _ | Awaiting _
+  | Machine_ready | Machine_awaiting ->
     true
   | Running | Finished -> false
 
@@ -449,6 +456,15 @@ let exec_task_step t task =
   | Suspended_local k ->
     task.t_state <- Running;
     Effect.Deep.continue k ()
+  | Awaiting (cond, k) -> (
+    (* The step's one test of the condition; a false one leaves the task
+       parked and its fiber untouched. *)
+    match cond () with
+    | false -> ()
+    | true ->
+      task.t_state <- Running;
+      Effect.Deep.continue k ()
+    | exception e -> report_raise task e)
   | Suspended_call k ->
     let result = respond_pending t task in
     task.t_state <- Running;
@@ -477,7 +493,7 @@ let teardown t ~resolve proc =
       settle task;
       finish_task t task;
       (try Effect.Deep.discontinue k Simulation_over with Simulation_over -> ())
-    | Suspended_local k ->
+    | Suspended_local k | Awaiting (_, k) ->
       finish_task t task;
       (try Effect.Deep.discontinue k Simulation_over with Simulation_over -> ())
     | Machine_awaiting ->

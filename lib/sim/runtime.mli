@@ -6,7 +6,9 @@
     application code all execute "at" the process and share its local state.
 
     One {e step} schedules one task of one process and runs it from its last
-    suspension point to its next effect. Shared-object operations span two
+    suspension point to its next effect; a task parked on a condition
+    ({!park}) tests the condition instead, and runs on only if it holds.
+    Shared-object operations span two
     steps: the step that performs the invocation, and the later step (the
     next time the task is scheduled) at which the operation takes effect and
     its result is delivered. Two operations on the same object are
@@ -175,7 +177,9 @@ val run : t -> policy:Policy.t -> steps:int -> unit
     and the [Suspended_local] box around it (4 words in all on OCaml
     5.1); a call step additionally allocates the performed effect, the
     call's pending record and the {!Shared.ctx} of its response (18 words
-    more). *)
+    more). A step of a parked task ({!park}) whose condition is false
+    allocates nothing of its own — only what the condition does — and
+    neither resumes nor suspends a fiber. *)
 
 (** {2 Step-replay hooks}
 
@@ -241,9 +245,26 @@ val call : Shared.t -> Value.t -> Value.t
 (** Perform an operation on a shared object: invocation at the current
     step, response at the task's next scheduled step. *)
 
+val park : (unit -> bool) -> unit
+(** [park cond] ends the current step and parks the task: each later step
+    the task is scheduled for tests [cond] once, and the first one that
+    finds it true resumes the task, which carries on within that step.
+    [cond] is not tested at the step that parks. A step of a parked task
+    is still one local step of the paper's model — it is recorded in the
+    trace and reported to the sink like any other, and a task's steps
+    count exactly as they would for [yield (); await cond] — only its
+    fiber is not resumed while [cond] is false.
+
+    [cond] runs outside the task's fiber, at the runtime's level: it must
+    not perform effects ([yield], [call], {!self}, [park]); read {!running}
+    for the pid. If it raises, the exception names the task on stderr and
+    propagates out of {!run} or {!step}, as a task body's would. *)
+
 val await : (unit -> bool) -> unit
-(** Busy-wait (one step per test) until the condition holds — the paper's
-    [while ... do skip]. *)
+(** [await cond] = [if not (cond ()) then park cond]: busy-wait with one
+    test per step until [cond] holds — the paper's [while ... do skip],
+    exactly as [while not (cond ()) do yield () done]. A condition that
+    already holds returns at once without ending the step. *)
 
 val self : unit -> int
 (** Pid of the process executing the current task. *)

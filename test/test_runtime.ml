@@ -389,12 +389,267 @@ let test_same_step_event_order () =
     (Runtime.runnable_pids rt);
   Runtime.stop rt
 
-(* Minor-heap words per step of a 2-process yield-only run, after [setup]
-   has scheduled whatever it likes on the fresh runtime. *)
-let words_per_step setup =
-  let rt = Runtime.create ~record_trace:false ~n:2 () in
-  Runtime.spawn rt ~pid:0 ~name:"spin" spin;
+(* A parked task tests its condition once per step it is scheduled for,
+   never at the step that parks it, and resumes at the first true test.
+   Pid 0 runs the parker beside a spinner task, so only every other step
+   of pid 0 is the parker's; pid 1 spins. *)
+let test_park_tests_once_per_step () =
+  let rt = Runtime.create ~seed:7L ~n:2 () in
+  let tested = ref [] in
+  let parked_at = ref (-1) and woke_at = ref (-1) in
+  let spinner_steps = ref [] in
+  Runtime.spawn rt ~pid:0 ~name:"parker" (fun () ->
+      parked_at := Runtime.now rt;
+      Runtime.park (fun () ->
+          tested := Runtime.now rt :: !tested;
+          List.length !tested = 6);
+      woke_at := Runtime.now rt);
+  Runtime.spawn rt ~pid:0 ~name:"spinner" (fun () ->
+      while true do
+        spinner_steps := Runtime.now rt :: !spinner_steps;
+        Runtime.yield ()
+      done);
   Runtime.spawn rt ~pid:1 ~name:"spin" spin;
+  Runtime.run rt ~policy:(Policy.weighted [| 0, 1.0; 1, 1.0 |]) ~steps:200;
+  let tested = List.rev !tested in
+  let parker_steps =
+    Trace.steps_of (Runtime.trace rt) ~pid:0
+    |> List.filter (fun s ->
+           s > !parked_at && s <= !woke_at && not (List.mem s !spinner_steps))
+  in
+  Alcotest.(check (list int)) "one test per parker step after the park"
+    parker_steps tested;
+  Alcotest.(check int) "woke at the true test" (List.nth tested 5) !woke_at;
+  Runtime.stop rt
+
+(* [await] on a condition that holds runs on within the same step. *)
+let test_await_true_keeps_step () =
+  let rt = Runtime.create ~n:1 () in
+  let steps = ref [] in
+  Runtime.spawn rt ~pid:0 ~name:"t" (fun () ->
+      steps := Runtime.now rt :: !steps;
+      Runtime.await (fun () -> true);
+      steps := Runtime.now rt :: !steps;
+      Runtime.yield ();
+      steps := Runtime.now rt :: !steps);
+  Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:10;
+  Alcotest.(check (list int)) "await true took no step" [ 1; 0; 0 ] !steps;
+  Alcotest.(check int) "two steps in all" 2 (Runtime.now rt)
+
+(* A task parked forever, with a second task of its process that
+   finishes early; [cleaned] counts unwinds. *)
+let spawn_parked rt ~pid cleaned =
+  Runtime.spawn rt ~pid ~name:"parked" (fun () ->
+      try Runtime.park (fun () -> false)
+      with Runtime.Simulation_over as e ->
+        incr cleaned;
+        raise e);
+  Runtime.spawn rt ~pid ~name:"brief" (fun () -> Runtime.yield ())
+
+let test_parked_teardown () =
+  let check_case name depart =
+    let rt = Runtime.create ~n:3 () in
+    let cleaned = ref 0 in
+    spawn_parked rt ~pid:0 cleaned;
+    spawn_parked rt ~pid:1 cleaned;
+    Runtime.spawn rt ~pid:2 ~name:"spin" spin;
+    depart rt;
+    Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:30;
+    Alcotest.(check int) (name ^ ": pid 0 unwound") 1 !cleaned;
+    Alcotest.(check (array int)) (name ^ ": runnable after") [| 1; 2 |]
+      (Runtime.runnable_pids rt);
+    let before = Runtime.now rt in
+    Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:9;
+    Alcotest.(check bool) (name ^ ": pid 0 takes no step") true
+      (List.for_all (fun s -> s < before)
+         (Trace.steps_of (Runtime.trace rt) ~pid:0));
+    Runtime.stop rt;
+    Alcotest.(check int) (name ^ ": stop unwound pid 1") 2 !cleaned;
+    Alcotest.(check (array int)) (name ^ ": nothing runnable after stop") [||]
+      (Runtime.runnable_pids rt)
+  in
+  check_case "crash" (fun rt -> Runtime.crash_at rt ~pid:0 ~step:12);
+  check_case "retire" (fun rt -> Runtime.retire ~at:12 rt ~pid:0)
+
+(* The explorer's single-step driver steps a parked task as [run] does. *)
+let test_step_drives_parked_task () =
+  let rt = Runtime.create ~n:1 () in
+  let tests = ref 0 and woke = ref false in
+  Runtime.spawn rt ~pid:0 ~name:"t" (fun () ->
+      Runtime.park (fun () ->
+          incr tests;
+          !tests = 3);
+      woke := true);
+  Runtime.step rt ~pid:0;
+  Alcotest.(check int) "no test at the parking step" 0 !tests;
+  Runtime.step rt ~pid:0;
+  Runtime.step rt ~pid:0;
+  Alcotest.(check (pair int bool)) "two false tests" (2, false) (!tests, !woke);
+  Runtime.step rt ~pid:0;
+  Alcotest.(check (pair int bool)) "third test wakes" (3, true) (!tests, !woke);
+  Alcotest.(check (array int)) "finished" [||] (Runtime.runnable_pids rt)
+
+exception Condition_failed
+
+(* A condition runs outside its fiber; when it raises, the exception
+   still names the task. *)
+let test_raising_condition_names_task () =
+  let rt = Runtime.create ~n:1 () in
+  Runtime.spawn rt ~pid:0 ~name:"doomed" (fun () ->
+      Runtime.park (fun () -> raise Condition_failed));
+  let stderr_copy = Unix.dup Unix.stderr in
+  let path = Filename.temp_file "park" ".err" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Format.pp_print_flush Format.err_formatter ();
+  Unix.dup2 fd Unix.stderr;
+  let raised =
+    match Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:5 with
+    | () -> false
+    | exception Condition_failed -> true
+  in
+  Format.pp_print_flush Format.err_formatter ();
+  Unix.dup2 stderr_copy Unix.stderr;
+  Unix.close fd;
+  Unix.close stderr_copy;
+  let report = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  Alcotest.(check bool) "the condition's exception propagates" true raised;
+  let prefix = "task \"doomed\" (pid 0) raised: " in
+  Alcotest.(check string) "stderr names the task" prefix
+    (String.sub report 0 (Int.min (String.length prefix) (String.length report)))
+
+(* Random waiters: 2–3 processes of 1–2 tasks, each a list of waits
+   (until the clock passes a threshold, a countdown that decrements on
+   every test, or until all tasks together finished some number of
+   actions), calls and yields, with crashes. [Parked] runs them on
+   [await]/[park]; [Looping] on the yield loops they replace. *)
+type wait_action =
+  | Until_step of int * bool  (* steps from now; true: [park] *)
+  | Countdown of int * bool  (* tests until true; true: [park] *)
+  | Until_done of int * bool  (* actions finished by everyone; true: [park] *)
+  | Wait_call
+  | Wait_yield
+
+type wait_program = {
+  tasks : wait_action list list array;  (* per process, per task *)
+  w_crashes : int option array;
+  w_seed : int;
+}
+
+let gen_wait_program =
+  let open QCheck.Gen in
+  let* n = int_range 2 3 in
+  let action =
+    frequency
+      [
+        3, map2 (fun d p -> Until_step (d, p)) (int_range 0 12) bool;
+        3, map2 (fun c p -> Countdown (c, p)) (int_range 1 6) bool;
+        2, map2 (fun k p -> Until_done (k, p)) (int_range 0 10) bool;
+        2, return Wait_call;
+        1, return Wait_yield;
+      ]
+  in
+  let task = list_size (int_range 1 6) action in
+  let* tasks = array_repeat n (list_size (int_range 1 2) task) in
+  let* w_crashes = array_repeat n (opt ~ratio:0.3 (int_bound 60)) in
+  let* w_seed = int_bound 1_000_000 in
+  return { tasks; w_crashes; w_seed }
+
+let print_wait_program p =
+  let kind park = if park then "park" else "await" in
+  let action = function
+    | Until_step (d, park) -> Fmt.str "%s now+%d" (kind park) d
+    | Countdown (c, park) -> Fmt.str "%s countdown %d" (kind park) c
+    | Until_done (k, park) -> Fmt.str "%s done>=%d" (kind park) k
+    | Wait_call -> "call"
+    | Wait_yield -> "yield"
+  in
+  Fmt.str "seed=%d@.%a" p.w_seed
+    Fmt.(
+      array ~sep:cut (fun ppf (pid, tasks, crash) ->
+          Fmt.pf ppf "p%d crash=%a: %a" pid (option ~none:(any "-") int) crash
+            (list ~sep:(any " | ") (list ~sep:comma string))
+            (List.map (List.map action) tasks)))
+    (Array.mapi (fun pid tasks -> pid, tasks, p.w_crashes.(pid)) p.tasks)
+
+type wait_mode = Parked | Looping
+
+(* Run [p] under [mode] and return the trace's fingerprint and the sink's
+   event stream. *)
+let run_wait_program mode p =
+  let n = Array.length p.tasks in
+  let rt = Runtime.create ~seed:(Int64.of_int p.w_seed) ~n () in
+  let events = ref [] in
+  let log e = events := e :: !events in
+  Runtime.set_sink rt
+    {
+      Sink.active = true;
+      on_step =
+        (fun ~step ~pid ~layer:_ -> log (Fmt.str "step %d p%d" step pid));
+      on_invoke =
+        (fun ~step ~pid ~obj_id:_ -> log (Fmt.str "invoke %d p%d" step pid));
+      on_respond =
+        (fun ~step ~pid ~layer:_ ~obj_id:_ ~invoked ~overlapped ~result:_ ->
+          log (Fmt.str "respond %d p%d %d %b" step pid invoked overlapped));
+      on_signal = (fun ~step ~pid _ -> log (Fmt.str "signal %d p%d" step pid));
+    };
+  let obj = Runtime.register_object rt ~name:"o" ~respond:(fun _ -> Value.Unit) in
+  let finished = ref 0 in
+  let wait park cond =
+    match mode, park with
+    | Parked, false -> Runtime.await cond
+    | Parked, true -> Runtime.park cond
+    | Looping, park ->
+      if park then Runtime.yield ();
+      while not (cond ()) do
+        Runtime.yield ()
+      done
+  in
+  let perform = function
+    | Until_step (d, park) ->
+      let due = Runtime.now rt + d in
+      wait park (fun () -> Runtime.now rt >= due)
+    | Countdown (c, park) ->
+      let left = ref c in
+      wait park (fun () ->
+          decr left;
+          !left <= 0)
+    | Until_done (k, park) -> wait park (fun () -> !finished >= k)
+    | Wait_call -> ignore (Runtime.call obj Value.read_op : Value.t)
+    | Wait_yield -> Runtime.yield ()
+  in
+  Array.iteri
+    (fun pid tasks ->
+      List.iter
+        (fun actions ->
+          Runtime.spawn rt ~pid ~name:"t" (fun () ->
+              List.iter
+                (fun a ->
+                  perform a;
+                  incr finished)
+                actions))
+        tasks)
+    p.tasks;
+  Array.iteri
+    (fun pid -> Option.iter (fun step -> Runtime.crash_at rt ~pid ~step))
+    p.w_crashes;
+  Runtime.run rt ~policy:(Policy.weighted (Array.init n (fun pid -> pid, 1.0)))
+    ~steps:80;
+  Runtime.stop rt;
+  Trace.fingerprint (Runtime.trace rt), List.rev !events
+
+let qcheck_parked_matches_yield_loop =
+  QCheck.Test.make ~name:"parked waits match yield loops" ~count:300
+    (QCheck.make ~print:print_wait_program gen_wait_program)
+    (fun p -> run_wait_program Parked p = run_wait_program Looping p)
+
+(* Minor-heap words per step of a 2-process run of [body] (default: a
+   yield-only loop), after [setup] has scheduled whatever it likes on the
+   fresh runtime. *)
+let words_per_step ?(body = spin) setup =
+  let rt = Runtime.create ~record_trace:false ~n:2 () in
+  Runtime.spawn rt ~pid:0 ~name:"spin" body;
+  Runtime.spawn rt ~pid:1 ~name:"spin" body;
   setup rt;
   let policy = Policy.round_robin () in
   Runtime.run rt ~policy ~steps:100;
@@ -426,6 +681,13 @@ let test_yield_step_allocation_guard () =
   let words = words_per_step ignore in
   if words > 8.0 then
     Alcotest.failf "a yield-only step allocates %.2f words, more than 8" words
+
+let test_parked_step_allocation_guard () =
+  (* A step of a parked task whose condition is false tests the condition
+     and nothing else: no fiber is resumed, so no continuation is boxed. *)
+  let never () = false in
+  let words = words_per_step ~body:(fun () -> Runtime.park never) ignore in
+  Alcotest.(check (float 0.0)) "words a parked step allocates" 0.0 words
 
 (* Minor-heap words per step of one process calling an object that
    answers every operation with [Unit]. After the first, every step both
@@ -621,6 +883,22 @@ let () =
             test_yield_step_allocation_guard;
           Alcotest.test_case "call step allocation guard" `Quick
             test_call_step_allocation_guard;
+          Alcotest.test_case "parked step allocation guard" `Quick
+            test_parked_step_allocation_guard;
           QCheck_alcotest.to_alcotest qcheck_overlap_matches_trace;
+        ] );
+      ( "park",
+        [
+          Alcotest.test_case "one test per step, none when parking" `Quick
+            test_park_tests_once_per_step;
+          Alcotest.test_case "await on a true condition keeps the step" `Quick
+            test_await_true_keeps_step;
+          Alcotest.test_case "crash, retire and stop unwind parked tasks"
+            `Quick test_parked_teardown;
+          Alcotest.test_case "step drives a parked task" `Quick
+            test_step_drives_parked_task;
+          Alcotest.test_case "a raising condition names its task" `Quick
+            test_raising_condition_names_task;
+          QCheck_alcotest.to_alcotest qcheck_parked_matches_yield_loop;
         ] );
     ]
