@@ -1,5 +1,5 @@
 (* Interactive scenario runner: build a TBWF stack with the given
-   parameters, run it, and print a progress report. *)
+   parameters, run it, and print its degradation verdict. *)
 
 open Cmdliner
 open Tbwf_sim
@@ -7,6 +7,7 @@ open Tbwf_registers
 open Tbwf_objects
 open Tbwf_core
 open Tbwf_experiments
+module Degradation = Tbwf_check.Degradation
 
 let spec_of_object = function
   | "counter" -> Ok (Counter.spec, Counter.inc)
@@ -27,18 +28,23 @@ let omega_of_string = function
 let positive flag v =
   if v < 1 then Error (Fmt.str "%s must be positive (got %d)" flag v) else Ok ()
 
+let pids_in_range ~n flag pids =
+  match List.find_opt (fun p -> p < 0 || p >= n) pids with
+  | Some p -> Error (Fmt.str "%s: pid %d is not in [0, %d)" flag p n)
+  | None -> Ok ()
+
 (* Every argument is checked before anything is built, so bad input is a
    message and exit 2. *)
-let resolve n steps object_name omega_name =
+let resolve n steps object_name omega_name untimely =
   let ( let* ) = Result.bind in
   let* () = positive "-n" n in
   let* () = positive "--steps" steps in
+  let* () = pids_in_range ~n "--untimely" untimely in
   let* spec_op = spec_of_object object_name in
   let* omega = omega_of_string omega_name in
   Ok (spec_op, omega)
 
 let demo ~n ~steps ~seed ~spec ~op ~omega ~untimely ~non_canonical =
-  let untimely = List.filter (fun p -> p >= 0 && p < n) untimely in
   let timely = List.filter (fun p -> not (List.mem p untimely)) (List.init n Fun.id) in
   (* One registry stack per omega choice; the demo only varies the elector,
      never the QA construction. *)
@@ -49,28 +55,31 @@ let demo ~n ~steps ~seed ~spec ~op ~omega ~untimely ~non_canonical =
       ~client_pids:(List.init n Fun.id) ()
   in
   let policy = Scenario.degraded_policy ~n ~timely () in
-  Runtime.run stack.Scenario.rt ~policy ~steps:(steps / 2);
-  let mid = Progress.snapshot stack.Scenario.stats in
-  Runtime.run stack.Scenario.rt ~policy ~steps:(steps / 2);
-  let trace = Runtime.trace stack.Scenario.rt in
-  let reports =
-    Progress.reports trace ~n ~stats:stack.Scenario.stats
-      ~from_step:(Runtime.now stack.Scenario.rt / 2)
-      ~bound:(4 * n)
+  let rt = stack.Scenario.rt in
+  Runtime.run rt ~policy ~steps:(steps / 2);
+  let from = Runtime.now rt in
+  let mid = Array.copy stack.Scenario.stats.Workload.completed in
+  Runtime.run rt ~policy ~steps:(steps / 2);
+  let verdict =
+    Degradation.check
+      ~min_ops:
+        (Degradation.required_tail_ops ~cost:1 ~n ~tail:(Runtime.now rt - from))
+      ~prediction:(Scenario.degraded_prediction ~n ~timely ~from)
+      ~trace:(Runtime.trace rt) ~completed_before:mid
+      ~completed_after:stack.Scenario.stats.Workload.completed ()
   in
   Fmt.pr "TBWF %s over Ω∆(%a), n=%d, %d steps, untimely=%a@." spec.Seq_spec.name
     Scenario.pp_omega_impl omega n steps
     Fmt.(Dump.list int)
     untimely;
-  List.iter (fun r -> Fmt.pr "  %a@." Progress.pp_report r) reports;
+  Fmt.pr "%a" Degradation.pp_verdict verdict;
   Fmt.pr "final object state: %a@." Value.pp (stack.Scenario.qa.Qa_intf.peek_state ());
-  Fmt.pr "TBWF holds (timely kept progressing): %b@."
-    (Progress.tbwf_holds_endless ~before:mid ~after:stack.Scenario.stats ~timely);
-  Runtime.stop stack.Scenario.rt;
+  Fmt.pr "TBWF holds (timely kept progressing): %b@." verdict.Degradation.holds;
+  Runtime.stop rt;
   0
 
 let run n steps seed object_name omega_name untimely non_canonical =
-  match resolve n steps object_name omega_name with
+  match resolve n steps object_name omega_name untimely with
   | Error msg ->
     Fmt.epr "%s@." msg;
     2

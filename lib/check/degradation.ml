@@ -43,7 +43,52 @@ type verdict = {
 
 let tail_rate_denominator = 1_500
 
-let required_tail_ops ~n ~tail = Int.max 2 (tail / (tail_rate_denominator * (n + 1)))
+(* The one clamp: dividing by [cost] inside the floor equals dividing the
+   shared-memory floor by it and clamping again, since
+   [(t / a) / b = t / (a * b)] for positive integers. *)
+let required_tail_ops ~cost ~n ~tail =
+  Int.max 2 (tail / (tail_rate_denominator * (n + 1) * cost))
+
+(* Shared by [check] and [Online.verdict], so the post-hoc oracle and the
+   online checker cannot assemble a verdict differently. [sched_timely]
+   is asked only of predicted-timely processes. *)
+let assemble p ~min_ops ~tail_ops ~tail_steps ~sched_timely =
+  let processes =
+    List.init p.pred_n (fun pid ->
+        (* On a message-passing substrate the process's register
+           timeliness is emergent: a timely schedule is not enough, it
+           must also reach a live majority of replicas over timely
+           links, or its quorum operations legitimately stall. *)
+        let quorate =
+          Option.map (fun em -> emergent_quorate em pid) p.pred_emergent
+        in
+        let predicted_timely =
+          List.mem pid p.pred_timely && not_unquorate quorate
+        in
+        let tail_ops = tail_ops pid in
+        (* Exempt: the plan withdrew this process's guarantee (crashed or
+           made untimely). It may stall; nothing to check. *)
+        let sched_timely, ok =
+          if not predicted_timely then None, true
+          else
+            let s = sched_timely pid in
+            Some s, tail_ops >= min_ops && s
+        in
+        {
+          dv_pid = pid;
+          dv_predicted_timely = predicted_timely;
+          dv_quorate = quorate;
+          dv_sched_timely = sched_timely;
+          dv_tail_ops = tail_ops;
+          dv_tail_steps = tail_steps pid;
+          dv_ok = ok;
+        })
+  in
+  {
+    holds = List.for_all (fun v -> v.dv_ok) processes;
+    from_step = p.pred_from;
+    processes;
+  }
 
 let tail_steps trace ~pid ~from_step =
   let len = Trace.length trace in
@@ -53,8 +98,8 @@ let tail_steps trace ~pid ~from_step =
   done;
   !count
 
-let check ?(min_ops = 1) ?(require_sched_timely = true) ~prediction ~trace
-    ~completed_before ~completed_after () =
+let check ?(min_ops = 1) ~prediction ~trace ~completed_before
+    ~completed_after () =
   let p = prediction in
   (* A trace that was never recorded has no tail steps and no gaps, so
      every schedule would look vacuously timely. *)
@@ -69,54 +114,10 @@ let check ?(min_ops = 1) ?(require_sched_timely = true) ~prediction ~trace
     Timeliness.timely_all trace ~n:p.pred_n ~from_step:p.pred_from
       ~bound:p.pred_bound
   in
-  let processes =
-    List.init p.pred_n (fun pid ->
-        (* On a message-passing substrate the process's register
-           timeliness is emergent: a timely schedule is not enough, it
-           must also reach a live majority of replicas over timely
-           links, or its quorum operations legitimately stall. *)
-        let quorate =
-          Option.map (fun em -> emergent_quorate em pid) p.pred_emergent
-        in
-        let predicted_timely =
-          List.mem pid p.pred_timely && not_unquorate quorate
-        in
-        let tail_ops = completed_after.(pid) - completed_before.(pid) in
-        let steps = tail_steps trace ~pid ~from_step:p.pred_from in
-        if not predicted_timely then
-          (* Exempt: the plan withdrew this process's guarantee (crashed or
-             made untimely). It may stall; nothing to check. *)
-          {
-            dv_pid = pid;
-            dv_predicted_timely = false;
-            dv_quorate = quorate;
-            dv_sched_timely = None;
-            dv_tail_ops = tail_ops;
-            dv_tail_steps = steps;
-            dv_ok = true;
-          }
-        else begin
-          let sched_timely = sched_timely.(pid) in
-          let ok =
-            tail_ops >= min_ops
-            && ((not require_sched_timely) || sched_timely)
-          in
-          {
-            dv_pid = pid;
-            dv_predicted_timely = true;
-            dv_quorate = quorate;
-            dv_sched_timely = Some sched_timely;
-            dv_tail_ops = tail_ops;
-            dv_tail_steps = steps;
-            dv_ok = ok;
-          }
-        end)
-  in
-  {
-    holds = List.for_all (fun v -> v.dv_ok) processes;
-    from_step = p.pred_from;
-    processes;
-  }
+  assemble p ~min_ops
+    ~tail_ops:(fun pid -> completed_after.(pid) - completed_before.(pid))
+    ~tail_steps:(fun pid -> tail_steps trace ~pid ~from_step:p.pred_from)
+    ~sched_timely:(fun pid -> sched_timely.(pid))
 
 module Online = struct
   (* The same contract, decided incrementally from the sink stream instead
@@ -124,8 +125,8 @@ module Online = struct
      [Timeliness.max_gap] move for move: [cur.(p).(q)] counts q's steps
      since p's last step (or since the tail boundary if p has not stepped
      yet), [big.(p).(q)] holds the largest already-flushed gap, and a step
-     by p flushes its whole row. The verdict is then assembled with
-     exactly [check]'s logic, so for any finished run
+     by p flushes its whole row. The verdict is then built by [check]'s
+     own [assemble], so for any finished run
      [verdict t = check ~prediction ~trace ...] field for field — the
      differential test in [test/test_nemesis.ml] enforces this across the
      full campaign × system matrix on both substrates. *)
@@ -133,7 +134,6 @@ module Online = struct
   type t = {
     o_prediction : prediction;
     o_min_ops : int;
-    o_require_sched_timely : bool;
     o_completed : int array;  (* per-pid completions, whole run *)
     mutable o_before : int array option;
         (* [o_completed] snapshotted at the first event with
@@ -144,12 +144,11 @@ module Online = struct
     o_stepped : bool array;  (* has p stepped in the tail at all? *)
   }
 
-  let create ?(min_ops = 1) ?(require_sched_timely = true) prediction =
+  let create ?(min_ops = 1) prediction =
     let n = prediction.pred_n in
     {
       o_prediction = prediction;
       o_min_ops = min_ops;
-      o_require_sched_timely = require_sched_timely;
       o_completed = Array.make n 0;
       o_before = None;
       o_own_steps = Array.make n 0;
@@ -223,54 +222,15 @@ module Online = struct
     !ok
 
   let verdict t =
-    let p = t.o_prediction in
     let before =
       (* No event ever reached the tail: the tail is empty and the
          boundary counters are simply the final counters. *)
       match t.o_before with Some b -> b | None -> t.o_completed
     in
-    let processes =
-      List.init p.pred_n (fun pid ->
-          let quorate =
-            Option.map (fun em -> emergent_quorate em pid) p.pred_emergent
-          in
-          let predicted_timely =
-            List.mem pid p.pred_timely && not_unquorate quorate
-          in
-          let tail_ops = t.o_completed.(pid) - before.(pid) in
-          let steps = t.o_own_steps.(pid) in
-          if not predicted_timely then
-            {
-              dv_pid = pid;
-              dv_predicted_timely = false;
-              dv_quorate = quorate;
-              dv_sched_timely = None;
-              dv_tail_ops = tail_ops;
-              dv_tail_steps = steps;
-              dv_ok = true;
-            }
-          else begin
-            let sched_timely = sched_timely t ~pid in
-            let ok =
-              tail_ops >= t.o_min_ops
-              && ((not t.o_require_sched_timely) || sched_timely)
-            in
-            {
-              dv_pid = pid;
-              dv_predicted_timely = true;
-              dv_quorate = quorate;
-              dv_sched_timely = Some sched_timely;
-              dv_tail_ops = tail_ops;
-              dv_tail_steps = steps;
-              dv_ok = ok;
-            }
-          end)
-    in
-    {
-      holds = List.for_all (fun v -> v.dv_ok) processes;
-      from_step = p.pred_from;
-      processes;
-    }
+    assemble t.o_prediction ~min_ops:t.o_min_ops
+      ~tail_ops:(fun pid -> t.o_completed.(pid) - before.(pid))
+      ~tail_steps:(fun pid -> t.o_own_steps.(pid))
+      ~sched_timely:(fun pid -> sched_timely t ~pid)
 end
 
 let timely_tail_ops verdict =

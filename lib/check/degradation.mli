@@ -20,8 +20,10 @@
     every campaign, world shard and soak shard, none of which records a
     trace. {!check} reads a recorded trace and per-process
     completed-operation counters snapshotted at the tail boundary after
-    the run; no campaign calls it, it is the independent oracle the
-    online verdict is differentially tested against.
+    the run; it judges the experiments that record a trace (E1, E14) and
+    [tbwf_demo], and it is the independent oracle the online verdict is
+    differentially tested against. No other liveness judgement exists in
+    the repo.
     Gracefully-degrading algorithms must satisfy the verdict under every
     plan; boosting-style baselines are expected to violate it under plans
     that make some process non-timely — the negative control that shows
@@ -89,27 +91,31 @@ type verdict = {
 val tail_rate_denominator : int
 (** [= 1_500]. The single authoritative statement of the default tail-rate
     floor: a predicted-timely process must complete at least one operation
-    per [tail_rate_denominator × (n+1)] tail steps (and never fewer than
-    2 in total; see {!required_tail_ops}). The graceful-degradation
-    predicate demands a {e rate}, not bare non-zero progress: a booster
-    that trusts a decelerating process forever still trickles the odd
-    operation through a suspicion window — roughly one per doubling of the
-    growing gap, geometrically rarer over time — while every TBWF system
-    sustains about one operation per 1.5(n+1)k steps per timely process or
-    better. At the nemesis catalogue's dimensions the paper systems
-    complete 10–76 tail ops per timely process and the naive booster at
-    most 1–2, so this floor separates the two populations with margin on
-    both sides. [Tbwf_nemesis.Campaign.required_tail_ops] re-exports the
-    derived floor; both cite this comment as the constant's home. *)
+    per [tail_rate_denominator × (n+1)] tail steps on shared memory (and
+    never fewer than 2 in total; see {!required_tail_ops}). The
+    graceful-degradation predicate demands a {e rate}, not bare non-zero
+    progress: a booster that trusts a decelerating process forever still
+    trickles the odd operation through a suspicion window — roughly one
+    per doubling of the growing gap, geometrically rarer over time — while
+    every TBWF system sustains about one operation per 1.5(n+1)k steps per
+    timely process or better. At the nemesis catalogue's dimensions the
+    paper systems complete 10–76 tail ops per timely process and the naive
+    booster at most 1–2, so this floor separates the two populations with
+    margin on both sides. [Tbwf_nemesis.Campaign.required_tail_ops]
+    re-exports the shared-memory floor; both cite this comment as the
+    constant's home. *)
 
-val required_tail_ops : n:int -> tail:int -> int
-(** [max 2 (tail / (tail_rate_denominator * (n + 1)))] — the default
-    [min_ops] for a [tail]-step tail with [n] processes. See
-    {!tail_rate_denominator} for the rationale. *)
+val required_tail_ops : cost:int -> n:int -> tail:int -> int
+(** [max 2 (tail / (tail_rate_denominator * (n + 1) * cost))] — the
+    [min_ops] for a [tail]-step tail with [n] processes on a substrate
+    where a register operation costs [cost] shared-memory steps (1 on
+    shared memory, 4 over the quorum emulation). The repo's only tail
+    floor and its only clamp: campaigns, world and soak cells, E1, E14
+    and [tbwf_demo] all judge against it. See {!tail_rate_denominator}
+    for the rationale. *)
 
 val check :
   ?min_ops:int ->
-  ?require_sched_timely:bool ->
   prediction:prediction ->
   trace:Tbwf_sim.Trace.t ->
   completed_before:int array ->
@@ -121,14 +127,14 @@ val check :
     completed-operation counter snapshotted at [pred_from];
     [completed_after] at the end of the run. A predicted-timely process is
     ok iff it completed at least [min_ops] (default 1) operations in the
-    tail and (unless [require_sched_timely] is [false]) the executed
-    schedule kept it timely with bound [pred_bound] — a failed schedule
-    sanity check means the {e plan compilation} is at fault, not the
-    algorithm, and is reported via [dv_sched_timely] so it is never
-    mistaken for an algorithm violation. Raises [Invalid_argument] if
-    [trace] was not recorded ({!Tbwf_sim.Trace.enabled} is false: its
-    empty tail would be vacuously timely) or if the counter arrays do not
-    have length [pred_n]. *)
+    tail and the executed schedule kept it timely with bound [pred_bound]
+    — a failed schedule sanity check means the {e plan compilation} (or
+    the caller's prediction) is at fault, not the algorithm, and is
+    reported via [dv_sched_timely] so it is never mistaken for an
+    algorithm violation. Raises [Invalid_argument] if [trace] was not
+    recorded ({!Tbwf_sim.Trace.enabled} is false: its empty tail would be
+    vacuously timely) or if the counter arrays do not have length
+    [pred_n]. *)
 
 (** {2 Online checking}
 
@@ -138,18 +144,19 @@ val check :
     independent of the horizon — and its {!Online.verdict} is field-for-
     field equal to what {!check} would return on the finished run's
     trace: the gap bookkeeping replicates [Timeliness.max_gap] (including
-    the vacuous never-stepped case) and the verdict assembly replicates
-    {!check} verbatim. The differential test in [test/test_nemesis.ml]
-    enforces the equality on every cell of the quick campaign × system
-    matrix on both substrates, each re-run with its trace recorded. *)
+    the vacuous never-stepped case) and the verdict is assembled by the
+    same function as {!check}'s. The differential test in
+    [test/test_nemesis.ml] enforces the equality on every cell of the
+    quick campaign × system matrix on both substrates, each re-run with
+    its trace recorded. *)
 
 module Online : sig
   type t
 
-  val create : ?min_ops:int -> ?require_sched_timely:bool -> prediction -> t
-  (** Same defaults and meaning as the corresponding {!check}
-      arguments. The tail boundary is [prediction.pred_from]: events
-      before it only accumulate the pre-tail completion counters. *)
+  val create : ?min_ops:int -> prediction -> t
+  (** [min_ops] has {!check}'s default and meaning. The tail boundary
+      is [prediction.pred_from]: events before it only accumulate the
+      pre-tail completion counters. *)
 
   val sink : t -> Tbwf_sim.Sink.t
   (** Install with [Runtime.set_sink], or compose with a collector's

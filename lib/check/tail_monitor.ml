@@ -1,9 +1,10 @@
-(* Windowed completion-rate monitor: the streaming form of the tail-rate
-   floor. Where [Degradation] verdicts one tail against one prediction,
-   this watches the whole run as a sequence of fixed-size step windows
-   and records, per process, whether each closed window met a
-   completions floor — the signal long soak runs stream out alongside
-   the telemetry records. O(n) memory regardless of horizon. *)
+(* Windowed completion monitor: a stall signal, not a verdict. Where
+   [Degradation] judges one tail against one prediction, this watches the
+   whole run as a sequence of fixed-size step windows and records, per
+   process, whether each closed window saw at least one completion — the
+   signal long soak runs stream out alongside the telemetry records. It
+   has no prediction, so it watches every pid, crashed ones included.
+   O(n) memory regardless of horizon. *)
 
 open Tbwf_sim
 module Json = Tbwf_telemetry.Json
@@ -11,8 +12,6 @@ module Json = Tbwf_telemetry.Json
 type t = {
   n : int;
   window : int;  (* steps per window *)
-  floor : int;  (* completions a window must reach to count as ok *)
-  watch : int list;  (* pids whose windows count towards the verdict *)
   current : int array;  (* completions in the accumulating window *)
   last : int array;  (* completions in the last closed window *)
   min_rate : int array;  (* per-pid minimum over closed windows *)
@@ -21,15 +20,14 @@ type t = {
   mutable closed : int;  (* number of closed windows *)
 }
 
-let create ?(floor = 1) ?(watch : int list option) ~n ~window () =
+(* Completions a closed window must reach to count as ok. *)
+let floor = 1
+
+let create ~n ~window () =
   if window < 1 then invalid_arg "Tail_monitor.create: window must be positive";
-  if floor < 0 then invalid_arg "Tail_monitor.create: floor must be >= 0";
-  let watch = match watch with Some w -> w | None -> List.init n Fun.id in
   {
     n;
     window;
-    floor;
-    watch;
     current = Array.make n 0;
     last = Array.make n 0;
     min_rate = Array.make n max_int;
@@ -43,7 +41,7 @@ let close_window t =
     let c = t.current.(pid) in
     t.last.(pid) <- c;
     if c < t.min_rate.(pid) then t.min_rate.(pid) <- c;
-    if c >= t.floor then t.ok_windows.(pid) <- t.ok_windows.(pid) + 1;
+    if c >= floor then t.ok_windows.(pid) <- t.ok_windows.(pid) + 1;
     t.current.(pid) <- 0
   done;
   t.closed <- t.closed + 1;
@@ -74,27 +72,19 @@ let sink t =
     on_signal = (fun ~step ~pid s -> on_signal t ~step ~pid s);
   }
 
-let n t = t.n
-let window t = t.window
-let floor t = t.floor
-let closed_windows t = t.closed
-let last_rates t = Array.copy t.last
-let current_rates t = Array.copy t.current
-let ok_windows t = Array.copy t.ok_windows
 let min_rate t ~pid = if t.closed = 0 then None else Some t.min_rate.(pid)
 
-(* A watched pid is ok iff every closed window met the floor. Before any
-   window closes the verdict is vacuously true. *)
-let pid_ok t ~pid = t.ok_windows.(pid) = t.closed
-let ok t = List.for_all (fun pid -> pid_ok t ~pid) t.watch
+(* Every pid is ok iff every closed window met the floor. Before any
+   window closes the answer is vacuously true. *)
+let ok t = Array.for_all (fun c -> c = t.closed) t.ok_windows
 
 let to_json t =
   let ints a = Json.Arr (Array.to_list a |> List.map (fun v -> Json.Int v)) in
   Json.Obj
     [
       "window", Json.Int t.window;
-      "floor", Json.Int t.floor;
-      "watch", Json.Arr (List.map (fun p -> Json.Int p) t.watch);
+      "floor", Json.Int floor;
+      "watch", Json.Arr (List.init t.n (fun p -> Json.Int p));
       "closed", Json.Int t.closed;
       "last", ints t.last;
       "ok_windows", ints t.ok_windows;

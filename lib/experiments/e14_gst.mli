@@ -14,13 +14,17 @@ type row = {
   window : int * int;
   per_pid : int array;  (** ops completed in this window *)
   all_progressed : bool;
+      (** every pid completed an op in this window: a description of the
+          chaos prefix, not a verdict *)
 }
 
 type result = {
   gst : int;
   rows : row list;
   steady_after_gst : bool;
-      (** every process progressed in every window of the last quarter *)
+      (** {!Tbwf_check.Degradation.check} holds over the last quarter
+          with every process predicted timely
+          ({!Scenario.degraded_prediction}) *)
 }
 
 val compute : ?quick:bool -> unit -> result

@@ -21,8 +21,10 @@ type row = {
       (** leadership handoffs observed by telemetry (self-announcements
           that changed the leader) *)
   tbwf_holds : bool;
-      (** every timely process kept completing ops in the second half *)
-  lock_free : bool;  (** someone kept completing ops in the second half *)
+      (** {!Tbwf_check.Degradation.check} holds over the second half:
+          every timely process stayed timely (bound 4n) and completed
+          [Degradation.required_tail_ops] ops there *)
+  lock_free : bool;  (** someone completed an op in the second half *)
 }
 
 type result = { n : int; steps : int; rows : row list }

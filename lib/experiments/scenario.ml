@@ -67,3 +67,12 @@ let degraded_policy ?(untimely_pattern = `Slowing (60, 1.15)) ~n ~timely () =
     | None -> untimely
   in
   Policy.of_patterns (List.init n (fun pid -> pid, pattern pid))
+
+let degraded_prediction ~n ~timely ~from =
+  {
+    Tbwf_check.Degradation.pred_n = n;
+    pred_timely = timely;
+    pred_from = from;
+    pred_bound = 4 * n;
+    pred_emergent = None;
+  }

@@ -49,3 +49,11 @@ val degraded_policy :
     (never timely, never willingly inactive), the adversary under which the
     baselines of E2 collapse. [`Flicker (active, sleep, growth)] alternates
     eager phases with geometrically growing silences instead. *)
+
+val degraded_prediction :
+  n:int -> timely:int list -> from:int -> Tbwf_check.Degradation.prediction
+(** What a {!degraded_policy} run promises from step [from] on, on
+    shared memory: the [timely] pids stay timely with bound [4n]. Judge
+    the run with {!Tbwf_check.Degradation.check} at
+    [Degradation.required_tail_ops ~cost:1]; a schedule that misses the
+    bound shows as [dv_sched_timely = Some false]. *)

@@ -34,7 +34,7 @@ let default_seed = 0x4E454D45L (* "NEME" *)
 
 (* The rate floor and its rationale live with the checker; see the
    [Tbwf_check.Degradation.tail_rate_denominator] doc comment. *)
-let required_tail_ops = Degradation.required_tail_ops
+let required_tail_ops ~n ~tail = Degradation.required_tail_ops ~cost:1 ~n ~tail
 
 let net_cost_factor = Cell_runner.net_cost_factor
 

@@ -67,9 +67,9 @@ type run_result = {
 val default_seed : int64
 
 val required_tail_ops : n:int -> tail:int -> int
-(** The default rate floor for a [tail]-step tail with [n] processes —
-    {!Tbwf_check.Degradation.required_tail_ops}, re-exported. The constant
-    and its rationale live in one place: the
+(** The shared-memory rate floor for a [tail]-step tail with [n]
+    processes — {!Tbwf_check.Degradation.required_tail_ops} at cost 1.
+    The constant and its rationale live in one place: the
     {!Tbwf_check.Degradation.tail_rate_denominator} doc comment. *)
 
 val align_substrate :

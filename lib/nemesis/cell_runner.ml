@@ -58,9 +58,8 @@ let run ~plan ~build ~stream =
   in
   let tail = horizon - snap in
   let min_ops =
-    max 2
-      (Degradation.required_tail_ops ~n ~tail
-      / cost_factor stack.System.substrate)
+    Degradation.required_tail_ops
+      ~cost:(cost_factor stack.System.substrate) ~n ~tail
   in
   (* The tail boundary and floor are plan-derived, so the online checker
      is armed before the first step. Tee order fixes what each streamed

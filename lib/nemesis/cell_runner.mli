@@ -14,7 +14,7 @@ val net_cost_factor : int
 
 val cost_factor : Tbwf_system.System.substrate -> int
 (** 1 on shared memory, {!net_cost_factor} on message passing. Horizons
-    stretch by it and the tail-rate floor divides by it, so verdicts
+    stretch by it and the tail-rate floor takes it as [~cost], so verdicts
     measure degradation against the substrate's own pace. *)
 
 val validate : n:int -> horizon:int -> window:int -> retain:int option -> unit
@@ -63,6 +63,6 @@ val run :
     snapshot completions. The tail is the last quarter of the horizon,
     or from the plan's settle step if that is later: the contract is
     "keeps progressing after the last fault". The floor is
-    {!Tbwf_check.Degradation.required_tail_ops} divided by the
-    substrate's {!cost_factor}, and at least 2. The stream's last
-    window is flushed and the runtime stopped before [run] returns. *)
+    {!Tbwf_check.Degradation.required_tail_ops} at the substrate's
+    {!cost_factor}. The stream's last window is flushed and the runtime
+    stopped before [run] returns. *)

@@ -266,6 +266,22 @@ let test_degradation_refuses_unrecorded_trace () =
   | _ -> Alcotest.fail "an unrecorded trace was verdicted"
   | exception Invalid_argument _ -> ()
 
+(* The floor folds the substrate's cost factor into its one clamp. The
+   reference is the shared-memory floor divided by the cost factor and
+   clamped a second time, as message-passing cells computed it before. *)
+let qcheck_floor_matches_two_clamps =
+  QCheck.Test.make ~name:"one-clamp floor equals the two-clamp formula"
+    ~count:2_000
+    QCheck.(
+      triple (oneofl [ 1; 4 ]) (int_range 2 1024) (int_range 0 100_000_000))
+    (fun (cost, n, tail) ->
+      let reference =
+        Int.max 2
+          (Int.max 2 (tail / (Degradation.tail_rate_denominator * (n + 1)))
+          / cost)
+      in
+      Degradation.required_tail_ops ~cost ~n ~tail = reference)
+
 let () =
   Alcotest.run "check"
     [
@@ -294,5 +310,6 @@ let () =
         [
           Alcotest.test_case "refuses an unrecorded trace" `Quick
             test_degradation_refuses_unrecorded_trace;
+          QCheck_alcotest.to_alcotest qcheck_floor_matches_two_clamps;
         ] );
     ]

@@ -34,43 +34,6 @@ let test_workload_forever_never_stops () =
   Runtime.stop rt;
   Alcotest.(check bool) "kept issuing" true (stats.Workload.issued.(0) > 100)
 
-(* --- Progress ------------------------------------------------------------- *)
-
-let test_progress_checks () =
-  let before = Workload.fresh_stats ~n:3 in
-  let after = Workload.fresh_stats ~n:3 in
-  after.Workload.completed.(0) <- 5;
-  after.Workload.completed.(1) <- 1;
-  Alcotest.(check bool) "endless holds for progressing pids" true
-    (Progress.tbwf_holds_endless ~before ~after ~timely:[ 0; 1 ]);
-  Alcotest.(check bool) "endless fails for stalled timely pid" false
-    (Progress.tbwf_holds_endless ~before ~after ~timely:[ 0; 2 ]);
-  Alcotest.(check bool) "lock freedom holds" true
-    (Progress.lock_freedom_holds ~before ~after);
-  Alcotest.(check bool) "lock freedom fails without progress" false
-    (Progress.lock_freedom_holds ~before ~after:before)
-
-let test_progress_snapshot_is_deep () =
-  let stats = Workload.fresh_stats ~n:1 in
-  let snap = Progress.snapshot stats in
-  stats.Workload.completed.(0) <- 7;
-  Alcotest.(check int) "snapshot unaffected" 0 snap.Workload.completed.(0)
-
-let test_tbwf_holds_finite () =
-  let reports =
-    [
-      { Progress.pid = 0; timely = true; issued = 5; completed = 5 };
-      { Progress.pid = 1; timely = false; issued = 5; completed = 1 };
-    ]
-  in
-  Alcotest.(check bool) "untimely laggard allowed" true
-    (Progress.tbwf_holds_finite reports);
-  let bad =
-    [ { Progress.pid = 0; timely = true; issued = 5; completed = 4 } ]
-  in
-  Alcotest.(check bool) "timely laggard not allowed" false
-    (Progress.tbwf_holds_finite bad)
-
 (* --- Bakery --------------------------------------------------------------- *)
 
 let test_bakery_mutual_exclusion () =
@@ -151,14 +114,6 @@ let () =
         [
           Alcotest.test_case "counts" `Quick test_workload_counts;
           Alcotest.test_case "forever" `Quick test_workload_forever_never_stops;
-        ] );
-      ( "progress",
-        [
-          Alcotest.test_case "endless and lock-free checks" `Quick
-            test_progress_checks;
-          Alcotest.test_case "snapshot deep copies" `Quick
-            test_progress_snapshot_is_deep;
-          Alcotest.test_case "finite check" `Quick test_tbwf_holds_finite;
         ] );
       ( "bakery",
         [
