@@ -68,10 +68,11 @@ let demo ~n ~steps ~seed ~spec ~op ~omega ~untimely ~non_canonical =
       ~trace:(Runtime.trace rt) ~completed_before:mid
       ~completed_after:stack.Scenario.stats.Workload.completed ()
   in
-  Fmt.pr "TBWF %s over Ω∆(%a), n=%d, %d steps, untimely=%a@." spec.Seq_spec.name
-    Scenario.pp_omega_impl omega n steps
-    Fmt.(Dump.list int)
-    untimely;
+  (* The list is one string, with no break hint: Format counts the bytes
+     of "Ω∆" as columns and would otherwise break the line before it. *)
+  Fmt.pr "TBWF %s over Ω∆(%a), n=%d, %d steps, untimely=[%s]@."
+    spec.Seq_spec.name Scenario.pp_omega_impl omega n steps
+    (String.concat "; " (List.map string_of_int untimely));
   Fmt.pr "%a" Degradation.pp_verdict verdict;
   Fmt.pr "final object state: %a@." Value.pp (stack.Scenario.qa.Qa_intf.peek_state ());
   Fmt.pr "TBWF holds (timely kept progressing): %b@." verdict.Degradation.holds;

@@ -206,12 +206,13 @@ module Online = struct
     }
 
   (* [Timeliness.q_timely] replayed over the matrices: the final flush is
-     [max big cur]; a p that never stepped yields the vacuous [Some 0]
-     only if q never stepped either (its current gap is still 0). *)
+     [max big cur]; a p that never stepped yields the vacuous gap 0 only
+     if q never stepped either (its current gap is still 0), and a gap of
+     0 is within the bound only if the bound is not negative. *)
   let pair_timely t ~p ~q =
-    if t.o_stepped.(p) then
-      Int.max t.o_big.(p).(q) t.o_cur.(p).(q) <= t.o_prediction.pred_bound
-    else t.o_cur.(p).(q) = 0
+    let bound = t.o_prediction.pred_bound in
+    if t.o_stepped.(p) then Int.max t.o_big.(p).(q) t.o_cur.(p).(q) <= bound
+    else t.o_cur.(p).(q) = 0 && 0 <= bound
 
   let sched_timely t ~pid =
     let n = t.o_prediction.pred_n in

@@ -16,7 +16,7 @@ type t = {
   last : int array;  (* completions in the last closed window *)
   min_rate : int array;  (* per-pid minimum over closed windows *)
   ok_windows : int array;  (* per-pid closed windows meeting the floor *)
-  mutable cw : int;  (* index of the accumulating window *)
+  mutable window_end : int;  (* first step of the next window *)
   mutable closed : int;  (* number of closed windows *)
 }
 
@@ -32,7 +32,7 @@ let create ~n ~window () =
     last = Array.make n 0;
     min_rate = Array.make n max_int;
     ok_windows = Array.make n 0;
-    cw = 0;
+    window_end = window;
     closed = 0;
   }
 
@@ -45,14 +45,13 @@ let close_window t =
     t.current.(pid) <- 0
   done;
   t.closed <- t.closed + 1;
-  t.cw <- t.cw + 1
+  t.window_end <- t.window_end + t.window
 
 (* Close every window that ends at or before [step]'s window. The runtime
    emits [on_step] before the step's signals, so by the time a window's
    first [Op_complete] arrives the previous window is already closed. *)
 let roll t ~step =
-  let w = step / t.window in
-  while t.cw < w do
+  while step >= t.window_end do
     close_window t
   done
 
@@ -64,9 +63,11 @@ let on_signal t ~step ~pid signal =
   | _ -> ()
 
 let sink t =
+  (* named, so that test/division_guard.sh can find it *)
+  let on_step ~step ~pid:_ ~layer:_ = roll t ~step in
   {
     Sink.active = true;
-    on_step = (fun ~step ~pid:_ ~layer:_ -> roll t ~step);
+    on_step;
     on_invoke = Sink.nil.on_invoke;
     on_respond = Sink.nil.on_respond;
     on_signal = (fun ~step ~pid s -> on_signal t ~step ~pid s);

@@ -117,12 +117,15 @@ let quorum (cl : Cluster.t) ~request ~decode =
       | None -> ()
   in
   broadcast ~missing_only:false;
-  let polls = ref 0 in
+  (* polls left until the next retransmission *)
+  let countdown = ref config.Net.retransmit_every in
   while !count < majority do
     Net.poll net ~key accept;
-    incr polls;
-    if !count < majority && !polls mod config.Net.retransmit_every = 0 then
-      broadcast ~missing_only:true
+    decr countdown;
+    if !countdown = 0 then begin
+      countdown := config.Net.retransmit_every;
+      if !count < majority then broadcast ~missing_only:true
+    end
   done;
   replies
 

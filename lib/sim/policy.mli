@@ -62,25 +62,46 @@ val of_patterns : (int * pattern) list -> t
 
     Cost: each pid has one slot holding its resolved pattern, its next
     [Every] claim, when it last ran and its lazily created slowing and
-    flicker state. A pick reads the slot of each runnable pid once. It
-    walks a pid's [Switch_at] chain again only when the step leaves the
-    range the last walk resolved (a boundary), and divides only to catch
-    an [Every] pid up when its due step has been overtaken; otherwise the
-    due step advances by whole periods. The weighted draw runs only when
-    some runnable pid is [Weighted] or [Flicker], and nothing is allocated
-    beyond the float such a draw gets from {!Rng.float} (the slot table
-    grows once when a pid beyond it first shows up, e.g. a late joiner).
-    A pick costs O(|runnable|) and keeps nothing about the runnable set
-    between calls, so a caller may pass a fresh array every step or reuse
-    one array and mutate it.
+    flicker state. The policy also keeps a claim calendar: the runnable
+    pids of the last pick split into [Every], [Slowing] and soft
+    ([Weighted], [Flicker]) pids, each in runnable order, and the
+    [Every] pids filed in a wheel by next claiming step. A pick compares
+    [runnable]'s contents with the calendar's (one int comparison per
+    pid, and nothing else per pid), reads its step's wheel bucket,
+    re-filing each pid in it a period later, tests each [Slowing] pid's
+    due step, and on an unclaimed step draws over the soft pids only
+    (the weighted draw runs only when there is one) or walks the [Every]
+    pids for the spare step's candidate. No pick divides, and nothing is
+    allocated beyond the float a draw gets from {!Rng.float}.
 
-    Steps: the runtime asks about steps 0, 1, 2, ... in order, the fast
-    case. Steps may also skip ahead or go backwards: a step before a
-    slot's resolved range re-resolves its chain, and one at or before an
-    [Every] pid's previous claim recomputes its due step, so every pick
-    equals that of a policy that resolves each pattern afresh at every
-    pick (the slowing and flicker states advance with the steps they are
-    asked about either way).
+    A pick first rebuilds the calendar when
+    - [runnable]'s contents differ from the last pick's (compared by
+      value, so a caller may pass a fresh array every step or reuse one
+      array and write into it),
+    - [step] is not the last pick's step plus one, or
+    - some runnable pid's [Switch_at] chain resolves differently from
+      [step] on (a boundary).
+    A rebuild reads every runnable pid's slot: it walks a [Switch_at]
+    chain again when the step left the range its last walk resolved,
+    divides to catch an [Every] pid up when its due step was overtaken
+    or lies a period or more ahead, creates slowing state on first
+    sight, and allocates only when the runnable set outgrows every
+    earlier one (the slot table, too, grows once when a pid beyond it
+    first shows up, e.g. a late joiner). The wheel's size is the least
+    power of two at or above the largest runnable [Every] period or twice
+    the number of [Every] pids, whichever is smaller, so its memory
+    depends on the set, not on the periods; when a period is the larger,
+    a bucket may also hold pids due whole laps later, and a pick steps
+    past them.
+
+    Steps: the runtime asks about steps 0, 1, 2, ... in order and
+    replaces its runnable array only when membership changes, so nearly
+    every pick is one without a rebuild; an [Every] rotation walks its
+    [Every] pids only on its one spare step per round. Steps may also
+    skip ahead or go backwards: either rebuilds, so every pick equals
+    that of a policy that resolves each pattern afresh at every pick (the
+    slowing and flicker states advance with the steps they are asked
+    about either way).
 
     @raise Invalid_argument if any pattern, including one nested in a
     [Switch_at] branch, has [Every { period }] with [period < 1] or

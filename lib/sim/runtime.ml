@@ -422,13 +422,16 @@ let proc_runnable proc =
 let no_task =
   make_task ~pid:(-1) ~name:"" ~layer:Sink.Other ~machine:no_machine Finished
 
+(* The cursor never passes [n_tasks] (it is reset with it), so [idx <
+   2 n_tasks] and one subtraction wraps it. *)
 let rec search proc tries idx =
   let count = proc.n_tasks in
   if tries >= count then no_task
   else
-    let task = proc.tasks.(idx mod count) in
+    let i = if idx >= count then idx - count else idx in
+    let task = proc.tasks.(i) in
     if runnable_task task then begin
-      proc.next_task <- (idx mod count) + 1;
+      proc.next_task <- i + 1;
       task
     end
     else search proc (tries + 1) (idx + 1)

@@ -173,7 +173,8 @@ val run : t -> policy:Policy.t -> steps:int -> unit
 
     Cost per step: the task search and the effect handler allocate
     nothing, and the pick nothing beyond the float a soft draw of
-    {!Policy.of_patterns} boxes. A yield step allocates its continuation
+    {!Policy.of_patterns} boxes; the task search wraps its round-robin
+    cursor without dividing. A yield step allocates its continuation
     and the [Suspended_local] box around it (4 words in all on OCaml
     5.1); a call step additionally allocates the performed effect, the
     call's pending record and the {!Shared.ctx} of its response (18 words

@@ -282,6 +282,48 @@ let qcheck_floor_matches_two_clamps =
       in
       Degradation.required_tail_ops ~cost ~n ~tail = reference)
 
+(* The online checker against the post-hoc one on random traces: idle
+   steps (-1), pids at or past n (both skipped by the gap bookkeeping),
+   tails that start past the end of the trace, predictions that exempt
+   some pids, and bounds from -2 to 8, negative ones included. A
+   completion is signalled after its step, as the runtime does, so it
+   counts in the tail exactly when its step does. *)
+let qcheck_online_matches_check =
+  QCheck.Test.make ~name:"online verdict equals post-hoc check" ~count:2_000
+    QCheck.(int_range 0 1_000_000_000)
+    (fun seed ->
+      let g = Rng.create (Int64.of_int seed) in
+      let n = 1 + Rng.int g 4 in
+      let len = Rng.int g 60 in
+      let prediction =
+        {
+          Degradation.pred_n = n;
+          pred_timely = List.filter (fun _ -> Rng.int g 4 > 0) (List.init n Fun.id);
+          pred_from = Rng.int g (len + 6);
+          pred_bound = Rng.int g 11 - 2;
+          pred_emergent = None;
+        }
+      in
+      let trace = Trace.create () in
+      let online = Degradation.Online.create prediction in
+      let sink = Degradation.Online.sink online in
+      let before = Array.make n 0 and after = Array.make n 0 in
+      for step = 0 to len - 1 do
+        let pid = Rng.int g (n + 3) - 1 in
+        Trace.record_step trace ~pid;
+        sink.Sink.on_step ~step ~pid ~layer:Sink.Other;
+        if pid >= 0 && Rng.int g 3 = 0 then begin
+          sink.Sink.on_signal ~step ~pid Sink.Op_complete;
+          if pid < n then begin
+            after.(pid) <- after.(pid) + 1;
+            if step < prediction.pred_from then before.(pid) <- before.(pid) + 1
+          end
+        end
+      done;
+      Degradation.Online.verdict online
+      = Degradation.check ~prediction ~trace ~completed_before:before
+          ~completed_after:after ())
+
 let () =
   Alcotest.run "check"
     [
@@ -311,5 +353,6 @@ let () =
           Alcotest.test_case "refuses an unrecorded trace" `Quick
             test_degradation_refuses_unrecorded_trace;
           QCheck_alcotest.to_alcotest qcheck_floor_matches_two_clamps;
+          QCheck_alcotest.to_alcotest qcheck_online_matches_check;
         ] );
     ]

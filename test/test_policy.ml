@@ -444,6 +444,13 @@ let advance g ~jump ~backwards step =
   if backwards && Rng.int g 16 = 0 then Int.max 0 (step - 1 - Rng.int g 100)
   else step + 1 + Rng.int g (if jump then 40 else 3)
 
+(* One step's agreement: the same choice, and rng streams still in step. *)
+let agree ~label i step ~got ~want rng_new rng_oracle =
+  if got <> want then
+    Alcotest.failf "%s %d step %d: got %d, oracle %d" label i step got want;
+  if Rng.int rng_new 1_000_000 <> Rng.int rng_oracle 1_000_000 then
+    Alcotest.failf "%s %d step %d: rng streams diverged" label i step
+
 let check_equivalent ?(hold = false) ?(sparse = false) ?(jump = false)
     ?(backwards = false) ~label ~policies ~steps make_new make_oracle gen =
   for i = 0 to policies - 1 do
@@ -467,10 +474,7 @@ let check_equivalent ?(hold = false) ?(sparse = false) ?(jump = false)
       let want =
         Option.value ~default:(-1) (oracle ~step:!step ~runnable ~rng:rng_oracle)
       in
-      if got <> want then
-        Alcotest.failf "%s %d step %d: got %d, oracle %d" label i !step got want;
-      if Rng.int rng_new 1_000_000 <> Rng.int rng_oracle 1_000_000 then
-        Alcotest.failf "%s %d step %d: rng streams diverged" label i !step
+      agree ~label i !step ~got ~want rng_new rng_oracle
     done
   done
 
@@ -496,6 +500,158 @@ let test_patterns_match_oracle_backwards () =
     ~label:"patterns (steps going back)" ~policies:200 ~steps:2_000
     (fun a -> Policy.of_patterns a)
     Oracle.of_patterns gen_assignments
+
+(* Assignments shaped like a compiled fault plan: n processes and 0–2
+   replicas in the base rotation (period n+replicas+1, offset pid, one
+   spare step per round), each with up to two switches at random steps to
+   a [Slowing] (burst 8n), a [Flicker] or a timely [Every]. A timely
+   period is sometimes far longer than the set is large, so a wheel
+   bucket also holds pids due whole laps later. *)
+let gen_plan g ~steps =
+  let n = 2 + Rng.int g 7 and replicas = Rng.int g 3 in
+  let size = n + replicas in
+  let atom pid =
+    match Rng.int g 3 with
+    | 0 ->
+      Policy.Slowing
+        { initial_gap = 1 + Rng.int g 200; growth = 1.0 +. Rng.float g;
+          burst = 8 * n }
+    | 1 ->
+      Policy.Flicker
+        { active = 1 + Rng.int g 50; sleep = Rng.int g 100;
+          growth = 1.0 +. Rng.float g }
+    | _ ->
+      let period =
+        if Rng.int g 4 = 0 then 1 + Rng.int g 5_000 else 1 + Rng.int g (2 * size)
+      in
+      Policy.Every { period; offset = pid mod period }
+  in
+  let pattern pid =
+    let switches = List.sort Int.compare (List.init (Rng.int g 3) (fun _ -> Rng.int g steps)) in
+    List.fold_left
+      (fun before at -> Policy.Switch_at (at, before, atom pid))
+      (Policy.Every { period = size + 1; offset = pid })
+      switches
+  in
+  size, List.init size (fun pid -> pid, pattern pid)
+
+(* The runtime's shape of use: consecutive steps from 0, and a runnable
+   array that is replaced, by a fresh sorted one, only when membership
+   changes. Up to six events flip one pid each: a listed pid leaves for
+   good (a crash or a retirement), one of three unlisted pids past the
+   plan joins ([Weighted 1.0], a soft participant). Between events every
+   pick sees the same array, so the calendar's steady state carries the
+   run; its rebuilds come from the events and the plan's switches. *)
+let test_patterns_match_oracle_runtime () =
+  let steps = 20_000 in
+  for i = 0 to 29 do
+    let g = Rng.create (Int64.of_int (5000 + i)) in
+    let size, assignments = gen_plan g ~steps in
+    let policy = Policy.of_patterns assignments in
+    let oracle = Oracle.of_patterns assignments in
+    let rng_new = Rng.create (Int64.of_int i) in
+    let rng_oracle = Rng.create (Int64.of_int i) in
+    let universe = size + 3 in
+    let member = Array.init universe (fun p -> p < size) in
+    let members () =
+      Array.of_list (List.filter (fun p -> member.(p)) (List.init universe Fun.id))
+    in
+    let events =
+      ref
+        (List.sort compare
+           (List.init (Rng.int g 7) (fun _ -> Rng.int g steps, Rng.int g universe)))
+    in
+    let runnable = ref (members ()) in
+    for step = 0 to steps - 1 do
+      let rec apply changed =
+        match !events with
+        | (at, pid) :: rest when at = step ->
+          member.(pid) <- pid >= size;
+          events := rest;
+          apply true
+        | _ -> changed
+      in
+      if apply false then runnable := members ();
+      let runnable = !runnable in
+      let got = Policy.next policy ~step ~runnable ~rng:rng_new in
+      let want =
+        Option.value ~default:(-1) (oracle ~step ~runnable ~rng:rng_oracle)
+      in
+      agree ~label:"runtime-shaped" i step ~got ~want rng_new rng_oracle
+    done
+  done
+
+(* Picks at consecutive steps [from, from + count) over one array. *)
+let picks policy ~runnable ~from ~count =
+  let rng = Rng.create 9L in
+  List.init count (fun i -> Policy.next policy ~step:(from + i) ~runnable ~rng)
+
+(* Rebuild on new contents, even when they are written into the array the
+   last pick saw. Pids 1 and 2 claim the same odd steps; once 2 replaces 1
+   in place, an odd step is 2's, not that of pid 1, which is gone. *)
+let test_rebuild_on_contents () =
+  let policy =
+    Policy.of_patterns
+      [
+        0, Policy.Every { period = 2; offset = 0 };
+        1, Policy.Every { period = 2; offset = 1 };
+        2, Policy.Every { period = 2; offset = 1 };
+      ]
+  in
+  let runnable = [| 0; 1 |] in
+  Alcotest.(check (list int)) "before" [ 0; 1; 0 ] (picks policy ~runnable ~from:0 ~count:3);
+  runnable.(1) <- 2;
+  Alcotest.(check (list int)) "after an in-place write" [ 2; 0; 2 ]
+    (picks policy ~runnable ~from:3 ~count:3)
+
+(* Rebuild when the step is not the last one plus one. Skipping from step
+   1 to 6 overtakes pid 1's claim at 2, and 6 is its next; going back from
+   7 to 2 returns to that claim. *)
+let test_rebuild_on_step_gap () =
+  let policy =
+    Policy.of_patterns
+      [
+        0, Policy.Every { period = 4; offset = 0 };
+        1, Policy.Every { period = 4; offset = 2 };
+      ]
+  in
+  let runnable = [| 0; 1 |] in
+  Alcotest.(check (list int)) "steps 0-1" [ 0; 1 ] (picks policy ~runnable ~from:0 ~count:2);
+  Alcotest.(check (list int)) "skip to 6" [ 1; 0 ] (picks policy ~runnable ~from:6 ~count:2);
+  Alcotest.(check (list int)) "back to 2" [ 1 ] (picks policy ~runnable ~from:2 ~count:1)
+
+(* Rebuild when a runnable slot's resolved range ends: pid 0 is silent
+   until step 5 and claims the odd steps from then on, while the array
+   and the run of consecutive steps stay the same. *)
+let test_rebuild_on_range_end () =
+  let policy =
+    Policy.of_patterns
+      [
+        0, Policy.Switch_at (5, Policy.Silent, Policy.Every { period = 2; offset = 1 });
+        1, Policy.Every { period = 2; offset = 0 };
+      ]
+  in
+  Alcotest.(check (list int)) "switch at 5"
+    [ 1; 1; 1; 1; 1; 0; 1; 0; 1; 0 ]
+    (picks policy ~runnable:[| 0; 1 |] ~from:0 ~count:10)
+
+(* A period far longer than the set does not size the calendar: the first
+   pick, which builds it, allocates a few hundred bytes, not a wheel of a
+   million buckets, and the claim still lands on its step. *)
+let test_long_period_small_calendar () =
+  let period = 1_000_000 in
+  let policy =
+    Policy.of_patterns
+      [ 0, Policy.Every { period; offset = 3 }; 1, Policy.Every { period; offset = 7 } ]
+  in
+  let rng = Rng.create 1L in
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Policy.next policy ~step:0 ~runnable:[| 0; 1 |] ~rng));
+  let bytes = Gc.allocated_bytes () -. before in
+  if bytes > 10_000.0 then Alcotest.failf "first pick allocated %.0f bytes" bytes;
+  (* spare steps alternate by last run; 3 and 7 are claimed *)
+  Alcotest.(check (list int)) "claims" [ 1; 0; 0; 1; 0; 1; 1 ]
+    (picks policy ~runnable:[| 0; 1 |] ~from:1 ~count:7)
 
 let gen_weights g ~universe:_ =
   Array.init (Rng.int g 11) (fun _ ->
@@ -580,6 +736,14 @@ let () =
             test_rejects_bad_period;
           Alcotest.test_case "rejects Flicker active < 1" `Quick
             test_rejects_bad_active;
+          Alcotest.test_case "rebuild on new contents" `Quick
+            test_rebuild_on_contents;
+          Alcotest.test_case "rebuild on a step gap" `Quick
+            test_rebuild_on_step_gap;
+          Alcotest.test_case "rebuild at a range end" `Quick
+            test_rebuild_on_range_end;
+          Alcotest.test_case "long period, small calendar" `Quick
+            test_long_period_small_calendar;
         ] );
       ( "oracle",
         [
@@ -592,6 +756,9 @@ let () =
           Alcotest.test_case
             "of_patterns matches reference model with steps going back" `Quick
             test_patterns_match_oracle_backwards;
+          Alcotest.test_case
+            "of_patterns matches reference model on runtime-shaped runs" `Quick
+            test_patterns_match_oracle_runtime;
           Alcotest.test_case "weighted matches reference model" `Quick
             test_weighted_matches_oracle;
           Alcotest.test_case "weighted matches reference model on held sets"
