@@ -90,7 +90,7 @@ let install rt =
     Array.init n (fun p ->
         Array.init n (fun q ->
             if p = q then None
-            else Some (Monitor_machines.install ~adapt rt ~p ~q)))
+            else Some (Activity_monitor.install ~adapt rt ~p ~q)))
   in
   let handles = Array.init n (fun pid -> Omega_spec.make_handle ~pid) in
   let t = { Baselines.Naive_booster.handles; monitors } in

@@ -150,7 +150,7 @@ let install ?(self_punishment = true) rt =
   let monitors =
     Array.init n (fun p ->
         Array.init n (fun q ->
-            if p = q then None else Some (Monitor_machines.install rt ~p ~q)))
+            if p = q then None else Some (Activity_monitor.install rt ~p ~q)))
   in
   let factory = Reg.shared_factory rt in
   let counters =

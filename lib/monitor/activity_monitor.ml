@@ -50,60 +50,157 @@ let monitored_loop t =
     done
   done
 
-(* Figure 2, bottom: code for the monitoring process p. With
-   [increment_guards:false], faults are charged on every timeout regardless
-   of the register's value — the E11 ablation. *)
+(* Figure 2, bottom: the monitoring process p's local variables, which
+   both forms of its loop share. *)
+type watch = {
+  mutable hb_timeout : int;
+  mutable hb_timer : int;
+  mutable hb_counter : int;
+  mutable prev_hb_counter : int;
+  mutable allow_increment : bool;
+}
+
+let new_watch () =
+  {
+    hb_timeout = 1;
+    hb_timer = 1;
+    hb_counter = 0;
+    prev_hb_counter = 0;
+    allow_increment = true;
+  }
+
+(* One step of the countdown: decrement, and say whether it ran out. *)
+let tick w =
+  if w.hb_timer >= 1 then w.hb_timer <- w.hb_timer - 1;
+  w.hb_timer = 0
+
+(* The timer ran out: restart it before reading the heartbeat. *)
+let restart w =
+  w.hb_timer <- w.hb_timeout;
+  w.prev_hb_counter <- w.hb_counter
+
+(* Judge the heartbeat value [hb] just read. With
+   [increment_guards:false], faults are charged on every timeout
+   regardless of the register's value — the E11 ablation. *)
+let judge ~adapt ~increment_guards rt t w hb =
+  w.hb_counter <- hb;
+  if hb < 0 then set_status rt t Inactive;
+  if hb >= 0 && hb > w.prev_hb_counter then begin
+    set_status rt t Active;
+    w.allow_increment <- true
+  end;
+  if increment_guards then begin
+    if hb >= 0 && hb <= w.prev_hb_counter then begin
+      set_status rt t Inactive;
+      if w.allow_increment then begin
+        incr t.fault_cntr;
+        w.hb_timeout <- adapt w.hb_timeout;
+        w.allow_increment <- false
+      end
+    end
+  end
+  else if hb <= w.prev_hb_counter then begin
+    (* Ablation: charge a fault on every non-advancing read, even for the
+       −1 sentinel and without the increased-since-last guard. *)
+    set_status rt t Inactive;
+    incr t.fault_cntr;
+    w.hb_timeout <- adapt w.hb_timeout
+  end
+
+(* Figure 2, bottom: code for the monitoring process p. *)
 let monitoring_loop ~adapt ~increment_guards rt t =
-  let hb_timeout = ref 1 in
-  let hb_timer = ref 1 in
-  let hb_counter = ref 0 in
-  let prev_hb_counter = ref 0 in
-  let allow_increment = ref true in
-  (* One step of the countdown: decrement, and say whether it ran out. *)
-  let tick () =
-    if !hb_timer >= 1 then decr hb_timer;
-    !hb_timer = 0
-  in
+  let w = new_watch () in
   (* Park, not await: the step that starts the wait already ticked. *)
-  let expired () = (not !(t.monitoring)) || tick () in
+  let expired () = (not !(t.monitoring)) || tick w in
   while true do
     t.status := Unknown;
     Runtime.await (fun () -> !(t.monitoring));
-    hb_timer := !hb_timeout;
+    w.hb_timer <- w.hb_timeout;
     while !(t.monitoring) do
-      if not (tick ()) then Runtime.park expired;
+      if not (tick w) then Runtime.park expired;
       (* Still monitoring here means the timer ran out. *)
       if !(t.monitoring) then begin
-        hb_timer := !hb_timeout;
-        prev_hb_counter := !hb_counter;
-        hb_counter := t.hb.Reg.read ();
-        if !hb_counter < 0 then set_status rt t Inactive;
-        if !hb_counter >= 0 && !hb_counter > !prev_hb_counter then begin
-          set_status rt t Active;
-          allow_increment := true
-        end;
-        if increment_guards then begin
-          if !hb_counter >= 0 && !hb_counter <= !prev_hb_counter then begin
-            set_status rt t Inactive;
-            if !allow_increment then begin
-              incr t.fault_cntr;
-              hb_timeout := adapt !hb_timeout;
-              allow_increment := false
-            end
-          end
-        end
-        else if !hb_counter <= !prev_hb_counter then begin
-          (* Ablation: charge a fault on every non-advancing read, even for
-             the −1 sentinel and without the increased-since-last guard. *)
-          set_status rt t Inactive;
-          incr t.fault_cntr;
-          hb_timeout := adapt !hb_timeout
-        end
+        restart w;
+        judge ~adapt ~increment_guards rt t w (t.hb.Reg.read ())
       end
     done
   done
 
-let make ?factory rt ~p ~q =
+(* Figure 2, top, as a step machine: one call of [heartbeat_step] is one
+   step of [monitored_loop], issuing the same operations on the same steps.
+   pc 0: write the −1 sentinel; 1: sentinel written, waiting for
+   [active_for]; 2: a beat was written, keep beating while active. *)
+let heartbeat_machine t obj : Runtime.machine =
+  let reset_op = Value.write_op (t.hb.Reg.enc (-1)) in
+  let hb_counter = ref 0 in
+  let pc = ref 0 in
+  let rec heartbeat_step v =
+    match !pc with
+    | 0 ->
+      pc := 1;
+      Runtime.M_call (obj, reset_op)
+    | 1 ->
+      if !(t.active_for) then begin
+        incr hb_counter;
+        pc := 2;
+        Runtime.M_call (obj, Value.write_op (Value.Int !hb_counter))
+      end
+      else Runtime.M_yield
+    | 2 ->
+      if !(t.active_for) then begin
+        incr hb_counter;
+        Runtime.M_call (obj, Value.write_op (Value.Int !hb_counter))
+      end
+      else begin
+        pc := 0;
+        heartbeat_step v
+      end
+    | _ -> assert false
+  in
+  heartbeat_step
+
+(* Figure 2, bottom, as a step machine mirroring [monitoring_loop]. pc 0:
+   outer-loop top (status reset); 1: waiting for [monitoring]; 2: timer
+   tick; 3: a heartbeat read returned [v]. *)
+let watcher_machine ~adapt ~increment_guards rt t obj : Runtime.machine =
+  let w = new_watch () in
+  let pc = ref 0 in
+  let rec watcher_step v =
+    match !pc with
+    | 0 ->
+      t.status := Unknown;
+      pc := 1;
+      watcher_step v
+    | 1 ->
+      if !(t.monitoring) then begin
+        w.hb_timer <- w.hb_timeout;
+        pc := 2;
+        watcher_step v
+      end
+      else Runtime.M_yield
+    | 2 ->
+      if not !(t.monitoring) then begin
+        pc := 0;
+        watcher_step v
+      end
+      else if tick w then begin
+        restart w;
+        pc := 3;
+        Runtime.M_call (obj, Value.read_op)
+      end
+      else Runtime.M_yield
+    | 3 ->
+      judge ~adapt ~increment_guards rt t w (t.hb.Reg.dec v);
+      pc := 2;
+      watcher_step Value.Unit
+    | _ -> assert false
+  in
+  watcher_step
+
+(* A shared-memory register answers each operation in one step, so both
+   loops run as step machines; a quorum register's operation takes many
+   steps of message exchange, so over message passing they stay fibers. *)
+let install ?(adapt = succ) ?(increment_guards = true) ?factory rt ~p ~q =
   if p = q then invalid_arg "Activity_monitor.install: p = q";
   let factory =
     match factory with Some f -> f | None -> Reg.shared_factory rt
@@ -114,26 +211,30 @@ let make ?factory rt ~p ~q =
       ~name:(Fmt.str "Hb[%d->%d]" q p)
       ~codec:Codec.int ~init:(-1)
   in
-  {
-    p;
-    q;
-    monitoring = ref false;
-    active_for = ref false;
-    status = ref Unknown;
-    fault_cntr = ref 0;
-    hb;
-  }
-
-let task_names t =
-  Fmt.str "amon-hb[%d->%d]" t.q t.p, Fmt.str "amon-watch[%d<-%d]" t.p t.q
-
-let install ?(adapt = succ) ?(increment_guards = true) ?factory rt ~p ~q =
-  let t = make ?factory rt ~p ~q in
-  let hb_name, watch_name = task_names t in
-  Runtime.spawn ~layer:Sink.Monitor rt ~pid:q ~name:hb_name (fun () ->
-      monitored_loop t);
-  Runtime.spawn ~layer:Sink.Monitor rt ~pid:p ~name:watch_name (fun () ->
-      monitoring_loop ~adapt ~increment_guards rt t);
+  let t =
+    {
+      p;
+      q;
+      monitoring = ref false;
+      active_for = ref false;
+      status = ref Unknown;
+      fault_cntr = ref 0;
+      hb;
+    }
+  in
+  let hb_name = Fmt.str "amon-hb[%d->%d]" q p in
+  let watch_name = Fmt.str "amon-watch[%d<-%d]" p q in
+  (match hb.Reg.obj with
+  | Some obj ->
+    Runtime.spawn_machine ~layer:Sink.Monitor rt ~pid:q ~name:hb_name
+      (heartbeat_machine t obj);
+    Runtime.spawn_machine ~layer:Sink.Monitor rt ~pid:p ~name:watch_name
+      (watcher_machine ~adapt ~increment_guards rt t obj)
+  | None ->
+    Runtime.spawn ~layer:Sink.Monitor rt ~pid:q ~name:hb_name (fun () ->
+        monitored_loop t);
+    Runtime.spawn ~layer:Sink.Monitor rt ~pid:p ~name:watch_name (fun () ->
+        monitoring_loop ~adapt ~increment_guards rt t));
   t
 
 type sample = { at_step : int; status_now : status; fault_cntr_now : int }

@@ -46,7 +46,9 @@ val install :
 (** Create the monitor's shared register and spawn its two tasks: the
     monitored-side loop on process [q] and the monitoring-side loop on
     process [p]. Both inputs start off, [status] starts at [Unknown] and
-    [fault_cntr] at 0. Requires [p <> q].
+    [fault_cntr] at 0. Requires [p <> q]. [factory] makes the register
+    (default {!Tbwf_registers.Reg.shared_factory}) and so fixes the
+    tasks' form (see below).
 
     [adapt] is how the timeout grows on each suspicion; the default is the
     paper's [succ] (+1). The +1 is load-bearing for Definition 9 property 6:
@@ -61,31 +63,21 @@ val install :
     and (b) it increased since the last increment. Disabling them is the
     ablation of experiment E11: without the guards a crashed or willingly
     inactive process is suspected forever, violating Definition 9
-    properties 5(b)–(c). *)
+    properties 5(b)–(c).
 
-(** {2 Compiled-backend hooks}
-
-    The compiled backend ([Tbwf_compiled]) creates the same monitor state
-    and register via {!make} but spawns machine-compiled loops instead of
-    the effect-based ones — the creation point is shared so both backends
-    assign identical object ids. *)
-
-val make :
-  ?factory:Tbwf_registers.Reg.factory -> Tbwf_sim.Runtime.t -> p:int -> q:int -> t
-(** Create the monitor's register and state {e without} spawning its two
-    loops. Requires [p <> q]. [factory] selects the register substrate
-    (default: {!Tbwf_registers.Reg.shared_factory}). *)
-
-val task_names : t -> string * string
-(** The (monitored-loop, monitoring-loop) task names {!install} uses, so
-    the compiled spawns are labelled identically. *)
-
-val set_status : Tbwf_sim.Runtime.t -> t -> status -> unit
-(** Set the monitor's status estimate, emitting a telemetry
-    {!Tbwf_sim.Sink.Suspicion_flip} signal when the Active/Inactive
-    verdict actually flips. Both backends' monitoring loops route status
-    assignments through this (except the silent reset to [Unknown] at the
-    top of the outer loop). *)
+    {b Task forms.} The substrate of the heartbeat register decides how
+    the two loops run; no caller chooses. Over a shared-memory register
+    ([hb.obj = Some _]) every read and write is one call answered at the
+    task's next step, so each loop is compiled into a step machine
+    ({!Tbwf_sim.Runtime.spawn_machine}): an explicit program counter, one
+    transition per step, no fiber to resume. Over a quorum register on
+    message passing ([hb.obj = None]) one read or write is a round of
+    sends and polls spanning many steps, so the loops run as fibers
+    written line by line from Figure 2. Both forms take the same steps
+    and issue the same operations on them, so a run's trace, outputs and
+    {!Tbwf_sim.Sink.Suspicion_flip} signals do not depend on the form
+    (test/test_monitor.ml drives the fibers over shared memory and
+    compares). *)
 
 (** {2 Ground-truth property checking — Definition 9}
 

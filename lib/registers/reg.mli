@@ -17,11 +17,13 @@
     {2 Compiled-backend access}
 
     Shared-memory handles additionally expose the underlying simulated
-    object and the codec closures ([obj]/[enc]/[dec]), which is what the
-    compiled backend's machines use to issue raw operations. Handles from
-    a message-passing factory have [obj = None]: there are no compiled
-    machines for the substrate ([System.build] rejects that combination
-    up front), so {!obj_exn} is safe wherever machines run. *)
+    object and the codec closures ([obj]/[enc]/[dec]), which is what step
+    machines use to issue raw operations. Handles from a message-passing
+    factory have [obj = None]: one of their operations takes many steps,
+    so no machine runs over them. [Activity_monitor.install] picks its
+    loops' form from [obj], and the compiled backend's Ω∆ and client
+    machines never meet the substrate ([System.build] rejects that
+    combination up front), so {!obj_exn} is safe wherever they run. *)
 
 type 'a t = {
   name : string;

@@ -222,6 +222,14 @@ let spawn ?(layer = Sink.Other) t ~pid ~name body =
 let spawn_machine ?(layer = Sink.Other) t ~pid ~name fn =
   push_task ~machine:fn t ~pid ~name ~layer Machine_ready
 
+type task_form = Fiber | Machine
+
+let task_forms t ~pid =
+  let proc = t.procs.(pid) in
+  List.init proc.n_tasks (fun i ->
+      let task = proc.tasks.(i) in
+      task.t_name, if task.t_machine == no_machine then Fiber else Machine)
+
 let crashed t ~pid = t.procs.(pid).is_crashed
 let retired t ~pid = t.procs.(pid).is_retired
 
@@ -440,17 +448,6 @@ let rec search proc tries idx =
    starting at the cursor, or [no_task]. *)
 let pick_task proc = search proc 0 proc.next_task
 
-(* Run one step of a machine: feed it the value it was waiting on and
-   reinstate the state its action implies. The machine function itself
-   executes synchronously — no continuation is captured. *)
-let run_machine t task v =
-  match task.t_machine v with
-  | M_yield -> task.t_state <- Machine_ready
-  | M_call (obj, op) ->
-    begin_call t task obj op;
-    task.t_state <- Machine_awaiting
-  | M_halt -> finish_task t task
-
 let exec_task_step t task =
   match task.t_state with
   | Ready body ->
@@ -472,13 +469,25 @@ let exec_task_step t task =
     let result = respond_pending t task in
     task.t_state <- Running;
     Effect.Deep.continue k result
-  | Machine_ready ->
-    task.t_state <- Running;
-    run_machine t task Value.Unit
-  | Machine_awaiting ->
+  (* A machine runs synchronously, with no continuation to capture, no
+     other task running meanwhile and no teardown inside its step (see
+     [spawn_machine]), so it keeps its state through the call, and the
+     state is stored only when the action changes it: an idle yield, or a
+     call answered and the next one invoked, stores nothing (each store
+     is a [caml_modify]). *)
+  | Machine_ready -> (
+    match task.t_machine Value.Unit with
+    | M_yield -> ()
+    | M_call (obj, op) ->
+      begin_call t task obj op;
+      task.t_state <- Machine_awaiting
+    | M_halt -> finish_task t task)
+  | Machine_awaiting -> (
     let result = respond_pending t task in
-    task.t_state <- Running;
-    run_machine t task result
+    match task.t_machine result with
+    | M_yield -> task.t_state <- Machine_ready
+    | M_call (obj, op) -> begin_call t task obj op
+    | M_halt -> finish_task t task)
   | Running | Finished -> assert false
 
 (* Finish every task of [proc], unwinding suspended ones — the one

@@ -73,17 +73,19 @@ val spawn :
     every step and operation the task performs for telemetry attribution
     (default {!Sink.Other}); it has no behavioural effect. *)
 
-(** {2 Machine tasks (compiled backend)}
+(** {2 Machine tasks}
 
     A {e machine} is a task body compiled down to an effect-free step
     function: instead of suspending with effects, it runs to its next
     suspension point and {e returns} how it suspended. The runtime
     interprets the action — no continuation capture, no handler dispatch,
-    no per-step closure — which is what the compiled backend
-    ([Tbwf_compiled]) is built on. Machine tasks and effect tasks share
-    every other bit of runtime bookkeeping (trace records, pending-op
-    tracking, telemetry, crash/stop semantics), so a machine that mirrors
-    a task body's effect sequence produces a byte-identical run. *)
+    no per-step closure. Figure 2's activity monitors over shared memory
+    run as machines ([Tbwf_monitor.Activity_monitor.install]), and the
+    compiled backend ([Tbwf_compiled]) is built on them. Machine tasks
+    and effect tasks share every other bit of runtime bookkeeping (trace
+    records, pending-op tracking, telemetry, crash/stop semantics), so a
+    machine that mirrors a task body's effect sequence produces a
+    byte-identical run. *)
 
 type machine_action =
   | M_yield  (** the task's [yield]: give up the step *)
@@ -99,7 +101,17 @@ type machine = Value.t -> machine_action
 
 val spawn_machine :
   ?layer:Sink.layer -> t -> pid:int -> name:string -> machine -> unit
-(** Like {!spawn}, for a compiled task body. *)
+(** Like {!spawn}, for a compiled task body. The task is not marked
+    running while its step function runs, so that function must not
+    {!retire} or {!stop} its own process (nothing in the library does;
+    crashes and scheduled retirements apply between steps). *)
+
+type task_form = Fiber | Machine
+
+val task_forms : t -> pid:int -> (string * task_form) list
+(** The tasks spawned on [pid], in spawn order: each one's name and
+    whether {!spawn} ([Fiber]) or {!spawn_machine} ([Machine]) added it.
+    For tests and diagnostics; it does not affect the run. *)
 
 val crash_at : t -> pid:int -> step:int -> unit
 (** Schedule [pid] to crash just before step [step] executes (a [step]

@@ -350,31 +350,42 @@ let merge a b =
   if not (Option.equal Int.equal a.retain b.retain) then
     invalid_arg "Collector.merge: retentions differ";
   let sum_arrays x y = Array.init a.n (fun i -> x.(i) + y.(i)) in
-  (* Chronological merge of two step-sorted event lists; on equal steps
+  (* Newest-first merge of two newest-first event lists, built front to
+     back and stopped at [limit] entries. Chronologically, on equal steps
      [xs]'s events come first, so merge order is fixed by argument order,
-     not by which domain produced which list. *)
-  let merge_events (step : _ -> int) xs ys =
-    let rec go acc xs ys =
-      match xs, ys with
-      | [], rest | rest, [] -> List.rev_append acc rest
-      | x :: xs', y :: ys' ->
-        if step x <= step y then go (x :: acc) xs' ys
-        else go (y :: acc) xs ys'
+     not by which domain produced which list; newest first, [ys]'s come
+     first. In [retain] mode a merge that would pass the cap keeps only
+     the [retained_events] newest, as [truncate_events] would. *)
+  let merge_events (step : _ -> int) xs xs_len ys ys_len =
+    let len = xs_len + ys_len in
+    let limit =
+      if Option.is_some a.retain && len > 2 * retained_events then
+        retained_events
+      else len
     in
-    go [] xs ys
+    let rec take k l =
+      if k = 0 then []
+      else match l with [] -> [] | x :: l' -> x :: take (k - 1) l'
+    [@@tail_mod_cons]
+    in
+    let rec go k xs ys =
+      if k = 0 then []
+      else
+        match xs, ys with
+        | [], rest | rest, [] -> if limit = len then rest else take k rest
+        | x :: xs', y :: ys' ->
+          if step x > step y then x :: go (k - 1) xs' ys
+          else y :: go (k - 1) xs ys'
+    [@@tail_mod_cons]
+    in
+    go limit xs ys, limit
   in
   let handoffs, handoffs_len =
-    truncate_events ~retain:a.retain
-      (a.handoffs_len + b.handoffs_len)
-      (List.rev
-         (merge_events
-            (fun ev -> ev.le_step)
-            (List.rev a.handoffs) (List.rev b.handoffs)))
+    merge_events (fun ev -> ev.le_step) a.handoffs a.handoffs_len b.handoffs
+      b.handoffs_len
   in
   let crashes, crashes_len =
-    truncate_events ~retain:a.retain
-      (a.crashes_len + b.crashes_len)
-      (List.rev (merge_events fst (List.rev a.crashes) (List.rev b.crashes)))
+    merge_events fst a.crashes a.crashes_len b.crashes b.crashes_len
   in
   {
     n = a.n;

@@ -1,4 +1,5 @@
 open Tbwf_sim
+open Tbwf_registers
 open Tbwf_monitor
 
 let status = Alcotest.testable Activity_monitor.pp_status Activity_monitor.equal_status
@@ -182,6 +183,212 @@ let test_doubling_adaptation_trusts_slowing_q () =
     true
     (linear > doubling)
 
+
+(* --- machine and fiber forms -----------------------------------------------
+
+   Over shared memory [Activity_monitor.install] runs Figure 2 as step
+   machines; over quorum registers it runs the fiber loops. Hiding a shared
+   register's [obj] makes install take the fiber form over the very same
+   objects, so the two forms can be run side by side: every step, operation,
+   output and suspicion flip must agree. *)
+
+let fiber_factory rt =
+  let shared = Reg.shared_factory rt in
+  {
+    shared with
+    Reg.mk_reg =
+      (fun ~kind ~name ~codec ~init ->
+        { (shared.Reg.mk_reg ~kind ~name ~codec ~init) with Reg.obj = None });
+  }
+
+type form = Machines | Fibers
+
+let factory_of form rt =
+  match form with
+  | Machines -> Reg.shared_factory rt
+  | Fibers -> fiber_factory rt
+
+(* The form of every Figure 2 task spawned on pids [0, n). *)
+let monitor_task_forms rt ~n =
+  List.concat_map
+    (fun pid ->
+      List.filter_map
+        (fun (name, form) ->
+          if String.starts_with ~prefix:"amon-" name then Some form else None)
+        (Runtime.task_forms rt ~pid))
+    (List.init n Fun.id)
+
+(* Everything a run shows: the trace, each monitor's outputs and every
+   suspicion flip the sink saw, with its step. *)
+type observed = {
+  fingerprint : string;
+  outputs : ((int * int) * (string * int)) list;
+      (* (p, q), (status, fault_cntr) *)
+  flips : ((int * int) * (int * bool)) list;  (* (step, p), (q, suspected) *)
+}
+
+let observe ~form ~seed ~n ~policy ~crashes ~steps install =
+  let rt = Runtime.create ~seed ~n () in
+  let flips = ref [] in
+  Runtime.set_sink rt
+    {
+      Sink.nil with
+      Sink.active = true;
+      on_signal =
+        (fun ~step ~pid signal ->
+          match signal with
+          | Sink.Suspicion_flip { watched; suspected } ->
+            flips := ((step, pid), (watched, suspected)) :: !flips
+          | _ -> ());
+    };
+  let monitors = install ~factory:(factory_of form rt) rt in
+  let expected =
+    match form with Machines -> Runtime.Machine | Fibers -> Runtime.Fiber
+  in
+  Alcotest.(check bool) "every monitor task has the form under test" true
+    (List.for_all (fun f -> f = expected) (monitor_task_forms rt ~n));
+  List.iter (fun (pid, step) -> Runtime.crash_at rt ~pid ~step) crashes;
+  Runtime.run rt ~policy:(policy ()) ~steps;
+  Runtime.stop rt;
+  {
+    fingerprint = Trace.fingerprint (Runtime.trace rt);
+    outputs =
+      List.map
+        (fun (m : Activity_monitor.t) ->
+          ( (m.p, m.q),
+            (Fmt.str "%a" Activity_monitor.pp_status !(m.status), !(m.fault_cntr))
+          ))
+        monitors;
+    flips = List.rev !flips;
+  }
+
+(* Both forms on one configuration must agree on everything observed. *)
+let check_forms_agree ?(seed = 11L) ~n ~crashes ~steps ~policy install =
+  let run form = observe ~form ~seed ~n ~policy ~crashes ~steps install in
+  let machines = run Machines and fibers = run Fibers in
+  Alcotest.(check string) "trace fingerprint" fibers.fingerprint
+    machines.fingerprint;
+  Alcotest.(check (list (pair (pair int int) (pair string int))))
+    "status and fault_cntr per monitor" fibers.outputs machines.outputs;
+  Alcotest.(check (list (pair (pair int int) (pair int bool))))
+    "suspicion flips" fibers.flips machines.flips;
+  machines
+
+(* A full mesh of bare monitors with both inputs on, plus one task per
+   process that switches its inputs off and on again on a fixed rhythm, so
+   both loops keep leaving and re-entering their waits. *)
+let mesh ?adapt ?increment_guards ~n ~factory rt =
+  let monitors =
+    List.concat_map
+      (fun p ->
+        List.filter_map
+          (fun q ->
+            if p = q then None
+            else
+              Some
+                (Activity_monitor.install ?adapt ?increment_guards ~factory rt
+                   ~p ~q))
+          (List.init n Fun.id))
+      (List.init n Fun.id)
+  in
+  List.iter
+    (fun (m : Activity_monitor.t) ->
+      m.monitoring := true;
+      m.active_for := true)
+    monitors;
+  for pid = 0 to n - 1 do
+    Runtime.spawn rt ~pid ~name:(Fmt.str "toggle[%d]" pid) (fun () ->
+        let i = ref 0 in
+        while true do
+          Runtime.yield ();
+          incr i;
+          List.iter
+            (fun (m : Activity_monitor.t) ->
+              if m.p = pid && !i mod (97 + (13 * pid)) = 0 then
+                m.monitoring := not !(m.monitoring);
+              if m.q = pid && !i mod (151 + (7 * pid)) = 0 then
+                m.active_for := not !(m.active_for))
+            monitors
+        done)
+  done;
+  monitors
+
+let rotation_with_slow_switch ~n () =
+  Tbwf_nemesis.Fault_plan.policy
+    (Tbwf_nemesis.Fault_plan.make ~n ~horizon:30_000
+       [ Tbwf_nemesis.Fault_plan.Slow
+           { pid = 1; at = 6_000; gap = 12; growth = 1.3 } ])
+
+(* Each case runs round robin and the rotation; the slowed process must
+   cost some monitor a fault there, or the comparison proves little. *)
+let check_case ?(n = 3) ?(crashes = []) install =
+  let run policy =
+    check_forms_agree ~n ~crashes ~steps:30_000 ~policy install
+  in
+  let rr = run round_robin in
+  let slowed = run (rotation_with_slow_switch ~n) in
+  Alcotest.(check bool) "round robin flipped a monitor" true (rr.flips <> []);
+  Alcotest.(check bool) "the slowed process was charged a fault" true
+    (List.exists (fun ((_, q), (_, f)) -> q = 1 && f > 0) slowed.outputs)
+
+let test_forms_default () = check_case (fun ~factory rt -> mesh ~n:3 ~factory rt)
+
+let test_forms_without_increment_guards () =
+  check_case (fun ~factory rt -> mesh ~increment_guards:false ~n:3 ~factory rt)
+
+let all_monitors meshes =
+  List.filter_map Fun.id (List.concat_map Array.to_list (Array.to_list meshes))
+
+let test_forms_doubling_adapt () =
+  check_case (fun ~factory rt -> mesh ~adapt:(fun t -> 2 * t) ~n:3 ~factory rt);
+  (* The booster itself, whose monitors double their timeouts. *)
+  check_case ~n:4 (fun ~factory rt ->
+      let t = Tbwf_core.Baselines.Naive_booster.install ~factory rt in
+      Array.iter
+        (fun (h : Tbwf_omega.Omega_spec.handle) -> h.candidate := true)
+        t.Tbwf_core.Baselines.Naive_booster.handles;
+      all_monitors t.Tbwf_core.Baselines.Naive_booster.monitors)
+
+let test_forms_crash_while_beating () =
+  (* Crashes at odd and even steps, so q dies both with a heartbeat write in
+     flight and between writes. *)
+  List.iter
+    (fun crashes ->
+      check_case ~crashes (fun ~factory rt -> mesh ~n:3 ~factory rt))
+    [ [ 2, 2_001 ]; [ 2, 4_000 ]; [ 2, 777; 0, 9_000 ] ]
+
+let test_forms_figure3_stack () =
+  (* Figure 3 on top: its tasks switch the monitors' inputs themselves. *)
+  check_case ~n:4 ~crashes:[ 3, 12_000 ] (fun ~factory rt ->
+      let t = Tbwf_omega.Omega_registers.install ~factory rt in
+      Array.iter
+        (fun (h : Tbwf_omega.Omega_spec.handle) -> h.candidate := true)
+        t.Tbwf_omega.Omega_registers.handles;
+      all_monitors t.Tbwf_omega.Omega_registers.monitors)
+
+let test_substrate_picks_form () =
+  let open Tbwf_system in
+  let forms substrate id =
+    let stack = System.build ~substrate ~n:3 id in
+    let forms = monitor_task_forms stack.System.rt ~n:3 in
+    Runtime.stop stack.System.rt;
+    forms
+  in
+  let mp = System.Message_passing Tbwf_net.Net.default_config in
+  List.iter
+    (fun id ->
+      let sm = forms System.Shared_memory id in
+      Alcotest.(check int) "shared memory: 2n(n-1) monitor tasks" 12
+        (List.length sm);
+      Alcotest.(check bool) "shared memory: all machines" true
+        (List.for_all (fun f -> f = Runtime.Machine) sm);
+      let mp = forms mp id in
+      Alcotest.(check int) "message passing: 2n(n-1) monitor tasks" 12
+        (List.length mp);
+      Alcotest.(check bool) "message passing: all fibers" true
+        (List.for_all (fun f -> f = Runtime.Fiber) mp))
+    [ System.Tbwf_atomic; System.Naive_booster ]
+
 let () =
   Alcotest.run "monitor"
     [
@@ -205,5 +412,18 @@ let () =
           Alcotest.test_case "sample helpers" `Quick test_sample_helpers;
           Alcotest.test_case "doubling vs +1 adaptation" `Slow
             test_doubling_adaptation_trusts_slowing_q;
+        ] );
+      ( "forms",
+        [
+          Alcotest.test_case "machines match fibers" `Quick test_forms_default;
+          Alcotest.test_case "without increment guards" `Quick
+            test_forms_without_increment_guards;
+          Alcotest.test_case "doubling adapt and the booster" `Quick
+            test_forms_doubling_adapt;
+          Alcotest.test_case "q crashes while beating" `Quick
+            test_forms_crash_while_beating;
+          Alcotest.test_case "under Figure 3" `Quick test_forms_figure3_stack;
+          Alcotest.test_case "substrate picks the form" `Quick
+            test_substrate_picks_form;
         ] );
     ]

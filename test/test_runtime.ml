@@ -722,6 +722,43 @@ let test_call_step_allocation_guard () =
   Alcotest.(check (float 0.0)) "words a call adds to a step" 18.0
     (solo_call_words_per_step () -. yield)
 
+(* Minor-heap words per step of one monitor A(0,1)'s machines over a
+   shared register, with both inputs on and [crash] naming the process to
+   crash at step 200. Crashing p leaves q's heartbeat machine alone, each
+   step answering one write and invoking the next. Crashing q leaves p's
+   watcher machine alone: its next read finds the counter stalled, charges
+   the fault, and [adapt] sets a timeout the run never reaches, so every
+   later step is an idle tick. *)
+let monitor_machine_words_per_step ~crash =
+  let rt = Runtime.create ~record_trace:false ~n:2 () in
+  let mon =
+    Tbwf_monitor.Activity_monitor.install
+      ~adapt:(fun _ -> 1_000_000_000)
+      rt ~p:0 ~q:1
+  in
+  mon.monitoring := true;
+  mon.active_for := true;
+  Runtime.crash_at rt ~pid:crash ~step:200;
+  let policy = Policy.round_robin () in
+  Runtime.run rt ~policy ~steps:1_000;
+  let steps = 20_000 in
+  let before = Gc.minor_words () in
+  Runtime.run rt ~policy ~steps;
+  let words = Gc.minor_words () -. before in
+  Runtime.stop rt;
+  words /. float_of_int steps
+
+let test_monitor_machine_allocation_guard () =
+  (* An idle watcher tick is a closure call, a decrement and a constant
+     action: 0 words, like a parked fiber. A heartbeat write step pays for
+     its operation only: the counter's [Value.Int] (2), the write pair
+     (3), [M_call] (3), the pending record (7) and the [respond] context
+     (7). A boxed pc or a closure per step moves either figure. *)
+  Alcotest.(check (float 0.0)) "words an idle watcher step allocates" 0.0
+    (monitor_machine_words_per_step ~crash:1);
+  Alcotest.(check (float 0.0)) "words a heartbeat write step allocates" 22.0
+    (monitor_machine_words_per_step ~crash:0)
+
 (* Random programs: 2–4 processes, each calling 1–3 shared objects or
    yielding, some crashing mid-run; a final [stop] drops the calls still
    in flight. *)
@@ -885,6 +922,8 @@ let () =
             test_call_step_allocation_guard;
           Alcotest.test_case "parked step allocation guard" `Quick
             test_parked_step_allocation_guard;
+          Alcotest.test_case "monitor machine allocation guard" `Quick
+            test_monitor_machine_allocation_guard;
           QCheck_alcotest.to_alcotest qcheck_overlap_matches_trace;
         ] );
       ( "park",

@@ -764,6 +764,90 @@ let test_merge_tie_break_order () =
     [ 10, 2; 10, 0; 20, 0; 20, 1 ]
     (leaders (Collector.merge b a))
 
+(* --- merge of retained event lists ----------------------------------------
+
+   The reference is the merge as it was first written: reverse both
+   newest-first lists, merge them chronologically (the first argument's
+   events first on equal steps), reverse back, and in [retain] mode keep
+   the 256 newest once the total passes 512. Here it works on the
+   chronological lists the accessors return. *)
+
+let reference_merge_events ~retain step xs ys =
+  let rec go acc xs ys =
+    match xs, ys with
+    | [], rest | rest, [] -> List.rev_append acc rest
+    | x :: xs', y :: ys' ->
+      if step x <= step y then go (x :: acc) xs' ys else go (y :: acc) xs ys'
+  in
+  let newest_first = List.rev (go [] xs ys) in
+  let kept =
+    if retain && List.length xs + List.length ys > 512 then
+      List.filteri (fun i _ -> i < 256) newest_first
+    else newest_first
+  in
+  List.rev kept
+
+(* One collector's events: step increments (0 makes a tie) with either a
+   self-announced leader (a hand-off when it differs from the last one) or
+   a crash. Sizes run from empty to past the retained cap. *)
+let gen_events =
+  QCheck.Gen.(
+    int_range 0 700 >>= fun len ->
+    list_repeat len (triple (int_range 0 2) bool (int_range 0 2)))
+
+let collector_of ~retain events =
+  let c =
+    if retain then Collector.create ~retain:8 ~n:3 () else Collector.create ~n:3 ()
+  in
+  let sink = Collector.sink c in
+  let step = ref 0 in
+  List.iter
+    (fun (gap, leader, pid) ->
+      step := !step + gap;
+      if leader then
+        sink.Sink.on_signal ~step:!step ~pid
+          (Sink.Leader_view { leader = Some pid })
+      else sink.Sink.on_signal ~step:!step ~pid (Sink.Crash { pid }))
+    events;
+  c
+
+let qcheck_merge_matches_reference =
+  QCheck.Test.make ~name:"merge of event lists matches the reference" ~count:200
+    (QCheck.make
+       ~print:(fun (retain, runs) ->
+         Fmt.str "retain=%b sizes=%a" retain
+           Fmt.(Dump.list int)
+           (List.map List.length runs))
+       QCheck.Gen.(pair bool (int_range 2 4 >>= fun k -> list_repeat k gen_events)))
+    (fun (retain, runs) ->
+      let handoff_step (e : Collector.leader_event) = e.le_step in
+      match List.map (collector_of ~retain) runs with
+      | [] -> true
+      | first :: rest ->
+        (* Fold left as the pools do, checking every intermediate merge,
+           so merged (and already truncated) lists meet new ones. *)
+        let _, _, _, ok =
+          List.fold_left
+            (fun (acc, handoffs, crashes, ok) c ->
+              let merged = Collector.merge acc c in
+              let handoffs' =
+                reference_merge_events ~retain handoff_step handoffs
+                  (Collector.handoffs c)
+              in
+              let crashes' =
+                reference_merge_events ~retain fst crashes (Collector.crashes c)
+              in
+              ( merged,
+                handoffs',
+                crashes',
+                ok
+                && Collector.handoffs merged = handoffs'
+                && Collector.crashes merged = crashes' ))
+            (first, Collector.handoffs first, Collector.crashes first, true)
+            rest
+        in
+        ok)
+
 (* --- merge edge cases ------------------------------------------------------ *)
 
 let test_merge_empty_collectors () =
@@ -918,6 +1002,7 @@ let () =
             test_merge_tie_break_order;
           Alcotest.test_case "merge of empty collectors" `Quick
             test_merge_empty_collectors;
+          QCheck_alcotest.to_alcotest qcheck_merge_matches_reference;
           Alcotest.test_case "merge net section (SM vs MP)" `Quick
             test_merge_net_section;
         ] );
