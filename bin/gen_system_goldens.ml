@@ -32,8 +32,9 @@ let () =
           let rt = stack.System.rt in
           Runtime.run rt ~policy:(pol ()) ~steps;
           Runtime.stop rt;
+          let trace = Option.get stack.System.trace in
           let digest =
-            Digest.to_hex (Digest.string (Trace.fingerprint (Runtime.trace rt)))
+            Digest.to_hex (Digest.string (Trace.fingerprint trace))
           in
           Fmt.pr "%s %s %s@." (System.to_string id) pname digest)
         policies)

@@ -28,6 +28,11 @@ let omega_of_string = function
 let positive flag v =
   if v < 1 then Error (Fmt.str "%s must be positive (got %d)" flag v) else Ok ()
 
+(* The verdict judges the second half of the run, which needs a step. *)
+let two_halves flag v =
+  if v < 2 then Error (Fmt.str "%s must be at least 2 (got %d)" flag v)
+  else Ok ()
+
 let pids_in_range ~n flag pids =
   match List.find_opt (fun p -> p < 0 || p >= n) pids with
   | Some p -> Error (Fmt.str "%s: pid %d is not in [0, %d)" flag p n)
@@ -38,7 +43,7 @@ let pids_in_range ~n flag pids =
 let resolve n steps object_name omega_name untimely =
   let ( let* ) = Result.bind in
   let* () = positive "-n" n in
-  let* () = positive "--steps" steps in
+  let* () = two_halves "--steps" steps in
   let* () = pids_in_range ~n "--untimely" untimely in
   let* spec_op = spec_of_object object_name in
   let* omega = omega_of_string omega_name in
@@ -65,7 +70,7 @@ let demo ~n ~steps ~seed ~spec ~op ~omega ~untimely ~non_canonical =
       ~min_ops:
         (Degradation.required_tail_ops ~cost:1 ~n ~tail:(Runtime.now rt - from))
       ~prediction:(Scenario.degraded_prediction ~n ~timely ~from)
-      ~trace:(Runtime.trace rt) ~completed_before:mid
+      ~trace:stack.Scenario.trace ~completed_before:mid
       ~completed_after:stack.Scenario.stats.Workload.completed ()
   in
   (* The list is one string, with no break hint: Format counts the bytes

@@ -54,15 +54,17 @@ let emit_stream record =
 let run_scenario ~substrate ~n ~k ~steps ~seed ~window ~stream_every =
   let timely = List.init k (fun i -> n - 1 - i) in
   let stack =
-    Tbwf_system.System.build ~substrate ~seed ~telemetry:true
-      ~telemetry_window:window ~n Tbwf_system.System.Tbwf_atomic
+    Tbwf_system.System.build ~substrate ~seed ~record_trace:false
+      ~telemetry:true ~telemetry_window:window ~n
+      Tbwf_system.System.Tbwf_atomic
   in
   let rt = stack.Tbwf_system.System.rt in
   let telemetry = Option.get stack.Tbwf_system.System.telemetry in
   (* Streaming: a windowed tail-rate monitor rides along and its running
      state is embedded in every v2 record. The monitor's sink runs first
-     in the tee, so when the collector emits the record for window w the
-     monitor has closed exactly windows 0..w. *)
+     in the tee, ahead of the sink the build installed, so when the
+     collector emits the record for window w the monitor has closed
+     exactly windows 0..w. *)
   (match stream_every with
   | None -> ()
   | Some every ->
@@ -70,7 +72,7 @@ let run_scenario ~substrate ~n ~k ~steps ~seed ~window ~stream_every =
     Tbwf_sim.Runtime.set_sink rt
       (Tbwf_sim.Sink.tee
          (Tbwf_check.Tail_monitor.sink tm)
-         (Collector.sink telemetry));
+         (Tbwf_sim.Runtime.sink rt));
     Collector.emit_every telemetry ~every
       ~extra:(fun ~window:_ ->
         [ "tail_monitor", Tbwf_check.Tail_monitor.to_json tm ])

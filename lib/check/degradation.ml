@@ -101,12 +101,13 @@ let tail_steps trace ~pid ~from_step =
 let check ?(min_ops = 1) ~prediction ~trace ~completed_before
     ~completed_after () =
   let p = prediction in
-  (* A trace that was never recorded has no tail steps and no gaps, so
-     every schedule would look vacuously timely. *)
-  if not (Trace.enabled trace) then
+  (* A trace with no step in the tail (a recorder never attached, say)
+     has no gaps, so every schedule would look vacuously timely. *)
+  if Trace.length trace <= p.pred_from then
     invalid_arg
-      "Degradation.check: the trace was not recorded (build with \
-       record_trace:true, or decide the run with Degradation.Online)";
+      "Degradation.check: the trace has no step at or after pred_from \
+       (record the run with a Trace.recorder, or decide it with \
+       Degradation.Online)";
   if Array.length completed_before <> p.pred_n
      || Array.length completed_after <> p.pred_n
   then invalid_arg "Degradation.check: completed arrays must have length n";

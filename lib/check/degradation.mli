@@ -131,10 +131,10 @@ val check :
     — a failed schedule sanity check means the {e plan compilation} (or
     the caller's prediction) is at fault, not the algorithm, and is
     reported via [dv_sched_timely] so it is never mistaken for an
-    algorithm violation. Raises [Invalid_argument] if [trace] was not
-    recorded ({!Tbwf_sim.Trace.enabled} is false: its empty tail would be
-    vacuously timely) or if the counter arrays do not have length
-    [pred_n]. *)
+    algorithm violation. Raises [Invalid_argument] if [trace] has no
+    step at or after [pred_from] (a recorder that was never attached, or
+    a run that ended before its tail: an empty tail would be vacuously
+    timely) or if the counter arrays do not have length [pred_n]. *)
 
 (** {2 Online checking}
 

@@ -17,7 +17,7 @@ let observe ?(backend = Backend.Reference) ?seed ?(telemetry = false)
   Runtime.run rt ~policy:(policy ()) ~steps;
   Runtime.stop rt;
   {
-    fingerprint = Trace.fingerprint (Runtime.trace rt);
+    fingerprint = Trace.fingerprint (Option.get stack.System.trace);
     telemetry =
       Option.map Tbwf_telemetry.Collector.snapshot_string
         stack.System.telemetry;

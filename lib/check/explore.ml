@@ -13,11 +13,20 @@ type fuzz_outcome = {
   exhausted_batch : (int * int64) option;
 }
 
+(* One execution: a fresh runtime with one recorder teed ahead of the sink
+   [make_runtime] installed (before step 0, so trace index i is step i),
+   and the scenario set up over the runtime and that trace. The footprints
+   below are read off the same trace. *)
+let start ~scenario ~make_runtime =
+  let rt = make_runtime () in
+  let trace = Trace.create () in
+  Runtime.set_sink rt (Sink.tee (Trace.recorder trace) (Runtime.sink rt));
+  rt, trace, scenario rt trace
+
 (* --- replay ------------------------------------------------------------- *)
 
 let replay ~max_steps ~scenario ~make_runtime pids =
-  let rt = make_runtime () in
-  let invariant = scenario rt in
+  let rt, _, invariant = start ~scenario ~make_runtime in
   let ok = ref (invariant ()) in
   let steps = ref 0 in
   List.iter
@@ -108,9 +117,7 @@ let exhaustive_dfs ?(max_schedules = 200_000) ?(por = true) ?root ~max_steps
      schedule. *)
   let execute () =
     incr schedules;
-    let rt = make_runtime () in
-    let invariant = scenario rt in
-    let trace = Runtime.trace rt in
+    let rt, trace, invariant = start ~scenario ~make_runtime in
     let fail () = violation := Some (Trace.schedule trace) in
     let stop_run = ref false in
     if not (invariant ()) then begin
@@ -251,9 +258,7 @@ let merge_root_outcomes ~max_schedules outcomes =
    it finishes that branch (the first step of a branch is deterministic,
    so precomputing it from a probe run observes the identical value). *)
 let root_footprint ~scenario ~make_runtime pid =
-  let rt = make_runtime () in
-  let (_ : unit -> bool) = scenario rt in
-  let trace = Runtime.trace rt in
+  let rt, trace, (_ : unit -> bool) = start ~scenario ~make_runtime in
   let mark = Trace.n_ops trace in
   Runtime.step rt ~pid;
   let fp = Independence.of_events (Trace.ops_from trace mark) in
@@ -272,8 +277,7 @@ let exhaustive ?max_schedules ?por ?pool ~max_steps ~scenario ~make_runtime ()
     (* Probe the initial state: the root branches are the runnable pids
        in array order, exactly the branches the root frame of the
        sequential DFS iterates. *)
-    let rt = make_runtime () in
-    let invariant = scenario rt in
+    let rt, _, invariant = start ~scenario ~make_runtime in
     let initially_ok = invariant () in
     let roots = Runtime.runnable_pids rt in
     Runtime.stop rt;
@@ -305,8 +309,7 @@ let exhaustive ?max_schedules ?por ?pool ~max_steps ~scenario ~make_runtime ()
    the script policy, evaluate the invariant, and report the branching
    factors observed plus the pid schedule actually followed. *)
 let run_script ~max_steps ~scenario ~make_runtime script =
-  let rt = make_runtime () in
-  let invariant = scenario rt in
+  let rt, trace, invariant = start ~scenario ~make_runtime in
   let policy = Policy.of_script script in
   Runtime.run rt ~policy ~steps:max_steps;
   let branching = Policy.branching_of_script policy in
@@ -314,7 +317,7 @@ let run_script ~max_steps ~scenario ~make_runtime script =
     (* the scripted steps come first; everything after is idle padding *)
     List.filteri
       (fun i _ -> i < List.length branching)
-      (Trace.schedule (Runtime.trace rt))
+      (Trace.schedule trace)
   in
   let holds = invariant () in
   Runtime.stop rt;
@@ -445,8 +448,8 @@ let fuzz_batch ~seed ~runs ~max_steps start k =
 let fuzz ?(seed = 0x5EED5EEDL) ?(runs = 1_000) ?pool ~max_steps ~scenario
     ~make_runtime () =
   let start _rng =
-    let rt = make_runtime () in
-    rt, scenario rt, ()
+    let rt, _, invariant = start ~scenario ~make_runtime in
+    rt, invariant, ()
   in
   let run_batch = fuzz_batch ~seed ~runs ~max_steps start in
   let executed, witness = fuzz_select ?pool ~runs run_batch in
@@ -495,8 +498,10 @@ let fuzz_faults ?(seed = 0x5EED5EEDL) ?(runs = 1_000) ?pool ~gen_plan
   (* The plan is drawn before the walk, from the same stream. *)
   let start rng =
     let plan = gen_plan rng in
-    let rt = make_runtime plan () in
-    rt, scenario plan rt, plan
+    let rt, _, invariant =
+      start ~scenario:(scenario plan) ~make_runtime:(make_runtime plan)
+    in
+    rt, invariant, plan
   in
   let run_batch = fuzz_batch ~seed ~runs ~max_steps start in
   let executed, witness = fuzz_select ?pool ~runs run_batch in

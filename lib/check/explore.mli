@@ -54,13 +54,18 @@ val exhaustive :
   ?por:bool ->
   ?pool:Tbwf_parallel.Pool.t ->
   max_steps:int ->
-  scenario:(Tbwf_sim.Runtime.t -> unit -> bool) ->
+  scenario:(Tbwf_sim.Runtime.t -> Tbwf_sim.Trace.t -> unit -> bool) ->
   make_runtime:(unit -> Tbwf_sim.Runtime.t) ->
   unit ->
   outcome
-(** [exhaustive ~max_steps ~scenario ~make_runtime ()] runs [scenario rt]
-    to set up tasks on a fresh runtime per schedule; the returned thunk is
-    the invariant, evaluated after every step. Depth-first search over the
+(** [exhaustive ~max_steps ~scenario ~make_runtime ()] runs
+    [scenario rt trace] to set up tasks on a fresh runtime per schedule;
+    the returned thunk is the invariant, evaluated after every step.
+    Every execution, in every entry point of this module, tees one
+    {!Tbwf_sim.Trace.recorder} ahead of the sink [make_runtime] installed,
+    before the first step, and hands its [trace] to the scenario: an
+    invariant over operation histories reads it, and the search reads
+    each step's register footprint off it. Depth-first search over the
     tree of per-step pid choices; each executed schedule is maximal (all
     tasks finished, or [max_steps] reached), and — unlike the
     pre-reduction explorer — covers all of its own prefixes in a single
@@ -87,7 +92,7 @@ val exhaustive :
 val exhaustive_naive :
   ?max_schedules:int ->
   max_steps:int ->
-  scenario:(Tbwf_sim.Runtime.t -> unit -> bool) ->
+  scenario:(Tbwf_sim.Runtime.t -> Tbwf_sim.Trace.t -> unit -> bool) ->
   make_runtime:(unit -> Tbwf_sim.Runtime.t) ->
   unit ->
   outcome
@@ -125,7 +130,7 @@ val fuzz :
   ?runs:int ->
   ?pool:Tbwf_parallel.Pool.t ->
   max_steps:int ->
-  scenario:(Tbwf_sim.Runtime.t -> unit -> bool) ->
+  scenario:(Tbwf_sim.Runtime.t -> Tbwf_sim.Trace.t -> unit -> bool) ->
   make_runtime:(unit -> Tbwf_sim.Runtime.t) ->
   unit ->
   fuzz_outcome
@@ -145,7 +150,7 @@ val fuzz :
 
 val replay :
   max_steps:int ->
-  scenario:(Tbwf_sim.Runtime.t -> unit -> bool) ->
+  scenario:(Tbwf_sim.Runtime.t -> Tbwf_sim.Trace.t -> unit -> bool) ->
   make_runtime:(unit -> Tbwf_sim.Runtime.t) ->
   int list ->
   bool
@@ -185,7 +190,8 @@ val fuzz_faults :
   gen_plan:(Tbwf_sim.Rng.t -> 'plan) ->
   shrink_plan:(fails:('plan -> bool) -> 'plan -> 'plan) ->
   max_steps:int ->
-  scenario:('plan -> Tbwf_sim.Runtime.t -> unit -> bool) ->
+  scenario:
+    ('plan -> Tbwf_sim.Runtime.t -> Tbwf_sim.Trace.t -> unit -> bool) ->
   make_runtime:('plan -> unit -> Tbwf_sim.Runtime.t) ->
   unit ->
   'plan fault_fuzz_outcome

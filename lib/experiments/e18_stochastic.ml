@@ -59,7 +59,9 @@ let retention regimes =
   | _ -> 0.0
 
 let run_cell ~n ~steps ~seed ~regime system =
-  let stack = System.build ~seed ~telemetry:true ~n system in
+  let stack =
+    System.build ~seed ~record_trace:false ~telemetry:true ~n system
+  in
   let telemetry = Option.get stack.System.telemetry in
   let policy =
     match regime with

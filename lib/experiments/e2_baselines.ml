@@ -16,7 +16,7 @@ let sum_pids stats pids =
   List.fold_left (fun acc pid -> acc + stats.Workload.completed.(pid)) 0 pids
 
 let run_system ~system ~n ~segments ~segment_steps ~seed ~id =
-  let stack = System.build ~seed ~n id in
+  let stack = System.build ~seed ~record_trace:false ~n id in
   let rt = stack.System.rt in
   let stats = stack.System.stats in
   let timely = List.init (n - 1) (fun i -> i + 1) in

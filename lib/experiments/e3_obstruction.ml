@@ -13,7 +13,7 @@ type row = {
 type result = { n : int; rows : row list; all_pass : bool }
 
 let run_one ~system ~n ~solo_pid ~contention_steps ~solo_steps ~seed ~id =
-  let stack = System.build ~seed ~n id in
+  let stack = System.build ~seed ~record_trace:false ~n id in
   let rt = stack.System.rt in
   let stats = stack.System.stats in
   let policy = Policy.solo_after ~n ~pid:solo_pid ~step:contention_steps in

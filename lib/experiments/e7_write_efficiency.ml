@@ -26,6 +26,8 @@ let compute ?(quick = false) () =
   let segments = if quick then 10 else 20 in
   let segment_steps = if quick then 5_000 else 20_000 in
   let rt = Runtime.create ~seed:77L ~n () in
+  let trace = Trace.create () in
+  Runtime.set_sink rt (Trace.recorder trace);
   let om = Tbwf_system.System.install_atomic rt in
   (* Reuse the scenario drivers but keep our own runtime to read the trace. *)
   let handles = om.handles in
@@ -59,7 +61,6 @@ let compute ?(quick = false) () =
     | Omega_spec.No_leader -> None
   in
   Runtime.stop rt;
-  let trace = Runtime.trace rt in
   let windows =
     List.init segments (fun seg ->
         let from_step = seg * segment_steps in

@@ -10,14 +10,14 @@ type t = {
   seed : int64;
   max_steps : int;
   expect_violation : bool;
-  scenario : Runtime.t -> unit -> bool;
+  scenario : Runtime.t -> Trace.t -> unit -> bool;
 }
 
 let make_runtime t () = Runtime.create ~seed:t.seed ~n:t.n ()
 
 (* --- atomic2: every interleaving of two register clients linearizable --- *)
 
-let atomic2_scenario rt =
+let atomic2_scenario rt trace =
   let reg = Atomic_reg.create rt ~name:"X" ~codec:Codec.int ~init:0 in
   for pid = 0 to 1 do
     Runtime.spawn rt ~pid ~name:"t" (fun () ->
@@ -25,7 +25,7 @@ let atomic2_scenario rt =
         ignore (Atomic_reg.read reg))
   done;
   fun () ->
-    let history = History.complete_ops (Runtime.trace rt) ~obj_name:"X" in
+    let history = History.complete_ops trace ~obj_name:"X" in
     Linearizability.check (Linearizability.register_spec ~init:(Value.Int 0))
       history
 
@@ -42,7 +42,7 @@ let atomic2 =
 
 (* --- abortable2: abortable-register value domain is safe ----------------- *)
 
-let abortable2_scenario rt =
+let abortable2_scenario rt _trace =
   let reg =
     Abortable_reg.create rt ~name:"A" ~codec:Codec.int ~init:0 ~writer:0
       ~reader:1 ~policy:Abort_policy.Always
@@ -77,7 +77,7 @@ let abortable2 =
 
 (* --- qa2: query-abortable fates are exact -------------------------------- *)
 
-let qa2_scenario rt =
+let qa2_scenario rt _trace =
   let qa =
     Qa_object.create rt ~name:"q" ~spec:Counter.spec ~policy:Abort_policy.Always
       ~effect_on_abort:Abort_policy.Effect_always ()
@@ -117,7 +117,7 @@ let qa2 =
 
 (* --- regs3: mostly-disjoint registers, the reduction's showcase ---------- *)
 
-let regs3_scenario rt =
+let regs3_scenario rt trace =
   let shared = Atomic_reg.create rt ~name:"S" ~codec:Codec.int ~init:0 in
   let privs =
     Array.init 3 (fun i ->
@@ -130,7 +130,7 @@ let regs3_scenario rt =
   done;
   fun () ->
     let shared_reads_zero =
-      History.complete_ops (Runtime.trace rt) ~obj_name:"S"
+      History.complete_ops trace ~obj_name:"S"
       |> List.for_all (fun o ->
              (not (Value.is_read o.History.op))
              || Value.equal o.History.result (Value.Int 0))
@@ -153,7 +153,7 @@ let regs3 =
 
 (* --- broken1: a register that lies, caught by some schedule -------------- *)
 
-let broken1_scenario rt =
+let broken1_scenario rt trace =
   let cell = ref (Value.Int 0) in
   let obj =
     Runtime.register_object rt ~name:"B" ~respond:(fun ctx ->
@@ -169,7 +169,7 @@ let broken1_scenario rt =
       let (_ : Value.t) = Runtime.call obj Value.read_op in
       ());
   fun () ->
-    let history = History.complete_ops (Runtime.trace rt) ~obj_name:"B" in
+    let history = History.complete_ops trace ~obj_name:"B" in
     Linearizability.check (Linearizability.register_spec ~init:(Value.Int 0))
       history
 
@@ -189,7 +189,7 @@ let broken1 =
 (* Critical-section occupancy is itself a shared object (so the violation is
    visible to the explorer's footprint-based reduction, and recorded in the
    trace): entering and leaving are single atomic operations on it. *)
-let mutex2_scenario rt =
+let mutex2_scenario rt _trace =
   let occupancy = ref 0 in
   let cs =
     Runtime.register_object rt ~name:"cs" ~respond:(fun ctx ->

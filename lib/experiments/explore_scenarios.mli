@@ -15,7 +15,9 @@ type t = {
   max_steps : int;  (** exploration depth bound *)
   expect_violation : bool;
       (** whether exhaustive exploration must find an invariant violation *)
-  scenario : Tbwf_sim.Runtime.t -> unit -> bool;
+  scenario : Tbwf_sim.Runtime.t -> Tbwf_sim.Trace.t -> unit -> bool;
+      (** spawns the tasks on a fresh runtime whose run the trace records,
+          and returns the invariant *)
 }
 
 val atomic2 : t

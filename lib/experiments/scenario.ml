@@ -19,6 +19,7 @@ type stack = {
   qa : Tbwf_objects.Qa_intf.t;
   tbwf : Tbwf.t;
   stats : Workload.stats;
+  trace : Trace.t;
 }
 
 (* All wiring lives in the System layer; a scenario is a System stack
@@ -47,6 +48,7 @@ let build ?(seed = 0xC0FFEEL)
     qa = s.Tbwf_system.System.qa;
     tbwf = Option.get s.Tbwf_system.System.tbwf;
     stats = s.Tbwf_system.System.stats;
+    trace = Option.get s.Tbwf_system.System.trace;
   }
 
 let degraded_policy ?(untimely_pattern = `Slowing (60, 1.15)) ~n ~timely () =

@@ -18,6 +18,7 @@ type stack = {
   qa : Tbwf_objects.Qa_intf.t;
   tbwf : Tbwf_core.Tbwf.t;
   stats : Tbwf_core.Workload.stats;
+  trace : Tbwf_sim.Trace.t;  (** recorded from step 0 *)
 }
 
 val build :

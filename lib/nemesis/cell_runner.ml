@@ -62,13 +62,15 @@ let run ~plan ~build ~stream =
       ~cost:(cost_factor stack.System.substrate) ~n ~tail
   in
   (* The tail boundary and floor are plan-derived, so the online checker
-     is armed before the first step. Tee order fixes what each streamed
-     record sees: a monitor (first) has closed exactly the record's
-     window, the collector emits, and the checker (last) has consumed
-     exactly the steps the record covers. *)
+     is armed before the first step. It and the stream's monitor are teed
+     around the sink the build installed (its collector, and its trace
+     recorder if it keeps one), so nothing the build attached is lost.
+     Tee order fixes what each streamed record sees: a monitor (first)
+     has closed exactly the record's window, the collector emits, and the
+     checker (last) has consumed exactly the steps the record covers. *)
   let online = Degradation.Online.create ~min_ops prediction in
   let checked =
-    Sink.tee (Collector.sink telemetry) (Degradation.Online.sink online)
+    Sink.tee (Runtime.sink rt) (Degradation.Online.sink online)
   in
   Runtime.set_sink rt
     (match stream with

@@ -35,7 +35,7 @@ let demo_make_runtime ?substrate plan () =
   Fault_plan.install_crashes plan rt;
   rt
 
-let demo_scenario ?(substrate = System.Shared_memory) plan rt =
+let demo_scenario ?(substrate = System.Shared_memory) plan rt _trace =
   let policy =
     Fault_plan.abort_policy plan ~target:Fault_plan.Qa
       ~base:Abort_policy.Never
@@ -94,7 +94,9 @@ let demo_scenario ?(substrate = System.Shared_memory) plan rt =
 
 let demo_replay ?substrate plan pids =
   let rt = demo_make_runtime ?substrate plan () in
-  let invariant = demo_scenario ?substrate plan rt in
+  let trace = Trace.create () in
+  Runtime.set_sink rt (Trace.recorder trace);
+  let invariant = demo_scenario ?substrate plan rt trace in
   let held = ref (invariant ()) in
   List.iter
     (fun pid ->
@@ -104,7 +106,7 @@ let demo_replay ?substrate plan pids =
         if not (invariant ()) then held := false
       end)
     pids;
-  let fp = Trace.fingerprint (Runtime.trace rt) in
+  let fp = Trace.fingerprint trace in
   Runtime.stop rt;
   !held, fp
 

@@ -22,7 +22,8 @@ val fuzz :
   ?replicas:int ->
   n:int ->
   horizon:int ->
-  scenario:(Fault_plan.t -> Tbwf_sim.Runtime.t -> unit -> bool) ->
+  scenario:
+    (Fault_plan.t -> Tbwf_sim.Runtime.t -> Tbwf_sim.Trace.t -> unit -> bool) ->
   make_runtime:(Fault_plan.t -> unit -> Tbwf_sim.Runtime.t) ->
   unit ->
   Fault_plan.t Tbwf_check.Explore.fault_fuzz_outcome
@@ -49,9 +50,11 @@ val demo_scenario :
   ?substrate:Tbwf_system.System.substrate ->
   Fault_plan.t ->
   Tbwf_sim.Runtime.t ->
+  Tbwf_sim.Trace.t ->
   unit ->
   bool
-(** The planted-bug scenario on either substrate. On shared memory the
+(** The planted-bug scenario on either substrate; its invariant reads
+    the registers, not the trace. On shared memory the
     invariant is [peek = recorded]; on message passing a completing
     quorum write lands at the replicas before the client records it, so
     the invariant is the monotone [peek >= recorded] — which an
@@ -75,5 +78,6 @@ val demo_replay :
   bool * string
 (** Replay the whole pid schedule against the demo scenario under [plan]
     (not stopping at a violation) and return whether the invariant held
-    throughout, plus the run's {!Tbwf_sim.Trace.fingerprint} — equal
+    throughout, plus the fingerprint of the run's trace (one recorder,
+    attached before the first step) — equal
     fingerprints across replays are the byte-identical-replay guarantee. *)

@@ -127,7 +127,7 @@ val replay : int list -> t
 (** Re-execute a recorded schedule: at step i, run the pid at position i of
     the list (an entry of -1, recorded for an idle step, lets the step pass
     idle again). Because runs are deterministic, replaying
-    [Trace.schedule (Runtime.trace rt)] on a fresh identically-seeded
+    the [Trace.schedule] of its recorded trace on a fresh identically-seeded
     runtime reproduces the original run byte for byte. An entry whose pid
     is not currently runnable — only possible when the schedule came from a
     {e different} scenario — is treated as idle so the step numbering stays

@@ -75,7 +75,6 @@ type t = {
   mutable num : int;
   rng : Rng.t;
   obj_rng : Rng.t;
-  trace : Trace.t;
   mutable procs : proc array;  (* first [num] slots are the processes *)
   mutable step : int;
   mutable next_obj_id : int;
@@ -88,7 +87,9 @@ type t = {
   mutable events : (int * event_kind) list;
       (* (due step, kind), kept in application order — see [insert_event] —
          so the per-step check reads only the head *)
-  mutable sink : Sink.t;  (* telemetry sink; Sink.nil = disabled *)
+  mutable sink : Sink.t;
+      (* the one observer slot: trace recorder, collector and checkers
+         are all sinks, teed; Sink.nil = unobserved *)
   (* Cached runnable-pid set, recomputed only when membership can have
      changed (spawn, a proc's last task finishing, a crash). The cache is
      replaced by a fresh array on recomputation, never mutated in place,
@@ -116,10 +117,8 @@ let fresh_proc pid =
     is_retired = false;
   }
 
-let create ?(seed = 0xC0FFEEL) ?(record_trace = true) ~n () =
+let create ?(seed = 0xC0FFEEL) ~n () =
   if n < 1 then invalid_arg "Runtime.create: need at least one process";
-  let trace = Trace.create () in
-  if not record_trace then Trace.disable trace;
   {
     num = n;
     rng = Rng.create seed;
@@ -129,7 +128,6 @@ let create ?(seed = 0xC0FFEEL) ?(record_trace = true) ~n () =
        no scheduling randomness — would shift every object draw and
        diverge from the run it replays. *)
     obj_rng = Rng.create (Int64.logxor seed 0x6F626A5F726E6721L);
-    trace;
     procs = Array.init n fresh_proc;
     step = 0;
     next_obj_id = 0;
@@ -146,15 +144,19 @@ let create ?(seed = 0xC0FFEEL) ?(record_trace = true) ~n () =
 let n t = t.num
 let rng t = t.rng
 let obj_rng t = t.obj_rng
-let trace t = t.trace
 let now t = t.step
 let running t = t.running
 
-(* --- telemetry ---------------------------------------------------------- *)
+(* --- observers ---------------------------------------------------------- *)
 
 let set_sink t sink = t.sink <- sink
+let sink t = t.sink
 let clear_sink t = t.sink <- Sink.nil
-let telemetry_active t = t.sink.Sink.active
+
+(* A sink that ignores signals (a trace recorder alone) is active but
+   keeps nil's [on_signal], which a tee preserves: no payload is built
+   for it. *)
+let telemetry_active t = t.sink.Sink.on_signal != Sink.nil.Sink.on_signal
 
 (* Emit a structured signal on behalf of [pid] at the current step. Cheap
    when disabled, but call sites should still guard on [telemetry_active]
@@ -340,17 +342,16 @@ let respond_pending t task =
     }
   in
   let result = pend.p_obj.Shared.respond ctx in
-  Trace.record_respond t.trace ~step:t.step ~pid:task.t_pid ~obj_id
-    ~obj_name:pend.p_obj.Shared.name ~op:pend.p_op ~result;
   if t.sink.Sink.active then
     t.sink.Sink.on_respond ~step:t.step ~pid:task.t_pid ~layer:task.t_layer
-      ~obj_id ~invoked:pend.p_invoked ~overlapped ~result;
+      ~obj:pend.p_obj ~op:pend.p_op ~invoked:pend.p_invoked ~overlapped
+      ~result;
   result
 
 (* Invocation-side bookkeeping, shared by the effects handler's [Call]
-   case and the machine interpreter's [M_call]: both backends must record
-   the invocation identically for traces and telemetry to stay
-   byte-identical. *)
+   case and the machine interpreter's [M_call]: a fiber and a machine that
+   make the same call must count it and report it to the sink identically
+   for their runs to stay byte-identical. *)
 let begin_call t task obj op =
   let id = obj.Shared.id in
   ensure_obj t id;
@@ -368,10 +369,8 @@ let begin_call t task obj op =
       p_invokes_at_invoke = invokes;
       p_events_at_invoke = events_of t id;
     };
-  Trace.record_invoke t.trace ~step:t.step ~pid:task.t_pid ~obj_id:id
-    ~obj_name:obj.Shared.name ~op;
   if t.sink.Sink.active then
-    t.sink.Sink.on_invoke ~step:t.step ~pid:task.t_pid ~obj_id:id
+    t.sink.Sink.on_invoke ~step:t.step ~pid:task.t_pid ~obj ~op
 
 (* --- task execution ----------------------------------------------------- *)
 
@@ -521,14 +520,14 @@ let teardown t ~resolve proc =
 let crash_proc t proc =
   proc.is_crashed <- true;
   t.runnable_dirty <- true;
-  if t.sink.Sink.active then
+  if telemetry_active t then
     signal t ~pid:proc.pid (Sink.Crash { pid = proc.pid });
   teardown t ~resolve:true proc
 
 let retire_proc t proc =
   proc.is_retired <- true;
   t.runnable_dirty <- true;
-  if t.sink.Sink.active then
+  if telemetry_active t then
     signal t ~pid:proc.pid (Sink.Retire { pid = proc.pid });
   teardown t ~resolve:true proc;
   (* A retired process never runs again: drop its task storage so a
@@ -597,13 +596,11 @@ let runnable_pids t =
 
 let run_task_step t ~pid task =
   t.running <- pid;
-  Trace.record_step t.trace ~pid;
   if t.sink.Sink.active then
     t.sink.Sink.on_step ~step:t.step ~pid ~layer:task.t_layer;
   exec_task_step t task
 
 let record_idle_step t =
-  Trace.record_step t.trace ~pid:(-1);
   if t.sink.Sink.active then
     t.sink.Sink.on_step ~step:t.step ~pid:(-1) ~layer:Sink.Other
 

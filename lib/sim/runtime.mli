@@ -21,14 +21,10 @@
 
 type t
 
-val create : ?seed:int64 -> ?record_trace:bool -> n:int -> unit -> t
-(** [create ~n ()] makes a runtime with processes 0..n-1 and no tasks.
-    [record_trace] (default true) controls whether steps and operation
-    events are recorded in {!trace}; runs judged from the event stream
-    (campaign cells, world and soak shards) pass [false] and rely on
-    streaming telemetry and online checkers instead (post-hoc trace
-    analyses are then unavailable). The run itself is
-    byte-identical either way. *)
+val create : ?seed:int64 -> n:int -> unit -> t
+(** [create ~n ()] makes a runtime with processes 0..n-1, no tasks and
+    the {!Sink.nil} sink. It keeps no record of its run: every observer,
+    the run trace included, is a sink installed with {!set_sink}. *)
 
 val n : t -> int
 (** Current membership size: pids are 0..n-1, counting crashed and
@@ -46,8 +42,6 @@ val obj_rng : t -> Rng.t
     ({!Policy.replay}) byte-identical to the original run:
     replay consumes no scheduling randomness, and object draws depend only
     on the response order, which the schedule fixes. *)
-
-val trace : t -> Trace.t
 
 val now : t -> int
 (** Number of steps executed so far (also the index of the next step). *)
@@ -82,8 +76,8 @@ val spawn :
     no per-step closure. Figure 2's activity monitors over shared memory
     run as machines ([Tbwf_monitor.Activity_monitor.install]), and the
     compiled backend ([Tbwf_compiled]) is built on them. Machine tasks
-    and effect tasks share every other bit of runtime bookkeeping (trace
-    records, pending-op tracking, telemetry, crash/stop semantics), so a
+    and effect tasks share every other bit of runtime bookkeeping (sink
+    events, pending-op tracking, crash/stop semantics), so a
     machine that mirrors a task body's effect sequence produces a
     byte-identical run. *)
 
@@ -210,7 +204,7 @@ val runnable_pids : t -> int array
 
 val step : t -> pid:int -> unit
 (** Execute one step of [pid]'s next runnable task (round-robin within the
-    process, as in {!run}) and record it in the trace. Raises
+    process, as in {!run}) and report it to the sink. Raises
     [Invalid_argument] if [pid] is not currently runnable. *)
 
 val stop : t -> unit
@@ -219,27 +213,35 @@ val stop : t -> unit
     rather than resolved. After [stop] the runtime can still be inspected
     but not run. *)
 
-(** {2 Telemetry}
+(** {2 Observers}
 
-    A runtime carries one telemetry sink, {!Sink.nil} by default. With the
-    nil sink installed every instrumentation site reduces to a boolean test,
-    so the uninstrumented path stays fast; attaching a real sink (see
-    [Tbwf_telemetry.Collector]) streams steps, operation invocations and
-    responses, and library-level signals to it. Each response carries its
-    call's own invoke step and [overlapped] flag: a task has one call in
-    flight, so the runtime pairs it exactly and a sink need not. The
-    stream is a pure function of (seed, policy, spawned code), like the
-    trace. *)
+    A runtime carries one sink, {!Sink.nil} by default, and it is the only
+    way to observe a run. With the nil sink installed every
+    instrumentation site reduces to a boolean test, so the unobserved path
+    stays fast; attaching a real sink streams steps, operation invocations
+    and responses (each with its object and operation), and library-level
+    signals to it. The run trace's recorder, the telemetry collector
+    ([Tbwf_telemetry.Collector]) and the online checkers are such sinks,
+    composed with {!Sink.tee}. Each response carries its call's own
+    invoke step and [overlapped] flag: a task has one call in flight, so
+    the runtime pairs it exactly and a sink need not. The stream is a pure
+    function of (seed, policy, spawned code), and the run does not depend
+    on which sinks watch it. *)
 
 val set_sink : t -> Sink.t -> unit
-(** Install [sink] as the runtime's telemetry sink. *)
+(** Install [sink] as the runtime's sink, replacing the one installed.
+    To add an observer, tee it with {!sink}. *)
+
+val sink : t -> Sink.t
+(** The installed sink. *)
 
 val clear_sink : t -> unit
 (** Reinstall {!Sink.nil}. *)
 
 val telemetry_active : t -> bool
-(** True iff the installed sink is active. Instrumented libraries guard on
-    this before allocating signal payloads. *)
+(** True iff the installed sink reads signals: its [on_signal] is not
+    {!Sink.nil}'s, as it is for a trace recorder alone. Instrumented
+    libraries guard on this before allocating signal payloads. *)
 
 val signal : t -> pid:int -> Sink.signal -> unit
 (** Emit a structured signal on behalf of [pid] at the current step. No-op
@@ -263,8 +265,8 @@ val park : (unit -> bool) -> unit
     the task is scheduled for tests [cond] once, and the first one that
     finds it true resumes the task, which carries on within that step.
     [cond] is not tested at the step that parks. A step of a parked task
-    is still one local step of the paper's model — it is recorded in the
-    trace and reported to the sink like any other, and a task's steps
+    is still one local step of the paper's model — it is reported to the
+    sink like any other, and a task's steps
     count exactly as they would for [yield (); await cond] — only its
     fiber is not resumed while [cond] is false.
 

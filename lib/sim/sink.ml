@@ -5,10 +5,11 @@
    no-ops and whose [active] flag is false; every instrumentation site
    guards on [active] *before* building the event's payload, so with the
    nil sink installed the only cost on the hot path is one boolean load
-   and branch. Attaching a real sink (see lib/telemetry) turns the same
-   sites into a deterministic event stream: events are keyed by the
-   simulator's step counter, never by wall-clock, so the same (seed,
-   policy) produces a byte-identical stream. *)
+   and branch. Attaching a real sink (the trace recorder, the collector,
+   the online checkers, teed) turns the same sites into a deterministic
+   event stream: events are keyed by the simulator's step counter, never
+   by wall-clock, so the same (seed, policy) produces a byte-identical
+   stream. *)
 
 type layer = App | Omega | Monitor | Other
 
@@ -52,12 +53,13 @@ type signal =
 type t = {
   active : bool;
   on_step : step:int -> pid:int -> layer:layer -> unit;
-  on_invoke : step:int -> pid:int -> obj_id:int -> unit;
+  on_invoke : step:int -> pid:int -> obj:Shared.t -> op:Value.t -> unit;
   on_respond :
     step:int ->
     pid:int ->
     layer:layer ->
-    obj_id:int ->
+    obj:Shared.t ->
+    op:Value.t ->
     invoked:int ->
     overlapped:bool ->
     result:Value.t ->
@@ -69,9 +71,9 @@ let nil =
   {
     active = false;
     on_step = (fun ~step:_ ~pid:_ ~layer:_ -> ());
-    on_invoke = (fun ~step:_ ~pid:_ ~obj_id:_ -> ());
+    on_invoke = (fun ~step:_ ~pid:_ ~obj:_ ~op:_ -> ());
     on_respond =
-      (fun ~step:_ ~pid:_ ~layer:_ ~obj_id:_ ~invoked:_ ~overlapped:_
+      (fun ~step:_ ~pid:_ ~layer:_ ~obj:_ ~op:_ ~invoked:_ ~overlapped:_
            ~result:_ -> ());
     on_signal = (fun ~step:_ ~pid:_ _ -> ());
   }
@@ -95,14 +97,16 @@ let tee a b =
           a.on_step ~step ~pid ~layer;
           b.on_step ~step ~pid ~layer);
     on_invoke =
-      either nil.on_invoke a.on_invoke b.on_invoke (fun ~step ~pid ~obj_id ->
-          a.on_invoke ~step ~pid ~obj_id;
-          b.on_invoke ~step ~pid ~obj_id);
+      either nil.on_invoke a.on_invoke b.on_invoke (fun ~step ~pid ~obj ~op ->
+          a.on_invoke ~step ~pid ~obj ~op;
+          b.on_invoke ~step ~pid ~obj ~op);
     on_respond =
       either nil.on_respond a.on_respond b.on_respond
-        (fun ~step ~pid ~layer ~obj_id ~invoked ~overlapped ~result ->
-          a.on_respond ~step ~pid ~layer ~obj_id ~invoked ~overlapped ~result;
-          b.on_respond ~step ~pid ~layer ~obj_id ~invoked ~overlapped ~result);
+        (fun ~step ~pid ~layer ~obj ~op ~invoked ~overlapped ~result ->
+          a.on_respond ~step ~pid ~layer ~obj ~op ~invoked ~overlapped
+            ~result;
+          b.on_respond ~step ~pid ~layer ~obj ~op ~invoked ~overlapped
+            ~result);
     on_signal =
       either nil.on_signal a.on_signal b.on_signal (fun ~step ~pid s ->
           a.on_signal ~step ~pid s;

@@ -3,12 +3,17 @@
     The runtime (and the libraries built on it) emit structured events
     through a sink record. The default sink is {!nil}, whose callbacks
     are no-ops and whose [active] flag is false; every instrumentation
-    site guards on [active] {e before} building the event's payload, so
-    with the nil sink installed the only cost on the hot path is one
-    boolean load and branch. Attaching a real sink (see lib/telemetry)
-    turns the same sites into a deterministic event stream: events are
-    keyed by the simulator's step counter, never by wall-clock, so the
-    same (seed, policy) produces a byte-identical stream. *)
+    site guards on [active] {e before} building the event's payload
+    (a signal site on [Runtime.telemetry_active], which also skips a
+    sink whose [on_signal] is {!nil}'s), so with the nil sink installed
+    the only cost on the hot path is one load and branch. Attaching a real sink turns the same sites
+    into a deterministic event stream: events are keyed by the
+    simulator's step counter, never by wall-clock, so the same (seed,
+    policy) produces a byte-identical stream.
+
+    Every observer of a run is a sink on this one path: the run trace
+    ({!Trace.recorder}), the telemetry collector (lib/telemetry) and the
+    online checkers (lib/check). {!tee} composes them. *)
 
 (** Which part of the stack a task belongs to (set via
     [Runtime.spawn ~layer]); step attribution groups by it. *)
@@ -51,21 +56,25 @@ type t = {
   on_step : step:int -> pid:int -> layer:layer -> unit;
       (** one scheduled step of [pid]'s task in [layer] ([pid] = -1 for
           an idle step); arrives before any other event of that step *)
-  on_invoke : step:int -> pid:int -> obj_id:int -> unit;
-      (** [pid] invoked an operation on object [obj_id] *)
+  on_invoke : step:int -> pid:int -> obj:Shared.t -> op:Value.t -> unit;
+      (** [pid] invoked operation [op] on object [obj]. Both are the
+          values the task called with, handed over as they are: the event
+          allocates nothing, and [obj.name] is the same string on every
+          event of one object. *)
   on_respond :
     step:int ->
     pid:int ->
     layer:layer ->
-    obj_id:int ->
+    obj:Shared.t ->
+    op:Value.t ->
     invoked:int ->
     overlapped:bool ->
     result:Value.t ->
     unit;
-      (** the operation took effect with [result]. The runtime pairs it
-          with its own invocation: [invoked] is that invoke's step, and
-          [overlapped] is the flag the object was answered with
-          ({!Shared.ctx}), true iff another operation on [obj_id] was in
+      (** operation [op] on [obj] took effect with [result]. The runtime
+          pairs it with its own invocation: [invoked] is that invoke's
+          step, and [overlapped] is the flag the object was answered with
+          ({!Shared.ctx}), true iff another operation on [obj] was in
           flight at some point of this one's window. A crash or a
           retirement resolves an in-flight operation through this event
           too; {!Runtime.stop} drops it without one. *)

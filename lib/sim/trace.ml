@@ -37,10 +37,6 @@ let unzig z = if z land 1 = 0 then z / 2 else -((z + 1) / 2)
 let res_invoke = 1
 
 type t = {
-  mutable enabled : bool;
-      (* long-horizon runs (tbwf_soak) disable recording entirely: even
-         off-heap Bigarrays grow ~8 bytes/step, which a memory-bounded
-         multi-10M-step run cannot afford. A disabled trace stays empty. *)
   mutable steps : ints;  (* steps.{i} = pid of step i *)
   mutable len : int;
   mutable ev_step : ints;
@@ -54,16 +50,16 @@ type t = {
   mutable n_overflow : int;
   mutable names : string array;  (* name id -> interned name *)
   mutable n_names : int;
-  (* obj_id -> (last name seen, its id): the runtime passes the same
-     physically-equal name string for a given object on every event, so
-     interning is one array load + pointer compare on the hot path. *)
+  (* obj_id -> (last name seen, its id): the sink hands over the object
+     itself, whose name is the same physically-equal string on every
+     event, so interning is one array load + pointer compare on the hot
+     path. *)
   mutable cache_name : string array;
   mutable cache_nid : int array;
 }
 
 let create () =
   {
-    enabled = true;
     steps = make_ints 1024;
     len = 0;
     ev_step = make_ints 1024;
@@ -87,15 +83,10 @@ let grow_ints (a : ints) : ints =
   Bigarray.Array1.blit a (Bigarray.Array1.sub b 0 cap);
   b
 
-let disable t = t.enabled <- false
-let enabled t = t.enabled
-
 let record_step t ~pid =
-  if t.enabled then begin
-    if t.len = Bigarray.Array1.dim t.steps then t.steps <- grow_ints t.steps;
-    Bigarray.Array1.unsafe_set t.steps t.len pid;
-    t.len <- t.len + 1
-  end
+  if t.len = Bigarray.Array1.dim t.steps then t.steps <- grow_ints t.steps;
+  Bigarray.Array1.unsafe_set t.steps t.len pid;
+  t.len <- t.len + 1
 
 let grow_events t =
   t.ev_step <- grow_ints t.ev_step;
@@ -167,7 +158,7 @@ let intern_slow t obj_id obj_name =
   end;
   let len = Array.length t.cache_name in
   if obj_id >= len then begin
-    let cap = max (obj_id + 1) (2 * len) in
+    let cap = Int.max (obj_id + 1) (2 * len) in
     let names = Array.make cap "" in
     let nids = Array.make cap (-1) in
     Array.blit t.cache_name 0 names 0 len;
@@ -197,14 +188,12 @@ let record_event t ~step ~pid ~obj_id ~obj_name ~op_code:oc ~res_code:rc =
   t.n_events <- i + 1
 
 let record_invoke t ~step ~pid ~obj_id ~obj_name ~op =
-  if t.enabled then
-    record_event t ~step ~pid ~obj_id ~obj_name ~op_code:(op_code t op)
-      ~res_code:res_invoke
+  record_event t ~step ~pid ~obj_id ~obj_name ~op_code:(op_code t op)
+    ~res_code:res_invoke
 
 let record_respond t ~step ~pid ~obj_id ~obj_name ~op ~result =
-  if t.enabled then
-    record_event t ~step ~pid ~obj_id ~obj_name ~op_code:(op_code t op)
-      ~res_code:(res_code t result)
+  record_event t ~step ~pid ~obj_id ~obj_name ~op_code:(op_code t op)
+    ~res_code:(res_code t result)
 
 let record_op t ev =
   match ev.phase with
@@ -214,6 +203,34 @@ let record_op t ev =
   | `Respond result ->
     record_respond t ~step:ev.step ~pid:ev.pid ~obj_id:ev.obj_id
       ~obj_name:ev.obj_name ~op:ev.op ~result
+
+(* Trace index i is runtime step i. A recorder attached after step 0
+   would shift every later index, and with it every gap the timeliness
+   analyses measure, so its first step is refused instead. *)
+let misaligned t ~step =
+  invalid_arg
+    (Printf.sprintf
+       "Trace.recorder: runtime step %d arrived as trace step %d (attach \
+        the recorder before the run's first step)"
+       step t.len)
+
+let recorder t =
+  {
+    Sink.active = true;
+    on_step =
+      (fun ~step ~pid ~layer:_ ->
+        if step <> t.len then misaligned t ~step;
+        record_step t ~pid);
+    on_invoke =
+      (fun ~step ~pid ~obj ~op ->
+        record_invoke t ~step ~pid ~obj_id:obj.Shared.id
+          ~obj_name:obj.Shared.name ~op);
+    on_respond =
+      (fun ~step ~pid ~layer:_ ~obj ~op ~invoked:_ ~overlapped:_ ~result ->
+        record_respond t ~step ~pid ~obj_id:obj.Shared.id
+          ~obj_name:obj.Shared.name ~op ~result);
+    on_signal = Sink.nil.on_signal;
+  }
 
 let length t = t.len
 

@@ -3,7 +3,12 @@
     A trace records which process took each step, plus a separate compact
     log of shared-object operations (invocations and responses). Analyses
     such as empirical timeliness classification (Definitions 1–2 of the
-    paper) and the write-efficiency experiment read the trace after a run. *)
+    paper) and the write-efficiency experiment read the trace after a run.
+
+    A run is traced by attaching a {!recorder}: the trace is one more
+    {!Sink.t} on the runtime's event stream, next to the telemetry
+    collector and the online checkers, and a run with no recorder keeps
+    no trace at all. *)
 
 type op_event = {
   step : int;          (** step at which the event happened *)
@@ -18,33 +23,25 @@ type op_event = {
 type t
 
 val create : unit -> t
+(** An empty trace. It records nothing until a {!recorder} over it is
+    installed on a runtime (or events are appended by hand). *)
 
-val disable : t -> unit
-(** Stop recording: subsequent {!record_step}/{!record_op} calls are
-    no-ops and the trace stays at its current contents (normally empty —
-    disable before running). Long-horizon soak runs use this to stay
-    memory-bounded; analyses that need the trace must not disable it. *)
-
-val enabled : t -> bool
+val recorder : t -> Sink.t
+(** [recorder t] is the sink that appends every step and every operation
+    event of a run to [t]: install it with [Runtime.set_sink], or
+    {!Sink.tee} it with other observers. Step [i] of the trace is runtime
+    step [i], so the recorder must see the run from its first step: it
+    raises [Invalid_argument] on a step whose number is not the trace's
+    next index (a recorder attached after step 0 fails at its first
+    step). A recorded event allocates nothing beyond the amortized
+    growth of the trace's arrays. Signals are not recorded. *)
 
 val record_step : t -> pid:int -> unit
 (** Append one scheduler step taken by [pid]. Steps are numbered from 0 in
-    the order recorded. *)
+    the order recorded. For hand-built traces; a run is recorded by
+    {!recorder}. *)
 
 val record_op : t -> op_event -> unit
-
-val record_invoke :
-  t -> step:int -> pid:int -> obj_id:int -> obj_name:string -> op:Value.t ->
-  unit
-(** Hot-path form of {!record_op} for an [`Invoke] event: no [op_event]
-    record is allocated. The runtime's call bookkeeping uses these. *)
-
-val record_respond :
-  t ->
-  step:int -> pid:int -> obj_id:int -> obj_name:string -> op:Value.t ->
-  result:Value.t ->
-  unit
-(** Hot-path form of {!record_op} for a [`Respond result] event. *)
 
 val length : t -> int
 (** Number of steps recorded so far. *)

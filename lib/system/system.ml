@@ -135,6 +135,7 @@ type stack = {
   tbwf : Tbwf.t option;
   invoke : Value.t -> Value.t;
   stats : Workload.stats;
+  trace : Trace.t option;
   telemetry : Tbwf_telemetry.Collector.t option;
 }
 
@@ -158,16 +159,25 @@ let build ?(backend = Backend.Reference) ?(substrate = Shared_memory) ?seed
   | (Backend.Reference | Backend.Compiled), _ -> ());
   let rt =
     match substrate with
-    | Shared_memory -> Runtime.create ?seed ~record_trace ~n ()
+    | Shared_memory -> Runtime.create ?seed ~n ()
     | Message_passing config ->
       (* Replica server pids ride after the n clients, inside the same
          deterministic scheduler. *)
-      Runtime.create ?seed ~record_trace
-        ~n:(n + config.Tbwf_net.Net.replicas) ()
+      Runtime.create ?seed ~n:(n + config.Tbwf_net.Net.replicas) ()
   in
-  (* The collector only installs a sink; attaching before the stack is
-     wired records nothing and keeps the trace identical, while covering
-     the wiring itself once spans start flowing. *)
+  (* The recorder goes first: trace index i is runtime step i, so it must
+     see step 0. *)
+  let trace =
+    if record_trace then begin
+      let trace = Trace.create () in
+      Runtime.set_sink rt (Trace.recorder trace);
+      Some trace
+    end
+    else None
+  in
+  (* The collector only tees a sink after the recorder; attaching before
+     the stack is wired observes nothing and keeps the trace identical,
+     while covering the wiring itself once spans start flowing. *)
   let collector =
     if telemetry then
       Some
@@ -255,5 +265,6 @@ let build ?(backend = Backend.Reference) ?(substrate = Shared_memory) ?seed
     tbwf;
     invoke;
     stats;
+    trace;
     telemetry = collector;
   }

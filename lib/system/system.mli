@@ -148,7 +148,11 @@ type stack = {
       (** the system's operation path: [Tbwf.invoke] for boosted systems,
           the bare retry automaton for {!Retry} *)
   stats : Workload.stats;
+  trace : Trace.t option;
+      (** the run trace, recorded by a {!Trace.recorder} installed before
+          anything else; [None] when built with [record_trace:false] *)
   telemetry : Tbwf_telemetry.Collector.t option;
+      (** the collector, teed after the recorder when both are on *)
 }
 
 val build :
@@ -181,10 +185,16 @@ val build :
     [next_op] an endless stream of increments, [client_pids] all pids,
     [telemetry:false].
 
-    [record_trace:false] disables trace recording (see {!Runtime.create})
-    and [telemetry_retain] bounds the collector's per-window series to
-    the most recent windows (see {!Tbwf_telemetry.Collector.attach}) —
-    together the memory-bounded configuration long soak runs use.
+    [record_trace] (default true) installs a {!Trace.recorder} as the
+    runtime's first sink and returns its trace in [trace]. The run is
+    byte-identical either way, so a driver that never reads the trace
+    passes [false] and keeps its memory independent of the horizon. A
+    driver that adds observers later tees them onto [Runtime.sink], which
+    keeps the recorder and the collector in place.
+    [telemetry_retain] bounds the collector's per-window series to the
+    most recent windows (see {!Tbwf_telemetry.Collector.attach}); with
+    [record_trace:false] it is the memory-bounded configuration long soak
+    runs use.
 
     [substrate] (default {!Shared_memory}) selects what registers are
     made of; with [Message_passing config] the runtime is created
@@ -195,7 +205,7 @@ val build :
     machines need direct [Shared.t] handles, which quorum registers do
     not have.
 
-    Wiring order (runtime, collector, [network, cluster,] Ω∆, QA,
+    Wiring order (runtime, recorder, collector, [network, cluster,] Ω∆, QA,
     transformation, workload) is part of the determinism contract: it
     fixes the object-id assignment and hence the trace fingerprint for a
     given (seed, policy, code).

@@ -287,16 +287,18 @@ let sink t =
   {
     Sink.active = true;
     on_step = (fun ~step ~pid ~layer -> on_step t ~step ~pid ~layer);
-    on_invoke = (fun ~step:_ ~pid ~obj_id -> on_invoke t ~pid ~obj_id);
+    on_invoke =
+      (fun ~step:_ ~pid ~obj ~op:_ -> on_invoke t ~pid ~obj_id:obj.Shared.id);
     on_respond =
-      (fun ~step ~pid ~layer ~obj_id ~invoked ~overlapped ~result ->
-        on_respond t ~step ~pid ~layer ~obj_id ~invoked ~overlapped ~result);
+      (fun ~step ~pid ~layer ~obj ~op:_ ~invoked ~overlapped ~result ->
+        on_respond t ~step ~pid ~layer ~obj_id:obj.Shared.id ~invoked
+          ~overlapped ~result);
     on_signal = (fun ~step ~pid s -> on_signal t ~step ~pid s);
   }
 
 let attach ?window ?retain rt =
   let t = create ?window ?retain ~n:(Runtime.n rt) () in
-  Runtime.set_sink rt (sink t);
+  Runtime.set_sink rt (Sink.tee (Runtime.sink rt) (sink t));
   t
 
 (* --- streaming control --------------------------------------------------- *)

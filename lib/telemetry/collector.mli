@@ -1,7 +1,7 @@
 (** The per-runtime telemetry collector.
 
-    {!attach} builds a collector sized for the runtime and installs its
-    sink; from then on every step, operation and signal feeds the
+    {!attach} builds a collector sized for the runtime and tees its sink
+    after the installed one; from then on every step, operation and signal feeds the
     aggregates. Everything is keyed by the simulator's step counter and
     updated in event order, so the collector is exactly as deterministic
     as the run itself: same (seed, policy, code) ⇒ byte-identical
@@ -32,7 +32,9 @@ val create : ?window:int -> ?retain:int -> n:int -> unit -> t
 val sink : t -> Sink.t
 
 val attach : ?window:int -> ?retain:int -> Runtime.t -> t
-(** [create] sized for the runtime + [Runtime.set_sink]. *)
+(** [create] sized for the runtime, its sink teed after the one already
+    installed ([Runtime.sink]), so an observer attached earlier, such as
+    a trace recorder, keeps its events. *)
 
 (** {2 Streaming}
 

@@ -82,10 +82,11 @@ type observation = {
 
 let observe kind ~crash_step =
   let rt = Runtime.create ~seed:7L ~n:2 () in
+  let trace = Trace.create () in
+  Runtime.set_sink rt (Trace.recorder trace);
   let state_ok = build kind rt in
   Runtime.crash_at rt ~pid:0 ~step:crash_step;
   Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:300;
-  let trace = Runtime.trace rt in
   let ops = Trace.ops trace in
   Runtime.stop rt;
   let count pid phase =

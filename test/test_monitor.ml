@@ -229,18 +229,20 @@ type observed = {
 
 let observe ~form ~seed ~n ~policy ~crashes ~steps install =
   let rt = Runtime.create ~seed ~n () in
+  let trace = Trace.create () in
   let flips = ref [] in
   Runtime.set_sink rt
-    {
-      Sink.nil with
-      Sink.active = true;
-      on_signal =
-        (fun ~step ~pid signal ->
-          match signal with
-          | Sink.Suspicion_flip { watched; suspected } ->
-            flips := ((step, pid), (watched, suspected)) :: !flips
-          | _ -> ());
-    };
+    (Sink.tee (Trace.recorder trace)
+       {
+         Sink.nil with
+         Sink.active = true;
+         on_signal =
+           (fun ~step ~pid signal ->
+             match signal with
+             | Sink.Suspicion_flip { watched; suspected } ->
+               flips := ((step, pid), (watched, suspected)) :: !flips
+             | _ -> ());
+       });
   let monitors = install ~factory:(factory_of form rt) rt in
   let expected =
     match form with Machines -> Runtime.Machine | Fibers -> Runtime.Fiber
@@ -251,7 +253,7 @@ let observe ~form ~seed ~n ~policy ~crashes ~steps install =
   Runtime.run rt ~policy:(policy ()) ~steps;
   Runtime.stop rt;
   {
-    fingerprint = Trace.fingerprint (Runtime.trace rt);
+    fingerprint = Trace.fingerprint trace;
     outputs =
       List.map
         (fun (m : Activity_monitor.t) ->

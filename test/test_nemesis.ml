@@ -241,6 +241,8 @@ let qcheck_gen_round_trip =
 let fingerprint_run ~seed plan =
   let n = Fault_plan.n plan in
   let rt = Runtime.create ~seed ~n () in
+  let trace = Trace.create () in
+  Runtime.set_sink rt (Trace.recorder trace);
   let open Tbwf_registers in
   let qa =
     Abortable_reg.create rt ~name:"qa-reg" ~codec:Codec.int ~init:0 ~writer:0
@@ -276,9 +278,8 @@ let fingerprint_run ~seed plan =
   Fault_plan.install_crashes plan rt;
   Runtime.run rt ~policy:(Fault_plan.policy plan)
     ~steps:(Fault_plan.horizon plan);
-  let fp = Trace.fingerprint (Runtime.trace rt) in
   Runtime.stop rt;
-  fp
+  Trace.fingerprint trace
 
 let qcheck_deterministic_replay =
   QCheck.Test.make
@@ -417,8 +418,8 @@ let test_campaign_mp_smoke () =
       v.Tbwf_check.Degradation.processes
 
 (* A campaign cell as [Campaign.run_plan] builds it, except that the
-   trace is recorded ([System.build]'s default), so the post-hoc checker
-   has its input. *)
+   build tees a recorder ([System.build]'s default), which [Cell_runner.run]
+   keeps, so the post-hoc checker has its input. *)
 let traced_cell ?substrate ~plan system =
   let substrate, plan = Campaign.align_substrate ?substrate plan in
   Cell_runner.run ~plan ~stream:None ~build:(fun ~qa_policy ~mesh_policy ->
@@ -429,7 +430,7 @@ let post_hoc_verdict cell =
   let stack = cell.Cell_runner.cr_stack in
   Tbwf_check.Degradation.check ~min_ops:cell.Cell_runner.cr_min_ops
     ~prediction:cell.Cell_runner.cr_prediction
-    ~trace:(Runtime.trace stack.Tbwf_system.System.rt)
+    ~trace:(Option.get stack.Tbwf_system.System.trace)
     ~completed_before:cell.Cell_runner.cr_completed_before
     ~completed_after:stack.Tbwf_system.System.stats.Tbwf_core.Workload.completed
     ()
@@ -476,10 +477,36 @@ let test_online_differential () =
   check_matrix "shared-memory";
   check_matrix ~substrate:mp_substrate "message-passing"
 
+(* The cell of [traced_cell] run with its recorder as the only sink: no
+   collector, no online checker, no [Cell_runner]; the same plan-compiled
+   abort policies, crashes, policy and horizon. *)
+let recorder_alone_fingerprint ?substrate ~plan system =
+  let substrate, plan = Campaign.align_substrate ?substrate plan in
+  let policy target =
+    Fault_plan.abort_policy plan ~target
+      ~base:Tbwf_registers.Abort_policy.Always
+  in
+  let stack =
+    Tbwf_system.System.build ~substrate ~seed:Campaign.default_seed
+      ~qa_policy:(policy Fault_plan.Qa)
+      ~mesh_policy:(policy Fault_plan.Omega_mesh) ~n:(Fault_plan.n plan)
+      system
+  in
+  let rt = stack.Tbwf_system.System.rt in
+  Fault_plan.install_crashes plan rt;
+  Runtime.run rt ~policy:(Fault_plan.policy plan)
+    ~steps:(Fault_plan.horizon plan);
+  Runtime.stop rt;
+  Trace.fingerprint (Option.get stack.Tbwf_system.System.trace)
+
 (* Recording the trace only observes the run: a campaign cell judged
    without one ([Campaign.run_plan]) reports the same verdict, tail
    counts and telemetry as the same cell with the trace recorded, on
-   every system, for one campaign per substrate. *)
+   every system, for one campaign per substrate. And the recording
+   composes: [Cell_runner.run] tees its online checker onto the sink the
+   build installed, so the build's recorder, teed there with the
+   collector, records the same trace as a recorder watching the cell
+   alone. *)
 let test_trace_observation_only () =
   let pool = Tbwf_parallel.Pool.create () in
   let check_campaign ?substrate name =
@@ -490,6 +517,9 @@ let test_trace_observation_only () =
       (fun system ->
         let r = Campaign.run_plan ?substrate ~plan ~system () in
         let cell = traced_cell ?substrate ~plan system in
+        let teed =
+          Option.get cell.Cell_runner.cr_stack.Tbwf_system.System.trace
+        in
         ( system,
           ( r.Campaign.rr_verdict = cell.Cell_runner.cr_verdict,
             r.Campaign.rr_tail_ops = cell.Cell_runner.cr_tail_ops,
@@ -497,12 +527,16 @@ let test_trace_observation_only () =
               (Tbwf_telemetry.Collector.snapshot_string
                  r.Campaign.rr_telemetry)
               (Tbwf_telemetry.Collector.snapshot_string
-                 cell.Cell_runner.cr_telemetry) ) ))
-    |> Array.iter (fun (system, (verdict, tail_ops, snapshot)) ->
+                 cell.Cell_runner.cr_telemetry),
+            String.equal (Trace.fingerprint teed)
+              (recorder_alone_fingerprint ?substrate ~plan system) ) ))
+    |> Array.iter (fun (system, (verdict, tail_ops, snapshot, trace)) ->
            let what = Fmt.str "%s/%s" name (Campaign.system_name system) in
            Alcotest.(check bool) (what ^ " verdict") true verdict;
            Alcotest.(check bool) (what ^ " tail ops") true tail_ops;
-           Alcotest.(check bool) (what ^ " telemetry snapshot") true snapshot)
+           Alcotest.(check bool) (what ^ " telemetry snapshot") true snapshot;
+           Alcotest.(check bool) (what ^ " teed recorder = recorder alone")
+             true trace)
   in
   check_campaign "slowdown";
   check_campaign ~substrate:mp_substrate "net-partition-heal"

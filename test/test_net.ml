@@ -348,7 +348,7 @@ let test_inbox_matches_reference () =
    two-pid runtime over a fault-free network with one replica (pid 1),
    measured after a warm-up. *)
 let net_words_per_step body =
-  let rt = Runtime.create ~record_trace:false ~n:2 () in
+  let rt = Runtime.create ~n:2 () in
   let net = Net.create rt ~config:(cfg ~replicas:1 ()) in
   Runtime.spawn rt ~pid:0 ~name:"t" (fun () -> body net);
   let policy = Policy.round_robin () in
@@ -629,12 +629,13 @@ let qcheck_mp_replay_byte_identical =
       let run policy steps =
         let stack = build_mp_stack ~seed () in
         Runtime.run stack.Tbwf_system.System.rt ~policy ~steps;
-        let fp = Trace.fingerprint (Runtime.trace stack.Tbwf_system.System.rt) in
+        let trace = Option.get stack.Tbwf_system.System.trace in
+        let fp = Trace.fingerprint trace in
         let snap =
           Tbwf_telemetry.Collector.snapshot_string
             (Option.get stack.Tbwf_system.System.telemetry)
         in
-        let sched = Trace.schedule (Runtime.trace stack.Tbwf_system.System.rt) in
+        let sched = Trace.schedule trace in
         Runtime.stop stack.Tbwf_system.System.rt;
         fp, snap, sched
       in

@@ -78,23 +78,6 @@ let test_kv_spec () =
   let _, r5 = apply Kv_store.spec s Kv_store.size in
   Alcotest.check value "size 0" (Value.Int 0) r5
 
-let test_tas_spec () =
-  let s = Test_and_set.spec.Seq_spec.initial in
-  let s, r1 = apply Test_and_set.spec s Test_and_set.tas in
-  Alcotest.check value "first tas sees false" (Value.Bool false) r1;
-  let s, r2 = apply Test_and_set.spec s Test_and_set.tas in
-  Alcotest.check value "second tas sees true" (Value.Bool true) r2;
-  let s, _ = apply Test_and_set.spec s Test_and_set.reset in
-  let _, r3 = apply Test_and_set.spec s Test_and_set.read in
-  Alcotest.check value "reset" (Value.Bool false) r3
-
-let test_max_register_spec () =
-  let s = Max_register.spec.Seq_spec.initial in
-  let s, _ = apply Max_register.spec s (Max_register.write_max 5) in
-  let s, _ = apply Max_register.spec s (Max_register.write_max 3) in
-  let _, r = apply Max_register.spec s Max_register.read in
-  Alcotest.check value "max retained" (Value.Int 5) r
-
 let test_illegal_op_rejected () =
   Alcotest.(check bool) "apply returns None" true
     (Counter.spec.Seq_spec.apply (Value.Int 0) (Value.Str "nonsense") = None);
@@ -183,24 +166,6 @@ let qcheck_queue_fifo =
       let responses = Seq_spec.run_sequential Queue_obj.spec (enqs @ deqs) in
       let dequeued = List.filteri (fun i _ -> i >= List.length xs) responses in
       List.for_all2 (fun got want -> Value.equal got (Value.Int want)) dequeued xs)
-
-(* Property: max register reads are monotone. *)
-let qcheck_max_monotone =
-  QCheck.Test.make ~name:"max register monotone" ~count:300
-    QCheck.(small_list small_nat)
-    (fun xs ->
-      let ops =
-        List.concat_map
-          (fun x -> [ Max_register.write_max x; Max_register.read ])
-          xs
-      in
-      let responses = Seq_spec.run_sequential Max_register.spec ops in
-      let reads =
-        List.filteri (fun i _ -> i mod 2 = 1) responses
-        |> List.map Value.to_int
-      in
-      let sorted = List.sort compare reads in
-      reads = sorted)
 
 (* --- query-abortable objects ------------------------------------------- *)
 
@@ -406,8 +371,6 @@ let () =
           Alcotest.test_case "queue" `Quick test_queue_spec;
           Alcotest.test_case "set" `Quick test_set_spec;
           Alcotest.test_case "kv store" `Quick test_kv_spec;
-          Alcotest.test_case "test-and-set" `Quick test_tas_spec;
-          Alcotest.test_case "max register" `Quick test_max_register_spec;
           Alcotest.test_case "priority queue" `Quick test_priority_queue_spec;
           Alcotest.test_case "illegal op rejected" `Quick test_illegal_op_rejected;
         ] );
@@ -418,7 +381,6 @@ let () =
             qcheck_priority_queue_sorted;
             qcheck_stack_lifo;
             qcheck_queue_fifo;
-            qcheck_max_monotone;
           ] );
       ( "query-abortable",
         [

@@ -36,6 +36,8 @@ let qcheck_atomic_linearizable =
     QCheck.(int_range 1 10_000)
     (fun seed ->
       let rt = Runtime.create ~seed:(Int64.of_int seed) ~n:3 () in
+      let trace = Trace.create () in
+      Runtime.set_sink rt (Trace.recorder trace);
       let reg = Atomic_reg.create rt ~name:"R" ~codec:Codec.int ~init:0 in
       for pid = 0 to 2 do
         Runtime.spawn rt ~pid ~name:"t" (fun () ->
@@ -46,7 +48,7 @@ let qcheck_atomic_linearizable =
       done;
       Runtime.run rt ~policy:(Policy.weighted [| 0, 1.0; 1, 1.5; 2, 0.7 |]) ~steps:500;
       Runtime.stop rt;
-      let history = History.complete_ops (Runtime.trace rt) ~obj_name:"R" in
+      let history = History.complete_ops trace ~obj_name:"R" in
       Linearizability.check (Linearizability.register_spec ~init:(Value.Int 0)) history)
 
 let test_abortable_solo_never_aborts () =

@@ -2,6 +2,12 @@ open Tbwf_sim
 
 let value = Alcotest.testable Value.pp Value.equal
 
+(* A trace of [rt]'s run, recorded from its first step. *)
+let record rt =
+  let trace = Trace.create () in
+  Runtime.set_sink rt (Trace.recorder trace);
+  trace
+
 (* A trivial cell object for runtime tests: applies writes, answers reads,
    and records contention flags. *)
 let make_cell rt =
@@ -222,6 +228,7 @@ let test_self () =
 let test_determinism_same_seed () =
   let run seed =
     let rt = Runtime.create ~seed ~n:3 () in
+    let trace = record rt in
     let obj, contents, _, _ = make_cell rt in
     for pid = 0 to 2 do
       Runtime.spawn rt ~pid ~name:"t" (fun () ->
@@ -233,7 +240,6 @@ let test_determinism_same_seed () =
           done)
     done;
     Runtime.run rt ~policy:(Policy.weighted [| 0, 1.0; 1, 2.0; 2, 3.0 |]) ~steps:500;
-    let trace = Runtime.trace rt in
     let pids = List.init (Trace.length trace) (Trace.pid_at trace) in
     pids, !contents
   in
@@ -315,8 +321,8 @@ let test_tee_skips_nil_callbacks () =
       Sink.nil with
       Sink.active = true;
       on_respond =
-        (fun ~step ~pid:_ ~layer:_ ~obj_id:_ ~invoked ~overlapped:_ ~result:_ ->
-          calls := (tag, step, invoked) :: !calls);
+        (fun ~step ~pid:_ ~layer:_ ~obj:_ ~op:_ ~invoked ~overlapped:_
+             ~result:_ -> calls := (tag, step, invoked) :: !calls);
     }
   in
   let a = recording "a" and b = recording "b" in
@@ -326,8 +332,9 @@ let test_tee_skips_nil_callbacks () =
     && (Sink.tee a quiet).Sink.on_respond == a.Sink.on_respond);
   Alcotest.(check bool) "a tee with one active side is active" true
     (Sink.tee quiet Sink.nil).Sink.active;
-  (Sink.tee a b).Sink.on_respond ~step:3 ~pid:0 ~layer:Sink.App ~obj_id:0
-    ~invoked:1 ~overlapped:false ~result:Value.Unit;
+  let obj = Shared.make ~id:0 ~name:"o" ~respond:(fun _ -> Value.Unit) in
+  (Sink.tee a b).Sink.on_respond ~step:3 ~pid:0 ~layer:Sink.App ~obj
+    ~op:Value.read_op ~invoked:1 ~overlapped:false ~result:Value.Unit;
   Alcotest.(check (list (triple string int int))) "both sides, in order"
     [ "a", 3, 1; "b", 3, 1 ]
     (List.rev !calls)
@@ -343,7 +350,7 @@ let test_same_step_event_order () =
      1, a crash of 1. Activations and retirements apply in scheduling order,
      then crashes in reverse scheduling order: the activation of 1 finds
      it retired and is dropped, and 1 ends crashed as well as retired. *)
-  let rt = Runtime.create ~record_trace:false ~n:4 () in
+  let rt = Runtime.create ~n:4 () in
   let sink, signals = recording_sink () in
   Runtime.set_sink rt sink;
   List.iter (fun pid -> Runtime.spawn rt ~pid ~name:"spin" spin) [ 0; 1; 3 ];
@@ -395,6 +402,7 @@ let test_same_step_event_order () =
    of pid 0 is the parker's; pid 1 spins. *)
 let test_park_tests_once_per_step () =
   let rt = Runtime.create ~seed:7L ~n:2 () in
+  let trace = record rt in
   let tested = ref [] in
   let parked_at = ref (-1) and woke_at = ref (-1) in
   let spinner_steps = ref [] in
@@ -413,7 +421,7 @@ let test_park_tests_once_per_step () =
   Runtime.run rt ~policy:(Policy.weighted [| 0, 1.0; 1, 1.0 |]) ~steps:200;
   let tested = List.rev !tested in
   let parker_steps =
-    Trace.steps_of (Runtime.trace rt) ~pid:0
+    Trace.steps_of trace ~pid:0
     |> List.filter (fun s ->
            s > !parked_at && s <= !woke_at && not (List.mem s !spinner_steps))
   in
@@ -449,6 +457,7 @@ let spawn_parked rt ~pid cleaned =
 let test_parked_teardown () =
   let check_case name depart =
     let rt = Runtime.create ~n:3 () in
+    let trace = record rt in
     let cleaned = ref 0 in
     spawn_parked rt ~pid:0 cleaned;
     spawn_parked rt ~pid:1 cleaned;
@@ -462,7 +471,7 @@ let test_parked_teardown () =
     Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:9;
     Alcotest.(check bool) (name ^ ": pid 0 takes no step") true
       (List.for_all (fun s -> s < before)
-         (Trace.steps_of (Runtime.trace rt) ~pid:0));
+         (Trace.steps_of trace ~pid:0));
     Runtime.stop rt;
     Alcotest.(check int) (name ^ ": stop unwound pid 1") 2 !cleaned;
     Alcotest.(check (array int)) (name ^ ": nothing runnable after stop") [||]
@@ -579,20 +588,25 @@ type wait_mode = Parked | Looping
 let run_wait_program mode p =
   let n = Array.length p.tasks in
   let rt = Runtime.create ~seed:(Int64.of_int p.w_seed) ~n () in
+  let trace = Trace.create () in
   let events = ref [] in
   let log e = events := e :: !events in
   Runtime.set_sink rt
-    {
-      Sink.active = true;
-      on_step =
-        (fun ~step ~pid ~layer:_ -> log (Fmt.str "step %d p%d" step pid));
-      on_invoke =
-        (fun ~step ~pid ~obj_id:_ -> log (Fmt.str "invoke %d p%d" step pid));
-      on_respond =
-        (fun ~step ~pid ~layer:_ ~obj_id:_ ~invoked ~overlapped ~result:_ ->
-          log (Fmt.str "respond %d p%d %d %b" step pid invoked overlapped));
-      on_signal = (fun ~step ~pid _ -> log (Fmt.str "signal %d p%d" step pid));
-    };
+    (Sink.tee (Trace.recorder trace)
+       {
+         Sink.active = true;
+         on_step =
+           (fun ~step ~pid ~layer:_ -> log (Fmt.str "step %d p%d" step pid));
+         on_invoke =
+           (fun ~step ~pid ~obj:_ ~op:_ ->
+             log (Fmt.str "invoke %d p%d" step pid));
+         on_respond =
+           (fun ~step ~pid ~layer:_ ~obj:_ ~op:_ ~invoked ~overlapped
+                ~result:_ ->
+             log (Fmt.str "respond %d p%d %d %b" step pid invoked overlapped));
+         on_signal =
+           (fun ~step ~pid _ -> log (Fmt.str "signal %d p%d" step pid));
+       });
   let obj = Runtime.register_object rt ~name:"o" ~respond:(fun _ -> Value.Unit) in
   let finished = ref 0 in
   let wait park cond =
@@ -636,7 +650,7 @@ let run_wait_program mode p =
   Runtime.run rt ~policy:(Policy.weighted (Array.init n (fun pid -> pid, 1.0)))
     ~steps:80;
   Runtime.stop rt;
-  Trace.fingerprint (Runtime.trace rt), List.rev !events
+  Trace.fingerprint trace, List.rev !events
 
 let qcheck_parked_matches_yield_loop =
   QCheck.Test.make ~name:"parked waits match yield loops" ~count:300
@@ -645,14 +659,14 @@ let qcheck_parked_matches_yield_loop =
 
 (* Minor-heap words per step of a 2-process run of [body] (default: a
    yield-only loop), after [setup] has scheduled whatever it likes on the
-   fresh runtime. *)
-let words_per_step ?(body = spin) setup =
-  let rt = Runtime.create ~record_trace:false ~n:2 () in
+   fresh runtime, measured after [warmup] steps. *)
+let words_per_step ?(body = spin) ?(warmup = 100) setup =
+  let rt = Runtime.create ~n:2 () in
   Runtime.spawn rt ~pid:0 ~name:"spin" body;
   Runtime.spawn rt ~pid:1 ~name:"spin" body;
   setup rt;
   let policy = Policy.round_robin () in
-  Runtime.run rt ~policy ~steps:100;
+  Runtime.run rt ~policy ~steps:warmup;
   let steps = 20_000 in
   let before = Gc.minor_words () in
   Runtime.run rt ~policy ~steps;
@@ -691,9 +705,10 @@ let test_parked_step_allocation_guard () =
 
 (* Minor-heap words per step of one process calling an object that
    answers every operation with [Unit]. After the first, every step both
-   responds to one call and invokes the next. *)
-let solo_call_words_per_step () =
-  let rt = Runtime.create ~record_trace:false ~n:1 () in
+   responds to one call and invokes the next. [setup] and [warmup] are as
+   for [words_per_step]. *)
+let solo_call_words_per_step ?(warmup = 100) setup =
+  let rt = Runtime.create ~n:1 () in
   let obj =
     Runtime.register_object rt ~name:"nop" ~respond:(fun _ -> Value.Unit)
   in
@@ -701,8 +716,9 @@ let solo_call_words_per_step () =
       while true do
         ignore (Runtime.call obj Value.Unit : Value.t)
       done);
+  setup rt;
   let policy = Policy.round_robin () in
-  Runtime.run rt ~policy ~steps:100;
+  Runtime.run rt ~policy ~steps:warmup;
   let steps = 20_000 in
   let before = Gc.minor_words () in
   Runtime.run rt ~policy ~steps;
@@ -720,7 +736,37 @@ let test_call_step_allocation_guard () =
      per-object counters allocate nothing. *)
   let yield = words_per_step ignore in
   Alcotest.(check (float 0.0)) "words a call adds to a step" 18.0
-    (solo_call_words_per_step () -. yield)
+    (solo_call_words_per_step ignore -. yield)
+
+(* The trace is one more sink, and recording a step, an invocation or a
+   response writes ints into the trace's off-heap arrays: a recorder adds
+   no minor-heap word to a yield step or a call step. The warm-up of 40,000
+   steps grows those arrays past what the measured 20,000 steps fill (64Ki
+   steps, 128Ki events, the call step recording two), so no growth falls
+   inside the window. *)
+let test_recorder_allocation_guard () =
+  let warmup = 40_000 in
+  let attach rt = ignore (record rt : Trace.t) in
+  Alcotest.(check (float 0.0)) "words a recorder adds to a yield step"
+    (words_per_step ~warmup ignore)
+    (words_per_step ~warmup attach);
+  Alcotest.(check (float 0.0)) "words a recorder adds to a call step"
+    (solo_call_words_per_step ~warmup ignore)
+    (solo_call_words_per_step ~warmup attach)
+
+(* Trace index i is runtime step i: a recorder attached after step 0
+   refuses its first step instead of shifting every later index. *)
+let test_late_recorder_raises () =
+  let rt = Runtime.create ~n:1 () in
+  Runtime.spawn rt ~pid:0 ~name:"spin" spin;
+  let policy = Policy.round_robin () in
+  Runtime.run rt ~policy ~steps:3;
+  let trace = record rt in
+  (match Runtime.run rt ~policy ~steps:1 with
+  | () -> Alcotest.fail "a recorder attached at step 3 recorded step 3"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "nothing recorded" 0 (Trace.length trace);
+  Runtime.stop rt
 
 (* Minor-heap words per step of one monitor A(0,1)'s machines over a
    shared register, with both inputs on and [crash] naming the process to
@@ -730,7 +776,7 @@ let test_call_step_allocation_guard () =
    the fault, and [adapt] sets a timeout the run never reaches, so every
    later step is an idle tick. *)
 let monitor_machine_words_per_step ~crash =
-  let rt = Runtime.create ~record_trace:false ~n:2 () in
+  let rt = Runtime.create ~n:2 () in
   let mon =
     Tbwf_monitor.Activity_monitor.install
       ~adapt:(fun _ -> 1_000_000_000)
@@ -801,6 +847,7 @@ let print_program p =
 let run_program p =
   let n = Array.length p.bodies in
   let rt = Runtime.create ~seed:(Int64.of_int p.seed) ~n () in
+  let trace = record rt in
   let answered = ref [] in
   let objs =
     Array.init p.objects (fun k ->
@@ -827,7 +874,7 @@ let run_program p =
     ~policy:(Policy.weighted (Array.mapi (fun pid w -> pid, w) p.weights))
     ~steps:30;
   Runtime.stop rt;
-  List.rev !answered, Trace.ops (Runtime.trace rt)
+  List.rev !answered, Trace.ops trace
 
 (* The same answers from the trace alone: an operation's window runs from
    its invocation event to its response event, or to the end of the run
@@ -920,6 +967,10 @@ let () =
             test_yield_step_allocation_guard;
           Alcotest.test_case "call step allocation guard" `Quick
             test_call_step_allocation_guard;
+          Alcotest.test_case "recorder allocation guard" `Quick
+            test_recorder_allocation_guard;
+          Alcotest.test_case "a late recorder raises" `Quick
+            test_late_recorder_raises;
           Alcotest.test_case "parked step allocation guard" `Quick
             test_parked_step_allocation_guard;
           Alcotest.test_case "monitor machine allocation guard" `Quick

@@ -83,8 +83,11 @@ let make_cell rt name =
       | Value.Pair (Str "read", _) -> !contents
       | _ -> assert false)
 
+(* The runtime with its recorder attached, and the trace it records. *)
 let build_runtime ~seed =
   let rt = Runtime.create ~seed ~n:3 () in
+  let trace = Trace.create () in
+  Runtime.set_sink rt (Trace.recorder trace);
   let shared = make_cell rt "shared" in
   let private_ = Array.init 3 (fun pid -> make_cell rt (Fmt.str "priv%d" pid)) in
   for pid = 0 to 2 do
@@ -97,10 +100,9 @@ let build_runtime ~seed =
           ()
         done)
   done;
-  rt
+  rt, trace
 
-let render rt =
-  let trace = Runtime.trace rt in
+let render trace =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Fmt.str "schedule %a\n" Fmt.(list ~sep:sp int) (Trace.schedule trace));
@@ -149,10 +151,10 @@ let policies =
 let test_replay_reproduces_trace (policy_name, make_policy) () =
   let seed = 7L in
   (* original run under the policy *)
-  let rt = build_runtime ~seed in
+  let rt, trace = build_runtime ~seed in
   Runtime.run rt ~policy:(make_policy ()) ~steps:60;
-  let original = render rt in
-  let sched = Schedule.of_trace ~seed ~n:3 (Runtime.trace rt) in
+  let original = render trace in
+  let sched = Schedule.of_trace ~seed ~n:3 trace in
   Runtime.stop rt;
   (* replay the recorded schedule on a fresh identically-seeded runtime,
      going through the text serialization to cover the whole pipeline *)
@@ -161,10 +163,10 @@ let test_replay_reproduces_trace (policy_name, make_policy) () =
     | Ok s -> s
     | Error msg -> Alcotest.failf "%s: serialization broke: %s" policy_name msg
   in
-  let rt' = build_runtime ~seed:(Schedule.seed sched) in
+  let rt', trace' = build_runtime ~seed:(Schedule.seed sched) in
   Runtime.run rt' ~policy:(Schedule.to_policy sched)
     ~steps:(Schedule.length sched);
-  let replayed = render rt' in
+  let replayed = render trace' in
   Runtime.stop rt';
   Alcotest.(check string)
     (policy_name ^ ": replay is byte-identical")

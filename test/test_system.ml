@@ -51,7 +51,8 @@ let digest_of_run id ~seed ~n ~steps ~policy =
   let rt = stack.System.rt in
   Runtime.run rt ~policy ~steps;
   Runtime.stop rt;
-  Digest.to_hex (Digest.string (Trace.fingerprint (Runtime.trace rt)))
+  Digest.to_hex
+    (Digest.string (Trace.fingerprint (Option.get stack.System.trace)))
 
 let test_goldens () =
   let goldens = read_goldens () in
@@ -102,7 +103,7 @@ let qcheck_same_seed_byte_identical =
         let rt = stack.System.rt in
         Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:1_500;
         Runtime.stop rt;
-        Trace.fingerprint (Runtime.trace rt)
+        Trace.fingerprint (Option.get stack.System.trace)
       in
       let a = run ~telemetry:false in
       let b = run ~telemetry:false in

@@ -229,12 +229,14 @@ let test_retry_baseline_progresses_solo () =
 let test_progress_reports () =
   let n = 2 in
   let rt, _, tbwf = build_stack ~n ~spec:Counter.spec () in
+  let trace = Trace.create () in
+  Runtime.set_sink rt (Trace.recorder trace);
   let stats = Workload.fresh_stats ~n in
   Workload.spawn_clients rt ~pids:[ 0; 1 ] ~stats ~invoke:(Tbwf.invoke tbwf)
     ~next_op:(Workload.n_times 5 Counter.inc);
   Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:600_000;
   let timely =
-    Timeliness.timely_all (Runtime.trace rt) ~n ~from_step:0 ~bound:(4 * n)
+    Timeliness.timely_all trace ~n ~from_step:0 ~bound:(4 * n)
   in
   Runtime.stop rt;
   (* TBWF on a finite workload: every timely process finished everything

@@ -423,9 +423,7 @@ let print_span_program p =
    the tasks made, in invocation order. *)
 let run_span_program p =
   let n = Array.length p.tasks in
-  let rt =
-    Runtime.create ~record_trace:false ~seed:(Int64.of_int p.seed) ~n ()
-  in
+  let rt = Runtime.create ~seed:(Int64.of_int p.seed) ~n () in
   let c = Collector.attach rt in
   let objs =
     Array.init p.objects (fun k ->
@@ -720,7 +718,7 @@ let qcheck_snapshot_replay_stable =
       let telemetry = Collector.attach ~window:128 stack.Scenario.rt in
       let policy = Scenario.degraded_policy ~n:3 ~timely:[ 1; 2 ] () in
       Runtime.run stack.Scenario.rt ~policy ~steps:3_000;
-      let sched = Trace.schedule (Runtime.trace stack.Scenario.rt) in
+      let sched = Trace.schedule stack.Scenario.trace in
       let original = Collector.snapshot_string telemetry in
       Runtime.stop stack.Scenario.rt;
       let stack' = build_stack ~seed in
@@ -907,7 +905,7 @@ let test_stream_schema_pinned () =
   let telemetry = Collector.attach ~window:256 rt in
   let tm = Tbwf_check.Tail_monitor.create ~n:3 ~window:2000 () in
   Runtime.set_sink rt
-    (Sink.tee (Tbwf_check.Tail_monitor.sink tm) (Collector.sink telemetry));
+    (Sink.tee (Tbwf_check.Tail_monitor.sink tm) (Runtime.sink rt));
   let last = ref None in
   Collector.emit_every telemetry ~every:2000
     ~extra:(fun ~window:_ ->

@@ -39,6 +39,8 @@ let test_spawn_late_before_first_step () =
 
 let test_spawn_late_deferred () =
   let rt = Runtime.create ~seed:12L ~n:1 () in
+  let trace = Trace.create () in
+  Runtime.set_sink rt (Trace.recorder trace);
   Runtime.spawn rt ~pid:0 ~name:"a" (fun () ->
       while true do
         Runtime.yield ()
@@ -50,7 +52,7 @@ let test_spawn_late_deferred () =
         done)
   in
   Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:200;
-  let steps = Trace.steps_of (Runtime.trace rt) ~pid in
+  let steps = Trace.steps_of trace ~pid in
   Runtime.stop rt;
   Alcotest.(check bool) "joiner took steps" true (steps <> []);
   Alcotest.(check bool) "no step before its join" true
@@ -118,19 +120,20 @@ let build kind rt =
 
 let observe_retire kind ~retire_step =
   let rt = Runtime.create ~seed:7L ~n:2 () in
+  let trace = Trace.create () in
   let state_ok = build kind rt in
   let retires = ref 0 in
   Runtime.set_sink rt
-    {
-      Sink.nil with
-      Sink.active = true;
-      on_signal =
-        (fun ~step:_ ~pid:_ s ->
-          match s with Sink.Retire _ -> incr retires | _ -> ());
-    };
+    (Sink.tee (Trace.recorder trace)
+       {
+         Sink.nil with
+         Sink.active = true;
+         on_signal =
+           (fun ~step:_ ~pid:_ s ->
+             match s with Sink.Retire _ -> incr retires | _ -> ());
+       });
   Runtime.retire rt ~at:retire_step ~pid:0;
   Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:300;
-  let trace = Runtime.trace rt in
   let ops = Trace.ops trace in
   Runtime.stop rt;
   let count pid phase =
@@ -196,7 +199,7 @@ let test_retire_pending kind () =
    --jobs byte-identity rests on. *)
 let churned_cell () =
   let stack =
-    System.build ~seed:21L ~record_trace:true ~client_pids:[] ~n:4
+    System.build ~seed:21L ~client_pids:[] ~n:4
       ~spec:Tbwf_objects.Kv_store.spec System.Tbwf_atomic
   in
   let rt = stack.System.rt in
@@ -217,18 +220,18 @@ let churned_cell () =
        ~seed:21L ~until:4_000 ~op_of_key);
   Runtime.retire rt ~at:1_500 ~pid:1;
   Runtime.crash_at rt ~pid:2 ~step:2_200;
-  rt
+  rt, Option.get stack.System.trace
 
 let test_churn_replay_strict () =
-  let rt1 = churned_cell () in
+  let rt1, trace1 = churned_cell () in
   Runtime.run rt1 ~policy:(Policy.round_robin ()) ~steps:4_000;
-  let sched = Trace.schedule (Runtime.trace rt1) in
-  let fp1 = Trace.fingerprint (Runtime.trace rt1) in
+  let sched = Trace.schedule trace1 in
+  let fp1 = Trace.fingerprint trace1 in
   Runtime.stop rt1;
-  let rt2 = churned_cell () in
+  let rt2, trace2 = churned_cell () in
   (* replay_strict raises Replay_mismatch on any divergence *)
   Runtime.run rt2 ~policy:(Policy.replay_strict sched) ~steps:4_000;
-  let fp2 = Trace.fingerprint (Runtime.trace rt2) in
+  let fp2 = Trace.fingerprint trace2 in
   Runtime.stop rt2;
   Alcotest.(check string) "byte-identical trace under strict replay" fp1 fp2
 
