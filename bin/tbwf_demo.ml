@@ -70,7 +70,7 @@ let demo ~n ~steps ~seed ~spec ~op ~omega ~untimely ~non_canonical =
       ~min_ops:
         (Degradation.required_tail_ops ~cost:1 ~n ~tail:(Runtime.now rt - from))
       ~prediction:(Scenario.degraded_prediction ~n ~timely ~from)
-      ~trace:stack.Scenario.trace ~completed_before:mid
+      ~trace:(Option.get stack.Scenario.trace) ~completed_before:mid
       ~completed_after:stack.Scenario.stats.Workload.completed ()
   in
   (* The list is one string, with no break hint: Format counts the bytes

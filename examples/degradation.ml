@@ -20,7 +20,7 @@ let steps = 200_000
 let run ~omega ~k =
   let timely = List.init k (fun i -> n - 1 - i) in
   let stack =
-    Scenario.build ~seed:7L ~n ~omega ~spec:Counter.spec
+    Scenario.build ~seed:7L ~record_trace:false ~n ~omega ~spec:Counter.spec
       ~next_op:(Workload.forever Counter.inc)
       ~client_pids:(List.init n Fun.id) ()
   in

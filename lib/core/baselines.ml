@@ -27,41 +27,77 @@ module Naive_booster = struct
 
   (* Like Figure 3's loop but with the two gracefully-degrading ingredients
      removed: no CounterRegister (so no punishments, no self-punishment) and
-     leadership by smallest active pid. *)
-  let election_loop rt t p n =
+     leadership by smallest active pid. The loop makes no shared-object
+     call, so it runs as a step machine on every substrate. pc 0: loop top
+     (no leader, monitors and advertising off); 1: awaiting candidacy; 2:
+     inner-loop candidacy check; 3: consulting A(p,q) for q = [i]. *)
+  let election_machine rt t p n : Runtime.machine =
     let handle = t.handles.(p) in
     let monitor q = Option.get t.monitors.(p).(q) in
-    let active_for q = (Option.get t.monitors.(q).(p)).Activity_monitor.active_for in
-    let others = List.filter (fun q -> q <> p) (List.init n Fun.id) in
-    while true do
-      Omega_spec.set_view rt handle Omega_spec.No_leader;
-      List.iter (fun q -> (monitor q).Activity_monitor.monitoring := false) others;
-      List.iter (fun q -> active_for q := false) others;
-      Runtime.await (fun () -> !(handle.Omega_spec.candidate));
-      List.iter (fun q -> (monitor q).Activity_monitor.monitoring := true) others;
-      while !(handle.Omega_spec.candidate) do
-        let leader = ref p in
-        List.iter
-          (fun q ->
-            let mon = monitor q in
-            Runtime.await (fun () ->
-                not
-                  (Activity_monitor.equal_status
-                     !(mon.Activity_monitor.status)
-                     Activity_monitor.Unknown));
+    (* ACTIVE-FOR[q] at p is the input of A(q,p). *)
+    let active_for q =
+      (Option.get t.monitors.(q).(p)).Activity_monitor.active_for
+    in
+    let leader = ref p in
+    let i = ref 0 in
+    let pc = ref 0 in
+    let rec election_step v =
+      match !pc with
+      | 0 ->
+        Omega_spec.set_view rt handle Omega_spec.No_leader;
+        for q = 0 to n - 1 do
+          if q <> p then (monitor q).Activity_monitor.monitoring := false
+        done;
+        for q = 0 to n - 1 do
+          if q <> p then active_for q := false
+        done;
+        pc := 1;
+        election_step v
+      | 1 ->
+        if !(handle.Omega_spec.candidate) then begin
+          for q = 0 to n - 1 do
+            if q <> p then (monitor q).Activity_monitor.monitoring := true
+          done;
+          pc := 2;
+          election_step v
+        end
+        else Runtime.M_yield
+      | 2 ->
+        if !(handle.Omega_spec.candidate) then begin
+          leader := p;
+          i := 0;
+          pc := 3
+        end
+        else pc := 0;
+        election_step v
+      | 3 ->
+        if !i = p then incr i;
+        if !i >= n then begin
+          Omega_spec.set_view rt handle (Omega_spec.Leader !leader);
+          let am_leader = !leader = p in
+          for q = 0 to n - 1 do
+            if q <> p then active_for q := am_leader
+          done;
+          (* One step per round, as the yield at the end of the loop. *)
+          pc := 2;
+          Runtime.M_yield
+        end
+        else begin
+          let status = !((monitor !i).Activity_monitor.status) in
+          if Activity_monitor.equal_status status Activity_monitor.Unknown
+          then Runtime.M_yield
+          else begin
             if
-              Activity_monitor.equal_status
-                !(mon.Activity_monitor.status)
-                Activity_monitor.Active
-              && q < !leader
-            then leader := q)
-          others;
-        Omega_spec.set_view rt handle (Omega_spec.Leader !leader);
-        let am_leader = !leader = p in
-        List.iter (fun q -> active_for q := am_leader) others;
-        Runtime.yield ()
-      done
-    done
+              Activity_monitor.equal_status status Activity_monitor.Active
+              && !i < !leader
+            then leader := !i;
+            incr i;
+            election_step v
+          end
+        end
+      | _ -> assert false
+    in
+    election_step
 
   let install ?factory ?n rt =
     let n = match n with Some n -> n | None -> Runtime.n rt in
@@ -77,8 +113,9 @@ module Naive_booster = struct
     let handles = Array.init n (fun pid -> Omega_spec.make_handle ~pid) in
     let t = { handles; monitors } in
     for p = 0 to n - 1 do
-      Runtime.spawn ~layer:Sink.Omega rt ~pid:p
-        ~name:(Fmt.str "naive-boost[%d]" p) (fun () -> election_loop rt t p n)
+      Runtime.spawn_machine ~layer:Sink.Omega rt ~pid:p
+        ~name:(Fmt.str "naive-boost[%d]" p)
+        (election_machine rt t p n)
     done;
     t
 end

@@ -32,5 +32,8 @@ module Naive_booster : sig
   (** Spawn per-process election tasks using the same activity monitors as
       the real Ω∆ implementation, but electing min-pid-alive and never
       punishing timeliness faults. [factory]/[n] as in
-      {!Tbwf_omega.Omega_registers.install}. *)
+      {!Tbwf_omega.Omega_registers.install}. The election loop makes no
+      shared-object call, so it runs as a step machine
+      ({!Tbwf_sim.Runtime.spawn_machine}) on every substrate; only the
+      monitors' form follows the factory. *)
 end

@@ -64,7 +64,7 @@ let compute ?(quick = false) () =
       ~min_ops:(Degradation.required_tail_ops ~cost:1 ~n ~tail:(total - from))
       ~prediction:
         (Scenario.degraded_prediction ~n ~timely:(List.init n Fun.id) ~from)
-      ~trace:stack.Scenario.trace ~completed_before:!before
+      ~trace:(Option.get stack.Scenario.trace) ~completed_before:!before
       ~completed_after:stack.Scenario.stats.Workload.completed ()
   in
   Runtime.stop stack.Scenario.rt;

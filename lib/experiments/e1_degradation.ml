@@ -43,7 +43,7 @@ let run_config ~n ~steps ~k ~seed =
         (Degradation.required_tail_ops ~cost:1 ~n
            ~tail:(Tbwf_sim.Runtime.now rt - from))
       ~prediction:(Scenario.degraded_prediction ~n ~timely ~from)
-      ~trace:stack.Scenario.trace ~completed_before:mid
+      ~trace:(Option.get stack.Scenario.trace) ~completed_before:mid
       ~completed_after:stack.Scenario.stats.Workload.completed ()
   in
   Tbwf_sim.Runtime.stop rt;

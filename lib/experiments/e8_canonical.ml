@@ -14,7 +14,8 @@ type result = { n : int; rows : row list; canonical_fairer : bool }
 
 let run_variant ~variant ~canonical ~n ~steps ~seed =
   let stack =
-    Scenario.build ~seed ~canonical ~n ~omega:Scenario.Omega_atomic
+    Scenario.build ~seed ~record_trace:false ~canonical ~n
+      ~omega:Scenario.Omega_atomic
       ~spec:Counter.spec
       ~next_op:(Workload.forever Counter.inc)
       ~client_pids:(List.init n Fun.id) ()

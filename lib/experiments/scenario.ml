@@ -19,13 +19,13 @@ type stack = {
   qa : Tbwf_objects.Qa_intf.t;
   tbwf : Tbwf.t;
   stats : Workload.stats;
-  trace : Trace.t;
+  trace : Trace.t option;
 }
 
 (* All wiring lives in the System layer; a scenario is a System stack
    narrowed to the boosted systems (so [tbwf] is total). *)
 
-let build ?(seed = 0xC0FFEEL)
+let build ?(seed = 0xC0FFEEL) ?record_trace
     ?(canonical = true) ?(qa_universal = false)
     ?(qa_policy = Abort_policy.Always) ~n ~omega ~spec ~next_op ~client_pids
     () =
@@ -39,7 +39,7 @@ let build ?(seed = 0xC0FFEEL)
     | Omega_naive -> Tbwf_system.System.Naive_booster, Abort_policy.Always
   in
   let s =
-    Tbwf_system.System.build ~seed ~canonical ~qa_universal
+    Tbwf_system.System.build ~seed ?record_trace ~canonical ~qa_universal
       ~qa_policy ~mesh_policy ~spec ~next_op ~client_pids ~n id
   in
   {
@@ -48,7 +48,7 @@ let build ?(seed = 0xC0FFEEL)
     qa = s.Tbwf_system.System.qa;
     tbwf = Option.get s.Tbwf_system.System.tbwf;
     stats = s.Tbwf_system.System.stats;
-    trace = Option.get s.Tbwf_system.System.trace;
+    trace = s.Tbwf_system.System.trace;
   }
 
 let degraded_policy ?(untimely_pattern = `Slowing (60, 1.15)) ~n ~timely () =

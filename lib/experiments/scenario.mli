@@ -18,11 +18,14 @@ type stack = {
   qa : Tbwf_objects.Qa_intf.t;
   tbwf : Tbwf_core.Tbwf.t;
   stats : Tbwf_core.Workload.stats;
-  trace : Tbwf_sim.Trace.t;  (** recorded from step 0 *)
+  trace : Tbwf_sim.Trace.t option;
+      (** recorded from step 0; [None] when built with
+          [~record_trace:false] *)
 }
 
 val build :
   ?seed:int64 ->
+  ?record_trace:bool ->
   ?canonical:bool ->
   ?qa_universal:bool ->
   ?qa_policy:Tbwf_registers.Abort_policy.t ->
@@ -35,7 +38,9 @@ val build :
   stack
 (** Wire a complete stack. [qa_policy] defaults to always-abort-on-
     contention; [qa_universal] selects the layered RMW-cell construction
-    instead of the direct object (default false). *)
+    instead of the direct object (default false). [record_trace] (default
+    true) is {!Tbwf_system.System.build}'s: a run that never reads
+    [trace] passes [false]. *)
 
 val degraded_policy :
   ?untimely_pattern:[ `Flicker of int * int * float | `Slowing of int * float ] ->

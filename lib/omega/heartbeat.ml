@@ -58,42 +58,55 @@ let create ~me ~mesh =
   t.active_set.(me) <- true;
   t
 
-let send t ~dest =
+let next_beat t =
   t.hb_send_counter <- t.hb_send_counter + 1;
+  t.hb_send_counter
+
+let send t ~dest =
+  let beat = next_beat t in
   for q = 0 to t.n - 1 do
     if q <> t.me && dest.(q) then begin
       let r1 = Option.get t.mesh.hb1.(t.me).(q) in
       let r2 = Option.get t.mesh.hb2.(t.me).(q) in
-      let (_ : bool) = r1.Reg.Abortable.write t.hb_send_counter in
-      let (_ : bool) = r2.Reg.Abortable.write t.hb_send_counter in
+      let (_ : bool) = r1.Reg.Abortable.write beat in
+      let (_ : bool) = r2.Reg.Abortable.write beat in
       ()
     end
   done
 
+let due t q =
+  if t.hb_timer.(q) >= 1 then t.hb_timer.(q) <- t.hb_timer.(q) - 1;
+  t.hb_timer.(q) = 0
+  && begin
+       t.hb_timer.(q) <- t.hb_timeout.(q);
+       t.prev_hb1.(q) <- t.cur_hb1.(q);
+       t.prev_hb2.(q) <- t.cur_hb2.(q);
+       true
+     end
+
+let fresh (cur : int option) prev =
+  match cur, prev with
+  | None, _ | Some _, None -> true
+  | Some c, Some p -> c <> p
+
+let judge t q hb1 hb2 =
+  t.cur_hb1.(q) <- hb1;
+  t.cur_hb2.(q) <- hb2;
+  if fresh hb1 t.prev_hb1.(q) && fresh hb2 t.prev_hb2.(q) then
+    t.active_set.(q) <- true
+  else begin
+    t.active_set.(q) <- false;
+    t.hb_timeout.(q) <- t.hb_timeout.(q) + 1
+  end
+
+let active_set t = t.active_set
+
 let receive t =
   for q = 0 to t.n - 1 do
-    if q <> t.me then begin
-      if t.hb_timer.(q) >= 1 then t.hb_timer.(q) <- t.hb_timer.(q) - 1;
-      if t.hb_timer.(q) = 0 then begin
-        t.hb_timer.(q) <- t.hb_timeout.(q);
-        t.prev_hb1.(q) <- t.cur_hb1.(q);
-        t.prev_hb2.(q) <- t.cur_hb2.(q);
-        t.cur_hb1.(q) <- (Option.get t.mesh.hb1.(q).(t.me)).Reg.Abortable.read ();
-        t.cur_hb2.(q) <- (Option.get t.mesh.hb2.(q).(t.me)).Reg.Abortable.read ();
-        let fresh (cur : int option) prev =
-          match cur, prev with
-          | None, _ | Some _, None -> true
-          | Some c, Some p -> c <> p
-        in
-        if
-          fresh t.cur_hb1.(q) t.prev_hb1.(q)
-          && fresh t.cur_hb2.(q) t.prev_hb2.(q)
-        then t.active_set.(q) <- true
-        else begin
-          t.active_set.(q) <- false;
-          t.hb_timeout.(q) <- t.hb_timeout.(q) + 1
-        end
-      end
+    if q <> t.me && due t q then begin
+      let hb1 = (Option.get t.mesh.hb1.(q).(t.me)).Reg.Abortable.read () in
+      let hb2 = (Option.get t.mesh.hb2.(q).(t.me)).Reg.Abortable.read () in
+      judge t q hb1 hb2
     end
   done;
   t.active_set

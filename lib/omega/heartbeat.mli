@@ -43,3 +43,26 @@ val receive : t -> bool array
 (** Figure 5, [ReceiveHeartbeat()]: poll peers per the adaptive timeout and
     update membership; returns the active-set array (internal state; do not
     mutate). Element [me] is always true. *)
+
+(** {2 One step at a time}
+
+    {!send} and {!receive} are written from these, and Figure 6's step
+    machine ([Omega_abortable]) calls them between its own register
+    operations, so both forms keep one copy of the endpoint's logic. *)
+
+val next_beat : t -> int
+(** Bump the send counter and return it: the value {!send} writes to both
+    registers of every destination. *)
+
+val due : t -> int -> bool
+(** [ReceiveHeartbeat] for one [q <> me]: tick q's timer and, when it runs
+    out, restart it, keep the last two reads as the previous ones and
+    return [true]: both of q's registers are to be read now. *)
+
+val judge : t -> int -> int option -> int option -> unit
+(** [judge t q hb1 hb2] records the two reads {!due} asked for ([None] for
+    an aborted read): q stays in the active set iff each read aborted or
+    advanced, and otherwise leaves it and q's timeout grows by one. *)
+
+val active_set : t -> bool array
+(** The array {!receive} returns (internal state; do not mutate). *)

@@ -42,33 +42,46 @@ let create ~me ~registers =
 
 let same ((a, b) : payload) ((a', b') : payload) = a = a' && b = b'
 
+let to_write t q msg =
+  ((not t.prev_write_done.(q)) || not (same t.msg_curr.(q) msg))
+  && begin
+       if t.prev_write_done.(q) then t.msg_curr.(q) <- msg;
+       true
+     end
+
+let message t q = t.msg_curr.(q)
+let written t q ok = t.prev_write_done.(q) <- ok
+
 let write_msgs t msg_to =
   for q = 0 to t.n - 1 do
-    if q <> t.me then
-      if (not t.prev_write_done.(q)) || not (same t.msg_curr.(q) msg_to.(q))
-      then begin
-        if t.prev_write_done.(q) then t.msg_curr.(q) <- msg_to.(q);
-        let reg = Option.get t.regs.(t.me).(q) in
-        t.prev_write_done.(q) <- reg.Reg.Abortable.write t.msg_curr.(q)
-      end
+    if q <> t.me && to_write t q msg_to.(q) then
+      written t q
+        ((Option.get t.regs.(t.me).(q)).Reg.Abortable.write t.msg_curr.(q))
   done;
   t.prev_write_done
 
+let read_due t q =
+  if t.read_timer.(q) >= 1 then t.read_timer.(q) <- t.read_timer.(q) - 1;
+  t.read_timer.(q) = 0
+  && begin
+       t.read_timer.(q) <- t.read_timeout.(q);
+       true
+     end
+
+let received t q = function
+  | None -> t.read_timeout.(q) <- t.read_timeout.(q) + 1
+  | Some v when same v t.prev_msg_from.(q) ->
+    t.read_timeout.(q) <- t.read_timeout.(q) + 1
+  | Some v ->
+    t.prev_msg_from.(q) <- v;
+    t.read_timeout.(q) <- 1
+
 let read_msgs t =
   for q = 0 to t.n - 1 do
-    if q <> t.me then begin
-      if t.read_timer.(q) >= 1 then t.read_timer.(q) <- t.read_timer.(q) - 1;
-      if t.read_timer.(q) = 0 then begin
-        t.read_timer.(q) <- t.read_timeout.(q);
-        let reg = Option.get t.regs.(q).(t.me) in
-        match reg.Reg.Abortable.read () with
-        | None -> t.read_timeout.(q) <- t.read_timeout.(q) + 1
-        | Some v when same v t.prev_msg_from.(q) ->
-          t.read_timeout.(q) <- t.read_timeout.(q) + 1
-        | Some v ->
-          t.prev_msg_from.(q) <- v;
-          t.read_timeout.(q) <- 1
-      end
-    end
+    if q <> t.me && read_due t q then
+      received t q ((Option.get t.regs.(q).(t.me)).Reg.Abortable.read ())
   done;
   t.prev_msg_from
+
+let write_done t = t.prev_write_done
+let msg_from t = t.prev_msg_from

@@ -45,3 +45,36 @@ val read_msgs : t -> payload array
 (** Figure 4, [ReadMsgs()]: poll peers' registers per the adaptive timeout;
     returns [prevMsgFrom] — the last successfully read payload from each
     peer (the array is the internal state; do not mutate). *)
+
+(** {2 One step at a time}
+
+    {!write_msgs} and {!read_msgs} are written from these, and Figure 6's
+    step machine ([Omega_abortable]) calls them between its own register
+    operations, so both forms keep one copy of the endpoint's logic. *)
+
+val to_write : t -> int -> payload -> bool
+(** [WriteMsgs] for one [q <> me] and its message [msgTo[q]]: whether q's
+    register is written this round. A new message replaces the one in
+    flight only after that one was written; {!message} is the value to
+    write. *)
+
+val message : t -> int -> payload
+(** [msgCurr[q]], the message in flight to q. *)
+
+val written : t -> int -> bool -> unit
+(** [written t q ok] records the write {!to_write} asked for: [ok] is
+    [false] when it aborted. *)
+
+val read_due : t -> int -> bool
+(** [ReadMsgs] for one [q <> me]: tick q's read timer and, when it runs
+    out, restart it and return [true]: q's register is to be read now. *)
+
+val received : t -> int -> payload option -> unit
+(** Record the read {!read_due} asked for ([None] for an abort): the read
+    timeout grows by one unless a new value arrived, which resets it. *)
+
+val write_done : t -> bool array
+(** The array {!write_msgs} returns (internal state; do not mutate). *)
+
+val msg_from : t -> payload array
+(** The array {!read_msgs} returns (internal state; do not mutate). *)

@@ -8,66 +8,207 @@ type t = {
   counters : int Reg.t array;
 }
 
+(* A(p,q): p's monitor of q. *)
+let monitor t p q = Option.get t.monitors.(p).(q)
+
+(* ACTIVE-FOR[q] at p is the input of A(q,p): "is p active for q?". *)
+let active_for t p q =
+  (Option.get t.monitors.(q).(p)).Activity_monitor.active_for
+
+(* Figure 3, process p's local variables, which both forms of its loop
+   share. *)
+type local = {
+  p : int;
+  n : int;
+  handle : Omega_spec.handle;
+  status : Activity_monitor.status array;
+  fault_cntr : int array;
+  max_fault_cntr : int array;
+  counter : int array;
+}
+
+let new_local t p n =
+  {
+    p;
+    n;
+    handle = t.handles.(p);
+    status = Array.make n Activity_monitor.Unknown;
+    fault_cntr = Array.make n 0;
+    max_fault_cntr = Array.make n 0;
+    counter = Array.make n 0;
+  }
+
+(* Lines 2–4: no leader, and neither monitoring nor advertising. *)
+let withdraw rt t l =
+  Omega_spec.set_view rt l.handle Omega_spec.No_leader;
+  for q = 0 to l.n - 1 do
+    if q <> l.p then (monitor t l.p q).Activity_monitor.monitoring := false
+  done;
+  for q = 0 to l.n - 1 do
+    if q <> l.p then active_for t l.p q := false
+  done
+
+(* Line 6: monitor every other process while competing. *)
+let enter t l =
+  for q = 0 to l.n - 1 do
+    if q <> l.p then (monitor t l.p q).Activity_monitor.monitoring := true
+  done
+
+(* Lines 10–11 for one q: take A(p,q)'s estimate, or say it offers none
+   yet. *)
+let consult t l q =
+  let mon = monitor t l.p q in
+  let status = !(mon.Activity_monitor.status) in
+  (not (Activity_monitor.equal_status status Activity_monitor.Unknown))
+  && begin
+       l.status.(q) <- status;
+       l.fault_cntr.(q) <- !(mon.Activity_monitor.fault_cntr);
+       true
+     end
+
+(* Lines 12–17: leader := ℓ with (counter ℓ, ℓ) minimal over the active
+   set, and advertise activity only while self-elected. *)
+let elect rt t l =
+  l.status.(l.p) <- Activity_monitor.Active;
+  let leader = ref l.p in
+  for q = 0 to l.n - 1 do
+    if
+      Activity_monitor.equal_status l.status.(q) Activity_monitor.Active
+      && Omega_spec.precedes l.counter q !leader
+    then leader := q
+  done;
+  Omega_spec.set_view rt l.handle (Omega_spec.Leader !leader);
+  let am_leader = !leader = l.p in
+  for q = 0 to l.n - 1 do
+    if q <> l.p then active_for t l.p q := am_leader
+  done
+
+(* Line 19: A(p,q) reported a fault since p last punished q. *)
+let faulted l q = l.fault_cntr.(q) > l.max_fault_cntr.(q)
+
 (* Figure 3, main code for process p. *)
 let omega_loop ~self_punishment rt t p n =
-  let handle = t.handles.(p) in
-  let monitor q = Option.get t.monitors.(p).(q) in
-  (* ACTIVE-FOR[q] at p is the input of A(q,p): "is p active for q?". *)
-  let active_for q = (Option.get t.monitors.(q).(p)).Activity_monitor.active_for in
+  let l = new_local t p n in
   let others = List.filter (fun q -> q <> p) (List.init n Fun.id) in
-  let status = Array.make n Activity_monitor.Unknown in
-  let fault_cntr = Array.make n 0 in
-  let max_fault_cntr = Array.make n 0 in
-  let counter = Array.make n 0 in
   while true do
-    Omega_spec.set_view rt handle Omega_spec.No_leader;
-    List.iter (fun q -> (monitor q).Activity_monitor.monitoring := false) others;
-    List.iter (fun q -> active_for q := false) others;
-    Runtime.await (fun () -> !(handle.Omega_spec.candidate));
-    List.iter (fun q -> (monitor q).Activity_monitor.monitoring := true) others;
+    withdraw rt t l;
+    Runtime.await (fun () -> !(l.handle.Omega_spec.candidate));
+    enter t l;
     if self_punishment then begin
-      counter.(p) <- t.counters.(p).Reg.read ();
-      t.counters.(p).Reg.write (counter.(p) + 1)
+      l.counter.(p) <- t.counters.(p).Reg.read ();
+      t.counters.(p).Reg.write (l.counter.(p) + 1)
     end;
-    while !(handle.Omega_spec.candidate) do
+    while !(l.handle.Omega_spec.candidate) do
       (* Consult each activity monitor until it offers an estimate. *)
-      List.iter
-        (fun q ->
-          let mon = monitor q in
-          Runtime.await (fun () ->
-              not
-                (Activity_monitor.equal_status
-                   !(mon.Activity_monitor.status)
-                   Activity_monitor.Unknown));
-          status.(q) <- !(mon.Activity_monitor.status);
-          fault_cntr.(q) <- !(mon.Activity_monitor.fault_cntr))
-        others;
-      status.(p) <- Activity_monitor.Active;
+      List.iter (fun q -> Runtime.await (fun () -> consult t l q)) others;
       for q = 0 to n - 1 do
-        counter.(q) <- t.counters.(q).Reg.read ()
+        l.counter.(q) <- t.counters.(q).Reg.read ()
       done;
-      (* leader := ℓ with (counter ℓ, ℓ) minimal over the active set. *)
-      let leader = ref p in
-      for q = 0 to n - 1 do
-        if
-          Activity_monitor.equal_status status.(q) Activity_monitor.Active
-          && Omega_spec.precedes counter q !leader
-        then leader := q
-      done;
-      Omega_spec.set_view rt handle (Omega_spec.Leader !leader);
-      let am_leader = !leader = p in
-      List.iter (fun q -> active_for q := am_leader) others;
+      elect rt t l;
       (* Punish processes whose monitor reported new timeliness faults. *)
       List.iter
         (fun q ->
-          if fault_cntr.(q) > max_fault_cntr.(q) then begin
-            t.counters.(q).Reg.write (counter.(q) + 1);
-            max_fault_cntr.(q) <- fault_cntr.(q)
+          if faulted l q then begin
+            t.counters.(q).Reg.write (l.counter.(q) + 1);
+            l.max_fault_cntr.(q) <- l.fault_cntr.(q)
           end)
         others
     done
   done
 
+(* Figure 3 as a step machine: one call of [omega_step] is one step of
+   [omega_loop], issuing the same operations on the same steps. pc 0: loop
+   top (withdraw); 1: awaiting candidacy; 2: the self-punishment read
+   returned; 3: its write returned; 4: inner-loop candidacy check; 5:
+   consulting A(p,q) for q = [i]; 6: the read of counter [i] returned; 7:
+   punishment scan at q = [i]; 8: the punishment write to [i] returned. *)
+let omega_machine ~self_punishment rt t p n : Runtime.machine =
+  let l = new_local t p n in
+  let objs = Array.map Reg.obj_exn t.counters in
+  let write q x = Value.write_op (t.counters.(q).Reg.enc x) in
+  let i = ref 0 in
+  let pc = ref 0 in
+  let rec omega_step v =
+    match !pc with
+    | 0 ->
+      withdraw rt t l;
+      pc := 1;
+      omega_step v
+    | 1 ->
+      if !(l.handle.Omega_spec.candidate) then begin
+        enter t l;
+        if self_punishment then begin
+          pc := 2;
+          Runtime.M_call (objs.(p), Value.read_op)
+        end
+        else begin
+          pc := 4;
+          omega_step v
+        end
+      end
+      else Runtime.M_yield
+    | 2 ->
+      l.counter.(p) <- t.counters.(p).Reg.dec v;
+      pc := 3;
+      Runtime.M_call (objs.(p), write p (l.counter.(p) + 1))
+    | 3 ->
+      pc := 4;
+      omega_step Value.Unit
+    | 4 ->
+      if !(l.handle.Omega_spec.candidate) then begin
+        i := 0;
+        pc := 5
+      end
+      else pc := 0;
+      omega_step v
+    | 5 ->
+      if !i = p then incr i;
+      if !i >= n then begin
+        i := 0;
+        pc := 6;
+        Runtime.M_call (objs.(0), Value.read_op)
+      end
+      else if consult t l !i then begin
+        incr i;
+        omega_step v
+      end
+      else Runtime.M_yield
+    | 6 ->
+      l.counter.(!i) <- t.counters.(!i).Reg.dec v;
+      incr i;
+      if !i < n then Runtime.M_call (objs.(!i), Value.read_op)
+      else begin
+        elect rt t l;
+        i := 0;
+        pc := 7;
+        omega_step Value.Unit
+      end
+    | 7 ->
+      if !i = p then incr i;
+      if !i >= n then begin
+        pc := 4;
+        omega_step v
+      end
+      else if faulted l !i then begin
+        pc := 8;
+        Runtime.M_call (objs.(!i), write !i (l.counter.(!i) + 1))
+      end
+      else begin
+        incr i;
+        omega_step v
+      end
+    | 8 ->
+      l.max_fault_cntr.(!i) <- l.fault_cntr.(!i);
+      incr i;
+      pc := 7;
+      omega_step Value.Unit
+    | _ -> assert false
+  in
+  omega_step
+
+(* A shared-memory counter answers each operation in one step, so the loop
+   runs as a step machine; a quorum register's operation takes many steps
+   of message exchange, so over message passing it stays a fiber. *)
 let install ?(self_punishment = true) ?factory ?n rt =
   let n = match n with Some n -> n | None -> Runtime.n rt in
   let factory =
@@ -87,8 +228,14 @@ let install ?(self_punishment = true) ?factory ?n rt =
   in
   let handles = Array.init n (fun pid -> Omega_spec.make_handle ~pid) in
   let t = { handles; monitors; counters } in
+  let shared = Array.for_all (fun c -> Option.is_some c.Reg.obj) counters in
   for p = 0 to n - 1 do
-    Runtime.spawn ~layer:Sink.Omega rt ~pid:p ~name:(Fmt.str "omega[%d]" p)
-      (fun () -> omega_loop ~self_punishment rt t p n)
+    let name = Fmt.str "omega[%d]" p in
+    if shared then
+      Runtime.spawn_machine ~layer:Sink.Omega rt ~pid:p ~name
+        (omega_machine ~self_punishment rt t p n)
+    else
+      Runtime.spawn ~layer:Sink.Omega rt ~pid:p ~name (fun () ->
+          omega_loop ~self_punishment rt t p n)
   done;
   t

@@ -20,10 +20,11 @@
     object and the codec closures ([obj]/[enc]/[dec]), which is what step
     machines use to issue raw operations. Handles from a message-passing
     factory have [obj = None]: one of their operations takes many steps,
-    so no machine runs over them. [Activity_monitor.install] picks its
-    loops' form from [obj], and the compiled backend's Ω∆ and client
-    machines never meet the substrate ([System.build] rejects that
-    combination up front), so {!obj_exn} is safe wherever they run. *)
+    so no machine runs over them. [Activity_monitor.install] and both Ω∆
+    installers pick their loops' form from [obj], and the compiled
+    backend's client machines never meet the substrate ([System.build]
+    rejects that combination up front), so {!obj_exn} is safe wherever
+    machines run. *)
 
 type 'a t = {
   name : string;

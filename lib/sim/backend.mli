@@ -6,10 +6,12 @@
       OCaml code suspended with effect handlers at every step boundary.
       This is the executable semantics: slow, direct, obviously faithful
       to the paper's pseudo-code.
-    - {!Compiled}: the same processes compiled into flat step tables — a
-      direct-threaded interpreter over dense int-indexed program counters
-      and registers (see [Tbwf_compiled]), eliminating effects-handler
-      dispatch and per-step closure allocation from the hot path.
+    - {!Compiled}: the client processes compiled into flat step tables —
+      a direct-threaded interpreter over dense int-indexed program
+      counters and registers (see [Tbwf_compiled]), eliminating
+      effects-handler dispatch and per-step closure allocation from the
+      hot path. The Ω∆ and its activity monitors are the same on both
+      backends: over shared memory they already run as step machines.
 
     The two backends are required to be observationally byte-identical:
     same {!Trace.fingerprint}, same telemetry snapshots, for every

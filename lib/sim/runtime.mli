@@ -73,9 +73,11 @@ val spawn :
     function: instead of suspending with effects, it runs to its next
     suspension point and {e returns} how it suspended. The runtime
     interprets the action — no continuation capture, no handler dispatch,
-    no per-step closure. Figure 2's activity monitors over shared memory
-    run as machines ([Tbwf_monitor.Activity_monitor.install]), and the
-    compiled backend ([Tbwf_compiled]) is built on them. Machine tasks
+    no per-step closure. Over shared memory Figure 2's activity monitors
+    and both Ω∆ implementations (Figures 3 and 6) run as machines, as does
+    the naive booster's election on every substrate; their installers
+    pick the form. The compiled backend ([Tbwf_compiled]) adds the client
+    machines. Machine tasks
     and effect tasks share every other bit of runtime bookkeeping (sink
     events, pending-op tracking, crash/stop semantics), so a
     machine that mirrors a task body's effect sequence produces a

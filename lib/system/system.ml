@@ -150,10 +150,10 @@ let build ?(backend = Backend.Reference) ?(substrate = Shared_memory) ?seed
     ?(telemetry = false) ?telemetry_window ?telemetry_retain ~n id =
   (match backend, substrate with
   | Backend.Compiled, Message_passing _ ->
-    (* The compiled machines talk to register objects through direct
-       Shared.t handles; the quorum emulation has none. Rejecting here
-       keeps the two backends byte-identical wherever both exist, rather
-       than letting them silently diverge. *)
+    (* The compiled client machines are checked against the reference
+       over shared memory only (test_differential). Rejecting here keeps
+       the two backends byte-identical wherever both exist, rather than
+       letting them silently diverge. *)
     invalid_arg
       "System.build: the compiled backend requires the shared-memory substrate"
   | (Backend.Reference | Backend.Compiled), _ -> ());
@@ -196,30 +196,19 @@ let build ?(backend = Backend.Reference) ?(substrate = Shared_memory) ?seed
       let cluster = Mp_reg.Cluster.create rt ~net in
       Some net, Some cluster, Some (Mp_reg.factory cluster)
   in
-  (* Both backends create objects and spawn tasks at the same wiring
-     points, in the same order — what differs is only whether the spawned
-     task bodies are effect coroutines or compiled machines. That shared
-     order is what makes the two backends assign identical object ids and
-     produce byte-identical traces. *)
+  (* The Ω∆ is the same on both backends: its installer picks the form of
+     its tasks from the substrate. The backends differ only in the client
+     tasks below, which both spawn at the same wiring point, so they assign
+     identical object ids and produce byte-identical traces. *)
   let handles =
-    match backend, id with
-    | Backend.Reference, Tbwf_atomic ->
-      (install_atomic ?factory ~n rt).Omega_registers.handles
-    | Backend.Compiled, Tbwf_atomic ->
-      (Tbwf_compiled.Omega_atomic_compiled.install rt)
-        .Omega_registers.handles
-    | Backend.Reference, (Tbwf_abortable | Tbwf_universal) ->
+    match id with
+    | Tbwf_atomic -> (install_atomic ?factory ~n rt).Omega_registers.handles
+    | Tbwf_abortable | Tbwf_universal ->
       (install_abortable ?factory ~n rt ~policy:mesh_policy ())
         .Omega_abortable.handles
-    | Backend.Compiled, (Tbwf_abortable | Tbwf_universal) ->
-      (Tbwf_compiled.Omega_abortable_compiled.install rt ~policy:mesh_policy
-         ())
-        .Omega_abortable.handles
-    | Backend.Reference, Naive_booster ->
+    | Naive_booster ->
       (install_naive ?factory ~n rt).Baselines.Naive_booster.handles
-    | Backend.Compiled, Naive_booster ->
-      (Tbwf_compiled.Naive_compiled.install rt).Baselines.Naive_booster.handles
-    | _, Retry -> [||]
+    | Retry -> [||]
   in
   let qa =
     let universal =

@@ -201,18 +201,20 @@ val build :
     [n + config.replicas] processes wide, the network and replica cluster
     are wired between the collector and the Ω∆, and the Ω∆ installs with
     the quorum-register factory restricted to the [n] client pids. Raises
-    [Invalid_argument] when combined with the compiled backend — the
-    machines need direct [Shared.t] handles, which quorum registers do
-    not have.
+    [Invalid_argument] when combined with the compiled backend, whose
+    client machines are checked against the reference over shared memory
+    only.
 
     Wiring order (runtime, recorder, collector, [network, cluster,] Ω∆, QA,
     transformation, workload) is part of the determinism contract: it
     fixes the object-id assignment and hence the trace fingerprint for a
     given (seed, policy, code).
 
-    [backend] (default {!Backend.Reference}) selects how the stack's tasks
-    execute: effect coroutines, or the compiled machines of
-    [Tbwf_compiled]. Both wire objects and tasks in the same order and are
+    [backend] (default {!Backend.Reference}) selects how the stack's
+    client tasks execute: effect coroutines, or the compiled machines of
+    [Tbwf_compiled]. The Ω∆ and its monitors do not depend on it: their
+    installers pick their tasks' form from the substrate. Both backends
+    wire objects and tasks in the same order and are
     observationally byte-identical — same trace fingerprints, same
     telemetry snapshots — as enforced by [Tbwf_check.Differential]. This
     is the only place a backend is chosen: campaigns and the CLIs always

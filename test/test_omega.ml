@@ -279,6 +279,194 @@ let qcheck_random_classes =
       | Some ell -> List.mem ell (pcands @ rcands)
       | None -> false)
 
+(* --- machine and fiber forms -----------------------------------------------
+
+   Over shared memory both Ω∆ installers run their loops as step machines;
+   over quorum registers they run the fibers. Hiding a shared register's
+   [obj] makes an installer take the fiber form over the very same objects,
+   so the two forms can be run side by side: every step, operation and
+   leader view must agree. The naive booster's election is a machine on
+   every substrate, so there only its monitors change form. *)
+
+let fiber_factory rt =
+  let shared = Reg.shared_factory rt in
+  {
+    Reg.mk_reg =
+      (fun ~kind ~name ~codec ~init ->
+        { (shared.Reg.mk_reg ~kind ~name ~codec ~init) with Reg.obj = None });
+    mk_areg =
+      (fun ~name ~codec ~init ~writer ~reader ~policy ~write_effect ->
+        {
+          (shared.Reg.mk_areg ~name ~codec ~init ~writer ~reader ~policy
+             ~write_effect)
+          with
+          Reg.Abortable.obj = None;
+        });
+  }
+
+type form = Machines | Fibers
+
+let factory_of form rt =
+  match form with
+  | Machines -> Reg.shared_factory rt
+  | Fibers -> fiber_factory rt
+
+let election_prefixes = [ "omega["; "omega-ab["; "naive-boost[" ]
+
+(* The form of every election task spawned on pids [0, n). *)
+let election_task_forms rt ~n =
+  List.concat_map
+    (fun pid ->
+      List.filter_map
+        (fun (name, form) ->
+          if
+            List.exists
+              (fun prefix -> String.starts_with ~prefix name)
+              election_prefixes
+          then Some form
+          else None)
+        (Runtime.task_forms rt ~pid))
+    (List.init n Fun.id)
+
+(* Everything a run shows: the trace (as the digest of its fingerprint),
+   the final views and every leader view the sink saw, with its step. *)
+type observed = {
+  fingerprint : string;
+  views : string list;
+  leader_views : ((int * int) * int option) list;  (* (step, pid), leader *)
+}
+
+(* One task per process that leaves and rejoins the competition on its
+   own rhythm, so the loops keep leaving and re-entering their waits. *)
+let toggle_candidacy rt handles =
+  Array.iter
+    (fun (h : Omega_spec.handle) ->
+      h.candidate := true;
+      let pid = h.Omega_spec.pid in
+      let period = 2_000 + (700 * pid) in
+      Runtime.spawn rt ~pid ~name:(Fmt.str "toggle[%d]" pid) (fun () ->
+          let i = ref 0 in
+          while true do
+            Runtime.yield ();
+            incr i;
+            if !i mod period = 0 then h.candidate := not !(h.candidate)
+          done))
+    handles
+
+let observe ~form ~expected ~seed ~n ~plan install =
+  let rt = Runtime.create ~seed ~n () in
+  let trace = Trace.create () in
+  let leader_views = ref [] in
+  Runtime.set_sink rt
+    (Sink.tee (Trace.recorder trace)
+       {
+         Sink.nil with
+         Sink.active = true;
+         on_signal =
+           (fun ~step ~pid signal ->
+             match signal with
+             | Sink.Leader_view { leader } ->
+               leader_views := ((step, pid), leader) :: !leader_views
+             | _ -> ());
+       });
+  let handles = install ~factory:(factory_of form rt) rt in
+  Alcotest.(check bool) "every election task has the form under test" true
+    (List.for_all (fun f -> f = expected) (election_task_forms rt ~n));
+  toggle_candidacy rt handles;
+  let policy =
+    match plan with
+    | None -> Policy.round_robin ()
+    | Some plan ->
+      Tbwf_nemesis.Fault_plan.install_crashes plan rt;
+      Tbwf_nemesis.Fault_plan.policy plan
+  in
+  Runtime.run rt ~policy ~steps:30_000;
+  Runtime.stop rt;
+  {
+    fingerprint = Digest.to_hex (Digest.string (Trace.fingerprint trace));
+    views =
+      Array.to_list
+        (Array.map
+           (fun (h : Omega_spec.handle) ->
+             Fmt.str "%a" Omega_spec.pp_view !(h.leader))
+           handles);
+    leader_views = List.rev !leader_views;
+  }
+
+(* Both forms on one configuration must agree on everything observed, under
+   round robin and under the fault plan's [Every] rotation with a crash. *)
+let check_forms ?(n = 3) ?(fiber_form = Runtime.Fiber) install =
+  let plan =
+    Tbwf_nemesis.Fault_plan.make ~n ~horizon:30_000
+      [ Tbwf_nemesis.Fault_plan.Crash { pid = n - 1; at = 17_001 } ]
+  in
+  List.iter
+    (fun plan ->
+      let run form expected =
+        observe ~form ~expected ~seed:21L ~n ~plan install
+      in
+      let machines = run Machines Runtime.Machine in
+      let fibers = run Fibers fiber_form in
+      Alcotest.(check string) "trace fingerprint digest" fibers.fingerprint
+        machines.fingerprint;
+      Alcotest.(check (list string)) "final views" fibers.views machines.views;
+      Alcotest.(check (list (pair (pair int int) (option int))))
+        "leader views" fibers.leader_views machines.leader_views;
+      Alcotest.(check bool) "some process elected itself" true
+        (List.exists
+           (fun ((_, pid), leader) -> leader = Some pid)
+           machines.leader_views))
+    [ None; Some plan ]
+
+let test_forms_figure3 () =
+  List.iter
+    (fun self_punishment ->
+      check_forms (fun ~factory rt ->
+          (Omega_registers.install ~self_punishment ~factory rt)
+            .Omega_registers.handles))
+    [ true; false ]
+
+let test_forms_figure6 () =
+  List.iter
+    (fun policy ->
+      check_forms (fun ~factory rt ->
+          (Omega_abortable.install ~factory rt ~policy ())
+            .Omega_abortable.handles))
+    [ Abort_policy.Always; Abort_policy.Random 0.3 ]
+
+let test_forms_naive () =
+  check_forms ~fiber_form:Runtime.Machine (fun ~factory rt ->
+      (Tbwf_core.Baselines.Naive_booster.install ~factory rt)
+        .Tbwf_core.Baselines.Naive_booster.handles)
+
+let test_substrate_picks_form () =
+  let open Tbwf_system in
+  let forms substrate id =
+    let stack = System.build ~substrate ~n:3 id in
+    let forms = election_task_forms stack.System.rt ~n:3 in
+    Runtime.stop stack.System.rt;
+    forms
+  in
+  let mp = System.Message_passing Tbwf_net.Net.default_config in
+  List.iter
+    (fun (id, over_quorums) ->
+      let name = System.to_string id in
+      let check substrate expected =
+        let forms = forms substrate id in
+        Alcotest.(check int) (name ^ ": one election task per process") 3
+          (List.length forms);
+        Alcotest.(check bool) (name ^ ": the form its substrate picks") true
+          (List.for_all (fun f -> f = expected) forms)
+      in
+      check System.Shared_memory Runtime.Machine;
+      check mp over_quorums)
+    [
+      System.Tbwf_atomic, Runtime.Fiber;
+      System.Tbwf_abortable, Runtime.Fiber;
+      System.Tbwf_universal, Runtime.Fiber;
+      System.Naive_booster, Runtime.Machine;
+    ]
+
 let () =
   Alcotest.run "omega"
     [
@@ -316,5 +504,16 @@ let () =
             test_heartbeat_detects_timely_writer;
           Alcotest.test_case "heartbeat detects silent writer" `Quick
             test_heartbeat_detects_silent_writer;
+        ] );
+      ( "forms",
+        [
+          Alcotest.test_case "Figure 3 machine matches fiber" `Quick
+            test_forms_figure3;
+          Alcotest.test_case "Figures 4-6 machine matches fiber" `Quick
+            test_forms_figure6;
+          Alcotest.test_case "naive booster over both monitor forms" `Quick
+            test_forms_naive;
+          Alcotest.test_case "substrate picks the form" `Quick
+            test_substrate_picks_form;
         ] );
     ]

@@ -805,6 +805,90 @@ let test_monitor_machine_allocation_guard () =
   Alcotest.(check (float 0.0)) "words a heartbeat write step allocates" 22.0
     (monitor_machine_words_per_step ~crash:0)
 
+(* Minor-heap words per step of a two-process run round robin: 1,000 steps,
+   then twice [settle] and 100 steps, then 20,000 measured steps. *)
+let omega_words_per_step ?(settle = ignore) rt =
+  let policy = Policy.round_robin () in
+  Runtime.run rt ~policy ~steps:1_000;
+  for _ = 1 to 2 do
+    settle ();
+    Runtime.run rt ~policy ~steps:100
+  done;
+  let steps = 20_000 in
+  let before = Gc.minor_words () in
+  Runtime.run rt ~policy ~steps;
+  let words = Gc.minor_words () -. before in
+  Runtime.stop rt;
+  words /. float_of_int steps
+
+(* Process 0 competes alone; once it has elected itself, A(0,1) stops
+   monitoring, so its status returns to Unknown and stays there (only a
+   join switches it back on), and A(1,0) stops being asked for beats. The
+   second [settle] undoes the advertising an election still in progress at
+   the first one switched back on. Every task then idles: process 0's
+   election loop waits on A(0,1). *)
+let wait_on_unknown rt ~handles ~monitors =
+  let open Tbwf_monitor in
+  let monitor p q = Option.get monitors.(p).(q) in
+  handles.(0).Tbwf_omega.Omega_spec.candidate := true;
+  let settle () =
+    (monitor 0 1).Activity_monitor.monitoring := false;
+    (monitor 1 0).Activity_monitor.active_for := false
+  in
+  let words = omega_words_per_step ~settle rt in
+  Alcotest.(check bool) "A(0,1) offers no estimate" true
+    (Activity_monitor.equal_status
+       !((monitor 0 1).Activity_monitor.status)
+       Activity_monitor.Unknown);
+  Alcotest.(check bool) "process 0 elected itself" true
+    (Tbwf_omega.Omega_spec.leads !(handles.(0).Tbwf_omega.Omega_spec.leader) 0);
+  words
+
+let test_omega_machine_allocation_guard () =
+  (* An idle Ω∆ step is a closure call, a test and a constant action: 0
+     words, like an idle watcher tick. Every task of these runs idles: the
+     monitors' machines too, since no election loop switches them on. A
+     boxed pc, a closure per step or a list walk moves the figure. *)
+  let open Tbwf_omega in
+  let fresh () = Runtime.create ~n:2 () in
+  let awaiting_candidacy =
+    [
+      ( "Figure 3",
+        fun rt -> ignore (Omega_registers.install rt : Omega_registers.t) );
+      ( "Figures 4-6",
+        fun rt ->
+          ignore
+            (Omega_abortable.install rt
+               ~policy:Tbwf_registers.Abort_policy.Always ()
+              : Omega_abortable.t) );
+      ( "naive booster",
+        fun rt ->
+          ignore
+            (Tbwf_core.Baselines.Naive_booster.install rt
+              : Tbwf_core.Baselines.Naive_booster.t) );
+    ]
+  in
+  List.iter
+    (fun (name, install) ->
+      let rt = fresh () in
+      install rt;
+      Alcotest.(check (float 0.0))
+        (name ^ ": words a step awaiting candidacy allocates") 0.0
+        (omega_words_per_step rt))
+    awaiting_candidacy;
+  (let rt = fresh () in
+   let t = Omega_registers.install rt in
+   Alcotest.(check (float 0.0))
+     "Figure 3: words a step waiting on an Unknown monitor allocates" 0.0
+     (wait_on_unknown rt ~handles:t.Omega_registers.handles
+        ~monitors:t.Omega_registers.monitors));
+  let rt = fresh () in
+  let t = Tbwf_core.Baselines.Naive_booster.install rt in
+  Alcotest.(check (float 0.0))
+    "naive booster: words a step waiting on an Unknown monitor allocates" 0.0
+    (wait_on_unknown rt ~handles:t.Tbwf_core.Baselines.Naive_booster.handles
+       ~monitors:t.Tbwf_core.Baselines.Naive_booster.monitors)
+
 (* Random programs: 2–4 processes, each calling 1–3 shared objects or
    yielding, some crashing mid-run; a final [stop] drops the calls still
    in flight. *)
@@ -975,6 +1059,8 @@ let () =
             test_parked_step_allocation_guard;
           Alcotest.test_case "monitor machine allocation guard" `Quick
             test_monitor_machine_allocation_guard;
+          Alcotest.test_case "omega machine allocation guard" `Quick
+            test_omega_machine_allocation_guard;
           QCheck_alcotest.to_alcotest qcheck_overlap_matches_trace;
         ] );
       ( "park",

@@ -718,7 +718,7 @@ let qcheck_snapshot_replay_stable =
       let telemetry = Collector.attach ~window:128 stack.Scenario.rt in
       let policy = Scenario.degraded_policy ~n:3 ~timely:[ 1; 2 ] () in
       Runtime.run stack.Scenario.rt ~policy ~steps:3_000;
-      let sched = Trace.schedule stack.Scenario.trace in
+      let sched = Trace.schedule (Option.get stack.Scenario.trace) in
       let original = Collector.snapshot_string telemetry in
       Runtime.stop stack.Scenario.rt;
       let stack' = build_stack ~seed in
