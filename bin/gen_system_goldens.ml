@@ -6,8 +6,8 @@
 
    Usage: dune exec bin/gen_system_goldens.exe > test/golden/system_fingerprints.txt
 
-   It always runs the reference backend; test_differential checks the
-   compiled backend against the same file. *)
+   The stacks run their clients as step machines, so the goldens also pin
+   the machines to the fiber-era fingerprints. *)
 
 open Tbwf_sim
 open Tbwf_experiments

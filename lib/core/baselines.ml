@@ -4,20 +4,11 @@ open Tbwf_monitor
 open Tbwf_objects
 
 let retry_invoke qa op =
-  let next = ref `Op in
-  let result = ref None in
-  while !result = None do
-    let res =
-      match !next with
-      | `Op -> qa.Qa_intf.invoke op
-      | `Query -> qa.Qa_intf.query ()
-    in
-    match res with
-    | Value.Abort -> next := `Query
-    | Value.Fail -> next := `Op
-    | response -> result := Some response
-  done;
-  Option.get !result
+  let rec attempt call =
+    let res = Qa_intf.perform qa call op in
+    match Tbwf.retry_with res with Some call -> attempt call | None -> res
+  in
+  attempt Qa_intf.Invoke
 
 module Naive_booster = struct
   type t = {

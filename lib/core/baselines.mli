@@ -18,8 +18,10 @@
       degradation scenario, experiment E2). *)
 
 val retry_invoke : Tbwf_objects.Qa_intf.t -> Tbwf_sim.Value.t -> Tbwf_sim.Value.t
-(** Run one operation with the op/query/retry automaton of Figure 8 but no
-    leader gate. Obstruction-free; may loop forever under contention. *)
+(** Run one operation with the op/query/retry automaton of Figure 8
+    ({!Tbwf.retry_with}) but no leader gate. Obstruction-free; may loop
+    forever under contention. Its machine form is {!Tbwf.spawn_clients}
+    with no gate. *)
 
 module Naive_booster : sig
   type t = {

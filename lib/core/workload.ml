@@ -13,18 +13,21 @@ let fresh_stats ~n =
     last_response = Array.make n None;
   }
 
+let issue stats ~pid = stats.issued.(pid) <- stats.issued.(pid) + 1
+
+let complete rt stats ~pid response =
+  stats.completed.(pid) <- stats.completed.(pid) + 1;
+  stats.last_response.(pid) <- Some response;
+  if Runtime.telemetry_active rt then Runtime.signal rt ~pid Sink.Op_complete
+
 let spawn_clients rt ~pids ~stats ~invoke ~next_op =
   let client pid () =
     let rec loop k =
       match next_op ~pid ~k with
       | None -> ()
       | Some op ->
-        stats.issued.(pid) <- stats.issued.(pid) + 1;
-        let response = invoke op in
-        stats.completed.(pid) <- stats.completed.(pid) + 1;
-        stats.last_response.(pid) <- Some response;
-        if Runtime.telemetry_active rt then
-          Runtime.signal rt ~pid Sink.Op_complete;
+        issue stats ~pid;
+        complete rt stats ~pid (invoke op);
         loop (k + 1)
     in
     loop 0
@@ -97,12 +100,8 @@ module Open_loop = struct
         let due = int_of_float next_arrival in
         Runtime.await (fun () -> Runtime.now rt >= due);
         let key = draw_key cdf rng in
-        stats.issued.(pid) <- stats.issued.(pid) + 1;
-        let response = invoke (op_of_key ~pid ~k ~key) in
-        stats.completed.(pid) <- stats.completed.(pid) + 1;
-        stats.last_response.(pid) <- Some response;
-        if Runtime.telemetry_active rt then
-          Runtime.signal rt ~pid Sink.Op_complete;
+        issue stats ~pid;
+        complete rt stats ~pid (invoke (op_of_key ~pid ~k ~key));
         loop (k + 1) (next_arrival +. draw_gap profile rng)
       end
     in

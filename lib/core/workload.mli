@@ -9,6 +9,14 @@ type stats = {
 
 val fresh_stats : n:int -> stats
 
+val issue : stats -> pid:int -> unit
+(** Count one operation started by [pid]. *)
+
+val complete : Tbwf_sim.Runtime.t -> stats -> pid:int -> Tbwf_sim.Value.t -> unit
+(** Count one operation of [pid] finished with [response], and emit
+    [Sink.Op_complete] for it when telemetry is active: the one completion
+    routine of every client, fiber or machine. *)
+
 val spawn_clients :
   Tbwf_sim.Runtime.t ->
   pids:int list ->

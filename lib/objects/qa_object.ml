@@ -39,10 +39,8 @@ let create rt ~name ~spec ~policy
     | op -> invalid_arg (Fmt.str "Qa_object %s: bad op %a" name Value.pp op)
   in
   let obj = Runtime.register_object rt ~name ~respond in
-  {
-    Qa_intf.name;
-    invoke = (fun op -> Runtime.call obj (Value.Pair (Str "apply", op)));
-    query = (fun () -> Runtime.call obj (Value.Pair (Str "query", Unit)));
-    peek_state = (fun () -> !state);
-    view = Qa_intf.Direct obj;
-  }
+  Qa_intf.make rt ~name ~obj
+    ~invoke_op:(fun ~pid:_ op -> Value.Pair (Str "apply", op))
+    ~query_op:(Value.Pair (Str "query", Unit))
+    ~query_result:(fun ~pid:_ v -> v)
+    ~peek_state:(fun () -> !state)

@@ -41,27 +41,44 @@ let create rt ~name ~spec ~policy
       ~init:(Value.Pair (spec.Seq_spec.initial, List []))
       ~transition ~policy ~effect_on_abort ()
   in
-  let sequence : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let last_op_id : (int, Value.t) Hashtbl.t = Hashtbl.create 16 in
-  let invoke op =
-    let pid = Runtime.self () in
-    let k = 1 + Option.value (Hashtbl.find_opt sequence pid) ~default:0 in
-    Hashtbl.replace sequence pid k;
-    let op_id = Value.Pair (Int pid, Int k) in
-    Hashtbl.replace last_op_id pid op_id;
-    Rmw_cell.rmw cell (Value.Pair (op_id, op))
+  (* The op-id bookkeeping lives on the caller's side: per pid, the
+     sequence number and the id of its last issued operation ([Unit]
+     before the first, which no logged id equals). A pid's ops are only
+     ever issued by that pid's client. The tables grow with the
+     membership. *)
+  let sequence = ref (Array.make (Runtime.n rt) 0) in
+  let last_op_id = ref (Array.make (Runtime.n rt) Value.Unit) in
+  let ensure pid =
+    let len = Array.length !sequence in
+    if pid >= len then begin
+      let len' = Int.max (pid + 1) (2 * len) in
+      let grow a fill =
+        let a' = Array.make len' fill in
+        Array.blit a 0 a' 0 len;
+        a'
+      in
+      sequence := grow !sequence 0;
+      last_op_id := grow !last_op_id Value.Unit
+    end
   in
-  let query () =
-    let pid = Runtime.self () in
-    match Rmw_cell.read cell with
+  let invoke_op ~pid op =
+    ensure pid;
+    let k = !sequence.(pid) + 1 in
+    !sequence.(pid) <- k;
+    let op_id = Value.Pair (Int pid, Int k) in
+    !last_op_id.(pid) <- op_id;
+    Value.Pair (Str "rmw", Pair (op_id, op))
+  in
+  let query_result ~pid v =
+    match v with
     | Value.Abort -> Value.Abort
     | Value.Pair (_, List fates) -> (
-      let mine = Hashtbl.find_opt last_op_id pid in
-      match lookup_fate pid fates, mine with
-      | Some (Value.Pair (op_id, response)), Some issued
-        when Value.equal op_id issued ->
+      ensure pid;
+      match lookup_fate pid fates with
+      | Some (Value.Pair (op_id, response))
+        when Value.equal op_id !last_op_id.(pid) ->
         response
-      | _, _ -> Value.Fail)
+      | _ -> Value.Fail)
     | v -> invalid_arg (Fmt.str "Qa_universal %s: bad cell state %a" name Value.pp v)
   in
   let peek_state () =
@@ -69,4 +86,5 @@ let create rt ~name ~spec ~policy
     | Value.Pair (seq_state, _) -> seq_state
     | v -> invalid_arg (Value.to_string v)
   in
-  { Qa_intf.name; invoke; query; peek_state; view = Universal (Rmw_cell.shared cell) }
+  Qa_intf.make rt ~name ~obj:(Rmw_cell.shared cell) ~invoke_op
+    ~query_op:Value.read_op ~query_result ~peek_state

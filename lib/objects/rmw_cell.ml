@@ -30,7 +30,5 @@ let create rt ~name ~init ~transition ~policy
   let obj = Runtime.register_object rt ~name ~respond in
   { obj; state }
 
-let rmw t op = Runtime.call t.obj (Value.Pair (Str "rmw", op))
-let read t = Runtime.call t.obj Value.read_op
 let peek t = !(t.state)
 let shared t = t.obj

@@ -1,8 +1,10 @@
 (** Abortable read-modify-write cell.
 
-    A cell holding a {!Tbwf_sim.Value} state with two operations: [rmw op]
-    applies a transition function fixed at creation time, and [read] returns
-    the current state. Like an abortable register, any operation whose
+    A cell holding a {!Tbwf_sim.Value} state with two operations on its
+    shared object ({!shared}): [Pair (Str "rmw", op)] applies a transition
+    function fixed at creation time to [op] and returns the response or
+    [Abort], and {!Tbwf_sim.Value.read_op} returns the current state or
+    [Abort]. Like an abortable register, any operation whose
     window overlaps another operation's may abort (⊥); an aborted [rmw] may
     or may not have taken effect; solo operations never abort.
 
@@ -25,13 +27,8 @@ val create :
 (** [transition state op] returns [Some (state', response)] or [None] for an
     illegal op (which raises at the caller). *)
 
-val rmw : t -> Tbwf_sim.Value.t -> Tbwf_sim.Value.t
-(** Apply the transition to [op]; returns the response or [Abort]. *)
-
-val read : t -> Tbwf_sim.Value.t
-(** Return the current state, or [Abort]. *)
-
 val peek : t -> Tbwf_sim.Value.t
 
 val shared : t -> Tbwf_sim.Shared.t
-(** The underlying simulated object, for the compiled backend. *)
+(** The underlying simulated object, which {!Qa_universal}'s call view
+    names. *)

@@ -40,9 +40,9 @@ val peek : 'a t -> 'a
 val metrics : _ t -> Metrics.t
 val name : _ t -> string
 
-(** {2 Compiled-backend access}
+(** {2 Step-machine access}
 
-    As for {!Atomic_reg}: the compiled backend issues operations on the
+    As for {!Atomic_reg}: a step machine issues operations on the
     underlying object directly and decodes results itself ([Value.Abort]
     marks an aborted operation). *)
 

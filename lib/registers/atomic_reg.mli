@@ -23,11 +23,13 @@ val peek : 'a t -> 'a
 val metrics : _ t -> Metrics.t
 val name : _ t -> string
 
-(** {2 Compiled-backend access}
+(** {2 Step-machine access}
 
-    The compiled backend ([Tbwf_compiled]) performs register operations as
-    raw machine actions instead of going through {!read}/{!write} (which
-    suspend with effects). It needs the underlying object and the codec. *)
+    A step machine ({!Tbwf_sim.Runtime.spawn_machine}) performs register
+    operations as raw [M_call] actions instead of going through
+    {!read}/{!write} (which suspend with effects). It needs the underlying
+    object and the codec; {!Reg.atomic} hands them over as [obj], [enc]
+    and [dec]. *)
 
 val shared : _ t -> Tbwf_sim.Shared.t
 (** The underlying simulated object. *)

@@ -14,17 +14,16 @@
     [Mp_reg.factory] yields handles backed by replicated server state
     reached over the simulated network.
 
-    {2 Compiled-backend access}
+    {2 Step-machine access}
 
     Shared-memory handles additionally expose the underlying simulated
     object and the codec closures ([obj]/[enc]/[dec]), which is what step
     machines use to issue raw operations. Handles from a message-passing
     factory have [obj = None]: one of their operations takes many steps,
     so no machine runs over them. [Activity_monitor.install] and both Ω∆
-    installers pick their loops' form from [obj], and the compiled
-    backend's client machines never meet the substrate ([System.build]
-    rejects that combination up front), so {!obj_exn} is safe wherever
-    machines run. *)
+    installers pick their loops' form from [obj], and Figure 7's client
+    machines call only the query-abortable object, never a register, so
+    {!obj_exn} is safe wherever machines run. *)
 
 type 'a t = {
   name : string;

@@ -74,10 +74,9 @@ val spawn :
     suspension point and {e returns} how it suspended. The runtime
     interprets the action — no continuation capture, no handler dispatch,
     no per-step closure. Over shared memory Figure 2's activity monitors
-    and both Ω∆ implementations (Figures 3 and 6) run as machines, as does
-    the naive booster's election on every substrate; their installers
-    pick the form. The compiled backend ([Tbwf_compiled]) adds the client
-    machines. Machine tasks
+    and both Ω∆ implementations (Figures 3 and 6) run as machines, as do
+    the naive booster's election and Figure 7's clients on every
+    substrate; their installers pick the form. Machine tasks
     and effect tasks share every other bit of runtime bookkeeping (sink
     events, pending-op tracking, crash/stop semantics), so a
     machine that mirrors a task body's effect sequence produces a

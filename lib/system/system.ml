@@ -143,20 +143,11 @@ let default_qa_universal = function
   | Tbwf_universal -> true
   | Tbwf_atomic | Tbwf_abortable | Naive_booster | Retry -> false
 
-let build ?(backend = Backend.Reference) ?(substrate = Shared_memory) ?seed
+let build ?backend:(_ : Backend.t option) ?(substrate = Shared_memory) ?seed
     ?(record_trace = true) ?(canonical = true) ?(qa_policy = Abort_policy.Always)
     ?(mesh_policy = Abort_policy.Always) ?qa_universal ?(spec = Counter.spec)
     ?(next_op = Workload.forever Counter.inc) ?client_pids
     ?(telemetry = false) ?telemetry_window ?telemetry_retain ~n id =
-  (match backend, substrate with
-  | Backend.Compiled, Message_passing _ ->
-    (* The compiled client machines are checked against the reference
-       over shared memory only (test_differential). Rejecting here keeps
-       the two backends byte-identical wherever both exist, rather than
-       letting them silently diverge. *)
-    invalid_arg
-      "System.build: the compiled backend requires the shared-memory substrate"
-  | (Backend.Reference | Backend.Compiled), _ -> ());
   let rt =
     match substrate with
     | Shared_memory -> Runtime.create ?seed ~n ()
@@ -196,10 +187,7 @@ let build ?(backend = Backend.Reference) ?(substrate = Shared_memory) ?seed
       let cluster = Mp_reg.Cluster.create rt ~net in
       Some net, Some cluster, Some (Mp_reg.factory cluster)
   in
-  (* The Ω∆ is the same on both backends: its installer picks the form of
-     its tasks from the substrate. The backends differ only in the client
-     tasks below, which both spawn at the same wiring point, so they assign
-     identical object ids and produce byte-identical traces. *)
+  (* The Ω∆'s installer picks the form of its tasks from the substrate. *)
   let handles =
     match id with
     | Tbwf_atomic -> (install_atomic ?factory ~n rt).Omega_registers.handles
@@ -231,18 +219,9 @@ let build ?(backend = Backend.Reference) ?(substrate = Shared_memory) ?seed
   let client_pids =
     match client_pids with Some pids -> pids | None -> List.init n Fun.id
   in
-  (match backend with
-  | Backend.Reference ->
-    Workload.spawn_clients rt ~pids:client_pids ~stats ~invoke ~next_op
-  | Backend.Compiled -> (
-    let cqa = Tbwf_compiled.Qa_call.of_qa ~n qa in
-    match id with
-    | Tbwf_atomic | Tbwf_abortable | Tbwf_universal | Naive_booster ->
-      Tbwf_compiled.Client_machine.spawn_boosted_clients rt ~pids:client_pids
-        ~handles ~canonical ~qa:cqa ~stats ~next_op
-    | Retry ->
-      Tbwf_compiled.Client_machine.spawn_retry_clients rt ~pids:client_pids
-        ~qa:cqa ~stats ~next_op));
+  (* The clients are machines on both substrates: the QA object is a
+     shared object on message passing too. *)
+  Tbwf.spawn_clients rt ~gate:tbwf ~qa ~pids:client_pids ~stats ~next_op;
   {
     system = id;
     substrate;

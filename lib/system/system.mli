@@ -145,8 +145,9 @@ type stack = {
   qa : Qa_intf.t;
   tbwf : Tbwf.t option;  (** [None] for {!Retry} (no transformation) *)
   invoke : Value.t -> Value.t;
-      (** the system's operation path: [Tbwf.invoke] for boosted systems,
-          the bare retry automaton for {!Retry} *)
+      (** the system's operation path as a fiber call, for clients a
+          caller spawns itself (with [client_pids:[]]): [Tbwf.invoke] for
+          boosted systems, [Baselines.retry_invoke] for {!Retry} *)
   stats : Workload.stats;
   trace : Trace.t option;
       (** the run trace, recorded by a {!Trace.recorder} installed before
@@ -176,7 +177,11 @@ val build :
 (** Wire one system end to end: create the runtime, optionally attach a
     telemetry collector, install the system's Ω∆, create its
     query-abortable object (named [spec.name ^ "-qa"]), assemble the
-    invoke path and spawn the client workload.
+    invoke path and spawn the client workload: one ["client"] step
+    machine per pid in [client_pids] ([Tbwf.spawn_clients], ungated for
+    {!Retry}), on both substrates.
+    Each takes the steps [Workload.spawn_clients ~invoke] would take over
+    [invoke].
 
     Defaults: [canonical:true] (Definition 6's leader-wait guard),
     [qa_policy]/[mesh_policy] always-abort-on-contention, [qa_universal]
@@ -200,22 +205,13 @@ val build :
     made of; with [Message_passing config] the runtime is created
     [n + config.replicas] processes wide, the network and replica cluster
     are wired between the collector and the Ω∆, and the Ω∆ installs with
-    the quorum-register factory restricted to the [n] client pids. Raises
-    [Invalid_argument] when combined with the compiled backend, whose
-    client machines are checked against the reference over shared memory
-    only.
+    the quorum-register factory restricted to the [n] client pids.
 
     Wiring order (runtime, recorder, collector, [network, cluster,] Ω∆, QA,
     transformation, workload) is part of the determinism contract: it
     fixes the object-id assignment and hence the trace fingerprint for a
     given (seed, policy, code).
 
-    [backend] (default {!Backend.Reference}) selects how the stack's
-    client tasks execute: effect coroutines, or the compiled machines of
-    [Tbwf_compiled]. The Ω∆ and its monitors do not depend on it: their
-    installers pick their tasks' form from the substrate. Both backends
-    wire objects and tasks in the same order and are
-    observationally byte-identical — same trace fingerprints, same
-    telemetry snapshots — as enforced by [Tbwf_check.Differential]. This
-    is the only place a backend is chosen: campaigns and the CLIs always
-    build on the reference backend. *)
+    [backend] is ignored: both {!Backend.t} values build this same
+    stack. It stays only while the benchmark still names
+    [Backend.Compiled]. *)

@@ -592,16 +592,6 @@ let mp_policy =
   Tbwf_nemesis.Fault_plan.policy
     (Tbwf_nemesis.Fault_plan.make ~replicas:3 ~n:2 ~horizon:100_000 [])
 
-let test_compiled_backend_rejected () =
-  Alcotest.check_raises "compiled + message passing"
-    (Invalid_argument
-       "System.build: the compiled backend requires the shared-memory substrate")
-    (fun () ->
-      ignore
-        (Tbwf_system.System.build ~backend:Backend.Compiled
-           ~substrate:(Tbwf_system.System.Message_passing (cfg ()))
-           ~n:2 Tbwf_system.System.Tbwf_atomic))
-
 let test_mp_stack_progresses () =
   let stack = build_mp_stack () in
   Runtime.run stack.Tbwf_system.System.rt ~policy:mp_policy ~steps:40_000;
@@ -680,8 +670,6 @@ let () =
         ] );
       ( "stacks",
         [
-          Alcotest.test_case "compiled backend rejected" `Quick
-            test_compiled_backend_rejected;
           Alcotest.test_case "stack progresses" `Quick test_mp_stack_progresses;
           QCheck_alcotest.to_alcotest qcheck_mp_replay_byte_identical;
         ] );

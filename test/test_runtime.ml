@@ -889,6 +889,54 @@ let test_omega_machine_allocation_guard () =
     (wait_on_unknown rt ~handles:t.Tbwf_core.Baselines.Naive_booster.handles
        ~monitors:t.Tbwf_core.Baselines.Naive_booster.monitors)
 
+(* One Figure 7 client machine on pid 0 of a one-process runtime over a
+   direct QA counter, with no Ω∆ installed: its leader view stays where
+   [leader] puts it. Minor-heap words per step, measured as for
+   [omega_words_per_step]. *)
+let client_machine_words_per_step ~canonical ~leader =
+  let open Tbwf_core in
+  let rt = Runtime.create ~n:1 () in
+  let handles = [| Tbwf_omega.Omega_spec.make_handle ~pid:0 |] in
+  handles.(0).Tbwf_omega.Omega_spec.leader := leader;
+  let qa =
+    Tbwf_objects.Qa_object.create rt ~name:"qa"
+      ~spec:Tbwf_objects.Counter.spec
+      ~policy:Tbwf_registers.Abort_policy.Always ()
+  in
+  let tbwf = Tbwf.make ~qa ~omega_handles:handles ~canonical () in
+  let stats = Workload.fresh_stats ~n:1 in
+  Tbwf.spawn_clients rt ~gate:(Some tbwf) ~qa ~pids:[ 0 ] ~stats
+    ~next_op:(Workload.forever Tbwf_objects.Counter.inc);
+  let words = omega_words_per_step rt in
+  (words, stats.Workload.completed.(0))
+
+let test_client_machine_allocation_guard () =
+  (* A step waiting for leadership is a closure call, a test and a
+     constant action: 0 words, like an idle Ω∆ step. A boxed pc, a closure
+     per step or a scratch ref moves the figure. *)
+  let waiting, completed =
+    client_machine_words_per_step ~canonical:true
+      ~leader:Tbwf_omega.Omega_spec.No_leader
+  in
+  Alcotest.(check int) "a client that never leads completes nothing" 0
+    completed;
+  Alcotest.(check (float 0.0)) "words a step waiting for leadership allocates"
+    0.0 waiting;
+  (* A solo leader's every step answers one increment and invokes the
+     next. It pays for the operation ([Pair (Str "apply", op)] 3, [M_call]
+     3, the pending record 7, the [respond] context 7), the counter's
+     answer (the [Some] around its state/response pair 2 + 3, the new
+     state's and the response's [Value.Int] 2 + 2, the [Took_effect] fate
+     2), the completion ([Some response] 2) and [Workload.forever]'s
+     [Some op] 2: 35 words. *)
+  let calling, completed =
+    client_machine_words_per_step ~canonical:false
+      ~leader:(Tbwf_omega.Omega_spec.Leader 0)
+  in
+  Alcotest.(check bool) "the solo leader completes every step" true
+    (completed > 20_000);
+  Alcotest.(check (float 0.0)) "words a call step allocates" 35.0 calling
+
 (* Random programs: 2–4 processes, each calling 1–3 shared objects or
    yielding, some crashing mid-run; a final [stop] drops the calls still
    in flight. *)
@@ -1061,6 +1109,8 @@ let () =
             test_monitor_machine_allocation_guard;
           Alcotest.test_case "omega machine allocation guard" `Quick
             test_omega_machine_allocation_guard;
+          Alcotest.test_case "client machine allocation guard" `Quick
+            test_client_machine_allocation_guard;
           QCheck_alcotest.to_alcotest qcheck_overlap_matches_trace;
         ] );
       ( "park",

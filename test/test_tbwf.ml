@@ -354,6 +354,304 @@ let test_scale_n12 () =
     stats.Workload.completed;
   Alcotest.check value "exact count" (Value.Int (3 * n)) (qa.Qa_intf.peek_state ())
 
+(* --- machine and fiber clients ---------------------------------------------
+
+   [System.build] runs every client as a step machine; a caller that builds
+   with [~client_pids:[]] and spawns [Workload.spawn_clients ~invoke] over
+   the stack's own [invoke] gets the fiber form of the same client at the
+   same wiring point. The two forms must agree on everything observed: the
+   trace, the telemetry snapshot and the workload stats. *)
+
+module System = Tbwf_system.System
+module Campaign = Tbwf_nemesis.Campaign
+module Fault_plan = Tbwf_nemesis.Fault_plan
+module Scenario = Tbwf_experiments.Scenario
+
+type client_form = Machines | Fibers
+
+(* One configuration of a forms comparison. *)
+type config = {
+  id : System.id;
+  substrate : System.substrate;
+  universal : bool;
+  canonical : bool;
+  seed : int64;
+  steps : int;
+  policy : unit -> Policy.t;
+  plan : Fault_plan.t option;  (* its crashes and abort policies *)
+}
+
+let mp_substrate = System.Message_passing Tbwf_net.Net.default_config
+let forms_n = 3
+
+let pp_config fmt c =
+  Fmt.pf fmt "%s on %s, %s QA%s, seed %Ld, %d steps%s" (System.to_string c.id)
+    (System.substrate_name c.substrate)
+    (if c.universal then "universal" else "direct")
+    (if c.canonical then "" else ", not canonical")
+    c.seed c.steps
+    (match c.plan with
+    | None -> ""
+    | Some plan -> Fmt.str ", plan %s" (Fault_plan.to_string plan))
+
+type observed = {
+  fingerprint : string;  (* digest of the trace fingerprint *)
+  snapshot : string;
+  stats : int list * int list * string list;  (* issued, completed, last *)
+}
+
+let client_forms rt ~n =
+  List.concat_map
+    (fun pid ->
+      List.filter_map
+        (fun (name, form) -> if name = "client" then Some form else None)
+        (Runtime.task_forms rt ~pid))
+    (List.init n Fun.id)
+
+let observe_clients form c =
+  let n =
+    match c.plan with Some plan -> Fault_plan.n plan | None -> forms_n
+  in
+  let abort_policy target =
+    Option.map
+      (fun plan ->
+        Fault_plan.abort_policy plan ~target ~base:Abort_policy.Always)
+      c.plan
+  in
+  let stack =
+    System.build ~substrate:c.substrate ~seed:c.seed ~canonical:c.canonical
+      ~qa_universal:c.universal ?qa_policy:(abort_policy Fault_plan.Qa)
+      ?mesh_policy:(abort_policy Fault_plan.Omega_mesh)
+      ?client_pids:(match form with Machines -> None | Fibers -> Some [])
+      ~telemetry:true ~n c.id
+  in
+  let rt = stack.System.rt in
+  let expected =
+    match form with
+    | Machines -> Runtime.Machine
+    | Fibers ->
+      Workload.spawn_clients rt ~pids:(List.init n Fun.id)
+        ~stats:stack.System.stats ~invoke:stack.System.invoke
+        ~next_op:(Workload.forever Counter.inc);
+      Runtime.Fiber
+  in
+  let forms = client_forms rt ~n in
+  Alcotest.(check int) "one client per process" n (List.length forms);
+  Alcotest.(check bool) "every client has the form under test" true
+    (List.for_all (fun f -> f = expected) forms);
+  Option.iter (fun plan -> Fault_plan.install_crashes plan rt) c.plan;
+  Runtime.run rt ~policy:(c.policy ()) ~steps:c.steps;
+  Runtime.stop rt;
+  let stats = stack.System.stats in
+  {
+    fingerprint =
+      Digest.to_hex
+        (Digest.string (Trace.fingerprint (Option.get stack.System.trace)));
+    snapshot =
+      Tbwf_telemetry.Collector.snapshot_string
+        (Option.get stack.System.telemetry);
+    stats =
+      ( Array.to_list stats.Workload.issued,
+        Array.to_list stats.Workload.completed,
+        Array.to_list
+          (Array.map
+             (Option.fold ~none:"-" ~some:Value.to_string)
+             stats.Workload.last_response) );
+  }
+
+(* Both forms agree; returns the operations the machines completed. *)
+let check_client_forms c =
+  let msg what = Fmt.str "%s: %a" what pp_config c in
+  let machines = observe_clients Machines c in
+  let fibers = observe_clients Fibers c in
+  Alcotest.(check string) (msg "trace fingerprint digest") fibers.fingerprint
+    machines.fingerprint;
+  Alcotest.(check string) (msg "telemetry snapshot") fibers.snapshot
+    machines.snapshot;
+  Alcotest.(check (triple (list int) (list int) (list string)))
+    (msg "workload stats") fibers.stats machines.stats;
+  let _, completed, _ = machines.stats in
+  List.fold_left ( + ) 0 completed
+
+let forms_config ?(substrate = System.Shared_memory) ?(universal = false)
+    ?(canonical = true) ?(seed = 0x53595354L) ?(steps = 4_000)
+    ?(policy = fun () -> Policy.round_robin ()) ?plan id =
+  { id; substrate; universal; canonical; seed; steps; policy; plan }
+
+let replicas substrate =
+  match substrate with
+  | System.Shared_memory -> 0
+  | System.Message_passing config -> config.Tbwf_net.Net.replicas
+
+(* Timely rotation over pids 1 and 2 (and the replica servers, which
+   serve every register on message passing); pid 0 slows down. *)
+let degraded substrate () =
+  let width = forms_n + replicas substrate in
+  Scenario.degraded_policy ~n:width
+    ~timely:(List.filter (fun p -> p <> 0) (List.init width Fun.id))
+    ()
+
+let test_client_forms_policies () =
+  List.iter
+    (fun substrate ->
+      (* A message-passing election needs many more steps than a
+         shared-memory one before the clients start calling. *)
+      let steps =
+        match substrate with
+        | System.Shared_memory -> 4_000
+        | System.Message_passing _ -> 12_000
+      in
+      List.iter
+        (fun id ->
+          let completed = ref 0 in
+          List.iter
+            (fun (universal, canonical) ->
+              List.iter
+                (fun policy ->
+                  completed :=
+                    !completed
+                    + check_client_forms
+                        (forms_config ~substrate ~universal ~canonical ~steps
+                           ~policy id))
+                [ (fun () -> Policy.round_robin ()); degraded substrate ])
+            [ false, true; true, true; false, false; true, false ];
+          (* Retry livelocks under both schedules (always-abort QA, every
+             client always in an operation); the fault plans' crashes
+             give it solo runs. *)
+          if id <> System.Retry then
+            Alcotest.(check bool)
+              (Fmt.str "%s on %s completes operations" (System.to_string id)
+                 (System.substrate_name substrate))
+              true (!completed > 0))
+        System.all)
+    [ System.Shared_memory; mp_substrate ]
+
+(* Random pid sequences with idle steps, replayed against both forms. *)
+let test_client_forms_fuzzed () =
+  let rng = Rng.create 0xD1FFL in
+  List.iter
+    (fun substrate ->
+      let width = forms_n + replicas substrate in
+      for round = 0 to 5 do
+        let sched =
+          List.init 6_000 (fun _ ->
+              if Rng.bool rng 0.1 then -1 else Rng.int rng width)
+        in
+        let id = Rng.pick rng (Array.of_list System.all) in
+        let universal = Rng.bool rng 0.5 in
+        let canonical = Rng.bool rng 0.7 in
+        ignore
+          (check_client_forms
+             (forms_config ~substrate ~universal ~canonical
+                ~seed:(Int64.of_int (round + 1))
+                ~steps:(List.length sched)
+                ~policy:(fun () -> Policy.replay sched)
+                id)
+            : int)
+      done)
+    [ System.Shared_memory; mp_substrate ]
+
+(* Every catalogue fault plan, so crashes land mid-operation and the QA
+   and mesh abort policies follow the plan; the network catalogue too on
+   message passing. Horizons are cut to keep the group quick; the plans
+   scale their atoms to them. *)
+let test_client_forms_fault_plans () =
+  let completed = List.map (fun id -> id, ref 0) System.all in
+  let cells substrate campaigns horizon =
+    List.iter
+      (fun campaign ->
+        let n, _ = Campaign.dimensions ~quick:true in
+        let substrate, plan =
+          Campaign.align_substrate ~substrate
+            (Campaign.plan campaign ~n ~horizon)
+        in
+        List.iter
+          (fun (id, count) ->
+            count :=
+              !count
+              + check_client_forms
+                  (forms_config ~substrate ~seed:Campaign.default_seed
+                     ~universal:(id = System.Tbwf_universal)
+                     ~steps:horizon
+                     ~policy:(fun () -> Fault_plan.policy plan)
+                     ~plan id))
+          completed)
+      campaigns
+  in
+  cells System.Shared_memory Campaign.catalogue 24_000;
+  cells mp_substrate (Campaign.catalogue @ Campaign.net_catalogue) 12_000;
+  List.iter
+    (fun (id, count) ->
+      Alcotest.(check bool)
+        (System.to_string id ^ " completes operations")
+        true (!count > 0))
+    completed
+
+(* Arbitrary (system, QA, policy shape, seed, budget, crash) on shared
+   memory: the crash is installed before the run and fires mid-run. *)
+let qcheck_client_forms =
+  let gen =
+    QCheck.Gen.(
+      let* sys_ix = int_bound (List.length System.all - 1) in
+      let* pol = int_bound 2 in
+      let* seed = map Int64.of_int (int_bound 10_000) in
+      let* steps = map (fun k -> 500 + k) (int_bound 2_500) in
+      let* universal = bool in
+      let* canonical = bool in
+      let* crash = opt (pair (int_bound (forms_n - 1)) (int_bound 2_999)) in
+      return (sys_ix, pol, seed, steps, (universal, canonical), crash))
+  in
+  let print (sys_ix, pol, seed, steps, (universal, canonical), crash) =
+    Fmt.str "(%s, policy %d, seed %Ld, steps %d, universal %b, canonical %b, crash %s)"
+      (System.to_string (List.nth System.all sys_ix))
+      pol seed steps universal canonical
+      (match crash with
+      | None -> "none"
+      | Some (pid, at) -> Fmt.str "pid %d @ %d" pid at)
+  in
+  QCheck.Test.make ~count:25 ~name:"forms agree on arbitrary configs"
+    (QCheck.make ~print gen)
+    (fun (sys_ix, pol, seed, steps, (universal, canonical), crash) ->
+      let policy () =
+        match pol with
+        | 0 -> Policy.round_robin ()
+        | 1 -> Scenario.degraded_policy ~n:forms_n ~timely:[ 1 ] ()
+        | _ -> Policy.weighted [| 0, 1.0; 1, 3.0; 2, 0.5 |]
+      in
+      let plan =
+        Option.map
+          (fun (pid, at) ->
+            Fault_plan.make ~n:forms_n ~horizon:3_000
+              [ Fault_plan.Crash { pid; at } ])
+          crash
+      in
+      ignore
+        (check_client_forms
+           (forms_config ~universal ~canonical ~seed ~steps ~policy ?plan
+              (List.nth System.all sys_ix))
+          : int);
+      true)
+
+(* Caller-supplied clients stay fibers; [System.build]'s are machines on
+   both substrates. *)
+let test_client_forms_substrates () =
+  List.iter
+    (fun substrate ->
+      List.iter
+        (fun id ->
+          let stack = System.build ~substrate ~n:forms_n id in
+          let forms = client_forms stack.System.rt ~n:forms_n in
+          Runtime.stop stack.System.rt;
+          Alcotest.(check int) "one client per process" forms_n
+            (List.length forms);
+          Alcotest.(check bool)
+            (Fmt.str "%s on %s: clients are machines" (System.to_string id)
+               (System.substrate_name substrate))
+            true
+            (List.for_all (fun f -> f = Runtime.Machine) forms))
+        System.all)
+    [ System.Shared_memory; mp_substrate ]
+
 let () =
   Alcotest.run "tbwf"
     [
@@ -389,6 +687,18 @@ let () =
             test_retry_baseline_livelocks_under_rotation;
           Alcotest.test_case "retry progresses solo" `Quick
             test_retry_baseline_progresses_solo;
+        ] );
+      ( "clients",
+        [
+          Alcotest.test_case "round robin and degraded agree" `Quick
+            test_client_forms_policies;
+          Alcotest.test_case "fuzzed replay schedules agree" `Quick
+            test_client_forms_fuzzed;
+          Alcotest.test_case "every fault plan agrees" `Quick
+            test_client_forms_fault_plans;
+          Alcotest.test_case "machines on both substrates" `Quick
+            test_client_forms_substrates;
+          QCheck_alcotest.to_alcotest qcheck_client_forms;
         ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest
