@@ -122,40 +122,44 @@ let check ?(min_ops = 1) ~prediction ~trace ~completed_before
 
 module Online = struct
   (* The same contract, decided incrementally from the sink stream instead
-     of post-hoc from the recorded trace. The gap bookkeeping mirrors
-     [Timeliness.max_gap] move for move: [cur.(p).(q)] counts q's steps
-     since p's last step (or since the tail boundary if p has not stepped
-     yet), [big.(p).(q)] holds the largest already-flushed gap, and a step
-     by p flushes its whole row. The verdict is then built by [check]'s
-     own [assemble], so for any finished run
-     [verdict t = check ~prediction ~trace ...] field for field — the
-     differential test in [test/test_nemesis.ml] enforces this across the
-     full campaign × system matrix on both substrates. *)
+     of post-hoc from the recorded trace. The gap bookkeeping replays
+     [Timeliness.max_gap] on two flat n×n matrices: [o_own.(q)] counts q's
+     steps in the tail, [o_seen.(p*n + q)] is that count as of p's last
+     step (0 before p steps), so q's current gap since p last stepped is
+     [o_own.(q) - o_seen.(p*n + q)], and [o_big.(p*n + q)] holds the
+     largest gap already flushed. A step by p widens every gap of p's
+     column for free (its own count moves) and flushes p's row in one
+     loop. The verdict is then built by [check]'s own [assemble], so for
+     any finished run [verdict t = check ~prediction ~trace ...] field for
+     field — the differential test in [test/test_nemesis.ml] enforces this
+     across the full campaign × system matrix on both substrates. *)
 
   type t = {
     o_prediction : prediction;
+    o_n : int;
+    o_from : int;
     o_min_ops : int;
     o_completed : int array;  (* per-pid completions, whole run *)
     mutable o_before : int array option;
         (* [o_completed] snapshotted at the first event with
            step ≥ pred_from — the online analogue of [completed_before] *)
-    o_own_steps : int array;  (* per-pid own steps in the tail *)
-    o_cur : int array array;  (* o_cur.(p).(q): q steps since p last stepped *)
-    o_big : int array array;  (* largest flushed gap per (p, q) pair *)
-    o_stepped : bool array;  (* has p stepped in the tail at all? *)
+    o_own : int array;  (* per-pid own steps in the tail *)
+    o_seen : int array;  (* o_seen.(p*n + q): o_own.(q) at p's last step *)
+    o_big : int array;  (* largest flushed gap per (p, q) pair *)
   }
 
   let create ?(min_ops = 1) prediction =
     let n = prediction.pred_n in
     {
       o_prediction = prediction;
+      o_n = n;
+      o_from = prediction.pred_from;
       o_min_ops = min_ops;
       o_completed = Array.make n 0;
       o_before = None;
-      o_own_steps = Array.make n 0;
-      o_cur = Array.init n (fun _ -> Array.make n 0);
-      o_big = Array.init n (fun _ -> Array.make n 0);
-      o_stepped = Array.make n false;
+      o_own = Array.make n 0;
+      o_seen = Array.make (n * n) 0;
+      o_big = Array.make (n * n) 0;
     }
 
   (* Snapshot the tail boundary the moment any event at or past
@@ -164,36 +168,34 @@ module Online = struct
      boundary step itself. Signals roll too, in case a sink is fed a
      partial stream; invokes and responds need not, since they never
      move [o_completed]. *)
+  let snapshot t = t.o_before <- Some (Array.copy t.o_completed)
+
   let roll t ~step =
-    if Option.is_none t.o_before && step >= t.o_prediction.pred_from then
-      t.o_before <- Some (Array.copy t.o_completed)
+    if step >= t.o_from && Option.is_none t.o_before then snapshot t
 
   let on_step t ~step ~pid =
-    roll t ~step;
-    let n = t.o_prediction.pred_n in
-    if step >= t.o_prediction.pred_from && pid >= 0 && pid < n then begin
-      t.o_own_steps.(pid) <- t.o_own_steps.(pid) + 1;
-      (* This step widens every other process's current gap... *)
-      for p = 0 to n - 1 do
-        if p <> pid then t.o_cur.(p).(pid) <- t.o_cur.(p).(pid) + 1
-      done;
-      (* ...and flushes [pid]'s own row, exactly like [max_gap]'s
-         p-step case. *)
-      let cur = t.o_cur.(pid) and big = t.o_big.(pid) in
-      for q = 0 to n - 1 do
-        if q <> pid then begin
-          if cur.(q) > big.(q) then big.(q) <- cur.(q);
-          cur.(q) <- 0
-        end
-      done;
-      t.o_stepped.(pid) <- true
+    if step >= t.o_from then begin
+      if Option.is_none t.o_before then snapshot t;
+      let n = t.o_n in
+      if pid >= 0 && pid < n then begin
+        let own = t.o_own and seen = t.o_seen and big = t.o_big in
+        own.(pid) <- own.(pid) + 1;
+        (* Flush [pid]'s row, exactly like [max_gap]'s p-step case. The
+           diagonal cell is flushed too and never read. *)
+        let row = pid * n in
+        for q = 0 to n - 1 do
+          let c = own.(q) and i = row + q in
+          if c - seen.(i) > big.(i) then big.(i) <- c - seen.(i);
+          seen.(i) <- c
+        done
+      end
     end
 
   let on_signal t ~step ~pid signal =
     roll t ~step;
     match signal with
     | Sink.Op_complete ->
-      if pid >= 0 && pid < t.o_prediction.pred_n then
+      if pid >= 0 && pid < t.o_n then
         t.o_completed.(pid) <- t.o_completed.(pid) + 1
     | _ -> ()
 
@@ -212,13 +214,14 @@ module Online = struct
      0 is within the bound only if the bound is not negative. *)
   let pair_timely t ~p ~q =
     let bound = t.o_prediction.pred_bound in
-    if t.o_stepped.(p) then Int.max t.o_big.(p).(q) t.o_cur.(p).(q) <= bound
-    else t.o_cur.(p).(q) = 0 && 0 <= bound
+    let i = (p * t.o_n) + q in
+    let cur = t.o_own.(q) - t.o_seen.(i) in
+    if t.o_own.(p) > 0 then Int.max t.o_big.(i) cur <= bound
+    else cur = 0 && 0 <= bound
 
   let sched_timely t ~pid =
-    let n = t.o_prediction.pred_n in
     let ok = ref true in
-    for q = 0 to n - 1 do
+    for q = 0 to t.o_n - 1 do
       if q <> pid && not (pair_timely t ~p:pid ~q) then ok := false
     done;
     !ok
@@ -231,7 +234,7 @@ module Online = struct
     in
     assemble t.o_prediction ~min_ops:t.o_min_ops
       ~tail_ops:(fun pid -> t.o_completed.(pid) - before.(pid))
-      ~tail_steps:(fun pid -> t.o_own_steps.(pid))
+      ~tail_steps:(fun pid -> t.o_own.(pid))
       ~sched_timely:(fun pid -> sched_timely t ~pid)
 end
 

@@ -164,6 +164,18 @@ module Online : sig
       [Op_complete] signals, every other callback just arms the tail
       boundary. *)
 
+  val on_step : t -> step:int -> pid:int -> unit
+  (** The sink's [on_step]: a no-op before [pred_from], so a caller
+      that starts calling it at any step up to [pred_from] (and feeds
+      {!on_signal} from the start) gets the same verdict as one feeding
+      the whole stream — [Cell_runner.run] arms it at the tail
+      boundary. From [pred_from] on, one O(n) loop per step of a pid
+      below [pred_n]; it allocates only the tail boundary's completion
+      snapshot, once. *)
+
+  val on_signal : t -> step:int -> pid:int -> Tbwf_sim.Sink.signal -> unit
+  (** The sink's [on_signal]: counts [Op_complete] per pid. *)
+
   val verdict : t -> verdict
   (** The verdict over everything consumed so far. Non-destructive: safe
       to call per stream window for running verdicts and again at the

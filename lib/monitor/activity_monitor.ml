@@ -208,7 +208,7 @@ let install ?(adapt = succ) ?(increment_guards = true) ?factory rt ~p ~q =
   let hb =
     factory.Reg.mk_reg
       ~kind:(Reg.Swmr { writer = q })
-      ~name:(Fmt.str "Hb[%d->%d]" q p)
+      ~name:("Hb[" ^ string_of_int q ^ "->" ^ string_of_int p ^ "]")
       ~codec:Codec.int ~init:(-1)
   in
   let t =
@@ -222,8 +222,8 @@ let install ?(adapt = succ) ?(increment_guards = true) ?factory rt ~p ~q =
       hb;
     }
   in
-  let hb_name = Fmt.str "amon-hb[%d->%d]" q p in
-  let watch_name = Fmt.str "amon-watch[%d<-%d]" p q in
+  let hb_name = "amon-hb[" ^ string_of_int q ^ "->" ^ string_of_int p ^ "]" in
+  let watch_name = "amon-watch[" ^ string_of_int p ^ "<-" ^ string_of_int q ^ "]" in
   (match hb.Reg.obj with
   | Some obj ->
     Runtime.spawn_machine ~layer:Sink.Monitor rt ~pid:q ~name:hb_name

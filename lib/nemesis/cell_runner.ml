@@ -37,6 +37,33 @@ type t = {
   cr_completed_before : int array;
 }
 
+(* The run's observers as one sink per event kind, in tee order: the
+   stream's monitor (first) has closed exactly a streamed record's
+   window, the build's sink (its collector, and its trace recorder if it
+   keeps one) emits it, and the checker (last) has consumed exactly the
+   steps the record covers. The checker reads only steps and
+   [Op_complete] signals, so invokes and responds go to the build's
+   sink with no hop. Its step hook is armed only for the tail: before
+   [pred_from] it is a no-op ([Degradation.Online.on_step]), so the
+   head phase feeds the build's own step callback and nothing else. *)
+let observers ~monitor ~base online ~armed =
+  let checked =
+    {
+      base with
+      Sink.active = true;
+      on_step =
+        (if armed then fun ~step ~pid ~layer ->
+           base.Sink.on_step ~step ~pid ~layer;
+           Degradation.Online.on_step online ~step ~pid
+         else base.Sink.on_step);
+      on_signal =
+        (fun ~step ~pid s ->
+          base.Sink.on_signal ~step ~pid s;
+          Degradation.Online.on_signal online ~step ~pid s);
+    }
+  in
+  match monitor with None -> checked | Some m -> Sink.tee m checked
+
 let run ~plan ~build ~stream =
   let n = Fault_plan.n plan in
   let horizon = Fault_plan.horizon plan in
@@ -62,20 +89,16 @@ let run ~plan ~build ~stream =
       ~cost:(cost_factor stack.System.substrate) ~n ~tail
   in
   (* The tail boundary and floor are plan-derived, so the online checker
-     is armed before the first step. It and the stream's monitor are teed
-     around the sink the build installed (its collector, and its trace
-     recorder if it keeps one), so nothing the build attached is lost.
-     Tee order fixes what each streamed record sees: a monitor (first)
-     has closed exactly the record's window, the collector emits, and the
-     checker (last) has consumed exactly the steps the record covers. *)
+     exists before the first step; its step hook is armed at the tail
+     boundary. Nothing the build attached is lost: its sink is called
+     first on every event. *)
   let online = Degradation.Online.create ~min_ops prediction in
-  let checked =
-    Sink.tee (Runtime.sink rt) (Degradation.Online.sink online)
+  let observers =
+    observers
+      ~monitor:(match stream with Some s -> s.monitor | None -> None)
+      ~base:(Runtime.sink rt) online
   in
-  Runtime.set_sink rt
-    (match stream with
-    | Some { monitor = Some m; _ } -> Sink.tee m checked
-    | _ -> checked);
+  Runtime.set_sink rt (observers ~armed:false);
   Option.iter
     (fun s ->
       Collector.emit_every telemetry ~every:s.every
@@ -88,6 +111,7 @@ let run ~plan ~build ~stream =
   Runtime.run rt ~policy ~steps:snap;
   let completed_before = Array.copy stack.System.stats.Workload.completed in
   let measured_before = Collector.app_completed telemetry in
+  Runtime.set_sink rt (observers ~armed:true);
   Runtime.run rt ~policy ~steps:tail;
   let measured_after = Collector.app_completed telemetry in
   Collector.stream_flush telemetry;

@@ -57,11 +57,13 @@ val run :
   t
 (** [build] gets the plan's compiled abort policies ([Always], the
     [System.build] default, when the plan has no abort atoms) and must
-    attach telemetry. [run] then installs the plan's crashes, tees the
-    online checker after the sink the build installed (and the stream's
-    monitor ahead of it), so a recorder the build attached keeps
-    recording, and runs under the plan's policy to its horizon, pausing
-    at the tail boundary to snapshot completions. The tail is the last quarter of the horizon,
+    attach telemetry. [run] then installs the plan's crashes, installs
+    one sink per event that calls the stream's monitor, then the sink the
+    build installed (so a recorder the build attached keeps recording),
+    then the online checker, and runs under the plan's policy to its
+    horizon, pausing at the tail boundary to snapshot completions and arm
+    the checker's step hook (before the tail it has nothing to judge).
+    The tail is the last quarter of the horizon,
     or from the plan's settle step if that is later: the contract is
     "keeps progressing after the last fault". The floor is
     {!Tbwf_check.Degradation.required_tail_ops} at the substrate's

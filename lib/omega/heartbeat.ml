@@ -26,7 +26,7 @@ let registers ?factory rt ~policy ?write_effect ~n () =
   in
   let make tag p q =
     factory.Reg.mk_areg
-      ~name:(Fmt.str "Hb%s[%d->%d]" tag p q)
+      ~name:("Hb" ^ tag ^ "[" ^ string_of_int p ^ "->" ^ string_of_int q ^ "]")
       ~codec:Codec.int ~init:0 ~writer:p ~reader:q ~policy ~write_effect
   in
   {

@@ -23,7 +23,7 @@ let registers ?factory rt ~policy ?write_effect ~n () =
           else
             Some
               (factory.Reg.mk_areg
-                 ~name:(Fmt.str "Msg[%d->%d]" p q)
+                 ~name:("Msg[" ^ string_of_int p ^ "->" ^ string_of_int q ^ "]")
                  ~codec:(Codec.pair Codec.int Codec.int)
                  ~init:(0, 0) ~writer:p ~reader:q ~policy ~write_effect)))
 

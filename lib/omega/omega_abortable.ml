@@ -256,7 +256,7 @@ let install ?factory ?n rt ~policy ?write_effect () =
       msg_registers
   in
   for p = 0 to n - 1 do
-    let name = Fmt.str "omega-ab[%d]" p in
+    let name = "omega-ab[" ^ string_of_int p ^ "]" in
     if shared then
       Runtime.spawn_machine ~layer:Sink.Omega rt ~pid:p ~name
         (omega_machine rt t p n)

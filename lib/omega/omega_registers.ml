@@ -223,14 +223,14 @@ let install ?(self_punishment = true) ?factory ?n rt =
   let counters =
     Array.init n (fun q ->
         factory.Reg.mk_reg ~kind:Reg.Mwmr
-          ~name:(Fmt.str "Counter[%d]" q)
+          ~name:("Counter[" ^ string_of_int q ^ "]")
           ~codec:Codec.int ~init:0)
   in
   let handles = Array.init n (fun pid -> Omega_spec.make_handle ~pid) in
   let t = { handles; monitors; counters } in
   let shared = Array.for_all (fun c -> Option.is_some c.Reg.obj) counters in
   for p = 0 to n - 1 do
-    let name = Fmt.str "omega[%d]" p in
+    let name = "omega[" ^ string_of_int p ^ "]" in
     if shared then
       Runtime.spawn_machine ~layer:Sink.Omega rt ~pid:p ~name
         (omega_machine ~self_punishment rt t p n)

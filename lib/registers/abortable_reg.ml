@@ -23,8 +23,7 @@ let create rt ~name ~codec ~init ~writer ~reader ~policy
       if Abort_policy.should_abort policy ~contended:ctx.overlapped ctx then begin
         metrics.write_aborts <- metrics.write_aborts + 1;
         if Runtime.telemetry_active rt then
-          Runtime.signal rt ~pid:ctx.pid
-            (Sink.Abort_decision { obj_name = name; is_write = true });
+          Runtime.signal rt ~pid:ctx.pid Sink.Abort_decision;
         if Abort_policy.write_takes_effect write_effect ctx.rng then cell := v;
         Value.Abort
       end
@@ -41,8 +40,7 @@ let create rt ~name ~codec ~init ~writer ~reader ~policy
       if Abort_policy.should_abort policy ~contended:ctx.overlapped ctx then begin
         metrics.read_aborts <- metrics.read_aborts + 1;
         if Runtime.telemetry_active rt then
-          Runtime.signal rt ~pid:ctx.pid
-            (Sink.Abort_decision { obj_name = name; is_write = false });
+          Runtime.signal rt ~pid:ctx.pid Sink.Abort_decision;
         Value.Abort
       end
       else begin

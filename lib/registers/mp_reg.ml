@@ -272,17 +272,16 @@ let abortable cl ~name ~codec ~init ~writer ~reader ~policy ~write_effect =
     in
     Abort_policy.should_abort policy ~contended:false ctx
   in
-  let signal_abort ~is_write =
+  let signal_abort () =
     if Runtime.telemetry_active rt then
-      Runtime.signal rt ~pid:(Runtime.running rt)
-        (Sink.Abort_decision { obj_name = name; is_write })
+      Runtime.signal rt ~pid:(Runtime.running rt) Sink.Abort_decision
   in
   let write x =
     if Runtime.running rt <> writer then
       invalid_arg (Printf.sprintf "Mp_reg %s: pid %d is not the writer" name
                      (Runtime.running rt));
     if decide (Value.write_op (codec.Codec.enc x)) then begin
-      signal_abort ~is_write:true;
+      signal_abort ();
       if Abort_policy.write_takes_effect write_effect (Runtime.obj_rng rt) then
         base.Reg.write x;
       false
@@ -297,7 +296,7 @@ let abortable cl ~name ~codec ~init ~writer ~reader ~policy ~write_effect =
       invalid_arg (Printf.sprintf "Mp_reg %s: pid %d is not the reader" name
                      (Runtime.running rt));
     if decide Value.read_op then begin
-      signal_abort ~is_write:false;
+      signal_abort ();
       None
     end
     else Some (base.Reg.read ())

@@ -26,8 +26,10 @@ let n_layers = 4
 (* Structured events from the libraries above the step loop. Payloads are
    allocated only when a sink is active (call sites guard). *)
 type signal =
-  | Abort_decision of { obj_name : string; is_write : bool }
-      (** an abortable register chose to abort the current operation *)
+  | Abort_decision
+      (** an abortable register chose to abort the acting process's
+          current operation; constant, so signalling one allocates
+          nothing *)
   | Leader_view of { leader : int option }
       (** the acting process's Ω∆ view changed ([None] = no leader) *)
   | Suspicion_flip of { watched : int; suspected : bool }

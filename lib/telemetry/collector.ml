@@ -40,22 +40,31 @@ type stream = {
    exact. *)
 let retained_events = 256
 
+(* Per-pid counters live in one flat array, a row of [row_width] ints
+   per pid: the pid's steps in each layer (columns 0–3, by
+   [Sink.layer_index]), then its invokes, responds, Abort results and
+   Fail results. A step, an invoke and a respond of one pid all land in
+   one row, so an event touches one small block instead of one array per
+   counter. *)
+let col_invokes = Sink.n_layers
+let col_responds = col_invokes + 1
+let col_aborts = col_invokes + 2
+let col_fails = col_invokes + 3
+let row_width = 8
+
 type t = {
   n : int;
   window : int;
   retain : int option;
   mutable stream : stream option;
+  mutable stream_due : int;
+      (* first step of the next stream window; max_int without a stream *)
   spans : Span.t;
   app_ops : Series.t;
-  steps_per_pid : int array;
-  steps_by_layer : int array array;  (* pid x layer *)
+  counts : int array;  (* counts.(pid * row_width + column) *)
   mutable idle_steps : int;
   mutable total_steps : int;
   mutable last_step : int;
-  invokes : int array;
-  responds : int array;
-  aborts : int array;  (* Abort results, any layer *)
-  fails : int array;  (* Fail results, any layer *)
   app_completed : int array;  (* workload-level Op_complete per pid *)
   mutable register_abort_decisions : int;
   leader_changes : int array;  (* view changes per observer *)
@@ -80,17 +89,13 @@ let create ?(window = 1024) ?retain ~n () =
     window;
     retain;
     stream = None;
+    stream_due = max_int;
     spans = Span.create ~n;
     app_ops = Series.create ~window ?retain ~n ();
-    steps_per_pid = Array.make n 0;
-    steps_by_layer = Array.make_matrix n Sink.n_layers 0;
+    counts = Array.make (n * row_width) 0;
     idle_steps = 0;
     total_steps = 0;
     last_step = -1;
-    invokes = Array.make n 0;
-    responds = Array.make n 0;
-    aborts = Array.make n 0;
-    fails = Array.make n 0;
     app_completed = Array.make n 0;
     register_abort_decisions = 0;
     leader_changes = Array.make n 0;
@@ -192,43 +197,46 @@ let stream_record t s ~w =
    [step]. Called from [on_step] — the runtime emits [on_step] before any
    operation or signal of that step, so when the first step of a new
    window arrives, every event of the previous windows has been folded. *)
-let stream_roll t s ~step =
-  let target = step / s.st_every in
-  while s.st_window < target do
-    stream_record t s ~w:s.st_window;
-    s.st_window <- s.st_window + 1
-  done
+let stream_roll t ~step =
+  match t.stream with
+  | None -> ()
+  | Some s ->
+    let target = step / s.st_every in
+    while s.st_window < target do
+      stream_record t s ~w:s.st_window;
+      s.st_window <- s.st_window + 1
+    done;
+    t.stream_due <- (s.st_window + 1) * s.st_every
 
 let on_step t ~step ~pid ~layer =
-  (match t.stream with
-  | Some s when step >= (s.st_window + 1) * s.st_every -> stream_roll t s ~step
-  | _ -> ());
+  if step >= t.stream_due then stream_roll t ~step;
   t.total_steps <- t.total_steps + 1;
   t.last_step <- step;
   if pid < 0 then t.idle_steps <- t.idle_steps + 1
   else if pid < t.n then begin
-    t.steps_per_pid.(pid) <- t.steps_per_pid.(pid) + 1;
-    let row = t.steps_by_layer.(pid) in
-    let l = Sink.layer_index layer in
-    row.(l) <- row.(l) + 1
+    let i = (pid * row_width) + Sink.layer_index layer in
+    t.counts.(i) <- t.counts.(i) + 1
   end
 
 let on_invoke t ~pid ~obj_id =
   if pid >= 0 && pid < t.n then begin
-    t.invokes.(pid) <- t.invokes.(pid) + 1;
+    let i = (pid * row_width) + col_invokes in
+    t.counts.(i) <- t.counts.(i) + 1;
     Span.on_invoke t.spans ~obj_id
   end
 
 let on_respond t ~step ~pid ~layer ~obj_id ~invoked ~overlapped ~result =
   if pid >= 0 && pid < t.n then begin
-    t.responds.(pid) <- t.responds.(pid) + 1;
+    let row = pid * row_width in
+    let counts = t.counts in
+    counts.(row + col_responds) <- counts.(row + col_responds) + 1;
     let aborted =
       match result with
       | Value.Abort ->
-        t.aborts.(pid) <- t.aborts.(pid) + 1;
+        counts.(row + col_aborts) <- counts.(row + col_aborts) + 1;
         true
       | Value.Fail ->
-        t.fails.(pid) <- t.fails.(pid) + 1;
+        counts.(row + col_fails) <- counts.(row + col_fails) + 1;
         false
       | _ -> false
     in
@@ -238,7 +246,7 @@ let on_respond t ~step ~pid ~layer ~obj_id ~invoked ~overlapped ~result =
 
 let on_signal t ~step ~pid signal =
   match signal with
-  | Sink.Abort_decision _ ->
+  | Sink.Abort_decision ->
     t.register_abort_decisions <- t.register_abort_decisions + 1
   | Sink.Leader_view { leader } ->
     if pid >= 0 && pid < t.n then
@@ -305,6 +313,7 @@ let attach ?window ?retain rt =
 
 let emit_every t ~every ?(extra = fun ~window:_ -> []) emit =
   if every < 1 then invalid_arg "Collector.emit_every: every must be positive";
+  t.stream_due <- every;
   t.stream <-
     Some
       {
@@ -332,7 +341,8 @@ let stream_flush t =
         s.st_window <- s.st_window + 1
       done
     end;
-    t.stream <- None
+    t.stream <- None;
+    t.stream_due <- max_int
 
 (* --- merging -------------------------------------------------------------- *)
 
@@ -394,20 +404,13 @@ let merge a b =
     window = a.window;
     retain = a.retain;
     stream = None;
+    stream_due = max_int;
     spans = Span.merge a.spans b.spans;
     app_ops = Series.merge a.app_ops b.app_ops;
-    steps_per_pid = sum_arrays a.steps_per_pid b.steps_per_pid;
-    steps_by_layer =
-      Array.init a.n (fun pid ->
-          Array.init Sink.n_layers (fun l ->
-              a.steps_by_layer.(pid).(l) + b.steps_by_layer.(pid).(l)));
+    counts = Array.mapi (fun i v -> v + b.counts.(i)) a.counts;
     idle_steps = a.idle_steps + b.idle_steps;
     total_steps = a.total_steps + b.total_steps;
     last_step = Int.max a.last_step b.last_step;
-    invokes = sum_arrays a.invokes b.invokes;
-    responds = sum_arrays a.responds b.responds;
-    aborts = sum_arrays a.aborts b.aborts;
-    fails = sum_arrays a.fails b.fails;
     app_completed = sum_arrays a.app_completed b.app_completed;
     register_abort_decisions =
       a.register_abort_decisions + b.register_abort_decisions;
@@ -440,10 +443,20 @@ let spans t = t.spans
 let app_ops t = t.app_ops
 let total_steps t = t.total_steps
 let idle_steps t = t.idle_steps
-let steps_per_pid t = Array.copy t.steps_per_pid
-let layer_steps t ~pid layer = t.steps_by_layer.(pid).(Sink.layer_index layer)
+let count t ~pid col = t.counts.((pid * row_width) + col)
+let column t col = Array.init t.n (fun pid -> count t ~pid col)
+let layer_steps t ~pid layer = count t ~pid (Sink.layer_index layer)
+
+let pid_steps t pid =
+  let sum = ref 0 in
+  for l = 0 to Sink.n_layers - 1 do
+    sum := !sum + count t ~pid l
+  done;
+  !sum
+
+let steps_per_pid t = Array.init t.n (pid_steps t)
 let app_completed t = Array.copy t.app_completed
-let aborts t = Array.copy t.aborts
+let aborts t = column t col_aborts
 let leader_epochs t = t.epochs
 let leader_changes t = Array.copy t.leader_changes
 let handoffs t = List.rev t.handoffs
@@ -492,7 +505,7 @@ let snapshot t =
           [
             "total", Json.Int t.total_steps;
             "idle", Json.Int t.idle_steps;
-            "per_pid", int_array t.steps_per_pid;
+            "per_pid", int_array (steps_per_pid t);
             ( "attribution",
               Json.Arr
                 (List.init t.n (fun pid ->
@@ -507,10 +520,10 @@ let snapshot t =
       ( "ops",
         Json.Obj
           [
-            "invokes", int_array t.invokes;
-            "responds", int_array t.responds;
-            "aborts", int_array t.aborts;
-            "fails", int_array t.fails;
+            "invokes", int_array (column t col_invokes);
+            "responds", int_array (column t col_responds);
+            "aborts", int_array (column t col_aborts);
+            "fails", int_array (column t col_fails);
             "app_completed", int_array t.app_completed;
             "register_abort_decisions", Json.Int t.register_abort_decisions;
           ] );
@@ -564,11 +577,11 @@ let pp_summary fmt t =
   Fmt.pf fmt "%-4s %9s %9s %9s %9s %9s %9s %9s@." "pid" "steps" "app" "omega"
     "monitor" "invokes" "aborts" "app-ops";
   for pid = 0 to t.n - 1 do
-    Fmt.pf fmt "p%-3d %9d %9d %9d %9d %9d %9d %9d@." pid t.steps_per_pid.(pid)
+    Fmt.pf fmt "p%-3d %9d %9d %9d %9d %9d %9d %9d@." pid (pid_steps t pid)
       (layer_steps t ~pid Sink.App)
       (layer_steps t ~pid Sink.Omega)
       (layer_steps t ~pid Sink.Monitor)
-      t.invokes.(pid) t.aborts.(pid) t.app_completed.(pid)
+      (count t ~pid col_invokes) (count t ~pid col_aborts) t.app_completed.(pid)
   done;
   Fmt.pf fmt "app latency  %a@." Quantile.pp_log2 (Span.tail_of t.spans Sink.App);
   Fmt.pf fmt "leader       %d epochs, view changes per pid %a@." t.epochs

@@ -51,18 +51,25 @@ let bucket_hi i =
 
 let get buckets i = if i < Array.length buckets then buckets.(i) else 0
 
+let grow t b =
+  let len = Array.length t.buckets in
+  let buckets = Array.make (Int.min n_buckets (Int.max (2 * len) (b + 1))) 0 in
+  Array.blit t.buckets 0 buckets 0 len;
+  t.buckets <- buckets
+
+(* [bucket_of] of every value below [small], read instead of computed:
+   span latencies and abort streaks almost always are, and [bucket_of]
+   runs a log₂ loop, most of an observation's cost. *)
+let small = 1024
+let small_buckets = Array.init small bucket_of
+
 let observe t v =
   let v = Int.max v 0 in
   t.count <- t.count + 1;
   t.sum <- t.sum + v;
   if v > t.max then t.max <- v;
-  let b = bucket_of v in
-  let len = Array.length t.buckets in
-  if b >= len then begin
-    let buckets = Array.make (Int.min n_buckets (Int.max (2 * len) (b + 1))) 0 in
-    Array.blit t.buckets 0 buckets 0 len;
-    t.buckets <- buckets
-  end;
+  let b = if v < small then small_buckets.(v) else bucket_of v in
+  if b >= Array.length t.buckets then grow t b;
   t.buckets.(b) <- t.buckets.(b) + 1
 
 let count t = t.count

@@ -15,14 +15,14 @@ type t = {
   n : int;
   latency : Quantile.t array;  (* indexed by Sink.layer_index *)
   (* obj_id is the runtime's dense sequential object id, so the
-     per-object in-flight state lives in flat arrays grown on demand —
-     this is the sink's hot path (two updates per register operation)
-     and a hash table here costs an allocation per call. *)
-  mutable open_count : int array;  (* obj_id -> in-flight spans *)
-  mutable in_window : bool array;  (* obj_id -> contention window open *)
+     per-object in-flight state lives in one flat array grown on demand
+     — this is the sink's hot path (two updates per register operation)
+     and a hash table here costs an allocation per call. Each cell packs
+     the object's in-flight count, doubled, with its contention-window
+     bit: [2 * opens + window]. *)
+  mutable objs : int array;
   abort_streak : int array;  (* per pid, current run of Abort results *)
   streaks : Quantile.t;  (* lengths of completed abort streaks *)
-  mutable completed : int;
   mutable contended_spans : int;
   mutable contention_windows : int;
 }
@@ -33,45 +33,42 @@ let create ~n =
   {
     n;
     latency = Array.init Sink.n_layers (fun _ -> Quantile.create ());
-    open_count = Array.make initial_objs 0;
-    in_window = Array.make initial_objs false;
+    objs = Array.make initial_objs 0;
     abort_streak = Array.make n 0;
     streaks = Quantile.create ();
-    completed = 0;
     contended_spans = 0;
     contention_windows = 0;
   }
 
-let grown a cap fill =
-  let b = Array.make cap fill in
-  Array.blit a 0 b 0 (Array.length a);
-  b
-
 let ensure_obj t obj_id =
-  if obj_id >= Array.length t.open_count then begin
-    let cap = Int.max (2 * Array.length t.open_count) (obj_id + 1) in
-    t.open_count <- grown t.open_count cap 0;
-    t.in_window <- grown t.in_window cap false
+  if obj_id >= Array.length t.objs then begin
+    let cap = Int.max (2 * Array.length t.objs) (obj_id + 1) in
+    let objs = Array.make cap 0 in
+    Array.blit t.objs 0 objs 0 (Array.length t.objs);
+    t.objs <- objs
   end
 
+(* A second operation in flight opens the window if it is not open yet:
+   the cell reaches 4 or more with its window bit clear. *)
 let on_invoke t ~obj_id =
   ensure_obj t obj_id;
-  let opens = t.open_count.(obj_id) + 1 in
-  t.open_count.(obj_id) <- opens;
-  if opens >= 2 && not t.in_window.(obj_id) then begin
-    t.in_window.(obj_id) <- true;
+  let cell = t.objs.(obj_id) + 2 in
+  if cell >= 4 && cell land 1 = 0 then begin
+    t.objs.(obj_id) <- cell lor 1;
     t.contention_windows <- t.contention_windows + 1
   end
+  else t.objs.(obj_id) <- cell
 
 let on_respond t ~pid ~layer ~obj_id ~step ~invoked ~overlapped ~aborted =
   if pid >= 0 && pid < t.n then begin
-    t.completed <- t.completed + 1;
     Quantile.observe t.latency.(Sink.layer_index layer) (step - invoked);
     if overlapped then t.contended_spans <- t.contended_spans + 1;
     ensure_obj t obj_id;
-    let opens = Int.max 0 (t.open_count.(obj_id) - 1) in
-    t.open_count.(obj_id) <- opens;
-    if opens = 0 then t.in_window.(obj_id) <- false;
+    (* The last one out closes the window: a cell below 4 holds at most
+       one operation, which is this one (a tracer attached mid-run may
+       see a response with none counted). *)
+    let cell = t.objs.(obj_id) in
+    t.objs.(obj_id) <- (if cell < 4 then 0 else cell - 2);
     if aborted then t.abort_streak.(pid) <- t.abort_streak.(pid) + 1
     else if t.abort_streak.(pid) > 0 then begin
       Quantile.observe t.streaks t.abort_streak.(pid);
@@ -90,22 +87,22 @@ let merge a b =
     n = a.n;
     latency =
       Array.init Sink.n_layers (fun i -> Quantile.merge a.latency.(i) b.latency.(i));
-    open_count = Array.make initial_objs 0;
-    in_window = Array.make initial_objs false;
+    objs = Array.make initial_objs 0;
     abort_streak = Array.make a.n 0;
     streaks = Quantile.merge a.streaks b.streaks;
-    completed = a.completed + b.completed;
     contended_spans = a.contended_spans + b.contended_spans;
     contention_windows = a.contention_windows + b.contention_windows;
   }
 
 let tail_of t layer = t.latency.(Sink.layer_index layer)
-let completed t = t.completed
+(* Every closed span is observed once into its layer's sketch. *)
+let completed t =
+  Array.fold_left (fun acc q -> acc + Quantile.count q) 0 t.latency
 
 let to_json t =
   Json.Obj
     [
-      "completed", Json.Int t.completed;
+      "completed", Json.Int (completed t);
       ( "latency",
         Json.Obj
           (List.map

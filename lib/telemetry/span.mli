@@ -40,6 +40,7 @@ val on_respond :
     observed) at the first non-aborted response. *)
 
 val completed : t -> int
+(** Spans closed so far: the sum of the per-layer sketches' counts. *)
 
 val tail_of : t -> Sink.layer -> Quantile.t
 (** The layer's completion-time sketch. {!to_json} renders it twice:

@@ -338,6 +338,58 @@ let qcheck_online_matches_check =
         && Degradation.Online.verdict online = verdict
       | exception Invalid_argument _ -> len <= prediction.pred_from)
 
+(* [Cell_runner.run] arms the checker's step hook only at the tail
+   boundary and feeds it signals from the start. A checker armed at any
+   step up to [pred_from] must decide what one fed the whole stream
+   decides, and what the post-hoc check decides wherever that one has a
+   tail to judge. The streams are those of the property above, with up
+   to 6 processes. *)
+let qcheck_armed_matches_whole_stream =
+  QCheck.Test.make ~name:"tail-armed checker equals whole stream"
+    ~count:2_000
+    QCheck.(int_range 0 1_000_000_000)
+    (fun seed ->
+      let g = Rng.create (Int64.of_int seed) in
+      let n = 1 + Rng.int g 6 in
+      let len = Rng.int g 80 in
+      let prediction =
+        {
+          Degradation.pred_n = n;
+          pred_timely = List.filter (fun _ -> Rng.int g 4 > 0) (List.init n Fun.id);
+          pred_from = Rng.int g (len + 6);
+          pred_bound = Rng.int g 11 - 2;
+          pred_emergent = None;
+        }
+      in
+      let arm = Rng.int g (prediction.pred_from + 1) in
+      let trace = Trace.create () in
+      let whole = Degradation.Online.create prediction in
+      let armed = Degradation.Online.create prediction in
+      let before = Array.make n 0 and after = Array.make n 0 in
+      for step = 0 to len - 1 do
+        let pid = Rng.int g (n + 3) - 1 in
+        Trace.record_step trace ~pid;
+        Degradation.Online.on_step whole ~step ~pid;
+        if step >= arm then Degradation.Online.on_step armed ~step ~pid;
+        if pid >= 0 && Rng.int g 3 = 0 then begin
+          Degradation.Online.on_signal whole ~step ~pid Sink.Op_complete;
+          Degradation.Online.on_signal armed ~step ~pid Sink.Op_complete;
+          if pid < n then begin
+            after.(pid) <- after.(pid) + 1;
+            if step < prediction.pred_from then before.(pid) <- before.(pid) + 1
+          end
+        end
+      done;
+      let verdict = Degradation.Online.verdict armed in
+      verdict = Degradation.Online.verdict whole
+      &&
+      match
+        Degradation.check ~prediction ~trace ~completed_before:before
+          ~completed_after:after ()
+      with
+      | posthoc -> verdict = posthoc
+      | exception Invalid_argument _ -> len <= prediction.pred_from)
+
 let () =
   Alcotest.run "check"
     [
@@ -368,5 +420,6 @@ let () =
             test_degradation_refuses_unrecorded_trace;
           QCheck_alcotest.to_alcotest qcheck_floor_matches_two_clamps;
           QCheck_alcotest.to_alcotest qcheck_online_matches_check;
+          QCheck_alcotest.to_alcotest qcheck_armed_matches_whole_stream;
         ] );
     ]

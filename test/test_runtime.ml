@@ -937,6 +937,56 @@ let test_client_machine_allocation_guard () =
     (completed > 20_000);
   Alcotest.(check (float 0.0)) "words a call step allocates" 35.0 calling
 
+(* Minor-heap words per step of a two-process run, with [observed] as a
+   cell's tail is observed: a collector, then an online checker whose tail
+   starts at step 0, so its step hook is armed from the first step. With
+   [idle], nobody is runnable until a far-future join, so every step is an
+   idle tick; otherwise both processes are parked on a false condition,
+   so every step is a pid's step and the checker flushes its gap row. *)
+let observed_words_per_step ~observed ~idle =
+  let rt = Runtime.create ~n:2 () in
+  (if idle then Runtime.spawn_at rt ~pid:0 ~at:1_000_000_000 ~name:"join" spin
+   else
+     for pid = 0 to 1 do
+       Runtime.spawn rt ~pid ~name:"parked" (fun () ->
+           Runtime.park (fun () -> false))
+     done);
+  if observed then begin
+    let _ : Tbwf_telemetry.Collector.t = Tbwf_telemetry.Collector.attach rt in
+    let online =
+      Tbwf_check.Degradation.Online.create
+        {
+          Tbwf_check.Degradation.pred_n = 2;
+          pred_timely = [ 0; 1 ];
+          pred_from = 0;
+          pred_bound = 4;
+          pred_emergent = None;
+        }
+    in
+    Runtime.set_sink rt
+      (Sink.tee (Runtime.sink rt) (Tbwf_check.Degradation.Online.sink online))
+  end;
+  let policy = Policy.round_robin () in
+  Runtime.run rt ~policy ~steps:100;
+  let steps = 20_000 in
+  let before = Gc.minor_words () in
+  Runtime.run rt ~policy ~steps;
+  let words = Gc.minor_words () -. before in
+  Runtime.stop rt;
+  words /. float_of_int steps
+
+let test_observed_step_allocation_guard () =
+  (* The collector's step count, the checker's gap row and the tee
+     between them write ints into arrays allocated up front; the
+     checker's tail snapshot is taken at step 0, in the warm-up. Pinned as
+     a difference for the idle tick, whose [Runtime.run] allocates a few
+     words per call however many steps it idles. *)
+  Alcotest.(check (float 0.0)) "words observing adds to an idle step"
+    (observed_words_per_step ~observed:false ~idle:true)
+    (observed_words_per_step ~observed:true ~idle:true);
+  Alcotest.(check (float 0.0)) "words an observed parked step allocates" 0.0
+    (observed_words_per_step ~observed:true ~idle:false)
+
 (* Random programs: 2–4 processes, each calling 1–3 shared objects or
    yielding, some crashing mid-run; a final [stop] drops the calls still
    in flight. *)
@@ -1111,6 +1161,8 @@ let () =
             test_omega_machine_allocation_guard;
           Alcotest.test_case "client machine allocation guard" `Quick
             test_client_machine_allocation_guard;
+          Alcotest.test_case "observed step allocation guard" `Quick
+            test_observed_step_allocation_guard;
           QCheck_alcotest.to_alcotest qcheck_overlap_matches_trace;
         ] );
       ( "park",

@@ -605,6 +605,143 @@ let test_span_programs_cover_cases () =
       "two calls of one pid in flight on one object"; "a contended span";
       "a closed abort streak" ]
 
+(* The tracer as it was before its per-object state was packed into one
+   int per object and [completed] became the sum of the latency counts:
+   a verbatim copy, kept as the reference the packed tracer must match
+   on any event stream, including responds with nothing in flight (a
+   tracer attached mid-run) and pids out of range. *)
+module Array_span = struct
+  type t = {
+    n : int;
+    latency : Quantile.t array;
+    mutable open_count : int array;
+    mutable in_window : bool array;
+    abort_streak : int array;
+    streaks : Quantile.t;
+    mutable completed : int;
+    mutable contended_spans : int;
+    mutable contention_windows : int;
+  }
+
+  let initial_objs = 64
+
+  let create ~n =
+    {
+      n;
+      latency = Array.init Sink.n_layers (fun _ -> Quantile.create ());
+      open_count = Array.make initial_objs 0;
+      in_window = Array.make initial_objs false;
+      abort_streak = Array.make n 0;
+      streaks = Quantile.create ();
+      completed = 0;
+      contended_spans = 0;
+      contention_windows = 0;
+    }
+
+  let grown a cap fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  let ensure_obj t obj_id =
+    if obj_id >= Array.length t.open_count then begin
+      let cap = Int.max (2 * Array.length t.open_count) (obj_id + 1) in
+      t.open_count <- grown t.open_count cap 0;
+      t.in_window <- grown t.in_window cap false
+    end
+
+  let on_invoke t ~obj_id =
+    ensure_obj t obj_id;
+    let opens = t.open_count.(obj_id) + 1 in
+    t.open_count.(obj_id) <- opens;
+    if opens >= 2 && not t.in_window.(obj_id) then begin
+      t.in_window.(obj_id) <- true;
+      t.contention_windows <- t.contention_windows + 1
+    end
+
+  let on_respond t ~pid ~layer ~obj_id ~step ~invoked ~overlapped ~aborted =
+    if pid >= 0 && pid < t.n then begin
+      t.completed <- t.completed + 1;
+      Quantile.observe t.latency.(Sink.layer_index layer) (step - invoked);
+      if overlapped then t.contended_spans <- t.contended_spans + 1;
+      ensure_obj t obj_id;
+      let opens = Int.max 0 (t.open_count.(obj_id) - 1) in
+      t.open_count.(obj_id) <- opens;
+      if opens = 0 then t.in_window.(obj_id) <- false;
+      if aborted then t.abort_streak.(pid) <- t.abort_streak.(pid) + 1
+      else if t.abort_streak.(pid) > 0 then begin
+        Quantile.observe t.streaks t.abort_streak.(pid);
+        t.abort_streak.(pid) <- 0
+      end
+    end
+
+  let to_json t =
+    let tail_of layer = t.latency.(Sink.layer_index layer) in
+    Json.Obj
+      [
+        "completed", Json.Int t.completed;
+        ( "latency",
+          Json.Obj
+            (List.map
+               (fun layer ->
+                 Sink.layer_name layer, Quantile.log2_json (tail_of layer))
+               Sink.layers) );
+        ( "tails",
+          Json.Obj
+            (List.map
+               (fun layer -> Sink.layer_name layer, Quantile.to_json (tail_of layer))
+               Sink.layers) );
+        "abort_streaks", Quantile.log2_json t.streaks;
+        ( "open_abort_streaks",
+          Json.Arr (Array.to_list t.abort_streak |> List.map (fun s -> Json.Int s))
+        );
+        ( "contention",
+          Json.Obj
+            [
+              "windows", Json.Int t.contention_windows;
+              "contended_spans", Json.Int t.contended_spans;
+            ] );
+      ]
+end
+
+(* Random invoke/respond streams over 1–4 objects (now and then one past
+   the initial 64 slots), with pids from -1 to n, every layer, latencies
+   0–40 with small ones common, random overlap flags and frequent aborts,
+   so windows open and close, streaks run and close, and responds arrive
+   with nothing in flight. *)
+let qcheck_span_matches_array_tracker =
+  QCheck.Test.make ~name:"packed span equals array tracker" ~count:500
+    QCheck.(int_range 0 1_000_000_000)
+    (fun seed ->
+      let g = Rng.create (Int64.of_int seed) in
+      let n = 1 + Rng.int g 3 in
+      let objs = 1 + Rng.int g 4 in
+      let packed = Span.create ~n and reference = Array_span.create ~n in
+      let layers = Array.of_list Sink.layers in
+      for step = 0 to Rng.int g 300 do
+        let obj_id = if Rng.int g 50 = 0 then 64 + Rng.int g 200 else Rng.int g objs in
+        if Rng.int g 2 = 0 then begin
+          Span.on_invoke packed ~obj_id;
+          Array_span.on_invoke reference ~obj_id
+        end
+        else begin
+          let pid = Rng.int g (n + 2) - 1 in
+          let layer = layers.(Rng.int g (Array.length layers)) in
+          let latency = if Rng.int g 3 = 0 then Rng.int g 41 else Rng.int g 16 in
+          let overlapped = Rng.int g 3 = 0 and aborted = Rng.int g 2 = 0 in
+          let invoked = step - latency in
+          Span.on_respond packed ~pid ~layer ~obj_id ~step ~invoked ~overlapped
+            ~aborted;
+          Array_span.on_respond reference ~pid ~layer ~obj_id ~step ~invoked
+            ~overlapped ~aborted
+        end
+      done;
+      let got = Json.to_string (Span.to_json packed)
+      and want = Json.to_string (Array_span.to_json reference) in
+      (Span.completed packed = reference.Array_span.completed
+      && String.equal got want)
+      || QCheck.Test.fail_reportf "packed %s@.arrays %s" got want)
+
 (* --- Json ---------------------------------------------------------------- *)
 
 let test_json_printing () =
@@ -983,6 +1120,7 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_span_matches_task_logs;
           Alcotest.test_case "programs cover every case" `Quick
             test_span_programs_cover_cases;
+          QCheck_alcotest.to_alcotest qcheck_span_matches_array_tracker;
         ] );
       ( "json",
         [
