@@ -38,20 +38,7 @@ let set_status rt t s =
     t.status := s
   end
 
-(* Figure 2, top: code for the monitored process q. *)
-let monitored_loop t =
-  let hb_counter = ref 0 in
-  while true do
-    t.hb.Reg.write (-1);
-    Runtime.await (fun () -> !(t.active_for));
-    while !(t.active_for) do
-      incr hb_counter;
-      t.hb.Reg.write !hb_counter
-    done
-  done
-
-(* Figure 2, bottom: the monitoring process p's local variables, which
-   both forms of its loop share. *)
+(* Figure 2, bottom: the monitoring process p's local variables. *)
 type watch = {
   mutable hb_timeout : int;
   mutable hb_timer : int;
@@ -107,99 +94,88 @@ let judge ~adapt ~increment_guards rt t w hb =
     w.hb_timeout <- adapt w.hb_timeout
   end
 
-(* Figure 2, bottom: code for the monitoring process p. *)
-let monitoring_loop ~adapt ~increment_guards rt t =
-  let w = new_watch () in
-  (* Park, not await: the step that starts the wait already ticked. *)
-  let expired () = (not !(t.monitoring)) || tick w in
-  while true do
-    t.status := Unknown;
-    Runtime.await (fun () -> !(t.monitoring));
-    w.hb_timer <- w.hb_timeout;
-    while !(t.monitoring) do
-      if not (tick w) then Runtime.park expired;
-      (* Still monitoring here means the timer ran out. *)
-      if !(t.monitoring) then begin
-        restart w;
-        judge ~adapt ~increment_guards rt t w (t.hb.Reg.read ())
-      end
-    done
-  done
-
 (* Figure 2, top, as a step machine: one call of [heartbeat_step] is one
-   step of [monitored_loop], issuing the same operations on the same steps.
-   pc 0: write the −1 sentinel; 1: sentinel written, waiting for
-   [active_for]; 2: a beat was written, keep beating while active. *)
-let heartbeat_machine t obj : Runtime.machine =
-  let reset_op = Value.write_op (t.hb.Reg.enc (-1)) in
+   step of the monitored process's loop, and the heartbeat writes run
+   through the register's port, so a write that takes many steps (a
+   quorum round) keeps the loop where it is. pc 0: write the −1 sentinel;
+   1: sentinel written, waiting for [active_for]; 2: a beat was written,
+   keep beating while active. *)
+let heartbeat_machine t : Runtime.machine =
+  let slot = Reg.Port.slot [ t.hb.Reg.port ] in
+  let write = Reg.Port.writer slot t.hb.Reg.port in
+  let reset = t.hb.Reg.enc (-1) in
   let hb_counter = ref 0 in
   let pc = ref 0 in
   let rec heartbeat_step v =
-    match !pc with
-    | 0 ->
-      pc := 1;
-      Runtime.M_call (obj, reset_op)
-    | 1 ->
-      if !(t.active_for) then begin
-        incr hb_counter;
-        pc := 2;
-        Runtime.M_call (obj, Value.write_op (Value.Int !hb_counter))
-      end
-      else Runtime.M_yield
-    | 2 ->
-      if !(t.active_for) then begin
-        incr hb_counter;
-        Runtime.M_call (obj, Value.write_op (Value.Int !hb_counter))
-      end
-      else begin
-        pc := 0;
-        heartbeat_step v
-      end
-    | _ -> assert false
+    if slot.Reg.Port.busy then Reg.Port.resume slot v
+    else
+      match !pc with
+      | 0 ->
+        pc := 1;
+        write reset
+      | 1 ->
+        if !(t.active_for) then begin
+          incr hb_counter;
+          pc := 2;
+          write (Value.Int !hb_counter)
+        end
+        else Runtime.M_yield
+      | 2 ->
+        if !(t.active_for) then begin
+          incr hb_counter;
+          write (Value.Int !hb_counter)
+        end
+        else begin
+          pc := 0;
+          heartbeat_step v
+        end
+      | _ -> assert false
   in
-  heartbeat_step
+  Reg.Port.machine slot heartbeat_step
 
-(* Figure 2, bottom, as a step machine mirroring [monitoring_loop]. pc 0:
-   outer-loop top (status reset); 1: waiting for [monitoring]; 2: timer
-   tick; 3: a heartbeat read returned [v]. *)
-let watcher_machine ~adapt ~increment_guards rt t obj : Runtime.machine =
+(* Figure 2, bottom, as a step machine. pc 0: outer-loop top (status
+   reset); 1: waiting for [monitoring]; 2: timer tick; 3: a heartbeat read
+   returned [v]. The timer's wait ticks once per step, and the step that
+   starts it has already ticked. *)
+let watcher_machine ~adapt ~increment_guards rt t : Runtime.machine =
+  let slot = Reg.Port.slot [ t.hb.Reg.port ] in
+  let read = Reg.Port.reader slot t.hb.Reg.port in
   let w = new_watch () in
   let pc = ref 0 in
   let rec watcher_step v =
-    match !pc with
-    | 0 ->
-      t.status := Unknown;
-      pc := 1;
-      watcher_step v
-    | 1 ->
-      if !(t.monitoring) then begin
-        w.hb_timer <- w.hb_timeout;
+    if slot.Reg.Port.busy then Reg.Port.resume slot v
+    else
+      match !pc with
+      | 0 ->
+        t.status := Unknown;
+        pc := 1;
+        watcher_step v
+      | 1 ->
+        if !(t.monitoring) then begin
+          w.hb_timer <- w.hb_timeout;
+          pc := 2;
+          watcher_step v
+        end
+        else Runtime.M_yield
+      | 2 ->
+        if not !(t.monitoring) then begin
+          pc := 0;
+          watcher_step v
+        end
+        else if tick w then begin
+          restart w;
+          pc := 3;
+          read ()
+        end
+        else Runtime.M_yield
+      | 3 ->
+        judge ~adapt ~increment_guards rt t w (t.hb.Reg.dec v);
         pc := 2;
-        watcher_step v
-      end
-      else Runtime.M_yield
-    | 2 ->
-      if not !(t.monitoring) then begin
-        pc := 0;
-        watcher_step v
-      end
-      else if tick w then begin
-        restart w;
-        pc := 3;
-        Runtime.M_call (obj, Value.read_op)
-      end
-      else Runtime.M_yield
-    | 3 ->
-      judge ~adapt ~increment_guards rt t w (t.hb.Reg.dec v);
-      pc := 2;
-      watcher_step Value.Unit
-    | _ -> assert false
+        watcher_step Value.Unit
+      | _ -> assert false
   in
-  watcher_step
+  Reg.Port.machine slot watcher_step
 
-(* A shared-memory register answers each operation in one step, so both
-   loops run as step machines; a quorum register's operation takes many
-   steps of message exchange, so over message passing they stay fibers. *)
 let install ?(adapt = succ) ?(increment_guards = true) ?factory rt ~p ~q =
   if p = q then invalid_arg "Activity_monitor.install: p = q";
   let factory =
@@ -222,19 +198,12 @@ let install ?(adapt = succ) ?(increment_guards = true) ?factory rt ~p ~q =
       hb;
     }
   in
-  let hb_name = "amon-hb[" ^ string_of_int q ^ "->" ^ string_of_int p ^ "]" in
-  let watch_name = "amon-watch[" ^ string_of_int p ^ "<-" ^ string_of_int q ^ "]" in
-  (match hb.Reg.obj with
-  | Some obj ->
-    Runtime.spawn_machine ~layer:Sink.Monitor rt ~pid:q ~name:hb_name
-      (heartbeat_machine t obj);
-    Runtime.spawn_machine ~layer:Sink.Monitor rt ~pid:p ~name:watch_name
-      (watcher_machine ~adapt ~increment_guards rt t obj)
-  | None ->
-    Runtime.spawn ~layer:Sink.Monitor rt ~pid:q ~name:hb_name (fun () ->
-        monitored_loop t);
-    Runtime.spawn ~layer:Sink.Monitor rt ~pid:p ~name:watch_name (fun () ->
-        monitoring_loop ~adapt ~increment_guards rt t));
+  Runtime.spawn_machine ~layer:Sink.Monitor rt ~pid:q
+    ~name:("amon-hb[" ^ string_of_int q ^ "->" ^ string_of_int p ^ "]")
+    (heartbeat_machine t);
+  Runtime.spawn_machine ~layer:Sink.Monitor rt ~pid:p
+    ~name:("amon-watch[" ^ string_of_int p ^ "<-" ^ string_of_int q ^ "]")
+    (watcher_machine ~adapt ~increment_guards rt t);
   t
 
 type sample = { at_step : int; status_now : status; fault_cntr_now : int }

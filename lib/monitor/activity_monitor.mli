@@ -47,8 +47,7 @@ val install :
     monitored-side loop on process [q] and the monitoring-side loop on
     process [p]. Both inputs start off, [status] starts at [Unknown] and
     [fault_cntr] at 0. Requires [p <> q]. [factory] makes the register
-    (default {!Tbwf_registers.Reg.shared_factory}) and so fixes the
-    tasks' form (see below).
+    (default {!Tbwf_registers.Reg.shared_factory}).
 
     [adapt] is how the timeout grows on each suspicion; the default is the
     paper's [succ] (+1). The +1 is load-bearing for Definition 9 property 6:
@@ -65,19 +64,11 @@ val install :
     inactive process is suspected forever, violating Definition 9
     properties 5(b)–(c).
 
-    {b Task forms.} The substrate of the heartbeat register decides how
-    the two loops run; no caller chooses. Over a shared-memory register
-    ([hb.obj = Some _]) every read and write is one call answered at the
-    task's next step, so each loop is compiled into a step machine
-    ({!Tbwf_sim.Runtime.spawn_machine}): an explicit program counter, one
-    transition per step, no fiber to resume. Over a quorum register on
-    message passing ([hb.obj = None]) one read or write is a round of
-    sends and polls spanning many steps, so the loops run as fibers
-    written line by line from Figure 2. Both forms take the same steps
-    and issue the same operations on them, so a run's trace, outputs and
-    {!Tbwf_sim.Sink.Suspicion_flip} signals do not depend on the form
-    (test/test_monitor.ml drives the fibers over shared memory and
-    compares). *)
+    Both loops are step machines ({!Tbwf_sim.Runtime.spawn_machine}) on
+    either substrate: an explicit program counter, one transition per
+    step, each register operation run through the register's
+    {!Tbwf_registers.Reg.Port.t}, whether it is one call or quorum rounds
+    of many. *)
 
 (** {2 Ground-truth property checking — Definition 9}
 

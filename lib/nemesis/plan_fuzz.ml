@@ -66,7 +66,7 @@ let demo_scenario ?(substrate = System.Shared_memory) plan rt _trace =
           ~writer:0 ~reader:1 ~policy
           ~write_effect:(Some Abort_policy.Effect_never)
       in
-      reg.Reg.Abortable.write, reg.Reg.Abortable.peek
+      Reg.Abortable.write reg, reg.Reg.Abortable.peek
   in
   let recorded = ref None in
   Runtime.spawn rt ~pid:0 ~name:"buggy-writer" (fun () ->

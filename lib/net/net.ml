@@ -290,10 +290,10 @@ let fresh_key t ~pid =
   t.keys.(pid) <- k + 1;
   k
 
-let send t ~dst ~key payload =
-  ignore (Runtime.call t.inboxes.(dst) (Value.Pair (Value.Int key, payload)))
-
+let inbox t pid = t.inboxes.(pid)
+let post_op ~key payload = Value.Pair (Value.Int key, payload)
 let poll_all = Value.Int catch_all
+let poll_op ~key = if key = catch_all then poll_all else Value.Int key
 
 let rec deliver f = function
   | [] -> ()
@@ -302,8 +302,10 @@ let rec deliver f = function
     deliver f rest
   | _ -> assert false
 
+let send t ~dst ~key payload =
+  ignore (Runtime.call t.inboxes.(dst) (post_op ~key payload))
+
 let poll t ~key f =
-  let op = if key = catch_all then poll_all else Value.Int key in
-  match Runtime.call t.inboxes.(Runtime.running t.rt) op with
+  match Runtime.call t.inboxes.(Runtime.running t.rt) (poll_op ~key) with
   | Value.List msgs -> deliver f msgs
   | _ -> assert false

@@ -172,3 +172,14 @@ val poll : t -> key:int -> (int -> int -> Tbwf_sim.Value.t -> unit) -> unit
     keys are discarded — replies that straggled in after their operation
     completed. With {!catch_all}, everything due is delivered. One
     shared-object call, two steps. *)
+
+(** {2 Step-machine access}
+
+    A step machine ({!Tbwf_sim.Runtime.spawn_machine}) makes the calls of
+    {!send} and {!poll} itself: [(inbox t dst, post_op ~key payload)] and
+    [(inbox t self, poll_op ~key)]. A poll answers as {!Inbox.poll}
+    does. *)
+
+val inbox : t -> int -> Tbwf_sim.Shared.t
+val post_op : key:int -> Tbwf_sim.Value.t -> Tbwf_sim.Value.t
+val poll_op : key:int -> Tbwf_sim.Value.t

@@ -68,8 +68,8 @@ let send t ~dest =
     if q <> t.me && dest.(q) then begin
       let r1 = Option.get t.mesh.hb1.(t.me).(q) in
       let r2 = Option.get t.mesh.hb2.(t.me).(q) in
-      let (_ : bool) = r1.Reg.Abortable.write beat in
-      let (_ : bool) = r2.Reg.Abortable.write beat in
+      let (_ : bool) = Reg.Abortable.write r1 beat in
+      let (_ : bool) = Reg.Abortable.write r2 beat in
       ()
     end
   done
@@ -104,8 +104,8 @@ let active_set t = t.active_set
 let receive t =
   for q = 0 to t.n - 1 do
     if q <> t.me && due t q then begin
-      let hb1 = (Option.get t.mesh.hb1.(q).(t.me)).Reg.Abortable.read () in
-      let hb2 = (Option.get t.mesh.hb2.(q).(t.me)).Reg.Abortable.read () in
+      let hb1 = Reg.Abortable.read (Option.get t.mesh.hb1.(q).(t.me)) in
+      let hb2 = Reg.Abortable.read (Option.get t.mesh.hb2.(q).(t.me)) in
       judge t q hb1 hb2
     end
   done;

@@ -46,9 +46,9 @@ val receive : t -> bool array
 
 (** {2 One step at a time}
 
-    {!send} and {!receive} are written from these, and Figure 6's step
-    machine ([Omega_abortable]) calls them between its own register
-    operations, so both forms keep one copy of the endpoint's logic. *)
+    Figure 6's step machine ([Omega_abortable]) calls these between its
+    own register operations; {!send} and {!receive} are written from
+    them. *)
 
 val next_beat : t -> int
 (** Bump the send counter and return it: the value {!send} writes to both

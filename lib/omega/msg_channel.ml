@@ -56,7 +56,7 @@ let write_msgs t msg_to =
   for q = 0 to t.n - 1 do
     if q <> t.me && to_write t q msg_to.(q) then
       written t q
-        ((Option.get t.regs.(t.me).(q)).Reg.Abortable.write t.msg_curr.(q))
+        (Reg.Abortable.write (Option.get t.regs.(t.me).(q)) t.msg_curr.(q))
   done;
   t.prev_write_done
 
@@ -79,7 +79,7 @@ let received t q = function
 let read_msgs t =
   for q = 0 to t.n - 1 do
     if q <> t.me && read_due t q then
-      received t q ((Option.get t.regs.(q).(t.me)).Reg.Abortable.read ())
+      received t q (Reg.Abortable.read (Option.get t.regs.(q).(t.me)))
   done;
   t.prev_msg_from
 

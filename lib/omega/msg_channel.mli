@@ -48,9 +48,9 @@ val read_msgs : t -> payload array
 
 (** {2 One step at a time}
 
-    {!write_msgs} and {!read_msgs} are written from these, and Figure 6's
-    step machine ([Omega_abortable]) calls them between its own register
-    operations, so both forms keep one copy of the endpoint's logic. *)
+    Figure 6's step machine ([Omega_abortable]) calls these between its
+    own register operations; {!write_msgs} and {!read_msgs} are written
+    from them. *)
 
 val to_write : t -> int -> payload -> bool
 (** [WriteMsgs] for one [q <> me] and its message [msgTo[q]]: whether q's

@@ -8,7 +8,7 @@ type t = {
 }
 
 (* Figure 6, process p's local variables and its channel and heartbeat
-   endpoints, which both forms of its loop share. *)
+   endpoints. *)
 type local = {
   p : int;
   n : int;
@@ -74,42 +74,21 @@ let merge l msg_from =
     end
   done
 
-(* Figure 6, main code for process p. *)
-let omega_loop rt t p n =
-  let l = new_local t p n in
-  while true do
-    Omega_spec.set_view rt l.handle Omega_spec.No_leader;
-    Runtime.await (fun () -> !(l.handle.Omega_spec.candidate));
-    join l;
-    let continue_loop = ref true in
-    while !continue_loop do
-      Heartbeat.send l.heartbeat ~dest:l.write_done;
-      choose rt l (Heartbeat.receive l.heartbeat);
-      l.write_done <- Msg_channel.write_msgs l.channel l.msg_to;
-      merge l (Msg_channel.read_msgs l.channel);
-      (* One local step per iteration: keeps the loop live in the simulator
-         even on iterations where every adaptive timer skips its register
-         operation. *)
-      Runtime.yield ();
-      continue_loop := !(l.handle.Omega_spec.candidate)
-    done
-  done
-
-(* An abortable read's answer: [None] for ⊥. *)
-let read_result (reg : _ Reg.Abortable.t) v =
-  match v with Value.Abort -> None | v -> Some (reg.Reg.Abortable.dec v)
-
-(* Figure 6 as a step machine, with Figures 4 and 5 run one register
-   operation at a time through the same endpoints: one call of
-   [omega_step] is one step of [omega_loop], issuing the same operations
-   on the same steps. pc 0: loop top (no leader); 1: awaiting candidacy,
-   then joining; 2: inner-loop top, SendHeartbeat begins; 3: its scan at
-   q = [i]; 4: the Hb1 write to [i] returned (the Hb2 write follows); 5:
-   the Hb2 write returned; 6: ReceiveHeartbeat's scan at [i]; 7: the Hb1
-   read from [i] returned (the Hb2 read follows); 8: the Hb2 read returned;
-   9: WriteMsgs' scan at [i]; 10: a message write returned; 11: ReadMsgs'
-   scan at [i]; 12: a message read returned; 13: after the end-of-iteration
-   yield, the candidacy check. *)
+(* Figure 6, main code for process p, as a step machine with Figures 4
+   and 5 run one register operation at a time through the endpoints'
+   one-operation steps: one call of [omega_step] is one step of p's loop.
+   Each operation runs through its register's port, so an operation that
+   takes many steps (a quorum round) keeps the loop where it is, and one
+   that aborts before any message leaves takes none. pc 0: loop top (no
+   leader); 1: awaiting candidacy, then joining; 2: inner-loop top,
+   SendHeartbeat begins; 3: its scan at q = [i]; 4: the Hb1 write to [i]
+   returned (the Hb2 write follows); 5: the Hb2 write returned; 6:
+   ReceiveHeartbeat's scan at [i]; 7: the Hb1 read from [i] returned (the
+   Hb2 read follows); 8: the Hb2 read returned; 9: WriteMsgs' scan at
+   [i]; 10: a message write returned; 11: ReadMsgs' scan at [i]; 12: a
+   message read returned; 13: after the end-of-iteration yield (one local
+   step per iteration, so the loop stays live even when every adaptive
+   timer skips its operation), the candidacy check. *)
 let omega_machine rt t p n : Runtime.machine =
   let l = new_local t p n in
   let hb = l.heartbeat and ch = l.channel in
@@ -117,129 +96,148 @@ let omega_machine rt t p n : Runtime.machine =
   let msg = t.msg_registers in
   (* The register p writes for q, and the one q writes for p. *)
   let to_q m q = Option.get m.(p).(q) and from_q m q = Option.get m.(q).(p) in
-  let obj = Reg.Abortable.obj_exn in
-  (* This round's heartbeat write, and the Hb1 read awaiting its Hb2. *)
+  (* The ports of the registers p writes and reads. *)
+  let ports m =
+    List.concat
+      (List.init n (fun q ->
+           List.filter_map
+             (Option.map (fun (r : _ Reg.Abortable.t) -> r.Reg.Abortable.port))
+             [ m.(p).(q); m.(q).(p) ]))
+  in
+  let slot = Reg.Port.slot (ports hb1 @ ports hb2 @ ports msg) in
+  (* p's operations on each q's register, made once, and a dummy for
+     q = p *)
+  let ops mk reg =
+    Array.init n (fun q ->
+        match reg q with
+        | Some (r : _ Reg.Abortable.t) -> mk slot r.Reg.Abortable.port
+        | None -> fun _ -> assert false)
+  in
+  let hb1_to = ops Reg.Port.writer (fun q -> hb1.(p).(q))
+  and hb2_to = ops Reg.Port.writer (fun q -> hb2.(p).(q))
+  and msg_to = ops Reg.Port.writer (fun q -> msg.(p).(q))
+  and hb1_from = ops Reg.Port.reader (fun q -> hb1.(q).(p))
+  and hb2_from = ops Reg.Port.reader (fun q -> hb2.(q).(p))
+  and msg_from = ops Reg.Port.reader (fun q -> msg.(q).(p)) in
+  (* This round's heartbeat, and the Hb1 read awaiting its Hb2. *)
   let beat = ref Value.Unit in
   let hb1_read = ref None in
   let i = ref 0 in
   let pc = ref 0 in
   let rec omega_step v =
-    match !pc with
-    | 0 ->
-      Omega_spec.set_view rt l.handle Omega_spec.No_leader;
-      pc := 1;
-      omega_step v
-    | 1 ->
-      if !(l.handle.Omega_spec.candidate) then begin
-        join l;
-        pc := 2;
+    if slot.Reg.Port.busy then Reg.Port.resume slot v
+    else
+      match !pc with
+      | 0 ->
+        Omega_spec.set_view rt l.handle Omega_spec.No_leader;
+        pc := 1;
         omega_step v
-      end
-      else Runtime.M_yield
-    | 2 ->
-      beat := Value.write_op (Value.Int (Heartbeat.next_beat hb));
-      i := 0;
-      pc := 3;
-      omega_step v
-    | 3 ->
-      if !i >= n then begin
+      | 1 ->
+        if !(l.handle.Omega_spec.candidate) then begin
+          join l;
+          pc := 2;
+          omega_step v
+        end
+        else Runtime.M_yield
+      | 2 ->
+        beat := Value.Int (Heartbeat.next_beat hb);
         i := 0;
+        pc := 3;
+        omega_step v
+      | 3 ->
+        if !i >= n then begin
+          i := 0;
+          pc := 6;
+          omega_step v
+        end
+        else if !i <> p && l.write_done.(!i) then begin
+          pc := 4;
+          hb1_to.(!i) !beat
+        end
+        else begin
+          incr i;
+          omega_step v
+        end
+      | 4 ->
+        pc := 5;
+        hb2_to.(!i) !beat
+      | 5 ->
+        incr i;
+        pc := 3;
+        omega_step Value.Unit
+      | 6 ->
+        if !i >= n then begin
+          choose rt l (Heartbeat.active_set hb);
+          i := 0;
+          pc := 9;
+          omega_step v
+        end
+        else if !i <> p && Heartbeat.due hb !i then begin
+          pc := 7;
+          hb1_from.(!i) ()
+        end
+        else begin
+          incr i;
+          omega_step v
+        end
+      | 7 ->
+        hb1_read := Reg.Abortable.result (from_q hb1 !i) v;
+        pc := 8;
+        hb2_from.(!i) ()
+      | 8 ->
+        Heartbeat.judge hb !i !hb1_read
+          (Reg.Abortable.result (from_q hb2 !i) v);
+        incr i;
         pc := 6;
-        omega_step v
-      end
-      else if !i <> p && l.write_done.(!i) then begin
-        pc := 4;
-        Runtime.M_call (obj (to_q hb1 !i), !beat)
-      end
-      else begin
+        omega_step Value.Unit
+      | 9 ->
+        if !i >= n then begin
+          l.write_done <- Msg_channel.write_done ch;
+          i := 0;
+          pc := 11;
+          omega_step v
+        end
+        else if !i <> p && Msg_channel.to_write ch !i l.msg_to.(!i) then begin
+          pc := 10;
+          msg_to.(!i)
+            ((to_q msg !i).Reg.Abortable.enc (Msg_channel.message ch !i))
+        end
+        else begin
+          incr i;
+          omega_step v
+        end
+      | 10 ->
+        Msg_channel.written ch !i
+          (match v with Value.Abort -> false | _ -> true);
         incr i;
-        omega_step v
-      end
-    | 4 ->
-      pc := 5;
-      Runtime.M_call (obj (to_q hb2 !i), !beat)
-    | 5 ->
-      incr i;
-      pc := 3;
-      omega_step Value.Unit
-    | 6 ->
-      if !i >= n then begin
-        choose rt l (Heartbeat.active_set hb);
-        i := 0;
         pc := 9;
-        omega_step v
-      end
-      else if !i <> p && Heartbeat.due hb !i then begin
-        pc := 7;
-        Runtime.M_call (obj (from_q hb1 !i), Value.read_op)
-      end
-      else begin
+        omega_step Value.Unit
+      | 11 ->
+        if !i >= n then begin
+          merge l (Msg_channel.msg_from ch);
+          pc := 13;
+          Runtime.M_yield
+        end
+        else if !i <> p && Msg_channel.read_due ch !i then begin
+          pc := 12;
+          msg_from.(!i) ()
+        end
+        else begin
+          incr i;
+          omega_step v
+        end
+      | 12 ->
+        Msg_channel.received ch !i (Reg.Abortable.result (from_q msg !i) v);
         incr i;
-        omega_step v
-      end
-    | 7 ->
-      hb1_read := read_result (from_q hb1 !i) v;
-      pc := 8;
-      Runtime.M_call (obj (from_q hb2 !i), Value.read_op)
-    | 8 ->
-      Heartbeat.judge hb !i !hb1_read (read_result (from_q hb2 !i) v);
-      incr i;
-      pc := 6;
-      omega_step Value.Unit
-    | 9 ->
-      if !i >= n then begin
-        l.write_done <- Msg_channel.write_done ch;
-        i := 0;
         pc := 11;
+        omega_step Value.Unit
+      | 13 ->
+        pc := (if !(l.handle.Omega_spec.candidate) then 2 else 0);
         omega_step v
-      end
-      else if !i <> p && Msg_channel.to_write ch !i l.msg_to.(!i) then begin
-        let reg = to_q msg !i in
-        pc := 10;
-        Runtime.M_call
-          ( obj reg,
-            Value.write_op (reg.Reg.Abortable.enc (Msg_channel.message ch !i))
-          )
-      end
-      else begin
-        incr i;
-        omega_step v
-      end
-    | 10 ->
-      Msg_channel.written ch !i
-        (match v with Value.Abort -> false | _ -> true);
-      incr i;
-      pc := 9;
-      omega_step Value.Unit
-    | 11 ->
-      if !i >= n then begin
-        merge l (Msg_channel.msg_from ch);
-        pc := 13;
-        Runtime.M_yield
-      end
-      else if !i <> p && Msg_channel.read_due ch !i then begin
-        pc := 12;
-        Runtime.M_call (obj (from_q msg !i), Value.read_op)
-      end
-      else begin
-        incr i;
-        omega_step v
-      end
-    | 12 ->
-      Msg_channel.received ch !i (read_result (from_q msg !i) v);
-      incr i;
-      pc := 11;
-      omega_step Value.Unit
-    | 13 ->
-      pc := (if !(l.handle.Omega_spec.candidate) then 2 else 0);
-      omega_step v
-    | _ -> assert false
+      | _ -> assert false
   in
-  omega_step
+  Reg.Port.machine slot omega_step
 
-(* Shared-memory registers answer each operation in one step, so the loop
-   runs as a step machine; a quorum register's operation takes many steps
-   of message exchange, so over message passing it stays a fiber. *)
 let install ?factory ?n rt ~policy ?write_effect () =
   let n = match n with Some n -> n | None -> Runtime.n rt in
   let msg_registers =
@@ -248,20 +246,9 @@ let install ?factory ?n rt ~policy ?write_effect () =
   let hb_mesh = Heartbeat.registers ?factory rt ~policy ?write_effect ~n () in
   let handles = Array.init n (fun pid -> Omega_spec.make_handle ~pid) in
   let t = { handles; msg_registers; hb_mesh } in
-  let shared =
-    Array.for_all
-      (Array.for_all (function
-        | None -> true
-        | Some r -> Option.is_some r.Reg.Abortable.obj))
-      msg_registers
-  in
   for p = 0 to n - 1 do
-    let name = "omega-ab[" ^ string_of_int p ^ "]" in
-    if shared then
-      Runtime.spawn_machine ~layer:Sink.Omega rt ~pid:p ~name
-        (omega_machine rt t p n)
-    else
-      Runtime.spawn ~layer:Sink.Omega rt ~pid:p ~name (fun () ->
-          omega_loop rt t p n)
+    Runtime.spawn_machine ~layer:Sink.Omega rt ~pid:p
+      ~name:("omega-ab[" ^ string_of_int p ^ "]")
+      (omega_machine rt t p n)
   done;
   t

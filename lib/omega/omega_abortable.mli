@@ -37,11 +37,6 @@ val install :
     spawn each process's Ω∆ main task. [policy] governs when concurrent
     register operations abort. [factory] selects the register substrate
     and [n] restricts the election to processes 0..n-1, as in
-    {!Omega_registers.install}.
-
-    {b Task forms.} As in {!Omega_registers.install}, the substrate picks
-    the form: over shared-memory registers ([obj = Some _]) each process's
-    loop is a step machine that runs Figures 4 and 5 one register operation
-    at a time through the same {!Msg_channel} and {!Heartbeat} endpoints
-    the fiber calls; over quorum registers it is the fiber written from
-    Figure 6. Both take the same steps and issue the same operations. *)
+    {!Omega_registers.install}. Each process's loop is a step machine on
+    either substrate that runs Figures 4 and 5 one register operation at a
+    time through the {!Msg_channel} and {!Heartbeat} endpoints' steps. *)

@@ -15,8 +15,7 @@ let monitor t p q = Option.get t.monitors.(p).(q)
 let active_for t p q =
   (Option.get t.monitors.(q).(p)).Activity_monitor.active_for
 
-(* Figure 3, process p's local variables, which both forms of its loop
-   share. *)
+(* Figure 3, process p's local variables. *)
 type local = {
   p : int;
   n : int;
@@ -86,129 +85,107 @@ let elect rt t l =
 (* Line 19: A(p,q) reported a fault since p last punished q. *)
 let faulted l q = l.fault_cntr.(q) > l.max_fault_cntr.(q)
 
-(* Figure 3, main code for process p. *)
-let omega_loop ~self_punishment rt t p n =
-  let l = new_local t p n in
-  let others = List.filter (fun q -> q <> p) (List.init n Fun.id) in
-  while true do
-    withdraw rt t l;
-    Runtime.await (fun () -> !(l.handle.Omega_spec.candidate));
-    enter t l;
-    if self_punishment then begin
-      l.counter.(p) <- t.counters.(p).Reg.read ();
-      t.counters.(p).Reg.write (l.counter.(p) + 1)
-    end;
-    while !(l.handle.Omega_spec.candidate) do
-      (* Consult each activity monitor until it offers an estimate. *)
-      List.iter (fun q -> Runtime.await (fun () -> consult t l q)) others;
-      for q = 0 to n - 1 do
-        l.counter.(q) <- t.counters.(q).Reg.read ()
-      done;
-      elect rt t l;
-      (* Punish processes whose monitor reported new timeliness faults. *)
-      List.iter
-        (fun q ->
-          if faulted l q then begin
-            t.counters.(q).Reg.write (l.counter.(q) + 1);
-            l.max_fault_cntr.(q) <- l.fault_cntr.(q)
-          end)
-        others
-    done
-  done
-
-(* Figure 3 as a step machine: one call of [omega_step] is one step of
-   [omega_loop], issuing the same operations on the same steps. pc 0: loop
-   top (withdraw); 1: awaiting candidacy; 2: the self-punishment read
-   returned; 3: its write returned; 4: inner-loop candidacy check; 5:
-   consulting A(p,q) for q = [i]; 6: the read of counter [i] returned; 7:
-   punishment scan at q = [i]; 8: the punishment write to [i] returned. *)
+(* Figure 3, main code for process p, as a step machine: one call of
+   [omega_step] is one step of p's loop, and the counter operations run
+   through each counter's port, so an operation that takes many steps (a
+   quorum round) keeps the loop where it is. pc 0: loop top (withdraw); 1:
+   awaiting candidacy; 2: the self-punishment read returned; 3: its write
+   returned; 4: inner-loop candidacy check; 5: consulting A(p,q) for q =
+   [i], each until it offers an estimate; 6: the read of counter [i]
+   returned; 7: punishment scan at q = [i]; 8: the punishment write to [i]
+   returned. *)
 let omega_machine ~self_punishment rt t p n : Runtime.machine =
   let l = new_local t p n in
-  let objs = Array.map Reg.obj_exn t.counters in
-  let write q x = Value.write_op (t.counters.(q).Reg.enc x) in
+  let slot =
+    Reg.Port.slot (Array.to_list (Array.map (fun c -> c.Reg.port) t.counters))
+  in
+  let reads = Array.map (fun c -> Reg.Port.reader slot c.Reg.port) t.counters
+  and writes =
+    Array.map (fun c -> Reg.Port.writer slot c.Reg.port) t.counters
+  in
   let i = ref 0 in
   let pc = ref 0 in
   let rec omega_step v =
-    match !pc with
-    | 0 ->
-      withdraw rt t l;
-      pc := 1;
-      omega_step v
-    | 1 ->
-      if !(l.handle.Omega_spec.candidate) then begin
-        enter t l;
-        if self_punishment then begin
-          pc := 2;
-          Runtime.M_call (objs.(p), Value.read_op)
+    if slot.Reg.Port.busy then Reg.Port.resume slot v
+    else
+      match !pc with
+      | 0 ->
+        withdraw rt t l;
+        pc := 1;
+        omega_step v
+      | 1 ->
+        if !(l.handle.Omega_spec.candidate) then begin
+          enter t l;
+          if self_punishment then begin
+            pc := 2;
+            read p
+          end
+          else begin
+            pc := 4;
+            omega_step v
+          end
         end
+        else Runtime.M_yield
+      | 2 ->
+        l.counter.(p) <- t.counters.(p).Reg.dec v;
+        pc := 3;
+        write p (l.counter.(p) + 1)
+      | 3 ->
+        pc := 4;
+        omega_step Value.Unit
+      | 4 ->
+        if !(l.handle.Omega_spec.candidate) then begin
+          i := 0;
+          pc := 5
+        end
+        else pc := 0;
+        omega_step v
+      | 5 ->
+        if !i = p then incr i;
+        if !i >= n then begin
+          i := 0;
+          pc := 6;
+          read 0
+        end
+        else if consult t l !i then begin
+          incr i;
+          omega_step v
+        end
+        else Runtime.M_yield
+      | 6 ->
+        l.counter.(!i) <- t.counters.(!i).Reg.dec v;
+        incr i;
+        if !i < n then read !i
         else begin
+          elect rt t l;
+          i := 0;
+          pc := 7;
+          omega_step Value.Unit
+        end
+      | 7 ->
+        if !i = p then incr i;
+        if !i >= n then begin
           pc := 4;
           omega_step v
         end
-      end
-      else Runtime.M_yield
-    | 2 ->
-      l.counter.(p) <- t.counters.(p).Reg.dec v;
-      pc := 3;
-      Runtime.M_call (objs.(p), write p (l.counter.(p) + 1))
-    | 3 ->
-      pc := 4;
-      omega_step Value.Unit
-    | 4 ->
-      if !(l.handle.Omega_spec.candidate) then begin
-        i := 0;
-        pc := 5
-      end
-      else pc := 0;
-      omega_step v
-    | 5 ->
-      if !i = p then incr i;
-      if !i >= n then begin
-        i := 0;
-        pc := 6;
-        Runtime.M_call (objs.(0), Value.read_op)
-      end
-      else if consult t l !i then begin
+        else if faulted l !i then begin
+          pc := 8;
+          write !i (l.counter.(!i) + 1)
+        end
+        else begin
+          incr i;
+          omega_step v
+        end
+      | 8 ->
+        l.max_fault_cntr.(!i) <- l.fault_cntr.(!i);
         incr i;
-        omega_step v
-      end
-      else Runtime.M_yield
-    | 6 ->
-      l.counter.(!i) <- t.counters.(!i).Reg.dec v;
-      incr i;
-      if !i < n then Runtime.M_call (objs.(!i), Value.read_op)
-      else begin
-        elect rt t l;
-        i := 0;
         pc := 7;
         omega_step Value.Unit
-      end
-    | 7 ->
-      if !i = p then incr i;
-      if !i >= n then begin
-        pc := 4;
-        omega_step v
-      end
-      else if faulted l !i then begin
-        pc := 8;
-        Runtime.M_call (objs.(!i), write !i (l.counter.(!i) + 1))
-      end
-      else begin
-        incr i;
-        omega_step v
-      end
-    | 8 ->
-      l.max_fault_cntr.(!i) <- l.fault_cntr.(!i);
-      incr i;
-      pc := 7;
-      omega_step Value.Unit
-    | _ -> assert false
-  in
-  omega_step
+      | _ -> assert false
+  and read q = reads.(q) ()
+  and write q x = writes.(q) (t.counters.(q).Reg.enc x) in
+  Reg.Port.machine slot omega_step
 
-(* A shared-memory counter answers each operation in one step, so the loop
-   runs as a step machine; a quorum register's operation takes many steps
-   of message exchange, so over message passing it stays a fiber. *)
 let install ?(self_punishment = true) ?factory ?n rt =
   let n = match n with Some n -> n | None -> Runtime.n rt in
   let factory =
@@ -228,14 +205,9 @@ let install ?(self_punishment = true) ?factory ?n rt =
   in
   let handles = Array.init n (fun pid -> Omega_spec.make_handle ~pid) in
   let t = { handles; monitors; counters } in
-  let shared = Array.for_all (fun c -> Option.is_some c.Reg.obj) counters in
   for p = 0 to n - 1 do
-    let name = "omega[" ^ string_of_int p ^ "]" in
-    if shared then
-      Runtime.spawn_machine ~layer:Sink.Omega rt ~pid:p ~name
-        (omega_machine ~self_punishment rt t p n)
-    else
-      Runtime.spawn ~layer:Sink.Omega rt ~pid:p ~name (fun () ->
-          omega_loop ~self_punishment rt t p n)
+    Runtime.spawn_machine ~layer:Sink.Omega rt ~pid:p
+      ~name:("omega[" ^ string_of_int p ^ "]")
+      (omega_machine ~self_punishment rt t p n)
   done;
   t

@@ -43,16 +43,6 @@ val install :
     when the runtime also hosts replica server pids that take no part in
     the election).
 
-    {b Task forms.} The substrate of the counter registers decides how each
-    process's loop runs; no caller chooses. Over shared memory
-    ([counters.(q).obj = Some _]) every read and write is one call answered
-    at the task's next step, so the loop is a step machine
-    ({!Tbwf_sim.Runtime.spawn_machine}): an explicit program counter, one
-    transition per step, no fiber to resume. Over quorum registers
-    ([obj = None]) one operation spans many steps of message exchange, so
-    the loop runs as a fiber written line by line from Figure 3. Both forms
-    take the same steps, issue the same operations on them and share the
-    code between operations, so a run's trace and
-    {!Tbwf_sim.Sink.Leader_view} signals do not depend on the form
-    (test/test_omega.ml drives the fiber over shared memory and compares).
-    The activity monitors pick their form the same way. *)
+    Each process's loop is a step machine on either substrate, its
+    counter operations run through the registers' ports, as the activity
+    monitors' loops are. *)

@@ -42,9 +42,7 @@ val name : _ t -> string
 
 (** {2 Step-machine access}
 
-    As for {!Atomic_reg}: a step machine issues operations on the
-    underlying object directly and decodes results itself ([Value.Abort]
-    marks an aborted operation). *)
+    As for {!Atomic_reg}; [Value.Abort] answers an aborted operation. *)
 
 val shared : _ t -> Tbwf_sim.Shared.t
 val encode : 'a t -> 'a -> Tbwf_sim.Value.t

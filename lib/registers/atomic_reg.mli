@@ -25,14 +25,10 @@ val name : _ t -> string
 
 (** {2 Step-machine access}
 
-    A step machine ({!Tbwf_sim.Runtime.spawn_machine}) performs register
-    operations as raw [M_call] actions instead of going through
-    {!read}/{!write} (which suspend with effects). It needs the underlying
-    object and the codec; {!Reg.atomic} hands them over as [obj], [enc]
-    and [dec]. *)
+    {!Reg.shared_factory} makes the register's port from its object, and
+    its handle's codec from these. *)
 
 val shared : _ t -> Tbwf_sim.Shared.t
-(** The underlying simulated object. *)
 
 val encode : 'a t -> 'a -> Tbwf_sim.Value.t
 val decode : 'a t -> Tbwf_sim.Value.t -> 'a

@@ -22,6 +22,10 @@ module Cluster = struct
     rt : Runtime.t;
     net : Net.t;
     replicas : int;
+    first_replica : int;  (* replica r is pid [first_replica + r] *)
+    majority : int;
+    retransmit_every : int;
+    replica_inboxes : Shared.t array;  (* r -> replica r's inbox *)
     mutable states : rstate array array;  (* rid -> one state per replica *)
     mutable next_rid : int;
   }
@@ -57,22 +61,59 @@ module Cluster = struct
       List [ Str "rqr"; Int rid; Int s.sn; s.v ]
     | _ -> Fail
 
-  let server t ~r () =
-    let reply src key payload =
-      Net.send t.net ~dst:src ~key (process t ~r payload)
-    in
-    while true do
-      Net.poll t.net ~key:Net.catch_all reply
-    done
+  (* Replica [r]'s server, a two-state machine: poll every due message
+     (catch-all), then answer the delivered ones one send per step, each
+     processed at the step its send is issued, and poll again. Only a
+     poll answers with a list. *)
+  type server = {
+    cluster : t;
+    r : int;
+    poll : Runtime.machine_action;
+    mutable delivered : Value.t list;  (* delivered, not yet answered *)
+  }
+
+  let server_step s v =
+    (match v with Value.List msgs -> s.delivered <- msgs | _ -> ());
+    match s.delivered with
+    | Value.Pair (Value.Int src, Value.Pair (Value.Int key, payload)) :: rest ->
+      s.delivered <- rest;
+      Runtime.M_call
+        ( Net.inbox s.cluster.net src,
+          Net.post_op ~key (process s.cluster ~r:s.r payload) )
+    | [] -> s.poll
+    | _ -> assert false
 
   let create rt ~net =
-    let replicas = (Net.config net).Net.replicas in
-    let t = { rt; net; replicas; states = [||]; next_rid = 0 } in
+    let config = Net.config net in
+    let replicas = config.Net.replicas in
+    let t =
+      {
+        rt;
+        net;
+        replicas;
+        first_replica = Net.replica_pid net 0;
+        majority = Net.majority config;
+        retransmit_every = config.Net.retransmit_every;
+        replica_inboxes =
+          Array.init replicas (fun r -> Net.inbox net (Net.replica_pid net r));
+        states = [||];
+        next_rid = 0;
+      }
+    in
     for r = 0 to replicas - 1 do
-      Runtime.spawn ~layer:Sink.Other rt
-        ~pid:(Net.replica_pid net r)
+      let pid = Net.replica_pid net r in
+      let s =
+        {
+          cluster = t;
+          r;
+          poll =
+            Runtime.M_call (Net.inbox net pid, Net.poll_op ~key:Net.catch_all);
+          delivered = [];
+        }
+      in
+      Runtime.spawn_machine ~layer:Sink.Other rt ~pid
         ~name:(Fmt.str "replica[%d]" r)
-        (server t ~r)
+        (fun v -> server_step s v)
     done;
     t
 end
@@ -90,157 +131,241 @@ let alloc (cl : Cluster.t) init =
         { ts = 0; wid = -1; sn = 0; v = init });
   rid
 
-(* Broadcast [request] under a fresh key and block (polling, with
-   retransmission to silent replicas) until a majority of distinct
-   replicas answered with something [decode] accepts. Returns the
-   accepted replies, one slot per replica. *)
-let quorum (cl : Cluster.t) ~request ~decode =
-  let net = cl.Cluster.net in
-  let config = Net.config net in
-  let replicas = config.Net.replicas and majority = Net.majority config in
-  let key = Net.fresh_key net ~pid:(Runtime.running cl.Cluster.rt) in
-  let replies = Array.make replicas None in
-  let count = ref 0 in
-  let broadcast ~missing_only =
-    for r = 0 to replicas - 1 do
-      if (not missing_only) || Option.is_none replies.(r) then
-        Net.send net ~dst:(Net.replica_pid net r) ~key request
-    done
-  in
-  let accept src _key payload =
-    let r = src - Net.n_clients net in
-    if r >= 0 && r < replicas && Option.is_none replies.(r) then
-      match decode payload with
-      | Some x ->
-        replies.(r) <- Some x;
-        incr count
-      | None -> ()
-  in
-  broadcast ~missing_only:false;
-  (* polls left until the next retransmission *)
-  let countdown = ref config.Net.retransmit_every in
-  while !count < majority do
-    Net.poll net ~key accept;
-    decr countdown;
-    if !countdown = 0 then begin
-      countdown := config.Net.retransmit_every;
-      if !count < majority then broadcast ~missing_only:true
-    end
-  done;
-  replies
+(* --- a quorum round as a machine ----------------------------------------- *)
 
-let fold_replies replies ~init ~f =
-  Array.fold_left
-    (fun acc reply -> match reply with Some x -> f acc x | None -> acc)
-    init replies
+(* Replies are lists, so no reply is ever [Unit]. *)
+let no_reply = Value.Unit
+
+(* One caller's quorum round on one register: broadcast the request under
+   a fresh key, one send per step, then poll, retransmitting to the silent
+   replicas every [retransmit_every] polls, until a majority of distinct
+   replicas sent the reply the round waits for. The state lives as long as
+   the caller's port and each round resets it, so a round allocates its
+   request and its poll but no array or closure. *)
+type round = {
+  cl : Cluster.t;
+  rid : int;
+  replies : Value.t array;  (* replica -> its accepted reply, or [no_reply] *)
+  mutable count : int;  (* accepted replies *)
+  mutable countdown : int;  (* polls left until the next retransmission *)
+  mutable next : int;  (* the broadcast's next replica *)
+  mutable missing_only : bool;  (* the broadcast is a retransmission *)
+  mutable expect : string;  (* the tag of the reply the round waits for *)
+  mutable post : Value.t;  (* the request, keyed *)
+  mutable poll : Runtime.machine_action;
+}
+
+(* Count the poll's delivered messages that come from a replica not yet
+   heard from in this round and are the reply the round waits for. *)
+let rec accept_replies r = function
+  | Value.Pair (Value.Int src, Value.Pair (_, payload)) :: rest ->
+    let i = src - r.cl.Cluster.first_replica in
+    (match payload with
+    | Value.List (Value.Str tag :: Value.Int rid :: _)
+      when i >= 0 && i < r.cl.Cluster.replicas && r.replies.(i) == no_reply
+           && String.equal tag r.expect && rid = r.rid ->
+      r.replies.(i) <- payload;
+      r.count <- r.count + 1
+    | _ -> ());
+    accept_replies r rest
+  | _ -> ()
+
+let new_round (cl : Cluster.t) rid =
+  {
+    cl;
+    rid;
+    replies = Array.make cl.Cluster.replicas no_reply;
+    count = 0;
+    countdown = 0;
+    next = 0;
+    missing_only = false;
+    expect = "";
+    post = Value.Unit;
+    poll = Runtime.M_halt;
+  }
+
+(* The round's next call: the broadcast's next send, or a poll. *)
+let rec next_call r =
+  if r.next < r.cl.Cluster.replicas then begin
+    let i = r.next in
+    r.next <- i + 1;
+    if r.missing_only && r.replies.(i) != no_reply then next_call r
+    else Runtime.M_call (r.cl.Cluster.replica_inboxes.(i), r.post)
+  end
+  else r.poll
+
+(* Begin a round at the current step: its first call. *)
+let begin_round r expect request =
+  let net = r.cl.Cluster.net in
+  let pid = Runtime.running r.cl.Cluster.rt in
+  let key = Net.fresh_key net ~pid in
+  r.expect <- expect;
+  r.post <- Net.post_op ~key request;
+  r.poll <- Runtime.M_call (Net.inbox net pid, Net.poll_op ~key);
+  Array.fill r.replies 0 (Array.length r.replies) no_reply;
+  r.count <- 0;
+  r.countdown <- r.cl.Cluster.retransmit_every;
+  r.next <- 0;
+  r.missing_only <- false;
+  next_call r
+
+(* Feed the round its last call's answer: its next call, or [M_halt] once
+   a majority answered. Only a poll answers with a list. *)
+let round_answer r = function
+  | Value.List msgs ->
+    accept_replies r msgs;
+    r.countdown <- r.countdown - 1;
+    if r.countdown = 0 then begin
+      r.countdown <- r.cl.Cluster.retransmit_every;
+      if r.count < r.cl.Cluster.majority then begin
+        r.next <- 0;
+        r.missing_only <- true
+      end
+    end;
+    if r.count >= r.cl.Cluster.majority then Runtime.M_halt else next_call r
+  | _ -> next_call r
+
+(* A caller's operations whose calls are rounds on [r]. When a round
+   completes, [finish] begins the operation's next round or ends it
+   ([M_halt]). *)
+let round_ops r ~read ~write ~finish ~result =
+  let answer v =
+    match round_answer r v with Runtime.M_halt -> finish () | action -> action
+  in
+  { Reg.Port.read; write; answer; result }
+
+let check_role rt ~name ~role pid =
+  if Runtime.running rt <> pid then
+    invalid_arg
+      (Printf.sprintf "Mp_reg %s: pid %d is not the %s" name
+         (Runtime.running rt) role)
 
 (* --- ABD-style MWMR atomic ------------------------------------------------ *)
 
-let atomic cl ~name ~codec ~init =
-  let rid = alloc cl (codec.Codec.enc init) in
+let atomic cl ~name:_ ~codec ~init =
+  let init_v = codec.Codec.enc init in
+  let rid = alloc cl init_v in
   let open Value in
-  let decode_query = function
-    | List [ Str "aqr"; Int rid'; Int ts; Int wid; v ] when rid' = rid ->
-      Some (ts, wid, v)
-    | _ -> None
+  let query = List [ Str "aq"; Int rid ] in
+  (* The highest (ts, wid) tag among a query round's replies. *)
+  let best r =
+    let ts = ref 0 and wid = ref (-1) and v = ref init_v in
+    for i = 0 to Array.length r.replies - 1 do
+      match r.replies.(i) with
+      | List [ _; _; Int ts'; Int wid'; v' ] when tag_gt ts' wid' !ts !wid ->
+        ts := ts';
+        wid := wid';
+        v := v'
+      | _ -> ()
+    done;
+    !ts, !wid, !v
   in
-  let decode_ack = function
-    | List [ Str "awr"; Int rid' ] when rid' = rid -> Some ()
-    | _ -> None
-  in
-  let query () =
-    let replies = quorum cl ~request:(List [ Str "aq"; Int rid ]) ~decode:decode_query in
-    fold_replies replies
-      ~init:(0, -1, codec.Codec.enc init)
-      ~f:(fun ((ts, wid, _) as best) ((ts', wid', _) as reply) ->
-        if tag_gt ts' wid' ts wid then reply else best)
-  in
-  let update (ts, wid, v) =
-    ignore
-      (quorum cl
-         ~request:(List [ Str "aw"; Int rid; Int ts; Int wid; v ])
-         ~decode:decode_ack)
-  in
-  let read () =
-    (* phase 1: highest tag from a majority; phase 2: write it back, so
-       no later read can observe an older tag *)
-    let (_, _, v) as tag = query () in
-    update tag;
-    codec.Codec.dec v
-  in
-  let write x =
-    let ts, _, _ = query () in
-    update (ts + 1, Runtime.running cl.Cluster.rt, codec.Codec.enc x)
+  (* A read queries the highest tag from a majority, then writes it back to
+     a majority before returning, so no later read can observe an older
+     tag. A write queries the highest timestamp, then writes [(ts+1,
+     self)]. [value] holds what a write writes, then the result. *)
+  let caller () =
+    let r = new_round cl rid in
+    let writing = ref false and updating = ref false and value = ref Unit in
+    let start () =
+      updating := false;
+      begin_round r "aqr" query
+    in
+    let finish () =
+      if !updating then Runtime.M_halt
+      else begin
+        let ts, wid, v = best r in
+        let ts, wid, v =
+          if !writing then ts + 1, Runtime.running cl.Cluster.rt, !value
+          else ts, wid, v
+        in
+        value := if !writing then Unit else v;
+        updating := true;
+        begin_round r "awr" (List [ Str "aw"; Int rid; Int ts; Int wid; v ])
+      end
+    in
+    round_ops r ~finish
+      ~read:(fun () ->
+        writing := false;
+        start ())
+      ~write:(fun x ->
+        writing := true;
+        value := x;
+        start ())
+      ~result:(fun () -> !value)
   in
   let peek () =
     let best =
       Array.fold_left
         (fun (best : rstate) s ->
           if tag_gt s.ts s.wid best.ts best.wid then s else best)
-        { ts = 0; wid = -1; sn = 0; v = codec.Codec.enc init }
+        { ts = 0; wid = -1; sn = 0; v = init_v }
         cl.Cluster.states.(rid)
     in
     codec.Codec.dec best.v
   in
   {
-    Reg.name;
-    read;
-    write;
+    Reg.port = Reg.Port.driven caller;
     peek;
-    obj = None;
     enc = codec.Codec.enc;
     dec = codec.Codec.dec;
   }
 
 (* --- time-efficient SWMR regular ----------------------------------------- *)
 
-let regular cl ~name ~codec ~init ~writer =
-  let rid = alloc cl (codec.Codec.enc init) in
-  let rt = cl.Cluster.rt in
+(* A regular register's callers' operations, and its peek. *)
+let regular_ops cl ~name ~codec ~init ~writer =
+  let init_v = codec.Codec.enc init in
+  let rid = alloc cl init_v in
   let open Value in
+  let query = List [ Str "rq"; Int rid ] in
   let next_sn = ref 0 in
-  let decode_ack = function
-    | List [ Str "rwr"; Int rid'; Int _sn ] when rid' = rid -> Some ()
-    | _ -> None
+  (* The value of highest sequence number among a read round's replies. *)
+  let freshest r =
+    let sn = ref 0 and v = ref init_v in
+    for i = 0 to Array.length r.replies - 1 do
+      match r.replies.(i) with
+      | List [ _; _; Int sn'; v' ] when sn' > !sn ->
+        sn := sn';
+        v := v'
+      | _ -> ()
+    done;
+    !v
   in
-  let decode_read = function
-    | List [ Str "rqr"; Int rid'; Int sn; v ] when rid' = rid -> Some (sn, v)
-    | _ -> None
-  in
-  let write x =
-    if Runtime.running rt <> writer then
-      invalid_arg (Printf.sprintf "Mp_reg %s: pid %d is not the writer" name
-                     (Runtime.running rt));
-    incr next_sn;
-    ignore
-      (quorum cl
-         ~request:(List [ Str "rw"; Int rid; Int !next_sn; codec.Codec.enc x ])
-         ~decode:decode_ack)
-  in
-  let read () =
-    let replies = quorum cl ~request:(List [ Str "rq"; Int rid ]) ~decode:decode_read in
-    let _, v =
-      fold_replies replies
-        ~init:(0, codec.Codec.enc init)
-        ~f:(fun (sn, v) (sn', v') -> if sn' > sn then (sn', v') else (sn, v))
-    in
-    codec.Codec.dec v
+  let caller () =
+    let r = new_round cl rid in
+    let reading = ref false and value = ref Unit in
+    round_ops r
+      ~read:(fun () ->
+        reading := true;
+        begin_round r "rqr" query)
+      ~write:(fun x ->
+        check_role cl.Cluster.rt ~name ~role:"writer" writer;
+        reading := false;
+        value := Unit;
+        incr next_sn;
+        begin_round r "rwr" (List [ Str "rw"; Int rid; Int !next_sn; x ]))
+      ~finish:(fun () ->
+        if !reading then value := freshest r;
+        Runtime.M_halt)
+      ~result:(fun () -> !value)
   in
   let peek () =
     let best =
       Array.fold_left
         (fun (best : rstate) s -> if s.sn > best.sn then s else best)
-        { ts = 0; wid = -1; sn = 0; v = codec.Codec.enc init }
+        { ts = 0; wid = -1; sn = 0; v = init_v }
         cl.Cluster.states.(rid)
     in
     codec.Codec.dec best.v
   in
+  caller, peek
+
+let regular cl ~name ~codec ~init ~writer =
+  let caller, peek = regular_ops cl ~name ~codec ~init ~writer in
   {
-    Reg.name;
-    read;
-    write;
+    Reg.port = Reg.Port.driven caller;
     peek;
-    obj = None;
     enc = codec.Codec.enc;
     dec = codec.Codec.dec;
   }
@@ -249,7 +374,7 @@ let regular cl ~name ~codec ~init ~writer =
 
 let abortable cl ~name ~codec ~init ~writer ~reader ~policy ~write_effect =
   let rt = cl.Cluster.rt in
-  let base = regular cl ~name ~codec ~init ~writer in
+  let base, peek = regular_ops cl ~name ~codec ~init ~writer in
   let write_effect =
     Option.value write_effect ~default:(Abort_policy.Effect_random 0.5)
   in
@@ -259,11 +384,10 @@ let abortable cl ~name ~codec ~init ~writer ~reader ~policy ~write_effect =
      shared memory, while contention-gated policies never fire (legal —
      aborting is a permission, not an obligation). *)
   let decide op =
-    let step = Runtime.now rt in
     let ctx =
       {
         Shared.pid = Runtime.running rt;
-        respond_step = step;
+        respond_step = Runtime.now rt;
         overlapped = false;
         step_contended = false;
         rng = Runtime.obj_rng rt;
@@ -271,42 +395,40 @@ let abortable cl ~name ~codec ~init ~writer ~reader ~policy ~write_effect =
       }
     in
     Abort_policy.should_abort policy ~contended:false ctx
+    && begin
+         if Runtime.telemetry_active rt then
+           Runtime.signal rt ~pid:(Runtime.running rt) Sink.Abort_decision;
+         true
+       end
   in
-  let signal_abort () =
-    if Runtime.telemetry_active rt then
-      Runtime.signal rt ~pid:(Runtime.running rt) Sink.Abort_decision
-  in
-  let write x =
-    if Runtime.running rt <> writer then
-      invalid_arg (Printf.sprintf "Mp_reg %s: pid %d is not the writer" name
-                     (Runtime.running rt));
-    if decide (Value.write_op (codec.Codec.enc x)) then begin
-      signal_abort ();
-      if Abort_policy.write_takes_effect write_effect (Runtime.obj_rng rt) then
-        base.Reg.write x;
-      false
-    end
-    else begin
-      base.Reg.write x;
-      true
-    end
-  in
-  let read () =
-    if Runtime.running rt <> reader then
-      invalid_arg (Printf.sprintf "Mp_reg %s: pid %d is not the reader" name
-                     (Runtime.running rt));
-    if decide Value.read_op then begin
-      signal_abort ();
-      None
-    end
-    else Some (base.Reg.read ())
+  (* An aborted write that takes effect performs the full quorum write and
+     still answers ⊥. *)
+  let caller () =
+    let b = base () in
+    let aborted = ref false in
+    {
+      b with
+      Reg.Port.read =
+        (fun () ->
+          check_role rt ~name ~role:"reader" reader;
+          aborted := decide Value.read_op;
+          if !aborted then Runtime.M_halt else b.read ());
+      write =
+        (fun x ->
+          check_role rt ~name ~role:"writer" writer;
+          aborted := decide (Value.write_op x);
+          if
+            (not !aborted)
+            || Abort_policy.write_takes_effect write_effect
+                 (Runtime.obj_rng rt)
+          then b.write x
+          else Runtime.M_halt);
+      result = (fun () -> if !aborted then Value.Abort else b.result ());
+    }
   in
   {
-    Reg.Abortable.name;
-    read;
-    write;
-    peek = base.Reg.peek;
-    obj = None;
+    Reg.Abortable.port = Reg.Port.driven caller;
+    peek;
     enc = codec.Codec.enc;
     dec = codec.Codec.dec;
   }

@@ -1,6 +1,6 @@
 (** Message-passing register emulations over {!Tbwf_net.Net}.
 
-    A {!Cluster.t} runs one server task per replica (pids
+    A {!Cluster.t} runs one server step machine per replica (pids
     [n_clients .. n_clients+replicas-1]); every register allocated from
     the cluster is a slice of each replica's state, multiplexed over the
     replica's inbox by register id. Registers tolerate a {e minority} of
@@ -8,6 +8,10 @@
     answered, and blocks (retransmitting) while no live majority is
     reachable — which is precisely how the fault surface below the
     register abstraction becomes visible to the TBWF layers above it.
+
+    Each operation is a step machine of quorum rounds, run through the
+    register's {!Reg.Port.t}: a caller's port keeps its round's reply
+    slots and counters from one operation to the next.
 
     Three emulations:
 

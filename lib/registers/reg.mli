@@ -14,47 +14,114 @@
     [Mp_reg.factory] yields handles backed by replicated server state
     reached over the simulated network.
 
-    {2 Step-machine access}
+    {2 Operations as machines}
 
-    Shared-memory handles additionally expose the underlying simulated
-    object and the codec closures ([obj]/[enc]/[dec]), which is what step
-    machines use to issue raw operations. Handles from a message-passing
-    factory have [obj = None]: one of their operations takes many steps,
-    so no machine runs over them. [Activity_monitor.install] and both Ω∆
-    installers pick their loops' form from [obj], and Figure 7's client
-    machines call only the query-abortable object, never a register, so
-    {!obj_exn} is safe wherever machines run. *)
+    An operation is a small step machine on both substrates, run through
+    the caller's {!Port.t}: one call on the register's object over shared
+    memory, one or two quorum rounds of sends and polls over message
+    passing. The paper's algorithms are step machines that run their
+    operations this way, so they have one form on either substrate; the
+    fiber {!read} and {!write} drive the same machine through
+    {!Tbwf_sim.Runtime.call}. *)
+
+module Port : sig
+  type t
+  (** How callers run a register's operations. A shared-memory register's
+      port keeps no state and all callers share it. A message-passing
+      register's port makes each caller its own operations, which keep
+      the caller's state between operations (a quorum round's reply slots
+      and counters), so a caller runs one operation at a time on them. *)
+
+  (** One caller's operations when they take several calls. *)
+  type ops = {
+    read : unit -> Tbwf_sim.Runtime.machine_action;
+        (** begin a read at the current step: its first call, or [M_halt]
+            when it completed without one (an abortable operation that
+            aborts before any message leaves) *)
+    write : Tbwf_sim.Value.t -> Tbwf_sim.Runtime.machine_action;
+        (** begin a write of an encoded value, likewise *)
+    answer : Tbwf_sim.Value.t -> Tbwf_sim.Runtime.machine_action;
+        (** the last call's answer: the next call, or [M_halt] once the
+            operation completed *)
+    result : unit -> Tbwf_sim.Value.t;
+        (** after [M_halt], what a shared-memory register would answer:
+            the encoded value read, [Value.Unit] for a write, [Value.Abort]
+            for ⊥ *)
+  }
+
+  val driven : (unit -> ops) -> t
+  (** The port that makes each caller's operations with the function. *)
+
+  (** {3 A machine's operations}
+
+      A machine keeps a {!slot} for its operation in flight, made with
+      every port it uses, and begins operations with a {!reader} or
+      {!writer} made once per port. Its
+      step function [step] starts with [if slot.busy then Port.resume slot
+      v], and is spawned as [Port.machine slot step]. An operation's
+      result reaches [step] in place of [v], at the step the operation
+      completes: over shared memory, as the answer of its one call. *)
+
+  type slot = private {
+    mutable busy : bool;  (** an operation of several calls is in flight *)
+    mutable ops : ops;
+    mutable dispatch : Tbwf_sim.Value.t -> Tbwf_sim.Runtime.machine_action;
+  }
+
+  val slot : t list -> slot
+  (** [slot ports] for a machine that uses [ports]. A machine whose ports
+      all answer in one call shares a slot that nothing writes. *)
+
+  val machine :
+    slot ->
+    (Tbwf_sim.Value.t -> Tbwf_sim.Runtime.machine_action) ->
+    Tbwf_sim.Runtime.machine
+  (** [machine slot step] sends the slot's completed operations to [step]
+      and returns [step]. *)
+
+  val resume : slot -> Tbwf_sim.Value.t -> Tbwf_sim.Runtime.machine_action
+  (** Feed the operation in flight its answer. *)
+
+  val reader : slot -> t -> unit -> Tbwf_sim.Runtime.machine_action
+  (** [reader slot port ()] begins a read; one that completes at once goes
+      straight to [step]. Raises [Invalid_argument] for a port of several
+      calls that was not given to {!slot}. *)
+
+  val writer :
+    slot -> t -> Tbwf_sim.Value.t -> Tbwf_sim.Runtime.machine_action
+end
 
 type 'a t = {
-  name : string;
-  read : unit -> 'a;  (** inside-task; two steps (shared-memory) or a
-                          quorum round trip (message-passing) *)
-  write : 'a -> unit;
+  port : Port.t;
   peek : unit -> 'a;
       (** zero-step inspection for analyses and tests; over
           message-passing this is the max-tag value across replicas *)
-  obj : Tbwf_sim.Shared.t option;
   enc : 'a -> Tbwf_sim.Value.t;
   dec : Tbwf_sim.Value.t -> 'a;
 }
 
-val obj_exn : 'a t -> Tbwf_sim.Shared.t
-(** The underlying shared object; raises [Invalid_argument] on a
-    message-passing handle. *)
+val read : 'a t -> 'a
+(** Inside a fiber task, as {!write}. *)
+
+val write : 'a t -> 'a -> unit
 
 (** Abortable handles, mirroring {!Abortable_reg}'s interface. *)
 module Abortable : sig
   type 'a t = {
-    name : string;
-    read : unit -> 'a option;  (** [None] is ⊥: the read aborted *)
-    write : 'a -> bool;  (** [false] is ⊥: aborted, may have taken effect *)
+    port : Port.t;
     peek : unit -> 'a;
-    obj : Tbwf_sim.Shared.t option;
     enc : 'a -> Tbwf_sim.Value.t;
     dec : Tbwf_sim.Value.t -> 'a;
   }
 
-  val obj_exn : 'a t -> Tbwf_sim.Shared.t
+  val read : 'a t -> 'a option
+  (** Inside a fiber task; [None] is ⊥: the read aborted. *)
+
+  val write : 'a t -> 'a -> bool
+  (** Inside a fiber task; [false] is ⊥: aborted, may have taken effect. *)
+
+  val result : 'a t -> Tbwf_sim.Value.t -> 'a option
+  (** A read's result as {!read} returns it. *)
 end
 
 (** What the register is used as. Shared-memory registers are MWMR
@@ -85,9 +152,6 @@ type factory = {
       (** [write_effect None] means the register's own default
           ([Effect_random 0.5]) *)
 }
-
-val of_atomic : 'a Atomic_reg.t -> 'a t
-val of_abortable : 'a Abortable_reg.t -> 'a Abortable.t
 
 val shared_factory : Tbwf_sim.Runtime.t -> factory
 (** Handles over {!Atomic_reg.create} / {!Abortable_reg.create}: the

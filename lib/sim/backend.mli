@@ -3,9 +3,7 @@
     [Tbwf_system.System.build ?backend], which ignores it: both values
     build the same stack.
 
-    There is one backend, {!Runtime}, and it runs a task in one of two
-    forms: a fiber ({!Runtime.spawn}) or a step machine
-    ({!Runtime.spawn_machine}). The installers pick the form, and each
-    machine is tested byte-identical to its fiber. *)
+    There is one backend, {!Runtime}, and the paper's algorithms run on it
+    as step machines ({!Runtime.spawn_machine}). *)
 
 type t = Reference | Compiled

@@ -73,14 +73,16 @@ val spawn :
     function: instead of suspending with effects, it runs to its next
     suspension point and {e returns} how it suspended. The runtime
     interprets the action — no continuation capture, no handler dispatch,
-    no per-step closure. Over shared memory Figure 2's activity monitors
-    and both Ω∆ implementations (Figures 3 and 6) run as machines, as do
-    the naive booster's election and Figure 7's clients on every
-    substrate; their installers pick the form. Machine tasks
-    and effect tasks share every other bit of runtime bookkeeping (sink
-    events, pending-op tracking, crash/stop semantics), so a
-    machine that mirrors a task body's effect sequence produces a
-    byte-identical run. *)
+    no per-step closure. Every task of the paper's stacks is a machine on
+    both substrates: Figure 2's activity monitors, both Ω∆
+    implementations (Figures 3 and 6), the naive booster's election,
+    Figure 7's clients and the message-passing replica servers. A machine
+    steps through a register operation that takes many calls (a quorum
+    round) by the register's port ([Tbwf_registers.Reg.Port]). Fibers
+    ({!spawn}) remain for caller-supplied bodies. Machine tasks and fiber
+    tasks share every other bit of runtime bookkeeping (sink events,
+    pending-op tracking, crash/stop semantics), so a machine that mirrors
+    a task body's effect sequence produces a byte-identical run. *)
 
 type machine_action =
   | M_yield  (** the task's [yield]: give up the step *)

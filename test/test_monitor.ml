@@ -1,5 +1,4 @@
 open Tbwf_sim
-open Tbwf_registers
 open Tbwf_monitor
 
 let status = Alcotest.testable Activity_monitor.pp_status Activity_monitor.equal_status
@@ -184,29 +183,13 @@ let test_doubling_adaptation_trusts_slowing_q () =
     (linear > doubling)
 
 
-(* --- machine and fiber forms -----------------------------------------------
+(* --- the one form ------------------------------------------------------------
 
-   Over shared memory [Activity_monitor.install] runs Figure 2 as step
-   machines; over quorum registers it runs the fiber loops. Hiding a shared
-   register's [obj] makes install take the fiber form over the very same
-   objects, so the two forms can be run side by side: every step, operation,
-   output and suspicion flip must agree. *)
-
-let fiber_factory rt =
-  let shared = Reg.shared_factory rt in
-  {
-    shared with
-    Reg.mk_reg =
-      (fun ~kind ~name ~codec ~init ->
-        { (shared.Reg.mk_reg ~kind ~name ~codec ~init) with Reg.obj = None });
-  }
-
-type form = Machines | Fibers
-
-let factory_of form rt =
-  match form with
-  | Machines -> Reg.shared_factory rt
-  | Fibers -> fiber_factory rt
+   Figure 2 runs as two step machines on both substrates. Each case pins a
+   run's digest: the trace fingerprint, every monitor's final outputs and
+   every suspicion flip with its step. The digests were captured while a
+   fiber form, written line by line from Figure 2, still existed and agreed
+   with the machines on every one of these runs. *)
 
 (* The form of every Figure 2 task spawned on pids [0, n). *)
 let monitor_task_forms rt ~n =
@@ -218,16 +201,15 @@ let monitor_task_forms rt ~n =
         (Runtime.task_forms rt ~pid))
     (List.init n Fun.id)
 
-(* Everything a run shows: the trace, each monitor's outputs and every
-   suspicion flip the sink saw, with its step. *)
+(* What a run shows: its digest, and the outputs the sanity checks read. *)
 type observed = {
-  fingerprint : string;
+  digest : string;
   outputs : ((int * int) * (string * int)) list;
       (* (p, q), (status, fault_cntr) *)
   flips : ((int * int) * (int * bool)) list;  (* (step, p), (q, suspected) *)
 }
 
-let observe ~form ~seed ~n ~policy ~crashes ~steps install =
+let observe ~seed ~n ~policy ~crashes ~steps install =
   let rt = Runtime.create ~seed ~n () in
   let trace = Trace.create () in
   let flips = ref [] in
@@ -243,43 +225,33 @@ let observe ~form ~seed ~n ~policy ~crashes ~steps install =
                flips := ((step, pid), (watched, suspected)) :: !flips
              | _ -> ());
        });
-  let monitors = install ~factory:(factory_of form rt) rt in
-  let expected =
-    match form with Machines -> Runtime.Machine | Fibers -> Runtime.Fiber
-  in
-  Alcotest.(check bool) "every monitor task has the form under test" true
-    (List.for_all (fun f -> f = expected) (monitor_task_forms rt ~n));
+  let monitors = install rt in
+  Alcotest.(check bool) "every monitor task is a machine" true
+    (List.for_all (fun f -> f = Runtime.Machine) (monitor_task_forms rt ~n));
   List.iter (fun (pid, step) -> Runtime.crash_at rt ~pid ~step) crashes;
   Runtime.run rt ~policy:(policy ()) ~steps;
   Runtime.stop rt;
-  {
-    fingerprint = Trace.fingerprint trace;
-    outputs =
-      List.map
-        (fun (m : Activity_monitor.t) ->
-          ( (m.p, m.q),
-            (Fmt.str "%a" Activity_monitor.pp_status !(m.status), !(m.fault_cntr))
-          ))
-        monitors;
-    flips = List.rev !flips;
-  }
-
-(* Both forms on one configuration must agree on everything observed. *)
-let check_forms_agree ?(seed = 11L) ~n ~crashes ~steps ~policy install =
-  let run form = observe ~form ~seed ~n ~policy ~crashes ~steps install in
-  let machines = run Machines and fibers = run Fibers in
-  Alcotest.(check string) "trace fingerprint" fibers.fingerprint
-    machines.fingerprint;
-  Alcotest.(check (list (pair (pair int int) (pair string int))))
-    "status and fault_cntr per monitor" fibers.outputs machines.outputs;
-  Alcotest.(check (list (pair (pair int int) (pair int bool))))
-    "suspicion flips" fibers.flips machines.flips;
-  machines
+  let outputs =
+    List.map
+      (fun (m : Activity_monitor.t) ->
+        ( (m.p, m.q),
+          (Fmt.str "%a" Activity_monitor.pp_status !(m.status), !(m.fault_cntr))
+        ))
+      monitors
+  and flips = List.rev !flips in
+  let shown =
+    Fmt.str "%s@.%a@.%a" (Trace.fingerprint trace)
+      Fmt.(list ~sep:sp (fun ppf ((p, q), (s, f)) -> pf ppf "%d,%d:%s,%d" p q s f))
+      outputs
+      Fmt.(list ~sep:sp (fun ppf ((step, p), (q, s)) -> pf ppf "%d,%d:%d,%b" step p q s))
+      flips
+  in
+  { digest = Digest.to_hex (Digest.string shown); outputs; flips }
 
 (* A full mesh of bare monitors with both inputs on, plus one task per
    process that switches its inputs off and on again on a fixed rhythm, so
-   both loops keep leaving and re-entering their waits. *)
-let mesh ?adapt ?increment_guards ~n ~factory rt =
+   both machines keep leaving and re-entering their waits. *)
+let mesh ?adapt ?increment_guards ~n rt =
   let monitors =
     List.concat_map
       (fun p ->
@@ -287,9 +259,7 @@ let mesh ?adapt ?increment_guards ~n ~factory rt =
           (fun q ->
             if p = q then None
             else
-              Some
-                (Activity_monitor.install ?adapt ?increment_guards ~factory rt
-                   ~p ~q))
+              Some (Activity_monitor.install ?adapt ?increment_guards rt ~p ~q))
           (List.init n Fun.id))
       (List.init n Fun.id)
   in
@@ -321,48 +291,78 @@ let rotation_with_slow_switch ~n () =
        [ Tbwf_nemesis.Fault_plan.Slow
            { pid = 1; at = 6_000; gap = 12; growth = 1.3 } ])
 
-(* Each case runs round robin and the rotation; the slowed process must
-   cost some monitor a fault there, or the comparison proves little. *)
-let check_case ?(n = 3) ?(crashes = []) install =
+(* Each case runs round robin and the rotation, and must reproduce both
+   digests; the slowed process must cost some monitor a fault there, or
+   the digest pins little. *)
+let check_case ?(n = 3) ?(crashes = []) ~goldens:(rr_golden, slowed_golden)
+    install =
   let run policy =
-    check_forms_agree ~n ~crashes ~steps:30_000 ~policy install
+    observe ~seed:11L ~n ~crashes ~steps:30_000 ~policy install
   in
   let rr = run round_robin in
   let slowed = run (rotation_with_slow_switch ~n) in
+  Alcotest.(check string) "round robin digest" rr_golden rr.digest;
+  Alcotest.(check string) "rotation digest" slowed_golden slowed.digest;
   Alcotest.(check bool) "round robin flipped a monitor" true (rr.flips <> []);
   Alcotest.(check bool) "the slowed process was charged a fault" true
     (List.exists (fun ((_, q), (_, f)) -> q = 1 && f > 0) slowed.outputs)
 
-let test_forms_default () = check_case (fun ~factory rt -> mesh ~n:3 ~factory rt)
+let test_golden_default () =
+  check_case
+    ~goldens:
+      ("9131ab315a255669c3af30c12ccf81e8", "e1f651b00c7ee48a6f2384b3b6637d8c")
+    (fun rt -> mesh ~n:3 rt)
 
-let test_forms_without_increment_guards () =
-  check_case (fun ~factory rt -> mesh ~increment_guards:false ~n:3 ~factory rt)
+let test_golden_without_increment_guards () =
+  check_case
+    ~goldens:
+      ("2d637899ee24880cd5ebd824767bbbe3", "d3e0b35d2a4a3021ffa0aab1b726ac70")
+    (fun rt -> mesh ~increment_guards:false ~n:3 rt)
 
 let all_monitors meshes =
   List.filter_map Fun.id (List.concat_map Array.to_list (Array.to_list meshes))
 
-let test_forms_doubling_adapt () =
-  check_case (fun ~factory rt -> mesh ~adapt:(fun t -> 2 * t) ~n:3 ~factory rt);
+let test_golden_doubling_adapt () =
+  check_case
+    ~goldens:
+      ("9131ab315a255669c3af30c12ccf81e8", "70acbd9e1c305ea0e3c2ac7474a89091")
+    (fun rt -> mesh ~adapt:(fun t -> 2 * t) ~n:3 rt);
   (* The booster itself, whose monitors double their timeouts. *)
-  check_case ~n:4 (fun ~factory rt ->
-      let t = Tbwf_core.Baselines.Naive_booster.install ~factory rt in
+  check_case ~n:4
+    ~goldens:
+      ("db05a51bf43d813a0ddfc83ff95c70a2", "f04b08af8d467366cd59177db361ae11")
+    (fun rt ->
+      let t = Tbwf_core.Baselines.Naive_booster.install rt in
       Array.iter
         (fun (h : Tbwf_omega.Omega_spec.handle) -> h.candidate := true)
         t.Tbwf_core.Baselines.Naive_booster.handles;
       all_monitors t.Tbwf_core.Baselines.Naive_booster.monitors)
 
-let test_forms_crash_while_beating () =
+let test_golden_crash_while_beating () =
   (* Crashes at odd and even steps, so q dies both with a heartbeat write in
      flight and between writes. *)
   List.iter
-    (fun crashes ->
-      check_case ~crashes (fun ~factory rt -> mesh ~n:3 ~factory rt))
-    [ [ 2, 2_001 ]; [ 2, 4_000 ]; [ 2, 777; 0, 9_000 ] ]
+    (fun (crashes, goldens) ->
+      check_case ~crashes ~goldens (fun rt -> mesh ~n:3 rt))
+    [
+      ( [ 2, 2_001 ],
+        ("81b5039b0180bf83cca93420bd3c2896", "3f27bf571b6c1a7d80405ddc65e920d5")
+      );
+      ( [ 2, 4_000 ],
+        ("8bc4a505720f7fd361c62c6b44bc6beb", "0cc8d8cb553284b60ae185cce5572497")
+      );
+      ( [ 2, 777; 0, 9_000 ],
+        ("aec9ff5696f86289e8f33638a148069f", "ecc3a42be6b1ce38a37193755e48e6a6")
+      );
+    ]
 
-let test_forms_figure3_stack () =
+let test_golden_figure3_stack () =
   (* Figure 3 on top: its tasks switch the monitors' inputs themselves. *)
-  check_case ~n:4 ~crashes:[ 3, 12_000 ] (fun ~factory rt ->
-      let t = Tbwf_omega.Omega_registers.install ~factory rt in
+  check_case ~n:4 ~crashes:[ 3, 12_000 ]
+    ~goldens:
+      ("48649b60dc6992b1f2e3d4ccb6aabc6d", "19d57391fd2741653063f4d673807182")
+    (fun rt ->
+      let t = Tbwf_omega.Omega_registers.install rt in
       Array.iter
         (fun (h : Tbwf_omega.Omega_spec.handle) -> h.candidate := true)
         t.Tbwf_omega.Omega_registers.handles;
@@ -379,16 +379,15 @@ let test_substrate_picks_form () =
   let mp = System.Message_passing Tbwf_net.Net.default_config in
   List.iter
     (fun id ->
-      let sm = forms System.Shared_memory id in
-      Alcotest.(check int) "shared memory: 2n(n-1) monitor tasks" 12
-        (List.length sm);
-      Alcotest.(check bool) "shared memory: all machines" true
-        (List.for_all (fun f -> f = Runtime.Machine) sm);
-      let mp = forms mp id in
-      Alcotest.(check int) "message passing: 2n(n-1) monitor tasks" 12
-        (List.length mp);
-      Alcotest.(check bool) "message passing: all fibers" true
-        (List.for_all (fun f -> f = Runtime.Fiber) mp))
+      List.iter
+        (fun substrate ->
+          let forms = forms substrate id in
+          let name = System.substrate_name substrate in
+          Alcotest.(check int) (name ^ ": 2n(n-1) monitor tasks") 12
+            (List.length forms);
+          Alcotest.(check bool) (name ^ ": all machines") true
+            (List.for_all (fun f -> f = Runtime.Machine) forms))
+        [ System.Shared_memory; mp ])
     [ System.Tbwf_atomic; System.Naive_booster ]
 
 let () =
@@ -417,14 +416,14 @@ let () =
         ] );
       ( "forms",
         [
-          Alcotest.test_case "machines match fibers" `Quick test_forms_default;
+          Alcotest.test_case "default mesh golden" `Quick test_golden_default;
           Alcotest.test_case "without increment guards" `Quick
-            test_forms_without_increment_guards;
+            test_golden_without_increment_guards;
           Alcotest.test_case "doubling adapt and the booster" `Quick
-            test_forms_doubling_adapt;
+            test_golden_doubling_adapt;
           Alcotest.test_case "q crashes while beating" `Quick
-            test_forms_crash_while_beating;
-          Alcotest.test_case "under Figure 3" `Quick test_forms_figure3_stack;
+            test_golden_crash_while_beating;
+          Alcotest.test_case "under Figure 3" `Quick test_golden_figure3_stack;
           Alcotest.test_case "substrate picks the form" `Quick
             test_substrate_picks_form;
         ] );

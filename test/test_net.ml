@@ -415,12 +415,12 @@ let test_abd_monotonic_reads () =
   let written = ref 0 and seen = ref [] in
   Runtime.spawn rt ~pid:0 ~name:"writer" (fun () ->
       for k = 1 to 50 do
-        r.Reg.write k;
+        Reg.write r k;
         written := k
       done);
   Runtime.spawn rt ~pid:1 ~name:"reader" (fun () ->
       while true do
-        seen := r.Reg.read () :: !seen
+        seen := Reg.read r :: !seen
       done);
   Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:60_000;
   Runtime.stop rt;
@@ -452,11 +452,11 @@ let qcheck_writer_crash_mid_quorum =
       Runtime.crash_at rt ~pid:0 ~step:crash_step;
       Runtime.spawn rt ~pid:0 ~name:"writer" (fun () ->
           for k = 1 to 1_000 do
-            r.Reg.write k
+            Reg.write r k
           done);
       Runtime.spawn rt ~pid:1 ~name:"reader" (fun () ->
           while true do
-            let v = r.Reg.read () in
+            let v = Reg.read r in
             seen := v :: !seen;
             if Runtime.now rt > crash_step then incr reads_after_crash
           done);
@@ -484,14 +484,14 @@ let test_minority_replica_crash_tolerated () =
   let done_ops = ref 0 in
   Runtime.spawn rt ~pid:0 ~name:"writer" (fun () ->
       for k = 1 to 40 do
-        a.Reg.write k;
-        s.Reg.write k;
+        Reg.write a k;
+        Reg.write s k;
         done_ops := k
       done);
   Runtime.spawn rt ~pid:1 ~name:"reader" (fun () ->
       while true do
-        ignore (a.Reg.read ());
-        ignore (s.Reg.read ())
+        ignore (Reg.read a);
+        ignore (Reg.read s)
       done);
   Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:60_000;
   Runtime.stop rt;
@@ -521,18 +521,18 @@ let test_partition_heals_mid_operation () =
   let record k = log := (k, Runtime.now rt) :: !log in
   Runtime.spawn rt ~pid:0 ~name:"writer" (fun () ->
       for k = 1 to 30 do
-        a.Reg.write k;
+        Reg.write a k;
         record `A;
-        s.Reg.write k;
+        Reg.write s k;
         record `S;
-        ignore (ab.Reg.Abortable.write k);
+        ignore (Reg.Abortable.write ab k);
         record `B
       done);
   Runtime.spawn rt ~pid:1 ~name:"reader" (fun () ->
       while true do
-        ignore (a.Reg.read ());
-        ignore (s.Reg.read ());
-        ignore (ab.Reg.Abortable.read ());
+        ignore (Reg.read a);
+        ignore (Reg.read s);
+        ignore (Reg.Abortable.read ab);
         record `R
       done);
   Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:80_000;
@@ -570,8 +570,8 @@ let test_mp_abortable_policies () =
   let ok_writes = ref 0 and aborted_writes = ref 0 in
   Runtime.spawn rt ~pid:0 ~name:"writer" (fun () ->
       for k = 1 to 20 do
-        if always.Reg.Abortable.write k then incr ok_writes;
-        if not (doomed.Reg.Abortable.write k) then incr aborted_writes
+        if Reg.Abortable.write always k then incr ok_writes;
+        if not (Reg.Abortable.write doomed k) then incr aborted_writes
       done);
   Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:40_000;
   Runtime.stop rt;

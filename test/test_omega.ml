@@ -279,37 +279,14 @@ let qcheck_random_classes =
       | Some ell -> List.mem ell (pcands @ rcands)
       | None -> false)
 
-(* --- machine and fiber forms -----------------------------------------------
+(* --- the one form ------------------------------------------------------------
 
-   Over shared memory both Ω∆ installers run their loops as step machines;
-   over quorum registers they run the fibers. Hiding a shared register's
-   [obj] makes an installer take the fiber form over the very same objects,
-   so the two forms can be run side by side: every step, operation and
-   leader view must agree. The naive booster's election is a machine on
-   every substrate, so there only its monitors change form. *)
-
-let fiber_factory rt =
-  let shared = Reg.shared_factory rt in
-  {
-    Reg.mk_reg =
-      (fun ~kind ~name ~codec ~init ->
-        { (shared.Reg.mk_reg ~kind ~name ~codec ~init) with Reg.obj = None });
-    mk_areg =
-      (fun ~name ~codec ~init ~writer ~reader ~policy ~write_effect ->
-        {
-          (shared.Reg.mk_areg ~name ~codec ~init ~writer ~reader ~policy
-             ~write_effect)
-          with
-          Reg.Abortable.obj = None;
-        });
-  }
-
-type form = Machines | Fibers
-
-let factory_of form rt =
-  match form with
-  | Machines -> Reg.shared_factory rt
-  | Fibers -> fiber_factory rt
+   Both Ω∆ installers and the naive booster run their election as step
+   machines on both substrates. Each case pins a run's digest: the trace
+   fingerprint, the final views and every leader view with its step. The
+   digests were captured while the fiber forms of Figures 3 and 6, written
+   line by line from the paper, still existed and agreed with the machines
+   on every one of these runs. *)
 
 let election_prefixes = [ "omega["; "omega-ab["; "naive-boost[" ]
 
@@ -328,16 +305,8 @@ let election_task_forms rt ~n =
         (Runtime.task_forms rt ~pid))
     (List.init n Fun.id)
 
-(* Everything a run shows: the trace (as the digest of its fingerprint),
-   the final views and every leader view the sink saw, with its step. *)
-type observed = {
-  fingerprint : string;
-  views : string list;
-  leader_views : ((int * int) * int option) list;  (* (step, pid), leader *)
-}
-
 (* One task per process that leaves and rejoins the competition on its
-   own rhythm, so the loops keep leaving and re-entering their waits. *)
+   own rhythm, so the machines keep leaving and re-entering their waits. *)
 let toggle_candidacy rt handles =
   Array.iter
     (fun (h : Omega_spec.handle) ->
@@ -353,7 +322,8 @@ let toggle_candidacy rt handles =
           done))
     handles
 
-let observe ~form ~expected ~seed ~n ~plan install =
+(* A run's digest, and whether some process elected itself. *)
+let observe ~seed ~n ~plan install =
   let rt = Runtime.create ~seed ~n () in
   let trace = Trace.create () in
   let leader_views = ref [] in
@@ -369,9 +339,9 @@ let observe ~form ~expected ~seed ~n ~plan install =
                leader_views := ((step, pid), leader) :: !leader_views
              | _ -> ());
        });
-  let handles = install ~factory:(factory_of form rt) rt in
-  Alcotest.(check bool) "every election task has the form under test" true
-    (List.for_all (fun f -> f = expected) (election_task_forms rt ~n));
+  let handles = install rt in
+  Alcotest.(check bool) "every election task is a machine" true
+    (List.for_all (fun f -> f = Runtime.Machine) (election_task_forms rt ~n));
   toggle_candidacy rt handles;
   let policy =
     match plan with
@@ -382,61 +352,70 @@ let observe ~form ~expected ~seed ~n ~plan install =
   in
   Runtime.run rt ~policy ~steps:30_000;
   Runtime.stop rt;
-  {
-    fingerprint = Digest.to_hex (Digest.string (Trace.fingerprint trace));
-    views =
-      Array.to_list
-        (Array.map
-           (fun (h : Omega_spec.handle) ->
-             Fmt.str "%a" Omega_spec.pp_view !(h.leader))
-           handles);
-    leader_views = List.rev !leader_views;
-  }
+  let leader_views = List.rev !leader_views in
+  let shown =
+    Fmt.str "%s@.%a@.%a"
+      (Digest.to_hex (Digest.string (Trace.fingerprint trace)))
+      Fmt.(list ~sep:sp Omega_spec.pp_view)
+      (Array.to_list
+         (Array.map (fun (h : Omega_spec.handle) -> !(h.leader)) handles))
+      Fmt.(
+        list ~sep:sp (fun ppf ((step, pid), leader) ->
+            pf ppf "%d,%d:%a" step pid (option ~none:(any "-") int) leader))
+      leader_views
+  in
+  ( Digest.to_hex (Digest.string shown),
+    List.exists (fun ((_, pid), leader) -> leader = Some pid) leader_views )
 
-(* Both forms on one configuration must agree on everything observed, under
-   round robin and under the fault plan's [Every] rotation with a crash. *)
-let check_forms ?(n = 3) ?(fiber_form = Runtime.Fiber) install =
+(* Under round robin and under the fault plan's [Every] rotation with a
+   crash, the run must reproduce its digest and elect someone. *)
+let check_goldens ?(n = 3) ~goldens:(rr_golden, plan_golden) install =
   let plan =
     Tbwf_nemesis.Fault_plan.make ~n ~horizon:30_000
       [ Tbwf_nemesis.Fault_plan.Crash { pid = n - 1; at = 17_001 } ]
   in
   List.iter
-    (fun plan ->
-      let run form expected =
-        observe ~form ~expected ~seed:21L ~n ~plan install
-      in
-      let machines = run Machines Runtime.Machine in
-      let fibers = run Fibers fiber_form in
-      Alcotest.(check string) "trace fingerprint digest" fibers.fingerprint
-        machines.fingerprint;
-      Alcotest.(check (list string)) "final views" fibers.views machines.views;
-      Alcotest.(check (list (pair (pair int int) (option int))))
-        "leader views" fibers.leader_views machines.leader_views;
-      Alcotest.(check bool) "some process elected itself" true
-        (List.exists
-           (fun ((_, pid), leader) -> leader = Some pid)
-           machines.leader_views))
-    [ None; Some plan ]
+    (fun (plan, golden) ->
+      let digest, elected = observe ~seed:21L ~n ~plan install in
+      Alcotest.(check string) "run digest" golden digest;
+      Alcotest.(check bool) "some process elected itself" true elected)
+    [ None, rr_golden; Some plan, plan_golden ]
 
-let test_forms_figure3 () =
+let test_golden_figure3 () =
   List.iter
-    (fun self_punishment ->
-      check_forms (fun ~factory rt ->
-          (Omega_registers.install ~self_punishment ~factory rt)
+    (fun (self_punishment, goldens) ->
+      check_goldens ~goldens (fun rt ->
+          (Omega_registers.install ~self_punishment rt)
             .Omega_registers.handles))
-    [ true; false ]
+    [
+      ( true,
+        ("fd66ef14b22d8ba91e9e812a446ed095", "e3cffe2d159f1439d9354865b70edc30")
+      );
+      ( false,
+        ("c416139732d5840cd518248531709117", "36713dc0e7275548a405553129745514")
+      );
+    ]
 
-let test_forms_figure6 () =
+let test_golden_figure6 () =
   List.iter
-    (fun policy ->
-      check_forms (fun ~factory rt ->
-          (Omega_abortable.install ~factory rt ~policy ())
-            .Omega_abortable.handles))
-    [ Abort_policy.Always; Abort_policy.Random 0.3 ]
+    (fun (policy, goldens) ->
+      check_goldens ~goldens (fun rt ->
+          (Omega_abortable.install rt ~policy ()).Omega_abortable.handles))
+    [
+      ( Abort_policy.Always,
+        ("c90e6dc978a1b95a0b5d57a913a441e3", "4a0bfd7aefb75482d273fe415390c408")
+      );
+      ( Abort_policy.Random 0.3,
+        ("c90e6dc978a1b95a0b5d57a913a441e3", "956e8f4e6b7f7bbc9cb50947728e4455")
+      );
+    ]
 
-let test_forms_naive () =
-  check_forms ~fiber_form:Runtime.Machine (fun ~factory rt ->
-      (Tbwf_core.Baselines.Naive_booster.install ~factory rt)
+let test_golden_naive () =
+  check_goldens
+    ~goldens:
+      ("ba95b440a08ffc8fb1eeb934443ab5ff", "e0cfad8324ef40bdd6a4fa30197b160f")
+    (fun rt ->
+      (Tbwf_core.Baselines.Naive_booster.install rt)
         .Tbwf_core.Baselines.Naive_booster.handles)
 
 let test_substrate_picks_form () =
@@ -449,23 +428,48 @@ let test_substrate_picks_form () =
   in
   let mp = System.Message_passing Tbwf_net.Net.default_config in
   List.iter
-    (fun (id, over_quorums) ->
-      let name = System.to_string id in
-      let check substrate expected =
-        let forms = forms substrate id in
-        Alcotest.(check int) (name ^ ": one election task per process") 3
-          (List.length forms);
-        Alcotest.(check bool) (name ^ ": the form its substrate picks") true
-          (List.for_all (fun f -> f = expected) forms)
-      in
-      check System.Shared_memory Runtime.Machine;
-      check mp over_quorums)
+    (fun id ->
+      List.iter
+        (fun substrate ->
+          let name =
+            System.to_string id ^ " on " ^ System.substrate_name substrate
+          in
+          let forms = forms substrate id in
+          Alcotest.(check int) (name ^ ": one election task per process") 3
+            (List.length forms);
+          Alcotest.(check bool) (name ^ ": machines") true
+            (List.for_all (fun f -> f = Runtime.Machine) forms))
+        [ System.Shared_memory; mp ])
     [
-      System.Tbwf_atomic, Runtime.Fiber;
-      System.Tbwf_abortable, Runtime.Fiber;
-      System.Tbwf_universal, Runtime.Fiber;
-      System.Naive_booster, Runtime.Machine;
+      System.Tbwf_atomic;
+      System.Tbwf_abortable;
+      System.Tbwf_universal;
+      System.Naive_booster;
     ]
+
+(* On message passing every task of a paper stack is a machine, the
+   replica servers included. *)
+let test_no_fiber_on_message_passing () =
+  let open Tbwf_system in
+  let mp = System.Message_passing Tbwf_net.Net.default_config in
+  List.iter
+    (fun id ->
+      let stack = System.build ~substrate:mp ~n:3 id in
+      let rt = stack.System.rt in
+      Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:2_000;
+      let n = Runtime.n rt in
+      Alcotest.(check int) "three replicas after three clients" 6 n;
+      for pid = 0 to n - 1 do
+        List.iter
+          (fun (name, form) ->
+            Alcotest.(check bool)
+              (Fmt.str "%s: pid %d task %s is a machine" (System.to_string id)
+                 pid name)
+              true (form = Runtime.Machine))
+          (Runtime.task_forms rt ~pid)
+      done;
+      Runtime.stop rt)
+    [ System.Tbwf_atomic; System.Tbwf_abortable ]
 
 let () =
   Alcotest.run "omega"
@@ -507,13 +511,14 @@ let () =
         ] );
       ( "forms",
         [
-          Alcotest.test_case "Figure 3 machine matches fiber" `Quick
-            test_forms_figure3;
-          Alcotest.test_case "Figures 4-6 machine matches fiber" `Quick
-            test_forms_figure6;
-          Alcotest.test_case "naive booster over both monitor forms" `Quick
-            test_forms_naive;
+          Alcotest.test_case "atomic election golden" `Quick
+            test_golden_figure3;
+          Alcotest.test_case "abortable election golden" `Quick
+            test_golden_figure6;
+          Alcotest.test_case "naive booster golden" `Quick test_golden_naive;
           Alcotest.test_case "substrate picks the form" `Quick
             test_substrate_picks_form;
+          Alcotest.test_case "no fiber on message passing" `Quick
+            test_no_fiber_on_message_passing;
         ] );
     ]

@@ -805,6 +805,88 @@ let test_monitor_machine_allocation_guard () =
   Alcotest.(check (float 0.0)) "words a heartbeat write step allocates" 22.0
     (monitor_machine_words_per_step ~crash:0)
 
+(* One monitor A(0,1) over quorum registers: two client pids and the
+   default config's three replicas after them. [adapt] gives the watcher a
+   timeout the run never reaches once it has charged a fault. *)
+let mp_monitor ?(config = Tbwf_net.Net.default_config) () =
+  let open Tbwf_registers in
+  let rt = Runtime.create ~n:(2 + config.Tbwf_net.Net.replicas) () in
+  let net = Tbwf_net.Net.create rt ~config in
+  let cluster = Mp_reg.Cluster.create rt ~net in
+  let mon =
+    Tbwf_monitor.Activity_monitor.install
+      ~adapt:(fun _ -> 1_000_000_000)
+      ~factory:(Mp_reg.factory cluster) rt ~p:0 ~q:1
+  in
+  mon.monitoring := true;
+  mon.active_for := true;
+  rt, mon
+
+(* Minor-heap words of one step of [pid], run by [Runtime.step]. *)
+let step_words rt ~pid =
+  let before = Gc.minor_words () in
+  Runtime.step rt ~pid;
+  Gc.minor_words () -. before
+
+let test_mp_machine_allocation_guard () =
+  (* Over message passing the watcher's idle tick is the shared-memory
+     one: 0 words. Once q crashed, its next read finds the counter stalled
+     and charges the fault, and every later step of p idles. *)
+  (let rt, mon = mp_monitor () in
+   Runtime.crash_at rt ~pid:1 ~step:200;
+   Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:5_000;
+   Alcotest.(check int) "the watcher charged q's crash" 1 !(mon.fault_cntr);
+   let words = ref 0.0 in
+   for _ = 1 to 20_000 do
+     words := !words +. step_words rt ~pid:0
+   done;
+   Alcotest.(check (float 0.0)) "words an idle watcher tick allocates" 0.0
+     !words);
+  (* A poll that finds nothing due allocates the call's pending record and
+     respond context, 14 words: no more than a machine's call on a
+     shared-memory register (17, with its [M_call]) or the 18 a fiber's
+     call adds to a yield. The round built its poll action once. Every
+     replica is down and no retransmission is due, so after the read's
+     three sends every step of p is such a poll. *)
+  (let config =
+     { Tbwf_net.Net.default_config with retransmit_every = 1_000_000_000 }
+   in
+   let rt, _ = mp_monitor ~config () in
+   List.iter (fun pid -> Runtime.crash_at rt ~pid ~step:0) [ 1; 2; 3; 4 ];
+   for _ = 1 to 100 do
+     Runtime.step rt ~pid:0
+   done;
+   let words = List.init 1_000 (fun _ -> step_words rt ~pid:0) in
+   Alcotest.(check (list (float 0.0))) "words an empty poll step allocates"
+     [ 14.0 ]
+     (List.sort_uniq Float.compare words));
+  (* q's heartbeat writes, round after round, with p's watcher switched
+     off. A round's state lives in the port, so every step of q allocates
+     what its call and its messages need, and nothing per operation beyond
+     the round's request. A step answers one call and issues the next:
+     - an empty poll: 14 (pending record 7, respond context 7);
+     - a send answered: 23 (the queued message 6, the next send's
+       [M_call] 3), or 20 when the round's prebuilt poll follows;
+     - a poll delivering one reply: 29 (the delivered list cell 15);
+     - a poll completing a majority with one or two replies, 29 or 42,
+       plus the next round's 33: the beat's [Int] 2, the request 18, the
+       keyed post 5, the poll action 5 and the first send's [M_call] 3.
+     A per-operation array or closure moves the last two figures. *)
+  let rt, mon = mp_monitor () in
+  mon.monitoring := false;
+  Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:2_000;
+  let seen = Hashtbl.create 8 in
+  for _ = 1 to 20_000 do
+    Array.iter
+      (fun pid ->
+        let words = step_words rt ~pid in
+        if pid = 1 then Hashtbl.replace seen (int_of_float words) ())
+      (Runtime.runnable_pids rt)
+  done;
+  Alcotest.(check (list int)) "words a heartbeat writer's step allocates"
+    [ 14; 20; 23; 29; 62; 75 ]
+    (List.sort Int.compare (List.of_seq (Hashtbl.to_seq_keys seen)))
+
 (* Minor-heap words per step of a two-process run round robin: 1,000 steps,
    then twice [settle] and 100 steps, then 20,000 measured steps. *)
 let omega_words_per_step ?(settle = ignore) rt =
@@ -1157,6 +1239,8 @@ let () =
             test_parked_step_allocation_guard;
           Alcotest.test_case "monitor machine allocation guard" `Quick
             test_monitor_machine_allocation_guard;
+          Alcotest.test_case "message-passing machine allocation guard"
+            `Quick test_mp_machine_allocation_guard;
           Alcotest.test_case "omega machine allocation guard" `Quick
             test_omega_machine_allocation_guard;
           Alcotest.test_case "client machine allocation guard" `Quick

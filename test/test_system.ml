@@ -8,20 +8,32 @@ open Tbwf_system
 
 (* --- golden fingerprints -------------------------------------------------- *)
 
-(* The golden file was generated from the LEGACY per-consumer wiring
-   (before lib/system existed); bin/gen_system_goldens.ml regenerates it
-   through the registry. Equality here is the refactor-equivalence
-   proof: same seed, same policy, same object-id assignment, same trace,
-   for every system. Dimensions must match the generator exactly. *)
+(* The shared-memory lines were generated from the LEGACY per-consumer
+   wiring (before lib/system existed), the message-passing lines while
+   the monitors and Ω∆ still ran as fibers there;
+   bin/gen_system_goldens.ml regenerates both through the registry.
+   Equality here is the refactor-equivalence proof: same seed, same
+   policy, same object-id assignment, same trace, for every system on
+   both substrates. Dimensions must match the generator exactly. *)
 
 let golden_n = 3
 let golden_steps = 4_000
+let golden_mp_steps = 20_000
 let golden_seed = 0x53595354L
+let golden_replicas = Tbwf_net.Net.default_config.Tbwf_net.Net.replicas
 
-let golden_policy = function
-  | "round-robin" -> Policy.round_robin ()
-  | "degraded" -> Scenario.degraded_policy ~n:golden_n ~timely:[ 1; 2 ] ()
-  | other -> Alcotest.failf "unknown policy %S in golden file" other
+let golden_policy ~substrate name =
+  match substrate, name with
+  | System.Shared_memory, "round-robin"
+  | System.Message_passing _, "round-robin" ->
+    Policy.round_robin ()
+  | System.Shared_memory, "degraded" ->
+    Scenario.degraded_policy ~n:golden_n ~timely:[ 1; 2 ] ()
+  | System.Message_passing _, "degraded" ->
+    Scenario.degraded_policy ~n:(golden_n + golden_replicas)
+      ~timely:(1 :: 2 :: List.init golden_replicas (fun r -> golden_n + r))
+      ()
+  | _, other -> Alcotest.failf "unknown policy %S in golden file" other
 
 let golden_path () =
   (* dune runtest runs with cwd = _build/default/test; dune exec from the
@@ -32,22 +44,31 @@ let golden_path () =
   | Some p -> p
   | None -> Alcotest.fail "golden/system_fingerprints.txt not found"
 
+(* A line is [system policy digest] on shared memory and [system policy
+   substrate digest] otherwise. *)
 let read_goldens () =
   let ic = open_in (golden_path ()) in
   let rec loop acc =
     match input_line ic with
     | line ->
-      (match String.split_on_char ' ' line with
-      | [ sys; pol; digest ] -> loop ((sys, pol, digest) :: acc)
-      | _ -> Alcotest.failf "malformed golden line %S" line)
+      let entry =
+        match String.split_on_char ' ' line with
+        | [ sys; pol; digest ] -> sys, pol, System.Shared_memory, digest
+        | [ sys; pol; substrate; digest ] -> (
+          match System.substrate_of_name substrate with
+          | Ok substrate -> sys, pol, substrate, digest
+          | Error msg -> Alcotest.failf "golden substrate: %s" msg)
+        | _ -> Alcotest.failf "malformed golden line %S" line
+      in
+      loop (entry :: acc)
     | exception End_of_file ->
       close_in ic;
       List.rev acc
   in
   loop []
 
-let digest_of_run id ~seed ~n ~steps ~policy =
-  let stack = System.build ~seed ~n id in
+let digest_of_run id ~substrate ~seed ~n ~steps ~policy =
+  let stack = System.build ~substrate ~seed ~n id in
   let rt = stack.System.rt in
   Runtime.run rt ~policy ~steps;
   Runtime.stop rt;
@@ -56,21 +77,28 @@ let digest_of_run id ~seed ~n ~steps ~policy =
 
 let test_goldens () =
   let goldens = read_goldens () in
-  Alcotest.(check int) "golden file covers 5 systems x 2 policies" 10
+  Alcotest.(check int)
+    "golden file covers 5 systems x 2 policies x 2 substrates" 20
     (List.length goldens);
   List.iter
-    (fun (sys, pol, expected) ->
+    (fun (sys, pol, substrate, expected) ->
       let id =
         match System.of_string sys with
         | Ok id -> id
         | Error msg -> Alcotest.failf "golden system: %s" msg
       in
+      let steps =
+        match substrate with
+        | System.Shared_memory -> golden_steps
+        | System.Message_passing _ -> golden_mp_steps
+      in
       let actual =
-        digest_of_run id ~seed:golden_seed ~n:golden_n ~steps:golden_steps
-          ~policy:(golden_policy pol)
+        digest_of_run id ~substrate ~seed:golden_seed ~n:golden_n ~steps
+          ~policy:(golden_policy ~substrate pol)
       in
       Alcotest.(check string)
-        (Fmt.str "%s under %s matches legacy wiring" sys pol)
+        (Fmt.str "%s under %s on %s matches" sys pol
+           (System.substrate_name substrate))
         expected actual)
     goldens
 
@@ -79,10 +107,23 @@ let test_goldens_cover_registry () =
   List.iter
     (fun id ->
       let name = System.to_string id in
-      Alcotest.(check bool)
-        (Fmt.str "%s present in golden file" name)
-        true
-        (List.exists (fun (sys, _, _) -> String.equal sys name) goldens))
+      List.iter
+        (fun substrate ->
+          Alcotest.(check bool)
+            (Fmt.str "%s on %s present in golden file" name
+               (System.substrate_name substrate))
+            true
+            (List.exists
+               (fun (sys, _, substrate', _) ->
+                 String.equal sys name
+                 && String.equal
+                      (System.substrate_name substrate)
+                      (System.substrate_name substrate'))
+               goldens))
+        [
+          System.Shared_memory;
+          System.Message_passing Tbwf_net.Net.default_config;
+        ])
     System.all
 
 (* --- build determinism ---------------------------------------------------- *)
