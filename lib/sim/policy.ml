@@ -205,8 +205,10 @@ let rec pow2_at_least k size = if size >= k then size else pow2_at_least k (2 * 
    claimants; in the second it may also hold pids due whole laps later,
    and a pick walks past them: half a visit per step at most on
    average, as each bucket is read once per lap of the wheel and there
-   are at most half as many [Every] pids as buckets. *)
-let rebuild cal ~step ~runnable =
+   are at most half as many [Every] pids as buckets. Kept out of line:
+   it runs only when the runnable set or the step sequence changes, and
+   inlined it would put [first_claim]'s division into every pick. *)
+let[@inline never] rebuild cal ~step ~runnable =
   let len = Array.length runnable in
   if Array.length cal.held < len then begin
     cal.held <- Array.make len 0;

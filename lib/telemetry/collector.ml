@@ -196,8 +196,10 @@ let stream_record t s ~w =
 (* Emit every stream window up to but excluding the one containing
    [step]. Called from [on_step] — the runtime emits [on_step] before any
    operation or signal of that step, so when the first step of a new
-   window arrives, every event of the previous windows has been folded. *)
-let stream_roll t ~step =
+   window arrives, every event of the previous windows has been folded.
+   Kept out of line: it runs once per stream window, and inlined it would
+   put its division into [on_step]. *)
+let[@inline never] stream_roll t ~step =
   match t.stream with
   | None -> ()
   | Some s ->

@@ -52,7 +52,7 @@ let evict_upto t r ~w =
   let new_first = w - r + 1 in
   if new_first > t.first_kept then begin
     let from = t.first_kept in
-    let upto = min (new_first - 1) (from + r - 1) in
+    let upto = Int.min (new_first - 1) (from + r - 1) in
     for pid = 0 to t.n - 1 do
       let row = t.rows.(pid) in
       let acc = ref 0 in
@@ -77,7 +77,7 @@ let bump t ~pid ~step =
       let row =
         if w < Array.length row then row
         else begin
-          let bigger = Array.make (max (2 * Array.length row) (w + 1)) 0 in
+          let bigger = Array.make (Int.max (2 * Array.length row) (w + 1)) 0 in
           Array.blit row 0 bigger 0 (Array.length row);
           t.rows.(pid) <- bigger;
           bigger
@@ -116,8 +116,9 @@ let cell t ~pid ~w =
 let merge a b =
   if a.n <> b.n then invalid_arg "Series.merge: process counts differ";
   if a.window <> b.window then invalid_arg "Series.merge: window sizes differ";
-  if a.retain <> b.retain then invalid_arg "Series.merge: retentions differ";
-  let windows = max a.windows b.windows in
+  if not (Option.equal Int.equal a.retain b.retain) then
+    invalid_arg "Series.merge: retentions differ";
+  let windows = Int.max a.windows b.windows in
   match a.retain with
   | None ->
     {
@@ -126,14 +127,14 @@ let merge a b =
       retain = None;
       rows =
         Array.init a.n (fun pid ->
-            Array.init (max 16 windows) (fun w ->
+            Array.init (Int.max 16 windows) (fun w ->
                 cell a ~pid ~w + cell b ~pid ~w));
       windows;
       first_kept = 0;
       evicted = Array.make a.n 0;
     }
   | Some r ->
-    let first_kept = max a.first_kept b.first_kept in
+    let first_kept = Int.max a.first_kept b.first_kept in
     let rows = Array.init a.n (fun _ -> Array.make r 0) in
     let evicted = Array.make a.n 0 in
     let side_evicted (s : t) pid =
@@ -145,7 +146,7 @@ let merge a b =
     in
     for pid = 0 to a.n - 1 do
       evicted.(pid) <- side_evicted a pid + side_evicted b pid;
-      for w = first_kept to min windows (first_kept + r) - 1 do
+      for w = first_kept to Int.min windows (first_kept + r) - 1 do
         rows.(pid).(w mod r) <- cell a ~pid ~w + cell b ~pid ~w
       done
     done;
@@ -179,7 +180,7 @@ let totals t = Array.init t.n (fun pid -> total t ~pid)
    must retain at least their tail. *)
 let tail_total t ~pid ~from_window =
   let acc = ref 0 in
-  for w = max 0 from_window to t.windows - 1 do
+  for w = Int.max 0 from_window to t.windows - 1 do
     acc := !acc + cell t ~pid ~w
   done;
   !acc

@@ -369,31 +369,36 @@ let yield_words () =
 (* Pinned as words added to a yield-only step, like test_runtime's call
    step guard. What any call adds is 18 words: the [Call] effect (4), the
    pending record (7) and the context (7). The link queries of a
-   fault-free network and the rng draws allocate nothing. *)
+   fault-free network and the rng draws allocate nothing. Both loops below
+   pass a constant key (and payload): [Net.send]/[Net.poll] and the
+   operation builders inline into the loop, so the operation value is a
+   static block built once, not a per-step allocation. A caller with a
+   run-time key or payload adds the operation's words on top: 5 for a
+   post ([Pair] 3, [Int] 2), 2 for a poll ([Int]). *)
 let test_post_step_allocation_guard () =
-  (* Every step answers one post and sends the next: 18, plus the post
-     operation (5) and the queued message (6). Nobody polls pid 1's inbox:
-     the warm-up grows its queue's array past the largest block the minor
-     heap takes, so the array's later growth is not counted here. *)
+  (* Every step answers one post and sends the next: 18, plus the queued
+     message (6). Nobody polls pid 1's inbox: the warm-up grows its
+     queue's array past the largest block the minor heap takes, so the
+     array's later growth is not counted here. *)
   let post =
     net_words_per_step (fun net ->
         while true do
           Net.send net ~dst:1 ~key:0 Value.Unit
         done)
   in
-  Alcotest.(check (float 0.0)) "words a post adds to a step" 29.0
+  Alcotest.(check (float 0.0)) "words a post adds to a step" 24.0
     (post -. yield_words ())
 
 let test_empty_poll_step_allocation_guard () =
-  (* 18, plus the poll operation [Int key] (2). The answer is the shared
-     empty list, and the pid comes from [Runtime.running], not an effect. *)
+  (* 18: the call alone. The answer is the shared empty list, and the pid
+     comes from [Runtime.running], not an effect. *)
   let poll =
     net_words_per_step (fun net ->
         while true do
           Net.poll net ~key:0 (fun _ _ _ -> ())
         done)
   in
-  Alcotest.(check (float 0.0)) "words an empty poll adds to a step" 20.0
+  Alcotest.(check (float 0.0)) "words an empty poll adds to a step" 18.0
     (poll -. yield_words ())
 
 (* --- quorum registers ----------------------------------------------------- *)
