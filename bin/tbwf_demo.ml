@@ -8,6 +8,7 @@ open Tbwf_objects
 open Tbwf_core
 open Tbwf_experiments
 module Degradation = Tbwf_check.Degradation
+module System = Tbwf_system.System
 
 let spec_of_object = function
   | "counter" -> Ok (Counter.spec, Counter.inc)
@@ -19,10 +20,14 @@ let spec_of_object = function
   | other ->
     Error (Fmt.str "unknown object %S (counter|stack|queue|set|kv|deque)" other)
 
+(* The elector as printed, and the registry system that runs it; the
+   abortable one runs with [System.build]'s default mesh policy, always
+   abort on contention. *)
 let omega_of_string = function
-  | "atomic" -> Ok Scenario.Omega_atomic
-  | "abortable" -> Ok (Scenario.Omega_abortable Abort_policy.Always)
-  | "naive" -> Ok Scenario.Omega_naive
+  | "atomic" -> Ok (Scenario.Omega_atomic, System.Tbwf_atomic)
+  | "abortable" ->
+    Ok (Scenario.Omega_abortable Abort_policy.Always, System.Tbwf_abortable)
+  | "naive" -> Ok (Scenario.Omega_naive, System.Naive_booster)
   | other -> Error (Fmt.str "unknown omega %S (atomic|abortable|naive)" other)
 
 let positive flag v =
@@ -49,29 +54,29 @@ let resolve n steps object_name omega_name untimely =
   let* omega = omega_of_string omega_name in
   Ok (spec_op, omega)
 
-let demo ~n ~steps ~seed ~spec ~op ~omega ~untimely ~non_canonical =
+let demo ~n ~steps ~seed ~spec ~op ~omega:(omega, system) ~untimely
+    ~non_canonical =
   let timely = List.filter (fun p -> not (List.mem p untimely)) (List.init n Fun.id) in
   (* One registry stack per omega choice; the demo only varies the elector,
      never the QA construction. *)
   let stack =
-    Scenario.build ~seed:(Int64.of_int seed) ~canonical:(not non_canonical) ~n
-      ~omega ~spec
-      ~next_op:(Workload.forever op)
-      ~client_pids:(List.init n Fun.id) ()
+    System.build ~seed:(Int64.of_int seed) ~canonical:(not non_canonical) ~n
+      ~spec ~next_op:(Workload.forever op)
+      ~client_pids:(List.init n Fun.id) system
   in
   let policy = Scenario.degraded_policy ~n ~timely () in
-  let rt = stack.Scenario.rt in
+  let rt = stack.System.rt in
   Runtime.run rt ~policy ~steps:(steps / 2);
   let from = Runtime.now rt in
-  let mid = Array.copy stack.Scenario.stats.Workload.completed in
+  let mid = Array.copy stack.System.stats.Workload.completed in
   Runtime.run rt ~policy ~steps:(steps / 2);
   let verdict =
     Degradation.check
       ~min_ops:
         (Degradation.required_tail_ops ~cost:1 ~n ~tail:(Runtime.now rt - from))
       ~prediction:(Scenario.degraded_prediction ~n ~timely ~from)
-      ~trace:(Option.get stack.Scenario.trace) ~completed_before:mid
-      ~completed_after:stack.Scenario.stats.Workload.completed ()
+      ~trace:(Option.get stack.System.trace) ~completed_before:mid
+      ~completed_after:stack.System.stats.Workload.completed ()
   in
   (* The list is one string, with no break hint: Format counts the bytes
      of "Ω∆" as columns and would otherwise break the line before it. *)
@@ -79,7 +84,7 @@ let demo ~n ~steps ~seed ~spec ~op ~omega ~untimely ~non_canonical =
     spec.Seq_spec.name Scenario.pp_omega_impl omega n steps
     (String.concat "; " (List.map string_of_int untimely));
   Fmt.pr "%a" Degradation.pp_verdict verdict;
-  Fmt.pr "final object state: %a@." Value.pp (stack.Scenario.qa.Qa_intf.peek_state ());
+  Fmt.pr "final object state: %a@." Value.pp (stack.System.qa.Qa_intf.peek_state ());
   Fmt.pr "TBWF holds (timely kept progressing): %b@." verdict.Degradation.holds;
   Runtime.stop rt;
   0

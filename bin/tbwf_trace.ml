@@ -150,9 +150,10 @@ let resolve ?stream_every ?width ~substrate ~plan ~system ~full ~n ~k ~steps
   let* () = positive "--window" (Some window) in
   let* () = positive "--width" width in
   let* () = positive "--stream-every" stream_every in
+  (* Checked in both modes, so a misspelt name is never ignored. *)
+  let* system = Campaign.system_of_name system in
   match plan with
   | Some path ->
-    let* system = Campaign.system_of_name system in
     let seed =
       match seed with
       | Some s -> Int64.of_int s
@@ -296,7 +297,9 @@ let system_arg =
   Arg.(value & opt string "tbwf-atomic"
        & info [ "system" ] ~docv:"SYSTEM"
            ~doc:"System under test for --plan runs (tbwf-atomic, \
-                 tbwf-abortable, tbwf-universal, naive-booster, retry).")
+                 tbwf-abortable, tbwf-universal, naive-booster, retry). \
+                 The scenario always runs tbwf-atomic; the name is \
+                 checked in both modes.")
 
 let full_arg =
   Arg.(value & flag

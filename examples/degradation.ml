@@ -13,21 +13,22 @@ open Tbwf_sim
 open Tbwf_core
 open Tbwf_objects
 open Tbwf_experiments
+module System = Tbwf_system.System
 
 let n = 8
 let steps = 200_000
 
-let run ~omega ~k =
+let run ~system ~k =
   let timely = List.init k (fun i -> n - 1 - i) in
   let stack =
-    Scenario.build ~seed:7L ~record_trace:false ~n ~omega ~spec:Counter.spec
+    System.build ~seed:7L ~record_trace:false ~n ~spec:Counter.spec
       ~next_op:(Workload.forever Counter.inc)
-      ~client_pids:(List.init n Fun.id) ()
+      ~client_pids:(List.init n Fun.id) system
   in
   let policy = Scenario.degraded_policy ~n ~timely () in
-  Runtime.run stack.Scenario.rt ~policy ~steps;
-  Runtime.stop stack.Scenario.rt;
-  let completed = stack.Scenario.stats.Workload.completed in
+  Runtime.run stack.System.rt ~policy ~steps;
+  Runtime.stop stack.System.rt;
+  let completed = stack.System.stats.Workload.completed in
   let timely_ops = List.map (fun pid -> completed.(pid)) timely in
   let untimely_ops =
     List.filteri (fun pid _ -> not (List.mem pid timely)) (Array.to_list completed)
@@ -41,14 +42,14 @@ let () =
     "timely min" "untimely total";
   List.iter
     (fun k ->
-      let k, total, min_ops, untimely = run ~omega:Scenario.Omega_atomic ~k in
+      let k, total, min_ops, untimely = run ~system:System.Tbwf_atomic ~k in
       Fmt.pr "%-28s %4d %12d %11d %13d@." "TBWF (atomic registers)" k total
         min_ops untimely)
     [ 8; 6; 4; 2 ];
   Fmt.pr "@.";
   List.iter
     (fun k ->
-      let k, total, min_ops, untimely = run ~omega:Scenario.Omega_naive ~k in
+      let k, total, min_ops, untimely = run ~system:System.Naive_booster ~k in
       Fmt.pr "%-28s %4d %12d %11d %13d@." "naive booster (baseline)" k total
         min_ops untimely)
     [ 8; 6; 4; 2 ];

@@ -8,10 +8,6 @@ type op = {
   respond : int;
 }
 
-let pp_op fmt o =
-  Fmt.pf fmt "p%d:%a->%a@[%d,%d]" o.pid Value.pp o.op Value.pp o.result
-    o.invoke o.respond
-
 (* Processes are sequential, so per (pid, object) at most one operation is
    in flight: pair each respond with the pid's pending invoke. *)
 let complete_ops trace ~obj_name =

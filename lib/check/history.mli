@@ -8,8 +8,6 @@ type op = {
   respond : int;  (** response step; [respond > invoke] always holds *)
 }
 
-val pp_op : Format.formatter -> op -> unit
-
 val complete_ops : Tbwf_sim.Trace.t -> obj_name:string -> op list
 (** All completed operations on the named object, in response order.
     Operations left pending at the end of the run are dropped (they are

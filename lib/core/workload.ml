@@ -56,12 +56,14 @@ module Open_loop = struct
 
   let default = { mean_gap = 40.0; keys = 64; zipf = 1.1 }
 
+  (* Written so that NaN fails each test: every comparison with NaN is
+     false. *)
   let validate p =
-    if p.mean_gap <= 0.0 then
-      invalid_arg "Workload.Open_loop: mean_gap must be positive";
+    if not (Float.is_finite p.mean_gap && p.mean_gap > 0.0) then
+      invalid_arg "Workload.Open_loop: mean_gap must be finite and positive";
     if p.keys < 1 then invalid_arg "Workload.Open_loop: keys must be positive";
-    if p.zipf < 0.0 then
-      invalid_arg "Workload.Open_loop: zipf must be non-negative"
+    if not (Float.is_finite p.zipf && p.zipf >= 0.0) then
+      invalid_arg "Workload.Open_loop: zipf must be finite and non-negative"
 
   (* Cumulative Zipf(s) weights over ranks 1..keys, normalized; sampling
      is one uniform draw plus a binary search. [zipf = 0] is uniform. *)

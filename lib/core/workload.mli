@@ -60,8 +60,9 @@ module Open_loop : sig
   (** 40-step mean gaps over 64 keys at exponent 1.1. *)
 
   val validate : profile -> unit
-  (** Raises [Invalid_argument] unless [mean_gap > 0], [keys >= 1] and
-      [zipf >= 0]. {!spawn_clients} and {!client_body} call it. *)
+  (** Raises [Invalid_argument] unless [mean_gap] is finite and [> 0],
+      [keys >= 1] and [zipf] is finite and [>= 0] (NaN is neither).
+      {!spawn_clients} and {!client_body} call it. *)
 
   val spawn_clients :
     Tbwf_sim.Runtime.t ->

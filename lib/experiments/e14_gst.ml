@@ -2,6 +2,7 @@ open Tbwf_sim
 open Tbwf_core
 open Tbwf_objects
 module Degradation = Tbwf_check.Degradation
+module System = Tbwf_system.System
 
 type row = {
   window : int * int;
@@ -18,10 +19,9 @@ let compute ?(quick = false) () =
   let total = windows * window_steps in
   let gst = total / 2 in
   let stack =
-    Scenario.build ~seed:141L ~n ~omega:Scenario.Omega_atomic
-      ~spec:Counter.spec
+    System.build ~seed:141L ~n ~spec:Counter.spec
       ~next_op:(Workload.forever Counter.inc)
-      ~client_pids:(List.init n Fun.id) ()
+      ~client_pids:(List.init n Fun.id) System.Tbwf_atomic
   in
   (* Before GST: everyone flickers with growing sleeps, staggered so that
      no process keeps a bounded gap. After GST: deterministic interleave. *)
@@ -46,8 +46,8 @@ let compute ?(quick = false) () =
   let before = ref !previous in
   for w = 0 to windows - 1 do
     if w = tail_from then before := !previous;
-    Runtime.run stack.Scenario.rt ~policy ~steps:window_steps;
-    let now = Array.copy stack.Scenario.stats.Workload.completed in
+    Runtime.run stack.System.rt ~policy ~steps:window_steps;
+    let now = Array.copy stack.System.stats.Workload.completed in
     let delta = Array.mapi (fun i c -> c - !previous.(i)) now in
     previous := now;
     rows :=
@@ -64,10 +64,10 @@ let compute ?(quick = false) () =
       ~min_ops:(Degradation.required_tail_ops ~cost:1 ~n ~tail:(total - from))
       ~prediction:
         (Scenario.degraded_prediction ~n ~timely:(List.init n Fun.id) ~from)
-      ~trace:(Option.get stack.Scenario.trace) ~completed_before:!before
-      ~completed_after:stack.Scenario.stats.Workload.completed ()
+      ~trace:(Option.get stack.System.trace) ~completed_before:!before
+      ~completed_after:stack.System.stats.Workload.completed ()
   in
-  Runtime.stop stack.Scenario.rt;
+  Runtime.stop stack.System.rt;
   { gst; rows = List.rev !rows; steady_after_gst = verdict.Degradation.holds }
 
 let report fmt result =

@@ -1,6 +1,7 @@
 open Tbwf_core
 open Tbwf_objects
 module Degradation = Tbwf_check.Degradation
+module System = Tbwf_system.System
 
 type row = {
   k : int;
@@ -26,16 +27,16 @@ let run_config ~n ~steps ~k ~seed =
      tie-break, so this is the adversarial placement. *)
   let timely = List.init k (fun i -> n - 1 - i) in
   let stack =
-    Scenario.build ~seed ~n ~omega:Scenario.Omega_atomic ~spec:Counter.spec
+    System.build ~seed ~n ~spec:Counter.spec
       ~next_op:(Workload.forever Counter.inc)
-      ~client_pids:(List.init n Fun.id) ()
+      ~client_pids:(List.init n Fun.id) System.Tbwf_atomic
   in
   let policy = Scenario.degraded_policy ~n ~timely () in
-  let telemetry = Tbwf_telemetry.Collector.attach stack.Scenario.rt in
-  let rt = stack.Scenario.rt in
+  let telemetry = Tbwf_telemetry.Collector.attach stack.System.rt in
+  let rt = stack.System.rt in
   Tbwf_sim.Runtime.run rt ~policy ~steps:(steps / 2);
   let from = Tbwf_sim.Runtime.now rt in
-  let mid = Array.copy stack.Scenario.stats.Workload.completed in
+  let mid = Array.copy stack.System.stats.Workload.completed in
   Tbwf_sim.Runtime.run rt ~policy ~steps:(steps / 2);
   let verdict =
     Degradation.check
@@ -43,11 +44,11 @@ let run_config ~n ~steps ~k ~seed =
         (Degradation.required_tail_ops ~cost:1 ~n
            ~tail:(Tbwf_sim.Runtime.now rt - from))
       ~prediction:(Scenario.degraded_prediction ~n ~timely ~from)
-      ~trace:(Option.get stack.Scenario.trace) ~completed_before:mid
-      ~completed_after:stack.Scenario.stats.Workload.completed ()
+      ~trace:(Option.get stack.System.trace) ~completed_before:mid
+      ~completed_after:stack.System.stats.Workload.completed ()
   in
   Tbwf_sim.Runtime.stop rt;
-  let completed pid = stack.Scenario.stats.Workload.completed.(pid) in
+  let completed pid = stack.System.stats.Workload.completed.(pid) in
   let timely_counts = List.map completed timely in
   let untimely_counts =
     List.filter_map
@@ -78,7 +79,7 @@ let run_config ~n ~steps ~k ~seed =
     lock_free =
       Array.exists2
         (fun before after -> after > before)
-        mid stack.Scenario.stats.Workload.completed;
+        mid stack.System.stats.Workload.completed;
   }
 
 let compute ?(quick = false) () =

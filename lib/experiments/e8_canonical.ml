@@ -1,6 +1,7 @@
 open Tbwf_sim
 open Tbwf_core
 open Tbwf_objects
+module System = Tbwf_system.System
 
 type row = {
   variant : string;
@@ -14,15 +15,13 @@ type result = { n : int; rows : row list; canonical_fairer : bool }
 
 let run_variant ~variant ~canonical ~n ~steps ~seed =
   let stack =
-    Scenario.build ~seed ~record_trace:false ~canonical ~n
-      ~omega:Scenario.Omega_atomic
-      ~spec:Counter.spec
+    System.build ~seed ~record_trace:false ~canonical ~n ~spec:Counter.spec
       ~next_op:(Workload.forever Counter.inc)
-      ~client_pids:(List.init n Fun.id) ()
+      ~client_pids:(List.init n Fun.id) System.Tbwf_atomic
   in
-  Runtime.run stack.Scenario.rt ~policy:(Policy.round_robin ()) ~steps;
-  Runtime.stop stack.Scenario.rt;
-  let per_pid = Array.copy stack.Scenario.stats.Workload.completed in
+  Runtime.run stack.System.rt ~policy:(Policy.round_robin ()) ~steps;
+  Runtime.stop stack.System.rt;
+  let per_pid = Array.copy stack.System.stats.Workload.completed in
   let min_ops = Array.fold_left min max_int per_pid in
   let max_ops = Array.fold_left max 0 per_pid in
   {

@@ -1,8 +1,7 @@
-(** Common scenario construction for the experiment suite.
-
-    A scenario is a full TBWF stack (Ω∆ implementation + query-abortable
-    object + Figure 7 transformation + client workload) plus a schedule
-    policy. *)
+(** Common scenario pieces for the experiment suite: the Ω∆ variants
+    the Ω∆-only experiments install, and the degraded schedule with the
+    prediction that judges it. Full stacks come from
+    {!Tbwf_system.System.build}. *)
 
 type omega_impl =
   | Omega_atomic  (** Figure 3 over activity monitors and atomic registers *)
@@ -11,36 +10,6 @@ type omega_impl =
   | Omega_naive  (** the non-gracefully-degrading booster baseline *)
 
 val pp_omega_impl : Format.formatter -> omega_impl -> unit
-
-type stack = {
-  rt : Tbwf_sim.Runtime.t;
-  handles : Tbwf_omega.Omega_spec.handle array;
-  qa : Tbwf_objects.Qa_intf.t;
-  tbwf : Tbwf_core.Tbwf.t;
-  stats : Tbwf_core.Workload.stats;
-  trace : Tbwf_sim.Trace.t option;
-      (** recorded from step 0; [None] when built with
-          [~record_trace:false] *)
-}
-
-val build :
-  ?seed:int64 ->
-  ?record_trace:bool ->
-  ?canonical:bool ->
-  ?qa_universal:bool ->
-  ?qa_policy:Tbwf_registers.Abort_policy.t ->
-  n:int ->
-  omega:omega_impl ->
-  spec:Tbwf_objects.Seq_spec.t ->
-  next_op:(pid:int -> k:int -> Tbwf_sim.Value.t option) ->
-  client_pids:int list ->
-  unit ->
-  stack
-(** Wire a complete stack. [qa_policy] defaults to always-abort-on-
-    contention; [qa_universal] selects the layered RMW-cell construction
-    instead of the direct object (default false). [record_trace] (default
-    true) is {!Tbwf_system.System.build}'s: a run that never reads
-    [trace] passes [false]. *)
 
 val degraded_policy :
   ?untimely_pattern:[ `Flicker of int * int * float | `Slowing of int * float ] ->

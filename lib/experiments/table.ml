@@ -11,8 +11,6 @@ let add_row t row =
     invalid_arg "Table.add_row: wrong number of cells";
   t.rows <- row :: t.rows
 
-let row_count t = List.length t.rows
-
 let print fmt t =
   let rows = List.rev t.rows in
   let widths =

@@ -4,7 +4,6 @@ type t
 
 val create : title:string -> columns:string list -> t
 val add_row : t -> string list -> unit
-val row_count : t -> int
 val print : Format.formatter -> t -> unit
 
 val cell_int : int -> string

@@ -1,7 +1,6 @@
 open Tbwf_sim
 
 type t = {
-  n : int;
   monitors : Activity_monitor.t option array array;  (* (p).(q) = A(p,q) *)
 }
 
@@ -18,7 +17,7 @@ let install rt =
               Some mon
             end))
   in
-  { n; monitors }
+  { monitors }
 
 let suspected t ~pid ~q =
   match t.monitors.(pid).(q) with
@@ -28,5 +27,3 @@ let suspected t ~pid ~q =
       !(mon.Activity_monitor.status)
       Activity_monitor.Inactive
 
-let suspects t ~pid =
-  List.filter (fun q -> suspected t ~pid ~q) (List.init t.n Fun.id)

@@ -20,8 +20,6 @@ type t
 val install : Tbwf_sim.Runtime.t -> t
 (** Full monitor mesh with monitoring and advertising permanently on. *)
 
-val suspects : t -> pid:int -> int list
-(** The processes [pid] currently suspects (zero-step read of the monitor
-    outputs; ascending). A peer with no estimate yet is not suspected. *)
-
 val suspected : t -> pid:int -> q:int -> bool
+(** Whether [pid] currently suspects [q] (zero-step read of A(pid,q)'s
+    output). A peer with no estimate yet is not suspected. *)

@@ -32,16 +32,4 @@ let invoke t op =
   done;
   Option.get !result
 
-let try_invoke t op ~attempts =
-  let rec go remaining =
-    if remaining = 0 then None
-    else
-      match attempt t op with
-      | Some response -> Some response
-      | None ->
-        Runtime.yield ();
-        go (remaining - 1)
-  in
-  go attempts
-
 let peek_state t = snd (Value.to_pair (Cas_reg.peek t.cell))

@@ -24,8 +24,4 @@ val create :
 val invoke : t -> Tbwf_sim.Value.t -> Tbwf_sim.Value.t
 (** Apply an operation, retrying until the CAS lands. Lock-free. *)
 
-val try_invoke :
-  t -> Tbwf_sim.Value.t -> attempts:int -> Tbwf_sim.Value.t option
-(** Bounded-retry variant; [None] after [attempts] lost races. *)
-
 val peek_state : t -> Tbwf_sim.Value.t

@@ -18,5 +18,3 @@ let spec =
           Some (state, Value.Int n)
         | _ -> None);
   }
-
-let decode_response = Value.to_int

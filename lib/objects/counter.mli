@@ -8,6 +8,3 @@ val spec : Seq_spec.t
 val inc : Tbwf_sim.Value.t
 val add : int -> Tbwf_sim.Value.t
 val read : Tbwf_sim.Value.t
-
-val decode_response : Tbwf_sim.Value.t -> int
-(** All counter responses are integers. *)

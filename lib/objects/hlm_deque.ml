@@ -194,21 +194,6 @@ let try_right_push t v ~attempts =
   | (`Ok | `Full | `Interfered) as r -> r
   | `Empty | `Value _ -> assert false
 
-let try_right_pop t ~attempts =
-  match bounded ~attempts (fun () -> right_pop_once t) with
-  | (`Empty | `Value _ | `Interfered) as r -> r
-  | `Ok | `Full -> assert false
-
-let try_left_push t v ~attempts =
-  match bounded ~attempts (fun () -> left_push_once t v) with
-  | (`Ok | `Full | `Interfered) as r -> r
-  | `Empty | `Value _ -> assert false
-
-let try_left_pop t ~attempts =
-  match bounded ~attempts (fun () -> left_pop_once t) with
-  | (`Empty | `Value _ | `Interfered) as r -> r
-  | `Ok | `Full -> assert false
-
 let peek_contents t =
   Array.to_list t.cells
   |> List.filter_map (fun cell ->

@@ -30,14 +30,8 @@ val left_pop : t -> [ `Value of Tbwf_sim.Value.t | `Empty ]
 
 val try_right_push :
   t -> Tbwf_sim.Value.t -> attempts:int -> [ `Ok | `Full | `Interfered ]
-val try_right_pop :
-  t -> attempts:int -> [ `Value of Tbwf_sim.Value.t | `Empty | `Interfered ]
-val try_left_push :
-  t -> Tbwf_sim.Value.t -> attempts:int -> [ `Ok | `Full | `Interfered ]
-val try_left_pop :
-  t -> attempts:int -> [ `Value of Tbwf_sim.Value.t | `Empty | `Interfered ]
-(** Bounded-retry variants for experiments that must not block forever
-    under contention. *)
+(** Bounded-retry {!right_push}: [`Interfered] after [attempts] rounds
+    lost to contention. *)
 
 val peek_contents : t -> Tbwf_sim.Value.t list
 (** Zero-step view of the values currently between the null regions, left

@@ -72,10 +72,10 @@ type event_kind =
   | Ev_crash of int
 
 type t = {
-  mutable num : int;
+  num : int;
   rng : Rng.t;
   obj_rng : Rng.t;
-  mutable procs : proc array;  (* first [num] slots are the processes *)
+  procs : proc array;  (* [num] slots, one per process *)
   mutable step : int;
   mutable next_obj_id : int;
   (* Object ids are dense (allocated by [register_object]), so the
@@ -256,29 +256,6 @@ let crash_at t ~pid ~step =
   schedule_event t ~step:(Int.max step t.step) (Ev_crash pid)
 
 (* --- dynamic membership -------------------------------------------------- *)
-
-(* Grow the process table by one (amortized doubling; pre-built slots
-   beyond [num] are placeholders with the right pid). A fresh process has
-   no tasks, so it is not runnable until something is spawned on it —
-   joining the membership and joining the schedule are separate moments. *)
-let add_process t =
-  let pid = t.num in
-  let cap = Array.length t.procs in
-  if pid = cap then
-    t.procs <-
-      Array.init
-        (Int.max 4 (2 * cap))
-        (fun i -> if i < cap then t.procs.(i) else fresh_proc i);
-  t.num <- pid + 1;
-  pid
-
-let spawn_late ?(layer = Sink.Other) ?at t ~name body =
-  let pid = add_process t in
-  (match at with
-  | Some at when at > t.step ->
-    schedule_event t ~step:at (Ev_task { pid; name; layer; state = Ready body })
-  | _ -> push_task t ~pid ~name ~layer (Ready body));
-  pid
 
 let spawn_at ?(layer = Sink.Other) t ~pid ~at ~name body =
   if pid < 0 || pid >= t.num then invalid_arg "Runtime.spawn_at: bad pid";
@@ -568,8 +545,6 @@ let rec apply_due t =
   | _ -> ()
 
 let recompute_runnable t =
-  (* Index loops bounded by [num], not [Array.iter]: the table's capacity
-     can exceed the membership after amortized growth. *)
   let count = ref 0 in
   for i = 0 to t.num - 1 do
     if proc_runnable t.procs.(i) then incr count

@@ -27,8 +27,8 @@ val create : ?seed:int64 -> n:int -> unit -> t
     the run trace included, is a sink installed with {!set_sink}. *)
 
 val n : t -> int
-(** Current membership size: pids are 0..n-1, counting crashed and
-    retired processes. Grows with {!add_process}/{!spawn_late}. *)
+(** Membership size: pids are 0..n-1, counting crashed and retired
+    processes. *)
 
 val rng : t -> Rng.t
 (** The scheduling stream: consumed by policies (via {!run}) and nothing
@@ -121,35 +121,22 @@ val crashed : t -> pid:int -> bool
 
 (** {2 Dynamic membership}
 
-    Processes can join and leave mid-run. Membership changes are
-    deterministic simulator events, keyed by step like everything else:
-    a run with churn is still a pure function of (seed, policy, spawned
-    code, scheduled events), so it replays byte-identically under
-    {!Policy.replay}.
+    The process table is fixed at {!create}, but processes can join and
+    leave mid-run: a dormant pid joins when its first task is activated
+    ({!spawn_at}), and a process leaves when it retires or crashes.
+    Membership changes are deterministic simulator events, keyed by step
+    like everything else: a run with churn is still a pure function of
+    (seed, policy, spawned code, scheduled events), so it replays
+    byte-identically under {!Policy.replay}.
 
-    Deferred activations ({!spawn_late}, {!spawn_at}), retirements and
-    crashes ({!crash_at}) wait in one queue and apply just before their
-    step executes. Events due at the same step apply in a fixed order:
+    Deferred activations ({!spawn_at}), retirements and crashes
+    ({!crash_at}) wait in one queue and apply just before their step
+    executes. Events due at the same step apply in a fixed order:
     activations and retirements in the order they were scheduled, then
     crashes in the reverse of the order they were scheduled. So a crash
     and a retirement of one process at the same step leave it crashed,
     and an activation on a process that crashed or retired first is
     dropped. *)
-
-val add_process : t -> int
-(** Grow the membership by one and return the fresh pid ([n t] before the
-    call). The new process has no tasks, so it is not runnable — and
-    consumes no steps — until something is spawned on it; joining the
-    membership and joining the schedule are separate moments. The dense
-    process table grows amortized; existing pids are untouched. *)
-
-val spawn_late :
-  ?layer:Sink.layer -> ?at:int -> t -> name:string -> (unit -> unit) -> int
-(** [spawn_late t ~name body] = {!add_process} plus a task activation:
-    the fresh pid is returned immediately (so callers can wire objects or
-    predictions to it), and [body] becomes runnable at step [at] (default
-    now; an [at] in the past means now). The body can learn its own pid
-    with {!self}. *)
 
 val spawn_at :
   ?layer:Sink.layer -> t -> pid:int -> at:int -> name:string ->

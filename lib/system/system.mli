@@ -6,9 +6,9 @@
     reference. Every consumer of a full stack (the experiment scenarios,
     the nemesis campaigns, the trace/nemesis/demo CLIs and the bench
     harness) builds it through {!build}, or through the lower-level
-    {!install_atomic}/{!install_abortable}/{!install_naive}/{!create_qa}
-    when it needs the raw implementation records (monitor meshes, counter
-    registers) rather than a client-ready stack.
+    {!install_atomic}/{!install_abortable}/{!install_naive} when it needs
+    the raw implementation records (monitor meshes, counter registers)
+    rather than a client-ready stack.
 
     Refactor safety is mechanized: [test/golden/system_fingerprints.txt]
     pins each system's [Trace.fingerprint] under two schedules as captured
@@ -91,18 +91,6 @@ val install_abortable :
 val install_naive :
   ?factory:Reg.factory -> ?n:int -> Runtime.t -> Baselines.Naive_booster.t
 (** The non-gracefully-degrading booster baseline. *)
-
-val create_qa :
-  ?universal:bool ->
-  Runtime.t ->
-  name:string ->
-  spec:Seq_spec.t ->
-  policy:Abort_policy.t ->
-  ?effect_on_abort:Abort_policy.write_effect ->
-  unit ->
-  Qa_intf.t
-(** A query-abortable object: the direct implementation by default, the
-    layered universal (RMW-cell) construction with [universal:true]. *)
 
 (** {2 Building a full stack} *)
 

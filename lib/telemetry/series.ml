@@ -43,7 +43,6 @@ let window t = t.window
 let windows t = t.windows
 let retain t = t.retain
 let first_kept t = match t.retain with None -> 0 | Some _ -> t.first_kept
-let window_of_step t step = step / t.window
 
 (* Roll the ring forward so window [w] fits: fold every window that falls
    off the back into the evicted totals. At most [retain] slots need

@@ -24,8 +24,6 @@ val first_kept : t -> int
 (** Lowest window index whose per-window cell is still stored; [0] in
     unbounded mode. *)
 
-val window_of_step : t -> int -> int
-
 val bump : t -> pid:int -> step:int -> unit
 (** Count one event for [pid] in the window containing [step].
     Out-of-range pids are ignored. *)

@@ -22,12 +22,16 @@ let corpus_root =
     exit 2
 
 let exe_path name =
+  (* Drivers live in bin/, the stand-alone demos in examples/. *)
   let candidates =
-    [
-      Filename.concat "../bin" (name ^ ".exe");
-      Filename.concat "bin" (name ^ ".exe");
-      Filename.concat "_build/default/bin" (name ^ ".exe");
-    ]
+    List.concat_map
+      (fun dir ->
+        [
+          Filename.concat (Filename.concat ".." dir) (name ^ ".exe");
+          Filename.concat dir (name ^ ".exe");
+          Filename.concat (Filename.concat "_build/default" dir) (name ^ ".exe");
+        ])
+      [ "bin"; "examples" ]
   in
   match List.find_opt Sys.file_exists candidates with
   | Some p -> p

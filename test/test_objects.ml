@@ -17,12 +17,6 @@ let test_counter_spec () =
   let _, r3 = apply Counter.spec s2 Counter.read in
   Alcotest.check value "read" (Value.Int 6) r3
 
-let test_cell_spec () =
-  let spec = Cell.spec ~init:(Value.Str "a") in
-  let s1, _ = apply spec spec.Seq_spec.initial (Cell.write (Value.Str "b")) in
-  let _, r = apply spec s1 Cell.read in
-  Alcotest.check value "read back" (Value.Str "b") r
-
 let test_stack_spec () =
   let s = Stack_obj.spec.Seq_spec.initial in
   let s, _ = apply Stack_obj.spec s (Stack_obj.push (Value.Int 1)) in
@@ -84,48 +78,6 @@ let test_illegal_op_rejected () =
   Alcotest.check_raises "apply_exn raises"
     (Invalid_argument "Seq_spec counter: illegal op \"nonsense\" in state 0")
     (fun () -> ignore (apply Counter.spec (Value.Int 0) (Value.Str "nonsense")))
-
-let test_priority_queue_spec () =
-  let apply = Seq_spec.apply_exn Priority_queue.spec in
-  let s = Priority_queue.spec.Seq_spec.initial in
-  let s, _ = apply s (Priority_queue.insert 5 (Value.Str "bulk-a")) in
-  let s, _ = apply s (Priority_queue.insert 0 (Value.Str "urgent")) in
-  let s, _ = apply s (Priority_queue.insert 5 (Value.Str "bulk-b")) in
-  let s, first = apply s Priority_queue.extract_min in
-  Alcotest.check value "urgent first" (Value.Pair (Int 0, Str "urgent")) first;
-  let s, second = apply s Priority_queue.extract_min in
-  Alcotest.check value "FIFO among equals" (Value.Pair (Int 5, Str "bulk-a")) second;
-  let s, n_left = apply s Priority_queue.size in
-  Alcotest.check value "size" (Value.Int 1) n_left;
-  let s, third = apply s Priority_queue.extract_min in
-  Alcotest.check value "last" (Value.Pair (Int 5, Str "bulk-b")) third;
-  let _, empty = apply s Priority_queue.extract_min in
-  Alcotest.check value "empty sentinel" Priority_queue.empty_response empty
-
-(* Property: extracting everything yields priorities in non-decreasing
-   order, stable within a priority class. *)
-let qcheck_priority_queue_sorted =
-  QCheck.Test.make ~name:"priority queue extracts sorted, stably" ~count:300
-    QCheck.(small_list (int_range 0 5))
-    (fun prios ->
-      let inserts =
-        List.mapi (fun i p -> Priority_queue.insert p (Value.Int i)) prios
-      in
-      let extracts = List.map (fun _ -> Priority_queue.extract_min) prios in
-      let responses =
-        Seq_spec.run_sequential Priority_queue.spec (inserts @ extracts)
-      in
-      let extracted =
-        List.filteri (fun i _ -> i >= List.length prios) responses
-        |> List.map (fun v ->
-               let p, payload = Value.to_pair v in
-               Value.to_int p, Value.to_int payload)
-      in
-      let expected =
-        List.mapi (fun i p -> p, i) prios
-        |> List.stable_sort (fun (p1, _) (p2, _) -> compare p1 p2)
-      in
-      extracted = expected)
 
 (* Property: the counter value after a batch of incs/adds equals the sum. *)
 let qcheck_counter_sum =
@@ -366,19 +318,16 @@ let () =
       ( "sequential specs",
         [
           Alcotest.test_case "counter" `Quick test_counter_spec;
-          Alcotest.test_case "cell" `Quick test_cell_spec;
           Alcotest.test_case "stack" `Quick test_stack_spec;
           Alcotest.test_case "queue" `Quick test_queue_spec;
           Alcotest.test_case "set" `Quick test_set_spec;
           Alcotest.test_case "kv store" `Quick test_kv_spec;
-          Alcotest.test_case "priority queue" `Quick test_priority_queue_spec;
           Alcotest.test_case "illegal op rejected" `Quick test_illegal_op_rejected;
         ] );
       ( "spec properties",
         List.map QCheck_alcotest.to_alcotest
           [
             qcheck_counter_sum;
-            qcheck_priority_queue_sorted;
             qcheck_stack_lifo;
             qcheck_queue_fifo;
           ] );

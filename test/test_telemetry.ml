@@ -3,6 +3,7 @@ open Tbwf_core
 open Tbwf_objects
 open Tbwf_experiments
 open Tbwf_telemetry
+module System = Tbwf_system.System
 
 (* --- Hist: the log₂ histogram as a reference model ------------------------
 
@@ -782,20 +783,20 @@ let test_json_schema () =
 (* --- Collector on a live scenario ---------------------------------------- *)
 
 let build_stack ~seed =
-  Scenario.build ~seed ~n:3 ~omega:Scenario.Omega_atomic ~spec:Counter.spec
+  System.build ~seed ~n:3 ~spec:Counter.spec
     ~next_op:(Workload.forever Counter.inc)
-    ~client_pids:[ 0; 1; 2 ] ()
+    ~client_pids:[ 0; 1; 2 ] System.Tbwf_atomic
 
 let test_collector_agrees_with_workload () =
   let stack = build_stack ~seed:42L in
-  let telemetry = Collector.attach ~window:256 stack.Scenario.rt in
-  Runtime.run stack.Scenario.rt ~policy:(Policy.round_robin ()) ~steps:6_000;
-  Runtime.stop stack.Scenario.rt;
+  let telemetry = Collector.attach ~window:256 stack.System.rt in
+  Runtime.run stack.System.rt ~policy:(Policy.round_robin ()) ~steps:6_000;
+  Runtime.stop stack.System.rt;
   Alcotest.(check (array int)) "app_completed = workload completed"
-    stack.Scenario.stats.Workload.completed
+    stack.System.stats.Workload.completed
     (Collector.app_completed telemetry);
   Alcotest.(check (array int)) "series totals = workload completed"
-    stack.Scenario.stats.Workload.completed
+    stack.System.stats.Workload.completed
     (Series.totals (Collector.app_ops telemetry));
   Alcotest.(check int) "every step attributed" 6_000
     (Collector.total_steps telemetry);
@@ -830,10 +831,10 @@ let test_sink_lifecycle () =
 let test_snapshot_deterministic () =
   let snap seed =
     let stack = build_stack ~seed in
-    let telemetry = Collector.attach stack.Scenario.rt in
+    let telemetry = Collector.attach stack.System.rt in
     let policy = Scenario.degraded_policy ~n:3 ~timely:[ 2 ] () in
-    Runtime.run stack.Scenario.rt ~policy ~steps:4_000;
-    Runtime.stop stack.Scenario.rt;
+    Runtime.run stack.System.rt ~policy ~steps:4_000;
+    Runtime.stop stack.System.rt;
     Collector.snapshot_string telemetry
   in
   Alcotest.(check string) "same seed, same snapshot" (snap 5L) (snap 5L);
@@ -852,18 +853,18 @@ let qcheck_snapshot_replay_stable =
     (fun seed ->
       let seed = Int64.of_int seed in
       let stack = build_stack ~seed in
-      let telemetry = Collector.attach ~window:128 stack.Scenario.rt in
+      let telemetry = Collector.attach ~window:128 stack.System.rt in
       let policy = Scenario.degraded_policy ~n:3 ~timely:[ 1; 2 ] () in
-      Runtime.run stack.Scenario.rt ~policy ~steps:3_000;
-      let sched = Trace.schedule (Option.get stack.Scenario.trace) in
+      Runtime.run stack.System.rt ~policy ~steps:3_000;
+      let sched = Trace.schedule (Option.get stack.System.trace) in
       let original = Collector.snapshot_string telemetry in
-      Runtime.stop stack.Scenario.rt;
+      Runtime.stop stack.System.rt;
       let stack' = build_stack ~seed in
-      let telemetry' = Collector.attach ~window:128 stack'.Scenario.rt in
-      Runtime.run stack'.Scenario.rt ~policy:(Policy.replay sched)
+      let telemetry' = Collector.attach ~window:128 stack'.System.rt in
+      Runtime.run stack'.System.rt ~policy:(Policy.replay sched)
         ~steps:3_000;
       let replayed = Collector.snapshot_string telemetry' in
-      Runtime.stop stack'.Scenario.rt;
+      Runtime.stop stack'.System.rt;
       String.equal original replayed)
 
 (* --- merge tie-break ------------------------------------------------------ *)
@@ -1038,7 +1039,7 @@ let stream_schema_golden () =
 
 let test_stream_schema_pinned () =
   let stack = build_stack ~seed:42L in
-  let rt = stack.Scenario.rt in
+  let rt = stack.System.rt in
   let telemetry = Collector.attach ~window:256 rt in
   let tm = Tbwf_check.Tail_monitor.create ~n:3 ~window:2000 () in
   Runtime.set_sink rt

@@ -1,7 +1,7 @@
 (* The world layer and the dynamic-membership runtime underneath it.
 
-   Three layers of coverage: (1) runtime churn primitives — spawn_late
-   before the first step, graceful retire with a pending operation
+   Three layers of coverage: (1) runtime churn primitives — a dormant
+   pid joining through spawn_at, graceful retire with a pending operation
    across every register kind (mirroring test_crash_resolution), and a
    churned run byte-identically re-run under Policy.replay_strict;
    (2) the open-loop workload generator — arrivals respect the Poisson
@@ -14,45 +14,23 @@ open Tbwf_registers
 module System = Tbwf_system.System
 module World = Tbwf_world.World
 
-(* --- spawn_late ----------------------------------------------------------- *)
+(* --- spawn_at ------------------------------------------------------------- *)
 
-let test_spawn_late_before_first_step () =
-  let rt = Runtime.create ~seed:11L ~n:2 () in
-  let hits = Array.make 3 0 in
-  let client pid () =
-    while true do
-      hits.(pid) <- hits.(pid) + 1;
-      Runtime.yield ()
-    done
-  in
-  Runtime.spawn rt ~pid:0 ~name:"a" (client 0);
-  Runtime.spawn rt ~pid:1 ~name:"b" (client 1);
-  (* membership grows before the runtime has taken a single step *)
-  let pid = Runtime.spawn_late rt ~name:"late" (client 2) in
-  Alcotest.(check int) "late pid is the next pid" 2 pid;
-  Alcotest.(check int) "n grew" 3 (Runtime.n rt);
-  Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:90;
-  Runtime.stop rt;
-  Alcotest.(check bool) "late process ran" true (hits.(2) > 0);
-  Alcotest.(check bool) "roughly fair" true
-    (abs (hits.(2) - hits.(0)) <= 2)
-
-let test_spawn_late_deferred () =
-  let rt = Runtime.create ~seed:12L ~n:1 () in
+let test_spawn_at_deferred () =
+  (* Pid 1 is dormant: it has no task until its join at step 50. *)
+  let rt = Runtime.create ~seed:12L ~n:2 () in
   let trace = Trace.create () in
   Runtime.set_sink rt (Trace.recorder trace);
   Runtime.spawn rt ~pid:0 ~name:"a" (fun () ->
       while true do
         Runtime.yield ()
       done);
-  let pid =
-    Runtime.spawn_late rt ~at:50 ~name:"late" (fun () ->
-        while true do
-          Runtime.yield ()
-        done)
-  in
+  Runtime.spawn_at rt ~pid:1 ~at:50 ~name:"late" (fun () ->
+      while true do
+        Runtime.yield ()
+      done);
   Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:200;
-  let steps = Trace.steps_of trace ~pid in
+  let steps = Trace.steps_of trace ~pid:1 in
   Runtime.stop rt;
   Alcotest.(check bool) "joiner took steps" true (steps <> []);
   Alcotest.(check bool) "no step before its join" true
@@ -475,12 +453,8 @@ let test_world_jobs_byte_identity () =
 let () =
   Alcotest.run "world"
     [
-      ( "spawn_late",
-        [
-          Alcotest.test_case "before first step" `Quick
-            test_spawn_late_before_first_step;
-          Alcotest.test_case "deferred join" `Quick test_spawn_late_deferred;
-        ] );
+      ( "spawn_at",
+        [ Alcotest.test_case "deferred join" `Quick test_spawn_at_deferred ] );
       ( "retire",
         List.map
           (fun kind ->
