@@ -30,7 +30,7 @@ let policies ~substrate =
   | System.Shared_memory ->
     [
       "round-robin", (fun () -> Policy.round_robin ());
-      "degraded", (fun () -> Scenario.degraded_policy ~n ~timely:[ 1; 2 ] ());
+      "degraded", (fun () -> Scenario.degraded_policy ~n ~timely:[ 1; 2 ]);
     ]
   | System.Message_passing _ ->
     [
@@ -38,8 +38,7 @@ let policies ~substrate =
       ( "degraded",
         fun () ->
           Scenario.degraded_policy ~n:(n + replicas)
-            ~timely:(1 :: 2 :: List.init replicas (fun r -> n + r))
-            () );
+            ~timely:(1 :: 2 :: List.init replicas (fun r -> n + r)) );
     ]
 
 let digest ~substrate id policy =

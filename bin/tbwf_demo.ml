@@ -64,7 +64,7 @@ let demo ~n ~steps ~seed ~spec ~op ~omega:(omega, system) ~untimely
       ~spec ~next_op:(Workload.forever op)
       ~client_pids:(List.init n Fun.id) system
   in
-  let policy = Scenario.degraded_policy ~n ~timely () in
+  let policy = Scenario.degraded_policy ~n ~timely in
   let rt = stack.System.rt in
   Runtime.run rt ~policy ~steps:(steps / 2);
   let from = Runtime.now rt in

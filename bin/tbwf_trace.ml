@@ -81,11 +81,9 @@ let run_scenario ~substrate ~n ~k ~steps ~seed ~window ~stream_every =
      clients; the E1-style timely set stays a client-pid property. *)
   let policy =
     match substrate with
-    | Tbwf_system.System.Shared_memory -> Scenario.degraded_policy ~n ~timely ()
+    | Tbwf_system.System.Shared_memory -> Scenario.degraded_policy ~n ~timely
     | Tbwf_system.System.Message_passing config ->
-      Scenario.degraded_policy
-        ~n:(n + config.Tbwf_net.Net.replicas)
-        ~timely ()
+      Scenario.degraded_policy ~n:(n + config.Tbwf_net.Net.replicas) ~timely
   in
   Tbwf_sim.Runtime.run rt ~policy ~steps;
   if stream_every <> None then Collector.stream_flush telemetry;
@@ -163,7 +161,11 @@ let resolve ?stream_every ?width ~substrate ~plan ~system ~full ~n ~k ~steps
   | None ->
     let n = Option.value n ~default:(if full then 8 else 4) in
     let k = Option.value k ~default:n in
-    if k < 0 || k > n then Error (Fmt.str "--k must be in 0..%d" n)
+    if system <> Campaign.Tbwf_atomic then
+      Error
+        (Fmt.str "--system %s needs --plan: the scenario runs tbwf-atomic only"
+           (Campaign.system_name system))
+    else if k < 0 || k > n then Error (Fmt.str "--k must be in 0..%d" n)
     else begin
       let steps =
         Option.value steps ~default:(if full then 240_000 else 60_000)
@@ -298,8 +300,8 @@ let system_arg =
        & info [ "system" ] ~docv:"SYSTEM"
            ~doc:"System under test for --plan runs (tbwf-atomic, \
                  tbwf-abortable, tbwf-universal, naive-booster, retry). \
-                 The scenario always runs tbwf-atomic; the name is \
-                 checked in both modes.")
+                 The scenario runs tbwf-atomic only: without --plan, any \
+                 other system is an error (exit 2).")
 
 let full_arg =
   Arg.(value & flag

@@ -25,7 +25,7 @@ let run ~system ~k =
       ~next_op:(Workload.forever Counter.inc)
       ~client_pids:(List.init n Fun.id) system
   in
-  let policy = Scenario.degraded_policy ~n ~timely () in
+  let policy = Scenario.degraded_policy ~n ~timely in
   Runtime.run stack.System.rt ~policy ~steps;
   Runtime.stop stack.System.rt;
   let completed = stack.System.stats.Workload.completed in

@@ -58,9 +58,6 @@ type prediction = {
           exempt rather than guaranteed *)
 }
 
-val emergent_majority : emergent -> int
-(** [em_replicas/2 + 1]. *)
-
 val emergent_quorate : emergent -> int -> bool
 (** Does this client reach at least a majority of live replicas over
     timely links? *)
@@ -186,7 +183,6 @@ val min_timely_tail_ops : verdict -> int option
 (** Minimum tail operations over predicted-timely processes; [None] if the
     plan predicts nobody timely. *)
 
-val process_json : process_verdict -> Tbwf_telemetry.Json.t
 val verdict_json : verdict -> Tbwf_telemetry.Json.t
 (** Canonical JSON rendering of a verdict — what the streaming telemetry
     records and the soak CLI embed. *)

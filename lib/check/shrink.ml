@@ -14,11 +14,11 @@ let chunks ~granularity items =
   in
   split [] [] 0 items
 
-let ddmin ?(max_tests = 10_000) ~fails items =
+let ddmin ~fails items =
   let tests = ref 0 in
   let fails candidate =
     incr tests;
-    !tests <= max_tests && fails candidate
+    !tests <= 10_000 && fails candidate
   in
   let rec reduce granularity items =
     let len = List.length items in

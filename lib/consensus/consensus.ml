@@ -51,11 +51,6 @@ let decided t =
   | Value.Unit -> None
   | v -> Some v
 
-let read_decision t =
-  match Atomic_reg.read t.decision with
-  | Value.Unit -> None
-  | v -> Some v
-
 (* One ballot attempt by [pid] with ballot number [b]; returns the decided
    value, or None if a higher ballot interfered. Disk-Paxos shape:
    phase 1 announces b and collects the highest accepted value; phase 2

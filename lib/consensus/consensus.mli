@@ -55,7 +55,3 @@ val propose : t -> Tbwf_sim.Value.t -> Tbwf_sim.Value.t
 
 val decided : t -> Tbwf_sim.Value.t option
 (** Zero-step peek at the decision, for tests. *)
-
-val read_decision : t -> Tbwf_sim.Value.t option
-(** Read the decision register (a real shared-memory read, two steps);
-    [None] while undecided. Must run inside a task. *)

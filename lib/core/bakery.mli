@@ -19,8 +19,5 @@ val lock : t -> unit
 (** Acquire; blocks (busy-waiting) until the caller holds the lock. Must
     run inside a task. *)
 
-val unlock : t -> unit
-(** Release. Must be called by the current holder. *)
-
 val with_lock : t -> (unit -> 'a) -> 'a
 (** [lock], run the thunk, [unlock] — the thunk must not raise. *)

@@ -95,7 +95,7 @@ let client_machine rt ~pid ~(gate : t option) ~qa ~stats ~next_op :
         client_step Value.Unit
       | None ->
         if gated then handle.Omega_spec.candidate := false;
-        Workload.complete rt stats ~pid res;
+        Workload.complete rt stats ~pid;
         incr k;
         pc := 0;
         client_step Value.Unit)

@@ -1,23 +1,13 @@
 open Tbwf_sim
 
-type stats = {
-  issued : int array;
-  completed : int array;
-  last_response : Value.t option array;
-}
+type stats = { issued : int array; completed : int array }
 
-let fresh_stats ~n =
-  {
-    issued = Array.make n 0;
-    completed = Array.make n 0;
-    last_response = Array.make n None;
-  }
+let fresh_stats ~n = { issued = Array.make n 0; completed = Array.make n 0 }
 
 let issue stats ~pid = stats.issued.(pid) <- stats.issued.(pid) + 1
 
-let complete rt stats ~pid response =
+let complete rt stats ~pid =
   stats.completed.(pid) <- stats.completed.(pid) + 1;
-  stats.last_response.(pid) <- Some response;
   if Runtime.telemetry_active rt then Runtime.signal rt ~pid Sink.Op_complete
 
 let spawn_clients rt ~pids ~stats ~invoke ~next_op =
@@ -27,7 +17,8 @@ let spawn_clients rt ~pids ~stats ~invoke ~next_op =
       | None -> ()
       | Some op ->
         issue stats ~pid;
-        complete rt stats ~pid (invoke op);
+        ignore (invoke op : Value.t);
+        complete rt stats ~pid;
         loop (k + 1)
     in
     loop 0
@@ -103,7 +94,8 @@ module Open_loop = struct
         Runtime.await (fun () -> Runtime.now rt >= due);
         let key = draw_key cdf rng in
         issue stats ~pid;
-        complete rt stats ~pid (invoke (op_of_key ~pid ~k ~key));
+        ignore (invoke (op_of_key ~pid ~k ~key) : Value.t);
+        complete rt stats ~pid;
         loop (k + 1) (next_arrival +. draw_gap profile rng)
       end
     in

@@ -4,7 +4,6 @@
 type stats = {
   issued : int array;  (** ops started, per pid *)
   completed : int array;  (** ops finished, per pid *)
-  last_response : Tbwf_sim.Value.t option array;
 }
 
 val fresh_stats : n:int -> stats
@@ -12,8 +11,8 @@ val fresh_stats : n:int -> stats
 val issue : stats -> pid:int -> unit
 (** Count one operation started by [pid]. *)
 
-val complete : Tbwf_sim.Runtime.t -> stats -> pid:int -> Tbwf_sim.Value.t -> unit
-(** Count one operation of [pid] finished with [response], and emit
+val complete : Tbwf_sim.Runtime.t -> stats -> pid:int -> unit
+(** Count one operation of [pid] finished, and emit
     [Sink.Op_complete] for it when telemetry is active: the one completion
     routine of every client, fiber or machine. *)
 

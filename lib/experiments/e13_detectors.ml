@@ -60,10 +60,8 @@ let compute ?(quick = false) () =
   (* Run 2: Ω∆ on the same scenario shape (same policy, same crash). *)
   let rt = Runtime.create ~seed:131L ~n () in
   let om = Tbwf_system.System.install_atomic rt in
-  for pid = 0 to n - 1 do
-    Runtime.spawn rt ~pid ~name:"pcand" (fun () ->
-        om.Omega_registers.handles.(pid).Omega_spec.candidate := true)
-  done;
+  Omega_scenarios.spawn_drivers rt om.Omega_registers.handles
+    (Omega_scenarios.everyone_p ~n);
   Runtime.crash_at rt ~pid:3 ~step:(total / 4);
   let policy = scenario_policy n in
   let omega_rows = ref [] in

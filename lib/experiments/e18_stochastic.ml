@@ -73,7 +73,6 @@ let run_cell ~n ~steps ~seed ~regime system =
       (* The E2 adversary: pid 0's gaps grow geometrically forever,
          everyone else is timely. *)
       Scenario.degraded_policy ~n ~timely:(List.init (n - 1) (fun i -> i + 1))
-        ()
   in
   Tbwf_sim.Runtime.run stack.System.rt ~policy ~steps;
   Tbwf_sim.Runtime.stop stack.System.rt;

@@ -8,8 +8,6 @@
 
 type regime = Uniform | Adversarial
 
-val regime_name : regime -> string
-
 type cell = {
   completed : int;
   ops_observed : int;

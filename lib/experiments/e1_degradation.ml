@@ -31,7 +31,7 @@ let run_config ~n ~steps ~k ~seed =
       ~next_op:(Workload.forever Counter.inc)
       ~client_pids:(List.init n Fun.id) System.Tbwf_atomic
   in
-  let policy = Scenario.degraded_policy ~n ~timely () in
+  let policy = Scenario.degraded_policy ~n ~timely in
   let telemetry = Tbwf_telemetry.Collector.attach stack.System.rt in
   let rt = stack.System.rt in
   Tbwf_sim.Runtime.run rt ~policy ~steps:(steps / 2);

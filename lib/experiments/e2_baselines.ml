@@ -20,7 +20,7 @@ let run_system ~system ~n ~segments ~segment_steps ~seed ~id =
   let rt = stack.System.rt in
   let stats = stack.System.stats in
   let timely = List.init (n - 1) (fun i -> i + 1) in
-  let policy = Scenario.degraded_policy ~n ~timely () in
+  let policy = Scenario.degraded_policy ~n ~timely in
   let segment_totals = ref [] in
   let previous = ref 0 in
   for _seg = 1 to segments do

@@ -20,28 +20,26 @@ let measure_abort_rate ~quick policy =
     Abortable_reg.create rt ~name:"collide" ~codec:Codec.int ~init:0 ~writer:0
       ~reader:1 ~policy ()
   in
+  let ops = ref 0 and aborts = ref 0 in
+  let count ok =
+    incr ops;
+    if not ok then incr aborts
+  in
   Runtime.spawn rt ~pid:0 ~name:"writer" (fun () ->
       let k = ref 0 in
       while true do
         incr k;
-        let (_ : bool) = Abortable_reg.write reg !k in
-        ()
+        count (Abortable_reg.write reg !k)
       done);
   Runtime.spawn rt ~pid:1 ~name:"reader" (fun () ->
       while true do
-        let (_ : int option) = Abortable_reg.read reg in
-        ()
+        count (Option.is_some (Abortable_reg.read reg))
       done);
   Runtime.run rt
     ~policy:(Policy.round_robin ())
     ~steps:(if quick then 4_000 else 20_000);
   Runtime.stop rt;
-  let m = Abortable_reg.metrics reg in
-  let total = Metrics.total_ops m in
-  if total = 0 then 0.0
-  else
-    float_of_int (m.Metrics.read_aborts + m.Metrics.write_aborts)
-    /. float_of_int total
+  if !ops = 0 then 0.0 else float_of_int !aborts /. float_of_int !ops
 
 let compute ?(quick = false) () =
   let policies =

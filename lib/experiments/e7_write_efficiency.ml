@@ -29,30 +29,9 @@ let compute ?(quick = false) () =
   let trace = Trace.create () in
   Runtime.set_sink rt (Trace.recorder trace);
   let om = Tbwf_system.System.install_atomic rt in
-  (* Reuse the scenario drivers but keep our own runtime to read the trace. *)
+  (* The scenario drivers, on our own runtime so the trace can be read. *)
   let handles = om.handles in
-  List.iter
-    (fun pid ->
-      Runtime.spawn rt ~pid ~name:"pcand" (fun () ->
-          handles.(pid).Omega_spec.candidate := true))
-    classes.pcands;
-  List.iter
-    (fun pid ->
-      Runtime.spawn rt ~pid ~name:"rcand" (fun () ->
-          while true do
-            Omega_spec.canonical_join handles.(pid);
-            for _ = 1 to 400 do Runtime.yield () done;
-            Omega_spec.leave handles.(pid);
-            for _ = 1 to 400 do Runtime.yield () done
-          done))
-    classes.rcands;
-  List.iter
-    (fun pid ->
-      Runtime.spawn rt ~pid ~name:"ncand" (fun () ->
-          handles.(pid).Omega_spec.candidate := true;
-          for _ = 1 to 600 do Runtime.yield () done;
-          handles.(pid).Omega_spec.candidate := false))
-    classes.ncands;
+  Omega_scenarios.spawn_drivers rt handles classes;
   let policy = Policy.round_robin () in
   Runtime.run rt ~policy ~steps:(segments * segment_steps);
   let elected =

@@ -25,7 +25,7 @@ type outcome = {
   samples : Omega_spec.sample list;
 }
 
-let spawn_drivers rt handles classes ~rcand_phase ~ncand_phase =
+let spawn_drivers ?(rcand_phase = 400) ?(ncand_phase = 600) rt handles classes =
   List.iter
     (fun pid ->
       Runtime.spawn rt ~pid ~name:"pcand" (fun () ->
@@ -78,8 +78,8 @@ let stabilization samples ~pcands ~elected =
     in
     earliest (len - 1) None
 
-let run ?(seed = 0xFEEDL) ?(flicker = (300, 600, 1.5)) ?(rcand_phase = 400)
-    ?(ncand_phase = 600) ~n ~omega ~classes ~segments ~segment_steps () =
+let run ?(seed = 0xFEEDL) ?rcand_phase ?ncand_phase ~n ~omega ~classes ~segments
+    ~segment_steps () =
   let rt = Runtime.create ~seed ~n () in
   let handles =
     match omega with
@@ -88,9 +88,8 @@ let run ?(seed = 0xFEEDL) ?(flicker = (300, 600, 1.5)) ?(rcand_phase = 400)
       (Tbwf_system.System.install_abortable rt ~policy ()).handles
     | Scenario.Omega_naive -> (Tbwf_system.System.install_naive rt).handles
   in
-  spawn_drivers rt handles classes ~rcand_phase ~ncand_phase;
+  spawn_drivers ?rcand_phase ?ncand_phase rt handles classes;
   List.iter (fun (pid, step) -> Runtime.crash_at rt ~pid ~step) classes.crashes;
-  let active, sleep, growth = flicker in
   (* Timely processes take deterministic Every-claims: under a random
      schedule no process has a bounded gap in the limit (gaps grow like the
      logarithm of time), so spurious suspicions — and hence punishments and
@@ -104,7 +103,7 @@ let run ?(seed = 0xFEEDL) ?(flicker = (300, 600, 1.5)) ?(rcand_phase = 400)
   let pattern pid =
     match List.find_index (fun p -> p = pid) timely_pids with
     | Some i -> Policy.Every { period = 2 * k; offset = 2 * i }
-    | None -> Policy.Flicker { active; sleep; growth }
+    | None -> Policy.Flicker { active = 300; sleep = 600; growth = 1.5 }
   in
   let policy = Policy.of_patterns (List.init n (fun pid -> pid, pattern pid)) in
   let samples = ref [] in

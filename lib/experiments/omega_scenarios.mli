@@ -26,9 +26,20 @@ type outcome = {
   samples : Tbwf_omega.Omega_spec.sample list;
 }
 
+val spawn_drivers :
+  ?rcand_phase:int ->
+  ?ncand_phase:int ->
+  Tbwf_sim.Runtime.t ->
+  Tbwf_omega.Omega_spec.handle array ->
+  classes ->
+  unit
+(** Spawn one driver task per classed pid: pcands, then rcands, then
+    ncands, each in list order. An rcand joins and leaves for
+    [rcand_phase] steps each (default 400), an ncand competes for
+    [ncand_phase] steps (default 600) and leaves. *)
+
 val run :
   ?seed:int64 ->
-  ?flicker:int * int * float ->
   ?rcand_phase:int ->
   ?ncand_phase:int ->
   n:int ->
@@ -39,7 +50,7 @@ val run :
   unit ->
   outcome
 (** Install the chosen Ω∆ implementation, spawn one driver task per process
-    realizing its class, run with a schedule where [untimely] pids flicker
-    (parameters [flicker], default (300, 600, 1.5)) and everyone else runs
-    with equal weight, then evaluate the election properties on the sampled
-    suffix. *)
+    realizing its class ({!spawn_drivers}), run with a schedule where
+    [untimely] pids flicker (300 steps awake, then silences from 600 steps
+    growing by 1.5) and everyone else runs with equal weight, then evaluate
+    the election properties on the sampled suffix. *)

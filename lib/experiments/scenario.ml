@@ -12,16 +12,11 @@ let pp_omega_impl fmt = function
     Fmt.pf fmt "abortable-registers(%a)" Abort_policy.pp policy
   | Omega_naive -> Fmt.string fmt "naive-booster"
 
-let degraded_policy ?(untimely_pattern = `Slowing (60, 1.15)) ~n ~timely () =
+let degraded_policy ~n ~timely =
   let k = max 1 (List.length timely) in
-  let untimely =
-    match untimely_pattern with
-    | `Flicker (active, sleep, growth) -> Policy.Flicker { active; sleep; growth }
-    | `Slowing (initial_gap, growth) ->
-      (* Burst sized so each visit yields at least one heartbeat write even
-         with a full monitor mesh multiplexed onto the process. *)
-      Policy.Slowing { initial_gap; growth; burst = 8 * n }
-  in
+  (* Burst sized so each visit yields at least one heartbeat write even
+     with a full monitor mesh multiplexed onto the process. *)
+  let untimely = Policy.Slowing { initial_gap = 60; growth = 1.15; burst = 8 * n } in
   let pattern pid =
     (* A strict rotation: every step is claimed by some timely process, so
        the interleaving is perfectly adversarial for unboosted retries. *)

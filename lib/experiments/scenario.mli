@@ -11,19 +11,13 @@ type omega_impl =
 
 val pp_omega_impl : Format.formatter -> omega_impl -> unit
 
-val degraded_policy :
-  ?untimely_pattern:[ `Flicker of int * int * float | `Slowing of int * float ] ->
-  n:int ->
-  timely:int list ->
-  unit ->
-  Tbwf_sim.Policy.t
+val degraded_policy : n:int -> timely:int list -> Tbwf_sim.Policy.t
 (** Timely pids take steps in a deterministic interleave (an [Every] claim
     each, so each is timely with bound about twice the number of timely
-    processes); the rest follow [untimely_pattern] — by default
-    [`Slowing (60, 1.15)], a process whose step gaps grow geometrically
-    (never timely, never willingly inactive), the adversary under which the
-    baselines of E2 collapse. [`Flicker (active, sleep, growth)] alternates
-    eager phases with geometrically growing silences instead. *)
+    processes); the rest are [Slowing] from a gap of 60 steps growing by
+    1.15: processes whose step gaps grow geometrically (never timely,
+    never willingly inactive), the adversary under which the baselines of
+    E2 collapse. *)
 
 val degraded_prediction :
   n:int -> timely:int list -> from:int -> Tbwf_check.Degradation.prediction

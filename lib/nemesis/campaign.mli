@@ -218,5 +218,4 @@ val run_matrix :
     graceful degradation survives when register timeliness is emergent
     rather than assumed. *)
 
-val pp_row : Format.formatter -> row -> unit
 val pp_outcome : Format.formatter -> outcome -> unit

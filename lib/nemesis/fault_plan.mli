@@ -23,15 +23,9 @@ type target =
   | Qa  (** the query-abortable object the clients operate on *)
   | Omega_mesh  (** the abortable heartbeat/message mesh under Ω∆ *)
 
-val target_name : target -> string
-val target_of_name : string -> (target, string) result
-
 (** A network endpoint, for the v2 network atoms: client [c<i>] (pid [i])
     or replica server [r<j>] (pid [n + j] in a message-passing runtime). *)
 type node = Client of int | Replica of int
-
-val node_name : node -> string
-val node_of_name : string -> (node, string) result
 
 type atom =
   | Crash of { pid : int; at : int }
@@ -152,13 +146,6 @@ val settle_step : t -> int
     max over atoms of their onset (point atoms) or end (windowed atoms,
     except a ramp that persists to the horizon, which settles at onset).
     The degradation checker examines the tail from here. *)
-
-val timeliness_bound : t -> int
-(** The scheduling-gap bound the compiled policy delivers for timely
-    processes: [4 * (n + replicas + 1)] — the base rotation has period
-    [n + replicas + 1], and soft steps granted to flickering processes
-    can displace a hard claim by at most a constant factor (see
-    {!Tbwf_sim.Policy}). *)
 
 val emergent : t -> Tbwf_check.Degradation.emergent option
 (** The emergent-timeliness picture on a message-passing substrate

@@ -35,6 +35,11 @@ let demo_make_runtime ?substrate plan () =
   Fault_plan.install_crashes plan rt;
   rt
 
+(* The invariant reads the registers, not the trace. On shared memory it
+   is [peek = recorded]; on message passing a completing quorum write
+   lands at the replicas before the client records it, so it is the
+   monotone [peek >= recorded], which an [Effect_never] abort recorded as
+   done still violates. *)
 let demo_scenario ?(substrate = System.Shared_memory) plan rt _trace =
   let policy =
     Fault_plan.abort_policy plan ~target:Fault_plan.Qa

@@ -32,33 +32,11 @@ val fuzz :
     kind-agnostically — unknown/future atom kinds ride through ddmin and
     re-serialization untouched rather than being silently dropped. *)
 
-val demo_n : int
-
 val demo_pid_count :
   ?substrate:Tbwf_system.System.substrate -> Fault_plan.t -> int
-(** Pids in the demo runtime under [plan]: [demo_n] clients, plus the
+(** Pids in the demo runtime under [plan]: its two clients, plus the
     replica server pids on message passing — the [n] a witness schedule
     over the demo scenario must be validated against. *)
-
-val demo_make_runtime :
-  ?substrate:Tbwf_system.System.substrate ->
-  Fault_plan.t ->
-  unit ->
-  Tbwf_sim.Runtime.t
-
-val demo_scenario :
-  ?substrate:Tbwf_system.System.substrate ->
-  Fault_plan.t ->
-  Tbwf_sim.Runtime.t ->
-  Tbwf_sim.Trace.t ->
-  unit ->
-  bool
-(** The planted-bug scenario on either substrate; its invariant reads
-    the registers, not the trace. On shared memory the
-    invariant is [peek = recorded]; on message passing a completing
-    quorum write lands at the replicas before the client records it, so
-    the invariant is the monotone [peek >= recorded] — which an
-    [Effect_never] abort recorded as done still violates. *)
 
 val demo :
   ?seed:int64 ->

@@ -133,4 +133,3 @@ let fold t ~tasks f ~init step =
 
 let try_map t xs f = run t ~tasks:(Array.length xs) (fun i -> f xs.(i))
 let map t xs f = force (try_map t xs f)
-let map_seeded t seeds f = map t seeds f

@@ -53,8 +53,3 @@ val map : t -> 'b array -> ('b -> 'a) -> 'a array
     {!Task_failed} (after all tasks completed) if any task raised. *)
 
 val try_map : t -> 'b array -> ('b -> 'a) -> ('a, error) result array
-
-val map_seeded : t -> int64 array -> (int64 -> 'a) -> 'a array
-(** {!map} specialized to seed arrays — the canonical shape: derive one
-    seed per task with {!Tbwf_sim.Rng.task_seeds}, fan out, merge in seed
-    order. *)

@@ -6,12 +6,10 @@ type 'a t = {
   cell : Value.t ref;
   writer : int;
   reader : int;
-  metrics : Metrics.t;
 }
 
 let create rt ~name ~codec ~init ~writer ~reader ~policy
     ?(write_effect = Abort_policy.Effect_random 0.5) () =
-  let metrics = Metrics.create () in
   let cell = ref (codec.Codec.enc init) in
   let respond (ctx : Shared.ctx) =
     match ctx.op with
@@ -21,7 +19,6 @@ let create rt ~name ~codec ~init ~writer ~reader ~policy
           (Fmt.str "Abortable_reg %s: pid %d is not the writer (%d)" name
              ctx.pid writer);
       if Abort_policy.should_abort policy ~contended:ctx.overlapped ctx then begin
-        metrics.write_aborts <- metrics.write_aborts + 1;
         if Runtime.telemetry_active rt then
           Runtime.signal rt ~pid:ctx.pid Sink.Abort_decision;
         if Abort_policy.write_takes_effect write_effect ctx.rng then cell := v;
@@ -29,7 +26,6 @@ let create rt ~name ~codec ~init ~writer ~reader ~policy
       end
       else begin
         cell := v;
-        metrics.writes <- metrics.writes + 1;
         Value.Unit
       end
     | Value.Pair (Str "read", _) ->
@@ -38,19 +34,15 @@ let create rt ~name ~codec ~init ~writer ~reader ~policy
           (Fmt.str "Abortable_reg %s: pid %d is not the reader (%d)" name
              ctx.pid reader);
       if Abort_policy.should_abort policy ~contended:ctx.overlapped ctx then begin
-        metrics.read_aborts <- metrics.read_aborts + 1;
         if Runtime.telemetry_active rt then
           Runtime.signal rt ~pid:ctx.pid Sink.Abort_decision;
         Value.Abort
       end
-      else begin
-        metrics.reads <- metrics.reads + 1;
-        !cell
-      end
+      else !cell
     | op -> invalid_arg (Fmt.str "Abortable_reg %s: bad op %a" name Value.pp op)
   in
   let obj = Runtime.register_object rt ~name ~respond in
-  { obj; codec; cell; writer; reader; metrics }
+  { obj; codec; cell; writer; reader }
 
 let read t =
   match Runtime.call t.obj Value.read_op with
@@ -63,7 +55,6 @@ let write t v =
   | _ -> true
 
 let peek t = t.codec.Codec.dec !(t.cell)
-let metrics t = t.metrics
 let name t = t.obj.Shared.name
 let shared t = t.obj
 let encode t v = t.codec.Codec.enc v

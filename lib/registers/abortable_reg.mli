@@ -37,7 +37,6 @@ val write : 'a t -> 'a -> bool
 val peek : 'a t -> 'a
 (** Zero-step inspection for tests and analyses. *)
 
-val metrics : _ t -> Metrics.t
 val name : _ t -> string
 
 (** {2 Step-machine access}

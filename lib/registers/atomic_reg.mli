@@ -20,7 +20,6 @@ val peek : 'a t -> 'a
 (** Zero-step inspection of the current contents, for analyses and tests —
     never used by algorithm code. *)
 
-val metrics : _ t -> Metrics.t
 val name : _ t -> string
 
 (** {2 Step-machine access}

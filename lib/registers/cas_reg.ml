@@ -4,35 +4,26 @@ type 'a t = {
   obj : Shared.t;
   codec : 'a Codec.t;
   cell : Value.t ref;
-  metrics : Metrics.t;
 }
 
 let create rt ~name ~codec ~init =
-  let metrics = Metrics.create () in
   let cell = ref (codec.Codec.enc init) in
   let respond (ctx : Shared.ctx) =
     match ctx.op with
     | Value.Pair (Str "write", v) ->
       cell := v;
-      metrics.writes <- metrics.writes + 1;
       Value.Unit
-    | Value.Pair (Str "read", _) ->
-      metrics.reads <- metrics.reads + 1;
-      !cell
+    | Value.Pair (Str "read", _) -> !cell
     | Value.Pair (Str "cas", Pair (expected, desired)) ->
       if Value.equal !cell expected then begin
         cell := desired;
-        metrics.writes <- metrics.writes + 1;
         Value.Bool true
       end
-      else begin
-        metrics.reads <- metrics.reads + 1;
-        Value.Bool false
-      end
+      else Value.Bool false
     | op -> invalid_arg (Fmt.str "Cas_reg %s: bad op %a" name Value.pp op)
   in
   let obj = Runtime.register_object rt ~name ~respond in
-  { obj; codec; cell; metrics }
+  { obj; codec; cell }
 
 let read t = t.codec.Codec.dec (Runtime.call t.obj Value.read_op)
 
@@ -48,4 +39,3 @@ let cas t ~expected ~desired =
   Value.to_bool (Runtime.call t.obj op)
 
 let peek t = t.codec.Codec.dec !(t.cell)
-let metrics t = t.metrics

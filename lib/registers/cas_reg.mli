@@ -22,5 +22,3 @@ val cas : 'a t -> expected:'a -> desired:'a -> bool
     Linearizes at the response step like every simulated operation. *)
 
 val peek : 'a t -> 'a
-val metrics : _ t -> Metrics.t
-(** [writes] counts successful CAS too; failed CAS counts as a read. *)

@@ -21,9 +21,6 @@ type kind = Read | Write
 
 val pp_kind : Format.formatter -> kind -> unit
 
-val kind_of_op : Tbwf_sim.Value.t -> kind
-(** [Read] iff the op is a register/object read ({!Tbwf_sim.Value.is_read}). *)
-
 val kind_of_event :
   phase:[ `Invoke | `Respond of Tbwf_sim.Value.t ] ->
   Tbwf_sim.Value.t ->

@@ -155,13 +155,13 @@ let flicker_awake slot step active sleep growth =
 (* The claim calendar of one [of_patterns] policy: the runnable set of
    the last rebuild split by leaf (each part in runnable order), and its
    [Every] pids filed in a wheel of power-of-two size by next claiming
-   step. It stays valid for consecutive steps with the same runnable
-   contents until [horizon], the first step at which some runnable
-   slot's resolved range ends. *)
+   step. It stays valid for consecutive steps handed the same runnable
+   array (callers never write into one they handed over) until
+   [horizon], the first step at which some runnable slot's resolved
+   range ends. *)
 type calendar = {
   mutable slots : slot array;  (* one per pid, grown on first sight *)
-  mutable held : int array;  (* the runnable contents of the last rebuild *)
-  mutable held_len : int;  (* -1 before the first rebuild *)
+  mutable held : int array;  (* the runnable array of the last rebuild *)
   mutable last_step : int;
   mutable horizon : int;
   mutable every : int array;
@@ -210,15 +210,13 @@ let rec pow2_at_least k size = if size >= k then size else pow2_at_least k (2 * 
    inlined it would put [first_claim]'s division into every pick. *)
 let[@inline never] rebuild cal ~step ~runnable =
   let len = Array.length runnable in
-  if Array.length cal.held < len then begin
-    cal.held <- Array.make len 0;
+  if Array.length cal.every < len then begin
     cal.every <- Array.make len 0;
     cal.slowing_pids <- Array.make len 0;
     cal.soft <- Array.make len 0;
     cal.weights <- Array.make len 0.0
   end;
-  Array.blit runnable 0 cal.held 0 len;
-  cal.held_len <- len;
+  cal.held <- runnable;
   cal.horizon <- max_int;
   cal.n_every <- 0;
   cal.n_slowing <- 0;
@@ -321,15 +319,8 @@ let pick_patterns cal ~step ~runnable ~rng =
   let len = Array.length runnable in
   if len = 0 then -1
   else begin
-    (* [held] holds at least [held_len] pids, so once the lengths agree
-       the scan stays inside both arrays *)
-    let held = cal.held in
-    let i = ref 0 in
-    if len = cal.held_len then
-      while !i < len && Array.unsafe_get held !i = Array.unsafe_get runnable !i do
-        incr i
-      done;
-    if !i < len || step <> cal.last_step + 1 || step >= cal.horizon then
+    if runnable != cal.held || step <> cal.last_step + 1 || step >= cal.horizon
+    then
       rebuild cal ~step ~runnable;
     cal.last_step <- step;
     let slots = cal.slots and wheel = cal.wheel and mask = cal.mask in
@@ -404,7 +395,6 @@ let of_patterns assignments =
     {
       slots = Array.map fresh_slot chains;
       held = [||];
-      held_len = -1;
       last_step = min_int;
       horizon = min_int;
       every = [||];

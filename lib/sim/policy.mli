@@ -66,8 +66,8 @@ val of_patterns : (int * pattern) list -> t
     pids of the last pick split into [Every], [Slowing] and soft
     ([Weighted], [Flicker]) pids, each in runnable order, and the
     [Every] pids filed in a wheel by next claiming step. A pick compares
-    [runnable]'s contents with the calendar's (one int comparison per
-    pid, and nothing else per pid), reads its step's wheel bucket,
+    [runnable] with the calendar's array by identity (one pointer
+    comparison, whatever the number of pids), reads its step's wheel bucket,
     re-filing each pid in it a period later, tests each [Slowing] pid's
     due step, and on an unclaimed step draws over the soft pids only
     (the weighted draw runs only when there is one) or walks the [Every]
@@ -75,9 +75,10 @@ val of_patterns : (int * pattern) list -> t
     allocated beyond the float a draw gets from {!Rng.float}.
 
     A pick first rebuilds the calendar when
-    - [runnable]'s contents differ from the last pick's (compared by
-      value, so a caller may pass a fresh array every step or reuse one
-      array and write into it),
+    - [runnable] is not the array the last rebuild was handed (compared
+      by identity: the policy keeps that array, so a caller may pass a
+      fresh array every step, at the cost of a rebuild each, but must
+      never write into an array it has handed over),
     - [step] is not the last pick's step plus one, or
     - some runnable pid's [Switch_at] chain resolves differently from
       [step] on (a boundary).

@@ -93,8 +93,9 @@ type t = {
   (* Cached runnable-pid set, recomputed only when membership can have
      changed (spawn, a proc's last task finishing, a crash). The cache is
      replaced by a fresh array on recomputation, never mutated in place,
-     so arrays handed to policies (and captured by e.g.
-     [Policy.Replay_mismatch]) stay stable. *)
+     so arrays handed to policies stay stable: [Policy.of_patterns]
+     keeps its calendar while it is handed the same array, and
+     [Policy.Replay_mismatch] captures one. *)
   mutable runnable_cache : int array;
   mutable runnable_dirty : bool;
   mutable running : int;  (* pid of the task step in progress *)
@@ -151,7 +152,6 @@ let running t = t.running
 
 let set_sink t sink = t.sink <- sink
 let sink t = t.sink
-let clear_sink t = t.sink <- Sink.nil
 
 (* A sink that ignores signals (a trace recorder alone) is active but
    keeps nil's [on_signal], which a tee preserves: no payload is built

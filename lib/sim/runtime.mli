@@ -225,9 +225,6 @@ val set_sink : t -> Sink.t -> unit
 val sink : t -> Sink.t
 (** The installed sink. *)
 
-val clear_sink : t -> unit
-(** Reinstall {!Sink.nil}. *)
-
 val telemetry_active : t -> bool
 (** True iff the installed sink reads signals: its [on_signal] is not
     {!Sink.nil}'s, as it is for a trace recorder alone. Instrumented

@@ -12,13 +12,10 @@ let make ?(seed = 0xC0FFEEL) ~n pids =
     pids;
   { n; seed; pids }
 
-let of_trace ?seed ~n trace = make ?seed ~n (Trace.schedule trace)
-
 let n t = t.n
 let seed t = t.seed
 let pids t = t.pids
 let length t = List.length t.pids
-let to_policy t = Policy.replay t.pids
 
 (* Run-length encode the pid sequence: "0x12 1 _x3 2" means twelve steps of
    pid 0, one of pid 1, three idle steps, one of pid 2. *)

@@ -25,16 +25,10 @@ val make : ?seed:int64 -> n:int -> int list -> t
     default {!Runtime.create} seed. Raises [Invalid_argument] on a pid
     outside [-1 .. n-1]. *)
 
-val of_trace : ?seed:int64 -> n:int -> Trace.t -> t
-(** The schedule a finished (or paused) run actually followed. *)
-
 val n : t -> int
 val seed : t -> int64
 val pids : t -> int list
 val length : t -> int
-
-val to_policy : t -> Policy.t
-(** A {!Policy.replay} policy that re-executes the schedule. *)
 
 val to_string : t -> string
 val of_string : string -> (t, string) result

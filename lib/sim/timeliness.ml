@@ -64,17 +64,3 @@ let timely_all trace ~n ~from_step ~bound =
         end
       done;
       !ok)
-
-let timely_set trace ~n ~from_step ~bound =
-  let timely = timely_all trace ~n ~from_step ~bound in
-  List.init n Fun.id |> List.filter (fun p -> timely.(p))
-
-let empirical_bound trace ~n ~p ~from_step =
-  let worst = ref (Some 0) in
-  for q = 0 to n - 1 do
-    if q <> p then
-      match !worst, max_gap trace ~p ~q ~from_step with
-      | Some acc, Some gap -> worst := Some (max acc gap)
-      | _, None | None, _ -> worst := None
-  done;
-  Option.map (fun gap -> gap + 1) !worst

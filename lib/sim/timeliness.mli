@@ -27,11 +27,3 @@ val timely_all : Trace.t -> n:int -> from_step:int -> bound:int -> bool array
     [Array.init n (fun p -> timely trace ~n ~p ~from_step ~bound)], from
     one scan of the suffix: O(n × suffix) time and O(n²) space, where
     [timely] over every p rescans the suffix once per pair. *)
-
-val timely_set : Trace.t -> n:int -> from_step:int -> bound:int -> int list
-(** All pids classified timely, ascending. *)
-
-val empirical_bound : Trace.t -> n:int -> p:int -> from_step:int -> int option
-(** The smallest global bound i witnessing that p is timely, i.e.
-    1 + the maximum of [max_gap] over all q ≠ p; [None] if p stops
-    stepping while some q keeps stepping. *)

@@ -245,14 +245,6 @@ let steps_of t ~pid =
   done;
   !acc
 
-let step_counts t ~n =
-  let counts = Array.make n 0 in
-  for i = 0 to t.len - 1 do
-    let p = t.steps.{i} in
-    if p >= 0 && p < n then counts.(p) <- counts.(p) + 1
-  done;
-  counts
-
 let schedule t = List.init t.len (fun i -> t.steps.{i})
 
 let event t i =

@@ -52,9 +52,6 @@ val pid_at : t -> int -> int
 val steps_of : t -> pid:int -> int list
 (** Ascending list of step indices taken by [pid]. *)
 
-val step_counts : t -> n:int -> int array
-(** [step_counts t ~n] gives, for each pid < n, its number of steps. *)
-
 val schedule : t -> int list
 (** The pid of every step recorded so far, in order (-1 for idle steps) —
     the run's schedule, ready for {!Schedule.make}. *)

@@ -103,10 +103,9 @@ let install_abortable ?factory ?n rt ~policy ?write_effect () =
 
 let install_naive ?factory ?n rt = Baselines.Naive_booster.install ?factory ?n rt
 
-let create_qa ?(universal = false) rt ~name ~spec ~policy ?effect_on_abort () =
-  if universal then
-    Qa_universal.create rt ~name ~spec ~policy ?effect_on_abort ()
-  else Qa_object.create rt ~name ~spec ~policy ?effect_on_abort ()
+let create_qa ?(universal = false) rt ~name ~spec ~policy () =
+  if universal then Qa_universal.create rt ~name ~spec ~policy ()
+  else Qa_object.create rt ~name ~spec ~policy ()
 
 (* --- building a full stack ----------------------------------------------- *)
 

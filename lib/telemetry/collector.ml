@@ -460,13 +460,10 @@ let steps_per_pid t = Array.init t.n (pid_steps t)
 let app_completed t = Array.copy t.app_completed
 let aborts t = column t col_aborts
 let leader_epochs t = t.epochs
-let leader_changes t = Array.copy t.leader_changes
 let handoffs t = List.rev t.handoffs
-let suspicion_flips t = t.suspicion_flips
 let crashes t = List.rev t.crashes
 let crash_count t = t.n_crashes
 let retire_count t = t.n_retires
-let register_abort_decisions t = t.register_abort_decisions
 let net_sent t = t.net_sent
 let net_dropped t = t.net_dropped
 let net_latency t = t.net_latency

@@ -45,9 +45,6 @@ val attach : ?window:int -> ?retain:int -> Runtime.t -> t
     section. Records derive from event-ordered state only, so the
     stream is byte-identical under replay and any fan-out. *)
 
-val stream_schema_version : string
-(** ["tbwf-telemetry/v2"]. *)
-
 val emit_every :
   t ->
   every:int ->
@@ -106,9 +103,6 @@ val leader_epochs : t -> int
     announced a view naming itself while the current epoch's leader was
     someone else. Follower churn within an epoch does not count. *)
 
-val leader_changes : t -> int array
-(** Leader-view changes per observer (any change, including churn). *)
-
 val handoffs : t -> leader_event list
 (** Epoch boundaries in chronological order. *)
 
@@ -117,7 +111,6 @@ val leader_by_window : t -> int option array
     window, [None] before the first handoff — the timeline's leader
     row. *)
 
-val suspicion_flips : t -> int
 val crashes : t -> (int * int) list
 (** [(step, pid)] in chronological order (the most recent entries only
     in [retain] mode — {!crash_count} stays exact). *)
@@ -128,8 +121,6 @@ val retire_count : t -> int
 (** Graceful membership leaves ({!Tbwf_sim.Sink.Retire}) observed so far.
     Deliberately not part of the [tbwf-telemetry/v1] snapshot — churn
     aggregates live in the world layer's [tbwf-world/v1] schema. *)
-
-val register_abort_decisions : t -> int
 
 val net_sent : t -> int
 (** Messages admitted by the simulated network ({!Tbwf_sim.Sink.Message}

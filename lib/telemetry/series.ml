@@ -42,7 +42,6 @@ let create ?(window = 1024) ?retain ~n () =
 let window t = t.window
 let windows t = t.windows
 let retain t = t.retain
-let first_kept t = match t.retain with None -> 0 | Some _ -> t.first_kept
 
 (* Roll the ring forward so window [w] fits: fold every window that falls
    off the back into the evicted totals. At most [retain] slots need
@@ -173,16 +172,6 @@ let total t ~pid =
   + (match t.retain with None -> 0 | Some _ -> t.evicted.(pid))
 
 let totals t = Array.init t.n (fun pid -> total t ~pid)
-
-(* Completions in windows [from_window, windows), i.e. the tail rate.
-   Bounded mode: exact as long as [from_window ≥ first_kept] — callers
-   must retain at least their tail. *)
-let tail_total t ~pid ~from_window =
-  let acc = ref 0 in
-  for w = Int.max 0 from_window to t.windows - 1 do
-    acc := !acc + cell t ~pid ~w
-  done;
-  !acc
 
 let mean_per_window t ~pid =
   if t.windows = 0 then 0.0

@@ -11,8 +11,7 @@ val create : ?window:int -> ?retain:int -> n:int -> unit -> t
     [retain] bounds live memory: only the most recent [retain] windows
     keep per-window cells (a ring buffer); older windows fold into
     per-pid evicted totals, so {!total}/{!totals} stay exact while
-    {!row} reads zero before {!first_kept} and {!tail_total} is exact
-    only from {!first_kept} on. Omitted = unbounded (the default, and
+    {!row} reads zero before the oldest retained window. Omitted = unbounded (the default, and
     the only mode whose {!to_json} reproduces every window). *)
 
 val window : t -> int
@@ -20,9 +19,6 @@ val windows : t -> int
 (** 1 + the highest window index touched so far. *)
 
 val retain : t -> int option
-val first_kept : t -> int
-(** Lowest window index whose per-window cell is still stored; [0] in
-    unbounded mode. *)
 
 val bump : t -> pid:int -> step:int -> unit
 (** Count one event for [pid] in the window containing [step].
@@ -32,7 +28,7 @@ val merge : t -> t -> t
 (** Fresh series with cell-wise summed counts (commutative, associative).
     Raises [Invalid_argument] if the process counts, window sizes or
     retentions differ. In bounded mode the merged ring starts at the
-    later [first_kept]; cells only one side still held fold into the
+    later of the two oldest retained windows; cells only one side still held fold into the
     evicted totals. *)
 
 val copy : t -> t
@@ -43,9 +39,6 @@ val row : t -> pid:int -> int array
 
 val total : t -> pid:int -> int
 val totals : t -> int array
-
-val tail_total : t -> pid:int -> from_window:int -> int
-(** Events in windows [from_window, windows) — the tail rate. *)
 
 val mean_per_window : t -> pid:int -> float
 val to_json : t -> Json.t

@@ -80,19 +80,19 @@ let test_map_collects_all_errors () =
       "fold: every failed task of the batch, in index order" [ 33; 40 ]
       (List.map (fun e -> e.Pool.task) errors)
 
-let qcheck_map_seeded_matches_sequential =
+let qcheck_map_matches_sequential =
   QCheck.Test.make
-    ~name:"map_seeded over d domains = sequential map, for d in 1..8"
+    ~name:"map over d domains = sequential map"
     ~count:40
     QCheck.(triple int (int_range 0 40) (int_range 1 8))
     (fun (master, count, domains) ->
       let seeds = Rng.task_seeds ~master:(Int64.of_int master) count in
       let f s = Rng.int (Rng.create s) 1_000_003 in
-      Pool.map_seeded (pool domains) seeds f = Array.map f seeds)
+      Pool.map (pool domains) seeds f = Array.map f seeds)
 
 let test_same_master_same_task_seeds () =
   let seeds = Rng.task_seeds ~master:0x5EEDL 32 in
-  let via d = Pool.map_seeded (pool d) seeds Fun.id in
+  let via d = Pool.map (pool d) seeds Fun.id in
   Alcotest.(check bool) "pool of 3 = the seed array" true (via 3 = seeds);
   Alcotest.(check bool) "pool of 7 = pool of 3" true (via 7 = via 3)
 
@@ -228,7 +228,7 @@ let () =
             test_map_collects_all_errors;
           Alcotest.test_case "same master, same task seeds" `Quick
             test_same_master_same_task_seeds;
-          QCheck_alcotest.to_alcotest qcheck_map_seeded_matches_sequential;
+          QCheck_alcotest.to_alcotest qcheck_map_matches_sequential;
         ] );
       ( "explore",
         [

@@ -14,21 +14,6 @@ let test_atomic_read_write_solo () =
   Alcotest.(check (list int)) "init then written" [ 9; 5 ] !observed;
   Alcotest.(check int) "peek" 9 (Atomic_reg.peek reg)
 
-let test_atomic_metrics () =
-  let rt = Runtime.create ~n:1 () in
-  let reg = Atomic_reg.create rt ~name:"r" ~codec:Codec.int ~init:0 in
-  Runtime.spawn rt ~pid:0 ~name:"t" (fun () ->
-      for _ = 1 to 3 do
-        Atomic_reg.write reg 1
-      done;
-      for _ = 1 to 5 do
-        ignore (Atomic_reg.read reg)
-      done);
-  Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:100;
-  let m = Atomic_reg.metrics reg in
-  Alcotest.(check int) "writes" 3 m.Metrics.writes;
-  Alcotest.(check int) "reads" 5 m.Metrics.reads
-
 (* Concurrent atomic-register histories must be linearizable (checked with
    the Wing–Gong checker) for many random schedules. *)
 let qcheck_atomic_linearizable =
@@ -137,19 +122,22 @@ let test_abortable_random_policy_partial () =
     Abortable_reg.create rt ~name:"a" ~codec:Codec.int ~init:0 ~writer:0
       ~reader:1 ~policy:(Abort_policy.Random 0.5) ()
   in
+  let ops = ref 0 and aborts = ref 0 in
+  let count ok =
+    incr ops;
+    if not ok then incr aborts
+  in
   Runtime.spawn rt ~pid:0 ~name:"w" (fun () ->
       for k = 1 to 200 do
-        ignore (Abortable_reg.write reg k)
+        count (Abortable_reg.write reg k)
       done);
   Runtime.spawn rt ~pid:1 ~name:"r" (fun () ->
       for _ = 1 to 200 do
-        ignore (Abortable_reg.read reg)
+        count (Option.is_some (Abortable_reg.read reg))
       done);
   Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:2000;
   Runtime.stop rt;
-  let m = Abortable_reg.metrics reg in
-  let aborts = m.Metrics.read_aborts + m.Metrics.write_aborts in
-  let rate = float_of_int aborts /. float_of_int (Metrics.total_ops m) in
+  let rate = float_of_int !aborts /. float_of_int !ops in
   Alcotest.(check bool) "rate strictly between 0 and 1" true
     (rate > 0.2 && rate < 0.8)
 
@@ -179,7 +167,6 @@ let () =
       ( "atomic",
         [
           Alcotest.test_case "solo read/write" `Quick test_atomic_read_write_solo;
-          Alcotest.test_case "metrics" `Quick test_atomic_metrics;
           QCheck_alcotest.to_alcotest qcheck_atomic_linearizable;
         ] );
       ( "abortable",

@@ -1009,15 +1009,14 @@ let test_client_machine_allocation_guard () =
      3, the pending record 7, the [respond] context 7), the counter's
      answer (the [Some] around its state/response pair 2 + 3, the new
      state's and the response's [Value.Int] 2 + 2, the [Took_effect] fate
-     2), the completion ([Some response] 2) and [Workload.forever]'s
-     [Some op] 2: 35 words. *)
+     2) and [Workload.forever]'s [Some op] 2: 33 words. *)
   let calling, completed =
     client_machine_words_per_step ~canonical:false
       ~leader:(Tbwf_omega.Omega_spec.Leader 0)
   in
   Alcotest.(check bool) "the solo leader completes every step" true
     (completed > 20_000);
-  Alcotest.(check (float 0.0)) "words a call step allocates" 35.0 calling
+  Alcotest.(check (float 0.0)) "words a call step allocates" 33.0 calling
 
 (* Minor-heap words per step of a two-process run, with [observed] as a
    cell's tail is observed: a collector, then an online checker whose tail

@@ -154,7 +154,7 @@ let test_replay_reproduces_trace (policy_name, make_policy) () =
   let rt, trace = build_runtime ~seed in
   Runtime.run rt ~policy:(make_policy ()) ~steps:60;
   let original = render trace in
-  let sched = Schedule.of_trace ~seed ~n:3 trace in
+  let sched = Schedule.make ~seed ~n:3 (Trace.schedule trace) in
   Runtime.stop rt;
   (* replay the recorded schedule on a fresh identically-seeded runtime,
      going through the text serialization to cover the whole pipeline *)
@@ -164,7 +164,7 @@ let test_replay_reproduces_trace (policy_name, make_policy) () =
     | Error msg -> Alcotest.failf "%s: serialization broke: %s" policy_name msg
   in
   let rt', trace' = build_runtime ~seed:(Schedule.seed sched) in
-  Runtime.run rt' ~policy:(Schedule.to_policy sched)
+  Runtime.run rt' ~policy:(Policy.replay (Schedule.pids sched))
     ~steps:(Schedule.length sched);
   let replayed = render trace' in
   Runtime.stop rt';

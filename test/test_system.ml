@@ -28,11 +28,10 @@ let golden_policy ~substrate name =
   | System.Message_passing _, "round-robin" ->
     Policy.round_robin ()
   | System.Shared_memory, "degraded" ->
-    Scenario.degraded_policy ~n:golden_n ~timely:[ 1; 2 ] ()
+    Scenario.degraded_policy ~n:golden_n ~timely:[ 1; 2 ]
   | System.Message_passing _, "degraded" ->
     Scenario.degraded_policy ~n:(golden_n + golden_replicas)
       ~timely:(1 :: 2 :: List.init golden_replicas (fun r -> golden_n + r))
-      ()
   | _, other -> Alcotest.failf "unknown policy %S in golden file" other
 
 let golden_path () =

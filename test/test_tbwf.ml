@@ -397,7 +397,7 @@ let pp_config fmt c =
 type observed = {
   fingerprint : string;  (* digest of the trace fingerprint *)
   snapshot : string;
-  stats : int list * int list * string list;  (* issued, completed, last *)
+  stats : int list * int list;  (* issued, completed *)
 }
 
 let client_forms rt ~n =
@@ -452,11 +452,7 @@ let observe_clients form c =
         (Option.get stack.System.telemetry);
     stats =
       ( Array.to_list stats.Workload.issued,
-        Array.to_list stats.Workload.completed,
-        Array.to_list
-          (Array.map
-             (Option.fold ~none:"-" ~some:Value.to_string)
-             stats.Workload.last_response) );
+        Array.to_list stats.Workload.completed );
   }
 
 (* Both forms agree; returns the operations the machines completed. *)
@@ -468,9 +464,9 @@ let check_client_forms c =
     machines.fingerprint;
   Alcotest.(check string) (msg "telemetry snapshot") fibers.snapshot
     machines.snapshot;
-  Alcotest.(check (triple (list int) (list int) (list string)))
+  Alcotest.(check (pair (list int) (list int)))
     (msg "workload stats") fibers.stats machines.stats;
-  let _, completed, _ = machines.stats in
+  let _, completed = machines.stats in
   List.fold_left ( + ) 0 completed
 
 let forms_config ?(substrate = System.Shared_memory) ?(universal = false)
@@ -489,7 +485,6 @@ let degraded substrate () =
   let width = forms_n + replicas substrate in
   Scenario.degraded_policy ~n:width
     ~timely:(List.filter (fun p -> p <> 0) (List.init width Fun.id))
-    ()
 
 let test_client_forms_policies () =
   List.iter
@@ -615,7 +610,7 @@ let qcheck_client_forms =
       let policy () =
         match pol with
         | 0 -> Policy.round_robin ()
-        | 1 -> Scenario.degraded_policy ~n:forms_n ~timely:[ 1 ] ()
+        | 1 -> Scenario.degraded_policy ~n:forms_n ~timely:[ 1 ]
         | _ -> Policy.weighted [| 0, 1.0; 1, 3.0; 2, 0.5 |]
       in
       let plan =

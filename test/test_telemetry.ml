@@ -218,8 +218,6 @@ let test_series_windows () =
   Alcotest.(check (array int)) "row 1 (lazy growth padded)" [| 0; 0; 1 |]
     (Series.row s ~pid:1);
   Alcotest.(check (array int)) "totals" [| 2; 1 |] (Series.totals s);
-  Alcotest.(check int) "tail_total from w1" 1
-    (Series.tail_total s ~pid:0 ~from_window:1);
   Alcotest.(check (float 1e-9)) "mean per window" (2.0 /. 3.0)
     (Series.mean_per_window s ~pid:0)
 
@@ -824,7 +822,7 @@ let test_sink_lifecycle () =
     (Runtime.telemetry_active rt);
   let (_ : Collector.t) = Collector.attach rt in
   Alcotest.(check bool) "collector active" true (Runtime.telemetry_active rt);
-  Runtime.clear_sink rt;
+  Runtime.set_sink rt Sink.nil;
   Alcotest.(check bool) "cleared" false (Runtime.telemetry_active rt);
   Runtime.stop rt
 
@@ -832,7 +830,7 @@ let test_snapshot_deterministic () =
   let snap seed =
     let stack = build_stack ~seed in
     let telemetry = Collector.attach stack.System.rt in
-    let policy = Scenario.degraded_policy ~n:3 ~timely:[ 2 ] () in
+    let policy = Scenario.degraded_policy ~n:3 ~timely:[ 2 ] in
     Runtime.run stack.System.rt ~policy ~steps:4_000;
     Runtime.stop stack.System.rt;
     Collector.snapshot_string telemetry
@@ -854,7 +852,7 @@ let qcheck_snapshot_replay_stable =
       let seed = Int64.of_int seed in
       let stack = build_stack ~seed in
       let telemetry = Collector.attach ~window:128 stack.System.rt in
-      let policy = Scenario.degraded_policy ~n:3 ~timely:[ 1; 2 ] () in
+      let policy = Scenario.degraded_policy ~n:3 ~timely:[ 1; 2 ] in
       Runtime.run stack.System.rt ~policy ~steps:3_000;
       let sched = Trace.schedule (Option.get stack.System.trace) in
       let original = Collector.snapshot_string telemetry in
@@ -1076,7 +1074,7 @@ let live_words_after steps =
   let rt = stack.Tbwf_system.System.rt in
   let telemetry = Option.get stack.Tbwf_system.System.telemetry in
   Runtime.run rt
-    ~policy:(Scenario.degraded_policy ~n ~timely:[ 1; 2; 3 ] ())
+    ~policy:(Scenario.degraded_policy ~n ~timely:[ 1; 2; 3 ])
     ~steps;
   Runtime.stop rt;
   Obj.reachable_words (Obj.repr telemetry)
