@@ -16,12 +16,9 @@ let run quick jobs ids =
         Fmt.epr "unknown experiment %S (known: %s)@." id
           (String.concat " " known_ids))
       unknown;
-    exit 2
-  end;
-  if jobs < 1 then begin
-    Fmt.epr "--jobs must be positive (got %d)@." jobs;
-    exit 2
-  end;
+    2
+  end
+  else
   let entries =
     if ids = [] then Registry.all else List.filter_map Registry.find ids
   in
@@ -46,19 +43,14 @@ let run quick jobs ids =
       total := !total +. elapsed)
     entries;
   if List.length entries > 1 then Fmt.epr "[total: %.2fs]@." !total;
-  Fmt.flush fmt ()
+  Fmt.flush fmt ();
+  0
 
 let quick =
   let doc = "Run smaller configurations (seconds instead of minutes)." in
   Arg.(value & flag & info [ "quick"; "q" ] ~doc)
 
-let jobs =
-  let doc =
-    "Domains to fan experiments out over (stdout is byte-identical for \
-     any value; 1 disables domains)."
-  in
-  Arg.(value & opt int (Tbwf_parallel.Pool.default_domains ())
-       & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+let jobs = Cli.jobs "experiments"
 
 let ids =
   let doc = "Experiment ids to run (default: every registered experiment)." in
@@ -66,7 +58,7 @@ let ids =
 
 let cmd =
   let doc = "regenerate the TBWF evaluation tables" in
-  let info = Cmd.info "experiments" ~doc in
+  let info = Cli.info "experiments" ~doc in
   Cmd.v info Term.(const run $ quick $ jobs $ ids)
 
-let () = exit (Cmd.eval cmd)
+let () = Cli.eval cmd

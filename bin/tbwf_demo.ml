@@ -20,14 +20,16 @@ let spec_of_object = function
   | other ->
     Error (Fmt.str "unknown object %S (counter|stack|queue|set|kv|deque)" other)
 
-(* The elector as printed, and the registry system that runs it; the
-   abortable one runs with [System.build]'s default mesh policy, always
-   abort on contention. *)
+(* The registry system that runs the elector, and the elector as printed;
+   the abortable one runs with [System.build]'s default mesh policy,
+   always abort on contention. *)
 let omega_of_string = function
-  | "atomic" -> Ok (Scenario.Omega_atomic, System.Tbwf_atomic)
+  | "atomic" -> Ok (System.Tbwf_atomic, "atomic-registers")
   | "abortable" ->
-    Ok (Scenario.Omega_abortable Abort_policy.Always, System.Tbwf_abortable)
-  | "naive" -> Ok (Scenario.Omega_naive, System.Naive_booster)
+    Ok
+      ( System.Tbwf_abortable,
+        Fmt.str "abortable-registers(%a)" Abort_policy.pp Abort_policy.Always )
+  | "naive" -> Ok (System.Naive_booster, "naive-booster")
   | other -> Error (Fmt.str "unknown omega %S (atomic|abortable|naive)" other)
 
 let positive flag v =
@@ -54,7 +56,7 @@ let resolve n steps object_name omega_name untimely =
   let* omega = omega_of_string omega_name in
   Ok (spec_op, omega)
 
-let demo ~n ~steps ~seed ~spec ~op ~omega:(omega, system) ~untimely
+let demo ~n ~steps ~seed ~spec ~op ~omega:(system, label) ~untimely
     ~non_canonical =
   let timely = List.filter (fun p -> not (List.mem p untimely)) (List.init n Fun.id) in
   (* One registry stack per omega choice; the demo only varies the elector,
@@ -80,8 +82,8 @@ let demo ~n ~steps ~seed ~spec ~op ~omega:(omega, system) ~untimely
   in
   (* The list is one string, with no break hint: Format counts the bytes
      of "Ω∆" as columns and would otherwise break the line before it. *)
-  Fmt.pr "TBWF %s over Ω∆(%a), n=%d, %d steps, untimely=[%s]@."
-    spec.Seq_spec.name Scenario.pp_omega_impl omega n steps
+  Fmt.pr "TBWF %s over Ω∆(%s), n=%d, %d steps, untimely=[%s]@."
+    spec.Seq_spec.name label n steps
     (String.concat "; " (List.map string_of_int untimely));
   Fmt.pr "%a" Degradation.pp_verdict verdict;
   Fmt.pr "final object state: %a@." Value.pp (stack.System.qa.Qa_intf.peek_state ());
@@ -129,9 +131,9 @@ let non_canonical =
 let cmd =
   let doc = "run one TBWF scenario and report per-process progress" in
   Cmd.v
-    (Cmd.info "tbwf_demo" ~doc)
+    (Cli.info "tbwf_demo" ~doc)
     Term.(
       const run $ n $ steps $ seed $ object_name $ omega_name $ untimely
       $ non_canonical)
 
-let () = exit (Cmd.eval' cmd)
+let () = Cli.eval cmd

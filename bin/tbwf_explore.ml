@@ -32,16 +32,13 @@ let save_schedule s out pids =
   | None -> ()
   | Some path ->
     let sched = Explore_scenarios.schedule_of s pids in
-    let oc = open_out path in
-    output_string oc (Tbwf_sim.Schedule.to_string sched);
-    close_out oc;
+    Cli.write_file path (Tbwf_sim.Schedule.to_string sched);
     Fmt.pf fmt "schedule written to %s@." path
 
 let pool_of jobs = Tbwf_parallel.Pool.create ~domains:jobs ()
 
 (* A zero budget would explore or fuzz nothing and still report "no
-   counterexample", so it is refused before any fan-out; so is a domain
-   count below one, which [Pool.create] would silently clamp. *)
+   counterexample", so it is refused before any fan-out. *)
 let with_positive flag budget k =
   if budget < 1 then begin
     Fmt.epr "%s must be positive (got %d)@." flag budget;
@@ -52,7 +49,6 @@ let with_positive flag budget k =
 let explore name naive no_por max_schedules out jobs =
   with_scenario name @@ fun s ->
   with_positive "--max-schedules" max_schedules @@ fun () ->
-  with_positive "--jobs" jobs @@ fun () ->
   let outcome =
     if naive then Explore_scenarios.exhaustive_naive ~max_schedules s
     else
@@ -84,7 +80,6 @@ let explore name naive no_por max_schedules out jobs =
 let fuzz name seed runs out jobs =
   with_scenario name @@ fun s ->
   with_positive "--runs" runs @@ fun () ->
-  with_positive "--jobs" jobs @@ fun () ->
   let f =
     Explore_scenarios.fuzz ~seed:(Int64.of_int seed) ~runs
       ~pool:(pool_of jobs) s
@@ -106,14 +101,7 @@ let fuzz name seed runs out jobs =
 
 let replay name file expect_violation =
   with_scenario name @@ fun s ->
-  let text =
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    text
-  in
-  match Tbwf_sim.Schedule.of_string text with
+  match Tbwf_sim.Schedule.of_string (Cli.read_file file) with
   | Error msg ->
     Fmt.epr "bad schedule file %s: %s@." file msg;
     2
@@ -135,14 +123,10 @@ let out_arg =
   let doc = "Write any counterexample schedule to $(docv)." in
   Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
 
-let jobs_arg =
-  Arg.(value & opt int (Tbwf_parallel.Pool.default_domains ())
-       & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Domains to fan the search out over (the outcome is \
-                 identical for any value; 1 disables domains).")
+let jobs_arg = Cli.jobs "the search"
 
 let list_cmd =
-  Cmd.v (Cmd.info "list" ~doc:"list the built-in scenarios")
+  Cmd.v (Cli.info "list" ~doc:"list the built-in scenarios")
     Term.(const list_scenarios $ const ())
 
 let explore_cmd =
@@ -159,7 +143,7 @@ let explore_cmd =
     Arg.(value & opt int 200_000 & info [ "max-schedules" ] ~docv:"N" ~doc)
   in
   Cmd.v
-    (Cmd.info "explore"
+    (Cli.info "explore"
        ~doc:"exhaustively explore every schedule of a scenario")
     Term.(
       const explore $ scenario_arg $ naive $ no_por $ max_schedules $ out_arg
@@ -175,7 +159,7 @@ let fuzz_cmd =
            ~doc:"Random schedules to try.")
   in
   Cmd.v
-    (Cmd.info "fuzz"
+    (Cli.info "fuzz"
        ~doc:"random-schedule fuzzing; shrinks any failure to a minimal script")
     Term.(const fuzz $ scenario_arg $ seed $ runs $ out_arg $ jobs_arg)
 
@@ -191,12 +175,12 @@ let replay_cmd =
                    committed counterexamples).")
   in
   Cmd.v
-    (Cmd.info "replay" ~doc:"replay a serialized schedule deterministically")
+    (Cli.info "replay" ~doc:"replay a serialized schedule deterministically")
     Term.(const replay $ scenario_arg $ file $ expect_violation)
 
 let cmd =
   let doc = "explore, fuzz and replay schedules of TBWF scenarios" in
-  Cmd.group (Cmd.info "tbwf_explore" ~doc)
+  Cmd.group (Cli.info "tbwf_explore" ~doc)
     [ list_cmd; explore_cmd; fuzz_cmd; replay_cmd ]
 
-let () = exit (Cmd.eval' cmd)
+let () = Cli.eval cmd

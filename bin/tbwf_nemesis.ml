@@ -6,20 +6,9 @@
 
 open Cmdliner
 open Tbwf_nemesis
+module System = Tbwf_system.System
 
 let fmt = Fmt.stdout
-
-let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  text
-
-let write_file path text =
-  let oc = open_out path in
-  output_string oc text;
-  close_out oc
 
 let list_campaigns () =
   List.iter
@@ -31,7 +20,7 @@ let list_campaigns () =
   0
 
 let list_systems () =
-  Fmt.pf fmt "%a@." Tbwf_system.System.pp_registry ();
+  Fmt.pf fmt "%a@." System.pp_registry ();
   Fmt.flush fmt ();
   0
 
@@ -42,22 +31,13 @@ let with_campaign name k =
     Fmt.epr "unknown campaign %S (try: tbwf_nemesis list)@." name;
     2
 
-(* [Pool.create] would clamp a domain count below one; the CLI refuses
-   it before anything runs. *)
-let with_pool jobs k =
-  if jobs < 1 then begin
-    Fmt.epr "--jobs must be positive (got %d)@." jobs;
-    2
-  end
-  else k (Tbwf_parallel.Pool.create ~domains:jobs ())
-
 let report_outcome o =
   Fmt.pf fmt "@[<v>%a@]@." Campaign.pp_outcome o;
   Fmt.flush fmt ();
   if o.Campaign.o_ok then 0 else 1
 
 let with_substrate name k =
-  match Tbwf_system.System.substrate_of_name name with
+  match System.substrate_of_name name with
   | Ok substrate -> k substrate
   | Error msg ->
     Fmt.epr "%s@." msg;
@@ -66,14 +46,14 @@ let with_substrate name k =
 let run_campaign substrate name full seed jobs =
   with_substrate substrate @@ fun substrate ->
   with_campaign name @@ fun c ->
-  with_pool jobs @@ fun pool ->
+  let pool = Tbwf_parallel.Pool.create ~domains:jobs () in
   report_outcome
     (Campaign.run ~substrate ~quick:(not full) ~seed:(Int64.of_int seed)
        ~pool c)
 
 let matrix substrate full seed jobs =
   with_substrate substrate @@ fun substrate ->
-  with_pool jobs @@ fun pool ->
+  let pool = Tbwf_parallel.Pool.create ~domains:jobs () in
   let m =
     Campaign.run_matrix ~substrate ~pool ~quick:(not full)
       ~seed:(Int64.of_int seed) ()
@@ -93,8 +73,8 @@ let matrix substrate full seed jobs =
   (* campaign × system grid of degradation verdicts *)
   Fmt.pf fmt "%-12s" "";
   List.iter
-    (fun s -> Fmt.pf fmt " %-16s" (Campaign.system_name s))
-    Campaign.all_systems;
+    (fun s -> Fmt.pf fmt " %-16s" (System.to_string s))
+    System.all;
   Fmt.pf fmt "@.";
   List.iter
     (fun o ->
@@ -117,7 +97,7 @@ let matrix substrate full seed jobs =
         (fun r ->
           Fmt.epr "cell %-12s %-16s %6.2fs@."
             (Campaign.name o.Campaign.o_campaign)
-            (Campaign.system_name r.Campaign.row_system)
+            (System.to_string r.Campaign.row_system)
             r.Campaign.row_result.Campaign.rr_seconds)
         o.Campaign.o_rows)
     m.Campaign.m_outcomes;
@@ -143,7 +123,7 @@ let fuzz substrate seed runs horizon plan_out sched_out jobs =
     2
   end
   else
-  with_pool jobs @@ fun pool ->
+  let pool = Tbwf_parallel.Pool.create ~domains:jobs () in
   let outcome =
     Plan_fuzz.demo ~seed:(Int64.of_int seed) ~runs ~pool ~substrate
       ~horizon ()
@@ -179,7 +159,7 @@ let fuzz substrate seed runs horizon plan_out sched_out jobs =
          else "MISMATCH");
       (match plan_out with
       | Some path ->
-        write_file path text;
+        Cli.write_file path text;
         Fmt.pf fmt "plan written to %s@." path
       | None -> ());
       (match sched_out with
@@ -189,7 +169,7 @@ let fuzz substrate seed runs horizon plan_out sched_out jobs =
             ~n:(Plan_fuzz.demo_pid_count ~substrate plan')
             pids
         in
-        write_file path (Tbwf_sim.Schedule.to_string sched);
+        Cli.write_file path (Tbwf_sim.Schedule.to_string sched);
         Fmt.pf fmt "schedule written to %s@." path
       | None -> ());
       Fmt.flush fmt ();
@@ -197,7 +177,7 @@ let fuzz substrate seed runs horizon plan_out sched_out jobs =
 
 let replay substrate plan_file sched_file expect_violation =
   with_substrate substrate @@ fun substrate ->
-  match Fault_plan.of_string (read_file plan_file) with
+  match Fault_plan.of_string (Cli.read_file plan_file) with
   | Error msg ->
     Fmt.epr "bad plan file %s: %s@." plan_file msg;
     2
@@ -207,7 +187,7 @@ let replay substrate plan_file sched_file expect_violation =
       | None -> Ok []
       | Some f ->
         Result.map Tbwf_sim.Schedule.pids
-          (Tbwf_sim.Schedule.of_string (read_file f))
+          (Tbwf_sim.Schedule.of_string (Cli.read_file f))
     in
     (match pids_result with
     | Error msg ->
@@ -246,19 +226,15 @@ let substrate_arg =
            ~doc:"Register substrate: shared-memory, or message-passing \
                  (ABD-style quorum emulation over the simulated network).")
 
-let jobs_arg =
-  Arg.(value & opt int (Tbwf_parallel.Pool.default_domains ())
-       & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Domains to fan independent runs out over (output is \
-                 byte-identical for any value; 1 disables domains).")
+let jobs_arg = Cli.jobs "independent runs"
 
 let list_cmd =
-  Cmd.v (Cmd.info "list" ~doc:"list the campaign catalogue")
+  Cmd.v (Cli.info "list" ~doc:"list the campaign catalogue")
     Term.(const list_campaigns $ const ())
 
 let list_systems_cmd =
   Cmd.v
-    (Cmd.info "list-systems"
+    (Cli.info "list-systems"
        ~doc:"list the system registry: ids, descriptions and paper \
              references (the systems accepted by run/matrix and by \
              tbwf_trace --system)")
@@ -266,7 +242,7 @@ let list_systems_cmd =
 
 let run_cmd =
   Cmd.v
-    (Cmd.info "run"
+    (Cli.info "run"
        ~doc:"run one campaign against every system; exit 0 iff every \
              verdict matches the campaign's prediction")
     Term.(
@@ -275,7 +251,7 @@ let run_cmd =
 
 let matrix_cmd =
   Cmd.v
-    (Cmd.info "matrix"
+    (Cli.info "matrix"
        ~doc:"run the whole catalogue and print the campaign × system \
              degradation matrix")
     Term.(
@@ -305,7 +281,7 @@ let fuzz_cmd =
              ~doc:"Write the shrunk counterexample schedule to $(docv).")
   in
   Cmd.v
-    (Cmd.info "fuzz"
+    (Cli.info "fuzz"
        ~doc:"fuzz (schedule, fault-plan) pairs against the planted-bug \
              demo; shrinks both dimensions and checks the serialized plan \
              replays byte-identically")
@@ -329,7 +305,7 @@ let replay_cmd =
                    committed counterexamples).")
   in
   Cmd.v
-    (Cmd.info "replay"
+    (Cli.info "replay"
        ~doc:"replay a serialized (plan, schedule) counterexample against \
              the demo scenario")
     Term.(const replay $ substrate_arg $ plan_file $ sched_file
@@ -337,7 +313,7 @@ let replay_cmd =
 
 let cmd =
   let doc = "fault-injection campaigns with graceful-degradation verdicts" in
-  Cmd.group (Cmd.info "tbwf_nemesis" ~doc)
+  Cmd.group (Cli.info "tbwf_nemesis" ~doc)
     [ list_cmd; list_systems_cmd; run_cmd; matrix_cmd; fuzz_cmd; replay_cmd ]
 
-let () = exit (Cmd.eval' cmd)
+let () = Cli.eval cmd

@@ -18,6 +18,7 @@ open Tbwf_sim
 open Tbwf_check
 open Tbwf_nemesis
 open Tbwf_telemetry
+module System = Tbwf_system.System
 
 let soak_schema_version = "tbwf-soak/v1"
 
@@ -25,7 +26,7 @@ let soak_schema_version = "tbwf-soak/v1"
    (i / |systems|) mod |catalogue| — systems-major, so any shard count
    covers the systems as evenly as possible. *)
 let shard_cell ~shard =
-  let systems = Array.of_list Campaign.all_systems in
+  let systems = Array.of_list System.all in
   let catalogue = Array.of_list Campaign.catalogue in
   let system = systems.(shard mod Array.length systems) in
   let campaign =
@@ -35,7 +36,7 @@ let shard_cell ~shard =
 
 type shard_result = {
   sr_shard : int;
-  sr_system : Campaign.system;
+  sr_system : System.id;
   sr_campaign : string;
   sr_jsonl : string;  (* the shard's v2 stream, one record per line *)
   sr_telemetry : Collector.t;
@@ -60,22 +61,28 @@ let run_shard ~shard ~n ~horizon ~every ~window ~retain ~master_seed =
   let fields verdict =
     [
       "shard", Json.Int shard;
-      "system", Json.Str (Campaign.system_name system);
+      "system", Json.Str (System.to_string system);
       "campaign", Json.Str (Campaign.name campaign);
       "verdict", verdict;
       "tail_monitor", Tail_monitor.to_json tm;
     ]
   in
   let emit r = Buffer.add_string buf (Json.to_string r ^ "\n") in
-  let monitor = Some (Tail_monitor.sink tm) in
   let cell =
     Cell_runner.run
       ~plan:(Campaign.plan campaign ~n ~horizon)
-      ~stream:(Some { Cell_runner.every; monitor; fields; emit })
+      ~stream:(Some { Cell_runner.every; fields; emit })
       ~build:(fun ~qa_policy ~mesh_policy ->
-        Tbwf_system.System.build ~seed ~record_trace:false ~qa_policy
-          ~mesh_policy ~telemetry:true ~telemetry_window:window
-          ~telemetry_retain:retain ~n system)
+        let stack =
+          System.build ~seed ~record_trace:false ~qa_policy ~mesh_policy
+            ~telemetry:true ~telemetry_window:window ~telemetry_retain:retain
+            ~n system
+        in
+        (* Ahead of the collector: when it emits the record for window w,
+           the monitor has closed exactly windows 0..w. *)
+        let rt = stack.System.rt in
+        Runtime.set_sink rt (Sink.tee (Tail_monitor.sink tm) (Runtime.sink rt));
+        stack)
   in
   let holds = cell.Cell_runner.cr_verdict.Degradation.holds in
   {
@@ -105,7 +112,7 @@ let fold_shard by_system r =
   (* rss is the process VmHWM when the shard finished — the shard whose
      line first shows a jump is the one that pushed the high-water mark *)
   Fmt.epr "shard %2d %-16s %-12s %s %6.2fs%s@." r.sr_shard
-    (Campaign.system_name r.sr_system)
+    (System.to_string r.sr_system)
     r.sr_campaign
     (if r.sr_holds then "holds" else "fails")
     r.sr_seconds
@@ -136,7 +143,7 @@ let aggregate ~n ~horizon ~every ~shards by_system =
   let system (sys, py, merged) =
     Json.Obj
       [
-        "system", Json.Str (Campaign.system_name sys);
+        "system", Json.Str (System.to_string sys);
         "shards", Json.Int py.shards;
         "steps", Json.Int (Collector.total_steps merged);
         "completed", Json.Int (completed merged);
@@ -165,7 +172,6 @@ let soak shards steps every window retain n seed jobs =
   let every = match every with Some e -> e | None -> max 1 (steps / 8) in
   match
     if shards < 1 then invalid_arg "--shards must be positive";
-    if jobs < 1 then invalid_arg "--jobs must be positive";
     if every < 1 then invalid_arg "--every must be positive";
     Cell_runner.validate ~n ~horizon:steps ~window ~retain:(Some retain)
   with
@@ -180,7 +186,7 @@ let soak shards steps every window retain n seed jobs =
       List.map
         (fun sys ->
           sys, { merged = None; shards = 0; holds = 0; as_expected = true })
-        Campaign.all_systems
+        System.all
     in
     (* Shards fold in shard order, a batch at a time: each is printed and
        merged as the fold reaches it, then dropped. *)
@@ -238,11 +244,7 @@ let seed_arg =
            ~doc:"Master seed; shard i runs with the split seed \
                  task_seed(master, i).")
 
-let jobs_arg =
-  Arg.(value & opt int (Tbwf_parallel.Pool.default_domains ())
-       & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Domains to fan shards out over (stdout is byte-identical \
-                 for any value; 1 disables domains).")
+let jobs_arg = Cli.jobs "shards"
 
 let cmd =
   let doc =
@@ -250,9 +252,9 @@ let cmd =
      memory-bounded telemetry, streaming JSONL snapshots and online \
      degradation verdicts"
   in
-  Cmd.v (Cmd.info "tbwf_soak" ~doc)
+  Cmd.v (Cli.info "tbwf_soak" ~doc)
     Term.(
       const soak $ shards_arg $ steps_arg $ every_arg $ window_arg
       $ retain_arg $ n_arg $ seed_arg $ jobs_arg)
 
-let () = exit (Cmd.eval' cmd)
+let () = Cli.eval cmd

@@ -15,20 +15,9 @@ open Cmdliner
 open Tbwf_experiments
 open Tbwf_nemesis
 open Tbwf_telemetry
+module System = Tbwf_system.System
 
 let fmt = Fmt.stdout
-
-let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  text
-
-let write_file path text =
-  let oc = open_out path in
-  output_string oc text;
-  close_out oc
 
 (* --- sources ------------------------------------------------------------- *)
 
@@ -54,12 +43,12 @@ let emit_stream record =
 let run_scenario ~substrate ~n ~k ~steps ~seed ~window ~stream_every =
   let timely = List.init k (fun i -> n - 1 - i) in
   let stack =
-    Tbwf_system.System.build ~substrate ~seed ~record_trace:false
+    System.build ~substrate ~seed ~record_trace:false
       ~telemetry:true ~telemetry_window:window ~n
-      Tbwf_system.System.Tbwf_atomic
+      System.Tbwf_atomic
   in
-  let rt = stack.Tbwf_system.System.rt in
-  let telemetry = Option.get stack.Tbwf_system.System.telemetry in
+  let rt = stack.System.rt in
+  let telemetry = Option.get stack.System.telemetry in
   (* Streaming: a windowed tail-rate monitor rides along and its running
      state is embedded in every v2 record. The monitor's sink runs first
      in the tee, ahead of the sink the build installed, so when the
@@ -81,8 +70,8 @@ let run_scenario ~substrate ~n ~k ~steps ~seed ~window ~stream_every =
      clients; the E1-style timely set stays a client-pid property. *)
   let policy =
     match substrate with
-    | Tbwf_system.System.Shared_memory -> Scenario.degraded_policy ~n ~timely
-    | Tbwf_system.System.Message_passing config ->
+    | System.Shared_memory -> Scenario.degraded_policy ~n ~timely
+    | System.Message_passing config ->
       Scenario.degraded_policy ~n:(n + config.Tbwf_net.Net.replicas) ~timely
   in
   Tbwf_sim.Runtime.run rt ~policy ~steps;
@@ -94,7 +83,7 @@ let run_scenario ~substrate ~n ~k ~steps ~seed ~window ~stream_every =
       Fmt.str
         "scenario: TBWF counter (atomic-register Ω∆, %s), n=%d, k=%d \
          timely (pids %a), %d steps, seed %Ld"
-        (Tbwf_system.System.substrate_name substrate)
+        (System.substrate_name substrate)
         n k
         Fmt.(brackets (list ~sep:comma int))
         timely steps seed;
@@ -102,7 +91,7 @@ let run_scenario ~substrate ~n ~k ~steps ~seed ~window ~stream_every =
   }
 
 let run_plan_file ~substrate ~path ~system ~seed ~stream_every =
-  match Fault_plan.of_string (read_file path) with
+  match Fault_plan.of_string (Cli.read_file path) with
   | Error msg -> Error (Fmt.str "bad plan file %s: %s" path msg)
   | Ok plan ->
     let stream =
@@ -120,7 +109,7 @@ let run_plan_file ~substrate ~path ~system ~seed ~stream_every =
             path
             (List.length (Fault_plan.atoms plan))
             (Fault_plan.n plan) (Fault_plan.horizon plan)
-            (Campaign.system_name system)
+            (System.to_string system)
             seed;
         verdict =
           Some
@@ -142,14 +131,14 @@ let positive flag = function
 let resolve ?stream_every ?width ~substrate ~plan ~system ~full ~n ~k ~steps
     ~seed ~window () =
   let ( let* ) = Result.bind in
-  let* substrate = Tbwf_system.System.substrate_of_name substrate in
+  let* substrate = System.substrate_of_name substrate in
   let* () = positive "-n" n in
   let* () = positive "--steps" steps in
   let* () = positive "--window" (Some window) in
   let* () = positive "--width" width in
   let* () = positive "--stream-every" stream_every in
   (* Checked in both modes, so a misspelt name is never ignored. *)
-  let* system = Campaign.system_of_name system in
+  let* system = System.of_string system in
   match plan with
   | Some path ->
     let seed =
@@ -161,10 +150,10 @@ let resolve ?stream_every ?width ~substrate ~plan ~system ~full ~n ~k ~steps
   | None ->
     let n = Option.value n ~default:(if full then 8 else 4) in
     let k = Option.value k ~default:n in
-    if system <> Campaign.Tbwf_atomic then
+    if system <> System.Tbwf_atomic then
       Error
         (Fmt.str "--system %s needs --plan: the scenario runs tbwf-atomic only"
-           (Campaign.system_name system))
+           (System.to_string system))
     else if k < 0 || k > n then Error (Fmt.str "--k must be in 0..%d" n)
     else begin
       let steps =
@@ -213,7 +202,7 @@ let timeline_cmd_impl substrate plan system full n k steps seed window width =
    print the missing/extra key paths. Shared by the snapshot and the v2
    stream-record gates. *)
 let schema_check ~label ~path actual =
-  let golden = read_file path in
+  let golden = Cli.read_file path in
   if String.equal golden actual then begin
     Fmt.epr "%s schema matches %s@." label path;
     0
@@ -251,17 +240,17 @@ let export_cmd_impl substrate plan system full n k steps seed window
   in
   (match out with
   | Some path ->
-    write_file path text;
+    Cli.write_file path text;
     Fmt.epr "snapshot written to %s@." path
   | None -> print_string text);
   (match write_schema with
   | Some path ->
-    write_file path (Json.schema_string snapshot);
+    Cli.write_file path (Json.schema_string snapshot);
     Fmt.epr "schema written to %s@." path
   | None -> ());
   (match write_stream_schema, !first_stream_record with
   | Some path, Some record ->
-    write_file path (Json.schema_string record);
+    Cli.write_file path (Json.schema_string record);
     Fmt.epr "stream schema written to %s@." path
   | Some path, None -> Fmt.epr "no stream record emitted; %s not written@." path
   | None, _ -> ());
@@ -283,7 +272,7 @@ let export_cmd_impl substrate plan system full n k steps seed window
   max rc_snapshot rc_stream
 
 let list_systems_impl () =
-  Fmt.pf fmt "%a@." Tbwf_system.System.pp_registry ();
+  Fmt.pf fmt "%a@." System.pp_registry ();
   Fmt.flush fmt ();
   0
 
@@ -360,7 +349,7 @@ let common f =
 
 let run_cmd =
   Cmd.v
-    (Cmd.info "run"
+    (Cli.info "run"
        ~doc:"run a scenario or plan and print the telemetry summary plus \
              the progress/leader timeline")
     Term.(
@@ -373,7 +362,7 @@ let run_cmd =
 
 let timeline_cmd =
   Cmd.v
-    (Cmd.info "timeline"
+    (Cli.info "timeline"
        ~doc:"run a scenario or plan and print only the progress/leader \
              timeline")
     Term.(
@@ -430,7 +419,7 @@ let export_cmd =
                    --stream-every.")
   in
   Cmd.v
-    (Cmd.info "export"
+    (Cli.info "export"
        ~doc:"run a scenario or plan and export the deterministic JSON \
              telemetry snapshot")
     Term.(
@@ -446,14 +435,14 @@ let export_cmd =
 
 let list_systems_cmd =
   Cmd.v
-    (Cmd.info "list-systems"
+    (Cli.info "list-systems"
        ~doc:"list the system registry: ids, descriptions and paper \
              references (the names accepted by --system)")
     Term.(const list_systems_impl $ const ())
 
 let cmd =
   let doc = "telemetry: summaries, timelines and JSON snapshots of runs" in
-  Cmd.group (Cmd.info "tbwf_trace" ~doc)
+  Cmd.group (Cli.info "tbwf_trace" ~doc)
     [ run_cmd; timeline_cmd; export_cmd; list_systems_cmd ]
 
-let () = exit (Cmd.eval' cmd)
+let () = Cli.eval cmd

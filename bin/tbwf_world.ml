@@ -47,10 +47,7 @@ let world shards n joiners leavers retire_fraction steps every window retain
       seed = Int64.of_int seed;
     }
   in
-  match
-    if jobs < 1 then invalid_arg "--jobs must be positive";
-    World.validate config
-  with
+  match World.validate config with
   | exception Invalid_argument msg ->
     Fmt.epr "%s@." msg;
     2
@@ -181,11 +178,7 @@ let seed_arg =
   Arg.(value & opt int 0x574C
        & info [ "seed" ] ~docv:"SEED" ~doc:"Master seed.")
 
-let jobs_arg =
-  Arg.(value & opt int (Tbwf_parallel.Pool.default_domains ())
-       & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Domains to fan shards out over (stdout is byte-identical \
-                 for any value; 1 disables domains).")
+let jobs_arg = Cli.jobs "shards"
 
 let cmd =
   let doc =
@@ -194,11 +187,11 @@ let cmd =
      retires, crashes), aggregated into one tbwf-world/v1 record at \
      bounded memory"
   in
-  Cmd.v (Cmd.info "tbwf_world" ~doc)
+  Cmd.v (Cli.info "tbwf_world" ~doc)
     Term.(
       const world $ shards_arg $ n_arg $ joiners_arg $ leavers_arg
       $ retire_fraction_arg $ steps_arg $ every_arg $ window_arg $ retain_arg
       $ mean_gap_arg $ keys_arg $ zipf_arg $ substrate_arg $ system_arg
       $ seed_arg $ jobs_arg)
 
-let () = exit (Cmd.eval' cmd)
+let () = Cli.eval cmd

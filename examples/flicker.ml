@@ -16,8 +16,7 @@ let n = 6
 
 let () =
   let rt = Runtime.create ~seed:99L ~n () in
-  let omega = Tbwf_system.System.install_atomic rt in
-  let handles = omega.handles in
+  let handles = Tbwf_system.System.(omega rt Tbwf_atomic) in
   (* Permanent candidates: 0 and 1. *)
   List.iter
     (fun pid ->

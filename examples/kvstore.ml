@@ -20,14 +20,12 @@ let steps = 300_000
 
 let () =
   let rt = Runtime.create ~seed:14L ~n () in
-  let omega =
-    Tbwf_system.System.install_abortable rt ~policy:Abort_policy.Always ()
-  in
+  let omega = Tbwf_system.System.(omega rt Tbwf_abortable) in
   let qa =
     Qa_object.create rt ~name:"kv" ~spec:Kv_store.spec
       ~policy:Abort_policy.Always ()
   in
-  let tbwf = Tbwf.make ~qa ~omega_handles:omega.handles () in
+  let tbwf = Tbwf.make ~qa ~omega_handles:omega () in
   let stats = Workload.fresh_stats ~n in
   let key pid = Fmt.str "worker-%d" pid in
   let next_op ~pid ~k =

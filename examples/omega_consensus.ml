@@ -12,17 +12,14 @@
 *)
 
 open Tbwf_sim
-open Tbwf_registers
 open Tbwf_consensus
 
 let n = 5
 
 let () =
   let rt = Runtime.create ~seed:31L ~n () in
-  let omega =
-    Tbwf_system.System.install_abortable rt ~policy:Abort_policy.Always ()
-  in
-  let adapter = Consensus.Omega_adapter.attach omega.handles in
+  let omega = Tbwf_system.System.(omega rt Tbwf_abortable) in
+  let adapter = Consensus.Omega_adapter.attach omega in
   let instance = Consensus.create rt ~name:"config" ~omega:adapter in
   let decisions = Array.make n None in
   let proposal pid = Value.Pair (Str "config-of", Int pid) in

@@ -24,12 +24,12 @@ let () =
         the TBWF transformation (Figure 7). The always-abort policy makes
         the counter abort every operation that runs under step contention —
         the harshest adversary the spec allows. *)
-  let omega = Tbwf_system.System.install_atomic rt in
+  let omega = Tbwf_system.System.(omega rt Tbwf_atomic) in
   let qa =
     Qa_object.create rt ~name:"counter" ~spec:Counter.spec
       ~policy:Abort_policy.Always ()
   in
-  let tbwf = Tbwf.make ~qa ~omega_handles:omega.handles () in
+  let tbwf = Tbwf.make ~qa ~omega_handles:omega () in
 
   (* 3. Four clients, each incrementing the counter 25 times. *)
   let stats = Workload.fresh_stats ~n in

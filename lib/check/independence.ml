@@ -44,9 +44,3 @@ let commute a b =
     && not (x.kind = Footprint.Read && y.kind = Footprint.Read)
   in
   not (List.exists (fun x -> List.exists (conflict x) b) a)
-
-let pp fmt footprint =
-  Fmt.pf fmt "{%a}"
-    (Fmt.list ~sep:(Fmt.any ",")
-       (fun fmt a -> Fmt.pf fmt "%d%a" a.obj_id Footprint.pp_kind a.kind))
-    footprint

@@ -29,5 +29,3 @@ val of_events : Tbwf_sim.Trace.op_event list -> footprint
 val commute : footprint -> footprint -> bool
 (** True iff no shared object with a write on either side. Commuting steps
     are independent: they can be swapped without changing the run. *)
-
-val pp : Format.formatter -> footprint -> unit

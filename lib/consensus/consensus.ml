@@ -46,11 +46,6 @@ let create rt ~name ~omega =
   in
   { n; blocks; decision; omega }
 
-let decided t =
-  match Atomic_reg.peek t.decision with
-  | Value.Unit -> None
-  | v -> Some v
-
 (* One ballot attempt by [pid] with ballot number [b]; returns the decided
    value, or None if a higher ballot interfered. Disk-Paxos shape:
    phase 1 announces b and collects the highest accepted value; phase 2

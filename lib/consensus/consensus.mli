@@ -52,6 +52,3 @@ val propose : t -> Tbwf_sim.Value.t -> Tbwf_sim.Value.t
 (** Propose a value and return the decided value. Must run inside a task;
     canonically joins the leader competition, runs ballots while trusted
     leader, adopts any decision it observes, and withdraws on return. *)
-
-val decided : t -> Tbwf_sim.Value.t option
-(** Zero-step peek at the decision, for tests. *)

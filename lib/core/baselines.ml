@@ -20,8 +20,9 @@ module Naive_booster = struct
      removed: no CounterRegister (so no punishments, no self-punishment) and
      leadership by smallest active pid. The loop makes no shared-object
      call, so it runs as a step machine on every substrate. pc 0: loop top
-     (no leader, monitors and advertising off); 1: awaiting candidacy; 2:
-     inner-loop candidacy check; 3: consulting A(p,q) for q = [i]. *)
+     (Figure 3's withdrawal: no leader, monitors and advertising off); 1:
+     awaiting candidacy (then Figure 3's line 6); 2: inner-loop candidacy
+     check; 3: consulting A(p,q) for q = [i]. *)
   let election_machine rt t p n : Runtime.machine =
     let handle = t.handles.(p) in
     let monitor q = Option.get t.monitors.(p).(q) in
@@ -35,20 +36,12 @@ module Naive_booster = struct
     let rec election_step v =
       match !pc with
       | 0 ->
-        Omega_spec.set_view rt handle Omega_spec.No_leader;
-        for q = 0 to n - 1 do
-          if q <> p then (monitor q).Activity_monitor.monitoring := false
-        done;
-        for q = 0 to n - 1 do
-          if q <> p then active_for q := false
-        done;
+        Omega_registers.withdraw rt t.monitors handle p n;
         pc := 1;
         election_step v
       | 1 ->
         if !(handle.Omega_spec.candidate) then begin
-          for q = 0 to n - 1 do
-            if q <> p then (monitor q).Activity_monitor.monitoring := true
-          done;
+          Omega_registers.enter t.monitors p n;
           pc := 2;
           election_step v
         end

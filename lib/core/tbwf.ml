@@ -109,6 +109,3 @@ let spawn_clients rt ~gate ~qa ~pids ~stats ~next_op =
       Runtime.spawn_machine ~layer:Sink.App rt ~pid ~name:"client"
         (client_machine rt ~pid ~gate ~qa ~stats ~next_op))
     pids
-
-let qa t = t.qa
-let handles t = t.omega_handles

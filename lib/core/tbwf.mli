@@ -60,6 +60,3 @@ val spawn_clients :
     be [qa]), or over [Baselines.retry_invoke qa], the bare op/query/retry
     automaton, when [gate = None]; with the same calls, [stats] updates
     and [Op_complete] signals. *)
-
-val qa : t -> Tbwf_objects.Qa_intf.t
-val handles : t -> Tbwf_omega.Omega_spec.handle array

@@ -109,7 +109,7 @@ let heartbeat_rows ~quick =
 let counter_growth ~self_punishment ~quick =
   let n = 3 in
   let rt = Runtime.create ~seed:112L ~n () in
-  let om = Tbwf_system.System.install_atomic ~self_punishment rt in
+  let om = Omega_registers.install ~self_punishment rt in
   let handles = om.Omega_registers.handles in
   let joins = ref 0 in
   Runtime.spawn rt ~pid:0 ~name:"rejoiner" (fun () ->

@@ -1,6 +1,5 @@
 open Tbwf_sim
 open Tbwf_registers
-open Tbwf_omega
 open Tbwf_objects
 open Tbwf_core
 
@@ -52,10 +51,7 @@ let cas_universal_stack rt ~n =
 
 let tbwf_stack rt ~n =
   ignore n;
-  let handles =
-    (Tbwf_system.System.install_abortable rt ~policy:Abort_policy.Always ())
-      .Omega_abortable.handles
-  in
+  let handles = Tbwf_system.System.omega rt Tbwf_system.System.Tbwf_abortable in
   let qa =
     Qa_object.create rt ~name:"tbwf-deque" ~spec:Deque_obj.spec
       ~policy:Abort_policy.Always ()

@@ -59,18 +59,18 @@ let compute ?(quick = false) () =
   let dp_rows = List.rev !dp_rows in
   (* Run 2: Ω∆ on the same scenario shape (same policy, same crash). *)
   let rt = Runtime.create ~seed:131L ~n () in
-  let om = Tbwf_system.System.install_atomic rt in
-  Omega_scenarios.spawn_drivers rt om.Omega_registers.handles
+  let handles = Tbwf_system.System.omega rt Tbwf_system.System.Tbwf_atomic in
+  Omega_scenarios.spawn_drivers rt handles
     (Omega_scenarios.everyone_p ~n);
   Runtime.crash_at rt ~pid:3 ~step:(total / 4);
   let policy = scenario_policy n in
   let omega_rows = ref [] in
   for _w = 0 to windows - 1 do
     let changes = ref 0 in
-    let previous = ref !(om.Omega_registers.handles.(1).Omega_spec.leader) in
+    let previous = ref !(handles.(1).Omega_spec.leader) in
     for _ = 1 to samples_per_window do
       Runtime.run rt ~policy ~steps:(window_steps / samples_per_window);
-      let now = !(om.Omega_registers.handles.(1).Omega_spec.leader) in
+      let now = !(handles.(1).Omega_spec.leader) in
       if not (Omega_spec.equal_view now !previous) then incr changes;
       previous := now
     done;

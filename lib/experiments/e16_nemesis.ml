@@ -18,7 +18,7 @@ type row = {
   atom : string;
   tail_steps : int;
   min_ops : int;  (* the rate floor the verdicts were judged against *)
-  cells : (Campaign.system * cell) list;
+  cells : (Tbwf_system.System.id * cell) list;
 }
 
 type result = { n : int; horizon : int; rows : row list; all_ok : bool }
@@ -45,7 +45,7 @@ let system_columns cells =
           (if c.holds then "holds" else "fails")
           c.min_tail_ops
           (if c.as_expected then "" else " [!]"))
-    Campaign.all_systems
+    Tbwf_system.System.all
 
 let compute ?(quick = false) () =
   let n, horizon = Campaign.dimensions ~quick in
@@ -81,7 +81,7 @@ let report fmt r =
            r.horizon)
       ~columns:
         ("campaign" :: "atom" :: "floor"
-        :: List.map Campaign.system_name Campaign.all_systems)
+        :: List.map Tbwf_system.System.to_string Tbwf_system.System.all)
   in
   List.iter
     (fun row ->

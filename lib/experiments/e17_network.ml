@@ -20,7 +20,7 @@ type row = {
   campaign : string;
   atom : string;
   exempt : int list;  (* clients the plan's emergent prediction exempts *)
-  cells : (Campaign.system * cell) list;
+  cells : (Tbwf_system.System.id * cell) list;
 }
 
 type result = {
@@ -79,7 +79,7 @@ let report fmt r =
            r.n r.replicas r.horizon)
       ~columns:
         ("campaign" :: "atom" :: "exempt"
-        :: List.map Campaign.system_name Campaign.all_systems)
+        :: List.map Tbwf_system.System.to_string Tbwf_system.System.all)
   in
   List.iter
     (fun row ->

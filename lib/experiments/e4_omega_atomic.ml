@@ -23,17 +23,18 @@ let row_of_outcome ~scenario ~n ~expected (outcome : Omega_scenarios.outcome) =
     violations = outcome.verdict.Tbwf_omega.Omega_spec.violations;
   }
 
-let scenario_rows ~quick ~omega =
+let scenario_rows ?mesh_policy ~quick system =
   let segments = if quick then 12 else 30 in
   let segment_steps = if quick then 4_000 else 10_000 in
-  let run =
-    Omega_scenarios.run ~omega ~segments ~segment_steps
+  let run ~n ~classes =
+    Omega_scenarios.run ?mesh_policy ~segments ~segment_steps
       ~rcand_phase:(if quick then 60 else 400)
       ~ncand_phase:(if quick then 80 else 600)
+      ~n ~classes system
   in
   let all_timely n =
     let classes = Omega_scenarios.everyone_p ~n in
-    let outcome = run ~n ~classes () in
+    let outcome = run ~n ~classes in
     row_of_outcome ~scenario:(Fmt.str "all timely, n=%d" n) ~n
       ~expected:(range 0 (n - 1)) outcome
   in
@@ -42,7 +43,7 @@ let scenario_rows ~quick ~omega =
     let classes =
       { (Omega_scenarios.everyone_p ~n) with untimely = [ 0 ] }
     in
-    let outcome = run ~n ~classes () in
+    let outcome = run ~n ~classes in
     row_of_outcome ~scenario:"pid 0 flickers (not timely)" ~n
       ~expected:(range 1 (n - 1)) outcome
   in
@@ -57,7 +58,7 @@ let scenario_rows ~quick ~omega =
         crashes = [];
       }
     in
-    let outcome = run ~n ~classes () in
+    let outcome = run ~n ~classes in
     row_of_outcome ~scenario:"P={0u,1,2} R={3,4} N={5}" ~n ~expected:[ 1; 2 ]
       outcome
   in
@@ -70,7 +71,7 @@ let scenario_rows ~quick ~omega =
         Omega_scenarios.crashes = [ 0, (segments * segment_steps) / 3 ];
       }
     in
-    let outcome = run ~n ~classes () in
+    let outcome = run ~n ~classes in
     row_of_outcome ~scenario:"leader (pid 0) crashes" ~n
       ~expected:(range 1 (n - 1)) outcome
   in
@@ -79,7 +80,7 @@ let scenario_rows ~quick ~omega =
   @ [ untimely_min_pid; mixed_classes; leader_crash ]
 
 let compute ?(quick = false) () =
-  let rows = scenario_rows ~quick ~omega:Scenario.Omega_atomic in
+  let rows = scenario_rows ~quick Tbwf_system.System.Tbwf_atomic in
   {
     rows;
     all_pass =

@@ -23,6 +23,10 @@ type result = { rows : row list; all_pass : bool }
 val compute : ?quick:bool -> unit -> result
 val report : Format.formatter -> result -> unit
 
-(** Shared row builder, reused by E5 with a different Ω∆ implementation. *)
+(** Shared row builder, reused by E5 with a different Ω∆ implementation
+    and abort policy. *)
 val scenario_rows :
-  quick:bool -> omega:Scenario.omega_impl -> row list
+  ?mesh_policy:Tbwf_registers.Abort_policy.t ->
+  quick:bool ->
+  Tbwf_system.System.id ->
+  row list

@@ -57,8 +57,8 @@ let compute ?(quick = false) () =
         {
           policy_name;
           rows =
-            E4_omega_atomic.scenario_rows ~quick
-              ~omega:(Scenario.Omega_abortable policy);
+            E4_omega_atomic.scenario_rows ~mesh_policy:policy ~quick
+              Tbwf_system.System.Tbwf_abortable;
           abort_rate = measure_abort_rate ~quick policy;
         })
       policies

@@ -28,9 +28,8 @@ let compute ?(quick = false) () =
   let rt = Runtime.create ~seed:77L ~n () in
   let trace = Trace.create () in
   Runtime.set_sink rt (Trace.recorder trace);
-  let om = Tbwf_system.System.install_atomic rt in
+  let handles = Tbwf_system.System.omega rt Tbwf_system.System.Tbwf_atomic in
   (* The scenario drivers, on our own runtime so the trace can be read. *)
-  let handles = om.handles in
   Omega_scenarios.spawn_drivers rt handles classes;
   let policy = Policy.round_robin () in
   Runtime.run rt ~policy ~steps:(segments * segment_steps);

@@ -1,5 +1,3 @@
-open Tbwf_registers
-
 type row = {
   implementation : string;
   elected : int option;
@@ -24,12 +22,12 @@ let compute ?(quick = false) () =
   let segments = if quick then 12 else 30 in
   let segment_steps = if quick then 5_000 else 20_000 in
   let expected = [ 1; 2 ] in
-  let run implementation omega =
+  let run implementation system =
     let outcome =
-      Omega_scenarios.run ~seed:91L ~n ~omega ~classes ~segments ~segment_steps
+      Omega_scenarios.run ~seed:91L ~n ~classes ~segments ~segment_steps
         ~rcand_phase:(if quick then 60 else 400)
         ~ncand_phase:(if quick then 80 else 600)
-        ()
+        system
     in
     let elected = outcome.verdict.Tbwf_omega.Omega_spec.elected in
     {
@@ -43,9 +41,8 @@ let compute ?(quick = false) () =
   in
   let rows =
     [
-      run "atomic registers (Fig. 3)" Scenario.Omega_atomic;
-      run "abortable registers (Figs. 4-6)"
-        (Scenario.Omega_abortable Abort_policy.Always);
+      run "atomic registers (Fig. 3)" Tbwf_system.System.Tbwf_atomic;
+      run "abortable registers (Figs. 4-6)" Tbwf_system.System.Tbwf_abortable;
     ]
   in
   { n; rows; all_pass = List.for_all (fun r -> r.elected_ok && r.violations = []) rows }

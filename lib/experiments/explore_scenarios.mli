@@ -20,22 +20,11 @@ type t = {
           and returns the invariant *)
 }
 
-val atomic2 : t
-val abortable2 : t
-val qa2 : t
-
-val regs3 : t
-(** Three processes each writing a private register before reading one
-    shared register — mostly-independent steps, where partial-order
-    reduction shines. *)
-
 val broken1 : t
 val mutex2 : t
 
 val all : t list
 val find : string -> t option
-
-val make_runtime : t -> unit -> Tbwf_sim.Runtime.t
 
 val exhaustive :
   ?max_schedules:int ->

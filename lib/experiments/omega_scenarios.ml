@@ -78,16 +78,10 @@ let stabilization samples ~pcands ~elected =
     in
     earliest (len - 1) None
 
-let run ?(seed = 0xFEEDL) ?rcand_phase ?ncand_phase ~n ~omega ~classes ~segments
-    ~segment_steps () =
+let run ?(seed = 0xFEEDL) ?rcand_phase ?ncand_phase ?mesh_policy ~n ~classes
+    ~segments ~segment_steps system =
   let rt = Runtime.create ~seed ~n () in
-  let handles =
-    match omega with
-    | Scenario.Omega_atomic -> (Tbwf_system.System.install_atomic rt).handles
-    | Scenario.Omega_abortable policy ->
-      (Tbwf_system.System.install_abortable rt ~policy ()).handles
-    | Scenario.Omega_naive -> (Tbwf_system.System.install_naive rt).handles
-  in
+  let handles = Tbwf_system.System.omega ?mesh_policy rt system in
   spawn_drivers ?rcand_phase ?ncand_phase rt handles classes;
   List.iter (fun (pid, step) -> Runtime.crash_at rt ~pid ~step) classes.crashes;
   (* Timely processes take deterministic Every-claims: under a random

@@ -42,14 +42,16 @@ val run :
   ?seed:int64 ->
   ?rcand_phase:int ->
   ?ncand_phase:int ->
+  ?mesh_policy:Tbwf_registers.Abort_policy.t ->
   n:int ->
-  omega:Scenario.omega_impl ->
   classes:classes ->
   segments:int ->
   segment_steps:int ->
-  unit ->
+  Tbwf_system.System.id ->
   outcome
-(** Install the chosen Ω∆ implementation, spawn one driver task per process
+(** Install the system's Ω∆ ({!Tbwf_system.System.omega}, with
+    [mesh_policy] for the abortable registers of Figures 4–6; default
+    [Abort_policy.Always]), spawn one driver task per process
     realizing its class ({!spawn_drivers}), run with a schedule where
     [untimely] pids flicker (300 steps awake, then silences from 600 steps
     growing by 1.5) and everyone else runs with equal weight, then evaluate

@@ -1,16 +1,4 @@
 open Tbwf_sim
-open Tbwf_registers
-
-type omega_impl =
-  | Omega_atomic
-  | Omega_abortable of Abort_policy.t
-  | Omega_naive
-
-let pp_omega_impl fmt = function
-  | Omega_atomic -> Fmt.string fmt "atomic-registers"
-  | Omega_abortable policy ->
-    Fmt.pf fmt "abortable-registers(%a)" Abort_policy.pp policy
-  | Omega_naive -> Fmt.string fmt "naive-booster"
 
 let degraded_policy ~n ~timely =
   let k = max 1 (List.length timely) in

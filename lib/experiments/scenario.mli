@@ -1,15 +1,7 @@
-(** Common scenario pieces for the experiment suite: the Ω∆ variants
-    the Ω∆-only experiments install, and the degraded schedule with the
-    prediction that judges it. Full stacks come from
-    {!Tbwf_system.System.build}. *)
-
-type omega_impl =
-  | Omega_atomic  (** Figure 3 over activity monitors and atomic registers *)
-  | Omega_abortable of Tbwf_registers.Abort_policy.t
-      (** Figures 4–6 over abortable registers with this abort policy *)
-  | Omega_naive  (** the non-gracefully-degrading booster baseline *)
-
-val pp_omega_impl : Format.formatter -> omega_impl -> unit
+(** Common scenario pieces for the experiment suite: the degraded
+    schedule with the prediction that judges it. Full stacks come from
+    {!Tbwf_system.System.build}, a bare Ω∆ from
+    {!Tbwf_system.System.omega}. *)
 
 val degraded_policy : n:int -> timely:int list -> Tbwf_sim.Policy.t
 (** Timely pids take steps in a deterministic interleave (an [Every] claim

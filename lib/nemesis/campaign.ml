@@ -3,25 +3,15 @@ open Tbwf_system
 
 (* --- systems under test -------------------------------------------------- *)
 
-(* The catalogue of systems is the System registry's; re-exported so
-   existing pattern matches over [Campaign.system] keep compiling. *)
-type system = System.id =
-  | Tbwf_atomic
-  | Tbwf_abortable
-  | Tbwf_universal
-  | Naive_booster
-  | Retry
-
+(* The catalogue of systems is the System registry's; these two names
+   stay only while the benchmark still reads them. *)
 let system_name = System.to_string
-let system_of_name = System.of_string
-let paper_systems = System.paper_systems
-let baseline_systems = System.baseline_systems
 let all_systems = System.all
 
 (* --- running one plan against one system --------------------------------- *)
 
 type run_result = {
-  rr_system : system;
+  rr_system : System.id;
   rr_verdict : Degradation.verdict;
   rr_min_ops : int;
   rr_tail_steps : int;
@@ -75,7 +65,7 @@ let run_plan ?substrate ?(seed = default_seed) ?stream ~plan ~system () =
     Option.map
       (fun (every, emit) ->
         let fields verdict = [ "verdict", verdict ] in
-        { Cell_runner.every; monitor = None; fields; emit })
+        { Cell_runner.every; fields; emit })
       stream
   in
   (* Everything but the plan's policies and crashes is the registry's
@@ -104,7 +94,7 @@ type t = {
   c_summary : string;
   c_atom : string;
   c_plan : n:int -> horizon:int -> Fault_plan.t;
-  c_expect_fail : system list;
+  c_expect_fail : System.id list;
 }
 
 let name c = c.c_name
@@ -141,7 +131,7 @@ let catalogue =
       c_plan =
         (fun ~n ~horizon ->
           Fault_plan.make ~n ~horizon [ slow ~pid:0 ~at:0 ]);
-      c_expect_fail = baseline_systems;
+      c_expect_fail = System.baseline_systems;
     };
     {
       c_name = "gst";
@@ -174,7 +164,7 @@ let catalogue =
             :: List.concat_map
                  (fun pid -> [ flicker pid; gst pid ])
                  (List.init (n - 1) (fun i -> i + 1))));
-      c_expect_fail = baseline_systems;
+      c_expect_fail = System.baseline_systems;
     };
     {
       c_name = "flicker";
@@ -200,7 +190,7 @@ let catalogue =
                   growth = 1.2;
                 };
             ]);
-      c_expect_fail = baseline_systems;
+      c_expect_fail = System.baseline_systems;
     };
     {
       c_name = "crash-storm";
@@ -216,7 +206,7 @@ let catalogue =
               slow ~pid:0 ~at:0;
               Fault_plan.Crash { pid = 1; at = 5 * horizon / 8 };
             ]);
-      c_expect_fail = baseline_systems;
+      c_expect_fail = System.baseline_systems;
     };
     {
       c_name = "abort-ramp";
@@ -239,7 +229,7 @@ let catalogue =
                   rate1 = 0.9;
                 };
             ]);
-      c_expect_fail = baseline_systems;
+      c_expect_fail = System.baseline_systems;
     };
     {
       c_name = "staleness";
@@ -256,7 +246,7 @@ let catalogue =
               Fault_plan.Staleness
                 { from = horizon / 4; until = 3 * horizon / 4 };
             ]);
-      c_expect_fail = baseline_systems;
+      c_expect_fail = System.baseline_systems;
     };
   ]
 
@@ -285,7 +275,7 @@ let net_catalogue =
                 { at = horizon / 4; side = [ Fault_plan.Replica 0 ] };
               Fault_plan.Heal { at = horizon / 2 };
             ]);
-      c_expect_fail = baseline_systems;
+      c_expect_fail = System.baseline_systems;
     };
     {
       c_name = "net-minority-partition";
@@ -300,7 +290,7 @@ let net_catalogue =
               Fault_plan.Partition
                 { at = horizon / 2; side = [ Fault_plan.Replica 2 ] };
             ]);
-      c_expect_fail = baseline_systems;
+      c_expect_fail = System.baseline_systems;
     };
     {
       c_name = "net-client-cut";
@@ -315,7 +305,7 @@ let net_catalogue =
               Fault_plan.Partition
                 { at = horizon / 2; side = [ Fault_plan.Client 1 ] };
             ]);
-      c_expect_fail = baseline_systems;
+      c_expect_fail = System.baseline_systems;
     };
     {
       c_name = "net-delay-ramp";
@@ -336,7 +326,7 @@ let net_catalogue =
                   node = None;
                 };
             ]);
-      c_expect_fail = baseline_systems;
+      c_expect_fail = System.baseline_systems;
     };
     {
       c_name = "net-drop-storm";
@@ -357,7 +347,7 @@ let net_catalogue =
                   node = None;
                 };
             ]);
-      c_expect_fail = baseline_systems;
+      c_expect_fail = System.baseline_systems;
     };
     {
       c_name = "net-replica-crash";
@@ -371,7 +361,7 @@ let net_catalogue =
               slow ~pid:0 ~at:0;
               Fault_plan.Crash_replica { r = 2; at = 3 * horizon / 8 };
             ]);
-      c_expect_fail = baseline_systems;
+      c_expect_fail = System.baseline_systems;
     };
   ]
 
@@ -383,7 +373,7 @@ let find name =
 (* --- running a campaign --------------------------------------------------- *)
 
 type row = {
-  row_system : system;
+  row_system : System.id;
   row_expected_fail : bool;
   row_result : run_result;
   row_as_expected : bool;
@@ -437,7 +427,7 @@ let run_cells ?substrate ?seed ?pool cells =
   |> List.rev
 
 let run ?substrate ?(quick = true) ?seed ?pool
-    ?(systems = all_systems) campaign =
+    ?(systems = System.all) campaign =
   let n, horizon = substrate_dimensions ?substrate ~quick () in
   let plan = campaign.c_plan ~n ~horizon in
   run_cells ?substrate ?seed ?pool
@@ -454,7 +444,7 @@ type matrix = {
 }
 
 let run_matrix ?substrate ?pool ?(quick = true) ?seed
-    ?(systems = all_systems) () =
+    ?(systems = System.all) () =
   let n, horizon = substrate_dimensions ?substrate ~quick () in
   if systems = [] then invalid_arg "Campaign.run_matrix: no systems";
   (* On message passing the matrix gains the network axis: the stock
@@ -502,7 +492,7 @@ let pp_row fmt r =
   Fmt.pf fmt
     "%-16s %-6s expected %-6s %s  min tail ops %a  measured tail ops/pid %a  \
      leader epochs %d"
-    (system_name r.row_system)
+    (System.to_string r.row_system)
     (if v.Degradation.holds then "holds" else "FAILS")
     (if r.row_expected_fail then "FAILS" else "holds")
     (if r.row_as_expected then "[ok]" else "[UNEXPECTED]")

@@ -18,29 +18,19 @@
 
 (** {2 Systems under test}
 
-    The catalogue of systems is owned by {!Tbwf_system.System}; the type
-    is re-exported (with the equation visible) so campaign code and
-    registry code interoperate without conversion. *)
+    The systems are {!Tbwf_system.System}'s registry ({!Tbwf_system.System.id});
+    campaign code names them there. *)
 
-type system = Tbwf_system.System.id =
-  | Tbwf_atomic  (** Figs 2–3 Ω∆ over atomic registers + Fig 7 (Thm 11–12, 14) *)
-  | Tbwf_abortable  (** Figs 4–6 Ω∆ over abortable registers + Fig 7 (Thm 13) *)
-  | Tbwf_universal
-      (** as [Tbwf_abortable] but with the query-abortable object itself
-          built by the universal QA construction *)
-  | Naive_booster  (** min-pid leader, adaptive timeouts, no punishment *)
-  | Retry  (** obstruction-free retry, no boosting at all *)
+val system_name : Tbwf_system.System.id -> string
+(** {!Tbwf_system.System.to_string}, kept while the benchmark names it. *)
 
-val system_name : system -> string
-val system_of_name : string -> (system, string) result
-val paper_systems : system list
-val baseline_systems : system list
-val all_systems : system list
+val all_systems : Tbwf_system.System.id list
+(** {!Tbwf_system.System.all}, kept while the benchmark names it. *)
 
 (** {2 Running one plan against one system} *)
 
 type run_result = {
-  rr_system : system;
+  rr_system : Tbwf_system.System.id;
   rr_verdict : Tbwf_check.Degradation.verdict;
       (** the contract decided incrementally by
           {!Tbwf_check.Degradation.Online} from the sink stream while the
@@ -53,9 +43,9 @@ type run_result = {
       (** the rate floor {!Cell_runner.run} judged the verdict against *)
   rr_tail_steps : int;
   rr_tail_ops : int array;
-      (** measured workload completions per pid over the tail window, from
-          the run's telemetry collector — the same numbers the verdict is
-          computed from, cited so a verdict is auditable *)
+      (** workload completions per pid over the tail window, in pid
+          order: the verdict's own [dv_tail_ops] ({!Cell_runner.t}'s
+          [cr_tail_ops]), cited so a verdict is auditable *)
   rr_telemetry : Tbwf_telemetry.Collector.t;
       (** the run's full telemetry collector; [Collector.snapshot] exports
           it as JSON *)
@@ -90,7 +80,7 @@ val run_plan :
   ?seed:int64 ->
   ?stream:int * (Tbwf_telemetry.Json.t -> unit) ->
   plan:Fault_plan.t ->
-  system:system ->
+  system:Tbwf_system.System.id ->
   unit ->
   run_result
 (** Run [plan] against the registry's stock stack for [system] (one
@@ -124,7 +114,7 @@ val headline_atom : t -> string
 (** The fault-atom kind this campaign exercises ("slow", "timely",
     "flicker", "crash", "abort-ramp", "staleness"). *)
 
-val expect_fail : t -> system list
+val expect_fail : t -> Tbwf_system.System.id list
 val plan : t -> n:int -> horizon:int -> Fault_plan.t
 
 val catalogue : t list
@@ -160,7 +150,7 @@ val substrate_dimensions :
 (** {2 Campaign outcomes} *)
 
 type row = {
-  row_system : system;
+  row_system : Tbwf_system.System.id;
   row_expected_fail : bool;
   row_result : run_result;
   row_as_expected : bool;
@@ -178,7 +168,7 @@ val run :
   ?quick:bool ->
   ?seed:int64 ->
   ?pool:Tbwf_parallel.Pool.t ->
-  ?systems:system list ->
+  ?systems:Tbwf_system.System.id list ->
   t ->
   outcome
 (** [run campaign] (default [quick:true], all systems) instantiates the
@@ -203,7 +193,7 @@ val run_matrix :
   ?pool:Tbwf_parallel.Pool.t ->
   ?quick:bool ->
   ?seed:int64 ->
-  ?systems:system list ->
+  ?systems:Tbwf_system.System.id list ->
   unit ->
   matrix
 (** Run every catalogue campaign against every system, one pool task per

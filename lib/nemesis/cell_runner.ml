@@ -22,7 +22,6 @@ let validate ~n ~horizon ~window ~retain =
 
 type stream = {
   every : int;
-  monitor : Sink.t option;
   fields : Json.t -> (string * Json.t) list;
   emit : Json.t -> unit;
 }
@@ -37,32 +36,29 @@ type t = {
   cr_completed_before : int array;
 }
 
-(* The run's observers as one sink per event kind, in tee order: the
-   stream's monitor (first) has closed exactly a streamed record's
-   window, the build's sink (its collector, and its trace recorder if it
-   keeps one) emits it, and the checker (last) has consumed exactly the
-   steps the record covers. The checker reads only steps and
-   [Op_complete] signals, so invokes and responds go to the build's
-   sink with no hop. Its step hook is armed only for the tail: before
-   [pred_from] it is a no-op ([Degradation.Online.on_step]), so the
-   head phase feeds the build's own step callback and nothing else. *)
-let observers ~monitor ~base online ~armed =
-  let checked =
-    {
-      base with
-      Sink.active = true;
-      on_step =
-        (if armed then fun ~step ~pid ~layer ->
-           base.Sink.on_step ~step ~pid ~layer;
-           Degradation.Online.on_step online ~step ~pid
-         else base.Sink.on_step);
-      on_signal =
-        (fun ~step ~pid s ->
-          base.Sink.on_signal ~step ~pid s;
-          Degradation.Online.on_signal online ~step ~pid s);
-    }
-  in
-  match monitor with None -> checked | Some m -> Sink.tee m checked
+(* The run's observers as one sink per event kind: the build's sink (its
+   collector, its trace recorder if it keeps one, and any monitor it teed
+   ahead of them) first, so a streamed record is emitted before the
+   checker (last) has consumed exactly the steps the record covers. The
+   checker reads only steps and [Op_complete] signals, so invokes and
+   responds go to the build's sink with no hop. Its step hook is armed
+   only for the tail: before [pred_from] it is a no-op
+   ([Degradation.Online.on_step]), so the head phase feeds the build's
+   own step callback and nothing else. *)
+let observers ~base online ~armed =
+  {
+    base with
+    Sink.active = true;
+    on_step =
+      (if armed then fun ~step ~pid ~layer ->
+         base.Sink.on_step ~step ~pid ~layer;
+         Degradation.Online.on_step online ~step ~pid
+       else base.Sink.on_step);
+    on_signal =
+      (fun ~step ~pid s ->
+        base.Sink.on_signal ~step ~pid s;
+        Degradation.Online.on_signal online ~step ~pid s);
+  }
 
 let run ~plan ~build ~stream =
   let n = Fault_plan.n plan in
@@ -93,11 +89,7 @@ let run ~plan ~build ~stream =
      boundary. Nothing the build attached is lost: its sink is called
      first on every event. *)
   let online = Degradation.Online.create ~min_ops prediction in
-  let observers =
-    observers
-      ~monitor:(match stream with Some s -> s.monitor | None -> None)
-      ~base:(Runtime.sink rt) online
-  in
+  let observers = observers ~base:(Runtime.sink rt) online in
   Runtime.set_sink rt (observers ~armed:false);
   Option.iter
     (fun s ->
@@ -110,10 +102,8 @@ let run ~plan ~build ~stream =
   let policy = Fault_plan.policy plan in
   Runtime.run rt ~policy ~steps:snap;
   let completed_before = Array.copy stack.System.stats.Workload.completed in
-  let measured_before = Collector.app_completed telemetry in
   Runtime.set_sink rt (observers ~armed:true);
   Runtime.run rt ~policy ~steps:tail;
-  let measured_after = Collector.app_completed telemetry in
   Collector.stream_flush telemetry;
   let verdict = Degradation.Online.verdict online in
   Runtime.stop rt;
@@ -124,6 +114,9 @@ let run ~plan ~build ~stream =
     cr_prediction = prediction;
     cr_min_ops = min_ops;
     cr_tail_ops =
-      Array.init n (fun pid -> measured_after.(pid) - measured_before.(pid));
+      Array.of_list
+        (List.map
+           (fun v -> v.Degradation.dv_tail_ops)
+           verdict.Degradation.processes);
     cr_completed_before = completed_before;
   }

@@ -24,9 +24,6 @@ val validate : n:int -> horizon:int -> window:int -> retain:int option -> unit
 
 type stream = {
   every : int;  (** one [tbwf-telemetry/v2] record per [every] steps *)
-  monitor : Tbwf_sim.Sink.t option;
-      (** teed ahead of the collector, so at emission time it has closed
-          exactly the record's window *)
   fields : Tbwf_telemetry.Json.t -> (string * Tbwf_telemetry.Json.t) list;
       (** a record's extra fields, given the online checker's running
           verdict over exactly the steps the record covers *)
@@ -40,7 +37,9 @@ type t = {
   cr_prediction : Tbwf_check.Degradation.prediction;
       (** [pred_from] is the tail boundary *)
   cr_min_ops : int;  (** the rate floor the verdict was judged against *)
-  cr_tail_ops : int array;  (** collector-measured completions per pid *)
+  cr_tail_ops : int array;
+      (** completions per pid over the tail, in pid order: the online
+          checker's [dv_tail_ops] *)
   cr_completed_before : int array;
       (** workload completion counters at the tail boundary: the
           [completed_before] of a post-hoc
@@ -57,12 +56,15 @@ val run :
   t
 (** [build] gets the plan's compiled abort policies ([Always], the
     [System.build] default, when the plan has no abort atoms) and must
-    attach telemetry. [run] then installs the plan's crashes, installs
-    one sink per event that calls the stream's monitor, then the sink the
-    build installed (so a recorder the build attached keeps recording),
-    then the online checker, and runs under the plan's policy to its
-    horizon, pausing at the tail boundary to snapshot completions and arm
-    the checker's step hook (before the tail it has nothing to judge).
+    attach telemetry; an observer that must see each event before the
+    collector (soak's tail monitor, so a streamed record carries the
+    window it closes) is teed ahead of [Runtime.sink] inside [build].
+    [run] then installs the plan's crashes, installs one sink per event
+    that calls the sink the build installed (so a recorder the build
+    attached keeps recording), then the online checker, and runs under
+    the plan's policy to its horizon, pausing at the tail boundary to
+    snapshot completions and arm the checker's step hook (before the tail
+    it has nothing to judge).
     The tail is the last quarter of the horizon,
     or from the plan's settle step if that is later: the contract is
     "keeps progressing after the last fault". The floor is

@@ -1,6 +1,6 @@
 (** Fuzzing (schedule, fault-plan) pairs.
 
-    {!fuzz} specializes {!Tbwf_check.Explore.fuzz_faults} to
+    The fuzzer specializes {!Tbwf_check.Explore.fuzz_faults} to
     {!Fault_plan}: plans are drawn with {!Fault_plan.gen} from the
     fuzzer's own seeded stream and shrunk with {!Fault_plan.shrink}, so a
     counterexample is a minimal (pid schedule, plan) pair — both halves
@@ -13,24 +13,6 @@
     alone — so the bug is unreachable by schedule fuzzing and surfaces
     exactly when a fuzzed plan carries an [Abort_ramp] atom: the
     counterexample genuinely needs both dimensions. *)
-
-val fuzz :
-  ?seed:int64 ->
-  ?runs:int ->
-  ?pool:Tbwf_parallel.Pool.t ->
-  ?max_atoms:int ->
-  ?replicas:int ->
-  n:int ->
-  horizon:int ->
-  scenario:
-    (Fault_plan.t -> Tbwf_sim.Runtime.t -> Tbwf_sim.Trace.t -> unit -> bool) ->
-  make_runtime:(Fault_plan.t -> unit -> Tbwf_sim.Runtime.t) ->
-  unit ->
-  Fault_plan.t Tbwf_check.Explore.fault_fuzz_outcome
-(** [replicas] (default 0) is forwarded to {!Fault_plan.gen}: positive,
-    the drawn plans include network atoms and replica crashes, and shrink
-    kind-agnostically — unknown/future atom kinds ride through ddmin and
-    re-serialization untouched rather than being silently dropped. *)
 
 val demo_pid_count :
   ?substrate:Tbwf_system.System.substrate -> Fault_plan.t -> int

@@ -143,11 +143,9 @@ val create : Tbwf_sim.Runtime.t -> config:config -> t
 
 val config : t -> config
 
-val n_clients : t -> int
-(** [Runtime.n rt - config.replicas]: client pids are [0..n_clients-1]. *)
-
 val replica_pid : t -> int -> int
-(** [replica_pid t r = n_clients t + r]. *)
+(** [replica_pid t r = Runtime.n rt - config.replicas + r]: client pids
+    come first, replica [r] after them. *)
 
 val fresh_key : t -> pid:int -> int
 (** Next demux key for [pid]'s operations — monotonic per pid, local

@@ -9,11 +9,11 @@ type t = {
 }
 
 (* A(p,q): p's monitor of q. *)
-let monitor t p q = Option.get t.monitors.(p).(q)
+let monitor monitors p q = Option.get monitors.(p).(q)
 
 (* ACTIVE-FOR[q] at p is the input of A(q,p): "is p active for q?". *)
-let active_for t p q =
-  (Option.get t.monitors.(q).(p)).Activity_monitor.active_for
+let active_for monitors p q =
+  (Option.get monitors.(q).(p)).Activity_monitor.active_for
 
 (* Figure 3, process p's local variables. *)
 type local = {
@@ -38,25 +38,25 @@ let new_local t p n =
   }
 
 (* Lines 2–4: no leader, and neither monitoring nor advertising. *)
-let withdraw rt t l =
-  Omega_spec.set_view rt l.handle Omega_spec.No_leader;
-  for q = 0 to l.n - 1 do
-    if q <> l.p then (monitor t l.p q).Activity_monitor.monitoring := false
+let withdraw rt monitors handle p n =
+  Omega_spec.set_view rt handle Omega_spec.No_leader;
+  for q = 0 to n - 1 do
+    if q <> p then (monitor monitors p q).Activity_monitor.monitoring := false
   done;
-  for q = 0 to l.n - 1 do
-    if q <> l.p then active_for t l.p q := false
+  for q = 0 to n - 1 do
+    if q <> p then active_for monitors p q := false
   done
 
 (* Line 6: monitor every other process while competing. *)
-let enter t l =
-  for q = 0 to l.n - 1 do
-    if q <> l.p then (monitor t l.p q).Activity_monitor.monitoring := true
+let enter monitors p n =
+  for q = 0 to n - 1 do
+    if q <> p then (monitor monitors p q).Activity_monitor.monitoring := true
   done
 
 (* Lines 10–11 for one q: take A(p,q)'s estimate, or say it offers none
    yet. *)
 let consult t l q =
-  let mon = monitor t l.p q in
+  let mon = monitor t.monitors l.p q in
   let status = !(mon.Activity_monitor.status) in
   (not (Activity_monitor.equal_status status Activity_monitor.Unknown))
   && begin
@@ -79,7 +79,7 @@ let elect rt t l =
   Omega_spec.set_view rt l.handle (Omega_spec.Leader !leader);
   let am_leader = !leader = l.p in
   for q = 0 to l.n - 1 do
-    if q <> l.p then active_for t l.p q := am_leader
+    if q <> l.p then active_for t.monitors l.p q := am_leader
   done
 
 (* Line 19: A(p,q) reported a fault since p last punished q. *)
@@ -110,12 +110,12 @@ let omega_machine ~self_punishment rt t p n : Runtime.machine =
     else
       match !pc with
       | 0 ->
-        withdraw rt t l;
+        withdraw rt t.monitors l.handle p n;
         pc := 1;
         omega_step v
       | 1 ->
         if !(l.handle.Omega_spec.candidate) then begin
-          enter t l;
+          enter t.monitors p n;
           if self_punishment then begin
             pc := 2;
             read p

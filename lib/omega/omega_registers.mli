@@ -22,6 +22,23 @@ type t = {
           shared object or by the ABD emulation, per the wiring factory) *)
 }
 
+val withdraw :
+  Tbwf_sim.Runtime.t ->
+  Tbwf_monitor.Activity_monitor.t option array array ->
+  Omega_spec.handle ->
+  int ->
+  int ->
+  unit
+(** [withdraw rt monitors handle p n] is Figure 3's lines 2–4 for process
+    [p] of [n] over the monitor matrix [monitors] (as {!t}'s): [p]'s view
+    becomes "no leader", and it stops monitoring every other process and
+    advertising activity to it. The naive booster runs the same lines. *)
+
+val enter :
+  Tbwf_monitor.Activity_monitor.t option array array -> int -> int -> unit
+(** [enter monitors p n] is Figure 3's line 6: [p] monitors every other
+    process while it competes. *)
+
 val install :
   ?self_punishment:bool ->
   ?factory:Tbwf_registers.Reg.factory ->

@@ -34,10 +34,6 @@ val create : ?domains:int -> unit -> t
 
 val domains : t -> int
 
-val run : t -> tasks:int -> (int -> 'a) -> ('a, error) result array
-(** [run t ~tasks f] evaluates [f i] for [i] in [0, tasks) across the
-    pool's domains and returns the results indexed by task. *)
-
 val fold :
   t -> tasks:int -> (int -> 'a) -> init:'acc -> ('acc -> 'a -> 'acc) -> 'acc
 (** [fold t ~tasks f ~init step] is

@@ -55,7 +55,6 @@ let write t v =
   | _ -> true
 
 let peek t = t.codec.Codec.dec !(t.cell)
-let name t = t.obj.Shared.name
 let shared t = t.obj
 let encode t v = t.codec.Codec.enc v
 let decode t v = t.codec.Codec.dec v

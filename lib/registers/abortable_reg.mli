@@ -37,8 +37,6 @@ val write : 'a t -> 'a -> bool
 val peek : 'a t -> 'a
 (** Zero-step inspection for tests and analyses. *)
 
-val name : _ t -> string
-
 (** {2 Step-machine access}
 
     As for {!Atomic_reg}; [Value.Abort] answers an aborted operation. *)

@@ -28,7 +28,6 @@ let write t v =
   ()
 
 let peek t = t.codec.Codec.dec !(t.cell)
-let name t = t.obj.Shared.name
 let shared t = t.obj
 let encode t v = t.codec.Codec.enc v
 let decode t v = t.codec.Codec.dec v

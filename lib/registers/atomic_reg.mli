@@ -20,8 +20,6 @@ val peek : 'a t -> 'a
 (** Zero-step inspection of the current contents, for analyses and tests —
     never used by algorithm code. *)
 
-val name : _ t -> string
-
 (** {2 Step-machine access}
 
     {!Reg.shared_factory} makes the register's port from its object, and

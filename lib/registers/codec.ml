@@ -5,18 +5,6 @@ type 'a t = { enc : 'a -> Value.t; dec : Value.t -> 'a }
 let int = { enc = (fun i -> Value.Int i); dec = Value.to_int }
 let bool = { enc = (fun b -> Value.Bool b); dec = Value.to_bool }
 
-let string =
-  {
-    enc = (fun s -> Value.Str s);
-    dec = (function Value.Str s -> s | v -> invalid_arg (Value.to_string v));
-  }
-
-let unit =
-  {
-    enc = (fun () -> Value.Unit);
-    dec = (function Value.Unit -> () | v -> invalid_arg (Value.to_string v));
-  }
-
 let pair a b =
   {
     enc = (fun (x, y) -> Value.Pair (a.enc x, b.enc y));

@@ -8,8 +8,6 @@ type 'a t = {
 
 val int : int t
 val bool : bool t
-val string : string t
-val unit : unit t
 val pair : 'a t -> 'b t -> ('a * 'b) t
 val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
 val list : 'a t -> 'a list t

@@ -2,10 +2,6 @@ open Tbwf_sim
 
 type kind = Read | Write
 
-let pp_kind fmt = function
-  | Read -> Fmt.string fmt "R"
-  | Write -> Fmt.string fmt "W"
-
 (* Register families keep the operation's nature in the op value itself
    ("read"/"write"/"cas"/"rmw" tags), so the classification is shared-state
    free. Anything we cannot positively identify as a pure read is a write. *)

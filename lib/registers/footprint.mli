@@ -19,8 +19,6 @@
 
 type kind = Read | Write
 
-val pp_kind : Format.formatter -> kind -> unit
-
 val kind_of_event :
   phase:[ `Invoke | `Respond of Tbwf_sim.Value.t ] ->
   Tbwf_sim.Value.t ->

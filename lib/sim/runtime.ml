@@ -143,7 +143,6 @@ let create ?(seed = 0xC0FFEEL) ~n () =
   }
 
 let n t = t.num
-let rng t = t.rng
 let obj_rng t = t.obj_rng
 let now t = t.step
 let running t = t.running

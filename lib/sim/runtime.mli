@@ -30,12 +30,9 @@ val n : t -> int
 (** Membership size: pids are 0..n-1, counting crashed and retired
     processes. *)
 
-val rng : t -> Rng.t
-(** The scheduling stream: consumed by policies (via {!run}) and nothing
-    else. *)
-
 val obj_rng : t -> Rng.t
-(** The object stream, seeded independently of {!rng} from the same seed:
+(** The object stream, seeded independently of the scheduling stream
+    (consumed by policies, via {!run}) from the same seed:
     every random decision made inside a shared object's [respond] (abort
     draws, write effects) comes from here, in response order. Keeping the
     two streams separate is what makes a schedule replay

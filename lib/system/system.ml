@@ -79,8 +79,6 @@ let of_string s =
       (Fmt.str "unknown system %S (known: %s)" s
          (String.concat ", " (List.map (fun e -> e.name) registry)))
 
-let pp fmt id = Fmt.string fmt (to_string id)
-
 let pp_registry fmt () =
   Fmt.pf fmt "@[<v>";
   List.iter
@@ -89,19 +87,14 @@ let pp_registry fmt () =
     registry;
   Fmt.pf fmt "@]"
 
-(* --- low-level wiring ---------------------------------------------------- *)
+(* --- the Ω∆ of a system ------------------------------------------------- *)
 
-(* Thin, named entry points over the individual installers: every
-   non-test consumer routes stack construction through this module, so a
-   grep for the raw installers outside [lib/system] finds only tests. *)
-
-let install_atomic ?self_punishment ?factory ?n rt =
-  Omega_registers.install ?self_punishment ?factory ?n rt
-
-let install_abortable ?factory ?n rt ~policy ?write_effect () =
-  Omega_abortable.install ?factory ?n rt ~policy ?write_effect ()
-
-let install_naive ?factory ?n rt = Baselines.Naive_booster.install ?factory ?n rt
+let omega ?factory ?n ?(mesh_policy = Abort_policy.Always) rt = function
+  | Tbwf_atomic -> (Omega_registers.install ?factory ?n rt).handles
+  | Tbwf_abortable | Tbwf_universal ->
+    (Omega_abortable.install ?factory ?n rt ~policy:mesh_policy ()).handles
+  | Naive_booster -> (Baselines.Naive_booster.install ?factory ?n rt).handles
+  | Retry -> [||]
 
 let create_qa ?(universal = false) rt ~name ~spec ~policy () =
   if universal then Qa_universal.create rt ~name ~spec ~policy ()
@@ -187,16 +180,7 @@ let build ?backend:(_ : Backend.t option) ?(substrate = Shared_memory) ?seed
       Some net, Some cluster, Some (Mp_reg.factory cluster)
   in
   (* The Ω∆'s installer picks the form of its tasks from the substrate. *)
-  let handles =
-    match id with
-    | Tbwf_atomic -> (install_atomic ?factory ~n rt).Omega_registers.handles
-    | Tbwf_abortable | Tbwf_universal ->
-      (install_abortable ?factory ~n rt ~policy:mesh_policy ())
-        .Omega_abortable.handles
-    | Naive_booster ->
-      (install_naive ?factory ~n rt).Baselines.Naive_booster.handles
-    | Retry -> [||]
-  in
+  let handles = omega ?factory ~n ~mesh_policy rt id in
   let qa =
     let universal =
       match qa_universal with

@@ -2,13 +2,12 @@
 
     A {e system} is a complete object stack — an Ω∆ implementation (or
     none), a query-abortable object, and an invoke path — identified by
-    {!id} and catalogued in {!registry} with its description and paper
-    reference. Every consumer of a full stack (the experiment scenarios,
-    the nemesis campaigns, the trace/nemesis/demo CLIs and the bench
-    harness) builds it through {!build}, or through the lower-level
-    {!install_atomic}/{!install_abortable}/{!install_naive} when it needs
-    the raw implementation records (monitor meshes, counter registers)
-    rather than a client-ready stack.
+    {!id} and catalogued with its description and paper reference. Every
+    consumer of a full stack (the experiment scenarios, the nemesis
+    campaigns, the trace/nemesis/demo CLIs and the bench harness) builds
+    it through {!build}; a consumer that drives a bare elector gets the
+    system's Ω∆ handles from {!omega}, the one map from an {!id} to its
+    Ω∆ implementation.
 
     Refactor safety is mechanized: [test/golden/system_fingerprints.txt]
     pins each system's [Trace.fingerprint] under two schedules as captured
@@ -39,10 +38,9 @@ type info = {
   figure : string;  (** paper reference (figures/theorems/sections) *)
 }
 
-val registry : info list
+val all : id list
 (** All five systems, paper systems first. *)
 
-val all : id list
 val paper_systems : id list
 val baseline_systems : id list
 
@@ -52,45 +50,29 @@ val of_string : string -> (id, string) result
 (** Total inverse of {!to_string} over registry names; [Error] lists the
     known names. *)
 
-val pp : Format.formatter -> id -> unit
-
 val pp_registry : Format.formatter -> unit -> unit
 (** The [list-systems] rendering: one entry per system with its summary
     and paper reference. *)
 
-(** {2 Low-level wiring}
+(** {2 The Ω∆ of a system} *)
 
-    Named entry points over the individual installers, so that stack
-    construction outside [lib/system] is grep-verifiably confined to this
-    module (tests excepted). They return the full implementation records —
-    monitor meshes, counter registers, heartbeat meshes — for experiments
-    that measure the internals rather than the client interface. *)
-
-val install_atomic :
-  ?self_punishment:bool ->
+val omega :
   ?factory:Reg.factory ->
   ?n:int ->
+  ?mesh_policy:Abort_policy.t ->
   Runtime.t ->
-  Omega_registers.t
-(** The Figure 3 Ω∆ over activity monitors and atomic registers.
-    [self_punishment] (default true) is the E11 ablation switch.
-    [factory]/[n] select the register substrate and restrict the election
-    (see {!Omega_registers.install}). *)
-
-val install_abortable :
-  ?factory:Reg.factory ->
-  ?n:int ->
-  Runtime.t ->
-  policy:Abort_policy.t ->
-  ?write_effect:Abort_policy.write_effect ->
-  unit ->
-  Omega_abortable.t
-(** The Figure 6 Ω∆ over abortable registers; [policy] governs when
-    concurrent register operations abort. *)
-
-val install_naive :
-  ?factory:Reg.factory -> ?n:int -> Runtime.t -> Baselines.Naive_booster.t
-(** The non-gracefully-degrading booster baseline. *)
+  id ->
+  Omega_spec.handle array
+(** Install the system's Ω∆ on the runtime and return its output handles,
+    indexed by pid: Figure 3 over activity monitors and atomic registers
+    for {!Tbwf_atomic}, Figures 4–6 over abortable registers whose
+    concurrent operations abort per [mesh_policy] (default
+    [Abort_policy.Always]) for {!Tbwf_abortable} and {!Tbwf_universal},
+    the naive booster for {!Naive_booster}, and nothing ([[||]]) for
+    {!Retry}. [factory] selects the register substrate and [n] restricts
+    the election to pids [0..n-1] (see {!Omega_registers.install}).
+    {!build} calls it; a caller that needs an implementation's own record
+    (E11's monitor mesh and counters) calls that installer directly. *)
 
 (** {2 Building a full stack} *)
 

@@ -440,7 +440,6 @@ let merge_all = function
 
 let n t = t.n
 let window t = t.window
-let retain t = t.retain
 let spans t = t.spans
 let app_ops t = t.app_ops
 let total_steps t = t.total_steps
@@ -458,7 +457,6 @@ let pid_steps t pid =
 
 let steps_per_pid t = Array.init t.n (pid_steps t)
 let app_completed t = Array.copy t.app_completed
-let aborts t = column t col_aborts
 let leader_epochs t = t.epochs
 let handoffs t = List.rev t.handoffs
 let crashes t = List.rev t.crashes

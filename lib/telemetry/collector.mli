@@ -87,7 +87,6 @@ val merge_all : t list -> t
 
 val n : t -> int
 val window : t -> int
-val retain : t -> int option
 
 val spans : t -> Span.t
 val app_ops : t -> Series.t
@@ -96,7 +95,6 @@ val idle_steps : t -> int
 val steps_per_pid : t -> int array
 val layer_steps : t -> pid:int -> Sink.layer -> int
 val app_completed : t -> int array
-val aborts : t -> int array
 
 val leader_epochs : t -> int
 (** Epoch boundaries: *self*-announcements changing hands — pid [l]
@@ -136,10 +134,8 @@ val net_latency : t -> Quantile.t
 
 (** {2 Output} *)
 
-val schema_version : string
-
 val snapshot : t -> Json.t
-(** The full deterministic snapshot (schema {!schema_version}). Latency
+(** The full deterministic snapshot (schema ["tbwf-telemetry/v1"]). Latency
     and abort-streak sketches appear as log₂ histograms; the ["custom"]
     object is always empty and kept only because v1 readers expect it. *)
 

@@ -149,12 +149,6 @@ let summary_json t =
       "max", Json.Int t.max;
     ]
 
-let pp fmt t =
-  if t.count = 0 then Fmt.string fmt "no observations"
-  else
-    Fmt.pf fmt "n=%d p50≤%d p99≤%d p999≤%d max=%d" t.count (p50 t) (p99 t)
-      (p999 t) t.max
-
 (* --- log₂ rendering ---------------------------------------------------------
 
    The v1 snapshot's latency and abort-streak fields and the human

@@ -45,8 +45,6 @@ val summary_json : t -> Json.t
 (** [count], [p50], [p99], [p999], [max] — the tail shape of the world
     and soak aggregate records. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {2 Log₂ rendering}
 
     The [tbwf-telemetry/v1] snapshot's [spans.latency.*],

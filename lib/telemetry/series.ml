@@ -39,9 +39,7 @@ let create ?(window = 1024) ?retain ~n () =
     evicted = Array.make n 0;
   }
 
-let window t = t.window
 let windows t = t.windows
-let retain t = t.retain
 
 (* Roll the ring forward so window [w] fits: fold every window that falls
    off the back into the evicted totals. At most [retain] slots need
@@ -150,17 +148,6 @@ let merge a b =
     done;
     { window = a.window; n = a.n; retain = Some r; rows; windows; first_kept;
       evicted }
-
-let copy t =
-  {
-    window = t.window;
-    n = t.n;
-    retain = t.retain;
-    rows = Array.map Array.copy t.rows;
-    windows = t.windows;
-    first_kept = t.first_kept;
-    evicted = Array.copy t.evicted;
-  }
 
 let row t ~pid =
   (* Zero-padded to the global width; in bounded mode evicted windows

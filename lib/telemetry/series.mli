@@ -14,11 +14,8 @@ val create : ?window:int -> ?retain:int -> n:int -> unit -> t
     {!row} reads zero before the oldest retained window. Omitted = unbounded (the default, and
     the only mode whose {!to_json} reproduces every window). *)
 
-val window : t -> int
 val windows : t -> int
 (** 1 + the highest window index touched so far. *)
-
-val retain : t -> int option
 
 val bump : t -> pid:int -> step:int -> unit
 (** Count one event for [pid] in the window containing [step].
@@ -30,9 +27,6 @@ val merge : t -> t -> t
     retentions differ. In bounded mode the merged ring starts at the
     later of the two oldest retained windows; cells only one side still held fold into the
     evicted totals. *)
-
-val copy : t -> t
-(** Independent deep copy. *)
 
 val row : t -> pid:int -> int array
 (** Per-window counts for [pid], zero-padded to {!windows} columns. *)

@@ -94,5 +94,3 @@ let pp fmt t =
     t.max_cell;
   Fmt.pf fmt "%-7s %s@." "leader" t.leader_row;
   Array.iteri (fun pid row -> Fmt.pf fmt "p%-6d %s@." pid row) t.pid_rows
-
-let render ?width collector = Fmt.str "%a" pp (build ?width collector)

@@ -20,4 +20,3 @@ val build : ?width:int -> Collector.t -> t
 (** [width] defaults to 72 columns. *)
 
 val pp : Format.formatter -> t -> unit
-val render : ?width:int -> Collector.t -> string

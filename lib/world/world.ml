@@ -187,7 +187,7 @@ let run_shard c ~shard =
   let emit r = Buffer.add_string buf (Json.to_string r ^ "\n") in
   let stream =
     Option.map
-      (fun every -> { Cell_runner.every; monitor = None; fields; emit })
+      (fun every -> { Cell_runner.every; fields; emit })
       c.every
   in
   let cell = Cell_runner.run ~plan:(plan_of c ~churn) ~build ~stream in

@@ -112,9 +112,6 @@ type summary = {
   sum_steps : int;  (** simulated steps, world-wide *)
 }
 
-val schema_version : string
-(** ["tbwf-world/v1"]. *)
-
 val run :
   ?pool:Tbwf_parallel.Pool.t ->
   ?on_shard:(shard_result -> unit) ->

@@ -146,12 +146,12 @@ let test_e16 () =
       List.iter
         (fun (system, cell) ->
           let expect_holds =
-            List.mem system Tbwf_nemesis.Campaign.paper_systems
+            List.mem system Tbwf_system.System.paper_systems
           in
           Alcotest.(check bool)
             (Fmt.str "%s/%s verdict"
                row.E16_nemesis.campaign
-               (Tbwf_nemesis.Campaign.system_name system))
+               (Tbwf_system.System.to_string system))
             expect_holds cell.E16_nemesis.holds)
         row.E16_nemesis.cells)
     r.E16_nemesis.rows
@@ -165,12 +165,12 @@ let test_e17 () =
       List.iter
         (fun (system, cell) ->
           let expect_holds =
-            List.mem system Tbwf_nemesis.Campaign.paper_systems
+            List.mem system Tbwf_system.System.paper_systems
           in
           Alcotest.(check bool)
             (Fmt.str "%s/%s verdict"
                row.E17_network.campaign
-               (Tbwf_nemesis.Campaign.system_name system))
+               (Tbwf_system.System.to_string system))
             expect_holds cell.E17_network.holds)
         row.E17_network.cells)
     r.E17_network.rows

@@ -3,6 +3,7 @@
 
 open Tbwf_sim
 open Tbwf_nemesis
+module System = Tbwf_system.System
 
 (* One atom of every kind, exercising every field of the text format. *)
 let kitchen_sink =
@@ -316,7 +317,7 @@ let test_campaign_smoke () =
   | Some c ->
     let o =
       Campaign.run ~quick:true
-        ~systems:[ Campaign.Tbwf_atomic; Campaign.Naive_booster ] c
+        ~systems:[ System.Tbwf_atomic; System.Naive_booster ] c
     in
     Alcotest.(check bool) "both verdicts as predicted" true o.Campaign.o_ok;
     List.iter
@@ -326,9 +327,9 @@ let test_campaign_smoke () =
             .Tbwf_check.Degradation.holds
         in
         match r.Campaign.row_system with
-        | Campaign.Tbwf_atomic ->
+        | System.Tbwf_atomic ->
           Alcotest.(check bool) "tbwf-atomic holds" true holds
-        | Campaign.Naive_booster ->
+        | System.Naive_booster ->
           Alcotest.(check bool) "naive booster fails" false holds
         | _ -> ())
       o.Campaign.o_rows
@@ -348,7 +349,7 @@ let test_catalogue_covers_every_atom () =
         true
         (List.for_all
            (fun s -> List.mem s (Campaign.expect_fail c))
-           Campaign.baseline_systems))
+           System.baseline_systems))
     Campaign.catalogue
 
 (* The cell runner always hands the plan's compiled abort policies to
@@ -381,7 +382,7 @@ let test_policies_default_without_abort_atoms () =
           ~base:Tbwf_registers.Abort_policy.Always))
 
 let mp_substrate =
-  Tbwf_system.System.Message_passing Tbwf_net.Net.default_config
+  System.Message_passing Tbwf_net.Net.default_config
 
 (* The message-passing axis end-to-end: the client-cut campaign over the
    ABD substrate. The paper system must hold its verdict with the cut
@@ -396,7 +397,7 @@ let test_campaign_mp_smoke () =
     let plan = Campaign.plan c ~n ~horizon in
     let r =
       Campaign.run_plan ~substrate:mp_substrate ~plan
-        ~system:Campaign.Tbwf_atomic ()
+        ~system:System.Tbwf_atomic ()
     in
     let v = r.Campaign.rr_verdict in
     Alcotest.(check bool) "tbwf-atomic holds over message passing" true
@@ -423,16 +424,16 @@ let test_campaign_mp_smoke () =
 let traced_cell ?substrate ~plan system =
   let substrate, plan = Campaign.align_substrate ?substrate plan in
   Cell_runner.run ~plan ~stream:None ~build:(fun ~qa_policy ~mesh_policy ->
-      Tbwf_system.System.build ~substrate ~seed:Campaign.default_seed
+      System.build ~substrate ~seed:Campaign.default_seed
         ~qa_policy ~mesh_policy ~telemetry:true ~n:(Fault_plan.n plan) system)
 
 let post_hoc_verdict cell =
   let stack = cell.Cell_runner.cr_stack in
   Tbwf_check.Degradation.check ~min_ops:cell.Cell_runner.cr_min_ops
     ~prediction:cell.Cell_runner.cr_prediction
-    ~trace:(Option.get stack.Tbwf_system.System.trace)
+    ~trace:(Option.get stack.System.trace)
     ~completed_before:cell.Cell_runner.cr_completed_before
-    ~completed_after:stack.Tbwf_system.System.stats.Tbwf_core.Workload.completed
+    ~completed_after:stack.System.stats.Tbwf_core.Workload.completed
     ()
 
 (* Every (campaign, system) cell of the quick matrix on [substrate], in
@@ -449,10 +450,10 @@ let quick_matrix_cells ?substrate label =
       List.map
         (fun system ->
           ( Fmt.str "%s/%s/%s" label (Campaign.name c)
-              (Campaign.system_name system),
+              (System.to_string system),
             Campaign.plan c ~n ~horizon,
             system ))
-        Campaign.all_systems)
+        System.all)
     campaigns
 
 (* The online ≡ post-hoc differential: the online checker consumed the
@@ -460,19 +461,31 @@ let quick_matrix_cells ?substrate label =
    post-hoc checker's over the recorded trace, field for field, on every
    (campaign, system) cell of the quick matrix on both substrates.
    Structural equality covers the whole verdict record including
-   per-process sub-verdicts. Each task returns only the two verdicts, so
-   no cell's trace outlives its task. *)
+   per-process sub-verdicts. The cell's tail counts, read from the online
+   verdict, must equal the workload's own completions since the tail
+   boundary. Each task returns only the verdicts and counts, so no cell's
+   trace outlives its task. *)
 let test_online_differential () =
   let pool = Tbwf_parallel.Pool.create () in
   let check_matrix ?substrate label =
     let cells = Array.of_list (quick_matrix_cells ?substrate label) in
     Tbwf_parallel.Pool.map pool cells (fun (_, plan, system) ->
         let cell = traced_cell ?substrate ~plan system in
-        cell.Cell_runner.cr_verdict, post_hoc_verdict cell)
-    |> Array.iteri (fun i (online, post_hoc) ->
+        let completed =
+          cell.Cell_runner.cr_stack.System.stats.Tbwf_core.Workload.completed
+        in
+        ( cell.Cell_runner.cr_verdict,
+          post_hoc_verdict cell,
+          cell.Cell_runner.cr_tail_ops,
+          Array.mapi
+            (fun pid c -> c - cell.Cell_runner.cr_completed_before.(pid))
+            completed ))
+    |> Array.iteri (fun i (online, post_hoc, tail_ops, completions) ->
            let name, _, _ = cells.(i) in
            Alcotest.(check bool) (name ^ " online = post-hoc") true
-             (online = post_hoc))
+             (online = post_hoc);
+           Alcotest.(check (array int)) (name ^ " tail ops = completions")
+             completions tail_ops)
   in
   check_matrix "shared-memory";
   check_matrix ~substrate:mp_substrate "message-passing"
@@ -487,17 +500,17 @@ let recorder_alone_fingerprint ?substrate ~plan system =
       ~base:Tbwf_registers.Abort_policy.Always
   in
   let stack =
-    Tbwf_system.System.build ~substrate ~seed:Campaign.default_seed
+    System.build ~substrate ~seed:Campaign.default_seed
       ~qa_policy:(policy Fault_plan.Qa)
       ~mesh_policy:(policy Fault_plan.Omega_mesh) ~n:(Fault_plan.n plan)
       system
   in
-  let rt = stack.Tbwf_system.System.rt in
+  let rt = stack.System.rt in
   Fault_plan.install_crashes plan rt;
   Runtime.run rt ~policy:(Fault_plan.policy plan)
     ~steps:(Fault_plan.horizon plan);
   Runtime.stop rt;
-  Trace.fingerprint (Option.get stack.Tbwf_system.System.trace)
+  Trace.fingerprint (Option.get stack.System.trace)
 
 (* Recording the trace only observes the run: a campaign cell judged
    without one ([Campaign.run_plan]) reports the same verdict, tail
@@ -513,12 +526,12 @@ let test_trace_observation_only () =
     let c = Option.get (Campaign.find name) in
     let n, horizon = Campaign.substrate_dimensions ?substrate ~quick:true () in
     let plan = Campaign.plan c ~n ~horizon in
-    Tbwf_parallel.Pool.map pool (Array.of_list Campaign.all_systems)
+    Tbwf_parallel.Pool.map pool (Array.of_list System.all)
       (fun system ->
         let r = Campaign.run_plan ?substrate ~plan ~system () in
         let cell = traced_cell ?substrate ~plan system in
         let teed =
-          Option.get cell.Cell_runner.cr_stack.Tbwf_system.System.trace
+          Option.get cell.Cell_runner.cr_stack.System.trace
         in
         ( system,
           ( r.Campaign.rr_verdict = cell.Cell_runner.cr_verdict,
@@ -531,7 +544,7 @@ let test_trace_observation_only () =
             String.equal (Trace.fingerprint teed)
               (recorder_alone_fingerprint ?substrate ~plan system) ) ))
     |> Array.iter (fun (system, (verdict, tail_ops, snapshot, trace)) ->
-           let what = Fmt.str "%s/%s" name (Campaign.system_name system) in
+           let what = Fmt.str "%s/%s" name (System.to_string system) in
            Alcotest.(check bool) (what ^ " verdict") true verdict;
            Alcotest.(check bool) (what ^ " tail ops") true tail_ops;
            Alcotest.(check bool) (what ^ " telemetry snapshot") true snapshot;

@@ -262,15 +262,14 @@ let qcheck_random_classes =
           crashes = [];
         }
       in
-      let omega =
-        if use_abortable then
-          Tbwf_experiments.Scenario.Omega_abortable Tbwf_registers.Abort_policy.Always
-        else Tbwf_experiments.Scenario.Omega_atomic
+      let system =
+        if use_abortable then Tbwf_system.System.Tbwf_abortable
+        else Tbwf_system.System.Tbwf_atomic
       in
       let outcome =
         Tbwf_experiments.Omega_scenarios.run ~seed:(Int64.of_int (seed + 7)) ~n
-          ~omega ~classes ~segments:12 ~segment_steps:5_000 ~rcand_phase:60
-          ~ncand_phase:80 ()
+          ~classes ~segments:12 ~segment_steps:5_000 ~rcand_phase:60
+          ~ncand_phase:80 system
       in
       let verdict = outcome.Tbwf_experiments.Omega_scenarios.verdict in
       verdict.Omega_spec.violations = []

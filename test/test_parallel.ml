@@ -7,6 +7,7 @@ open Tbwf_parallel
 open Tbwf_sim
 open Tbwf_experiments
 open Tbwf_nemesis
+module System = Tbwf_system.System
 
 let pool d = Pool.create ~domains:d ()
 
@@ -168,7 +169,7 @@ let test_plan_fuzz_identical_across_pools () =
 
 let test_campaign_run_identical_across_pools () =
   let c = Option.get (Campaign.find "slowdown") in
-  let systems = [ Campaign.Tbwf_atomic; Campaign.Naive_booster ] in
+  let systems = [ System.Tbwf_atomic; System.Naive_booster ] in
   let render d =
     Fmt.str "%a" Campaign.pp_outcome (Campaign.run ~pool:(pool d) ~systems c)
   in
@@ -202,7 +203,7 @@ let test_task_seed_stable () =
 
 let test_matrix_identical_and_telemetry_merges () =
   let matrix d =
-    Campaign.run_matrix ~pool:(pool d) ~systems:[ Campaign.Tbwf_atomic ] ()
+    Campaign.run_matrix ~pool:(pool d) ~systems:[ System.Tbwf_atomic ] ()
   in
   let a = matrix 1 in
   let b = matrix 3 in
