@@ -78,12 +78,6 @@ type t = {
   procs : proc array;  (* [num] slots, one per process *)
   mutable step : int;
   mutable next_obj_id : int;
-  (* Object ids are dense (allocated by [register_object]), so the
-     per-object counters index arrays instead of hashtables. *)
-  mutable events_by_obj : int array;
-      (* obj id -> number of invocation/response events so far *)
-  mutable in_flight_by_obj : int array;  (* obj id -> ops in flight *)
-  mutable invokes_by_obj : int array;  (* obj id -> invocations so far *)
   mutable events : (int * event_kind) list;
       (* (due step, kind), kept in application order — see [insert_event] —
          so the per-step check reads only the head *)
@@ -132,9 +126,6 @@ let create ?(seed = 0xC0FFEEL) ~n () =
     procs = Array.init n fresh_proc;
     step = 0;
     next_obj_id = 0;
-    events_by_obj = Array.make 16 0;
-    in_flight_by_obj = Array.make 16 0;
-    invokes_by_obj = Array.make 16 0;
     events = [];
     sink = Sink.nil;
     runnable_cache = [||];
@@ -163,29 +154,17 @@ let telemetry_active t = t.sink.Sink.on_signal != Sink.nil.Sink.on_signal
 let signal t ~pid s =
   if t.sink.Sink.active then t.sink.Sink.on_signal ~step:t.step ~pid s
 
-let grow counts cap =
-  let grown = Array.make cap 0 in
-  Array.blit counts 0 grown 0 (Array.length counts);
-  grown
-
-let ensure_obj t id =
-  let len = Array.length t.events_by_obj in
-  if id >= len then begin
-    let cap = Int.max (id + 1) (2 * len) in
-    t.events_by_obj <- grow t.events_by_obj cap;
-    t.in_flight_by_obj <- grow t.in_flight_by_obj cap;
-    t.invokes_by_obj <- grow t.invokes_by_obj cap
-  end
-
 let register_object t ~name ~respond =
   let id = t.next_obj_id in
   t.next_obj_id <- id + 1;
-  ensure_obj t id;
   Shared.make ~id ~name ~respond
 
 (* Placeholders for the fields a task fills in before it reads them: the
    call of a task that has made none yet, the step function of a task that
-   is not a machine. *)
+   is not a machine. [no_pending] is shared by every runtime on every
+   domain, so its object's counters must never be written: only a task
+   suspended on a call settles its pending record, and [teardown] checks
+   that the record is a real call before it does. *)
 let no_pending =
   {
     p_invoked = 0;
@@ -284,14 +263,10 @@ let finish_task t task =
 
 (* --- pending-operation bookkeeping ------------------------------------- *)
 
-let events_of t obj_id = t.events_by_obj.(obj_id)
-
-let bump_events t obj_id =
-  t.events_by_obj.(obj_id) <- t.events_by_obj.(obj_id) + 1
-
-let remove_pending t pend =
-  let obj_id = pend.p_obj.Shared.id in
-  t.in_flight_by_obj.(obj_id) <- t.in_flight_by_obj.(obj_id) - 1
+(* The per-object counters are fields of the object (see {!Shared.t}). *)
+let remove_pending pend =
+  let obj = pend.p_obj in
+  Shared.set_in_flight obj (obj.Shared.in_flight - 1)
 
 (* Another op overlapped this one iff one was in flight at its invocation
    or one was invoked while it was in flight. A task has one call in
@@ -299,14 +274,14 @@ let remove_pending t pend =
    pairs nothing itself. *)
 let respond_pending t task =
   let pend = task.t_pend in
-  remove_pending t pend;
-  let obj_id = pend.p_obj.Shared.id in
+  let obj = pend.p_obj in
+  remove_pending pend;
   let overlapped =
-    pend.p_overlapped_at_invoke
-    || t.invokes_by_obj.(obj_id) > pend.p_invokes_at_invoke
+    pend.p_overlapped_at_invoke || obj.Shared.invokes > pend.p_invokes_at_invoke
   in
-  let step_contended = events_of t obj_id > pend.p_events_at_invoke in
-  bump_events t obj_id;
+  let events = obj.Shared.events in
+  let step_contended = events > pend.p_events_at_invoke in
+  Shared.set_events obj (events + 1);
   let ctx =
     {
       Shared.pid = task.t_pid;
@@ -317,10 +292,10 @@ let respond_pending t task =
       op = pend.p_op;
     }
   in
-  let result = pend.p_obj.Shared.respond ctx in
+  let result = obj.Shared.respond ctx in
   if t.sink.Sink.active then
     t.sink.Sink.on_respond ~step:t.step ~pid:task.t_pid ~layer:task.t_layer
-      ~obj:pend.p_obj ~op:pend.p_op ~invoked:pend.p_invoked ~overlapped
+      ~obj ~op:pend.p_op ~invoked:pend.p_invoked ~overlapped
       ~result;
   result
 
@@ -329,13 +304,12 @@ let respond_pending t task =
    make the same call must count it and report it to the sink identically
    for their runs to stay byte-identical. *)
 let begin_call t task obj op =
-  let id = obj.Shared.id in
-  ensure_obj t id;
-  bump_events t id;
-  let in_flight = t.in_flight_by_obj.(id) in
-  t.in_flight_by_obj.(id) <- in_flight + 1;
-  let invokes = t.invokes_by_obj.(id) + 1 in
-  t.invokes_by_obj.(id) <- invokes;
+  let events = obj.Shared.events + 1 in
+  Shared.set_events obj events;
+  let in_flight = obj.Shared.in_flight in
+  Shared.set_in_flight obj (in_flight + 1);
+  let invokes = obj.Shared.invokes + 1 in
+  Shared.set_invokes obj invokes;
   task.t_pend <-
     {
       p_invoked = t.step;
@@ -343,7 +317,7 @@ let begin_call t task obj op =
       p_op = op;
       p_overlapped_at_invoke = in_flight > 0;
       p_invokes_at_invoke = invokes;
-      p_events_at_invoke = events_of t id;
+      p_events_at_invoke = events;
     };
   if t.sink.Sink.active then
     t.sink.Sink.on_invoke ~step:t.step ~pid:task.t_pid ~obj ~op
@@ -471,8 +445,9 @@ let exec_task_step t task =
    object's state stays well defined; [stop] merely drops it. *)
 let teardown t ~resolve proc =
   let settle task =
+    assert (task.t_pend != no_pending);
     if resolve then ignore (respond_pending t task : Value.t)
-    else remove_pending t task.t_pend
+    else remove_pending task.t_pend
   in
   let unwind task =
     match task.t_state with

@@ -53,9 +53,10 @@ val register_object :
   t -> name:string -> respond:(Shared.ctx -> Value.t) -> Shared.t
 (** Create a shared object with a fresh id. [respond] is called at each
     operation's response step (and once, with the final context, if the
-    invoking process crashes mid-operation). The runtime keeps two
-    counters per object, operations in flight and invocations so far,
-    from which it answers each context's [overlapped]. *)
+    invoking process crashes mid-operation). The runtime keeps three
+    counters on the object ({!Shared.t}'s [events], [in_flight] and
+    [invokes]), from which it answers each context's [overlapped] and
+    [step_contended]. *)
 
 val spawn :
   ?layer:Sink.layer -> t -> pid:int -> name:string -> (unit -> unit) -> unit

@@ -29,10 +29,26 @@ type ctx = {
   op : Value.t;  (** the operation, in the {!Value} encoding *)
 }
 
+(** The object's own books, kept by the runtime that calls it and written
+    only through the setters below: a runtime's per-call bookkeeping
+    reads and writes fields of the object it already holds, with no
+    per-runtime table to index or grow. An object belongs to the one
+    runtime that registered it. *)
 type t = private {
   id : int;
   name : string;
   respond : ctx -> Value.t;
+  mutable events : int;  (** invocation and response events so far *)
+  mutable in_flight : int;
+      (** operations invoked and not yet answered, resolved or dropped;
+          sinks see it already counting the invoke they are handed and no
+          longer counting the respond *)
+  mutable invokes : int;  (** invocations so far *)
 }
 
 val make : id:int -> name:string -> respond:(ctx -> Value.t) -> t
+(** A fresh object, all three counts zero. *)
+
+val set_events : t -> int -> unit
+val set_in_flight : t -> int -> unit
+val set_invokes : t -> int -> unit

@@ -220,14 +220,17 @@ let on_step t ~step ~pid ~layer =
     t.counts.(i) <- t.counts.(i) + 1
   end
 
-let on_invoke t ~pid ~obj_id =
+(* [in_flight] is the object's own count, which the runtime has already
+   raised for this invoke (and, below, lowered for this respond). *)
+let on_invoke t ~pid ~obj_id ~in_flight =
   if pid >= 0 && pid < t.n then begin
     let i = (pid * row_width) + col_invokes in
     t.counts.(i) <- t.counts.(i) + 1;
-    Span.on_invoke t.spans ~obj_id
+    Span.on_invoke t.spans ~obj_id ~in_flight
   end
 
-let on_respond t ~step ~pid ~layer ~obj_id ~invoked ~overlapped ~result =
+let on_respond t ~step ~pid ~layer ~obj_id ~in_flight ~invoked ~overlapped
+    ~result =
   if pid >= 0 && pid < t.n then begin
     let row = pid * row_width in
     let counts = t.counts in
@@ -242,8 +245,8 @@ let on_respond t ~step ~pid ~layer ~obj_id ~invoked ~overlapped ~result =
         false
       | _ -> false
     in
-    Span.on_respond t.spans ~pid ~layer ~obj_id ~step ~invoked ~overlapped
-      ~aborted
+    Span.on_respond t.spans ~pid ~layer ~obj_id ~in_flight ~step ~invoked
+      ~overlapped ~aborted
   end
 
 let on_signal t ~step ~pid signal =
@@ -298,11 +301,12 @@ let sink t =
     Sink.active = true;
     on_step = (fun ~step ~pid ~layer -> on_step t ~step ~pid ~layer);
     on_invoke =
-      (fun ~step:_ ~pid ~obj ~op:_ -> on_invoke t ~pid ~obj_id:obj.Shared.id);
+      (fun ~step:_ ~pid ~obj ~op:_ ->
+        on_invoke t ~pid ~obj_id:obj.Shared.id ~in_flight:obj.Shared.in_flight);
     on_respond =
       (fun ~step ~pid ~layer ~obj ~op:_ ~invoked ~overlapped ~result ->
-        on_respond t ~step ~pid ~layer ~obj_id:obj.Shared.id ~invoked
-          ~overlapped ~result);
+        on_respond t ~step ~pid ~layer ~obj_id:obj.Shared.id
+          ~in_flight:obj.Shared.in_flight ~invoked ~overlapped ~result);
     on_signal = (fun ~step ~pid s -> on_signal t ~step ~pid s);
   }
 

@@ -344,6 +344,44 @@ let spin () =
     Runtime.yield ()
   done
 
+(* Every task that is not suspended on a call leaves its objects' counts
+   alone when it is torn down: one that never called (fiber or machine,
+   run or not, yielding or parked) and one whose last call was answered.
+   The runtime's placeholder call, shared by every runtime on every
+   domain, is never settled: [teardown] refuses it. *)
+let test_teardown_of_tasks_without_a_call () =
+  let depart name leave =
+    let rt = Runtime.create ~n:3 () in
+    let obj, _, _, _ = make_cell rt in
+    let idle : Runtime.machine = fun _ -> Runtime.M_yield in
+    for pid = 0 to 2 do
+      Runtime.spawn rt ~pid ~name:"spin" spin;
+      Runtime.spawn rt ~pid ~name:"parked" (fun () ->
+          Runtime.park (fun () -> false));
+      Runtime.spawn_machine rt ~pid ~name:"idle" idle;
+      Runtime.spawn rt ~pid ~name:"answered" (fun () ->
+          ignore (Runtime.call obj Value.read_op : Value.t);
+          spin ())
+    done;
+    Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:40;
+    (* Spawned after the run: never stepped. *)
+    Runtime.spawn rt ~pid:0 ~name:"unrun" spin;
+    Runtime.spawn_machine rt ~pid:0 ~name:"unrun machine" idle;
+    Alcotest.(check int) (name ^ ": every call answered") 0
+      obj.Shared.in_flight;
+    leave rt;
+    Runtime.stop rt;
+    Alcotest.(check int) (name ^ ": nothing in flight") 0 obj.Shared.in_flight;
+    Alcotest.(check int) (name ^ ": three invokes") 3 obj.Shared.invokes;
+    Alcotest.(check int) (name ^ ": three invokes, three responds") 6
+      obj.Shared.events
+  in
+  depart "crash" (fun rt ->
+      Runtime.crash_at rt ~pid:0 ~step:(Runtime.now rt);
+      Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:1);
+  depart "retire" (fun rt -> Runtime.retire rt ~pid:1);
+  depart "stop" ignore
+
 let test_same_step_event_order () =
   (* The first five events are due at step 5, scheduled in this order: a
      crash of 0, an activation of 2, a retirement of 1, an activation of
@@ -743,7 +781,11 @@ let test_call_step_allocation_guard () =
    no minor-heap word to a yield step or a call step. The warm-up of 40,000
    steps grows those arrays past what the measured 20,000 steps fill (64Ki
    steps, 128Ki events, the call step recording two), so no growth falls
-   inside the window. *)
+   inside the window. A collector attached from step 0 adds none to a call
+   step either: it counts the invoke and the respond in ints it allocated
+   up front, observes the latency into a sketch grown during the warm-up,
+   and reads the object's own in-flight count for its contention window.
+   A boxed latency or a closure built per call would fail it. *)
 let test_recorder_allocation_guard () =
   let warmup = 40_000 in
   let attach rt = ignore (record rt : Trace.t) in
@@ -752,7 +794,11 @@ let test_recorder_allocation_guard () =
     (words_per_step ~warmup attach);
   Alcotest.(check (float 0.0)) "words a recorder adds to a call step"
     (solo_call_words_per_step ~warmup ignore)
-    (solo_call_words_per_step ~warmup attach)
+    (solo_call_words_per_step ~warmup attach);
+  let collect rt = ignore (Tbwf_telemetry.Collector.attach rt) in
+  Alcotest.(check (float 0.0)) "words a collector adds to a call step"
+    (solo_call_words_per_step ~warmup ignore)
+    (solo_call_words_per_step ~warmup collect)
 
 (* Trace index i is runtime step i: a recorder attached after step 0
    refuses its first step instead of shifting every later index. *)
@@ -1209,6 +1255,8 @@ let () =
             test_crash_resolves_pending_op;
           Alcotest.test_case "settled calls leave no overlap" `Quick
             test_settled_calls_leave_no_overlap;
+          Alcotest.test_case "teardown of tasks without a call" `Quick
+            test_teardown_of_tasks_without_a_call;
           Alcotest.test_case "multi-task round robin" `Quick
             test_multi_task_round_robin;
           Alcotest.test_case "one pid's overlapping spans" `Quick

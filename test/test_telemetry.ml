@@ -282,11 +282,13 @@ let qcheck_quantile_merge_algebra =
 
 (* --- Span ---------------------------------------------------------------- *)
 
+(* Solo calls: each invoke leaves one operation in flight, each respond
+   none. *)
 let test_span_latency_and_streaks () =
   let sp = Span.create ~n:2 in
-  Span.on_invoke sp ~obj_id:1;
-  Span.on_respond sp ~pid:0 ~layer:Sink.App ~obj_id:1 ~step:5 ~invoked:0
-    ~overlapped:false ~aborted:false;
+  Span.on_invoke sp ~obj_id:1 ~in_flight:1;
+  Span.on_respond sp ~pid:0 ~layer:Sink.App ~obj_id:1 ~in_flight:0 ~step:5
+    ~invoked:0 ~overlapped:false ~aborted:false;
   Alcotest.(check int) "completed" 1 (Span.completed sp);
   let lat = Span.tail_of sp Sink.App in
   Alcotest.(check int) "latency count" 1 (Quantile.count lat);
@@ -294,13 +296,13 @@ let test_span_latency_and_streaks () =
   (* Three aborts then a success: one streak of length 3. *)
   List.iter
     (fun step ->
-      Span.on_invoke sp ~obj_id:1;
-      Span.on_respond sp ~pid:1 ~layer:Sink.App ~obj_id:1 ~step:(step + 1)
-        ~invoked:step ~overlapped:false ~aborted:true)
+      Span.on_invoke sp ~obj_id:1 ~in_flight:1;
+      Span.on_respond sp ~pid:1 ~layer:Sink.App ~obj_id:1 ~in_flight:0
+        ~step:(step + 1) ~invoked:step ~overlapped:false ~aborted:true)
     [ 10; 12; 14 ];
-  Span.on_invoke sp ~obj_id:1;
-  Span.on_respond sp ~pid:1 ~layer:Sink.App ~obj_id:1 ~step:17 ~invoked:16
-    ~overlapped:false ~aborted:false;
+  Span.on_invoke sp ~obj_id:1 ~in_flight:1;
+  Span.on_respond sp ~pid:1 ~layer:Sink.App ~obj_id:1 ~in_flight:0 ~step:17
+    ~invoked:16 ~overlapped:false ~aborted:false;
   match Span.to_json sp with
   | Json.Obj fields -> (
     Alcotest.(check bool) "all five spans completed" true
@@ -316,17 +318,17 @@ let test_span_latency_and_streaks () =
 
 let test_span_contention () =
   let sp = Span.create ~n:2 in
-  Span.on_invoke sp ~obj_id:7;
-  Span.on_invoke sp ~obj_id:7;
+  Span.on_invoke sp ~obj_id:7 ~in_flight:1;
+  Span.on_invoke sp ~obj_id:7 ~in_flight:2;
   (* both spans overlap on object 7: one contention window *)
-  Span.on_respond sp ~pid:0 ~layer:Sink.App ~obj_id:7 ~step:2 ~invoked:0
-    ~overlapped:true ~aborted:false;
-  Span.on_respond sp ~pid:1 ~layer:Sink.App ~obj_id:7 ~step:3 ~invoked:1
-    ~overlapped:true ~aborted:false;
+  Span.on_respond sp ~pid:0 ~layer:Sink.App ~obj_id:7 ~in_flight:1 ~step:2
+    ~invoked:0 ~overlapped:true ~aborted:false;
+  Span.on_respond sp ~pid:1 ~layer:Sink.App ~obj_id:7 ~in_flight:0 ~step:3
+    ~invoked:1 ~overlapped:true ~aborted:false;
   (* a solo operation afterwards does not reopen the window *)
-  Span.on_invoke sp ~obj_id:7;
-  Span.on_respond sp ~pid:0 ~layer:Sink.App ~obj_id:7 ~step:5 ~invoked:4
-    ~overlapped:false ~aborted:false;
+  Span.on_invoke sp ~obj_id:7 ~in_flight:1;
+  Span.on_respond sp ~pid:0 ~layer:Sink.App ~obj_id:7 ~in_flight:0 ~step:5
+    ~invoked:4 ~overlapped:false ~aborted:false;
   match Span.to_json sp with
   | Json.Obj fields -> (
     match List.assoc "contention" fields with
@@ -604,11 +606,11 @@ let test_span_programs_cover_cases () =
       "two calls of one pid in flight on one object"; "a contended span";
       "a closed abort streak" ]
 
-(* The tracer as it was before its per-object state was packed into one
-   int per object and [completed] became the sum of the latency counts:
-   a verbatim copy, kept as the reference the packed tracer must match
-   on any event stream, including responds with nothing in flight (a
-   tracer attached mid-run) and pids out of range. *)
+(* The tracer as it was before it read each object's in-flight count from
+   the runtime and [completed] became the sum of the latency counts: a
+   verbatim copy, kept as the reference the tracer must match on any
+   event stream, including responds with nothing in flight (a tracer
+   attached mid-run) and pids out of range. *)
 module Array_span = struct
   type t = {
     n : int;
@@ -705,9 +707,13 @@ end
 
 (* Random invoke/respond streams over 1–4 objects (now and then one past
    the initial 64 slots), with pids from -1 to n, every layer, latencies
-   0–40 with small ones common, random overlap flags and frequent aborts,
-   so windows open and close, streaks run and close, and responds arrive
-   with nothing in flight. *)
+   from -3 to 1100 with small ones common, random overlap flags and
+   frequent aborts, so windows open and close, streaks run and close, and
+   responds arrive with nothing in flight. Each event carries the
+   in-flight count a model of the stream gives, as a collector hands over
+   the runtime's: an invoke adds one, a respond takes one away but never
+   below zero, and a respond of a pid the tracer ignores (one no runtime
+   of [n] processes makes) leaves the count as it is. *)
 let qcheck_span_matches_array_tracker =
   QCheck.Test.make ~name:"packed span equals array tracker" ~count:500
     QCheck.(int_range 0 1_000_000_000)
@@ -716,21 +722,30 @@ let qcheck_span_matches_array_tracker =
       let n = 1 + Rng.int g 3 in
       let objs = 1 + Rng.int g 4 in
       let packed = Span.create ~n and reference = Array_span.create ~n in
+      let in_flight = Array.make 264 0 in
       let layers = Array.of_list Sink.layers in
       for step = 0 to Rng.int g 300 do
         let obj_id = if Rng.int g 50 = 0 then 64 + Rng.int g 200 else Rng.int g objs in
         if Rng.int g 2 = 0 then begin
-          Span.on_invoke packed ~obj_id;
+          in_flight.(obj_id) <- in_flight.(obj_id) + 1;
+          Span.on_invoke packed ~obj_id ~in_flight:in_flight.(obj_id);
           Array_span.on_invoke reference ~obj_id
         end
         else begin
           let pid = Rng.int g (n + 2) - 1 in
+          if pid >= 0 && pid < n then
+            in_flight.(obj_id) <- Int.max 0 (in_flight.(obj_id) - 1);
           let layer = layers.(Rng.int g (Array.length layers)) in
-          let latency = if Rng.int g 3 = 0 then Rng.int g 41 else Rng.int g 16 in
+          let latency =
+            match Rng.int g 8 with
+            | 0 -> Rng.int g 1100 - 3
+            | 1 | 2 | 3 -> Rng.int g 41
+            | _ -> Rng.int g 16
+          in
           let overlapped = Rng.int g 3 = 0 and aborted = Rng.int g 2 = 0 in
           let invoked = step - latency in
-          Span.on_respond packed ~pid ~layer ~obj_id ~step ~invoked ~overlapped
-            ~aborted;
+          Span.on_respond packed ~pid ~layer ~obj_id
+            ~in_flight:in_flight.(obj_id) ~step ~invoked ~overlapped ~aborted;
           Array_span.on_respond reference ~pid ~layer ~obj_id ~step ~invoked
             ~overlapped ~aborted
         end
