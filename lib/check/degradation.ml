@@ -122,44 +122,62 @@ let check ?(min_ops = 1) ~prediction ~trace ~completed_before
 
 module Online = struct
   (* The same contract, decided incrementally from the sink stream instead
-     of post-hoc from the recorded trace. The gap bookkeeping replays
-     [Timeliness.max_gap] on two flat n×n matrices: [o_own.(q)] counts q's
-     steps in the tail, [o_seen.(p*n + q)] is that count as of p's last
-     step (0 before p steps), so q's current gap since p last stepped is
-     [o_own.(q) - o_seen.(p*n + q)], and [o_big.(p*n + q)] holds the
-     largest gap already flushed. A step by p widens every gap of p's
-     column for free (its own count moves) and flushes p's row in one
-     loop. The verdict is then built by [check]'s own [assemble], so for
-     any finished run [verdict t = check ~prediction ~trace ...] field for
-     field — the differential test in [test/test_nemesis.ml] enforces this
-     across the full campaign × system matrix on both substrates. *)
+     of post-hoc from the recorded trace. Tail steps of pids below n are
+     numbered 0, 1, 2, … by [o_clock]. For each pid, [o_last.(p)] is the
+     number of its last tail step (-1 before it steps) and its ring, the
+     [o_width = bound + 1] ints at [o_ring.(p*width ..)], holds the numbers
+     of its last [width] tail steps (-1 where it has taken fewer), oldest
+     at [o_head.(p)]. q took more than [bound] steps since p's last step
+     exactly when q's oldest ring entry is later than [o_last.(p)], so a
+     step by p needs to look at the other pids only when more than
+     [bound] tail steps passed since p's last one, which is rare for a
+     timely p; a gap found too wide marks p in [o_late] for good. This
+     replays [Timeliness.max_gap] (the gap before p's first step counts
+     from the tail boundary, the one after its last is checked at
+     [verdict]), and the verdict is then built by [check]'s own
+     [assemble], so for any finished run [verdict t = check ~prediction
+     ~trace ...] field for field — the differential test in
+     [test/test_nemesis.ml] enforces this across the full campaign ×
+     system matrix on both substrates. *)
 
   type t = {
     o_prediction : prediction;
     o_n : int;
     o_from : int;
     o_min_ops : int;
+    o_bound : int;
+    o_width : int;  (* ring width per pid: bound + 1, at least 1 *)
     o_completed : int array;  (* per-pid completions, whole run *)
     mutable o_before : int array option;
         (* [o_completed] snapshotted at the first event with
            step ≥ pred_from — the online analogue of [completed_before] *)
+    mutable o_clock : int;  (* tail steps of pids below n so far *)
     o_own : int array;  (* per-pid own steps in the tail *)
-    o_seen : int array;  (* o_seen.(p*n + q): o_own.(q) at p's last step *)
-    o_big : int array;  (* largest flushed gap per (p, q) pair *)
+    o_last : int array;  (* number of each pid's last tail step, or -1 *)
+    o_head : int array;  (* index of each pid's oldest ring entry *)
+    o_ring : int array;  (* each pid's last [o_width] tail step numbers *)
+    o_late : bool array;  (* a closed gap of the pid exceeded the bound *)
   }
 
   let create ?(min_ops = 1) prediction =
     let n = prediction.pred_n in
+    let bound = prediction.pred_bound in
+    let width = Int.max 1 (bound + 1) in
     {
       o_prediction = prediction;
       o_n = n;
       o_from = prediction.pred_from;
       o_min_ops = min_ops;
+      o_bound = bound;
+      o_width = width;
       o_completed = Array.make n 0;
       o_before = None;
+      o_clock = 0;
       o_own = Array.make n 0;
-      o_seen = Array.make (n * n) 0;
-      o_big = Array.make (n * n) 0;
+      o_last = Array.make n (-1);
+      o_head = Array.make n 0;
+      o_ring = Array.make (n * width) (-1);
+      o_late = Array.make n false;
     }
 
   (* Snapshot the tail boundary the moment any event at or past
@@ -173,21 +191,32 @@ module Online = struct
   let roll t ~step =
     if step >= t.o_from && Option.is_none t.o_before then snapshot t
 
+  (* Whether some q other than [pid] took more than [bound] tail steps
+     after tail step [last]: the one O(n) loop, run only when more than
+     [bound] tail steps passed since [last]. *)
+  let[@inline never] overtaken t ~pid ~last =
+    let width = t.o_width and ring = t.o_ring and head = t.o_head in
+    let found = ref false in
+    for q = 0 to t.o_n - 1 do
+      if q <> pid && ring.((q * width) + head.(q)) > last then found := true
+    done;
+    !found
+
   let on_step t ~step ~pid =
     if step >= t.o_from then begin
       if Option.is_none t.o_before then snapshot t;
-      let n = t.o_n in
-      if pid >= 0 && pid < n then begin
-        let own = t.o_own and seen = t.o_seen and big = t.o_big in
-        own.(pid) <- own.(pid) + 1;
-        (* Flush [pid]'s row, exactly like [max_gap]'s p-step case. The
-           diagonal cell is flushed too and never read. *)
-        let row = pid * n in
-        for q = 0 to n - 1 do
-          let c = own.(q) and i = row + q in
-          if c - seen.(i) > big.(i) then big.(i) <- c - seen.(i);
-          seen.(i) <- c
-        done
+      if pid >= 0 && pid < t.o_n then begin
+        let now = t.o_clock in
+        t.o_clock <- now + 1;
+        let last = t.o_last.(pid) in
+        if now - last - 1 > t.o_bound && (not t.o_late.(pid))
+           && overtaken t ~pid ~last
+        then t.o_late.(pid) <- true;
+        t.o_last.(pid) <- now;
+        t.o_own.(pid) <- t.o_own.(pid) + 1;
+        let h = t.o_head.(pid) in
+        t.o_ring.((pid * t.o_width) + h) <- now;
+        t.o_head.(pid) <- (if h + 1 = t.o_width then 0 else h + 1)
       end
     end
 
@@ -208,23 +237,20 @@ module Online = struct
       on_signal = (fun ~step ~pid s -> on_signal t ~step ~pid s);
     }
 
-  (* [Timeliness.q_timely] replayed over the matrices: the final flush is
-     [max big cur]; a p that never stepped yields the vacuous gap 0 only
-     if q never stepped either (its current gap is still 0), and a gap of
-     0 is within the bound only if the bound is not negative. *)
-  let pair_timely t ~p ~q =
-    let bound = t.o_prediction.pred_bound in
-    let i = (p * t.o_n) + q in
-    let cur = t.o_own.(q) - t.o_seen.(i) in
-    if t.o_own.(p) > 0 then Int.max t.o_big.(i) cur <= bound
-    else cur = 0 && 0 <= bound
-
+  (* [Timeliness.q_timely] for every q at once: every closed gap of p
+     within the bound ([o_late]), and the open one after its last step
+     too. A p that never stepped is timely only while no other pid
+     stepped either (its gap 0 is still within a non-negative bound); a
+     negative bound admits no gap at all. *)
   let sched_timely t ~pid =
-    let ok = ref true in
-    for q = 0 to t.o_n - 1 do
-      if q <> pid && not (pair_timely t ~p:pid ~q) then ok := false
-    done;
-    !ok
+    let others = t.o_n > 1 in
+    if t.o_own.(pid) = 0 then (not others) || (t.o_bound >= 0 && t.o_clock = 0)
+    else if t.o_bound < 0 then not others
+    else
+      let last = t.o_last.(pid) in
+      not
+        (t.o_late.(pid)
+        || (t.o_clock - last - 1 > t.o_bound && overtaken t ~pid ~last))
 
   let verdict t =
     let before =

@@ -137,10 +137,11 @@ val check :
 
     The same contract decided incrementally from the event stream, so a
     run needs no trace to be judged. An {!Online.t} consumes the sink
-    stream as the run executes — O(n²) memory in the process count,
-    independent of the horizon — and its {!Online.verdict} is field-for-
-    field equal to what {!check} would return on the finished run's
-    trace: the gap bookkeeping replicates [Timeliness.max_gap] (including
+    stream as the run executes — n × (bound + 1) ints of memory for [n]
+    processes and bound [pred_bound], independent of the horizon, and
+    O(1) work per tail step — and its {!Online.verdict} is field-for-field
+    equal to what {!check} would return on the finished run's trace: the
+    gap bookkeeping decides what [Timeliness.max_gap] decides (including
     the vacuous never-stepped case) and the verdict is assembled by the
     same function as {!check}'s. The differential test in
     [test/test_nemesis.ml] enforces the equality on every cell of the
@@ -166,9 +167,13 @@ module Online : sig
       that starts calling it at any step up to [pred_from] (and feeds
       {!on_signal} from the start) gets the same verdict as one feeding
       the whole stream — [Cell_runner.run] arms it at the tail
-      boundary. From [pred_from] on, one O(n) loop per step of a pid
-      below [pred_n]; it allocates only the tail boundary's completion
-      snapshot, once. *)
+      boundary. From [pred_from] on, a step of a pid below [pred_n]
+      records the step in the pid's ring of its last [pred_bound + 1]
+      tail steps, constant work, and looks at the other pids (one O(n)
+      loop) only when more than [pred_bound] tail steps of all pids
+      passed since the pid's previous one (rare for a timely pid), and no
+      more once a gap of the pid was found too wide; it allocates only
+      the tail boundary's completion snapshot, once. *)
 
   val on_signal : t -> step:int -> pid:int -> Tbwf_sim.Sink.signal -> unit
   (** The sink's [on_signal]: counts [Op_complete] per pid. *)
@@ -176,7 +181,7 @@ module Online : sig
   val verdict : t -> verdict
   (** The verdict over everything consumed so far. Non-destructive: safe
       to call per stream window for running verdicts and again at the
-      end of the run. *)
+      end of the run. At most one O(n) loop per process. *)
 end
 
 val min_timely_tail_ops : verdict -> int option

@@ -42,13 +42,16 @@ let invoke t op =
   in
   attempt Qa_intf.Invoke
 
-(* Workload's closed loop around Figure 7's invoke, as a step machine: one
-   call of [client_step] is one step of [Workload.spawn_clients ~invoke]
-   over [invoke] (or, without a [gate], over [Baselines.retry_invoke]),
-   with the same calls, stats and signals on the same steps. pc 0: fetch
-   the next operation; 1: the canonical wait; 2: an attempt awaits
-   leadership; 3: an attempt's answer arrived. *)
-let client_machine rt ~pid ~(gate : t option) ~qa ~stats ~next_op :
+(* Workload's client loops around Figure 7's invoke, as a step machine:
+   one call of [client_step] is one step of the fiber client over [invoke]
+   (or, without a [gate], over [Baselines.retry_invoke]) —
+   [Workload.spawn_clients ~invoke] for a [Closed] source,
+   [Workload.Open_loop.spawn_clients ~invoke] for an [Open] one — with the
+   same calls, stats, signals and random draws on the same steps. pc 0:
+   fetch the next operation (a closed loop's is always due; an open
+   loop's waits for its arrival); 1: the canonical wait; 2: an attempt
+   awaits leadership; 3: an attempt's answer arrived. *)
+let client_machine rt ~pid ~(gate : t option) ~qa ~stats ~source :
     Runtime.machine =
   (* Ungated, the handle is a placeholder that nothing reads or writes. *)
   let handle =
@@ -65,14 +68,17 @@ let client_machine rt ~pid ~(gate : t option) ~qa ~stats ~next_op :
   let rec client_step v =
     match !pc with
     | 0 -> (
-      match next_op ~pid ~k:!k with
-      | None -> Runtime.M_halt
-      | Some next ->
-        Workload.issue stats ~pid;
-        op := next;
-        call := Qa_intf.Invoke;
-        pc := 1;
-        client_step v)
+      match source with
+      | Workload.Closed next_op -> (
+        match next_op ~pid ~k:!k with
+        | None -> Runtime.M_halt
+        | Some next -> fetched next v)
+      | Workload.Open arrivals -> (
+        match Workload.Open_loop.poll arrivals ~now:(Runtime.now rt) with
+        | Workload.Open_loop.Arrived ->
+          fetched (Workload.Open_loop.arrive arrivals ~k:!k) v
+        | Workload.Open_loop.Waiting -> Runtime.M_yield
+        | Workload.Open_loop.Exhausted -> Runtime.M_halt))
     | 1 ->
       if canonical && is_leader handle then Runtime.M_yield
       else begin
@@ -100,6 +106,12 @@ let client_machine rt ~pid ~(gate : t option) ~qa ~stats ~next_op :
         pc := 0;
         client_step Value.Unit)
     | _ -> assert false
+  and fetched next v =
+    Workload.issue stats ~pid;
+    op := next;
+    call := Qa_intf.Invoke;
+    pc := 1;
+    client_step v
   in
   client_step
 
@@ -107,5 +119,6 @@ let spawn_clients rt ~gate ~qa ~pids ~stats ~next_op =
   List.iter
     (fun pid ->
       Runtime.spawn_machine ~layer:Sink.App rt ~pid ~name:"client"
-        (client_machine rt ~pid ~gate ~qa ~stats ~next_op))
+        (client_machine rt ~pid ~gate ~qa ~stats
+           ~source:(Workload.Closed next_op)))
     pids

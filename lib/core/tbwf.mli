@@ -21,11 +21,12 @@
     Figure 7 has two forms that share its transitions ({!retry_with}, the
     QA call view of {!Tbwf_objects.Qa_intf}, the leader test and the
     candidacy flag): {!invoke}, a fiber call for any caller-supplied
-    client, and {!spawn_clients}, the closed-loop client as a step machine
+    client, and {!client_machine}, the client as a step machine
     ({!Tbwf_sim.Runtime.spawn_machine}), which is how
-    [Tbwf_system.System.build] runs its clients on both substrates. The
-    two forms take the same steps, make the same calls and draw the same
-    random values in the same order. *)
+    [Tbwf_system.System.build] runs its closed-loop clients on both
+    substrates and [Tbwf_world.World] its open-loop ones. The two forms
+    take the same steps, make the same calls and draw the same random
+    values in the same order. *)
 
 type t
 
@@ -46,6 +47,25 @@ val retry_with : Tbwf_sim.Value.t -> Tbwf_objects.Qa_intf.call option
     query after ⊥, the operation again after F — or [None] when [res] is
     the operation's response. Allocates nothing. *)
 
+val client_machine :
+  Tbwf_sim.Runtime.t ->
+  pid:int ->
+  gate:t option ->
+  qa:Tbwf_objects.Qa_intf.t ->
+  stats:Workload.stats ->
+  source:Workload.source ->
+  Tbwf_sim.Runtime.machine
+(** Client [pid] as one step machine, to spawn with
+    {!Tbwf_sim.Runtime.spawn_machine} or [spawn_machine_at]. It takes the
+    steps the fiber client would take over [invoke t] when
+    [gate = Some t] ([t]'s QA object must be [qa]), or over
+    [Baselines.retry_invoke qa], the bare op/query/retry automaton, when
+    [gate = None]: [Workload.spawn_clients]'s loop for a
+    [Workload.Closed next_op] source, [Workload.Open_loop.spawn_clients]'s
+    for a [Workload.Open] one (the arrival clock's transitions are the
+    fiber's own). A step that waits for an open-loop arrival allocates
+    nothing. *)
+
 val spawn_clients :
   Tbwf_sim.Runtime.t ->
   gate:t option ->
@@ -54,9 +74,7 @@ val spawn_clients :
   stats:Workload.stats ->
   next_op:(pid:int -> k:int -> Tbwf_sim.Value.t option) ->
   unit
-(** The machine form of [Workload.spawn_clients]: one ["client"] machine
-    per pid (layer [App]) over [qa], taking the steps the fiber client
-    would take over [invoke t] when [gate = Some t] ([t]'s QA object must
-    be [qa]), or over [Baselines.retry_invoke qa], the bare op/query/retry
-    automaton, when [gate = None]; with the same calls, [stats] updates
-    and [Op_complete] signals. *)
+(** The machine form of [Workload.spawn_clients]: one ["client"]
+    {!client_machine} per pid (layer [App]) over a [Workload.Closed next_op]
+    source, with the same calls, [stats] updates and [Op_complete]
+    signals as the fiber loop. *)

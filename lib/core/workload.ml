@@ -85,33 +85,97 @@ module Open_loop = struct
     let u = Rng.float rng in
     Float.max 1.0 (-.p.mean_gap *. log (1.0 -. u))
 
-  let body rt ~pid ~stats ~invoke ~profile ~cdf ~seed ~until ~op_of_key () =
-    let rng = Rng.create (Rng.task_seed ~master:seed pid) in
-    let until = float_of_int until in
-    let rec loop k next_arrival =
-      if next_arrival < until then begin
-        let due = int_of_float next_arrival in
-        Runtime.await (fun () -> Runtime.now rt >= due);
-        let key = draw_key cdf rng in
-        issue stats ~pid;
-        ignore (invoke (op_of_key ~pid ~k ~key) : Value.t);
-        complete rt stats ~pid;
-        loop (k + 1) (next_arrival +. draw_gap profile rng)
-      end
+  type traffic = { profile : profile; cdf : float array }
+
+  let traffic profile =
+    validate profile;
+    { profile; cdf = zipf_cdf profile }
+
+  (* One client's arrival clock, the transitions both client forms step
+     through. [Fresh]: no gap drawn yet (the task has not stepped);
+     [Pending]: the next arrival is [next], due at step [due];
+     [Taken]: that arrival was issued, and the gap after it is drawn at
+     the next poll, which both forms make right after the operation
+     completes; [Done]: the next arrival is at or past [until]. *)
+  type phase = Fresh | Pending | Taken | Done
+
+  type arrivals = {
+    traffic : traffic;
+    rng : Rng.t;
+    pid : int;
+    until : float;
+    op_of_key : pid:int -> k:int -> key:int -> Value.t;
+    mutable phase : phase;
+    mutable next : float;
+    mutable due : int;
+  }
+
+  let arrivals traffic ~seed ~pid ~until ~op_of_key =
+    {
+      traffic;
+      rng = Rng.create (Rng.task_seed ~master:seed pid);
+      pid;
+      until = float_of_int until;
+      op_of_key;
+      phase = Fresh;
+      next = 0.0;
+      due = 0;
+    }
+
+  let set_next a next =
+    a.next <- next;
+    if next < a.until then begin
+      a.due <- int_of_float next;
+      a.phase <- Pending
+    end
+    else a.phase <- Done
+
+  type status = Arrived | Waiting | Exhausted
+
+  let poll a ~now =
+    (match a.phase with
+    | Fresh -> set_next a (float_of_int now +. draw_gap a.traffic.profile a.rng)
+    | Taken -> set_next a (a.next +. draw_gap a.traffic.profile a.rng)
+    | Pending | Done -> ());
+    match a.phase with
+    | Done -> Exhausted
+    | Fresh | Taken | Pending -> if now >= a.due then Arrived else Waiting
+
+  let arrive a ~k =
+    let key = draw_key a.traffic.cdf a.rng in
+    a.phase <- Taken;
+    a.op_of_key ~pid:a.pid ~k ~key
+
+  (* The fiber form, over a caller-supplied [invoke]. *)
+  let body rt ~stats ~invoke a () =
+    let rec loop k =
+      match poll a ~now:(Runtime.now rt) with
+      | Exhausted -> ()
+      | Arrived -> run k
+      | Waiting ->
+        Runtime.park (fun () -> Runtime.now rt >= a.due);
+        run k
+    and run k =
+      let op = arrive a ~k in
+      issue stats ~pid:a.pid;
+      ignore (invoke op : Value.t);
+      complete rt stats ~pid:a.pid;
+      loop (k + 1)
     in
-    loop 0 (float_of_int (Runtime.now rt) +. draw_gap profile rng)
+    loop 0
 
   let client_body rt ~pid ~stats ~invoke ~profile ~seed ~until ~op_of_key =
-    validate profile;
-    let cdf = zipf_cdf profile in
-    body rt ~pid ~stats ~invoke ~profile ~cdf ~seed ~until ~op_of_key
+    body rt ~stats ~invoke
+      (arrivals (traffic profile) ~seed ~pid ~until ~op_of_key)
 
   let spawn_clients rt ~pids ~stats ~invoke ~profile ~seed ~until ~op_of_key =
-    validate profile;
-    let cdf = zipf_cdf profile in
+    let traffic = traffic profile in
     List.iter
       (fun pid ->
         Runtime.spawn ~layer:Sink.App rt ~pid ~name:"open-loop"
-          (body rt ~pid ~stats ~invoke ~profile ~cdf ~seed ~until ~op_of_key))
+          (body rt ~stats ~invoke
+             (arrivals traffic ~seed ~pid ~until ~op_of_key)))
       pids
 end
+
+type source = Closed of (pid:int -> k:int -> Value.t option) | Open of Open_loop.arrivals

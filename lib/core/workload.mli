@@ -61,7 +61,56 @@ module Open_loop : sig
   val validate : profile -> unit
   (** Raises [Invalid_argument] unless [mean_gap] is finite and [> 0],
       [keys >= 1] and [zipf] is finite and [>= 0] (NaN is neither).
-      {!spawn_clients} and {!client_body} call it. *)
+      {!traffic} calls it. *)
+
+  type traffic
+  (** A validated profile with its Zipf CDF built: what every client of
+      a cell shares, built once per cell. *)
+
+  val traffic : profile -> traffic
+  (** {!validate}s the profile and builds its Zipf CDF. *)
+
+  (** {3 The arrival clock}
+
+      One client's arrivals, as the transitions both client forms step
+      through: the fiber below ({!spawn_clients}, {!client_body}) and
+      Figure 7's client machine over an {!Open} source
+      ([Tbwf.client_machine]). The random draws keep one order: the gap
+      to the next arrival is drawn at the client's first {!poll} (its
+      first step) and at the first poll after each {!arrive} (the step
+      its operation completes); the key is drawn at the arrival step, by
+      {!arrive}. *)
+
+  type arrivals
+
+  val arrivals :
+    traffic ->
+    seed:int64 ->
+    pid:int ->
+    until:int ->
+    op_of_key:(pid:int -> k:int -> key:int -> Tbwf_sim.Value.t) ->
+    arrivals
+  (** Client [pid]'s clock, fresh: its private stream is
+      {!Tbwf_sim.Rng.task_seed}[ ~master:seed pid], and generation stops
+      at the first arrival at or past step [until]. *)
+
+  type status =
+    | Arrived  (** the next arrival is due: {!arrive} takes it *)
+    | Waiting  (** the next arrival is after [now] *)
+    | Exhausted  (** the next arrival is at or past [until] *)
+
+  val poll : arrivals -> now:int -> status
+  (** The clock at step [now], drawing the pending gap first. Allocates
+      nothing while the client waits. *)
+
+  val arrive : arrivals -> k:int -> Tbwf_sim.Value.t
+  (** Take the arrival {!poll} found due: draw its key and return the
+      client's [k]-th operation, [op_of_key ~pid ~k ~key]. The caller
+      counts it with {!issue}. *)
+
+  (** {3 The fiber form}
+
+      Kept for callers that supply their own [invoke]. *)
 
   val spawn_clients :
     Tbwf_sim.Runtime.t ->
@@ -94,3 +143,12 @@ module Open_loop : sig
       arrival clock starts at the body's first scheduled step, so a
       joiner's schedule begins at its join, not at step 0. *)
 end
+
+(** {2 Where a client's operations come from} *)
+
+type source =
+  | Closed of (pid:int -> k:int -> Tbwf_sim.Value.t option)
+      (** the closed loop: the next operation is fetched as soon as the
+          previous one completes, [None] ends the client *)
+  | Open of Open_loop.arrivals
+      (** the open loop: the next operation is fetched at its arrival *)

@@ -67,7 +67,7 @@ type proc = {
    retirements and crashes scheduled for a future step. *)
 type event_kind =
   | Ev_task of { pid : int; name : string; layer : Sink.layer;
-                 state : task_state }
+                 machine : machine; state : task_state }
   | Ev_retire of int
   | Ev_crash of int
 
@@ -235,11 +235,26 @@ let crash_at t ~pid ~step =
 
 (* --- dynamic membership -------------------------------------------------- *)
 
-let spawn_at ?(layer = Sink.Other) t ~pid ~at ~name body =
+(* The one activation rule, whether the activation is due at once or
+   comes off the queue: a process that crashed or retired takes no new
+   task. *)
+let activate t ~pid ~name ~layer ~machine state =
+  let proc = t.procs.(pid) in
+  if not (proc.is_crashed || proc.is_retired) then
+    push_task ~machine t ~pid ~name ~layer state
+
+(* The one deferred-spawn path, for fiber and machine tasks alike. *)
+let spawn_deferred t ~pid ~at ~name ~layer ~machine state =
   if pid < 0 || pid >= t.num then invalid_arg "Runtime.spawn_at: bad pid";
-  if at <= t.step then push_task t ~pid ~name ~layer (Ready body)
+  if at <= t.step then activate t ~pid ~name ~layer ~machine state
   else
-    schedule_event t ~step:at (Ev_task { pid; name; layer; state = Ready body })
+    schedule_event t ~step:at (Ev_task { pid; name; layer; machine; state })
+
+let spawn_at ?(layer = Sink.Other) t ~pid ~at ~name body =
+  spawn_deferred t ~pid ~at ~name ~layer ~machine:no_machine (Ready body)
+
+let spawn_machine_at ?(layer = Sink.Other) t ~pid ~at ~name fn =
+  spawn_deferred t ~pid ~at ~name ~layer ~machine:fn Machine_ready
 
 let yield () = Effect.perform Yield
 let call obj op = Effect.perform (Call (obj, op))
@@ -505,10 +520,8 @@ let rec apply_due t =
   | (due, kind) :: rest when due <= t.step ->
     t.events <- rest;
     (match kind with
-    | Ev_task { pid; name; layer; state } ->
-      let proc = t.procs.(pid) in
-      if not (proc.is_crashed || proc.is_retired) then
-        push_task t ~pid ~name ~layer state
+    | Ev_task { pid; name; layer; machine; state } ->
+      activate t ~pid ~name ~layer ~machine state
     | Ev_retire pid ->
       let proc = t.procs.(pid) in
       if not (proc.is_crashed || proc.is_retired) then retire_proc t proc

@@ -74,10 +74,14 @@ val spawn :
     no per-step closure. Every task of the paper's stacks is a machine on
     both substrates: Figure 2's activity monitors, both Ω∆
     implementations (Figures 3 and 6), the naive booster's election,
-    Figure 7's clients and the message-passing replica servers. A machine
-    steps through a register operation that takes many calls (a quorum
-    round) by the register's port ([Tbwf_registers.Reg.Port]). Fibers
-    ({!spawn}) remain for caller-supplied bodies. Machine tasks and fiber
+    Figure 7's clients — the closed loop of campaign and soak cells and
+    the open loop of world cells, one machine for both, whose pc says
+    where in an operation a client is — and the message-passing replica
+    servers. So no step of a campaign, soak or world cell runs a fiber. A
+    machine steps through a register operation that takes many calls (a
+    quorum round) by the register's port ([Tbwf_registers.Reg.Port]).
+    Fibers ({!spawn}, {!spawn_at}) remain for caller-supplied bodies.
+    Machine tasks and fiber
     tasks share every other bit of runtime bookkeeping (sink events,
     pending-op tracking, crash/stop semantics), so a machine that mirrors
     a task body's effect sequence produces a byte-identical run. *)
@@ -121,13 +125,14 @@ val crashed : t -> pid:int -> bool
 
     The process table is fixed at {!create}, but processes can join and
     leave mid-run: a dormant pid joins when its first task is activated
-    ({!spawn_at}), and a process leaves when it retires or crashes.
+    ({!spawn_at}, {!spawn_machine_at}), and a process leaves when it retires or crashes.
     Membership changes are deterministic simulator events, keyed by step
     like everything else: a run with churn is still a pure function of
     (seed, policy, spawned code, scheduled events), so it replays
     byte-identically under {!Policy.replay}.
 
-    Deferred activations ({!spawn_at}), retirements and crashes
+    Deferred activations ({!spawn_at}, {!spawn_machine_at}), retirements
+    and crashes
     ({!crash_at}) wait in one queue and apply just before their step
     executes. Events due at the same step apply in a fixed order:
     activations and retirements in the order they were scheduled, then
@@ -141,7 +146,16 @@ val spawn_at :
   (unit -> unit) -> unit
 (** Deferred {!spawn}: add a task to existing process [pid] that becomes
     runnable at step [at] — the join primitive for a cell built at
-    capacity, where a dormant member starts doing work mid-run. *)
+    capacity, where a dormant member starts doing work mid-run. An [at]
+    that is not after {!now} activates the task at once. Either way, an
+    activation on a process that has crashed or retired by then is
+    dropped. *)
+
+val spawn_machine_at :
+  ?layer:Sink.layer -> t -> pid:int -> at:int -> name:string -> machine ->
+  unit
+(** Deferred {!spawn_machine}, through the same activation path as
+    {!spawn_at}: how a world cell's joiner starts its client. *)
 
 val retire : ?at:int -> t -> pid:int -> unit
 (** Gracefully remove [pid] from the membership at step [at] (default

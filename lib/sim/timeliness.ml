@@ -30,8 +30,8 @@ let timely trace ~n ~p ~from_step ~bound =
   done;
   !ok
 
-(* [timely] for every p in one scan, with [Degradation.Online]'s row
-   flush: [seen.(p).(q)] is q's step count at p's last step, so a step by
+(* [timely] for every p in one scan, with a row flush: [seen.(p).(q)]
+   is q's step count at p's last step, so a step by
    p flushes row p, q's steps since then forming the gap that closes. A
    step costs O(n), the scan O(n × tail) in place of [timely]'s
    O(n² × tail) over all p. *)

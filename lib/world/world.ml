@@ -147,15 +147,35 @@ type shard_result = {
   ws_seconds : float;
 }
 
+(* Initially-active members drive open-loop traffic from step 0; each
+   joiner's client is the same machine, activated at its join step. The
+   Ω∆ mesh installed by [System.build] covers all [n] pids either way — a
+   joiner is a dormant but timely member until its client wakes. *)
+let spawn_clients c (stack : System.stack) ~seed ~joins =
+  let traffic = Workload.Open_loop.traffic c.profile in
+  let { System.rt; stats; tbwf; qa; _ } = stack in
+  let client pid =
+    Tbwf.client_machine rt ~pid ~gate:tbwf ~qa ~stats
+      ~source:
+        (Workload.Open
+           (Workload.Open_loop.arrivals traffic ~seed ~pid ~until:c.horizon
+              ~op_of_key))
+  in
+  for pid = 0 to c.n - c.joiners - 1 do
+    Runtime.spawn_machine ~layer:Sink.App rt ~pid ~name:"open-loop"
+      (client pid)
+  done;
+  List.iter
+    (fun (pid, at) ->
+      Runtime.spawn_machine_at ~layer:Sink.App rt ~pid ~at ~name:"open-loop"
+        (client pid))
+    joins
+
 let run_shard c ~shard =
   let start = Unix.gettimeofday () in
   let system = shard_system c ~shard in
   let shard_seed = Rng.task_seed ~master:c.seed shard in
   let churn = churn_schedule c ~shard in
-  (* Initially-active members drive open-loop traffic from step 0; each
-     joiner's client is the same body deferred to its join step. The Ω∆
-     mesh installed by [build] covers all [n] pids either way — a joiner
-     is a dormant but timely member until its client wakes. *)
   let build ~qa_policy ~mesh_policy =
     let stack =
       System.build ~substrate:c.substrate ~seed:shard_seed
@@ -163,17 +183,7 @@ let run_shard c ~shard =
         ~spec:Tbwf_objects.Kv_store.spec ~client_pids:[] ~telemetry:true
         ~telemetry_window:c.window ?telemetry_retain:c.retain ~n:c.n system
     in
-    let { System.rt; stats; invoke; _ } = stack in
-    Workload.Open_loop.spawn_clients rt
-      ~pids:(List.init (c.n - c.joiners) Fun.id)
-      ~stats ~invoke ~profile:c.profile ~seed:shard_seed ~until:c.horizon
-      ~op_of_key;
-    List.iter
-      (fun (pid, at) ->
-        Runtime.spawn_at ~layer:Sink.App rt ~pid ~at ~name:"open-loop"
-          (Workload.Open_loop.client_body rt ~pid ~stats ~invoke
-             ~profile:c.profile ~seed:shard_seed ~until:c.horizon ~op_of_key))
-      churn.ch_joins;
+    spawn_clients c stack ~seed:shard_seed ~joins:churn.ch_joins;
     stack
   in
   let buf = Buffer.create 256 in

@@ -86,6 +86,26 @@ val churn_schedule : config -> shard:int -> churn
 (** The churn shard [shard] will run — exposed so tests and tools can
     predict a shard's membership timeline without running it. *)
 
+val op_of_key : pid:int -> k:int -> key:int -> Tbwf_sim.Value.t
+(** A world client's [k]-th operation on its drawn key: a put of its pid
+    for even [k], a get for odd [k], on the key-value store's ["k<key>"]. *)
+
+val spawn_clients :
+  config ->
+  Tbwf_system.System.stack ->
+  seed:int64 ->
+  joins:(int * int) list ->
+  unit
+(** A world cell's clients on [stack] (built with [client_pids:[]]): one
+    ["open-loop"] {!Tbwf_core.Tbwf.client_machine} (layer [App]) over an
+    open-loop source per initially active pid, [0 .. n - joiners - 1],
+    from step 0, and one per [(pid, step)] of [joins], activated at that
+    step ({!Tbwf_sim.Runtime.spawn_machine_at}). Their arrival clocks
+    share one {!Tbwf_core.Workload.Open_loop.traffic} built from
+    [profile]; client [p]'s stream is keyed by [(seed, p)] and stops at
+    [horizon]. No step of these clients runs a fiber; each takes the steps
+    [Workload.Open_loop.spawn_clients ~invoke:stack.invoke] would. *)
+
 type shard_result = {
   ws_shard : int;
   ws_system : Tbwf_system.System.id;

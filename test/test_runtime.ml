@@ -434,6 +434,90 @@ let test_same_step_event_order () =
     (Runtime.runnable_pids rt);
   Runtime.stop rt
 
+(* The one deferred-spawn path, under both task forms. [late] records the
+   step of the task's first step in [first]. *)
+type late_form = Late_fiber | Late_machine
+
+let late_form_name = function
+  | Late_fiber -> "fiber"
+  | Late_machine -> "machine"
+
+let spawn_late form rt ~pid ~at first =
+  let note () = if !first < 0 then first := Runtime.now rt in
+  match form with
+  | Late_fiber ->
+    Runtime.spawn_at rt ~pid ~at ~name:"late" (fun () ->
+        note ();
+        spin ())
+  | Late_machine ->
+    Runtime.spawn_machine_at rt ~pid ~at ~name:"late" (fun _ ->
+        note ();
+        Runtime.M_yield)
+
+let test_deferred_activation form () =
+  let name = late_form_name form in
+  let expected_form =
+    match form with
+    | Late_fiber -> Runtime.Fiber
+    | Late_machine -> Runtime.Machine
+  in
+  (* Activation at its step: pid 1 is not runnable before step 20, and its
+     task's first step is the first one it is offered. *)
+  let rt = Runtime.create ~n:2 () in
+  Runtime.spawn rt ~pid:0 ~name:"spin" spin;
+  let first = ref (-1) in
+  spawn_late form rt ~pid:1 ~at:20 first;
+  for _ = 0 to 19 do
+    Alcotest.(check (array int)) (name ^ ": dormant before its join") [| 0 |]
+      (Runtime.runnable_pids rt);
+    Runtime.step rt ~pid:0
+  done;
+  Alcotest.(check (array int)) (name ^ ": runnable at its join") [| 0; 1 |]
+    (Runtime.runnable_pids rt);
+  Runtime.step rt ~pid:1;
+  Alcotest.(check int) (name ^ ": first step at its join") 20 !first;
+  Alcotest.(check bool) (name ^ ": spawned in its form") true
+    (Runtime.task_forms rt ~pid:1 = [ "late", expected_form ]);
+  (* An activation due now on a live process is added at once. *)
+  let now_first = ref (-1) in
+  spawn_late form rt ~pid:1 ~at:(Runtime.now rt) now_first;
+  Alcotest.(check int) (name ^ ": due now, added at once") 2
+    (List.length (Runtime.task_forms rt ~pid:1));
+  Runtime.stop rt;
+  (* After a crash or a retirement, an activation is dropped whether it
+     is queued before the departure or due at once after it. *)
+  let departed label depart =
+    let rt = Runtime.create ~n:2 () in
+    Runtime.spawn rt ~pid:0 ~name:"spin" spin;
+    Runtime.spawn rt ~pid:1 ~name:"spin" spin;
+    let queued = ref (-1) and immediate = ref (-1) in
+    spawn_late form rt ~pid:1 ~at:10 queued;
+    depart rt;
+    Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:8;
+    spawn_late form rt ~pid:1 ~at:(Runtime.now rt) immediate;
+    Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:20;
+    Alcotest.(check (pair int int))
+      (Fmt.str "%s: no activation after a %s runs" name label)
+      (-1, -1) (!queued, !immediate);
+    Alcotest.(check int)
+      (Fmt.str "%s: no task added after a %s" name label)
+      (match label with "crash" -> 1 | _ -> 0)
+      (List.length (Runtime.task_forms rt ~pid:1));
+    Runtime.stop rt
+  in
+  departed "crash" (fun rt -> Runtime.crash_at rt ~pid:1 ~step:4);
+  departed "retirement" (fun rt -> Runtime.retire ~at:4 rt ~pid:1);
+  (* With nobody runnable, [run] idles toward a pending activation
+     instead of stopping. *)
+  let rt = Runtime.create ~n:1 () in
+  let first = ref (-1) in
+  spawn_late form rt ~pid:0 ~at:30 first;
+  Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:100;
+  Alcotest.(check int) (name ^ ": idles toward a pending activation") 30
+    !first;
+  Alcotest.(check int) (name ^ ": runs its whole budget") 100 (Runtime.now rt);
+  Runtime.stop rt
+
 (* A parked task tests its condition once per step it is scheduled for,
    never at the step that parks it, and resumes at the first true test.
    Pid 0 runs the parker beside a spinner task, so only every other step
@@ -1064,12 +1148,63 @@ let test_client_machine_allocation_guard () =
     (completed > 20_000);
   Alcotest.(check (float 0.0)) "words a call step allocates" 33.0 calling
 
+(* One open-loop client machine on pid 0, led solo and without the
+   canonical wait, as [client_machine_words_per_step]'s leader: with a
+   1e9-step mean gap its every measured step waits for the next arrival;
+   with a gap of a thousandth of a step (floored at one) every step
+   answers one operation and, the next arrival already due, invokes the
+   next. Its operation is a constant, so the figures are the client's. *)
+let open_loop_words_per_step ~mean_gap =
+  let open Tbwf_core in
+  let rt = Runtime.create ~n:1 () in
+  let handles = [| Tbwf_omega.Omega_spec.make_handle ~pid:0 |] in
+  handles.(0).Tbwf_omega.Omega_spec.leader := Tbwf_omega.Omega_spec.Leader 0;
+  let qa =
+    Tbwf_objects.Qa_object.create rt ~name:"qa"
+      ~spec:Tbwf_objects.Counter.spec
+      ~policy:Tbwf_registers.Abort_policy.Always ()
+  in
+  let tbwf = Tbwf.make ~qa ~omega_handles:handles ~canonical:false () in
+  let stats = Workload.fresh_stats ~n:1 in
+  let traffic =
+    Workload.Open_loop.traffic
+      { Workload.Open_loop.mean_gap; keys = 64; zipf = 1.1 }
+  in
+  let arrivals =
+    Workload.Open_loop.arrivals traffic ~seed:7L ~pid:0 ~until:max_int
+      ~op_of_key:(fun ~pid:_ ~k:_ ~key:_ -> Tbwf_objects.Counter.inc)
+  in
+  Runtime.spawn_machine ~layer:Sink.App rt ~pid:0 ~name:"open-loop"
+    (Tbwf.client_machine rt ~pid:0 ~gate:(Some tbwf) ~qa ~stats
+       ~source:(Workload.Open arrivals));
+  let words = omega_words_per_step rt in
+  (words, stats.Workload.completed.(0))
+
+let test_open_loop_allocation_guard () =
+  (* A step waiting for its arrival reads the clock's phase and due step:
+     0 words, like a step waiting for leadership. A boxed due step, a
+     closure or an option per poll moves the figure. *)
+  let waiting, completed = open_loop_words_per_step ~mean_gap:1e9 in
+  Alcotest.(check int) "a client whose arrival is far off completes nothing"
+    0 completed;
+  Alcotest.(check (float 0.0)) "words a step waiting for an arrival allocates"
+    0.0 waiting;
+  (* The closed loop's call step (33 words) less [Workload.forever]'s
+     [Some op] 2, plus the next-arrival time the clock stores, a boxed
+     float 2: 33 words. The gap's and the key's draws box nothing (an
+     unboxed store of that time, tried, reads 31). *)
+  let calling, completed = open_loop_words_per_step ~mean_gap:0.001 in
+  Alcotest.(check bool) "every step completes an operation" true
+    (completed > 20_000);
+  Alcotest.(check (float 0.0)) "words an open-loop call step allocates" 33.0
+    calling
+
 (* Minor-heap words per step of a two-process run, with [observed] as a
    cell's tail is observed: a collector, then an online checker whose tail
    starts at step 0, so its step hook is armed from the first step. With
    [idle], nobody is runnable until a far-future join, so every step is an
    idle tick; otherwise both processes are parked on a false condition,
-   so every step is a pid's step and the checker flushes its gap row. *)
+   so every step is a pid's step and the checker records it in its ring. *)
 let observed_words_per_step ~observed ~idle =
   let rt = Runtime.create ~n:2 () in
   (if idle then Runtime.spawn_at rt ~pid:0 ~at:1_000_000_000 ~name:"join" spin
@@ -1103,7 +1238,7 @@ let observed_words_per_step ~observed ~idle =
   words /. float_of_int steps
 
 let test_observed_step_allocation_guard () =
-  (* The collector's step count, the checker's gap row and the tee
+  (* The collector's step count, the checker's step ring and the tee
      between them write ints into arrays allocated up front; the
      checker's tail snapshot is taken at step 0, in the warm-up. Pinned as
      a difference for the idle tick, whose [Runtime.run] allocates a few
@@ -1270,6 +1405,10 @@ let () =
             test_idle_steps_advance_time;
           Alcotest.test_case "tee skips nil callbacks" `Quick
             test_tee_skips_nil_callbacks;
+          Alcotest.test_case "deferred activation, fiber" `Quick
+            (test_deferred_activation Late_fiber);
+          Alcotest.test_case "deferred activation, machine" `Quick
+            (test_deferred_activation Late_machine);
           Alcotest.test_case "same-step event order" `Quick
             test_same_step_event_order;
           Alcotest.test_case "pending events allocation guard" `Quick
@@ -1292,6 +1431,8 @@ let () =
             test_omega_machine_allocation_guard;
           Alcotest.test_case "client machine allocation guard" `Quick
             test_client_machine_allocation_guard;
+          Alcotest.test_case "open-loop client allocation guard" `Quick
+            test_open_loop_allocation_guard;
           Alcotest.test_case "observed step allocation guard" `Quick
             test_observed_step_allocation_guard;
           QCheck_alcotest.to_alcotest qcheck_overlap_matches_trace;

@@ -2,12 +2,14 @@
 
    Three layers of coverage: (1) runtime churn primitives — a dormant
    pid joining through spawn_at, graceful retire with a pending operation
-   across every register kind (mirroring test_crash_resolution), and a
-   churned run byte-identically re-run under Policy.replay_strict;
-   (2) the open-loop workload generator — arrivals respect the Poisson
-   schedule, Zipf keys stay in range, a deferred joiner starts at its
-   join step; (3) lib/world — aggregate determinism, churn accounting,
-   and CLI stdout byte-identity across --jobs values. *)
+   across every register kind (mirroring test_crash_resolution), World's
+   churned cell byte-identically re-run under Policy.replay_strict, and
+   the same cell with World's client machines and with the fiber form
+   giving one trace; (2) the open-loop workload generator — arrivals
+   respect the Poisson schedule, Zipf keys stay in range, a deferred
+   joiner starts at its join step; (3) lib/world — aggregate
+   determinism, churn accounting, and CLI stdout byte-identity across
+   --jobs values. *)
 
 open Tbwf_sim
 open Tbwf_registers
@@ -168,45 +170,126 @@ let test_retire_pending kind () =
      at least one retire landing inside an invoke/respond window *)
   Alcotest.(check bool) "some retire landed mid-operation" true !any_mid_op
 
-(* --- churn under strict replay -------------------------------------------- *)
+(* --- a churned cell, in World's client form and in the fiber form --------- *)
 
-(* A churned cell (open-loop clients, a deferred joiner, one retire, one
-   crash) records its schedule; re-running the identical cell under
-   Policy.replay_strict must not raise and must reproduce the trace
-   byte-for-byte. This is the determinism contract the world layer's
-   --jobs byte-identity rests on. *)
-let churned_cell () =
+(* A churned kv cell of 4 processes: [spawn] wires the open-loop clients
+   (pids 0–2 from step 0, pid 3 joining at step 700), then pid 1 retires
+   at step 1,500 and pid 2 crashes at 2,200. The run's trace is
+   recorded. *)
+let cell_profile =
+  { Tbwf_core.Workload.Open_loop.mean_gap = 120.0; keys = 8; zipf = 1.1 }
+
+let cell_config system substrate =
+  {
+    World.default with
+    World.n = 4;
+    joiners = 1;
+    horizon = 4_000;
+    systems = [ system ];
+    substrate;
+    profile = cell_profile;
+  }
+
+let cell_joins = [ 3, 700 ]
+
+let churned_cell ?(substrate = System.Shared_memory) ~spawn system =
   let stack =
-    System.build ~seed:21L ~client_pids:[] ~n:4
-      ~spec:Tbwf_objects.Kv_store.spec System.Tbwf_atomic
+    System.build ~substrate ~seed:21L ~client_pids:[] ~n:4
+      ~spec:Tbwf_objects.Kv_store.spec system
   in
+  spawn (cell_config system substrate) stack;
   let rt = stack.System.rt in
-  let profile =
-    { Tbwf_core.Workload.Open_loop.mean_gap = 120.0; keys = 8; zipf = 1.1 }
-  in
-  let op_of_key ~pid ~k ~key =
-    let name = "k" ^ string_of_int key in
-    if k land 1 = 0 then Tbwf_objects.Kv_store.put name (Value.Int pid)
-    else Tbwf_objects.Kv_store.get name
-  in
-  Tbwf_core.Workload.Open_loop.spawn_clients rt ~pids:[ 0; 1; 2 ]
-    ~stats:stack.System.stats ~invoke:stack.System.invoke ~profile ~seed:21L
-    ~until:4_000 ~op_of_key;
-  Runtime.spawn_at ~layer:Sink.App rt ~pid:3 ~at:700 ~name:"open-loop"
-    (Tbwf_core.Workload.Open_loop.client_body rt ~pid:3
-       ~stats:stack.System.stats ~invoke:stack.System.invoke ~profile
-       ~seed:21L ~until:4_000 ~op_of_key);
   Runtime.retire rt ~at:1_500 ~pid:1;
   Runtime.crash_at rt ~pid:2 ~step:2_200;
-  rt, Option.get stack.System.trace
+  stack
 
+(* World's form: Figure 7's client machine over each client's arrival
+   clock. *)
+let world_form c stack =
+  World.spawn_clients c stack ~seed:21L ~joins:cell_joins
+
+(* The fiber form: the open-loop fiber over the stack's [invoke], the
+   joiner deferred with [Runtime.spawn_at]. *)
+let fiber_form c (stack : System.stack) =
+  let open Tbwf_core.Workload.Open_loop in
+  let { System.rt; stats; invoke; _ } = stack in
+  let until = c.World.horizon and op_of_key = World.op_of_key in
+  spawn_clients rt ~pids:[ 0; 1; 2 ] ~stats ~invoke ~profile:c.World.profile
+    ~seed:21L ~until ~op_of_key;
+  List.iter
+    (fun (pid, at) ->
+      Runtime.spawn_at ~layer:Sink.App rt ~pid ~at ~name:"open-loop"
+        (client_body rt ~pid ~stats ~invoke ~profile:c.World.profile
+           ~seed:21L ~until ~op_of_key))
+    cell_joins
+
+let run_cell ?substrate ~policy ~spawn system =
+  let stack = churned_cell ?substrate ~spawn system in
+  let rt = stack.System.rt in
+  Runtime.run rt ~policy ~steps:4_000;
+  let fingerprint = Trace.fingerprint (Option.get stack.System.trace) in
+  let forms = List.init (Runtime.n rt) (fun pid -> Runtime.task_forms rt ~pid) in
+  let stats = stack.System.stats in
+  Runtime.stop rt;
+  fingerprint, stats, forms
+
+(* The two forms take the same steps, make the same calls and draw the
+   same random values in the same order, so their traces are one trace:
+   for every system on shared memory, under round robin and a weighted
+   random policy, and for one system on message passing. The cell must
+   do work, and World's form must run no fiber. *)
+let test_forms_agree () =
+  let check ?substrate ~label ~policy system =
+    let fp_fiber, stats_fiber, _ =
+      run_cell ?substrate ~policy:(policy ()) ~spawn:fiber_form system
+    in
+    let fp_world, stats_world, forms =
+      run_cell ?substrate ~policy:(policy ()) ~spawn:world_form system
+    in
+    let name = System.to_string system ^ " " ^ label in
+    Alcotest.(check string) (name ^ ": same trace") fp_fiber fp_world;
+    Alcotest.(check (array int)) (name ^ ": same issues")
+      stats_fiber.Tbwf_core.Workload.issued stats_world.Tbwf_core.Workload.issued;
+    Alcotest.(check (array int)) (name ^ ": same completions")
+      stats_fiber.Tbwf_core.Workload.completed
+      stats_world.Tbwf_core.Workload.completed;
+    Alcotest.(check bool) (name ^ ": the cell completed operations") true
+      (Array.fold_left ( + ) 0 stats_world.Tbwf_core.Workload.completed > 0);
+    Alcotest.(check bool) (name ^ ": the joiner issued operations") true
+      (stats_world.Tbwf_core.Workload.issued.(3) > 0);
+    Alcotest.(check bool) (name ^ ": no fiber in World's form") true
+      (List.for_all
+         (List.for_all (fun (_, form) -> form = Runtime.Machine))
+         forms);
+    Alcotest.(check bool) (name ^ ": the joiner runs World's client") true
+      (List.mem ("open-loop", Runtime.Machine) (List.nth forms 3))
+  in
+  let round_robin () = Policy.round_robin () in
+  let weighted () = Policy.weighted [| 0, 2.0; 3, 0.5 |] in
+  List.iter
+    (fun system ->
+      check ~label:"round robin" ~policy:round_robin system;
+      check ~label:"weighted" ~policy:weighted system)
+    System.all;
+  check ~substrate:(System.Message_passing Tbwf_net.Net.default_config)
+    ~label:"message passing" ~policy:round_robin System.Tbwf_atomic
+
+(* --- churn under strict replay -------------------------------------------- *)
+
+(* World's churned cell records its schedule; re-running the identical
+   cell under Policy.replay_strict must not raise and must reproduce the
+   trace byte-for-byte. This is the determinism contract the world
+   layer's --jobs byte-identity rests on. *)
 let test_churn_replay_strict () =
-  let rt1, trace1 = churned_cell () in
+  let cell () = churned_cell ~spawn:world_form System.Tbwf_atomic in
+  let stack1 = cell () in
+  let rt1 = stack1.System.rt and trace1 = Option.get stack1.System.trace in
   Runtime.run rt1 ~policy:(Policy.round_robin ()) ~steps:4_000;
   let sched = Trace.schedule trace1 in
   let fp1 = Trace.fingerprint trace1 in
   Runtime.stop rt1;
-  let rt2, trace2 = churned_cell () in
+  let stack2 = cell () in
+  let rt2 = stack2.System.rt and trace2 = Option.get stack2.System.trace in
   (* replay_strict raises Replay_mismatch on any divergence *)
   Runtime.run rt2 ~policy:(Policy.replay_strict sched) ~steps:4_000;
   let fp2 = Trace.fingerprint trace2 in
@@ -215,48 +298,95 @@ let test_churn_replay_strict () =
 
 (* --- the open-loop generator ---------------------------------------------- *)
 
+(* World's clients on a 3-process tbwf-atomic cell, pid 2 joining at step
+   3,000: each step's issues are read off the stats, so an issue's step is
+   its arrival's or, when the client is still busy then, its previous
+   operation's completion step (so a backlogged arrival may issue after
+   [until]; {!test_arrival_clock} checks that none arrives there). *)
 let test_open_loop_arrivals () =
-  let rt = Runtime.create ~seed:5L ~n:3 () in
-  let log = ref [] in
-  let invoke op =
-    log := (Runtime.now rt, op) :: !log;
-    Value.Unit
+  let c =
+    {
+      (cell_config System.Tbwf_atomic System.Shared_memory) with
+      World.n = 3;
+      horizon = 12_000;
+      profile =
+        { Tbwf_core.Workload.Open_loop.mean_gap = 400.0; keys = 16; zipf = 0.0 };
+    }
   in
-  let stats = Tbwf_core.Workload.fresh_stats ~n:3 in
-  let profile =
-    { Tbwf_core.Workload.Open_loop.mean_gap = 50.0; keys = 16; zipf = 0.0 }
+  let stack =
+    System.build ~seed:5L ~client_pids:[] ~n:3
+      ~spec:Tbwf_objects.Kv_store.spec System.Tbwf_atomic
   in
-  let keys_seen = ref [] in
-  let op_of_key ~pid ~k:_ ~key =
-    keys_seen := key :: !keys_seen;
-    Value.Pair (Value.Int pid, Value.Int key)
-  in
-  Tbwf_core.Workload.Open_loop.spawn_clients rt ~pids:[ 0; 1 ] ~stats
-    ~invoke ~profile ~seed:5L ~until:2_000 ~op_of_key;
-  Runtime.spawn_at ~layer:Sink.App rt ~pid:2 ~at:900 ~name:"open-loop"
-    (Tbwf_core.Workload.Open_loop.client_body rt ~pid:2 ~stats ~invoke
-       ~profile ~seed:5L ~until:2_000 ~op_of_key);
-  Runtime.run rt ~policy:(Policy.round_robin ()) ~steps:2_500;
+  let rt = stack.System.rt and stats = stack.System.stats in
+  World.spawn_clients c stack ~seed:5L ~joins:[ 2, 3_000 ];
+  let issued = stats.Tbwf_core.Workload.issued in
+  let first_issue = Array.make 3 (-1) in
+  let policy = Policy.round_robin () in
+  for _ = 1 to 13_000 do
+    let step = Runtime.now rt and before = Array.copy issued in
+    Runtime.run rt ~policy ~steps:1;
+    Array.iteri
+      (fun pid count ->
+        if count > before.(pid) && first_issue.(pid) < 0 then
+          first_issue.(pid) <- step)
+      issued
+  done;
   Runtime.stop rt;
   Alcotest.(check bool) "initial clients issued" true
-    (stats.Tbwf_core.Workload.issued.(0) > 10
-    && stats.Tbwf_core.Workload.issued.(1) > 10);
-  Alcotest.(check bool) "joiner issued" true
-    (stats.Tbwf_core.Workload.issued.(2) > 0);
-  Alcotest.(check bool) "every key in range" true
-    (List.for_all (fun k -> k >= 0 && k < 16) !keys_seen);
+    (issued.(0) > 10 && issued.(1) > 10);
+  Alcotest.(check bool) "joiner issued" true (issued.(2) > 0);
   (* the joiner's arrival clock starts at its join step, never before *)
   Alcotest.(check bool) "no arrival before the joiner's join" true
-    (List.for_all
-       (fun (step, op) ->
-         match op with
-         | Value.Pair (Value.Int 2, _) -> step >= 900
-         | _ -> true)
-       !log);
-  (* open-loop: issue counts track the arrival schedule, not the
-     (instant) service time — about until/mean_gap arrivals *)
+    (first_issue.(2) > 3_000);
+  (* open-loop: issue counts track the arrival schedule, not the service
+     time — about until/mean_gap arrivals, none at or past [until] *)
   Alcotest.(check bool) "issue counts bounded by the schedule" true
-    (stats.Tbwf_core.Workload.issued.(0) < 2 * (2_000 / 50))
+    (Array.for_all (fun count -> count < 2 * (12_000 / 400)) issued)
+
+(* The arrival clock alone, stepped as a client steps it: no arrival
+   before the step of the first poll plus one (a gap is at least a step),
+   every key inside the profile's universe, arrivals [Exhausted] from the
+   first one at or past [until] on, and a poll that waits changes
+   nothing. *)
+let test_arrival_clock () =
+  let open Tbwf_core.Workload.Open_loop in
+  let traffic = traffic { mean_gap = 30.0; keys = 16; zipf = 1.1 } in
+  let keys = ref [] in
+  let a =
+    arrivals traffic ~seed:3L ~pid:1 ~until:3_000 ~op_of_key:(fun ~pid ~k ~key ->
+        keys := key :: !keys;
+        Value.Pair (Value.Int pid, Value.Int k))
+  in
+  let arrivals_at = ref [] and exhausted_at = ref (-1) in
+  for now = 200 to 4_000 do
+    let rec take () =
+      match poll a ~now with
+      | Arrived ->
+        (match arrive a ~k:(List.length !arrivals_at) with
+        | Value.Pair (Value.Int 1, Value.Int _) -> ()
+        | _ -> Alcotest.fail "op_of_key not called with the clock's pid");
+        arrivals_at := now :: !arrivals_at;
+        take ()
+      | Waiting -> ()
+      | Exhausted -> if !exhausted_at < 0 then exhausted_at := now
+    in
+    take ();
+    (* a second poll at the same step, after a wait, changes nothing *)
+    match poll a ~now with
+    | Arrived -> Alcotest.fail "a waiting clock arrived on a second poll"
+    | Waiting | Exhausted -> ()
+  done;
+  let count = List.length !arrivals_at in
+  Alcotest.(check bool) "no arrival before the first poll's next step" true
+    (List.for_all (fun s -> s > 200) !arrivals_at);
+  Alcotest.(check bool) "every key in range" true
+    (List.for_all (fun k -> k >= 0 && k < 16) !keys);
+  Alcotest.(check bool) "about (until - start)/mean_gap arrivals" true
+    (count > 45 && count < 150);
+  Alcotest.(check bool) "no arrival at or past until" true
+    (List.for_all (fun s -> s < 3_000) !arrivals_at);
+  Alcotest.(check bool) "exhausted once the schedule passes until" true
+    (!exhausted_at > 0 && !exhausted_at <= 3_000)
 
 let test_open_loop_deterministic () =
   let run () =
@@ -463,12 +593,15 @@ let () =
           all_kinds );
       ( "replay",
         [
+          Alcotest.test_case "fiber and World forms agree" `Quick
+            test_forms_agree;
           Alcotest.test_case "churn under strict replay" `Quick
             test_churn_replay_strict;
         ] );
       ( "open_loop",
         [
           Alcotest.test_case "arrivals" `Quick test_open_loop_arrivals;
+          Alcotest.test_case "arrival clock" `Quick test_arrival_clock;
           Alcotest.test_case "deterministic" `Quick
             test_open_loop_deterministic;
         ] );
